@@ -226,7 +226,7 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 	fmt.Printf("  server-side latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
 		snap.Latency.P50Ms, snap.Latency.P95Ms, snap.Latency.P99Ms)
 	if cl := snap.Cluster; cl != nil {
-		fmt.Printf("  cluster: %d/%d workers healthy, %d broadcasts, %d aggregations, %.1f MB sent, %d emulator fallbacks\n",
+		fmt.Printf("  cluster: %d/%d workers healthy, %d broadcasts, %d aggregations, %.1f MB sent, %d local fallbacks\n",
 			cl.Healthy, cl.Workers, cl.Broadcasts, cl.Aggregations, float64(cl.BytesSent)/1e6, snap.EmulatorFallbacks)
 	}
 	if kc := snap.KeyCache; kc != nil {

@@ -1,7 +1,8 @@
 // Command cinnamon-serve runs the encrypted-inference serving runtime
 // over HTTP: it compiles the serve catalog at startup, then accepts
-// marshaled CKKS ciphertexts from registered tenants, batches them into
-// shared emulator runs, and returns the encrypted results.
+// marshaled CKKS ciphertexts from registered tenants, batches them per
+// (program, tenant), executes them on the library's CKKS evaluator, and
+// returns the encrypted results.
 //
 // Usage:
 //
@@ -12,14 +13,14 @@
 //
 // With -bootstrap, the parameter set switches to a sparse secret (the
 // serve bootstrap literal), the registry precompiles the shared bootstrap
-// circuit, catalog programs deeper than the modulus chain compile as
-// scheduler-path entries with mid-program refreshes, and the encrypted
-// session endpoints (/v1/sessions) are live.
+// circuit, catalog programs deeper than the modulus chain are served with
+// mid-program refreshes, and the encrypted session endpoints
+// (/v1/sessions) are live.
 //
 // With -cluster, requests execute over the scale-out worker cluster
 // (cinnamon-worker processes, one chip each): ciphertext limbs are
 // partitioned across the workers and every keyswitch runs the paper's
-// network collectives. The local emulator stays as the fallback path when
+// network collectives. Local keyswitching stays as the fallback when
 // workers are lost (unless -require-cluster).
 //
 // Semicolons split -cluster into independent backends (failure domains),
@@ -75,15 +76,15 @@ func main() {
 	logN := flag.Int("logn", 8, "ring degree log2 (2^logN coefficients)")
 	levels := flag.Int("levels", 4, "multiplicative levels (4 fits the depth-4 tensor catalog)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (clients must match)")
-	maxBatch := flag.Int("max-batch", 4, "largest compiled batch variant (power of two)")
+	maxBatch := flag.Int("max-batch", 4, "most requests one dispatched batch carries")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max time a request waits for batch-mates")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "emulator worker goroutines")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executor worker goroutines")
 	limbWorkers := flag.Int("limb-workers", 0, "limb-parallel arithmetic workers per operation (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "per-(program,tenant) queue depth before shedding")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request execution timeout")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
-	clusterAddrs := flag.String("cluster", "", "cinnamon-worker addresses: comma-separated within a backend, semicolon-separated between backends (host:port,...;host:port,...); empty = local emulator only")
-	requireCluster := flag.Bool("require-cluster", false, "fail typed (503) instead of falling back to the local emulator when no cluster backend can serve")
+	clusterAddrs := flag.String("cluster", "", "cinnamon-worker addresses: comma-separated within a backend, semicolon-separated between backends (host:port,...;host:port,...); empty = local execution only")
+	requireCluster := flag.Bool("require-cluster", false, "fail typed (503) instead of falling back to local execution when no cluster backend can serve")
 	heartbeat := flag.Duration("heartbeat", 1*time.Second, "cluster worker heartbeat interval (0 disables; redials back off with jitter)")
 	sessionLog := flag.String("session-log", "", "durable session checkpoint log path; replayed at boot (empty = sessions are memory-only)")
 	bootstrapOn := flag.Bool("bootstrap", false, "enable the bootstrapping service (sparse-secret parameters; serves deeper-than-chain programs and sessions)")
@@ -167,10 +168,10 @@ func run(o options) error {
 	for _, name := range reg.ProgramNames() {
 		p, _ := reg.Program(name)
 		if p.Bootstrapped {
-			log.Printf("  program %-8s scheduler path, %d bootstraps/run, keys=%d, outLevel=%d", name, p.BootstrapsRequired, len(p.RequiredKeys), p.OutLevel)
+			log.Printf("  program %-8s %d bootstraps/run, keys=%d, outLevel=%d", name, p.BootstrapsRequired, len(p.RequiredKeys), p.OutLevel)
 			continue
 		}
-		log.Printf("  program %-8s batches=%v keys=%v outLevel=%d", name, p.BatchSizes(), p.RequiredKeys, p.OutLevel)
+		log.Printf("  program %-8s keys=%v outLevel=%d", name, p.RequiredKeys, p.OutLevel)
 	}
 	for _, reason := range reg.Skipped {
 		log.Printf("  skipped %s (raise -levels/-logn to serve it)", reason)

@@ -76,7 +76,7 @@ type report struct {
 	PoolAllocs map[string]float64 `json:"poly_pool_allocs_per_op"`
 
 	// ServeRPS is end-to-end serving throughput: single `square` requests
-	// through the full batcher → worker → emulator pipeline of
+	// through the full batcher → worker → executor pipeline of
 	// internal/serve, requests per second. Zero when -serve=false.
 	ServeRPS float64 `json:"serve_rps"`
 
@@ -447,7 +447,7 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 }
 
 // serveRPS measures end-to-end serving throughput: a catalog registry
-// (compiled keyswitch plans, pooled emulator machines) serving single
+// (compiled keyswitch plans, pooled ring buffers) serving single
 // `square` requests back to back through the batcher → worker pipeline of
 // internal/serve. Small ring (logN=8, 4 levels) on purpose — this gate
 // watches the serving hot path's constant factors and allocation

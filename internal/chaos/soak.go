@@ -260,7 +260,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		QueueDepth:       32,
 		AdmissionLimit:   64,
 		RequestTimeout:   cfg.RequestTimeout,
-		Cluster:          eng,
+		Backends:         []serve.BackendSpec{{Engine: eng}},
 		CircuitThreshold: 5,
 		CircuitCooldown:  250 * time.Millisecond,
 	})

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -721,5 +723,105 @@ func TestConcurrentEvictKeySwitchStress(t *testing.T) {
 	}
 	if !tc.eng.Healthy() {
 		t.Fatal("engine unhealthy after eviction churn")
+	}
+}
+
+// dupLimbsDialer wraps a dialer so the first msgLimbs frame written after
+// arm is set goes out twice. Writes are queued and pumped by a goroutine —
+// like a socket buffer, and unlike a bare net.Pipe, whose lock-step writes
+// would stall the duplicate into an RPC timeout instead of delivering it.
+type dupLimbsDialer struct {
+	Dialer
+	arm *atomic.Bool
+}
+
+func (d dupLimbsDialer) Dial(ctx context.Context) (net.Conn, error) {
+	conn, err := d.Dialer.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	dc := &dupLimbsConn{Conn: conn, arm: d.arm, done: make(chan struct{})}
+	dc.q = make(chan []byte, 64) // deeper than one keyswitch's frames
+	go func() {
+		for {
+			select {
+			case b := <-dc.q:
+				if _, err := conn.Write(b); err != nil {
+					return
+				}
+			case <-dc.done:
+				return
+			}
+		}
+	}()
+	return dc, nil
+}
+
+type dupLimbsConn struct {
+	net.Conn
+	arm  *atomic.Bool
+	q    chan []byte
+	done chan struct{}
+	once sync.Once
+}
+
+func (c *dupLimbsConn) Write(p []byte) (int, error) {
+	n := 1
+	if len(p) > 4 && p[4] == msgLimbs && c.arm.CompareAndSwap(true, false) {
+		n = 2
+	}
+	for ; n > 0; n-- {
+		select {
+		case c.q <- append([]byte(nil), p...):
+		case <-c.done:
+			return 0, net.ErrClosed
+		}
+	}
+	return len(p), nil
+}
+
+func (c *dupLimbsConn) Close() error {
+	c.once.Do(func() { close(c.done) })
+	return c.Conn.Close()
+}
+
+// TestDuplicatedDigitFrameRejected: a digit frame delivered twice must not
+// be absorbed twice — that would reach the announced frame count with one
+// digit doubled and one missing, and ship a wrong result under a valid CRC
+// and request id. The worker rejects it and the keyswitch still comes back
+// bit-exact (through the engine's local fallback).
+func TestDuplicatedDigitFrameRejected(t *testing.T) {
+	tc := newClusterContext(t, 1, Options{}) // keys, encryptor; its engine is unused
+	var arm atomic.Bool
+	ds := make([]Dialer, 2)
+	for i := range ds {
+		ds[i] = dupLimbsDialer{Dialer: NewPipeDialer(NewWorker(tc.params)), arm: &arm}
+	}
+	eng, err := NewEngine(tc.params, ds, Options{RPCTimeout: 2 * time.Second, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ct := tc.encryptRandom(t, 77)
+	s0, s1, err := ckks.NewEvaluator(tc.params, nil, nil).KeySwitch(ct.C1, tc.rlk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.EnsureKeys(tc.rlk); err != nil {
+		t.Fatal(err)
+	}
+	arm.Store(true)
+	d0, d1, err := eng.KeySwitch(ct.C1, tc.rlk)
+	if err != nil {
+		t.Fatalf("keyswitch with a duplicated digit frame: %v", err)
+	}
+	if arm.Load() {
+		t.Fatal("no digit frame was duplicated")
+	}
+	if !d0.Equal(s0) || !d1.Equal(s1) {
+		t.Fatal("a duplicated digit frame corrupted the keyswitch result")
+	}
+	if got := eng.Snapshot().LocalFallbacks; got != 1 {
+		t.Fatalf("local fallbacks = %d, want 1 (the worker must reject the collective)", got)
 	}
 }

@@ -299,6 +299,14 @@ func (s *session) absorb(p *pendingKS, f limbFrame) {
 			p.err = fmt.Errorf("scatter frame in an input-broadcast request")
 			return
 		}
+		// The coordinator streams digits in order, each exactly once. A
+		// duplicated frame would otherwise be absorbed twice, reach the
+		// announced frame count early and ship a wrong result under a valid
+		// CRC and request id.
+		if int(f.digit) != p.got-1 {
+			p.err = fmt.Errorf("digit frame %d arrived in position %d (duplicated or reordered)", f.digit, p.got-1)
+			return
+		}
 		lo, hi, ok := p.ib.DigitRange(int(f.digit))
 		if !ok {
 			p.err = fmt.Errorf("digit %d out of range at level %d", f.digit, p.level)

@@ -174,23 +174,3 @@ func TestBackendsAllDownRequireCluster(t *testing.T) {
 		d.Revive()
 	}
 }
-
-// TestBackendSingleClusterSugar: Config.Cluster alone still works and now
-// surfaces itself as backend "c0" in health.
-func TestBackendSingleClusterSugar(t *testing.T) {
-	reg := testEnv(t)
-	eng, _ := newFailoverCluster(t, 2)
-	core := NewCore(reg, Config{Workers: 1, Cluster: eng})
-	defer closeCoreT(t, core)
-	ct, _ := encryptRandom(t, 8)
-	if _, err := core.Submit(context.Background(), "square", testTenant, ct); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	h := core.Health()
-	if len(h.Backends) != 1 || h.Backends[0].Name != "c0" || !h.Backends[0].Primary {
-		t.Fatalf("single-cluster health backends = %+v, want one primary named c0", h.Backends)
-	}
-	if !h.Cluster || h.Workers != 2 {
-		t.Fatalf("single-valued cluster fields regressed: %+v", h)
-	}
-}

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
+	"cinnamon/internal/sched"
 )
 
 // newTestCluster spins up n in-process workers over net.Pipe transports and
@@ -28,15 +32,16 @@ func newTestCluster(t *testing.T, n int) (*cluster.Engine, []*cluster.PipeDialer
 	return eng, dialers
 }
 
-// TestServeClusterModeMatchesEmulator: the same requests served through the
-// distributed cluster path and through the local emulator path must decrypt
-// to bit-identical ciphertexts — the cluster runs the same per-chip
-// keyswitch kernels, just spread over worker processes.
-func TestServeClusterModeMatchesEmulator(t *testing.T) {
+// TestServeClusterModeMatchesLocal: the same request served by a core with
+// a cluster backend and by a local-only core must come back bit-identical
+// (TestExecutorsAgreeOnCatalog proves it for the whole catalog below the
+// core; this checks the core wiring), with the cluster's collectives and
+// the unnamed backend visible in metrics and health.
+func TestServeClusterModeMatchesLocal(t *testing.T) {
 	reg := testEnv(t)
 	eng, _ := newTestCluster(t, 3)
 
-	clustered := NewCore(reg, Config{Workers: 2, Cluster: eng})
+	clustered := NewCore(reg, Config{Workers: 2, Backends: []BackendSpec{{Engine: eng}}})
 	local := NewCore(reg, Config{Workers: 2})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -45,32 +50,16 @@ func TestServeClusterModeMatchesEmulator(t *testing.T) {
 		local.Close(ctx)
 	}()
 
-	for _, program := range []string{"quartic", "rotsum"} {
-		ct, _ := encryptRandom(t, 4242)
-		a, err := clustered.Submit(context.Background(), program, testTenant, ct)
-		if err != nil {
-			t.Fatalf("%s via cluster: %v", program, err)
-		}
-		b, err := local.Submit(context.Background(), program, testTenant, ct)
-		if err != nil {
-			t.Fatalf("%s via emulator: %v", program, err)
-		}
-		if len(a.C0.Limbs) != len(b.C0.Limbs) || a.Scale != b.Scale {
-			t.Fatalf("%s: shape mismatch: %d/%g vs %d/%g", program, len(a.C0.Limbs), a.Scale, len(b.C0.Limbs), b.Scale)
-		}
-		for j := range a.C0.Limbs {
-			for i := range a.C0.Limbs[j] {
-				if a.C0.Limbs[j][i] != b.C0.Limbs[j][i] || a.C1.Limbs[j][i] != b.C1.Limbs[j][i] {
-					t.Fatalf("%s: cluster and emulator outputs differ at limb %d coeff %d", program, j, i)
-				}
-			}
-		}
-		got := decryptDecode(t, a)
-		want := decryptDecode(t, reference(t, program, ct))
-		if e := maxSlotErr(got, want); e > 1e-3 {
-			t.Fatalf("%s: cluster result off by %g vs reference", program, e)
-		}
+	ct, _ := encryptRandom(t, 4242)
+	a, err := clustered.Submit(context.Background(), "quartic", testTenant, ct)
+	if err != nil {
+		t.Fatalf("quartic via cluster: %v", err)
 	}
+	b, err := local.Submit(context.Background(), "quartic", testTenant, ct)
+	if err != nil {
+		t.Fatalf("quartic locally: %v", err)
+	}
+	sameCiphertext(t, "quartic: cluster core vs local core", a, b)
 
 	snap := clustered.Metrics().Snapshot()
 	if snap.Cluster == nil {
@@ -80,21 +69,31 @@ func TestServeClusterModeMatchesEmulator(t *testing.T) {
 		t.Fatal("cluster counters show no collectives despite cluster-mode runs")
 	}
 	if snap.EmulatorFallbacks != 0 {
-		t.Fatalf("healthy cluster run recorded %d emulator fallbacks", snap.EmulatorFallbacks)
+		t.Fatalf("healthy cluster run recorded %d local fallbacks", snap.EmulatorFallbacks)
+	}
+	if snap.CircuitState != circuitClosed {
+		t.Fatalf("primary circuit state %q in metrics, want closed", snap.CircuitState)
+	}
+	h := clustered.Health()
+	if len(h.Backends) != 1 || h.Backends[0].Name != "c0" || !h.Backends[0].Primary {
+		t.Fatalf("health backends = %+v, want one primary named c0", h.Backends)
+	}
+	if !h.Cluster || h.Workers != 3 {
+		t.Fatalf("single-valued cluster health fields regressed: %+v", h)
 	}
 	if localSnap := local.Metrics().Snapshot(); localSnap.Cluster != nil {
-		t.Fatal("emulator-only core must not report a cluster section")
+		t.Fatal("local-only core must not report a cluster section")
 	}
 }
 
-// TestServeClusterFallbackToEmulator: with every worker dead the core must
-// keep serving correct results through the emulator path and count the
+// TestServeClusterFallbackToLocal: with every worker dead the core must
+// keep serving correct results with local keyswitching and count the
 // fallbacks.
-func TestServeClusterFallbackToEmulator(t *testing.T) {
+func TestServeClusterFallbackToLocal(t *testing.T) {
 	reg := testEnv(t)
 	eng, dialers := newTestCluster(t, 3)
 
-	core := NewCore(reg, Config{Workers: 2, Cluster: eng})
+	core := NewCore(reg, Config{Workers: 2, Backends: []BackendSpec{{Engine: eng}}})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -112,7 +111,7 @@ func TestServeClusterFallbackToEmulator(t *testing.T) {
 
 	// The first post-kill request may still complete through the cluster
 	// engine's per-op local fallback while flipping the health state; the
-	// second must then route to the emulator path. Both stay correct.
+	// second must then run locally. Both stay correct.
 	var out *ckks.Ciphertext
 	for i := 0; i < 2; i++ {
 		var err error
@@ -128,9 +127,135 @@ func TestServeClusterFallbackToEmulator(t *testing.T) {
 	}
 	snap := core.Metrics().Snapshot()
 	if snap.EmulatorFallbacks == 0 {
-		t.Fatal("dead cluster did not record an emulator fallback")
+		t.Fatal("dead cluster did not record a local fallback")
 	}
 	if snap.Cluster == nil || snap.Cluster.Healthy == snap.Cluster.Workers {
 		t.Fatalf("cluster snapshot should report lost workers: %+v", snap.Cluster)
+	}
+}
+
+// writeHookDialer wraps a cluster dialer so a test can act at the exact
+// moment the coordinator writes to a worker — i.e. mid-collective.
+type writeHookDialer struct {
+	cluster.Dialer
+	onWrite func()
+}
+
+func (d writeHookDialer) Dial(ctx context.Context) (net.Conn, error) {
+	conn, err := d.Dialer.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return writeHookConn{Conn: conn, onWrite: d.onWrite}, nil
+}
+
+type writeHookConn struct {
+	net.Conn
+	onWrite func()
+}
+
+func (c writeHookConn) Write(p []byte) (int, error) {
+	c.onWrite()
+	return c.Conn.Write(p)
+}
+
+// TestClientExpiryIsolatedWithinBatch: one batch of two on a cluster
+// backend, the first request's context cancelled in the middle of its run.
+// That is evidence about one client, nothing else: the second request must
+// complete on the cluster, with no local fallback and no breaker failure.
+func TestClientExpiryIsolatedWithinBatch(t *testing.T) {
+	reg := testEnv(t)
+	var armed atomic.Bool
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	ds := make([]cluster.Dialer, 2)
+	for i := range ds {
+		ds[i] = writeHookDialer{
+			Dialer: cluster.NewPipeDialer(cluster.NewWorker(reg.Params)),
+			onWrite: func() {
+				if armed.CompareAndSwap(true, false) {
+					cancel1() // first wire write after arming: request 1 is mid-run
+				}
+			},
+		}
+	}
+	eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{})
+	if err != nil {
+		t.Fatalf("cluster.NewEngine: %v", err)
+	}
+	defer eng.Close()
+	// Pre-push the keys so the only writes after arming are request 1's
+	// collectives (no lazy key push, no recovery-loop warm-up traffic).
+	var keys []*ckks.EvalKey
+	for _, k := range env.keys {
+		keys = append(keys, k)
+	}
+	if err := eng.EnsureKeys(keys...); err != nil {
+		t.Fatalf("key pre-push: %v", err)
+	}
+
+	core := NewCore(reg, Config{
+		Workers:   1,
+		MaxBatch:  2,
+		BatchWait: time.Hour, // the batch flushes on full, never on the timer
+		Backends:  []BackendSpec{{Engine: eng}},
+	})
+	defer closeCoreT(t, core)
+
+	ct1, _ := encryptRandom(t, 811)
+	ct2, _ := encryptRandom(t, 812)
+	err1 := make(chan error, 1)
+	go func() {
+		_, err := core.Submit(ctx1, "rotsum", testTenant, ct1)
+		err1 <- err
+	}()
+	// Request 1 must be queued first so it is the one running when the hook
+	// fires; request 2 then fills the batch.
+	deadline := time.Now().Add(5 * time.Second)
+	for core.Metrics().QueueDepth.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("request 1 never reached the batcher")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	armed.Store(true)
+	out2, err := core.Submit(context.Background(), "rotsum", testTenant, ct2)
+	if err != nil {
+		t.Fatalf("request 2 failed alongside request 1's cancellation: %v", err)
+	}
+	if err := <-err1; !errors.Is(err, context.Canceled) {
+		t.Fatalf("request 1 error = %v, want context.Canceled", err)
+	}
+	if armed.Load() {
+		t.Fatal("the write hook never fired: request 1 was not cancelled mid-run")
+	}
+
+	ev, err := tenantEvaluator(reg.Params, env.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := reg.Program("rotsum")
+	want, err := prog.Executor().Run(context.Background(), ev, ct2, sched.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCiphertext(t, "request 2 vs local executor", out2, want)
+
+	snap := core.Metrics().Snapshot()
+	if snap.EmulatorFallbacks != 0 {
+		t.Fatalf("emulator_fallbacks = %d: one client's expiry sent work to the local fallback", snap.EmulatorFallbacks)
+	}
+	if snap.Completed != 1 || snap.Errors != 0 {
+		t.Fatalf("completed/errors = %d/%d, want 1/0 (a client expiry is not an execution error)", snap.Completed, snap.Errors)
+	}
+	if snap.Cluster.LocalFallbacks != 0 || snap.Cluster.Reconnects != 0 {
+		t.Fatalf("cluster transport disturbed by a client expiry: %+v", snap.Cluster)
+	}
+	brk := core.backends.primaryBackend().brk
+	brk.mu.Lock()
+	failures := brk.failures
+	brk.mu.Unlock()
+	if failures != 0 || brk.State() != circuitClosed {
+		t.Fatalf("breaker recorded %d failure(s), state %s, after a client expiry", failures, brk.State())
 	}
 }

@@ -34,13 +34,16 @@ type Metrics struct {
 
 	QueueDepth atomic.Int64 // requests currently queued in batchers
 
-	Batches         atomic.Int64 // machine runs
-	BatchedRequests atomic.Int64 // requests across those runs
+	Batches         atomic.Int64 // batches the worker pool executed
+	BatchedRequests atomic.Int64 // requests across those batches
 
 	Latency Histogram
 
-	// EmulatorFallbacks counts cluster-mode chunks that were re-executed on
-	// the local emulator path because the cluster was degraded or errored.
+	// EmulatorFallbacks counts cluster-mode requests that were re-executed
+	// with local keyswitching because no backend could serve them
+	// (degraded, circuit open, or the distributed run errored). The name —
+	// and the emulator_fallbacks JSON key — predate the single executor;
+	// they are kept for the scripts and dashboards that read them.
 	EmulatorFallbacks atomic.Int64
 
 	// Panics counts recovered execution panics (each fails its requests
@@ -62,7 +65,7 @@ type Metrics struct {
 	SessionSteps    atomic.Int64
 
 	// Failure-domain counters: Failovers counts primary-backend switches
-	// (a chunk completing on a different failure domain than the last),
+	// (a request completing on a different failure domain than the last),
 	// SessionRestores sessions replayed from the checkpoint log at boot,
 	// SessionLogErrors failed checkpoint appends (the step still succeeds;
 	// durability of that step is lost until the next one).
@@ -72,13 +75,10 @@ type Metrics struct {
 
 	programs map[string]*ProgramMetrics // fixed at startup, values atomic
 
-	// clusterSource, when set, supplies the cluster transport counters for
-	// Snapshot (set by NewCore when cluster mode is on); circuitSource
-	// supplies the primary breaker's state and open count; backendsSource
-	// enumerates every backend with its own circuit and transport view;
+	// backendsSource, when set (NewCore in cluster mode), enumerates every
+	// backend with its own circuit and transport view — the primary's row
+	// also fills Snapshot's single-valued cluster and circuit fields;
 	// keyCacheSource snapshots the budgeted tenant-key tier.
-	clusterSource  func() *cluster.Snapshot
-	circuitSource  func() (state string, opens int64)
 	backendsSource func() []BackendSnapshot
 	keyCacheSource func() KeyCacheStats
 }
@@ -182,15 +182,14 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.AvgBatchOccupancy = float64(s.BatchedRequests) / float64(s.Batches)
 	}
 	s.Panics = m.Panics.Load()
-	if m.clusterSource != nil {
-		s.Cluster = m.clusterSource()
-		s.EmulatorFallbacks = m.EmulatorFallbacks.Load()
-	}
-	if m.circuitSource != nil {
-		s.CircuitState, s.CircuitOpens = m.circuitSource()
-	}
 	if m.backendsSource != nil {
 		s.Backends = m.backendsSource()
+		s.EmulatorFallbacks = m.EmulatorFallbacks.Load()
+		for _, b := range s.Backends {
+			if b.Primary {
+				s.Cluster, s.CircuitState, s.CircuitOpens = b.Cluster, b.Circuit, b.Opens
+			}
+		}
 	}
 	if m.keyCacheSource != nil {
 		kc := m.keyCacheSource()

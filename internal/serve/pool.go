@@ -15,7 +15,6 @@ import (
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
-	"cinnamon/internal/emulator"
 	"cinnamon/internal/parallel"
 	"cinnamon/internal/sched"
 )
@@ -34,16 +33,12 @@ var (
 	ErrInternal = errors.New("serve: internal error")
 )
 
-// errClientGone marks a chunk failure caused by the failing request's own
-// context (client deadline or disconnect), not by the backend: it must
-// feed neither the circuit breaker nor the failover loop, or a burst of
-// client-side expiries could open a healthy backend's circuit.
-var errClientGone = errors.New("serve: request context expired mid-run")
-
 // Config tunes the serving core.
 type Config struct {
-	// MaxBatch caps how many requests one machine run serves. Default:
-	// the registry's largest compiled variant.
+	// MaxBatch caps how many requests one dispatched batch carries: a
+	// worker fetches the tenant's keys once and executes the batch's
+	// requests back to back. Default (and upper bound): the registry's
+	// MaxBatch.
 	MaxBatch int
 	// BatchWait is how long a non-full batch waits for company before
 	// flushing. Default 2ms.
@@ -51,7 +46,7 @@ type Config struct {
 	// Workers is the executor pool size. Default GOMAXPROCS.
 	Workers int
 	// LimbWorkers sets the process-wide limb-parallel worker pool used by
-	// ring/keyswitch arithmetic inside every emulator run (see
+	// ring/keyswitch arithmetic inside every execution (see
 	// internal/parallel). 0 leaves the pool at its GOMAXPROCS default;
 	// setting it to 1 trades per-request latency for batch throughput when
 	// Workers already saturates the cores.
@@ -72,22 +67,16 @@ type Config struct {
 	// unbounded goroutine pileup behind the batchers. Default 1024.
 	AdmissionLimit int
 
-	// Cluster, when set, executes requests over the scale-out worker
-	// cluster (limb-partitioned keyswitching across worker processes)
-	// instead of the local emulator. The emulator stays as the fallback
-	// path: chunks run locally — counted in Metrics.EmulatorFallbacks —
-	// whenever the cluster is degraded or a distributed run errors.
-	// Cluster is single-backend sugar: it joins Backends as the first
-	// entry ("c0").
-	Cluster *cluster.Engine
-
-	// Backends executes requests over a set of independently-dialed
-	// cluster engines — separate failure domains. Each backend gets its
-	// own circuit breaker (CircuitThreshold/CircuitCooldown); chunks try
-	// backends in health-ranked order and fail over on error, ErrDegraded
-	// or an open circuit, counted in Metrics.Failovers. A background
-	// recovery loop re-runs worker handshakes and re-pushes every
-	// registered tenant's keys before a recovered backend is eligible
+	// Backends executes requests' keyswitches over a set of
+	// independently-dialed cluster engines (limb-partitioned keyswitching
+	// across worker processes) — separate failure domains. Each backend
+	// gets its own circuit breaker (CircuitThreshold/CircuitCooldown); a
+	// request tries backends in health-ranked order and fails over on
+	// error, ErrDegraded or an open circuit, counted in Metrics.Failovers.
+	// When none can serve, the request re-runs with local keyswitching —
+	// counted in Metrics.EmulatorFallbacks — unless RequireCluster is set.
+	// A background recovery loop re-runs worker handshakes and re-pushes
+	// the resident tenants' keys before a recovered backend is eligible
 	// again.
 	Backends []BackendSpec
 
@@ -100,19 +89,19 @@ type Config struct {
 	// bit-exactly. Use NewDurableCore to surface open/replay errors.
 	SessionLog string
 
-	// RequireCluster turns off the emulator fallback at the serving layer:
-	// when the cluster is degraded (or its circuit is open) requests fail
-	// typed with cluster.ErrDegraded (503) instead of silently costing
-	// emulator CPU. Useful when the emulator cannot keep up with the
+	// RequireCluster turns off the local fallback at the serving layer:
+	// when no backend can serve (degraded, or its circuit is open) requests
+	// fail typed with cluster.ErrDegraded (503) instead of silently costing
+	// coordinator CPU. Useful when one process cannot keep up with the
 	// cluster's capacity and fallback would just be a slower outage.
 	RequireCluster bool
 
-	// CircuitThreshold is how many consecutive cluster-chunk failures open
-	// the circuit breaker (half-open probes after CircuitCooldown).
+	// CircuitThreshold is how many consecutive failed cluster runs open a
+	// backend's circuit breaker (half-open probes after CircuitCooldown).
 	// Default 5.
 	CircuitThreshold int
 	// CircuitCooldown is how long an open circuit waits before admitting a
-	// probe chunk. Default 5s.
+	// probe run. Default 5s.
 	CircuitCooldown time.Duration
 
 	// BootstrapBatch caps how many refresh-pending ciphertexts one
@@ -137,25 +126,14 @@ type Config struct {
 	// testPreRun, when non-nil, runs at the top of every batch execution —
 	// the panic-injection point for recovery tests.
 	testPreRun func(*batch)
-	// testBatchDelay stretches every chunk execution — a deterministic
+	// testBatchDelay stretches every request's execution — a deterministic
 	// "slow backend" lever for overload tests.
 	testBatchDelay time.Duration
 }
 
 func (c Config) withDefaults(reg *Registry) Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = math.MaxInt
-	}
-	largest := 0
-	for _, name := range reg.order {
-		if vs := reg.programs[name].variants; len(vs) > 0 && vs[0].Batch > largest {
-			largest = vs[0].Batch
-		}
-	}
-	if largest > 0 && c.MaxBatch > largest {
-		c.MaxBatch = largest
-	} else if largest == 0 && c.MaxBatch == math.MaxInt {
-		c.MaxBatch = 1
+	if c.MaxBatch <= 0 || c.MaxBatch > reg.maxBatch {
+		c.MaxBatch = reg.maxBatch
 	}
 	if c.BatchWait <= 0 {
 		c.BatchWait = 2 * time.Millisecond
@@ -229,7 +207,7 @@ type Core struct {
 	met *Metrics
 
 	// backends is the failure-domain layer over the configured cluster
-	// engines (nil in emulator-only mode): per-backend circuit breakers,
+	// engines (nil in local-only mode): per-backend circuit breakers,
 	// health-ranked failover, background recovery. admission bounds the
 	// requests concurrently inside the core (see Config.AdmissionLimit).
 	backends  *backendSet
@@ -250,13 +228,10 @@ type Core struct {
 	batchersWG sync.WaitGroup
 	workersWG  sync.WaitGroup
 
-	machMu   sync.Mutex // guards machines
-	machines map[*Variant][]*emulator.Machine
-
 	// boot is the cross-tenant bootstrap batcher (nil unless the registry
-	// has a bootstrap Precomp); deepWG tracks in-flight scheduler-path
-	// executions (deep one-shots and session steps) so Close can drain
-	// them before stopping the batcher they depend on.
+	// has a bootstrap Precomp); deepWG tracks executions running on their
+	// caller's goroutine (deep one-shots and session steps) so Close can
+	// drain them before stopping the batcher they depend on.
 	boot     *sched.Batcher
 	deepWG   sync.WaitGroup
 	sessions *sessionStore
@@ -288,19 +263,9 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		batchers:  map[string]*batcher{},
 		dispatch:  make(chan *batch, cfg.DispatchDepth),
 		quit:      make(chan struct{}),
-		machines:  map[*Variant][]*emulator.Machine{},
 	}
-	specs := append([]BackendSpec(nil), cfg.Backends...)
-	if cfg.Cluster != nil {
-		specs = append([]BackendSpec{{Engine: cfg.Cluster}}, specs...)
-	}
-	if len(specs) > 0 {
-		c.backends = newBackendSet(specs, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
-		c.met.clusterSource = func() *cluster.Snapshot { return c.backends.primaryBackend().eng.Snapshot() }
-		c.met.circuitSource = func() (string, int64) {
-			p := c.backends.primaryBackend()
-			return p.brk.State(), p.brk.Opens()
-		}
+	if len(cfg.Backends) > 0 {
+		c.backends = newBackendSet(cfg.Backends, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
 		c.met.backendsSource = c.backends.snapshots
 		// A coordinator-side eviction invalidates worker residency on every
 		// backend (best-effort, off the serving path): workers then drop
@@ -471,8 +436,10 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 		defer cancel()
 	}
 	if prog.Bootstrapped {
-		// Deeper-than-the-chain programs run on the scheduler path, one
-		// request per call (the caller's goroutine is the executor; the
+		// A program that refreshes mid-run waits on the caller's goroutine
+		// instead of behind the batcher and worker pool: concurrent deep
+		// one-shots then reach their refresh points together and share a
+		// bootstrap tick rather than serialising behind Workers (the
 		// admission bound already caps concurrency). deepWG.Add happens
 		// under stateMu so Close's drain cannot miss an in-flight run.
 		c.stateMu.RLock()
@@ -484,13 +451,18 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 		c.deepWG.Add(1)
 		c.stateMu.RUnlock()
 		defer c.deepWG.Done()
-		// The deep path executes on this goroutine, so a cold tenant's
-		// reload stalls only this request.
+		// A cold tenant's reload stalls only this request.
 		keys, ok := c.reg.TenantKeys(tenant)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 		}
-		return c.runDeep(ctx, prog, tenant, keys, ct)
+		start := time.Now()
+		out, err := c.execute(ctx, prog, tenant, keys, ct)
+		if err != nil {
+			err = fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, err)
+		}
+		c.observe(c.met.programs[prog.Spec.Name], start, err)
+		return out, err
 	}
 	r := &request{ctx: ctx, ct: ct, resp: make(chan result, 1), enq: time.Now()}
 
@@ -580,11 +552,12 @@ func (c *Core) worker() {
 	}
 }
 
-// runBatch executes a dispatched batch, chunking it over the largest
-// compiled variants that fit (e.g. 7 requests → 4 + 2 + 1). A panic
-// anywhere in execution is recovered per batch: the unanswered requests
-// fail typed with ErrInternal and the worker survives to take the next
-// batch — one poisoned request can never wedge the pool.
+// runBatch executes a dispatched batch: the tenant's keys are fetched
+// once, then every live request runs through execute under its own
+// context, so one client's expiry or failure touches no other request. A
+// panic anywhere in execution is recovered per batch: the unanswered
+// requests fail typed with ErrInternal and the worker survives to take the
+// next batch — one poisoned request can never wedge the pool.
 func (c *Core) runBatch(bt *batch) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -610,6 +583,9 @@ func (c *Core) runBatch(bt *batch) {
 		}
 		live = append(live, r)
 	}
+	if len(live) == 0 {
+		return
+	}
 	keys, ok := c.reg.TenantKeys(bt.tenant)
 	if !ok {
 		for _, r := range live {
@@ -617,127 +593,73 @@ func (c *Core) runBatch(bt *batch) {
 		}
 		return
 	}
-	for len(live) > 0 {
-		v := bt.prog.VariantFor(len(live))
-		chunk := live[:v.Batch]
-		live = live[v.Batch:]
-		c.runChunk(bt.prog, bt.pm, v, keys, chunk)
-	}
-}
-
-func (c *Core) runChunk(prog *Program, pm *ProgramMetrics, v *Variant, keys map[string]*ckks.EvalKey, reqs []*request) {
-	if c.cfg.testBatchDelay > 0 {
-		time.Sleep(c.cfg.testBatchDelay)
-	}
-	if c.backends != nil {
-		outs, err := c.runChunkBackends(prog, keys, reqs)
-		if err == nil {
-			c.met.Batches.Add(1)
-			c.met.BatchedRequests.Add(int64(len(reqs)))
-			for i, r := range reqs {
-				lat := time.Since(r.enq)
-				c.met.Completed.Add(1)
-				c.met.Latency.Observe(lat)
-				pm.Completed.Add(1)
-				pm.Latency.Observe(lat)
-				r.deliver(result{ct: outs[i]})
-			}
-			return
-		}
-		if c.cfg.RequireCluster {
-			// Fallback disabled at the serving layer: fail the chunk typed
-			// (503 + Retry-After at the HTTP layer) instead of burning
-			// emulator CPU on every request of an outage.
-			err := fmt.Errorf("serve: no cluster backend available (primary circuit %s): %w",
-				c.backends.primaryBackend().brk.State(), cluster.ErrDegraded)
-			for _, r := range reqs {
-				if r.deliver(result{err: err}) {
-					c.met.Errors.Add(1)
-					pm.Errors.Add(1)
-				}
-			}
-			return
-		}
-		// Every backend degraded or erroring: re-execute the whole chunk on
-		// the local emulator path below. Results stay bit-identical (the
-		// emulator runs the same compiled program), only locality changes.
-		c.met.EmulatorFallbacks.Add(1)
-	}
-	prov := emulator.NewCKKSProvider(c.reg.Params)
-	prov.Plaintexts = prog.Plaintexts
-	prov.Keys = keys
-	for i, r := range reqs {
-		prov.Inputs[fmt.Sprintf("x%d", i)] = r.ct
-	}
-	m := c.getMachine(v, prov)
-	err := m.Run()
-	c.putMachine(v, m)
 	c.met.Batches.Add(1)
-	c.met.BatchedRequests.Add(int64(len(reqs)))
-	for i, r := range reqs {
-		res := result{err: err}
-		if err == nil {
-			res.ct, res.err = prov.Output(fmt.Sprintf("y%d", i), prog.OutLevel, prog.OutScale)
+	c.met.BatchedRequests.Add(int64(len(live)))
+	for _, r := range live {
+		if c.cfg.testBatchDelay > 0 {
+			time.Sleep(c.cfg.testBatchDelay)
 		}
-		if res.err != nil {
-			c.met.Errors.Add(1)
-			pm.Errors.Add(1)
-			res.err = fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, res.err)
-		} else {
-			lat := time.Since(r.enq)
-			c.met.Completed.Add(1)
-			c.met.Latency.Observe(lat)
-			pm.Completed.Add(1)
-			pm.Latency.Observe(lat)
+		out, err := c.execute(r.ctx, bt.prog, bt.tenant, keys, r.ct)
+		if err != nil {
+			if r.ctx.Err() != nil {
+				// The caller gave up mid-run (Submit counts the timeout):
+				// client evidence, not an execution failure.
+				r.deliver(result{err: r.ctx.Err()})
+				continue
+			}
+			err = fmt.Errorf("serve: executing %q: %w", bt.prog.Spec.Name, err)
 		}
-		r.deliver(res)
+		c.observe(bt.pm, r.enq, err)
+		r.deliver(result{ct: out, err: err})
 	}
 }
 
-// runDeep executes one request of a Bootstrapped program on the scheduler
-// path: op-by-op replay over a real evaluator, with every level-exhausted
-// multiplication argument refreshed through the shared bootstrap batcher
-// (so concurrent deep runs and session steps amortize one BSGS pass).
-func (c *Core) runDeep(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	pm := c.met.programs[prog.Spec.Name]
-	start := time.Now()
-	out, err := c.execScheduled(ctx, prog, tenant, keys, ct)
+// observe is the one place an execution's outcome reaches the counters:
+// batched one-shots, deep one-shots and session steps all report here.
+func (c *Core) observe(pm *ProgramMetrics, start time.Time, err error) {
 	if err != nil {
 		c.met.Errors.Add(1)
 		pm.Errors.Add(1)
-		return nil, fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, err)
+		return
 	}
 	lat := time.Since(start)
 	c.met.Completed.Add(1)
 	c.met.Latency.Observe(lat)
 	pm.Completed.Add(1)
 	pm.Latency.Observe(lat)
-	return out, nil
 }
 
-// execScheduled replays prog's graph on ct with the tenant's keys. In
-// cluster mode keyswitches ride the distributed engine while it is
-// healthy; bootstraps always run coordinator-local (the batcher and the
-// bootstrap key material live here). A distributed failure falls back to
-// a fully local run — counted in EmulatorFallbacks — unless
-// RequireCluster turns fallback off.
-func (c *Core) execScheduled(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
+// execute is the serving executor — the only way a program runs here,
+// whether a batched one-shot, a deep one-shot or a session step. It
+// replays prog's graph on ct with the tenant's keys on a ckks.Evaluator.
+// With cluster backends, keyswitches ride the best-ranked healthy engine
+// and a failed run fails over to the next failure domain; bootstraps
+// always run coordinator-local through the shared batcher (it and the
+// bootstrap key material live here). When no backend can serve, the run
+// repeats with local keyswitching from the original input — counted in
+// EmulatorFallbacks, bit-identical (same kernels, only locality changes) —
+// unless RequireCluster turns fallback off.
+func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			c.met.Panics.Add(1)
-			out, err = nil, fmt.Errorf("%w: recovered panic in scheduled run of %q: %v\n%s", ErrInternal, prog.Spec.Name, p, debug.Stack())
+			out, err = nil, fmt.Errorf("%w: recovered panic executing %q: %v\n%s", ErrInternal, prog.Spec.Name, p, debug.Stack())
 		}
 	}()
 	var refresh sched.RefreshFunc
-	if c.reg.Pre != nil {
-		bs, berr := c.reg.BootstrapperFor(tenant)
-		if berr != nil {
-			return nil, berr
-		}
+	if c.boot != nil {
+		// The tenant's bootstrapper is looked up (cached) only when a run
+		// actually exhausts its levels, so shallow programs never demand
+		// the bootstrap circuit's keys.
 		refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+			bs, err := c.reg.BootstrapperFor(tenant)
+			if err != nil {
+				return nil, err
+			}
 			return c.boot.Refresh(ctx, bs, in)
 		}
 	}
+	opts := sched.RunOpts{Refresh: refresh}
 	ev, err := tenantEvaluator(c.reg.Params, keys)
 	if err != nil {
 		return nil, err
@@ -752,8 +674,11 @@ func (c *Core) execScheduled(ctx context.Context, prog *Program, tenant string, 
 			if !b.eng.Healthy() || !b.brk.Allow() {
 				continue
 			}
+			// Bind the request's context to its collectives: the HTTP
+			// deadline clamps every per-worker RPC deadline and cancels
+			// retries, all the way down the stack.
 			ev.SetKeySwitcher(b.eng.Bound(ctx))
-			out, err = prog.exec.Run(ctx, ev, ct, sched.RunOpts{Refresh: refresh})
+			out, err = prog.exec.Run(ctx, ev, ct, opts)
 			if err == nil {
 				c.backends.noteSuccess(b)
 				return out, nil
@@ -777,11 +702,10 @@ func (c *Core) execScheduled(ctx context.Context, prog *Program, tenant string, 
 				c.backends.primaryBackend().brk.State(), cluster.ErrDegraded)
 		}
 		// Every backend degraded or erroring: replay locally from the
-		// original input (results are bit-identical — same kernels, only
-		// locality changes).
+		// original input.
 		c.met.EmulatorFallbacks.Add(1)
 	}
-	return prog.exec.Run(ctx, ev, ct, sched.RunOpts{Refresh: refresh})
+	return prog.exec.Run(ctx, ev, ct, opts)
 }
 
 // tenantEvaluator builds an evaluator over a tenant's registered key set,
@@ -801,105 +725,4 @@ func tenantEvaluator(params *ckks.Parameters, keys map[string]*ckks.EvalKey) (*c
 		}
 	}
 	return ckks.NewEvaluator(params, keys["rlk"], rtks), nil
-}
-
-// runChunkBackends tries the chunk on each eligible backend in
-// health-ranked order; the first success wins and becomes the primary.
-// Failed attempts feed the backend's own breaker — this loop IS the
-// failover: a chunk that errors on the primary completes on the next
-// failure domain within the same request. An exhausted ranking (no
-// eligible backend, or all attempts failed) reports the last error.
-func (c *Core) runChunkBackends(prog *Program, keys map[string]*ckks.EvalKey, reqs []*request) ([]*ckks.Ciphertext, error) {
-	var lastErr error
-	for _, b := range c.backends.ranked() {
-		if !b.eng.Healthy() || !b.brk.Allow() {
-			continue
-		}
-		outs, err := c.runChunkCluster(b.eng, prog, keys, reqs)
-		if err != nil {
-			if errors.Is(err, errClientGone) {
-				// The failing request's own context expired: client
-				// evidence, not backend evidence. Don't feed the breaker,
-				// don't fail the whole chunk over to the next domain.
-				return nil, err
-			}
-			b.brk.Failure()
-			lastErr = err
-			continue
-		}
-		c.backends.noteSuccess(b)
-		return outs, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("serve: no eligible cluster backend")
-	}
-	return nil, lastErr
-}
-
-// runChunkCluster executes every request in the chunk through the
-// program's reference closure with keyswitching delegated to one cluster
-// engine: each relinearization/rotation runs the paper's distributed
-// collectives (input broadcast / aggregate-and-scatter) across that
-// backend's worker processes. The per-chip kernels are the same ones the
-// local engine runs, so outputs are bit-identical to the emulator path.
-func (c *Core) runChunkCluster(eng *cluster.Engine, prog *Program, keys map[string]*ckks.EvalKey, reqs []*request) (outs []*ckks.Ciphertext, err error) {
-	// A panic inside the distributed path must resolve as a chunk failure
-	// (so a half-open breaker probe is never left dangling), not escape to
-	// runBatch's recovery.
-	defer func() {
-		if p := recover(); p != nil {
-			c.met.Panics.Add(1)
-			outs, err = nil, fmt.Errorf("%w: recovered panic in cluster run of %q: %v", ErrInternal, prog.Spec.Name, p)
-		}
-	}()
-	ev, err := tenantEvaluator(c.reg.Params, keys)
-	if err != nil {
-		return nil, err
-	}
-	enc := ckks.NewEncoder(c.reg.Params)
-	outs = make([]*ckks.Ciphertext, len(reqs))
-	for i, r := range reqs {
-		// Bind each request's context to its collectives: the HTTP
-		// deadline clamps every per-worker RPC deadline and cancels
-		// retries, all the way down the stack.
-		ev.SetKeySwitcher(eng.Bound(r.ctx))
-		y, err := prog.Spec.Reference(ev, enc, r.ct)
-		if err != nil {
-			if r.ctx.Err() != nil {
-				return nil, fmt.Errorf("%w: cluster run of %q: %v", errClientGone, prog.Spec.Name, err)
-			}
-			return nil, fmt.Errorf("serve: cluster run of %q: %w", prog.Spec.Name, err)
-		}
-		outs[i] = y
-	}
-	return outs, nil
-}
-
-// getMachine reuses a pooled emulator machine for the variant (resetting
-// its register state and swapping in this chunk's provider) or builds a
-// fresh one.
-func (c *Core) getMachine(v *Variant, prov emulator.Provider) *emulator.Machine {
-	c.machMu.Lock()
-	free := c.machines[v]
-	var m *emulator.Machine
-	if n := len(free); n > 0 {
-		m = free[n-1]
-		c.machines[v] = free[:n-1]
-	}
-	c.machMu.Unlock()
-	if m == nil {
-		return emulator.New(c.reg.Params.Ring, v.Module, prov)
-	}
-	m.Reset(prov)
-	return m
-}
-
-func (c *Core) putMachine(v *Variant, m *emulator.Machine) {
-	m.Reset(nil)
-	m.Prov = nil // drop references to request data promptly
-	c.machMu.Lock()
-	if len(c.machines[v]) < c.cfg.Workers {
-		c.machines[v] = append(c.machines[v], m)
-	}
-	c.machMu.Unlock()
 }

@@ -1,18 +1,27 @@
 // Package serve is the encrypted-inference serving runtime: it turns
-// compiled Cinnamon programs into a multi-tenant online service. The
-// pipeline is registry → batcher → worker pool → metrics:
+// Cinnamon programs into a multi-tenant online service. The pipeline is
+// registry → batcher → worker pool → metrics:
 //
-//   - the Registry compiles every catalog workload once at startup (one
-//     variant per batch size, each batch slot an independent DSL stream on
-//     its own virtual chip) and holds per-tenant evaluation keys;
+//   - the Registry builds every catalog workload's IR graph and
+//     level/scale plan once at startup and holds per-tenant evaluation
+//     keys;
 //   - a dynamic batcher per (program, tenant) coalesces queued ciphertext
-//     requests up to a max batch size or max wait deadline — the CKKS slot
-//     dimension makes adding a stream to a batch nearly free;
-//   - a worker pool of reusable emulator.Machine instances executes
-//     batches concurrently with bounded queues, per-request timeouts and
-//     load shedding under backpressure;
+//     requests up to a max batch size or max wait deadline, so a worker
+//     fetches the tenant's keys once per batch;
+//   - a worker pool executes batches concurrently with bounded queues,
+//     per-request timeouts and load shedding under backpressure;
 //   - a metrics core tracks counters, queue depth, batch occupancy and
 //     streaming latency quantiles, exposed as JSON.
+//
+// There is one executor (Core.execute): sched.Executor walks the program
+// graph on a ckks.Evaluator — the library's planned, fused kernels — with
+// a pluggable cluster keyswitcher and an optional bootstrap-refresh hook.
+// One-shots, deeper-than-chain one-shots and session steps all run through
+// it. The paper's limb-ISA emulator is a functional model of the
+// accelerator, not a serving engine: the registry still lowers each shallow
+// program to its batch-1 limb module so the compiler stays exercised, and
+// tests run that module on emulator.Machine — and the catalog's
+// hand-written Reference closures — as bit-exact oracles for the executor.
 //
 // The package is stdlib-only; cmd/cinnamon-serve wraps it in net/http and
 // cmd/cinnamon-loadgen drives it open-loop.
@@ -42,17 +51,14 @@ type RegistryConfig struct {
 	// Programs is the workload catalog to compile. Empty means the full
 	// workloads.ServeWorkloads() catalog.
 	Programs []workloads.ServeWorkload
-	// MaxBatch is the largest batch variant to compile (rounded down to a
-	// power of two, minimum 1). Default 4.
+	// MaxBatch seeds (and bounds) the serving core's batch cap,
+	// Config.MaxBatch. Default 4.
 	MaxBatch int
-	// Registers sizes the per-chip register file for allocation.
-	// Default 96.
-	Registers int
 	// Bootstrap, when set, enables the bootstrapping service: the registry
 	// precomputes the (key-independent) bootstrap circuit once, catalog
 	// programs too deep for the modulus chain compile as Bootstrapped
-	// entries (executed op-by-op with mid-program refreshes) instead of
-	// being skipped, and sessions may run indefinitely. Requires a sparse
+	// entries (executed with mid-program refreshes) instead of being
+	// skipped, and sessions may run indefinitely. Requires a sparse
 	// secret (Literal.HammingWeight) and a chain deeper than the bootstrap
 	// circuit itself.
 	Bootstrap *bootstrap.Config
@@ -69,10 +75,13 @@ type RegistryConfig struct {
 	KeySpillDir string
 }
 
-// Variant is one compiled batch size of a program: Batch independent
-// streams, each placed on its own virtual chip.
+// allocRegisters sizes the per-chip register file the limb modules are
+// allocated against.
+const allocRegisters = 96
+
+// Variant is a program lowered to the limb ISA: one stream on one virtual
+// chip (batch 1).
 type Variant struct {
-	Batch  int
 	Module *limbir.Module
 }
 
@@ -95,43 +104,28 @@ type Program struct {
 	// Plaintexts holds the server-side plaintext operands (model weights),
 	// encoded once at startup and shared read-only across workers.
 	Plaintexts map[string]*ckks.Plaintext
-	// Bootstrapped marks a program whose depth exceeds the modulus chain:
-	// it executes on the scheduler's replay path with BootstrapsRequired
-	// mid-program refreshes (per request arriving at InLevel) instead of
-	// the compiled emulator variants.
+	// Bootstrapped marks a program whose plan refreshes mid-run
+	// (BootstrapsRequired > 0 for a request arriving at InLevel) — one
+	// deeper than the modulus chain. Execution is the same as any other
+	// program's; the flag only selects where a one-shot waits (see
+	// Core.Submit) and extends RequiredKeys with the bootstrap circuit's.
 	Bootstrapped       bool
 	BootstrapsRequired int
-	// plan is the level/scale schedule; exec replays the batch-1 graph on
-	// a real evaluator (deep one-shots and all session steps run here).
+	// plan is the level/scale schedule; exec walks the program graph on a
+	// real evaluator — every request and session step runs here.
 	plan *sched.Plan
 	exec *sched.Executor
-	// variants are sorted by descending batch size; the last is batch 1.
-	// Bootstrapped programs have none.
-	variants []*Variant
+	// variant is the batch-1 limb module; nil for Bootstrapped programs
+	// (the limb ISA cannot host more virtual than physical levels).
+	variant *Variant
 }
 
-// VariantFor returns the largest compiled variant with Batch ≤ n.
-func (p *Program) VariantFor(n int) *Variant {
-	for _, v := range p.variants {
-		if v.Batch <= n {
-			return v
-		}
-	}
-	return p.variants[len(p.variants)-1]
-}
-
-// BatchSizes lists the compiled variant sizes, descending. Bootstrapped
-// programs execute one request at a time on the scheduler path.
-func (p *Program) BatchSizes() []int {
-	if p.Bootstrapped {
-		return []int{1}
-	}
-	out := make([]int, len(p.variants))
-	for i, v := range p.variants {
-		out[i] = v.Batch
-	}
-	return out
-}
+// VariantFor returns the program's batch-1 limb-ISA module whatever n is
+// (nil for Bootstrapped programs). Serving does not execute it: it is
+// lowered at start-up so the compiler stays exercised, and survives only
+// for bench/'s emulator probes and the differential test, which run it on
+// emulator.Machine as an oracle for the executor.
+func (p *Program) VariantFor(n int) *Variant { return p.variant }
 
 // Plan exposes the level/scale schedule (tests and tooling).
 func (p *Program) Plan() *sched.Plan { return p.plan }
@@ -146,6 +140,7 @@ type Registry struct {
 
 	programs map[string]*Program
 	order    []string
+	maxBatch int // RegistryConfig.MaxBatch, defaulted
 	// Skipped lists catalog programs the parameter set cannot host, with
 	// the reason. With bootstrapping enabled only MinSlots (and key/setup)
 	// reasons remain — depth alone no longer skips a program.
@@ -169,9 +164,9 @@ type Registry struct {
 	bsCache map[string]*bootstrap.Bootstrapper
 }
 
-// NewRegistry compiles the catalog: for every program, one module per
-// power-of-two batch size up to MaxBatch, plus output metadata (level and
-// scale inferred from the IR graph) and the encoded plaintext operands.
+// NewRegistry compiles the catalog: for every program, its IR graph and
+// executor, output metadata (level and scale inferred from the graph) and
+// the encoded plaintext operands.
 func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	params, err := ckks.NewParameters(cfg.Literal)
 	if err != nil {
@@ -181,19 +176,15 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if len(progs) == 0 {
 		progs = workloads.ServeWorkloads()
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch < 1 {
-		maxBatch = 4
-	}
-	regs := cfg.Registers
-	if regs <= 0 {
-		regs = 96
-	}
 	r := &Registry{
 		Params:   params,
 		Literal:  cfg.Literal,
 		programs: map[string]*Program{},
+		maxBatch: cfg.MaxBatch,
 		bsCache:  map[string]*bootstrap.Bootstrapper{},
+	}
+	if r.maxBatch < 1 {
+		r.maxBatch = 4
 	}
 	var store *keyStore
 	if cfg.KeyBudgetBytes > 0 {
@@ -225,14 +216,12 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if err := params.CompilePlans(); err != nil {
 		return nil, fmt.Errorf("serve: compiling keyswitch plans: %w", err)
 	}
-	exitLevel := 0
 	if cfg.Bootstrap != nil {
 		pre, err := bootstrap.NewPrecomp(params, *cfg.Bootstrap)
 		if err != nil {
 			return nil, fmt.Errorf("serve: bootstrap precomp: %w", err)
 		}
-		exitLevel = pre.ExitLevel()
-		if exitLevel < 1 {
+		if pre.ExitLevel() < 1 {
 			return nil, fmt.Errorf("serve: bootstrap circuit consumes %d levels but the chain has %d — no exit budget (need at least %d levels)", pre.Consumed(), params.MaxLevel(), pre.Consumed()+1)
 		}
 		r.Pre = pre
@@ -250,20 +239,11 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		}
 		// A program deeper than the chain is a bootstrapping customer; it
 		// only skips when the registry has no bootstrap service to offer.
-		if spec.MinLevels > params.MaxLevel() {
-			if r.Pre == nil {
-				r.Skipped = append(r.Skipped, fmt.Sprintf("%s: needs %d levels, parameters have %d (enable bootstrapping to serve it)", spec.Name, spec.MinLevels, params.MaxLevel()))
-				continue
-			}
-			p, err := compileDeepProgram(params, enc, spec, r.Pre)
-			if err != nil {
-				return nil, fmt.Errorf("serve: compiling %q: %w", spec.Name, err)
-			}
-			r.programs[spec.Name] = p
-			r.order = append(r.order, spec.Name)
+		if spec.MinLevels > params.MaxLevel() && r.Pre == nil {
+			r.Skipped = append(r.Skipped, fmt.Sprintf("%s: needs %d levels, parameters have %d (enable bootstrapping to serve it)", spec.Name, spec.MinLevels, params.MaxLevel()))
 			continue
 		}
-		p, err := compileProgram(params, enc, spec, maxBatch, regs, exitLevel)
+		p, err := compileProgram(params, enc, spec, r.Pre)
 		if err != nil {
 			return nil, fmt.Errorf("serve: compiling %q: %w", spec.Name, err)
 		}
@@ -433,9 +413,9 @@ func (p *Program) MissingKeyNames(names map[string]bool) []string {
 }
 
 // encodePlaintexts encodes the catalog operands with every limb
-// (MaxLevel); the emulator addresses limbs by modulus and the scheduler
-// restricts on demand, so circuits consuming an operand at a lower level
-// just use fewer limbs.
+// (MaxLevel); the executor restricts on demand (and the limb ISA addresses
+// limbs by modulus), so circuits consuming an operand at a lower level just
+// use fewer limbs.
 func encodePlaintexts(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload) (map[string]*ckks.Plaintext, map[string]float64, error) {
 	pts := map[string]*ckks.Plaintext{}
 	ptScales := map[string]float64{}
@@ -458,7 +438,14 @@ func encodePlaintexts(params *ckks.Parameters, enc *ckks.Encoder, spec workloads
 	return pts, ptScales, nil
 }
 
-func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, maxBatch, regs, exitLevel int) (*Program, error) {
+// compileProgram builds a catalog entry: the batch-1 IR graph, its
+// level/scale plan and the executor that walks it. Requests arrive at
+// MaxLevel whatever the program's depth. A plan that needs refreshes makes
+// the entry Bootstrapped — the tenant's key set must then also cover the
+// bootstrap circuit (conj + its rotation offsets), which RequiredKeys
+// advertises; any other program is additionally lowered to its batch-1
+// limb module (see Program.VariantFor).
+func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, pre *bootstrap.Precomp) (*Program, error) {
 	p := &Program{Spec: spec, InLevel: params.MaxLevel()}
 	// Encode plaintext operands first: their (possibly non-default) scales
 	// feed the level/scale plan below.
@@ -467,58 +454,23 @@ func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.S
 	if p.Plaintexts, ptScales, err = encodePlaintexts(params, enc, spec); err != nil {
 		return nil, err
 	}
-	for b := 1; b <= maxBatch; b *= 2 {
-		mod, g, err := compileVariant(params, spec, b, regs)
-		if err != nil {
-			return nil, fmt.Errorf("batch %d: %w", b, err)
-		}
-		p.variants = append(p.variants, &Variant{Batch: b, Module: mod})
-		if b == 1 {
-			plan, err := sched.BuildPlan(g, params, ptScales, exitLevel)
-			if err != nil {
-				return nil, err
-			}
-			if plan.Bootstraps > 0 {
-				// The emulator cannot refresh mid-run; a program that fits
-				// MaxLevel must not need to (its MinLevels declaration lied).
-				return nil, fmt.Errorf("declares MinLevels %d but plans %d bootstraps at level %d", spec.MinLevels, plan.Bootstraps, params.MaxLevel())
-			}
-			p.plan = plan
-			p.exec = sched.NewExecutor(g, params, p.Plaintexts)
-			p.OutLevel, p.OutScale = plan.OutLevel, plan.OutScale
-			p.RequiredKeys, p.Rotations = plan.Keys, plan.Rotations
-		}
-	}
-	sort.Slice(p.variants, func(i, j int) bool { return p.variants[i].Batch > p.variants[j].Batch })
-	return p, nil
-}
-
-// compileDeepProgram builds a Bootstrapped catalog entry: the program is
-// too deep for the chain, so instead of lowering emulator variants (which
-// cannot host more virtual than physical levels) it keeps the batch-1 IR
-// graph and replays it on a real evaluator with scheduler-inserted
-// refreshes. Requests arrive at MaxLevel like any other program; the
-// tenant's key set must additionally cover the bootstrap circuit (conj +
-// its rotation offsets), which RequiredKeys advertises.
-func compileDeepProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, pre *bootstrap.Precomp) (*Program, error) {
-	p := &Program{Spec: spec, InLevel: params.MaxLevel(), Bootstrapped: true}
-	var ptScales map[string]float64
-	var err error
-	if p.Plaintexts, ptScales, err = encodePlaintexts(params, enc, spec); err != nil {
-		return nil, err
-	}
-	// The DSL tracks virtual levels eagerly, so the graph is built at the
-	// program's own depth; physical levels are the plan's business.
-	prog := dsl.NewProgram(dsl.Config{MaxLevel: spec.MinLevels})
+	// The DSL tracks virtual levels eagerly, so a deeper-than-chain program
+	// is built at its own depth; physical levels are the plan's business.
+	depth := max(spec.MinLevels, params.MaxLevel())
+	prog := dsl.NewProgram(dsl.Config{MaxLevel: depth})
 	dsl.StreamPool(prog, 1, func(i int, s *dsl.Stream) {
-		x := s.Input(fmt.Sprintf("x%d", i), spec.MinLevels)
+		x := s.Input(fmt.Sprintf("x%d", i), depth)
 		s.Output(fmt.Sprintf("y%d", i), spec.Build(s, x))
 	})
 	g, err := prog.Finish()
 	if err != nil {
 		return nil, err
 	}
-	plan, err := sched.BuildPlan(g, params, ptScales, pre.ExitLevel())
+	exitLevel := 0
+	if pre != nil {
+		exitLevel = pre.ExitLevel()
+	}
+	plan, err := sched.BuildPlan(g, params, ptScales, exitLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -526,51 +478,40 @@ func compileDeepProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloa
 	p.exec = sched.NewExecutor(g, params, p.Plaintexts)
 	p.OutLevel, p.OutScale = plan.OutLevel, plan.OutScale
 	p.BootstrapsRequired = plan.Bootstraps
-	// The tenant must hold the program's own keys plus the bootstrap
-	// circuit's: rlk, conj, and the union of rotation offsets.
-	rotSet := map[int]bool{}
-	for _, k := range plan.Rotations {
-		rotSet[k] = true
+	p.Bootstrapped = plan.Bootstraps > 0
+	if p.Bootstrapped {
+		// The tenant must hold the program's own keys plus the bootstrap
+		// circuit's: rlk, conj, and the union of rotation offsets.
+		rotSet := map[int]bool{}
+		for _, k := range plan.Rotations {
+			rotSet[k] = true
+		}
+		for _, k := range pre.Rotations() {
+			rotSet[k] = true
+		}
+		for k := range rotSet {
+			p.Rotations = append(p.Rotations, k)
+		}
+		sort.Ints(p.Rotations)
+		p.RequiredKeys = []string{"rlk", "conj"}
+		for _, k := range p.Rotations {
+			p.RequiredKeys = append(p.RequiredKeys, fmt.Sprintf("rot:%d", k))
+		}
+		return p, nil
 	}
-	for _, k := range pre.Rotations() {
-		rotSet[k] = true
-	}
-	for k := range rotSet {
-		p.Rotations = append(p.Rotations, k)
-	}
-	sort.Ints(p.Rotations)
-	p.RequiredKeys = []string{"rlk", "conj"}
-	for _, k := range p.Rotations {
-		p.RequiredKeys = append(p.RequiredKeys, fmt.Sprintf("rot:%d", k))
-	}
-	return p, nil
-}
-
-// compileVariant builds the batch-B module: B identical streams, each an
-// instance of the workload on its own chip (group size 1, sequential
-// keyswitching), so one emulator run serves B requests.
-func compileVariant(params *ckks.Parameters, spec workloads.ServeWorkload, batch, regs int) (*limbir.Module, *polyir.Graph, error) {
-	prog := dsl.NewProgram(dsl.Config{MaxLevel: params.MaxLevel()})
-	dsl.StreamPool(prog, batch, func(i int, s *dsl.Stream) {
-		x := s.Input(fmt.Sprintf("x%d", i), params.MaxLevel())
-		s.Output(fmt.Sprintf("y%d", i), spec.Build(s, x))
-	})
-	g, err := prog.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
+	p.RequiredKeys, p.Rotations = plan.Keys, plan.Rotations
 	// One chip per stream: the pass marks every keyswitch sequential (no
-	// inter-chip collectives), so tenants only need rlk/rot/conj keys.
+	// inter-chip collectives), so the module needs only rlk/rot/conj keys.
 	groups := (&polyir.KeyswitchPass{NChips: 1}).Run(g)
-	mod, err := compiler.Lower(g, params, batch, groups)
+	mod, err := compiler.Lower(g, params, 1, groups)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	alloc, err := compiler.Allocate(mod, regs)
-	if err != nil {
-		return nil, nil, err
+	if mod, err = compiler.Allocate(mod, allocRegisters); err != nil {
+		return nil, err
 	}
-	return alloc, g, nil
+	p.variant = &Variant{Module: mod}
+	return p, nil
 }
 
 // Output metadata (level, scale, required keys) is inferred by

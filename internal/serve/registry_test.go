@@ -22,8 +22,11 @@ func TestRegistryCompilesCatalog(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %q", name)
 		}
-		if got := p.BatchSizes(); !reflect.DeepEqual(got, []int{4, 2, 1}) {
-			t.Fatalf("%s: batch sizes %v, want [4 2 1]", name, got)
+		if v := p.VariantFor(1); v == nil || v.Module == nil {
+			t.Fatalf("%s: no batch-1 limb module: %+v", name, v)
+		}
+		if p.Executor() == nil || p.Bootstrapped {
+			t.Fatalf("%s: executor %v, bootstrapped %v", name, p.Executor(), p.Bootstrapped)
 		}
 		if p.InLevel != reg.Params.MaxLevel() {
 			t.Fatalf("%s: input level %d", name, p.InLevel)

@@ -157,7 +157,7 @@ func TestHealthzClusterDown(t *testing.T) {
 		t.Fatalf("engine: %v", err)
 	}
 	defer eng.Close()
-	core := NewCore(reg, Config{Cluster: eng, RequireCluster: true})
+	core := NewCore(reg, Config{Backends: []BackendSpec{{Engine: eng}}, RequireCluster: true})
 	defer core.Close(context.Background())
 	handler := NewHandler(core, HandlerConfig{})
 

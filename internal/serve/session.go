@@ -278,9 +278,9 @@ func newSessionID() (string, error) {
 }
 
 // CreateSession opens an encrypted session binding a tenant to a program.
-// Any compiled program works (the scheduler path replays its batch-1
-// graph); programs that exhaust levels across steps additionally need the
-// bootstrap service enabled, which step reports when it happens.
+// Any compiled program works; programs that exhaust levels across steps
+// additionally need the bootstrap service enabled, which step reports when
+// it happens.
 func (c *Core) CreateSession(tenant, program string) (SessionInfo, error) {
 	c.stateMu.RLock()
 	draining := c.draining
@@ -390,10 +390,9 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 	}
 	pm := c.met.programs[sess.program]
 	start := time.Now()
-	out, err := c.execScheduled(ctx, prog, sess.tenant, keys, in)
+	out, err := c.execute(ctx, prog, sess.tenant, keys, in)
 	if err != nil {
-		c.met.Errors.Add(1)
-		pm.Errors.Add(1)
+		c.observe(pm, start, err)
 		return nil, SessionInfo{}, fmt.Errorf("serve: session %s step: %w", id, err)
 	}
 	sess.state = out
@@ -402,12 +401,8 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 	cp := sess.checkpoint()
 	sess.lastCP.Store(&cp)
 	c.sessions.logAppend(func(l *sessionLog) error { return l.appendStep(cp) })
-	lat := time.Since(start)
-	c.met.Completed.Add(1)
-	c.met.Latency.Observe(lat)
+	c.observe(pm, start, nil)
 	c.met.SessionSteps.Add(1)
-	pm.Completed.Add(1)
-	pm.Latency.Observe(lat)
 	return out, sess.info(), nil
 }
 
