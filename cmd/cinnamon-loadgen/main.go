@@ -222,7 +222,6 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 	}
 	fmt.Printf("\nserver metrics: %d completed, %d rejected, %d timeouts, %d errors\n",
 		snap.Completed, snap.Rejected, snap.Timeouts, snap.Errors)
-	fmt.Printf("  batches: %d, avg occupancy %.2f requests/run\n", snap.Batches, snap.AvgBatchOccupancy)
 	fmt.Printf("  server-side latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
 		snap.Latency.P50Ms, snap.Latency.P95Ms, snap.Latency.P99Ms)
 	if cl := snap.Cluster; cl != nil {

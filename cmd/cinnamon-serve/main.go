@@ -1,13 +1,13 @@
 // Command cinnamon-serve runs the encrypted-inference serving runtime
 // over HTTP: it compiles the serve catalog at startup, then accepts
-// marshaled CKKS ciphertexts from registered tenants, batches them per
-// (program, tenant), executes them on the library's CKKS evaluator, and
+// marshaled CKKS ciphertexts from registered tenants, executes each on the
+// library's CKKS evaluator under a bounded number of worker slots, and
 // returns the encrypted results.
 //
 // Usage:
 //
 //	cinnamon-serve -addr :8080
-//	cinnamon-serve -addr :8080 -logn 9 -levels 4 -max-batch 8 -batch-wait 5ms
+//	cinnamon-serve -addr :8080 -logn 9 -levels 4 -workers 8 -queue 256
 //	cinnamon-serve -addr :8080 -cluster localhost:9101,localhost:9102,localhost:9103
 //	cinnamon-serve -addr :8080 -levels 16 -bootstrap
 //
@@ -37,7 +37,7 @@
 // With -key-budget-mb, resident tenant evaluation keys are capped: a
 // hard-budget LRU keeps the hot tenants decoded in RAM while colder
 // bundles spill to a content-addressed CRC-framed key store
-// (-key-spill-dir) and reload transparently — prefetched at batch
+// (-key-spill-dir) and reload transparently — prefetched at
 // admission so warm-tenant latency is untouched. /metrics reports the
 // tier under "key_cache".
 //
@@ -76,11 +76,9 @@ func main() {
 	logN := flag.Int("logn", 8, "ring degree log2 (2^logN coefficients)")
 	levels := flag.Int("levels", 4, "multiplicative levels (4 fits the depth-4 tensor catalog)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (clients must match)")
-	maxBatch := flag.Int("max-batch", 4, "most requests one dispatched batch carries")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max time a request waits for batch-mates")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executor worker goroutines")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "one-shot requests executing at once (the rest of the admitted requests wait for a slot)")
 	limbWorkers := flag.Int("limb-workers", 0, "limb-parallel arithmetic workers per operation (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "per-(program,tenant) queue depth before shedding")
+	queue := flag.Int("queue", 1024, "requests admitted at once, waiting or executing, before shedding with 429")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request execution timeout")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
 	clusterAddrs := flag.String("cluster", "", "cinnamon-worker addresses: comma-separated within a backend, semicolon-separated between backends (host:port,...;host:port,...); empty = local execution only")
@@ -97,8 +95,7 @@ func main() {
 
 	o := options{
 		addr: *addr, logN: *logN, levels: *levels, seed: *seed,
-		maxBatch: *maxBatch, batchWait: *batchWait, workers: *workers,
-		limbWorkers: *limbWorkers, queue: *queue, timeout: *timeout,
+		workers: *workers, limbWorkers: *limbWorkers, queue: *queue, timeout: *timeout,
 		drain: *drain, clusterAddrs: *clusterAddrs,
 		requireCluster: *requireCluster, heartbeat: *heartbeat,
 		sessionLog: *sessionLog,
@@ -116,8 +113,6 @@ type options struct {
 	addr                 string
 	logN, levels         int
 	seed                 int64
-	maxBatch             int
-	batchWait            time.Duration
 	workers, limbWorkers int
 	queue                int
 	timeout, drain       time.Duration
@@ -144,7 +139,6 @@ func run(o options) error {
 	lit := workloads.ServeParamsLiteral(o.logN, o.levels, o.seed)
 	regCfg := serve.RegistryConfig{
 		Literal:        lit,
-		MaxBatch:       o.maxBatch,
 		KeyBudgetBytes: o.keyBudgetMB << 20,
 		KeySpillDir:    o.keySpillDir,
 	}
@@ -159,7 +153,7 @@ func run(o options) error {
 		cfg := bootstrap.DefaultConfig()
 		regCfg.Bootstrap = &cfg
 	}
-	log.Printf("compiling serve catalog (logN=%d levels=%d seed=%d maxBatch=%d bootstrap=%v)...", o.logN, o.levels, o.seed, o.maxBatch, o.bootstrap)
+	log.Printf("compiling serve catalog (logN=%d levels=%d seed=%d bootstrap=%v)...", o.logN, o.levels, o.seed, o.bootstrap)
 	start := time.Now()
 	reg, err := serve.NewRegistry(regCfg)
 	if err != nil {
@@ -216,11 +210,9 @@ func run(o options) error {
 	}
 
 	core, err := serve.NewDurableCore(reg, serve.Config{
-		MaxBatch:       o.maxBatch,
-		BatchWait:      o.batchWait,
 		Workers:        o.workers,
 		LimbWorkers:    o.limbWorkers,
-		QueueDepth:     o.queue,
+		AdmissionLimit: o.queue,
 		RequestTimeout: o.timeout,
 		Backends:       backends,
 		RequireCluster: o.requireCluster,
@@ -258,7 +250,7 @@ func run(o options) error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	// Stop accepting new connections first, then drain queued requests.
+	// Stop accepting new connections first, then drain admitted requests.
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("http shutdown: %v", err)
 	}
@@ -266,7 +258,6 @@ func run(o options) error {
 		return fmt.Errorf("drain: %w", err)
 	}
 	snap := core.Metrics().Snapshot()
-	log.Printf("done: %d completed, %d rejected, %d errors, avg batch occupancy %.2f",
-		snap.Completed, snap.Rejected, snap.Errors, snap.AvgBatchOccupancy)
+	log.Printf("done: %d completed, %d rejected, %d errors", snap.Completed, snap.Rejected, snap.Errors)
 	return nil
 }

@@ -448,13 +448,14 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 
 // serveRPS measures end-to-end serving throughput: a catalog registry
 // (compiled keyswitch plans, pooled ring buffers) serving single
-// `square` requests back to back through the batcher → worker pipeline of
-// internal/serve. Small ring (logN=8, 4 levels) on purpose — this gate
-// watches the serving hot path's constant factors and allocation
-// discipline, not transform asymptotics, which the per-op rows cover.
+// `square` requests back to back through internal/serve's admission →
+// worker slot → executor path. Small ring (logN=8, 4 levels) on purpose —
+// this gate watches the serving hot path's constant factors and
+// allocation discipline, not transform asymptotics, which the per-op rows
+// cover.
 func serveRPS(reqs int) (float64, error) {
 	lit := workloads.ServeParamsLiteral(8, 4, 20260805)
-	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit, MaxBatch: 4})
+	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit})
 	if err != nil {
 		return 0, err
 	}
@@ -498,11 +499,7 @@ func serveRPS(reqs int) (float64, error) {
 	if err := reg.RegisterTenant(tenant, keys); err != nil {
 		return 0, err
 	}
-	core := serve.NewCore(reg, serve.Config{
-		MaxBatch:  1,
-		BatchWait: time.Microsecond,
-		Workers:   2,
-	})
+	core := serve.NewCore(reg, serve.Config{Workers: 2})
 	defer core.Close(context.Background())
 	enc := ckks.NewEncoder(params)
 	encr := ckks.NewEncryptor(params, pk)
@@ -593,7 +590,6 @@ func serveManyTenantRPS(reqs int) (float64, error) {
 	// Budget of 2.5 bundles: exactly 2 tenants resident, 6 spilled.
 	reg, err := serve.NewRegistry(serve.RegistryConfig{
 		Literal:        lit,
-		MaxBatch:       4,
 		KeyBudgetBytes: bundleSize*2 + bundleSize/2,
 		KeySpillDir:    spillDir,
 	})
@@ -605,13 +601,9 @@ func serveManyTenantRPS(reqs int) (float64, error) {
 			return 0, err
 		}
 	}
-	core := serve.NewCore(reg, serve.Config{
-		MaxBatch:  1,
-		BatchWait: time.Microsecond,
-		Workers:   2,
-	})
+	core := serve.NewCore(reg, serve.Config{Workers: 2})
 	defer core.Close(context.Background())
-	// Warm the machine pool and plan caches with the hottest tenant.
+	// Warm the plan caches with the hottest tenant.
 	if _, err := core.Submit(context.Background(), "square", "corebench-0", tcs[0].ct); err != nil {
 		return 0, err
 	}

@@ -167,7 +167,7 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("chaos: no serve workload %q", "square")
 	}
-	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit, Programs: []workloads.ServeWorkload{spec}, MaxBatch: 2})
+	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit, Programs: []workloads.ServeWorkload{spec}})
 	if err != nil {
 		return nil, err
 	}
@@ -233,10 +233,7 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 	logPath := filepath.Join(dir, "sessions.log")
 
 	coreCfg := serve.Config{
-		MaxBatch:         2,
-		BatchWait:        2 * time.Millisecond,
 		Workers:          2,
-		QueueDepth:       32,
 		AdmissionLimit:   64,
 		RequestTimeout:   cfg.RequestTimeout,
 		RequireCluster:   true,

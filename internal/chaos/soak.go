@@ -193,7 +193,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			rotSet[k] = true
 		}
 	}
-	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit, Programs: specs, MaxBatch: 2})
+	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit, Programs: specs})
 	if err != nil {
 		return nil, err
 	}
@@ -254,10 +254,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 
 	core := serve.NewCore(reg, serve.Config{
-		MaxBatch:         2,
-		BatchWait:        2 * time.Millisecond,
 		Workers:          2,
-		QueueDepth:       32,
 		AdmissionLimit:   64,
 		RequestTimeout:   cfg.RequestTimeout,
 		Backends:         []serve.BackendSpec{{Engine: eng}},

@@ -1,13 +1,13 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
 
 	"cinnamon/internal/parallel"
 	"cinnamon/internal/ring"
-	"cinnamon/internal/rns"
 )
 
 // Evaluator performs homomorphic operations on ciphertexts. It holds the
@@ -276,29 +276,44 @@ func (ev *Evaluator) automorphismKS(ct *Ciphertext, galEl uint64, key *EvalKey) 
 	return &Ciphertext{C0: s0, C1: f1, Scale: ct.Scale}, nil
 }
 
+// ErrNoKeySwitchPlan marks a keyswitch no precompiled plan covers: a key
+// over a custom digit partition (those ride internal/keyswitch's
+// output-aggregation kernels), a key with too few digits for the level, or
+// an input off the standard chain prefix.
+var ErrNoKeySwitchPlan = errors.New("ckks: no keyswitch plan applies")
+
 // KeySwitch runs the hybrid keyswitching kernel of paper Fig. 4 on a single
 // polynomial c (NTT domain, level-l chain basis): digit-decompose, mod-up
 // each digit to Q_l ∪ P, inner-product with the evaluation key, and
 // mod-down back to Q_l. Returns the two output polynomials in NTT domain.
 //
-// Ciphertexts over the standard chain prefix with a default-partition key
-// ride the precompiled per-level plan (ksplan.go): fused transform/absorb
-// kernels, batch NTT plans, zero setup work and zero heap allocations once
-// warm. Custom digit partitions and foreign bases fall back to the generic
-// kernel below; both paths are bit-identical.
+// It rides the precompiled per-level plan (ksplan.go): fused
+// transform/absorb kernels, batch NTT plans, zero setup work and zero heap
+// allocations once warm. The plan covers ciphertexts over the standard
+// chain prefix with a default-partition key; anything else is rejected with
+// ErrNoKeySwitchPlan rather than switched under the wrong digit ranges.
 func (ev *Evaluator) KeySwitch(c *ring.Poly, evk *EvalKey) (*ring.Poly, *ring.Poly, error) {
 	if !c.IsNTT {
 		return nil, nil, fmt.Errorf("ckks: KeySwitch input must be NTT")
 	}
 	params := ev.params
-	l := c.Basis.Len() - 1
-	if evk.DigitSets == nil && l <= params.MaxLevel() &&
-		len(evk.B) > 0 && evk.B[0].Basis.Len() == params.Ring.Universe.Len() {
-		if pl, err := params.KSPlanAtLevel(l); err == nil && pl.sBasis.Equal(c.Basis) && len(evk.B) >= len(pl.digits) {
-			return ev.keySwitchPlanned(pl, c, evk)
-		}
+	if evk.DigitSets != nil {
+		return nil, nil, fmt.Errorf("%w: key carries a custom digit partition", ErrNoKeySwitchPlan)
 	}
-	return ev.keySwitchGeneric(c, evk)
+	if len(evk.B) == 0 || evk.B[0].Basis.Len() != params.Ring.Universe.Len() {
+		return nil, nil, fmt.Errorf("%w: key is not over the full modulus universe", ErrNoKeySwitchPlan)
+	}
+	pl, err := params.KSPlanAtLevel(c.Basis.Len() - 1)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrNoKeySwitchPlan, err)
+	}
+	if !pl.sBasis.Equal(c.Basis) {
+		return nil, nil, fmt.Errorf("%w: input basis is not the level-%d chain prefix", ErrNoKeySwitchPlan, pl.sBasis.Len()-1)
+	}
+	if len(evk.B) < len(pl.digits) {
+		return nil, nil, fmt.Errorf("%w: key has %d digits, level needs %d", ErrNoKeySwitchPlan, len(evk.B), len(pl.digits))
+	}
+	return ev.keySwitchPlanned(pl, c, evk)
 }
 
 // keySwitchPlanned is the steady-state keyswitch: every derived quantity
@@ -374,130 +389,6 @@ func (ev *Evaluator) keySwitchPlanned(pl *KSPlan, c *ring.Poly, evk *EvalKey) (*
 		return nil, nil, err
 	}
 	return f0, f1, nil
-}
-
-// keySwitchGeneric is the fallback keyswitch for custom digit partitions
-// and bases without a compiled plan. All temporaries still cycle through
-// the ring's buffer pool.
-func (ev *Evaluator) keySwitchGeneric(c *ring.Poly, evk *EvalKey) (f0, f1 *ring.Poly, err error) {
-	params, r := ev.params, ev.params.Ring
-	l := c.Basis.Len() - 1
-	qlBasis := c.Basis
-	extBasis := params.PBasis
-	union, err := qlBasis.Union(extBasis)
-	if err != nil {
-		return nil, nil, err
-	}
-	cc := r.CopyPoly(c)
-	defer r.PutPoly(cc)
-	if err := r.INTT(cc); err != nil {
-		return nil, nil, err
-	}
-	// Fused lazy inner product: each digit's products accumulate unreduced
-	// into 128-bit per-coefficient accumulators; one Barrett reduction per
-	// coefficient at the end replaces the per-digit reduce-and-add passes.
-	// The digit's mod-up is transformed once and feeds both accumulators.
-	acc0 := r.GetLazyAcc(union)
-	acc1 := r.GetLazyAcc(union)
-	defer acc0.Release()
-	defer acc1.Release()
-	for d := 0; d < evk.Digits(); d++ {
-		lo, hi, ok := params.DigitRange(d, l)
-		if !ok {
-			break
-		}
-		ext, err := ev.digitModUp(cc, lo, hi, union)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := r.NTT(ext); err != nil {
-			r.PutPoly(ext)
-			return nil, nil, err
-		}
-		bD, err := r.Restrict(evk.B[d], union)
-		if err != nil {
-			r.PutPoly(ext)
-			return nil, nil, err
-		}
-		aD, err := r.Restrict(evk.A[d], union)
-		if err != nil {
-			r.PutPoly(ext)
-			return nil, nil, err
-		}
-		if err := acc0.MulAcc(ext, bD); err != nil {
-			r.PutPoly(ext)
-			return nil, nil, err
-		}
-		err = acc1.MulAcc(ext, aD)
-		r.PutPoly(ext)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	g0 := r.GetPoly(union)
-	g1 := r.GetPoly(union)
-	defer r.PutPoly(g0)
-	defer r.PutPoly(g1)
-	acc0.ReduceInto(g0)
-	acc1.ReduceInto(g1)
-	if err := r.INTT(g0); err != nil {
-		return nil, nil, err
-	}
-	if err := r.INTT(g1); err != nil {
-		return nil, nil, err
-	}
-	if f0, err = r.ModDown(g0, extBasis); err != nil {
-		return nil, nil, err
-	}
-	if f1, err = r.ModDown(g1, extBasis); err != nil {
-		return nil, nil, err
-	}
-	if err := r.NTT(f0); err != nil {
-		return nil, nil, err
-	}
-	if err := r.NTT(f1); err != nil {
-		return nil, nil, err
-	}
-	return f0, f1, nil
-}
-
-// digitModUp extracts digit limbs [lo,hi) of cc (coefficient domain, level
-// basis) and extends them to the full union basis Q_l ∪ P by fast base
-// conversion, keeping the digit's own limbs exact. The returned polynomial
-// is pooled; the caller releases it with PutPoly.
-func (ev *Evaluator) digitModUp(cc *ring.Poly, lo, hi int, union rns.Basis) (*ring.Poly, error) {
-	r := ev.params.Ring
-	qlLen := cc.Basis.Len()
-	digitBasis := rns.Basis{Moduli: cc.Basis.Moduli[lo:hi]}
-	// Complement: chain moduli outside the digit, then the special moduli.
-	compMods := make([]uint64, 0, union.Len()-(hi-lo))
-	compMods = append(compMods, cc.Basis.Moduli[:lo]...)
-	compMods = append(compMods, cc.Basis.Moduli[hi:]...)
-	compMods = append(compMods, union.Moduli[qlLen:]...)
-	compBasis := rns.Basis{Moduli: compMods}
-	bc, err := ring.ConverterFor(digitBasis, compBasis)
-	if err != nil {
-		return nil, err
-	}
-	conv, err := bc.Convert(cc.Limbs[lo:hi])
-	if err != nil {
-		return nil, err
-	}
-	out := r.GetPoly(union)
-	ci := 0
-	for j := 0; j < qlLen; j++ {
-		if j >= lo && j < hi {
-			copy(out.Limbs[j], cc.Limbs[j])
-		} else {
-			copy(out.Limbs[j], conv[ci])
-			ci++
-		}
-	}
-	for j := qlLen; j < union.Len(); j++ {
-		copy(out.Limbs[j], conv[ci])
-		ci++
-	}
-	return out, nil
 }
 
 // SetScale brings the ciphertext to exactly the target scale by

@@ -1,10 +1,8 @@
 package ckks
 
 import (
+	"errors"
 	"testing"
-
-	"cinnamon/internal/parallel"
-	"cinnamon/internal/ring"
 )
 
 func ksTestParams(t *testing.T) *Parameters {
@@ -22,14 +20,15 @@ func ksTestParams(t *testing.T) *Parameters {
 	return params
 }
 
-// TestKeySwitchPlannedMatchesGeneric proves the precompiled planned
-// keyswitch (fused kernels, NTT-domain mod-down, scaled decompose) is
-// bit-identical to the generic fallback kernel at every level and worker
-// setting. All intermediate laziness cancels: both paths emit canonical
-// residues, which are unique.
-func TestKeySwitchPlannedMatchesGeneric(t *testing.T) {
+// TestKeySwitchRejectsUnplannable: a key the per-level plan does not cover —
+// a modular-digit partition, or fewer digits than the level needs — is
+// refused with ErrNoKeySwitchPlan instead of being switched under the
+// default digit ranges, which yields a wrong polynomial and no error. (The
+// planned kernel's bit-exactness oracle is internal/keyswitch's
+// input-broadcast sweep: an independent implementation of the same
+// arithmetic.)
+func TestKeySwitchRejectsUnplannable(t *testing.T) {
 	params := ksTestParams(t)
-	r := params.Ring
 	kg := NewKeyGenerator(params)
 	sk, err := kg.GenSecretKey()
 	if err != nil {
@@ -39,92 +38,25 @@ func TestKeySwitchPlannedMatchesGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, err := kg.GenPublicKey(sk)
+	sets := make([][]int, 2)
+	for j := 0; j < params.QBasis.Len(); j++ {
+		sets[j%2] = append(sets[j%2], j)
+	}
+	modular, err := kg.GenEvalKeyDigits(sk.S, sk, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := NewEncoder(params)
-	encryptor := NewEncryptor(params, pk)
+	short := &EvalKey{B: rlk.B[:1], A: rlk.A[:1]}
 	ev := NewEvaluator(params, rlk, nil)
-	vals := make([]complex128, params.Slots())
-	for i := range vals {
-		vals[i] = complex(float64(i%7)/7, float64(i%5)/5)
+	c := kg.sampler.UniformPoly(params.QBasis)
+	c.IsNTT = true
+	if _, _, err := ev.KeySwitch(c, rlk); err != nil {
+		t.Fatalf("default-partition key: %v", err)
 	}
-	pt, err := enc.Encode(vals, params.MaxLevel(), params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := encryptor.Encrypt(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parallel.SetWorkers(parallel.Workers())
-	for _, workers := range []int{1, 4} {
-		parallel.SetWorkers(workers)
-		cur := ct.C1
-		for level := params.MaxLevel(); level >= 1; level-- {
-			if cur.Basis.Len() != level+1 {
-				t.Fatalf("level bookkeeping off: %d limbs at level %d", cur.Basis.Len(), level)
-			}
-			pl, err := params.KSPlanAtLevel(level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p0, p1, err := ev.keySwitchPlanned(pl, cur, rlk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g0, g1, err := ev.keySwitchGeneric(cur, rlk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range p0.Limbs {
-				for i := range p0.Limbs[j] {
-					if p0.Limbs[j][i] != g0.Limbs[j][i] {
-						t.Fatalf("workers=%d level=%d: f0 limb %d coeff %d: planned %d generic %d",
-							workers, level, j, i, p0.Limbs[j][i], g0.Limbs[j][i])
-					}
-					if p1.Limbs[j][i] != g1.Limbs[j][i] {
-						t.Fatalf("workers=%d level=%d: f1 limb %d coeff %d: planned %d generic %d",
-							workers, level, j, i, p1.Limbs[j][i], g1.Limbs[j][i])
-					}
-				}
-			}
-			r.PutPoly(p0)
-			r.PutPoly(p1)
-			r.PutPoly(g0)
-			r.PutPoly(g1)
-			// Drop to the next level by rescaling the ciphertext polys.
-			if level >= 1 {
-				next, err := dropLevel(params, cur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cur != ct.C1 {
-					r.PutPoly(cur)
-				}
-				cur = next
-			}
-		}
-		if cur != ct.C1 {
-			r.PutPoly(cur)
+	for name, key := range map[string]*EvalKey{"modular-digit key": modular, "key shorter than the level": short} {
+		f0, f1, err := ev.KeySwitch(c, key)
+		if !errors.Is(err, ErrNoKeySwitchPlan) || f0 != nil || f1 != nil {
+			t.Errorf("%s: err = %v, want ErrNoKeySwitchPlan and no output", name, err)
 		}
 	}
-}
-
-// dropLevel strips the top limb of an NTT-domain polynomial, moving it to
-// the next-lower chain prefix (test helper — not a rescale, just a basis
-// truncation, which is all KeySwitch cares about).
-func dropLevel(params *Parameters, p *ring.Poly) (*ring.Poly, error) {
-	r := params.Ring
-	b, err := params.BasisAtLevel(p.Basis.Len() - 2)
-	if err != nil {
-		return nil, err
-	}
-	out := r.GetPoly(b)
-	out.IsNTT = p.IsNTT
-	for j := 0; j < b.Len(); j++ {
-		copy(out.Limbs[j], p.Limbs[j])
-	}
-	return out, nil
 }

@@ -322,7 +322,7 @@ func (s *session) absorb(p *pendingKS, f limbFrame) {
 			p.err = fmt.Errorf("digit %d carries %d limbs, want %d", f.digit, len(f.limbs), hi-lo)
 			return
 		}
-		p.err = p.ib.AbsorbDigit(int(f.digit), f.limbs)
+		p.err = p.ib.AbsorbDigit(int(f.digit), f.limbs, nil)
 	case algOA:
 		if f.digit != scatterDigit {
 			p.err = fmt.Errorf("output aggregation expects a scatter frame")

@@ -25,8 +25,8 @@ package keyswitch
 // digit feeds both output components, and the extension-limb part of the
 // mod-up — identical on every chip, since all chip bases share the
 // duplicated P moduli — can be computed and transformed once per digit and
-// shared across chips (AbsorbDigitShared; the in-process engine does this,
-// a one-chip-per-process cluster worker computes it locally).
+// shared across chips (AbsorbDigit's extNTT argument; the in-process engine
+// does this, a one-chip-per-process cluster worker computes it locally).
 //
 // Each kernel also meters communication in the paper's units: a limb is
 // "moved" when a chip absorbs a limb it does not own under the modular
@@ -43,9 +43,8 @@ import (
 )
 
 // ChipIB accumulates one chip's share of an input-broadcast keyswitch.
-// Feed every digit (in any order, each exactly once) with AbsorbDigit or
-// AbsorbDigitShared, then call Finish. Release must be called when done
-// with the results.
+// Feed every digit (in any order, each exactly once) with AbsorbDigit, then
+// call Finish. Release must be called when done with the results.
 type ChipIB struct {
 	e    *Engine
 	evk  *ckks.EvalKey
@@ -55,9 +54,8 @@ type ChipIB struct {
 	mine      []int // chain indices this chip owns at level l
 	ownBasis  rns.Basis
 	chipBasis rns.Basis
-	// Precompiled schedule (nil on table-free rings, where the legacy
-	// kernel path runs instead): the batch NTT plan over the chip basis,
-	// the own ← own ∪ P mod-down plan, the universe limb positions of the
+	// Precompiled schedule: the batch NTT plan over the chip basis, the
+	// own ← own ∪ P mod-down plan, the universe limb positions of the
 	// chip-basis moduli (for evaluation-key views), and the
 	// AbsorbDigitFused ownership map — owned chain limbs are always
 	// coefficient-domain mod-up rows (own[u] < 0), extension limbs index
@@ -77,7 +75,8 @@ type ChipIB struct {
 
 // NewChipIB builds the chip-local state for an input-broadcast keyswitch
 // of a level-l polynomial. It returns (nil, nil) when the chip owns no
-// limbs at this level (the chip simply sits the collective out).
+// limbs at this level (the chip simply sits the collective out), and an
+// error on a table-free (lazy) ring, whose transforms cannot execute.
 func (e *Engine) NewChipIB(evk *ckks.EvalKey, chip, l int) (*ChipIB, error) {
 	if evk.DigitSets != nil {
 		return nil, fmt.Errorf("keyswitch: input broadcast requires a default-partition key")
@@ -93,6 +92,9 @@ func (e *Engine) NewChipIB(evk *ckks.EvalKey, chip, l int) (*ChipIB, error) {
 		return nil, nil
 	}
 	params, r := e.Params, e.Params.Ring
+	if r.Plan() == nil {
+		return nil, fmt.Errorf("keyswitch: input broadcast needs a ring with NTT tables (lazy parameter sets cannot execute)")
+	}
 	// Per-chip basis: owned chain limbs plus the (duplicated) extension.
 	ownMods := make([]uint64, 0, len(mine))
 	for _, j := range mine {
@@ -112,32 +114,30 @@ func (e *Engine) NewChipIB(evk *ckks.EvalKey, chip, l int) (*ChipIB, error) {
 		acc0:      r.GetLazyAcc(rns.Basis{Moduli: chipMods}),
 		acc1:      r.GetLazyAcc(rns.Basis{Moduli: chipMods}),
 	}
-	if r.Plan() != nil {
-		var err error
-		if c.plan, err = r.PlanForBasis(c.chipBasis); err != nil {
+	var err error
+	if c.plan, err = r.PlanForBasis(c.chipBasis); err != nil {
+		c.Release()
+		return nil, err
+	}
+	if c.mdPlan, err = r.NewModDownPlan(c.ownBasis, params.PBasis); err != nil {
+		c.Release()
+		return nil, err
+	}
+	c.evkIdx = make([]int, len(chipMods))
+	for u, q := range chipMods {
+		j, ok := r.UniverseIndex(q)
+		if !ok {
 			c.Release()
-			return nil, err
+			return nil, fmt.Errorf("keyswitch: chip modulus %d outside universe", q)
 		}
-		if c.mdPlan, err = r.NewModDownPlan(c.ownBasis, params.PBasis); err != nil {
-			c.Release()
-			return nil, err
-		}
-		c.evkIdx = make([]int, len(chipMods))
-		for u, q := range chipMods {
-			j, ok := r.UniverseIndex(q)
-			if !ok {
-				c.Release()
-				return nil, fmt.Errorf("keyswitch: chip modulus %d outside universe", q)
-			}
-			c.evkIdx[u] = j
-		}
-		c.fusedOwn = make([]int, len(chipMods))
-		for u := range c.fusedOwn {
-			if u < len(mine) {
-				c.fusedOwn[u] = -1
-			} else {
-				c.fusedOwn[u] = u - len(mine)
-			}
+		c.evkIdx[u] = j
+	}
+	c.fusedOwn = make([]int, len(chipMods))
+	for u := range c.fusedOwn {
+		if u < len(mine) {
+			c.fusedOwn[u] = -1
+		} else {
+			c.fusedOwn[u] = u - len(mine)
 		}
 	}
 	return c, nil
@@ -165,20 +165,15 @@ func (c *ChipIB) DigitRange(d int) (lo, hi int, ok bool) {
 	return c.e.Params.DigitRange(d, c.l)
 }
 
-// AbsorbDigit folds digit d into the chip's inner product, computing the
-// extension-limb mod-up locally. digitLimbs are the coefficient-domain
-// limbs of the input polynomial at chain indices [lo,hi) for this digit,
-// in chain order.
-func (c *ChipIB) AbsorbDigit(d int, digitLimbs [][]uint64) error {
-	return c.AbsorbDigitShared(d, digitLimbs, nil)
-}
-
-// AbsorbDigitShared is AbsorbDigit with the digit's extension-limb mod-up
-// precomputed: extNTT, if non-nil, must be Engine.DigitExtNTT of the same
-// digit limbs — the NTT-domain P-basis extension, which is identical for
-// every chip and can therefore be computed once per digit and shared. The
-// chip only reads extNTT, so concurrent chips may share one copy.
-func (c *ChipIB) AbsorbDigitShared(d int, digitLimbs [][]uint64, extNTT *ring.Poly) error {
+// AbsorbDigit folds digit d into the chip's inner product. digitLimbs are
+// the coefficient-domain limbs of the input polynomial at chain indices
+// [lo,hi) for this digit, in chain order. extNTT is the digit's
+// extension-limb mod-up: nil computes it locally (as a one-chip cluster
+// worker does); otherwise it must be Engine.DigitExtNTT of the same digit
+// limbs — the NTT-domain P-basis extension, which is identical for every
+// chip and can therefore be computed once per digit and shared. The chip
+// only reads extNTT, so concurrent chips may share one copy.
+func (c *ChipIB) AbsorbDigit(d int, digitLimbs [][]uint64, extNTT *ring.Poly) error {
 	if c.finished {
 		return fmt.Errorf("keyswitch: AbsorbDigit after Finish")
 	}
@@ -215,51 +210,22 @@ func (c *ChipIB) AbsorbDigitShared(d int, digitLimbs [][]uint64, extNTT *ring.Po
 		return err
 	}
 	defer r.PutPoly(own)
-	if c.plan != nil {
-		// Fused path: the owned mod-up rows run the fused
-		// forward-transform-and-accumulate kernel (their NTT images never
-		// reach memory), the shared extension limbs multiply-accumulate in
-		// place, and the evaluation-key halves are borrowed views at the
-		// precompiled universe positions — no transform pass, no header
-		// churn.
-		bD, err := r.ViewAt(c.evk.B[d], c.chipBasis, c.evkIdx)
-		if err != nil {
-			return err
-		}
-		defer r.PutView(bD)
-		aD, err := r.ViewAt(c.evk.A[d], c.chipBasis, c.evkIdx)
-		if err != nil {
-			return err
-		}
-		defer r.PutView(aD)
-		if err := r.AbsorbDigitFused(c.plan, c.acc0, c.acc1, c.fusedOwn, extNTT, own.Limbs, bD, aD); err != nil {
-			return err
-		}
-		c.absorbed++
-		return nil
-	}
-	// Legacy path (table-free rings): transform the owned limbs, assemble
-	// the chip-basis view — borrowed limb slices, never pooled — and
-	// multiply-accumulate.
-	if err := r.NTT(own); err != nil {
-		return err
-	}
-	ext := &ring.Poly{Basis: c.chipBasis, IsNTT: true}
-	ext.Limbs = make([][]uint64, 0, c.chipBasis.Len())
-	ext.Limbs = append(ext.Limbs, own.Limbs...)
-	ext.Limbs = append(ext.Limbs, extNTT.Limbs...)
-	bD, err := r.Restrict(c.evk.B[d], c.chipBasis)
+	// The owned mod-up rows run the fused forward-transform-and-accumulate
+	// kernel (their NTT images never reach memory), the shared extension
+	// limbs multiply-accumulate in place, and the evaluation-key halves are
+	// borrowed views at the precompiled universe positions — no transform
+	// pass, no header churn.
+	bD, err := r.ViewAt(c.evk.B[d], c.chipBasis, c.evkIdx)
 	if err != nil {
 		return err
 	}
-	aD, err := r.Restrict(c.evk.A[d], c.chipBasis)
+	defer r.PutView(bD)
+	aD, err := r.ViewAt(c.evk.A[d], c.chipBasis, c.evkIdx)
 	if err != nil {
 		return err
 	}
-	if err := c.acc0.MulAcc(ext, bD); err != nil {
-		return err
-	}
-	if err := c.acc1.MulAcc(ext, aD); err != nil {
+	defer r.PutView(aD)
+	if err := r.AbsorbDigitFused(c.plan, c.acc0, c.acc1, c.fusedOwn, extNTT, own.Limbs, bD, aD); err != nil {
 		return err
 	}
 	c.absorbed++
@@ -278,38 +244,20 @@ func (c *ChipIB) Finish() (down0, down1 *ring.Poly, err error) {
 		return nil, nil, fmt.Errorf("keyswitch: Finish after %d of %d digits", c.absorbed, want)
 	}
 	c.finished = true
-	params, r := c.e.Params, c.e.Params.Ring
+	r := c.e.Params.Ring
 	// Local mod-down: the duplicated extension limbs are the trailing
-	// limbs of the chip basis, so no communication is needed.
+	// limbs of the chip basis, so no communication is needed. It runs in
+	// the NTT domain through the precompiled plan: only the extension limbs
+	// leave the NTT domain, and the combine is fused with the forward
+	// transform (ring.ModDownNTTWith) — bit-identical to the INTT → ModDown
+	// → NTT triple it replaces.
 	for fi, acc := range []*ring.LazyAcc{c.acc0, c.acc1} {
 		f := r.GetPolyUninit(c.chipBasis)
 		acc.ReduceInto(f)
-		var down *ring.Poly
-		var err error
-		if c.mdPlan != nil {
-			// NTT-domain mod-down through the precompiled plan: only the
-			// extension limbs leave the NTT domain, and the combine is
-			// fused with the forward transform (ring.ModDownNTTWith) —
-			// bit-identical to the INTT → ModDown → NTT triple it replaces.
-			down, err = r.ModDownNTTWith(c.mdPlan, f)
-			r.PutPoly(f)
-			if err != nil {
-				return nil, nil, err
-			}
-		} else {
-			if err := r.INTT(f); err != nil {
-				r.PutPoly(f)
-				return nil, nil, err
-			}
-			down, err = r.ModDown(f, params.PBasis)
-			r.PutPoly(f)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := r.NTT(down); err != nil {
-				r.PutPoly(down)
-				return nil, nil, err
-			}
+		down, err := r.ModDownNTTWith(c.mdPlan, f)
+		r.PutPoly(f)
+		if err != nil {
+			return nil, nil, err
 		}
 		if fi == 0 {
 			c.down0 = down
@@ -339,7 +287,7 @@ func (c *ChipIB) Release() {
 // extension basis P and transforms the result to the NTT domain. This part
 // of the per-digit mod-up is chip-independent — every chip basis carries
 // the same duplicated P moduli — so the in-process engine computes it once
-// per digit and shares it across all chips via AbsorbDigitShared. The
+// per digit and shares it across all chips via AbsorbDigit. The
 // returned polynomial and all scratch are pooled; the caller releases it
 // with PutPoly once every chip has absorbed the digit.
 func (e *Engine) DigitExtNTT(digitLimbs [][]uint64, lo, hi int) (*ring.Poly, error) {

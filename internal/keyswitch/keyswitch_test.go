@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cinnamon/internal/ckks"
+	"cinnamon/internal/parallel"
 )
 
 type ksContext struct {
@@ -84,32 +85,60 @@ func (tc *ksContext) encryptRandom(t testing.TB, slots int, seed int64) ([]compl
 }
 
 // TestInputBroadcastBitExact: the input-broadcast algorithm must reproduce
-// the sequential keyswitch output exactly, limb for limb.
+// the sequential keyswitch output exactly, limb for limb, at every level,
+// chip count and limb-worker setting. The two share no kernel — Sequential
+// is the evaluator's planned keyswitch (scaled decompose, full-basis fused
+// absorb), InputBroadcast the per-chip ChipIB state machines — so each is
+// the other's oracle; both emit canonical residues, which are unique.
 func TestInputBroadcastBitExact(t *testing.T) {
 	tc := newKSContext(t, nil)
-	for _, nChips := range []int{1, 2, 4, 8} {
-		eng, err := NewEngine(tc.params, nChips)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ct := tc.encryptRandom(t, 64, int64(nChips))
-		seq0, seq1, _, err := eng.KeySwitch(ct.C1, tc.rlk, Sequential)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ib0, ib1, stats, err := eng.KeySwitch(ct.C1, tc.rlk, InputBroadcast)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ib0.Equal(seq0) || !ib1.Equal(seq1) {
-			t.Fatalf("nChips=%d: input broadcast output differs from sequential", nChips)
-		}
-		if stats.Broadcasts != 1 {
-			t.Fatalf("nChips=%d: expected 1 broadcast, got %d", nChips, stats.Broadcasts)
-		}
-		wantLimbs := (ct.Level() + 1) * (nChips - 1)
-		if stats.LimbsMoved != wantLimbs {
-			t.Fatalf("nChips=%d: moved %d limbs, want %d", nChips, stats.LimbsMoved, wantLimbs)
+	r := tc.params.Ring
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, workers := range []int{1, 4} {
+		parallel.SetWorkers(workers)
+		for _, nChips := range []int{1, 2, 3, 4, 8} {
+			eng, err := NewEngine(tc.params, nChips)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ct := tc.encryptRandom(t, 64, int64(nChips))
+			cur := ct.C1
+			for level := tc.params.MaxLevel(); level >= 0; level-- {
+				seq0, seq1, _, err := eng.KeySwitch(cur, tc.rlk, Sequential)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ib0, ib1, stats, err := eng.KeySwitch(cur, tc.rlk, InputBroadcast)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ib0.Equal(seq0) || !ib1.Equal(seq1) {
+					t.Fatalf("workers=%d nChips=%d level=%d: input broadcast output differs from sequential", workers, nChips, level)
+				}
+				if stats.Broadcasts != 1 {
+					t.Fatalf("nChips=%d level=%d: expected 1 broadcast, got %d", nChips, level, stats.Broadcasts)
+				}
+				// Chips beyond the level's limb count own nothing and sit out.
+				active := min(nChips, level+1)
+				if want := (level + 1) * (active - 1); stats.LimbsMoved != want {
+					t.Fatalf("nChips=%d level=%d: moved %d limbs, want %d", nChips, level, stats.LimbsMoved, want)
+				}
+				if level == 0 {
+					break
+				}
+				// Next level: truncate to the lower chain prefix (not a
+				// rescale — the basis is all KeySwitch cares about).
+				b, err := tc.params.BasisAtLevel(level - 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next := r.NewPoly(b)
+				next.IsNTT = true
+				for j := range next.Limbs {
+					copy(next.Limbs[j], cur.Limbs[j])
+				}
+				cur = next
+			}
 		}
 	}
 }

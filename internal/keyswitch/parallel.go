@@ -89,7 +89,7 @@ func (e *Engine) inputBroadcast(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *r
 			if chips[chip] == nil {
 				return nil
 			}
-			return chips[chip].AbsorbDigitShared(d, cc.Limbs[lo:hi], extNTT)
+			return chips[chip].AbsorbDigit(d, cc.Limbs[lo:hi], extNTT)
 		})
 		e.Params.Ring.PutPoly(extNTT)
 		if err != nil {

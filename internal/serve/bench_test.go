@@ -3,20 +3,15 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 // BenchmarkCoreServeSubmit pushes single requests through the full serving
-// pipeline (batcher → worker → executor → pooled ring buffers). allocs/op
+// path (admission → worker slot → executor → pooled ring buffers). allocs/op
 // is the column of interest: the ring's Poly pool keeps the steady-state
 // allocation rate flat as request volume grows.
 func BenchmarkCoreServeSubmit(b *testing.B) {
 	reg := testEnv(b)
-	core := NewCore(reg, Config{
-		MaxBatch:  1,
-		BatchWait: time.Microsecond,
-		Workers:   2,
-	})
+	core := NewCore(reg, Config{Workers: 2})
 	defer core.Close(context.Background())
 	ct, _ := encryptRandom(b, 1)
 	// Warm the ring pools and converter caches.

@@ -159,13 +159,15 @@ func (c writeHookConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestClientExpiryIsolatedWithinBatch: one batch of two on a cluster
-// backend, the first request's context cancelled in the middle of its run.
-// That is evidence about one client, nothing else: the second request must
-// complete on the cluster, with no local fallback and no breaker failure.
-func TestClientExpiryIsolatedWithinBatch(t *testing.T) {
+// TestClientExpiryIsolated: two concurrent requests on a cluster backend,
+// the first one's context cancelled in the middle of its run. That is
+// evidence about one client, nothing else: the second request must complete
+// on the cluster, with no local fallback and no breaker failure.
+func TestClientExpiryIsolated(t *testing.T) {
 	reg := testEnv(t)
 	var armed atomic.Bool
+	var core *Core
+	midRun := make(chan struct{})
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	ds := make([]cluster.Dialer, 2)
@@ -174,7 +176,14 @@ func TestClientExpiryIsolatedWithinBatch(t *testing.T) {
 			Dialer: cluster.NewPipeDialer(cluster.NewWorker(reg.Params)),
 			onWrite: func() {
 				if armed.CompareAndSwap(true, false) {
-					cancel1() // first wire write after arming: request 1 is mid-run
+					// First wire write after arming: request 1 is mid-run.
+					// Hold it there until request 2 is executing too, then
+					// cancel it.
+					close(midRun)
+					for deadline := time.Now().Add(5 * time.Second); core.Metrics().OneShots.Load() < 2 && time.Now().Before(deadline); {
+						time.Sleep(time.Millisecond)
+					}
+					cancel1()
 				}
 			},
 		}
@@ -194,31 +203,24 @@ func TestClientExpiryIsolatedWithinBatch(t *testing.T) {
 		t.Fatalf("key pre-push: %v", err)
 	}
 
-	core := NewCore(reg, Config{
-		Workers:   1,
-		MaxBatch:  2,
-		BatchWait: time.Hour, // the batch flushes on full, never on the timer
-		Backends:  []BackendSpec{{Engine: eng}},
-	})
+	core = NewCore(reg, Config{Workers: 2, Backends: []BackendSpec{{Engine: eng}}})
 	defer closeCoreT(t, core)
 
 	ct1, _ := encryptRandom(t, 811)
 	ct2, _ := encryptRandom(t, 812)
 	err1 := make(chan error, 1)
+	armed.Store(true)
 	go func() {
 		_, err := core.Submit(ctx1, "rotsum", testTenant, ct1)
 		err1 <- err
 	}()
-	// Request 1 must be queued first so it is the one running when the hook
-	// fires; request 2 then fills the batch.
-	deadline := time.Now().Add(5 * time.Second)
-	for core.Metrics().QueueDepth.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request 1 never reached the batcher")
-		}
-		time.Sleep(time.Millisecond)
+	// Request 1 is alone until its first collective, so it is the one the
+	// hook catches; request 2 then runs beside it.
+	select {
+	case <-midRun:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request 1 never reached the wire")
 	}
-	armed.Store(true)
 	out2, err := core.Submit(context.Background(), "rotsum", testTenant, ct2)
 	if err != nil {
 		t.Fatalf("request 2 failed alongside request 1's cancellation: %v", err)
@@ -226,10 +228,6 @@ func TestClientExpiryIsolatedWithinBatch(t *testing.T) {
 	if err := <-err1; !errors.Is(err, context.Canceled) {
 		t.Fatalf("request 1 error = %v, want context.Canceled", err)
 	}
-	if armed.Load() {
-		t.Fatal("the write hook never fired: request 1 was not cancelled mid-run")
-	}
-
 	ev, err := tenantEvaluator(reg.Params, env.keys)
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +243,8 @@ func TestClientExpiryIsolatedWithinBatch(t *testing.T) {
 	if snap.EmulatorFallbacks != 0 {
 		t.Fatalf("emulator_fallbacks = %d: one client's expiry sent work to the local fallback", snap.EmulatorFallbacks)
 	}
-	if snap.Completed != 1 || snap.Errors != 0 {
-		t.Fatalf("completed/errors = %d/%d, want 1/0 (a client expiry is not an execution error)", snap.Completed, snap.Errors)
+	if snap.Completed != 1 || snap.Errors != 0 || snap.Timeouts != 1 {
+		t.Fatalf("completed/errors/timeouts = %d/%d/%d, want 1/0/1 (a client expiry is not an execution error)", snap.Completed, snap.Errors, snap.Timeouts)
 	}
 	if snap.Cluster.LocalFallbacks != 0 || snap.Cluster.Reconnects != 0 {
 		t.Fatalf("cluster transport disturbed by a client expiry: %+v", snap.Cluster)

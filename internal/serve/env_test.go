@@ -38,7 +38,7 @@ func testEnvInit() {
 	// Four levels: deep enough for the tensor catalog's depth-4 logistic
 	// regression (the depth-2 toy kernels leave the rest unused).
 	env.lit = workloads.ServeParamsLiteral(8, 4, 20260805)
-	env.reg, env.err = NewRegistry(RegistryConfig{Literal: env.lit, MaxBatch: 4})
+	env.reg, env.err = NewRegistry(RegistryConfig{Literal: env.lit})
 	if env.err != nil {
 		return
 	}

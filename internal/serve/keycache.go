@@ -213,7 +213,7 @@ func (c *keyCache) keyNames(id string) (map[string]bool, bool) {
 }
 
 // prefetch starts an async reload of a spilled tenant so the keys are warm
-// by the time its batch executes. No-ops when the tenant is unknown,
+// by the time its request executes. No-ops when the tenant is unknown,
 // already resident, or already loading.
 func (c *keyCache) prefetch(id string) {
 	c.mu.Lock()
@@ -279,7 +279,7 @@ func (c *keyCache) completeLoad(id string, e *tenantEntry, ch chan struct{}, has
 		// A tenant whose spill bundle cannot be read back is dropped
 		// outright: leaving its metadata behind would keep admission
 		// (keyNames) accepting requests that can never execute, failing
-		// each batch with a misleading "unknown tenant". Dropping makes
+		// each one with a misleading "unknown tenant". Dropping makes
 		// admission and execution agree — the tenant is unknown,
 		// re-register — and releases the broken bundle's spill file.
 		if cur, ok := c.tenants[id]; ok && cur == e && cur.keys == nil {
@@ -312,7 +312,7 @@ func (c *keyCache) touchLocked(e *tenantEntry) {
 
 // enforceBudgetLocked evicts least-recently-used entries until resident
 // bytes fit the budget. Dropping the decoded map is always safe: in-flight
-// batches hold their own reference, and the serialized bundle is on disk.
+// requests hold their own reference, and the serialized bundle is on disk.
 func (c *keyCache) enforceBudgetLocked() []evictedTenant {
 	if c.budget <= 0 {
 		return nil

@@ -244,11 +244,10 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 	}
 
 	// Budget for 1.5 bundles: exactly one tenant resident at a time, so
-	// every cross-tenant batch transition is an eviction + reload.
+	// every cross-tenant transition is an eviction + reload.
 	size := bundleSize(t, tcs[0].keys)
 	reg, err := NewRegistry(RegistryConfig{
 		Literal:        lit,
-		MaxBatch:       4,
 		KeyBudgetBytes: size + size/2,
 		KeySpillDir:    t.TempDir(),
 	})
@@ -261,7 +260,7 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 		}
 	}
 
-	core := NewCore(reg, Config{MaxBatch: 2, BatchWait: time.Millisecond, Workers: 2})
+	core := NewCore(reg, Config{Workers: 2})
 	defer core.Close(context.Background())
 
 	const perTenant = 6
@@ -528,7 +527,6 @@ func TestBootstrapperForColdReloadEviction(t *testing.T) {
 	reg, err := NewRegistry(RegistryConfig{
 		Literal:        lit,
 		Programs:       []workloads.ServeWorkload{sq},
-		MaxBatch:       1,
 		Bootstrap:      &bcfg,
 		KeyBudgetBytes: size + size/2, // one tenant resident at a time
 		KeySpillDir:    t.TempDir(),

@@ -32,10 +32,8 @@ type Metrics struct {
 	Timeouts  atomic.Int64 // request context expired before completion
 	Errors    atomic.Int64 // execution failures
 
-	QueueDepth atomic.Int64 // requests currently queued in batchers
-
-	Batches         atomic.Int64 // batches the worker pool executed
-	BatchedRequests atomic.Int64 // requests across those batches
+	QueueDepth atomic.Int64 // one-shots currently waiting for a worker slot
+	OneShots   atomic.Int64 // one-shots that reached execution
 
 	Latency Histogram
 
@@ -46,8 +44,8 @@ type Metrics struct {
 	// they are kept for the scripts and dashboards that read them.
 	EmulatorFallbacks atomic.Int64
 
-	// Panics counts recovered execution panics (each fails its requests
-	// typed with ErrInternal; the worker pool survives).
+	// Panics counts recovered execution panics (each fails its own request
+	// typed with ErrInternal; every other request keeps serving).
 	Panics atomic.Int64
 
 	// Bootstrap service counters: total ciphertexts refreshed, ticks run,
@@ -100,17 +98,21 @@ type ProgramSnapshot struct {
 
 // Snapshot is the JSON view served at GET /metrics.
 type Snapshot struct {
-	Received          int64                      `json:"received"`
-	Completed         int64                      `json:"completed"`
-	Rejected          int64                      `json:"rejected"`
-	Timeouts          int64                      `json:"timeouts"`
-	Errors            int64                      `json:"errors"`
-	QueueDepth        int64                      `json:"queue_depth"`
-	Batches           int64                      `json:"batches"`
-	BatchedRequests   int64                      `json:"batched_requests"`
-	AvgBatchOccupancy float64                    `json:"avg_batch_occupancy"`
-	Latency           LatencySummary             `json:"latency"`
-	Programs          map[string]ProgramSnapshot `json:"programs"`
+	Received   int64 `json:"received"`
+	Completed  int64 `json:"completed"`
+	Rejected   int64 `json:"rejected"`
+	Timeouts   int64 `json:"timeouts"`
+	Errors     int64 `json:"errors"`
+	QueueDepth int64 `json:"queue_depth"`
+	// Batches and BatchedRequests are vestigial: the request batcher is
+	// gone and both count the one-shot requests that reached execution.
+	// They stay, with their JSON keys, only because the frozen benchmark
+	// (bench/, serve.batch_occupancy) reads them; once a benchmark PR drops
+	// that metric, drop both along with RegistryConfig.MaxBatch.
+	Batches         int64                      `json:"batches"`
+	BatchedRequests int64                      `json:"batched_requests"`
+	Latency         LatencySummary             `json:"latency"`
+	Programs        map[string]ProgramSnapshot `json:"programs"`
 
 	// Cluster holds the scale-out transport counters when the core runs in
 	// cluster mode (bytes, collectives, latency quantiles, reconnects).
@@ -166,6 +168,7 @@ func (m *Metrics) ObserveBootstrapBatch(size int, d time.Duration) {
 
 // Snapshot captures the current metric values.
 func (m *Metrics) Snapshot() Snapshot {
+	oneShots := m.OneShots.Load()
 	s := Snapshot{
 		Received:        m.Received.Load(),
 		Completed:       m.Completed.Load(),
@@ -173,13 +176,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		Timeouts:        m.Timeouts.Load(),
 		Errors:          m.Errors.Load(),
 		QueueDepth:      m.QueueDepth.Load(),
-		Batches:         m.Batches.Load(),
-		BatchedRequests: m.BatchedRequests.Load(),
+		Batches:         oneShots,
+		BatchedRequests: oneShots,
 		Latency:         m.Latency.Summary(),
 		Programs:        map[string]ProgramSnapshot{},
-	}
-	if s.Batches > 0 {
-		s.AvgBatchOccupancy = float64(s.BatchedRequests) / float64(s.Batches)
 	}
 	s.Panics = m.Panics.Load()
 	if m.backendsSource != nil {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cinnamon/internal/ckks"
@@ -35,36 +34,26 @@ var (
 
 // Config tunes the serving core.
 type Config struct {
-	// MaxBatch caps how many requests one dispatched batch carries: a
-	// worker fetches the tenant's keys once and executes the batch's
-	// requests back to back. Default (and upper bound): the registry's
-	// MaxBatch.
-	MaxBatch int
-	// BatchWait is how long a non-full batch waits for company before
-	// flushing. Default 2ms.
-	BatchWait time.Duration
-	// Workers is the executor pool size. Default GOMAXPROCS.
+	// Workers bounds how many one-shot requests execute at once; the rest
+	// of the admitted requests wait for a slot under their own deadlines.
+	// Programs that bootstrap mid-run and session steps take no slot, so
+	// concurrent deep runs reach their refresh points together and share a
+	// bootstrap tick. Default GOMAXPROCS.
 	Workers int
 	// LimbWorkers sets the process-wide limb-parallel worker pool used by
 	// ring/keyswitch arithmetic inside every execution (see
 	// internal/parallel). 0 leaves the pool at its GOMAXPROCS default;
-	// setting it to 1 trades per-request latency for batch throughput when
+	// setting it to 1 trades per-request latency for throughput when
 	// Workers already saturates the cores.
 	LimbWorkers int
-	// QueueDepth bounds each (program, tenant) request queue; a full
-	// queue sheds with ErrOverloaded. Default 64.
-	QueueDepth int
-	// DispatchDepth bounds the batch channel feeding workers.
-	// Default 2×Workers.
-	DispatchDepth int
 	// RequestTimeout bounds a request's total time in the system when its
 	// context has no deadline of its own. Default 10s.
 	RequestTimeout time.Duration
 
 	// AdmissionLimit bounds how many requests may be inside the core at
-	// once (queued or executing). Beyond it Submit sheds immediately with
-	// ErrOverloaded, so overload produces fast 429s instead of an
-	// unbounded goroutine pileup behind the batchers. Default 1024.
+	// once (waiting for a worker slot or executing). Beyond it Submit sheds
+	// immediately with ErrOverloaded, so overload produces fast 429s instead
+	// of an unbounded goroutine pileup behind the worker slots. Default 1024.
 	AdmissionLimit int
 
 	// Backends executes requests' keyswitches over a set of
@@ -120,32 +109,16 @@ type Config struct {
 	// ErrOverloaded. Default 1024.
 	MaxSessions int
 
-	// testHoldWorkers, when non-nil, parks workers until the channel is
-	// closed — a deterministic backpressure lever for tests.
-	testHoldWorkers chan struct{}
-	// testPreRun, when non-nil, runs at the top of every batch execution —
-	// the panic-injection point for recovery tests.
-	testPreRun func(*batch)
-	// testBatchDelay stretches every request's execution — a deterministic
-	// "slow backend" lever for overload tests.
-	testBatchDelay time.Duration
+	// testPreRun, when non-nil, runs at the top of every execution, inside
+	// its recovery point and (for one-shots) its worker slot — the tests'
+	// one lever: it parks on a channel to hold slots, sleeps to model a slow
+	// backend, or panics to exercise recovery.
+	testPreRun func()
 }
 
-func (c Config) withDefaults(reg *Registry) Config {
-	if c.MaxBatch <= 0 || c.MaxBatch > reg.maxBatch {
-		c.MaxBatch = reg.maxBatch
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.DispatchDepth <= 0 {
-		c.DispatchDepth = 2 * c.Workers
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -168,39 +141,9 @@ func (c Config) withDefaults(reg *Registry) Config {
 	return c
 }
 
-type result struct {
-	ct  *ckks.Ciphertext
-	err error
-}
-
-type request struct {
-	ctx  context.Context
-	ct   *ckks.Ciphertext
-	resp chan result // buffered (1); exactly one send per request
-	enq  time.Time
-	done atomic.Bool // guards resp: panic recovery and the normal path may race
-}
-
-// deliver sends the request's response exactly once, whoever gets there
-// first (normal completion, context-expiry cleanup, or the panic-recovery
-// sweep). Reports whether this call won.
-func (r *request) deliver(res result) bool {
-	if !r.done.CompareAndSwap(false, true) {
-		return false
-	}
-	r.resp <- res
-	return true
-}
-
-type batch struct {
-	prog   *Program
-	pm     *ProgramMetrics
-	tenant string
-	reqs   []*request
-}
-
-// Core is the serving runtime: registry + batchers + worker pool +
-// metrics.
+// Core is the serving runtime: registry + admission + worker slots +
+// executor + metrics. There are no dispatch goroutines: every request runs
+// on its caller's goroutine.
 type Core struct {
 	cfg Config
 	reg *Registry
@@ -208,36 +151,30 @@ type Core struct {
 
 	// backends is the failure-domain layer over the configured cluster
 	// engines (nil in local-only mode): per-backend circuit breakers,
-	// health-ranked failover, background recovery. admission bounds the
-	// requests concurrently inside the core (see Config.AdmissionLimit).
-	backends  *backendSet
+	// health-ranked failover, background recovery.
+	backends *backendSet
+
+	// admission bounds the requests concurrently inside the core (see
+	// Config.AdmissionLimit); slots bounds the one-shots executing at once
+	// (see Config.Workers).
 	admission chan struct{}
+	slots     chan struct{}
 
-	mu       sync.Mutex // guards batchers
-	batchers map[string]*batcher
-
-	dispatch chan *batch
-
-	// stateMu serializes Submit's enqueue section against Close flipping
-	// draining: once draining is set no new request can reach a batcher,
-	// so the quit-triggered drain observes a complete queue.
+	// stateMu orders enter against Close flipping draining: once draining
+	// is set no new request can join inflight, so Close's wait observes
+	// every admitted request.
 	stateMu  sync.RWMutex
 	draining bool
-
-	quit       chan struct{}
-	batchersWG sync.WaitGroup
-	workersWG  sync.WaitGroup
+	inflight sync.WaitGroup
 
 	// boot is the cross-tenant bootstrap batcher (nil unless the registry
-	// has a bootstrap Precomp); deepWG tracks executions running on their
-	// caller's goroutine (deep one-shots and session steps) so Close can
-	// drain them before stopping the batcher they depend on.
+	// has a bootstrap Precomp). Close stops it only after inflight drains:
+	// deep runs refresh through it.
 	boot     *sched.Batcher
-	deepWG   sync.WaitGroup
 	sessions *sessionStore
 }
 
-// NewCore starts the worker pool over an already-compiled registry. It
+// NewCore starts the serving core over an already-compiled registry. It
 // panics if Config.SessionLog is set but cannot be opened or replayed —
 // use NewDurableCore to handle that error.
 func NewCore(reg *Registry, cfg Config) *Core {
@@ -251,7 +188,7 @@ func NewCore(reg *Registry, cfg Config) *Core {
 // NewDurableCore is NewCore returning the session-log open/replay error
 // instead of panicking. With Config.SessionLog unset it never fails.
 func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
-	cfg = cfg.withDefaults(reg)
+	cfg = cfg.withDefaults()
 	if cfg.LimbWorkers > 0 {
 		parallel.SetWorkers(cfg.LimbWorkers)
 	}
@@ -260,9 +197,7 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		reg:       reg,
 		met:       newMetrics(reg.ProgramNames()),
 		admission: make(chan struct{}, cfg.AdmissionLimit),
-		batchers:  map[string]*batcher{},
-		dispatch:  make(chan *batch, cfg.DispatchDepth),
-		quit:      make(chan struct{}),
+		slots:     make(chan struct{}, cfg.Workers),
 	}
 	if len(cfg.Backends) > 0 {
 		c.backends = newBackendSet(cfg.Backends, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
@@ -298,10 +233,6 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 			c.sessions.close()
 			return nil, fmt.Errorf("session log %s: %w", cfg.SessionLog, err)
 		}
-	}
-	c.workersWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go c.worker()
 	}
 	return c, nil
 }
@@ -393,28 +324,58 @@ func (c *Core) Health() Health {
 	return h
 }
 
-// Submit runs one encrypted request through the batching pipeline and
-// blocks until its response, its context deadline, or load shedding.
-func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	c.met.Received.Add(1)
-	// Bounded admission: a request that can't get a slot is shed now, with
-	// a typed error the HTTP layer turns into 429 + Retry-After, instead
-	// of parking a goroutine behind an already-saturated pipeline.
+// enter admits one request into the core, or says why not: ErrShuttingDown
+// once Close has begun, ErrOverloaded beyond AdmissionLimit — a typed error
+// the HTTP layer turns into 429 + Retry-After instead of parking a goroutine
+// behind saturated worker slots. An admitted request joins inflight under
+// stateMu, so Close's drain cannot miss it; the caller defers leave.
+func (c *Core) enter() error {
+	c.stateMu.RLock()
+	defer c.stateMu.RUnlock()
+	if c.draining {
+		c.met.Rejected.Add(1)
+		return ErrShuttingDown
+	}
 	select {
 	case c.admission <- struct{}{}:
-		defer func() { <-c.admission }()
 	default:
 		c.met.Rejected.Add(1)
-		return nil, fmt.Errorf("%w: admission queue full", ErrOverloaded)
+		return fmt.Errorf("%w: admission queue full", ErrOverloaded)
 	}
+	c.inflight.Add(1)
+	return nil
+}
+
+func (c *Core) leave() {
+	<-c.admission
+	c.inflight.Done()
+}
+
+// withTimeout applies Config.RequestTimeout to a context that carries no
+// deadline of its own.
+func (c *Core) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, ok := ctx.Deadline(); ok {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, c.cfg.RequestTimeout)
+}
+
+// Submit runs one encrypted request on the caller's goroutine and blocks
+// until its response, its context deadline, or load shedding.
+func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	c.met.Received.Add(1)
+	if err := c.enter(); err != nil {
+		return nil, err
+	}
+	defer c.leave()
 	prog, ok := c.reg.Program(program)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownProgram, program)
 	}
 	// Admission validates against the tenant's always-resident key-name
 	// metadata — never the decoded keys — so a spilled tenant does not
-	// block Submit; the async prefetch below warms the decoded map so it
-	// is resident by the time the batch reaches the worker pool.
+	// block here; the async prefetch below warms the decoded map while the
+	// request waits for a worker slot.
 	names, ok := c.reg.TenantKeyNames(tenant)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
@@ -430,84 +391,45 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 		return nil, fmt.Errorf("%w: ciphertext scale %g, program expects %g", ErrBadRequest, ct.Scale, def)
 	}
 	c.reg.PrefetchTenant(tenant)
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-	}
-	if prog.Bootstrapped {
-		// A program that refreshes mid-run waits on the caller's goroutine
-		// instead of behind the batcher and worker pool: concurrent deep
-		// one-shots then reach their refresh points together and share a
-		// bootstrap tick rather than serialising behind Workers (the
-		// admission bound already caps concurrency). deepWG.Add happens
-		// under stateMu so Close's drain cannot miss an in-flight run.
-		c.stateMu.RLock()
-		if c.draining {
-			c.stateMu.RUnlock()
-			c.met.Rejected.Add(1)
-			return nil, ErrShuttingDown
-		}
-		c.deepWG.Add(1)
-		c.stateMu.RUnlock()
-		defer c.deepWG.Done()
-		// A cold tenant's reload stalls only this request.
-		keys, ok := c.reg.TenantKeys(tenant)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
-		}
-		start := time.Now()
-		out, err := c.execute(ctx, prog, tenant, keys, ct)
-		if err != nil {
-			err = fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, err)
-		}
-		c.observe(c.met.programs[prog.Spec.Name], start, err)
-		return out, err
-	}
-	r := &request{ctx: ctx, ct: ct, resp: make(chan result, 1), enq: time.Now()}
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
 
-	c.stateMu.RLock()
-	if c.draining {
-		c.stateMu.RUnlock()
-		c.met.Rejected.Add(1)
-		return nil, ErrShuttingDown
+	pm := c.met.programs[prog.Spec.Name]
+	start := time.Now()
+	// A program that refreshes mid-run takes no worker slot: concurrent deep
+	// one-shots then reach their refresh points together and share a
+	// bootstrap tick rather than serialising behind Workers (the admission
+	// bound already caps their concurrency).
+	if !prog.Bootstrapped {
+		c.met.QueueDepth.Add(1)
+		select {
+		case c.slots <- struct{}{}:
+			c.met.QueueDepth.Add(-1)
+			defer func() { <-c.slots }()
+		case <-ctx.Done():
+			c.met.QueueDepth.Add(-1)
+			c.observe(ctx, pm, start, ctx.Err())
+			return nil, fmt.Errorf("serve: request timed out: %w", ctx.Err())
+		}
 	}
-	b := c.batcherFor(program, tenant, prog)
-	accepted := b.tryEnqueue(r)
-	c.stateMu.RUnlock()
-	if !accepted {
-		c.met.Rejected.Add(1)
-		return nil, ErrOverloaded
+	// A cold tenant's reload stalls only this request.
+	keys, ok := c.reg.TenantKeys(tenant)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
-	c.met.QueueDepth.Add(1)
-
-	select {
-	case res := <-r.resp:
-		return res.ct, res.err
-	case <-ctx.Done():
-		c.met.Timeouts.Add(1)
-		return nil, fmt.Errorf("serve: request timed out: %w", ctx.Err())
+	c.met.OneShots.Add(1)
+	out, err := c.execute(ctx, prog, tenant, keys, ct)
+	if err != nil {
+		err = fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, err)
 	}
+	c.observe(ctx, pm, start, err)
+	return out, err
 }
 
-func (c *Core) batcherFor(program, tenant string, prog *Program) *batcher {
-	key := program + "\x00" + tenant
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.batchers[key]; ok {
-		return b
-	}
-	b := newBatcher(c, prog, tenant)
-	c.batchers[key] = b
-	c.batchersWG.Add(1)
-	go b.run()
-	return b
-}
-
-// Close drains the runtime: no new requests are accepted, queued requests
-// are flushed into final batches, and workers finish every in-flight
-// batch. It returns early with the context's error if draining exceeds
-// the deadline.
+// Close drains the runtime: no new requests are accepted and every admitted
+// request — waiting for a worker slot or executing — runs to completion
+// before the bootstrap batcher, the session store and the backends stop. It
+// returns early with the context's error if draining exceeds the deadline.
 func (c *Core) Close(ctx context.Context) error {
 	c.stateMu.Lock()
 	already := c.draining
@@ -516,15 +438,9 @@ func (c *Core) Close(ctx context.Context) error {
 	if already {
 		return nil
 	}
-	close(c.quit)
 	done := make(chan struct{})
 	go func() {
-		c.batchersWG.Wait()
-		close(c.dispatch)
-		c.workersWG.Wait()
-		// Scheduler-path executions (deep one-shots, session steps) drain
-		// before the bootstrap batcher they refresh through goes away.
-		c.deepWG.Wait()
+		c.inflight.Wait()
 		if c.boot != nil {
 			c.boot.Close()
 		}
@@ -542,95 +458,30 @@ func (c *Core) Close(ctx context.Context) error {
 	}
 }
 
-func (c *Core) worker() {
-	defer c.workersWG.Done()
-	for bt := range c.dispatch {
-		if c.cfg.testHoldWorkers != nil {
-			<-c.cfg.testHoldWorkers
-		}
-		c.runBatch(bt)
-	}
-}
-
-// runBatch executes a dispatched batch: the tenant's keys are fetched
-// once, then every live request runs through execute under its own
-// context, so one client's expiry or failure touches no other request. A
-// panic anywhere in execution is recovered per batch: the unanswered
-// requests fail typed with ErrInternal and the worker survives to take the
-// next batch — one poisoned request can never wedge the pool.
-func (c *Core) runBatch(bt *batch) {
-	defer func() {
-		if p := recover(); p != nil {
-			c.met.Panics.Add(1)
-			err := fmt.Errorf("%w: recovered panic in %q: %v\n%s", ErrInternal, bt.prog.Spec.Name, p, debug.Stack())
-			for _, r := range bt.reqs {
-				if r.deliver(result{err: err}) {
-					c.met.Errors.Add(1)
-					bt.pm.Errors.Add(1)
-				}
-			}
-		}
-	}()
-	if c.cfg.testPreRun != nil {
-		c.cfg.testPreRun(bt)
-	}
-	// Drop requests whose callers have already given up.
-	live := bt.reqs[:0]
-	for _, r := range bt.reqs {
-		if r.ctx.Err() != nil {
-			r.deliver(result{err: r.ctx.Err()})
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		return
-	}
-	keys, ok := c.reg.TenantKeys(bt.tenant)
-	if !ok {
-		for _, r := range live {
-			r.deliver(result{err: ErrUnknownTenant})
-		}
-		return
-	}
-	c.met.Batches.Add(1)
-	c.met.BatchedRequests.Add(int64(len(live)))
-	for _, r := range live {
-		if c.cfg.testBatchDelay > 0 {
-			time.Sleep(c.cfg.testBatchDelay)
-		}
-		out, err := c.execute(r.ctx, bt.prog, bt.tenant, keys, r.ct)
-		if err != nil {
-			if r.ctx.Err() != nil {
-				// The caller gave up mid-run (Submit counts the timeout):
-				// client evidence, not an execution failure.
-				r.deliver(result{err: r.ctx.Err()})
-				continue
-			}
-			err = fmt.Errorf("serve: executing %q: %w", bt.prog.Spec.Name, err)
-		}
-		c.observe(bt.pm, r.enq, err)
-		r.deliver(result{ct: out, err: err})
-	}
-}
-
-// observe is the one place an execution's outcome reaches the counters:
-// batched one-shots, deep one-shots and session steps all report here.
-func (c *Core) observe(pm *ProgramMetrics, start time.Time, err error) {
-	if err != nil {
+// observe is the one place a request's outcome reaches the counters:
+// one-shots and session steps both report here. A request whose own context
+// expired — waiting for a slot or mid-run — is a timeout, not an execution
+// error.
+func (c *Core) observe(ctx context.Context, pm *ProgramMetrics, start time.Time, err error) {
+	switch {
+	case err == nil:
+		lat := time.Since(start)
+		c.met.Completed.Add(1)
+		c.met.Latency.Observe(lat)
+		pm.Completed.Add(1)
+		pm.Latency.Observe(lat)
+	case ctx.Err() != nil:
+		c.met.Timeouts.Add(1)
+	default:
 		c.met.Errors.Add(1)
 		pm.Errors.Add(1)
-		return
 	}
-	lat := time.Since(start)
-	c.met.Completed.Add(1)
-	c.met.Latency.Observe(lat)
-	pm.Completed.Add(1)
-	pm.Latency.Observe(lat)
 }
 
 // execute is the serving executor — the only way a program runs here,
-// whether a batched one-shot, a deep one-shot or a session step. It
+// whether a one-shot or a session step — and the request's one recovery
+// point: a panic fails that request typed with ErrInternal and touches no
+// other. It
 // replays prog's graph on ct with the tenant's keys on a ckks.Evaluator.
 // With cluster backends, keyswitches ride the best-ranked healthy engine
 // and a failed run fails over to the next failure domain; bootstraps
@@ -646,6 +497,9 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 			out, err = nil, fmt.Errorf("%w: recovered panic executing %q: %v\n%s", ErrInternal, prog.Spec.Name, p, debug.Stack())
 		}
 	}()
+	if c.cfg.testPreRun != nil {
+		c.cfg.testPreRun()
+	}
 	var refresh sched.RefreshFunc
 	if c.boot != nil {
 		// The tenant's bootstrapper is looked up (cached) only when a run

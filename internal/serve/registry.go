@@ -1,17 +1,16 @@
 // Package serve is the encrypted-inference serving runtime: it turns
 // Cinnamon programs into a multi-tenant online service. The pipeline is
-// registry → batcher → worker pool → metrics:
+// registry → admission → worker slot → executor, all on the caller's
+// goroutine:
 //
 //   - the Registry builds every catalog workload's IR graph and
 //     level/scale plan once at startup and holds per-tenant evaluation
 //     keys;
-//   - a dynamic batcher per (program, tenant) coalesces queued ciphertext
-//     requests up to a max batch size or max wait deadline, so a worker
-//     fetches the tenant's keys once per batch;
-//   - a worker pool executes batches concurrently with bounded queues,
-//     per-request timeouts and load shedding under backpressure;
-//   - a metrics core tracks counters, queue depth, batch occupancy and
-//     streaming latency quantiles, exposed as JSON.
+//   - bounded admission sheds load beyond AdmissionLimit, and a
+//     Workers-sized semaphore bounds the one-shots executing at once;
+//     waiting requests honour their own deadlines;
+//   - a metrics core tracks counters, queue depth and streaming latency
+//     quantiles, exposed as JSON.
 //
 // There is one executor (Core.execute): sched.Executor walks the program
 // graph on a ckks.Evaluator — the library's planned, fused kernels — with
@@ -51,8 +50,9 @@ type RegistryConfig struct {
 	// Programs is the workload catalog to compile. Empty means the full
 	// workloads.ServeWorkloads() catalog.
 	Programs []workloads.ServeWorkload
-	// MaxBatch seeds (and bounds) the serving core's batch cap,
-	// Config.MaxBatch. Default 4.
+	// MaxBatch is accepted and ignored: the request batcher it bounded is
+	// gone. The field stays only because the frozen benchmark (bench/) sets
+	// it; drop it with Snapshot.Batches / BatchedRequests.
 	MaxBatch int
 	// Bootstrap, when set, enables the bootstrapping service: the registry
 	// precomputes the (key-independent) bootstrap circuit once, catalog
@@ -140,7 +140,6 @@ type Registry struct {
 
 	programs map[string]*Program
 	order    []string
-	maxBatch int // RegistryConfig.MaxBatch, defaulted
 	// Skipped lists catalog programs the parameter set cannot host, with
 	// the reason. With bootstrapping enabled only MinSlots (and key/setup)
 	// reasons remain — depth alone no longer skips a program.
@@ -180,11 +179,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		Params:   params,
 		Literal:  cfg.Literal,
 		programs: map[string]*Program{},
-		maxBatch: cfg.MaxBatch,
 		bsCache:  map[string]*bootstrap.Bootstrapper{},
-	}
-	if r.maxBatch < 1 {
-		r.maxBatch = 4
 	}
 	var store *keyStore
 	if cfg.KeyBudgetBytes > 0 {
@@ -377,8 +372,8 @@ func (r *Registry) TenantKeyNames(id string) (map[string]bool, bool) {
 }
 
 // PrefetchTenant starts an async reload of an evicted tenant's keys; it is
-// fired at batch admission (Submit / session-step enqueue) so the keys are
-// warm by the time the batch reaches the worker pool.
+// fired at admission (Submit / SessionStep) so the reload overlaps the
+// request's wait for a worker slot.
 func (r *Registry) PrefetchTenant(id string) {
 	r.keys.prefetch(id)
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"cinnamon/internal/ckks"
 )
@@ -122,7 +121,7 @@ func TestKeyBundleRoundTrip(t *testing.T) {
 
 func TestSubmitRejectsBadCiphertext(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{BatchWait: time.Millisecond})
+	core := NewCore(reg, Config{})
 	defer core.Close(context.Background())
 	ct, _ := encryptRandom(t, 7)
 	bad := ct.Copy()

@@ -25,12 +25,10 @@ func TestOverloadShedsKeepsAdmittedLatencyFlat(t *testing.T) {
 	reg := testEnv(t)
 	const exec = 50 * time.Millisecond
 	core := NewCore(reg, Config{
-		MaxBatch:       1,
-		BatchWait:      time.Millisecond,
 		Workers:        1,
 		AdmissionLimit: 1, // one request inside the core; the rest shed
 		RequestTimeout: 5 * time.Second,
-		testBatchDelay: exec, // deterministic slow backend
+		testPreRun:     func() { time.Sleep(exec) }, // deterministic slow backend
 	})
 	defer core.Close(context.Background())
 	ct, _ := encryptRandom(t, 1)
@@ -101,18 +99,16 @@ func median(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// TestPanicRecoveryIsolatesRequest: a panic during batch execution fails
-// only that batch's requests — typed with ErrInternal, counted in Panics —
-// and the worker pool keeps serving.
+// TestPanicRecoveryIsolatesRequest: a panic during execution fails only
+// that request — typed with ErrInternal, counted in Panics — and the core
+// keeps serving.
 func TestPanicRecoveryIsolatesRequest(t *testing.T) {
 	reg := testEnv(t)
 	var bomb atomic.Bool
 	bomb.Store(true)
 	core := NewCore(reg, Config{
-		MaxBatch:  1,
-		BatchWait: time.Millisecond,
-		Workers:   1,
-		testPreRun: func(*batch) {
+		Workers: 1,
+		testPreRun: func() {
 			if bomb.CompareAndSwap(true, false) {
 				panic("injected execution panic")
 			}
@@ -128,7 +124,7 @@ func TestPanicRecoveryIsolatesRequest(t *testing.T) {
 	if got := core.Metrics().Panics.Load(); got != 1 {
 		t.Fatalf("Panics = %d, want 1", got)
 	}
-	// The pool survived: the next request is served normally.
+	// The slot was released: the next request is served normally.
 	out, err := core.Submit(context.Background(), "square", testTenant, ct)
 	if err != nil || out == nil {
 		t.Fatalf("request after recovered panic: %v", err)

@@ -16,11 +16,11 @@ import (
 )
 
 // TestServeMatchesReference runs every catalog program through the full
-// batching pipeline and checks the decrypted response against the
+// serving path and checks the decrypted response against the
 // reference evaluator.
 func TestServeMatchesReference(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{BatchWait: time.Millisecond})
+	core := NewCore(reg, Config{})
 	defer core.Close(context.Background())
 	for i, name := range reg.ProgramNames() {
 		ct, _ := encryptRandom(t, int64(1000+i))
@@ -41,7 +41,7 @@ func TestServeMatchesReference(t *testing.T) {
 // and verifies every response decrypts to the reference result.
 func TestConcurrentClientsRace(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: 2 * time.Millisecond, RequestTimeout: 2 * time.Minute})
+	core := NewCore(reg, Config{RequestTimeout: 2 * time.Minute})
 	defer core.Close(context.Background())
 	names := reg.ProgramNames()
 	const clients = 8
@@ -86,7 +86,7 @@ func TestConcurrentClientsRace(t *testing.T) {
 // registration, encrypted run requests, and the metrics endpoint.
 func TestHTTPEndToEnd(t *testing.T) {
 	reg := testEnv(t)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: 2 * time.Millisecond})
+	core := NewCore(reg, Config{})
 	defer core.Close(context.Background())
 	srv := httptest.NewServer(NewHandler(core, HandlerConfig{}))
 	defer srv.Close()
@@ -183,7 +183,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	metricsBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{`"completed"`, `"avg_batch_occupancy"`, `"p99_ms"`, `"square"`} {
+	for _, want := range []string{`"completed"`, `"queue_depth"`, `"p99_ms"`, `"square"`} {
 		if !bytes.Contains(metricsBody, []byte(want)) {
 			t.Fatalf("metrics JSON missing %s: %s", want, metricsBody)
 		}
@@ -209,68 +209,18 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHTTPBatchOccupancy drives enough concurrent HTTP clients that the
-// dynamic batcher must coalesce (>1 average requests per machine run) —
-// the acceptance bar for slot batching.
-func TestHTTPBatchOccupancy(t *testing.T) {
-	reg := testEnv(t)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: 25 * time.Millisecond, Workers: 2})
-	defer core.Close(context.Background())
-	srv := httptest.NewServer(NewHandler(core, HandlerConfig{}))
-	defer srv.Close()
-
-	const n = 16
-	var wg sync.WaitGroup
-	errCh := make(chan error, n)
-	for i := 0; i < n; i++ {
-		ct, _ := encryptRandom(t, int64(4000+i))
-		var body bytes.Buffer
-		if err := ct.Write(&body); err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(body *bytes.Buffer) {
-			defer wg.Done()
-			req, _ := http.NewRequest("POST", srv.URL+"/v1/programs/rotsum:run", body)
-			req.Header.Set("X-Cinnamon-Tenant", testTenant)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != 200 {
-				msg, _ := io.ReadAll(resp.Body)
-				errCh <- fmt.Errorf("%v: %s", resp.Status, msg)
-				return
-			}
-			if _, err := ckks.ReadCiphertext(resp.Body, reg.Params); err != nil {
-				errCh <- err
-			}
-		}(&body)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	snap := core.Metrics().Snapshot()
-	if snap.AvgBatchOccupancy <= 1 {
-		t.Fatalf("batcher never coalesced: occupancy %.2f over %d batches", snap.AvgBatchOccupancy, snap.Batches)
-	}
-}
-
 func decodeParamsJSON(b []byte) (ckks.ParametersLiteral, error) {
 	var lit ckks.ParametersLiteral
 	err := json.Unmarshal(b, &lit)
 	return lit, err
 }
 
-// BenchmarkServeBatchedRequests measures end-to-end serve throughput
-// (requests/sec through registry → batcher → workers) with batching on.
-func BenchmarkServeBatchedRequests(b *testing.B) {
+// BenchmarkServeParallelSubmit measures end-to-end serve throughput
+// (requests/sec through registry → admission → worker slots) under
+// concurrent callers.
+func BenchmarkServeParallelSubmit(b *testing.B) {
 	reg := testEnv(b)
-	core := NewCore(reg, Config{MaxBatch: 4, BatchWait: time.Millisecond, RequestTimeout: time.Minute})
+	core := NewCore(reg, Config{RequestTimeout: time.Minute})
 	defer core.Close(context.Background())
 	ct, _ := encryptRandom(b, 5000)
 	b.ResetTimer()
@@ -281,7 +231,4 @@ func BenchmarkServeBatchedRequests(b *testing.B) {
 			}
 		}
 	})
-	b.StopTimer()
-	snap := core.Metrics().Snapshot()
-	b.ReportMetric(snap.AvgBatchOccupancy, "reqs/batch")
 }

@@ -334,25 +334,13 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 	if !ok {
 		return nil, SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
-	select {
-	case c.admission <- struct{}{}:
-		defer func() { <-c.admission }()
-	default:
-		c.met.Rejected.Add(1)
-		return nil, SessionInfo{}, fmt.Errorf("%w: admission queue full", ErrOverloaded)
+	if err := c.enter(); err != nil {
+		return nil, SessionInfo{}, err
 	}
-	// Step enqueue is a batch admission: start the key reload now so the
-	// blocking TenantKeys below finds the tenant resident.
+	defer c.leave()
+	// Start the key reload now so the blocking TenantKeys below finds the
+	// tenant resident.
 	c.reg.PrefetchTenant(sess.tenant)
-	c.stateMu.RLock()
-	if c.draining {
-		c.stateMu.RUnlock()
-		c.met.Rejected.Add(1)
-		return nil, SessionInfo{}, ErrShuttingDown
-	}
-	c.deepWG.Add(1)
-	c.stateMu.RUnlock()
-	defer c.deepWG.Done()
 
 	prog, ok := c.reg.Program(sess.program)
 	if !ok {
@@ -368,11 +356,8 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 			return nil, SessionInfo{}, fmt.Errorf("%w: ciphertext scale %g, sessions expect %g", ErrBadRequest, ct.Scale, def)
 		}
 	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
 
 	// Steps of one session are inherently sequential — each consumes the
 	// previous state — so the session mutex is held across the execution.
@@ -392,7 +377,7 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 	start := time.Now()
 	out, err := c.execute(ctx, prog, sess.tenant, keys, in)
 	if err != nil {
-		c.observe(pm, start, err)
+		c.observe(ctx, pm, start, err)
 		return nil, SessionInfo{}, fmt.Errorf("serve: session %s step: %w", id, err)
 	}
 	sess.state = out
@@ -401,7 +386,7 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 	cp := sess.checkpoint()
 	sess.lastCP.Store(&cp)
 	c.sessions.logAppend(func(l *sessionLog) error { return l.appendStep(cp) })
-	c.observe(pm, start, nil)
+	c.observe(ctx, pm, start, nil)
 	c.met.SessionSteps.Add(1)
 	return out, sess.info(), nil
 }

@@ -189,21 +189,23 @@ func TestSessionConcurrentSteps(t *testing.T) {
 	}
 }
 
-// TestDeepBootstrapEndToEnd is the whole tentpole in one process: a
-// depth-20 program on a 16-level chain compiles as a scheduler-path entry,
-// a one-shot request bootstraps mid-program and still decrypts to the
-// plain-model output, and a session continues from the exhausted state by
-// leaning on more refreshes.
-func TestDeepBootstrapEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("deep bootstrap end-to-end is expensive")
-	}
-	lit := workloads.ServeBootstrapParamsLiteral(8, 16, 20260805)
+// deepEnv is a bootstrap-enabled registry hosting the deep catalog, with one
+// tenant registered for logreg16-deep and the bootstrap circuit.
+type deepEnv struct {
+	reg    *Registry
+	prog   *Program
+	tenant string
+	sk     *ckks.SecretKey
+	pk     *ckks.PublicKey
+}
+
+func newDeepEnv(t *testing.T, logN int) *deepEnv {
+	t.Helper()
+	lit := workloads.ServeBootstrapParamsLiteral(logN, 16, 20260805)
 	cfg := bootstrap.DefaultConfig()
 	reg, err := NewRegistry(RegistryConfig{
 		Literal:   lit,
 		Programs:  workloads.DeepServeWorkloads(),
-		MaxBatch:  1,
 		Bootstrap: &cfg,
 	})
 	if err != nil {
@@ -216,9 +218,7 @@ func TestDeepBootstrapEndToEnd(t *testing.T) {
 	if !prog.Bootstrapped || prog.BootstrapsRequired < 1 {
 		t.Fatalf("logreg16-deep: bootstrapped=%v required=%d", prog.Bootstrapped, prog.BootstrapsRequired)
 	}
-
-	params := reg.Params
-	kg := ckks.NewKeyGenerator(params)
+	kg := ckks.NewKeyGenerator(reg.Params)
 	sk, err := kg.GenSecretKey()
 	if err != nil {
 		t.Fatal(err)
@@ -255,24 +255,44 @@ func TestDeepBootstrapEndToEnd(t *testing.T) {
 	if err := reg.RegisterTenant(tenant, keys); err != nil {
 		t.Fatal(err)
 	}
+	return &deepEnv{reg: reg, prog: prog, tenant: tenant, sk: sk, pk: pk}
+}
+
+// encryptInput encrypts one catalog-shaped input for the deep program.
+func (e *deepEnv) encryptInput(t *testing.T, seed int64) (*ckks.Ciphertext, []complex128) {
+	t.Helper()
+	params := e.reg.Params
+	in := e.prog.Spec.MakeInput(rand.New(rand.NewSource(seed)), params.Slots())
+	pt, err := ckks.NewEncoder(params).Encode(in, params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := ckks.NewEncryptor(params, e.pk).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct, in
+}
+
+// TestDeepBootstrapEndToEnd is the whole tentpole in one process: a
+// depth-20 program on a 16-level chain compiles as a scheduler-path entry,
+// a one-shot request bootstraps mid-program and still decrypts to the
+// plain-model output, and a session continues from the exhausted state by
+// leaning on more refreshes.
+func TestDeepBootstrapEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deep bootstrap end-to-end is expensive")
+	}
+	de := newDeepEnv(t, 8)
+	reg, params, tenant, spec := de.reg, de.reg.Params, de.tenant, de.prog.Spec
 
 	core := NewCore(reg, Config{Workers: 1, BootstrapWait: time.Millisecond, RequestTimeout: 10 * time.Minute})
 	defer core.Close(context.Background())
 	ctx := context.Background()
 
 	enc := ckks.NewEncoder(params)
-	encr := ckks.NewEncryptor(params, pk)
-	decr := ckks.NewDecryptor(params, sk)
-	spec := prog.Spec
-	in := spec.MakeInput(rand.New(rand.NewSource(4104)), params.Slots())
-	pt, err := enc.Encode(in, params.MaxLevel(), params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := encr.Encrypt(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	decr := ckks.NewDecryptor(params, de.sk)
+	ct, in := de.encryptInput(t, 4104)
 	decode := func(ct *ckks.Ciphertext) []complex128 {
 		pt, err := decr.Decrypt(ct)
 		if err != nil {

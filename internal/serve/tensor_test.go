@@ -73,7 +73,7 @@ func TestTensorProgramsCompiled(t *testing.T) {
 // and still serve everything else.
 func TestRegistrySkipsDeepPrograms(t *testing.T) {
 	lit := workloads.ServeParamsLiteral(8, 3, 20260805)
-	reg, err := NewRegistry(RegistryConfig{Literal: lit, MaxBatch: 1})
+	reg, err := NewRegistry(RegistryConfig{Literal: lit})
 	if err != nil {
 		t.Fatal(err)
 	}
