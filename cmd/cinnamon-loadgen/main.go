@@ -474,10 +474,9 @@ func (c *client) runSessions(info serve.ProgramInfo, sessions, steps int, seed i
 	if err := c.getJSON("/metrics", &snap); err != nil {
 		return fmt.Errorf("fetching metrics: %w", err)
 	}
-	fmt.Printf("\nserver metrics: %d session steps, %d bootstraps in %d ticks\n",
-		snap.SessionSteps, snap.Bootstraps, snap.BootstrapBatches)
+	fmt.Printf("\nserver metrics: %d session steps, %d bootstraps\n", snap.SessionSteps, snap.Bootstraps)
 	if snap.BootstrapMs != nil {
-		fmt.Printf("  bootstrap tick: p50 %.0fms  p99 %.0fms, sizes %v\n", snap.BootstrapMs.P50Ms, snap.BootstrapMs.P99Ms, snap.BootstrapBatchSize)
+		fmt.Printf("  bootstrap: p50 %.0fms  p99 %.0fms\n", snap.BootstrapMs.P50Ms, snap.BootstrapMs.P99Ms)
 	}
 	if snap.Failovers > 0 || snap.SessionRestores > 0 {
 		fmt.Printf("  failure domains: %d failovers, %d sessions restored from checkpoint log\n", snap.Failovers, snap.SessionRestores)

@@ -15,7 +15,9 @@
 // serve bootstrap literal), the registry precompiles the shared bootstrap
 // circuit, catalog programs deeper than the modulus chain are served with
 // mid-program refreshes, and the encrypted session endpoints
-// (/v1/sessions) are live.
+// (/v1/sessions) are live. A refresh is one bootstrap on its request's own
+// goroutine, inside the request's worker slot; refreshes take turns, one at
+// a time process-wide, so each has the whole limb-worker pool.
 //
 // With -cluster, requests execute over the scale-out worker cluster
 // (cinnamon-worker processes, one chip each): ciphertext limbs are
@@ -76,18 +78,16 @@ func main() {
 	logN := flag.Int("logn", 8, "ring degree log2 (2^logN coefficients)")
 	levels := flag.Int("levels", 4, "multiplicative levels (4 fits the depth-4 tensor catalog)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (clients must match)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "one-shot requests executing at once (the rest of the admitted requests wait for a slot)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executions (one-shots and session steps) running at once; the rest of the admitted requests wait for a slot")
 	limbWorkers := flag.Int("limb-workers", 0, "limb-parallel arithmetic workers per operation (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 1024, "requests admitted at once, waiting or executing, before shedding with 429")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request execution timeout")
+	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout (a request that expires mid-bootstrap overruns by at most that one bootstrap)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
 	clusterAddrs := flag.String("cluster", "", "cinnamon-worker addresses: comma-separated within a backend, semicolon-separated between backends (host:port,...;host:port,...); empty = local execution only")
 	requireCluster := flag.Bool("require-cluster", false, "fail typed (503) instead of falling back to local execution when no cluster backend can serve")
 	heartbeat := flag.Duration("heartbeat", 1*time.Second, "cluster worker heartbeat interval (0 disables; redials back off with jitter)")
 	sessionLog := flag.String("session-log", "", "durable session checkpoint log path; replayed at boot (empty = sessions are memory-only)")
 	bootstrapOn := flag.Bool("bootstrap", false, "enable the bootstrapping service (sparse-secret parameters; serves deeper-than-chain programs and sessions)")
-	bsBatch := flag.Int("bootstrap-batch", 8, "max ciphertexts per shared bootstrap tick")
-	bsWait := flag.Duration("bootstrap-wait", 25*time.Millisecond, "max time a bootstrap tick waits for company")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "idle encrypted-session eviction deadline")
 	keyBudgetMB := flag.Int64("key-budget-mb", 0, "resident tenant eval-key budget in MiB (0 = unbounded); over budget, LRU tenants spill to the key store and reload on demand")
 	keySpillDir := flag.String("key-spill-dir", "", "directory for spilled key bundles (empty = a fresh temp dir; only used with -key-budget-mb)")
@@ -98,8 +98,8 @@ func main() {
 		workers: *workers, limbWorkers: *limbWorkers, queue: *queue, timeout: *timeout,
 		drain: *drain, clusterAddrs: *clusterAddrs,
 		requireCluster: *requireCluster, heartbeat: *heartbeat,
-		sessionLog: *sessionLog,
-		bootstrap:  *bootstrapOn, bsBatch: *bsBatch, bsWait: *bsWait,
+		sessionLog:  *sessionLog,
+		bootstrap:   *bootstrapOn,
 		sessionTTL:  *sessionTTL,
 		keyBudgetMB: *keyBudgetMB, keySpillDir: *keySpillDir,
 	}
@@ -121,8 +121,6 @@ type options struct {
 	heartbeat            time.Duration
 	sessionLog           string
 	bootstrap            bool
-	bsBatch              int
-	bsWait               time.Duration
 	sessionTTL           time.Duration
 	keyBudgetMB          int64
 	keySpillDir          string
@@ -217,8 +215,6 @@ func run(o options) error {
 		Backends:       backends,
 		RequireCluster: o.requireCluster,
 		SessionLog:     o.sessionLog,
-		BootstrapBatch: o.bsBatch,
-		BootstrapWait:  o.bsWait,
 		SessionTTL:     o.sessionTTL,
 	})
 	if err != nil {

@@ -76,7 +76,7 @@ type report struct {
 	PoolAllocs map[string]float64 `json:"poly_pool_allocs_per_op"`
 
 	// ServeRPS is end-to-end serving throughput: single `square` requests
-	// through the full batcher → worker → executor pipeline of
+	// through the full admission → worker slot → executor pipeline of
 	// internal/serve, requests per second. Zero when -serve=false.
 	ServeRPS float64 `json:"serve_rps"`
 
@@ -267,9 +267,9 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 	}
 
 	// bootstrap: one full CKKS refresh (ScaleUp → ModRaise → CoeffToSlot →
-	// EvalMod → SlotToCoeff) on its own sparse-secret parameter set — the
-	// pass the serving runtime's bootstrap batcher amortizes across
-	// tenants. Small ring (logN=8, 16 levels) for the same reason as the
+	// EvalMod → SlotToCoeff) on its own sparse-secret parameter set — what
+	// the serving runtime's refresh hook runs, one at a time, for a deep
+	// request. Small ring (logN=8, 16 levels) for the same reason as the
 	// serve gate: this row watches the circuit's constant factors.
 	{
 		blit := workloads.ServeBootstrapParamsLiteral(8, 16, 20260805)

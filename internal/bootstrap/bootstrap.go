@@ -226,28 +226,79 @@ func (bs *Bootstrapper) Evaluator() *ckks.Evaluator { return bs.ev }
 // Precomp exposes the shared key-independent circuit.
 func (bs *Bootstrapper) Precomp() *Precomp { return bs.pre }
 
-// MinLevelBudget returns a safe lower bound on the number of levels the
-// bootstrap circuit consumes (C2S + EvalMod + S2C + normalization).
-func (bs *Bootstrapper) MinLevelBudget() int {
-	chebDepth := 1 // normalization
-	for d := 1; d < bs.pre.cfg.Degree+1; d <<= 1 {
-		chebDepth++
-	}
-	budget := 1 + chebDepth + bs.pre.cfg.DoubleAngle + 1 + 2
-	if bs.pre.cfg.ArcsineCorrection {
-		budget += 2
-	}
-	return budget
-}
-
 // Bootstrap refreshes ct (which must be at level 0) back to a high level:
 // the returned ciphertext encrypts the same slot values with
-// pre.ExitLevel() levels remaining. It is exactly a batch of one, so its
-// results are bit-identical to the batched path.
+// pre.ExitLevel() levels remaining. Every evaluator operation is
+// deterministic and the only shared state (the transforms' encoded
+// diagonals) is guarded, so any number of Bootstrap calls — same or
+// different Bootstrappers over one Precomp — may run concurrently and each
+// returns the bits it would have returned alone.
 func (bs *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	item := BatchItem{BS: bs, CT: ct}
-	BootstrapBatch([]*BatchItem{&item})
-	return item.Out, item.Err
+	pre := bs.pre
+	if err := bs.validate(ct); err != nil {
+		return nil, err
+	}
+	// ScaleUp to ≈ q0/2^H, then ModRaise into the full chain: Dec becomes
+	// S0·m + q0·I with small integer I.
+	raised, err := bs.modRaise(bs.ev.ScaleUp(ct, pre.scaleUp))
+	if err != nil {
+		return nil, err
+	}
+	// CoeffToSlot + rescale: slots now hold x_j = Δm_j/q0 + I_j (complex
+	// pairs).
+	t, err := pre.c2s.Evaluate(bs.ev, pre.enc, raised)
+	if err != nil {
+		return nil, err
+	}
+	if t, err = bs.ev.Rescale(t); err != nil {
+		return nil, err
+	}
+	comb, err := bs.evalModSplit(t)
+	if err != nil {
+		return nil, err
+	}
+	// SlotToCoeff + rescale restores the original slot values at the exit
+	// level.
+	out, err := pre.s2c.Evaluate(bs.ev, pre.enc, comb)
+	if err != nil {
+		return nil, err
+	}
+	if out, err = bs.ev.Rescale(out); err != nil {
+		return nil, err
+	}
+	// The composed circuit scale lands near Δ but not on it (the exact
+	// value threads every prime and constant in the circuit); snap to the
+	// exact default so downstream multiply chains don't amplify the
+	// declaration drift past the evaluator's scale check. The relative
+	// value error this folds in (≲1e-4) is far below the circuit's own
+	// sine-approximation error.
+	delta := pre.params.DefaultScale()
+	if math.Abs(out.Scale-delta) > 1e-4*delta {
+		return nil, fmt.Errorf("bootstrap: exit scale %g drifted beyond tolerance of the default %g", out.Scale, delta)
+	}
+	out.Scale = delta
+	return out, nil
+}
+
+// BatchItem and BootstrapBatch are vestigial: there is no batched bootstrap,
+// only this loop over Bootstrap. They stay because the frozen benchmark
+// (bench/layers.go, bootstrap.batch2_ms_per_item) compiles against them;
+// drop both once a benchmark PR drops that metric (ROADMAP item 4b).
+type BatchItem struct {
+	BS      *Bootstrapper
+	CT, Out *ckks.Ciphertext
+	Err     error
+}
+
+// BootstrapBatch bootstraps each item in turn; failures are per item.
+func BootstrapBatch(items []*BatchItem) {
+	for _, it := range items {
+		if it.BS == nil {
+			it.Err = fmt.Errorf("bootstrap: batch item has nil Bootstrapper")
+			continue
+		}
+		it.Out, it.Err = it.BS.Bootstrap(it.CT)
+	}
 }
 
 // validate checks the bootstrap input contract: level 0, default scale.
@@ -320,6 +371,45 @@ func (bs *Bootstrapper) evalMod(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 		return nil, err
 	}
 	return bs.ev.Rescale(out)
+}
+
+// evalModSplit is the middle of the pipeline: conjugate split into 2·Re and
+// 2·Im, EvalMod on both halves (u = 2x ∈ [−2K, 2K] → sin(2πx)), and the
+// recombination t' = re' + i·im'.
+func (bs *Bootstrapper) evalModSplit(t *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	tc, err := bs.ev.Conjugate(t)
+	if err != nil {
+		return nil, err
+	}
+	re2, err := bs.ev.Add(t, tc)
+	if err != nil {
+		return nil, err
+	}
+	imDiff, err := bs.ev.Sub(tc, t)
+	if err != nil {
+		return nil, err
+	}
+	im2, err := bs.ev.MulByI(imDiff) // (conj−t)·i = 2·Im(t)
+	if err != nil {
+		return nil, err
+	}
+	reMod, err := bs.evalMod(re2)
+	if err != nil {
+		return nil, err
+	}
+	imMod, err := bs.evalMod(im2)
+	if err != nil {
+		return nil, err
+	}
+	imI, err := bs.ev.MulByI(imMod)
+	if err != nil {
+		return nil, err
+	}
+	a, b, err := alignLevels(bs.ev, reMod, imI)
+	if err != nil {
+		return nil, err
+	}
+	return bs.ev.Add(a, b)
 }
 
 // modRaise lifts a level-0 ciphertext to the full chain by re-expressing

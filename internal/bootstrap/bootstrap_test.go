@@ -240,13 +240,17 @@ func TestEvalChebyshevHomomorphic(t *testing.T) {
 }
 
 func bootstrapParams(t testing.TB) (*ckks.Parameters, *ckks.SecretKey) {
+	return bootstrapParamsAt(t, 10)
+}
+
+func bootstrapParamsAt(t testing.TB, logN int) (*ckks.Parameters, *ckks.SecretKey) {
 	t.Helper()
 	logQ := []int{60}
 	for i := 0; i < 16; i++ {
 		logQ = append(logQ, 45)
 	}
 	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN:          10,
+		LogN:          logN,
 		LogQ:          logQ,
 		LogP:          []int{58, 58, 58, 58},
 		LogScale:      45,

@@ -27,9 +27,9 @@ type LinearTransform struct {
 	N1    int // baby-step width (power of two)
 
 	// Encoded diagonals are deterministic per (level, d), so they are
-	// computed once and reused across every evaluation — single or batched,
-	// any tenant. The mutex also serializes the (stateless but not
-	// concurrency-safe) encoder during warm-up.
+	// computed once and reused across every evaluation, any tenant. The
+	// mutex also serializes the encoder during warm-up, so concurrent first
+	// evaluations encode each diagonal once.
 	ptMu    sync.Mutex
 	ptCache map[uint64]*ckks.Plaintext
 }
@@ -117,8 +117,8 @@ func (lt *LinearTransform) diagPlaintext(enc *ckks.Encoder, level int, d int, sc
 }
 
 // babySteps returns the distinct nonzero baby-step offsets the transform's
-// diagonals need, in stable (ascending d) discovery order is not required —
-// hoisted rotations are order-independent.
+// diagonals need. The order is map order: the rotations are independent, so
+// it affects nothing.
 func (lt *LinearTransform) babySteps() []int {
 	var steps []int
 	seen := map[int]bool{}
@@ -131,21 +131,27 @@ func (lt *LinearTransform) babySteps() []int {
 	return steps
 }
 
-// accumulate runs the giant-step loop for one ciphertext given its hoisted
-// baby rotations. Both the single and batched entry points funnel through
-// this, so per-ciphertext operation order — and therefore the result bits —
-// cannot differ between them.
-func (lt *LinearTransform) accumulate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext, rotCache map[int]*ckks.Ciphertext, level int, scale float64) (*ckks.Ciphertext, error) {
-	rotated := func(j int) (*ckks.Ciphertext, error) {
-		if r, ok := rotCache[j]; ok {
-			return r, nil
-		}
-		r, err := ev.Rotate(ct, j)
+// Evaluate applies the transform to ct. The output scale is
+// ct.Scale · Δ; the caller rescales. enc must share the evaluator's
+// parameters. The baby-step rotations — independent keyswitches of the one
+// input — are hoisted into a single fork-join batch on the limb worker pool
+// before the giant-step loop consumes them.
+func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	level := ct.Level()
+	// Encode diagonals at exactly the modulus the following rescale will
+	// consume, so the caller's rescale preserves ct.Scale exactly.
+	scale := ev.TopModulus(level)
+	steps := lt.babySteps()
+	rotated := make([]*ckks.Ciphertext, lt.N1) // indexed by baby step
+	rotated[0] = ct
+	errs := make([]error, len(steps))
+	parallel.For(len(steps), func(k int) {
+		rotated[steps[k]], errs[k] = ev.Rotate(ct, steps[k])
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		rotCache[j] = r
-		return r, nil
 	}
 	var acc *ckks.Ciphertext
 	for i := 0; i*lt.N1 < lt.Slots; i++ {
@@ -158,11 +164,7 @@ func (lt *LinearTransform) accumulate(ev *ckks.Evaluator, enc *ckks.Encoder, ct 
 			if err != nil {
 				return nil, err
 			}
-			rj, err := rotated(j)
-			if err != nil {
-				return nil, err
-			}
-			term, err := ev.MulPlain(rj, pt)
+			term, err := ev.MulPlain(rotated[j], pt)
 			if err != nil {
 				return nil, err
 			}
@@ -175,107 +177,22 @@ func (lt *LinearTransform) accumulate(ev *ckks.Evaluator, enc *ckks.Encoder, ct 
 		if inner == nil {
 			continue
 		}
+		var err error
 		if i != 0 {
-			var err error
 			if inner, err = ev.Rotate(inner, i*lt.N1); err != nil {
 				return nil, err
 			}
 		}
 		if acc == nil {
 			acc = inner
-		} else {
-			var err error
-			if acc, err = ev.Add(acc, inner); err != nil {
-				return nil, err
-			}
+		} else if acc, err = ev.Add(acc, inner); err != nil {
+			return nil, err
 		}
 	}
 	if acc == nil {
 		return nil, fmt.Errorf("bootstrap: linear transform has no nonzero diagonal")
 	}
 	return acc, nil
-}
-
-// Evaluate applies the transform to ct. The output scale is
-// ct.Scale · Δ; the caller rescales. enc must share the evaluator's
-// parameters.
-func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	outs, errs := lt.EvaluateBatch([]*ckks.Evaluator{ev}, enc, []*ckks.Ciphertext{ct})
-	if errs[0] != nil {
-		return nil, errs[0]
-	}
-	return outs[0], nil
-}
-
-// EvaluateBatch applies the transform to several ciphertexts — possibly
-// from different tenants, hence the per-item evaluators — sharing one pass
-// of setup: diagonal plaintexts are encoded once, and ALL baby-step
-// rotations across every item are hoisted into a single fork-join batch
-// (the paper's batched keyswitch collective, amortized across requests).
-// All inputs must sit at the same level. Failures are per-item.
-func (lt *LinearTransform) EvaluateBatch(evs []*ckks.Evaluator, enc *ckks.Encoder, cts []*ckks.Ciphertext) ([]*ckks.Ciphertext, []error) {
-	n := len(cts)
-	outs := make([]*ckks.Ciphertext, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return outs, errs
-	}
-	if len(evs) != n {
-		for i := range errs {
-			errs[i] = fmt.Errorf("bootstrap: %d evaluators for %d ciphertexts", len(evs), n)
-		}
-		return outs, errs
-	}
-	level := cts[0].Level()
-	for i, ct := range cts {
-		if ct.Level() != level {
-			errs[i] = fmt.Errorf("bootstrap: batch level mismatch: item %d at level %d, batch at %d", i, ct.Level(), level)
-		}
-	}
-	// Encode diagonals at exactly the modulus the following rescale will
-	// consume, so the caller's rescale preserves ct.Scale exactly.
-	scale := evs[0].TopModulus(level)
-	steps := lt.babySteps()
-	// Hoist every (item, baby-step) rotation into one flat batch: the
-	// rotations are mutually independent keyswitches and run concurrently
-	// on the limb worker pool.
-	caches := make([]map[int]*ckks.Ciphertext, n)
-	for i := range caches {
-		caches[i] = map[int]*ckks.Ciphertext{0: cts[i]}
-	}
-	if len(steps) > 0 {
-		type job struct{ item, step int }
-		var jobs []job
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				continue
-			}
-			for _, j := range steps {
-				jobs = append(jobs, job{i, j})
-			}
-		}
-		rots := make([]*ckks.Ciphertext, len(jobs))
-		rerrs := make([]error, len(jobs))
-		parallel.For(len(jobs), func(k int) {
-			rots[k], rerrs[k] = evs[jobs[k].item].Rotate(cts[jobs[k].item], jobs[k].step)
-		})
-		for k, jb := range jobs {
-			if rerrs[k] != nil {
-				if errs[jb.item] == nil {
-					errs[jb.item] = rerrs[k]
-				}
-				continue
-			}
-			caches[jb.item][jb.step] = rots[k]
-		}
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			continue
-		}
-		outs[i], errs[i] = lt.accumulate(evs[i], enc, cts[i], caches[i], level, scale)
-	}
-	return outs, errs
 }
 
 // Apply evaluates the transform on a plaintext vector (reference path for

@@ -10,8 +10,9 @@ import (
 )
 
 // RefreshFunc lifts an exhausted (level-0, scale-Δ) ciphertext back to the
-// bootstrap exit level. The serve runtime points this at the shared
-// Batcher so concurrent executions coalesce into one BSGS pass.
+// bootstrap exit level. It is called on the goroutine running the program
+// and blocks it until the refreshed ciphertext (or an error) is back; ctx is
+// the execution's context.
 type RefreshFunc func(ctx context.Context, ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 
 // TraceFunc observes every node's computed value (stream-0 executions only

@@ -1,5 +1,5 @@
-// Package sched turns bootstrapping into a service inside the serve
-// runtime. It has three parts:
+// Package sched runs compiled programs that may outlive their level budget.
+// It has two parts:
 //
 //   - a level/scale tracker (BuildPlan) that follows every live ciphertext
 //     through a compiled program's IR graph, predicting the physical level
@@ -8,12 +8,8 @@
 //     parameter chain — splitting deep programs into resumable segments
 //     separated by refresh points;
 //   - a replay executor (Executor) that runs the same graph op-by-op on a
-//     real ckks.Evaluator, calling back into a refresh hook whenever the
-//     plan's insertion rule fires;
-//   - a bootstrap batcher (Batcher) that queues refresh-pending ciphertexts
-//     across programs and tenants and runs them through one shared BSGS
-//     linear-transform pass per tick (bootstrap.BootstrapBatch), with batch
-//     size and deadline knobs like the serve request batcher.
+//     real ckks.Evaluator, calling back into the caller's refresh hook
+//     (RunOpts.Refresh) whenever the plan's insertion rule fires.
 package sched
 
 import (

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/dsl"
@@ -228,22 +227,5 @@ func TestPlanRejectsScaleMixing(t *testing.T) {
 	}
 	if _, err := BuildPlan(g, params, nil, 0); err == nil {
 		t.Fatal("scale-mixing add planned without error")
-	}
-}
-
-// TestBatcherLifecycle: Close rejects queued and future refreshes with a
-// typed error, and a dead context never reaches the bootstrap pass.
-func TestBatcherLifecycle(t *testing.T) {
-	b := NewBatcher(4, time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// A cancelled context fails fast; the nil Bootstrapper proves the tick
-	// loop never dereferences a dead job.
-	if _, err := b.Refresh(ctx, nil, nil); err == nil {
-		t.Fatal("refresh with a cancelled context succeeded")
-	}
-	b.Close()
-	if _, err := b.Refresh(context.Background(), nil, nil); err != ErrBatcherClosed {
-		t.Fatalf("refresh after Close: %v, want ErrBatcherClosed", err)
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cinnamon/internal/ckks"
+	"cinnamon/internal/ring"
 )
 
 // waitFor polls cond until it holds, failing the test after 5s.
@@ -190,8 +193,8 @@ func TestLoadShedding(t *testing.T) {
 }
 
 // TestRequestTimeout: a request whose own deadline passes — waiting for a
-// held worker slot, or in the middle of a deep run that takes no slot —
-// returns the deadline error and counts once in Timeouts, never in Errors.
+// held worker slot, or in the middle of a deep run — returns the deadline
+// error and counts once in Timeouts, never in Errors.
 func TestRequestTimeout(t *testing.T) {
 	check := func(t *testing.T, core *Core, err error) {
 		t.Helper()
@@ -225,7 +228,7 @@ func TestRequestTimeout(t *testing.T) {
 	})
 	t.Run("deep mid-run", func(t *testing.T) {
 		de := newDeepEnv(t, 7)
-		core := NewCore(de.reg, Config{BootstrapWait: time.Millisecond})
+		core := NewCore(de.reg, Config{})
 		defer core.Close(context.Background())
 		ct, _ := de.encryptInput(t, 601)
 		// A deep run costs one bootstrap (>= 100 ms at this ring).
@@ -234,4 +237,321 @@ func TestRequestTimeout(t *testing.T) {
 		_, err := core.Submit(ctx, de.prog.Spec.Name, de.tenant, ct)
 		check(t, core, err)
 	})
+}
+
+// refreshProbe watches the keyswitches of tenants' bootstrap evaluators — the
+// only events inside Bootstrap visible from outside it — to see whose refresh
+// is running, and to park one there.
+type refreshProbe struct {
+	mu      sync.Mutex
+	order   []string       // tenant of every bootstrap keyswitch, in entry order
+	active  map[string]int // bootstrap keyswitches in flight, per tenant
+	overlap bool           // two tenants' were in flight at once
+
+	parked  string        // tenant whose bootstrap keyswitches wait on hold
+	entered chan struct{} // closed when the first of them arrives
+	once    sync.Once
+	hold    chan struct{}
+}
+
+type probeKeySwitcher struct {
+	p      *refreshProbe
+	tenant string
+	ev     *ckks.Evaluator
+}
+
+func (k probeKeySwitcher) KeySwitch(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, error) {
+	p := k.p
+	p.mu.Lock()
+	p.order = append(p.order, k.tenant)
+	for other, n := range p.active {
+		if other != k.tenant && n > 0 {
+			p.overlap = true
+		}
+	}
+	p.active[k.tenant]++
+	hold := p.hold
+	if p.parked != k.tenant {
+		hold = nil
+	}
+	p.mu.Unlock()
+	if hold != nil {
+		p.once.Do(func() { close(p.entered) })
+		<-hold
+	}
+	c0, c1, err := k.ev.KeySwitch(c, evk)
+	p.mu.Lock()
+	p.active[k.tenant]--
+	p.mu.Unlock()
+	return c0, c1, err
+}
+
+// probeRefreshes installs the probe on each tenant's cached bootstrapper.
+func probeRefreshes(t *testing.T, reg *Registry, tenants ...string) *refreshProbe {
+	t.Helper()
+	p := &refreshProbe{active: map[string]int{}}
+	for _, tenant := range tenants {
+		bs, err := reg.BootstrapperFor(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs.Evaluator().SetKeySwitcher(probeKeySwitcher{p: p, tenant: tenant, ev: bs.Evaluator()})
+	}
+	return p
+}
+
+// park (once per probe) makes tenant's next bootstrap stop at its first
+// keyswitch — inside Bootstrap, holding the refresh turn — until release is
+// called.
+func (p *refreshProbe) park(tenant string) (entered <-chan struct{}, release func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.parked, p.entered, p.hold = tenant, make(chan struct{}), make(chan struct{})
+	return p.entered, func() { close(p.hold) }
+}
+
+// calls reports how many bootstrap keyswitches tenant has started.
+func (p *refreshProbe) calls(tenant string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, who := range p.order {
+		if who == tenant {
+			n++
+		}
+	}
+	return n
+}
+
+// waitParkedIn polls until a goroutine is blocked in a select inside fn.
+func waitParkedIn(t *testing.T, fn string) {
+	t.Helper()
+	waitFor(t, "a goroutine to park in "+fn, func() bool {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, fn+"(") {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// TestRefreshesRunOneAtATime: refreshes of different tenants take turns —
+// two deep session steps started together never have bootstrap work in
+// flight at the same time — and a step cancelled while it waits for the turn
+// returns its context's error at once, counted as a timeout, having run no
+// bootstrap.
+func TestRefreshesRunOneAtATime(t *testing.T) {
+	de := newDeepEnv(t, 7)
+	const other = "deep-tenant-2"
+	// A second tenant over the same key pointers still gets its own
+	// bootstrapper and evaluator.
+	if err := de.reg.RegisterTenant(other, de.keys); err != nil {
+		t.Fatal(err)
+	}
+	core := NewCore(de.reg, Config{Workers: 4, RequestTimeout: time.Hour})
+	defer core.Close(context.Background())
+	probe := probeRefreshes(t, de.reg, de.tenant, other)
+	tenants := []string{de.tenant, other}
+	ct, _ := de.encryptInput(t, 700)
+	ids := make([]string, 2)
+	for i, tenant := range tenants {
+		info, err := core.CreateSession(tenant, de.prog.Spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+
+	// Two seeding steps together: each refreshes BootstrapsRequired times.
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = core.SessionStep(context.Background(), ids[i], ct)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("step of %s: %v", tenants[i], err)
+		}
+	}
+	perStep := de.prog.BootstrapsRequired
+	if got := core.Metrics().Bootstraps.Load(); got != int64(2*perStep) {
+		t.Fatalf("bootstraps = %d, want %d", got, 2*perStep)
+	}
+	probe.mu.Lock()
+	switches := 0
+	for i := 1; i < len(probe.order); i++ {
+		if probe.order[i] != probe.order[i-1] {
+			switches++
+		}
+	}
+	overlap := probe.overlap
+	probe.mu.Unlock()
+	// Whole bootstraps may alternate between the tenants; their keyswitches
+	// may not interleave.
+	if overlap || switches > 2*perStep-1 {
+		t.Fatalf("refreshes overlapped: concurrent keyswitches %v, %d tenant switches over %d bootstraps", overlap, switches, 2*perStep)
+	}
+
+	// The first tenant's next step stops inside Bootstrap, holding the turn;
+	// the second's reaches the turn and waits there.
+	entered, release := probe.park(de.tenant)
+	holder := make(chan error, 1)
+	go func() {
+		_, _, err := core.SessionStep(context.Background(), ids[0], nil)
+		holder <- err
+	}()
+	<-entered
+	before := core.Metrics().Snapshot()
+	ranBefore := probe.calls(other)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := core.SessionStep(ctx, ids[1], nil)
+		waiter <- err
+	}()
+	waitParkedIn(t, "serve.(*Core).refresh")
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter cancelled in the turn wait: %v, want context.Canceled", err)
+	}
+	after := core.Metrics().Snapshot()
+	if after.Timeouts != before.Timeouts+1 || after.Errors != before.Errors {
+		t.Fatalf("timeouts/errors moved %d/%d, want 1/0", after.Timeouts-before.Timeouts, after.Errors-before.Errors)
+	}
+	if ran := probe.calls(other) - ranBefore; ran != 0 || after.Bootstraps != before.Bootstraps {
+		t.Fatalf("cancelled waiter ran bootstrap work: %d keyswitches, %d bootstraps", ran, after.Bootstraps-before.Bootstraps)
+	}
+	release()
+	if err := <-holder; err != nil {
+		t.Fatalf("turn holder: %v", err)
+	}
+}
+
+// TestDeepRunsTakeWorkerSlots: programs that bootstrap and session steps
+// hold a worker slot like every other execution. With the only slot held, a
+// second deep one-shot and a session step wait for it, visible in
+// QueueDepth, and a cancelled one fails there without having run.
+func TestDeepRunsTakeWorkerSlots(t *testing.T) {
+	de := newDeepEnv(t, 7)
+	running := make(chan struct{}, 1)
+	hold := make(chan struct{})
+	core := NewCore(de.reg, Config{Workers: 1, RequestTimeout: time.Hour, testPreRun: func() {
+		running <- struct{}{}
+		<-hold
+	}})
+	defer core.Close(context.Background())
+	ct, _ := de.encryptInput(t, 710)
+	info, err := core.CreateSession(de.tenant, de.prog.Spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := make(chan error, 1)
+	go func() {
+		_, err := core.Submit(context.Background(), de.prog.Spec.Name, de.tenant, ct)
+		holder <- err
+	}()
+	<-running
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	waiters := make(chan error, 2)
+	go func() {
+		_, err := core.Submit(ctx, de.prog.Spec.Name, de.tenant, ct)
+		waiters <- err
+	}()
+	go func() {
+		_, _, err := core.SessionStep(ctx, info.ID, ct)
+		waiters <- err
+	}()
+	waitFor(t, "the deep one-shot and the session step to queue for the slot", func() bool {
+		return core.Metrics().QueueDepth.Load() == 2
+	})
+	cancel()
+	for i := 0; i < 2; i++ {
+		if err := <-waiters; !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter %d: %v, want context.Canceled", i, err)
+		}
+	}
+	close(hold)
+	if err := <-holder; err != nil {
+		t.Fatalf("slot holder: %v", err)
+	}
+	snap := core.Metrics().Snapshot()
+	if snap.Timeouts != 2 || snap.Errors != 0 || snap.QueueDepth != 0 {
+		t.Fatalf("timeouts/errors/queue_depth = %d/%d/%d, want 2/0/0", snap.Timeouts, snap.Errors, snap.QueueDepth)
+	}
+	// Only the slot holder ever executed.
+	if want := int64(de.prog.BootstrapsRequired); snap.Bootstraps != want || snap.Completed != 1 {
+		t.Fatalf("bootstraps/completed = %d/%d, want %d/1", snap.Bootstraps, snap.Completed, want)
+	}
+}
+
+// TestCloseDrainsInFlightRefresh: Close called while a deep session step is
+// inside its bootstrap returns only once that step has completed and its
+// checkpoint is in the log — a restart resumes from it.
+func TestCloseDrainsInFlightRefresh(t *testing.T) {
+	de := newDeepEnv(t, 7)
+	logPath := filepath.Join(t.TempDir(), "sessions.log")
+	core, err := NewDurableCore(de.reg, Config{SessionLog: logPath, RequestTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := probeRefreshes(t, de.reg, de.tenant)
+	info, err := core.CreateSession(de.tenant, de.prog.Spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, _ := de.encryptInput(t, 720)
+	entered, release := probe.park(de.tenant)
+	type stepResult struct {
+		out *ckks.Ciphertext
+		err error
+	}
+	step := make(chan stepResult, 1)
+	go func() {
+		out, _, err := core.SessionStep(context.Background(), info.ID, ct)
+		step <- stepResult{out, err}
+	}()
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- core.Close(context.Background()) }()
+	waitFor(t, "Close to start draining", func() bool { return core.Health().Draining })
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a refresh in flight", err)
+	default:
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	// SessionSteps moves after the checkpoint append, before the step leaves
+	// the core: Close cannot have returned ahead of it.
+	if n := core.Metrics().SessionSteps.Load(); n != 1 {
+		t.Fatalf("Close returned with %d completed steps, want 1", n)
+	}
+	res := <-step
+	if res.err != nil {
+		t.Fatalf("step drained by Close: %v", res.err)
+	}
+	restarted, err := NewDurableCore(de.reg, Config{SessionLog: logPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeCoreT(t, restarted)
+	sess, ok := restarted.sessions.get(info.ID)
+	if !ok || sess.steps != 1 {
+		t.Fatalf("restart did not restore the drained step (found %v)", ok)
+	}
+	if !sess.state.C0.Equal(res.out.C0) || !sess.state.C1.Equal(res.out.C1) {
+		t.Fatal("restored state differs from the step's response")
+	}
 }

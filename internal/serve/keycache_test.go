@@ -413,6 +413,83 @@ func TestKeyCacheLoadFailureDropsTenant(t *testing.T) {
 	}
 }
 
+// TestSubmitLoadFailureCounted: a request admitted on the tenant's resident
+// key-name metadata whose spill reload then fails (the tenant is dropped)
+// is a counted error — on the one-shot path and on the session-step path —
+// not a request that vanishes between Received and the outcome counters.
+func TestSubmitLoadFailureCounted(t *testing.T) {
+	testEnv(t) // reuse the fixture's compiled literal
+	params, err := ckks.NewParameters(env.lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kA := genTenantKeys(t, params)
+	kB := genTenantKeys(t, params)
+	size := bundleSize(t, kA)
+	reg, err := NewRegistry(RegistryConfig{
+		Literal:        env.lit,
+		KeyBudgetBytes: size + size/2, // one tenant resident at a time
+		KeySpillDir:    t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := NewCore(reg, Config{})
+	defer core.Close(context.Background())
+	ct, _ := encryptRandom(t, 4300)
+
+	// Each round: register the victim, open a session while it is resident,
+	// evict it by registering another tenant, destroy its spill bundle, then
+	// send one request, which must fail typed and count exactly once.
+	failOnce := func(victim string, request func(sessionID string) error) {
+		t.Helper()
+		if err := reg.RegisterTenant(victim, kA); err != nil {
+			t.Fatal(err)
+		}
+		info, err := core.CreateSession(victim, "square")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.RegisterTenant("evictor-of-"+victim, kB); err != nil {
+			t.Fatal(err)
+		}
+		reg.keys.mu.Lock()
+		e := reg.keys.tenants[victim]
+		hash, spilled := e.hash, e.elem == nil
+		reg.keys.mu.Unlock()
+		if !spilled {
+			t.Fatalf("%s still resident after the evictor registered", victim)
+		}
+		if err := os.WriteFile(reg.keys.store.path(hash), []byte("not a key bundle"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		before := core.Metrics().Snapshot()
+		if err := request(info.ID); !errors.Is(err, ErrUnknownTenant) {
+			t.Fatalf("%s: %v, want ErrUnknownTenant", victim, err)
+		}
+		after := core.Metrics().Snapshot()
+		if after.Errors != before.Errors+1 || after.Programs["square"].Errors != before.Programs["square"].Errors+1 {
+			t.Fatalf("%s: errors moved %d (square: %d), want 1 and 1", victim,
+				after.Errors-before.Errors, after.Programs["square"].Errors-before.Programs["square"].Errors)
+		}
+		if after.Received != before.Received+1 || after.Completed != before.Completed || after.Timeouts != before.Timeouts {
+			t.Fatalf("%s: received/completed/timeouts moved %d/%d/%d, want 1/0/0", victim,
+				after.Received-before.Received, after.Completed-before.Completed, after.Timeouts-before.Timeouts)
+		}
+	}
+	failOnce("one-shot-victim", func(string) error {
+		_, err := core.Submit(context.Background(), "square", "one-shot-victim", ct)
+		return err
+	})
+	failOnce("step-victim", func(id string) error {
+		_, _, err := core.SessionStep(context.Background(), id, ct)
+		return err
+	})
+	if s := reg.KeyCacheStats(); s.SpillLoadFails != 2 {
+		t.Fatalf("spill_load_failures = %d, want 2", s.SpillLoadFails)
+	}
+}
+
 // TestKeySpillSweepOnRotation: replacing a tenant's keys must delete the
 // superseded bundle's spill file once no tenant references its hash —
 // otherwise key rotation grows the spill dir without bound — while a

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -32,7 +31,7 @@ type Metrics struct {
 	Timeouts  atomic.Int64 // request context expired before completion
 	Errors    atomic.Int64 // execution failures
 
-	QueueDepth atomic.Int64 // one-shots currently waiting for a worker slot
+	QueueDepth atomic.Int64 // executions currently waiting for a worker slot
 	OneShots   atomic.Int64 // one-shots that reached execution
 
 	Latency Histogram
@@ -48,13 +47,10 @@ type Metrics struct {
 	// typed with ErrInternal; every other request keeps serving).
 	Panics atomic.Int64
 
-	// Bootstrap service counters: total ciphertexts refreshed, ticks run,
-	// tick wall time, and a batch-size histogram (index = tick size,
-	// clamped to the last bucket).
-	Bootstraps       atomic.Int64
-	BootstrapBatches atomic.Int64
-	BootstrapMs      Histogram
-	batchSizes       [17]atomic.Int64
+	// Refresh counters: ciphertexts bootstrapped, and one bootstrap's wall
+	// time.
+	Bootstraps  atomic.Int64
+	BootstrapMs Histogram
 
 	// Session counters.
 	SessionsActive  atomic.Int64
@@ -128,13 +124,14 @@ type Snapshot struct {
 	CircuitState string `json:"circuit_state,omitempty"`
 	CircuitOpens int64  `json:"circuit_opens,omitempty"`
 
-	// Bootstrap service: BootstrapBatchSize maps tick size → tick count
-	// (the "bootstrap_batch_size" histogram; sizes ≥ 16 share the last
-	// bucket), BootstrapMs the per-tick wall-time quantiles.
-	Bootstraps         int64            `json:"bootstraps_total"`
-	BootstrapBatches   int64            `json:"bootstrap_batches"`
-	BootstrapBatchSize map[string]int64 `json:"bootstrap_batch_size,omitempty"`
-	BootstrapMs        *LatencySummary  `json:"bootstrap_ms,omitempty"`
+	// Refreshes: Bootstraps counts them, BootstrapMs is one refresh's
+	// wall-time quantiles. BootstrapBatches is vestigial — there are no
+	// ticks, it repeats Bootstraps — and stays, with its JSON key, only
+	// because the frozen benchmark (bench/, sched.tick_size_mean) reads it;
+	// drop it once a benchmark PR drops that metric.
+	Bootstraps       int64           `json:"bootstraps_total"`
+	BootstrapBatches int64           `json:"bootstrap_batches"`
+	BootstrapMs      *LatencySummary `json:"bootstrap_ms,omitempty"`
 
 	SessionsActive  int64 `json:"sessions_active"`
 	SessionsCreated int64 `json:"sessions_created"`
@@ -154,16 +151,10 @@ type Snapshot struct {
 	KeyCache *KeyCacheStats `json:"key_cache,omitempty"`
 }
 
-// ObserveBootstrapBatch records one batcher tick.
-func (m *Metrics) ObserveBootstrapBatch(size int, d time.Duration) {
-	m.Bootstraps.Add(int64(size))
-	m.BootstrapBatches.Add(1)
+// ObserveBootstrap records one refresh and its wall time.
+func (m *Metrics) ObserveBootstrap(d time.Duration) {
+	m.Bootstraps.Add(1)
 	m.BootstrapMs.Observe(d)
-	idx := size
-	if idx >= len(m.batchSizes) {
-		idx = len(m.batchSizes) - 1
-	}
-	m.batchSizes[idx].Add(1)
 }
 
 // Snapshot captures the current metric values.
@@ -206,20 +197,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	s.Bootstraps = m.Bootstraps.Load()
-	s.BootstrapBatches = m.BootstrapBatches.Load()
-	if s.BootstrapBatches > 0 {
+	s.BootstrapBatches = s.Bootstraps
+	if s.Bootstraps > 0 {
 		sum := m.BootstrapMs.Summary()
 		s.BootstrapMs = &sum
-		s.BootstrapBatchSize = map[string]int64{}
-		for i := range m.batchSizes {
-			if n := m.batchSizes[i].Load(); n > 0 {
-				key := fmt.Sprintf("%d", i)
-				if i == len(m.batchSizes)-1 {
-					key = fmt.Sprintf("%d+", i)
-				}
-				s.BootstrapBatchSize[key] = n
-			}
-		}
 	}
 	s.SessionsActive = m.SessionsActive.Load()
 	s.SessionsCreated = m.SessionsCreated.Load()

@@ -34,11 +34,13 @@ var (
 
 // Config tunes the serving core.
 type Config struct {
-	// Workers bounds how many one-shot requests execute at once; the rest
-	// of the admitted requests wait for a slot under their own deadlines.
-	// Programs that bootstrap mid-run and session steps take no slot, so
-	// concurrent deep runs reach their refresh points together and share a
-	// bootstrap tick. Default GOMAXPROCS.
+	// Workers bounds how many executions — one-shots and session steps,
+	// shallow or deep — run at once: every execution holds one slot, and the
+	// rest of the admitted requests wait for one under their own deadlines.
+	// A run waiting for its refresh turn keeps its slot, and because a
+	// bootstrap takes no context, a request that expires mid-refresh holds
+	// its slot (and the turn) until that one bootstrap ends. Default
+	// GOMAXPROCS.
 	Workers int
 	// LimbWorkers sets the process-wide limb-parallel worker pool used by
 	// ring/keyswitch arithmetic inside every execution (see
@@ -47,7 +49,10 @@ type Config struct {
 	// Workers already saturates the cores.
 	LimbWorkers int
 	// RequestTimeout bounds a request's total time in the system when its
-	// context has no deadline of its own. Default 10s.
+	// context has no deadline of its own. Expiry is noticed waiting for a
+	// slot, between program nodes and waiting for the refresh turn, but not
+	// inside a bootstrap: a request can overrun by at most one bootstrap.
+	// Default 10s.
 	RequestTimeout time.Duration
 
 	// AdmissionLimit bounds how many requests may be inside the core at
@@ -93,15 +98,6 @@ type Config struct {
 	// probe run. Default 5s.
 	CircuitCooldown time.Duration
 
-	// BootstrapBatch caps how many refresh-pending ciphertexts one
-	// bootstrap tick serves (they share the BSGS transform pass across
-	// programs, sessions and tenants). Default 8.
-	BootstrapBatch int
-	// BootstrapWait is how long a non-full bootstrap tick waits for
-	// company. Default 25ms (a tick costs hundreds of ms; waiting a few
-	// tens buys cross-request amortization nearly free).
-	BootstrapWait time.Duration
-
 	// SessionTTL evicts encrypted sessions idle longer than this.
 	// Default 5m.
 	SessionTTL time.Duration
@@ -110,9 +106,9 @@ type Config struct {
 	MaxSessions int
 
 	// testPreRun, when non-nil, runs at the top of every execution, inside
-	// its recovery point and (for one-shots) its worker slot — the tests'
-	// one lever: it parks on a channel to hold slots, sleeps to model a slow
-	// backend, or panics to exercise recovery.
+	// its recovery point and its worker slot — the tests' one lever: it parks
+	// on a channel to hold slots, sleeps to model a slow backend, or panics
+	// to exercise recovery.
 	testPreRun func()
 }
 
@@ -125,12 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmissionLimit <= 0 {
 		c.AdmissionLimit = 1024
-	}
-	if c.BootstrapBatch <= 0 {
-		c.BootstrapBatch = 8
-	}
-	if c.BootstrapWait <= 0 {
-		c.BootstrapWait = 25 * time.Millisecond
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 5 * time.Minute
@@ -155,10 +145,14 @@ type Core struct {
 	backends *backendSet
 
 	// admission bounds the requests concurrently inside the core (see
-	// Config.AdmissionLimit); slots bounds the one-shots executing at once
+	// Config.AdmissionLimit); slots bounds the executions running at once
 	// (see Config.Workers).
 	admission chan struct{}
 	slots     chan struct{}
+	// refreshTurn is a one-token channel: exactly one bootstrap computes at
+	// a time process-wide, so it fans its hoisted rotations over the whole
+	// limb pool instead of Workers of them oversubscribing it.
+	refreshTurn chan struct{}
 
 	// stateMu orders enter against Close flipping draining: once draining
 	// is set no new request can join inflight, so Close's wait observes
@@ -167,10 +161,6 @@ type Core struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	// boot is the cross-tenant bootstrap batcher (nil unless the registry
-	// has a bootstrap Precomp). Close stops it only after inflight drains:
-	// deep runs refresh through it.
-	boot     *sched.Batcher
 	sessions *sessionStore
 }
 
@@ -193,11 +183,12 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		parallel.SetWorkers(cfg.LimbWorkers)
 	}
 	c := &Core{
-		cfg:       cfg,
-		reg:       reg,
-		met:       newMetrics(reg.ProgramNames()),
-		admission: make(chan struct{}, cfg.AdmissionLimit),
-		slots:     make(chan struct{}, cfg.Workers),
+		cfg:         cfg,
+		reg:         reg,
+		met:         newMetrics(reg.ProgramNames()),
+		admission:   make(chan struct{}, cfg.AdmissionLimit),
+		slots:       make(chan struct{}, cfg.Workers),
+		refreshTurn: make(chan struct{}, 1),
 	}
 	if len(cfg.Backends) > 0 {
 		c.backends = newBackendSet(cfg.Backends, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
@@ -220,10 +211,6 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		}
 	}
 	c.met.keyCacheSource = reg.KeyCacheStats
-	if reg.Pre != nil {
-		c.boot = sched.NewBatcher(cfg.BootstrapBatch, cfg.BootstrapWait)
-		c.boot.OnBatch = c.met.ObserveBootstrapBatch
-	}
 	c.sessions = newSessionStore(c, cfg.SessionTTL, cfg.MaxSessions)
 	if cfg.SessionLog != "" {
 		if err := c.sessions.enableLog(cfg.SessionLog); err != nil {
@@ -394,41 +381,43 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 
-	pm := c.met.programs[prog.Spec.Name]
 	start := time.Now()
-	// A program that refreshes mid-run takes no worker slot: concurrent deep
-	// one-shots then reach their refresh points together and share a
-	// bootstrap tick rather than serialising behind Workers (the admission
-	// bound already caps their concurrency).
-	if !prog.Bootstrapped {
-		c.met.QueueDepth.Add(1)
-		select {
-		case c.slots <- struct{}{}:
-			c.met.QueueDepth.Add(-1)
-			defer func() { <-c.slots }()
-		case <-ctx.Done():
-			c.met.QueueDepth.Add(-1)
-			c.observe(ctx, pm, start, ctx.Err())
-			return nil, fmt.Errorf("serve: request timed out: %w", ctx.Err())
-		}
+	out, err := c.run(ctx, prog, tenant, ct, true)
+	if err != nil {
+		err = fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, err)
 	}
-	// A cold tenant's reload stalls only this request.
+	c.observe(ctx, c.met.programs[prog.Spec.Name], start, err)
+	return out, err
+}
+
+// run is how every admitted request — one-shot or session step, shallow or
+// deep — executes: it waits under ctx for one of the Workers slots (the wait
+// shows in QueueDepth), loads the tenant's keys inside it, so a cold reload
+// stalls only this request (a failed one has dropped the tenant), and
+// executes. The slot is free again when run returns.
+func (c *Core) run(ctx context.Context, prog *Program, tenant string, ct *ckks.Ciphertext, oneShot bool) (*ckks.Ciphertext, error) {
+	c.met.QueueDepth.Add(1)
+	select {
+	case c.slots <- struct{}{}:
+		c.met.QueueDepth.Add(-1)
+		defer func() { <-c.slots }()
+	case <-ctx.Done():
+		c.met.QueueDepth.Add(-1)
+		return nil, fmt.Errorf("waiting for a worker slot: %w", ctx.Err())
+	}
 	keys, ok := c.reg.TenantKeys(tenant)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
-	c.met.OneShots.Add(1)
-	out, err := c.execute(ctx, prog, tenant, keys, ct)
-	if err != nil {
-		err = fmt.Errorf("serve: executing %q: %w", prog.Spec.Name, err)
+	if oneShot {
+		c.met.OneShots.Add(1)
 	}
-	c.observe(ctx, pm, start, err)
-	return out, err
+	return c.execute(ctx, prog, tenant, keys, ct)
 }
 
 // Close drains the runtime: no new requests are accepted and every admitted
-// request — waiting for a worker slot or executing — runs to completion
-// before the bootstrap batcher, the session store and the backends stop. It
+// request — waiting for a worker slot or executing, refreshes included —
+// runs to completion before the session store and the backends stop. It
 // returns early with the context's error if draining exceeds the deadline.
 func (c *Core) Close(ctx context.Context) error {
 	c.stateMu.Lock()
@@ -441,9 +430,6 @@ func (c *Core) Close(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		c.inflight.Wait()
-		if c.boot != nil {
-			c.boot.Close()
-		}
 		c.sessions.close()
 		if c.backends != nil {
 			c.backends.close()
@@ -485,11 +471,10 @@ func (c *Core) observe(ctx context.Context, pm *ProgramMetrics, start time.Time,
 // replays prog's graph on ct with the tenant's keys on a ckks.Evaluator.
 // With cluster backends, keyswitches ride the best-ranked healthy engine
 // and a failed run fails over to the next failure domain; bootstraps
-// always run coordinator-local through the shared batcher (it and the
-// bootstrap key material live here). When no backend can serve, the run
-// repeats with local keyswitching from the original input — counted in
-// EmulatorFallbacks, bit-identical (same kernels, only locality changes) —
-// unless RequireCluster turns fallback off.
+// always run coordinator-local (see refresh). When no backend can serve,
+// the run repeats with local keyswitching from the original input — counted
+// in EmulatorFallbacks, bit-identical (same kernels, only locality changes)
+// — unless RequireCluster turns fallback off.
 func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -500,20 +485,12 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 	if c.cfg.testPreRun != nil {
 		c.cfg.testPreRun()
 	}
-	var refresh sched.RefreshFunc
-	if c.boot != nil {
-		// The tenant's bootstrapper is looked up (cached) only when a run
-		// actually exhausts its levels, so shallow programs never demand
-		// the bootstrap circuit's keys.
-		refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-			bs, err := c.reg.BootstrapperFor(tenant)
-			if err != nil {
-				return nil, err
-			}
-			return c.boot.Refresh(ctx, bs, in)
+	var opts sched.RunOpts
+	if c.reg.Pre != nil {
+		opts.Refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+			return c.refresh(ctx, tenant, in)
 		}
 	}
-	opts := sched.RunOpts{Refresh: refresh}
 	ev, err := tenantEvaluator(c.reg.Params, keys)
 	if err != nil {
 		return nil, err
@@ -560,6 +537,36 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 		c.met.EmulatorFallbacks.Add(1)
 	}
 	return prog.exec.Run(ctx, ev, ct, opts)
+}
+
+// refresh is the executor's refresh hook: one solo Bootstrap on the request's
+// own goroutine, coordinator-local (the bootstrap circuit's evaluator never
+// sees the cluster KeySwitcher). The tenant's bootstrapper is looked up only
+// when a run actually exhausts its levels, so shallow programs never demand
+// the bootstrap circuit's keys — and before the turn is taken, so a cold key
+// reload holds nobody else up. A request already past its deadline, or
+// expiring while it waits for the turn, pays for no bootstrap.
+func (c *Core) refresh(ctx context.Context, tenant string, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	bs, err := c.reg.BootstrapperFor(tenant)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case c.refreshTurn <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-c.refreshTurn }()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	out, err := bs.Bootstrap(ct)
+	c.met.ObserveBootstrap(time.Since(start))
+	return out, err
 }
 
 // tenantEvaluator builds an evaluator over a tenant's registered key set,

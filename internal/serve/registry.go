@@ -7,14 +7,17 @@
 //     level/scale plan once at startup and holds per-tenant evaluation
 //     keys;
 //   - bounded admission sheds load beyond AdmissionLimit, and a
-//     Workers-sized semaphore bounds the one-shots executing at once;
-//     waiting requests honour their own deadlines;
+//     Workers-sized semaphore bounds the executions — one-shots and
+//     session steps alike — running at once; waiting requests honour their
+//     own deadlines;
 //   - a metrics core tracks counters, queue depth and streaming latency
 //     quantiles, exposed as JSON.
 //
 // There is one executor (Core.execute): sched.Executor walks the program
 // graph on a ckks.Evaluator — the library's planned, fused kernels — with
-// a pluggable cluster keyswitcher and an optional bootstrap-refresh hook.
+// a pluggable cluster keyswitcher and an optional bootstrap-refresh hook
+// (Core.refresh: one solo bootstrap on the request's goroutine, one at a
+// time process-wide).
 // One-shots, deeper-than-chain one-shots and session steps all run through
 // it. The paper's limb-ISA emulator is a functional model of the
 // accelerator, not a serving engine: the registry still lowers each shallow
@@ -107,8 +110,8 @@ type Program struct {
 	// Bootstrapped marks a program whose plan refreshes mid-run
 	// (BootstrapsRequired > 0 for a request arriving at InLevel) — one
 	// deeper than the modulus chain. Execution is the same as any other
-	// program's; the flag only selects where a one-shot waits (see
-	// Core.Submit) and extends RequiredKeys with the bootstrap circuit's.
+	// program's; the flag only extends RequiredKeys with the bootstrap
+	// circuit's.
 	Bootstrapped       bool
 	BootstrapsRequired int
 	// plan is the level/scale schedule; exec walks the program graph on a

@@ -338,17 +338,13 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 		return nil, SessionInfo{}, err
 	}
 	defer c.leave()
-	// Start the key reload now so the blocking TenantKeys below finds the
+	// Start the key reload now so the blocking TenantKeys in run finds the
 	// tenant resident.
 	c.reg.PrefetchTenant(sess.tenant)
 
 	prog, ok := c.reg.Program(sess.program)
 	if !ok {
 		return nil, SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownProgram, sess.program)
-	}
-	keys, ok := c.reg.TenantKeys(sess.tenant)
-	if !ok {
-		return nil, SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownTenant, sess.tenant)
 	}
 	if ct != nil {
 		def := c.reg.Params.DefaultScale()
@@ -361,8 +357,7 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 
 	// Steps of one session are inherently sequential — each consumes the
 	// previous state — so the session mutex is held across the execution.
-	// Other sessions proceed in parallel; their refreshes share batcher
-	// ticks with this one.
+	// Other sessions proceed in parallel, up to the worker slots.
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	in := ct
@@ -375,7 +370,9 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 	}
 	pm := c.met.programs[sess.program]
 	start := time.Now()
-	out, err := c.execute(ctx, prog, sess.tenant, keys, in)
+	// The worker slot is held inside run only: the checkpoint append below
+	// never keeps a worker from the next execution.
+	out, err := c.run(ctx, prog, sess.tenant, in, false)
 	if err != nil {
 		c.observe(ctx, pm, start, err)
 		return nil, SessionInfo{}, fmt.Errorf("serve: session %s step: %w", id, err)

@@ -195,6 +195,7 @@ type deepEnv struct {
 	reg    *Registry
 	prog   *Program
 	tenant string
+	keys   map[string]*ckks.EvalKey
 	sk     *ckks.SecretKey
 	pk     *ckks.PublicKey
 }
@@ -255,7 +256,7 @@ func newDeepEnv(t *testing.T, logN int) *deepEnv {
 	if err := reg.RegisterTenant(tenant, keys); err != nil {
 		t.Fatal(err)
 	}
-	return &deepEnv{reg: reg, prog: prog, tenant: tenant, sk: sk, pk: pk}
+	return &deepEnv{reg: reg, prog: prog, tenant: tenant, keys: keys, sk: sk, pk: pk}
 }
 
 // encryptInput encrypts one catalog-shaped input for the deep program.
@@ -286,7 +287,7 @@ func TestDeepBootstrapEndToEnd(t *testing.T) {
 	de := newDeepEnv(t, 8)
 	reg, params, tenant, spec := de.reg, de.reg.Params, de.tenant, de.prog.Spec
 
-	core := NewCore(reg, Config{Workers: 1, BootstrapWait: time.Millisecond, RequestTimeout: 10 * time.Minute})
+	core := NewCore(reg, Config{Workers: 1, RequestTimeout: 10 * time.Minute})
 	defer core.Close(context.Background())
 	ctx := context.Background()
 

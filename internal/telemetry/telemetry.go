@@ -41,15 +41,17 @@ func bucketOf(d time.Duration) int {
 
 // Observe records one latency sample.
 func (h *Histogram) Observe(d time.Duration) {
-	h.counts[bucketOf(d)].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(d.Nanoseconds())
+	// The max moves first, so a concurrent Quantile that counts this sample
+	// also sees a max that covers it.
 	for {
 		cur := h.maxNs.Load()
 		if d.Nanoseconds() <= cur || h.maxNs.CompareAndSwap(cur, d.Nanoseconds()) {
-			return
+			break
 		}
 	}
+	h.counts[bucketOf(d)].Add(1)
+	h.count.Add(1)
+	h.sumNs.Add(d.Nanoseconds())
 }
 
 // Quantile returns the approximate q-quantile (q in [0,1]) in
@@ -67,9 +69,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for b := 0; b < histBuckets; b++ {
 		cum += h.counts[b].Load()
 		if cum >= target {
-			// Geometric midpoint of the bucket's bounds.
+			// Geometric midpoint of the bucket's bounds, but never more
+			// than the largest sample: the top sample may sit in the lower
+			// half of its bucket.
 			lo := histBaseNs * math.Pow(histGrowth, float64(b))
-			return lo * math.Sqrt(histGrowth)
+			return math.Min(lo*math.Sqrt(histGrowth), float64(h.maxNs.Load()))
 		}
 	}
 	return float64(h.maxNs.Load())
