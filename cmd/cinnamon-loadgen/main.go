@@ -137,7 +137,7 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 	// generated key bundle, with the open loop drawing the sending tenant
 	// per request. A Zipf draw gives a hot head and a long cold tail — the
 	// shape that exercises a budgeted server-side key cache (hot tenants
-	// stay resident, tail tenants churn through spill and prefetch).
+	// stay resident, tail tenants churn through spill and reload).
 	clients := []*client{c}
 	if tenants > 1 {
 		if sessions > 0 {
@@ -229,9 +229,9 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 			cl.Healthy, cl.Workers, cl.Broadcasts, cl.Aggregations, float64(cl.BytesSent)/1e6, snap.EmulatorFallbacks)
 	}
 	if kc := snap.KeyCache; kc != nil {
-		fmt.Printf("  key cache: %d resident + %d spilled tenants, %.1f MB resident (budget %.1f MB), %d hits, %d misses, %d evictions, %d prefetches, %d cold-miss stalls\n",
+		fmt.Printf("  key cache: %d resident + %d spilled tenants, %.1f MB resident (budget %.1f MB), %d hits, %d misses, %d evictions, %d cold-miss stalls\n",
 			kc.ResidentTenants, kc.SpilledTenants, float64(kc.ResidentBytes)/1e6, float64(kc.BudgetBytes)/1e6,
-			kc.Hits, kc.Misses, kc.Evictions, kc.PrefetchFires, kc.ColdMissStalls)
+			kc.Hits, kc.Misses, kc.Evictions, kc.ColdMissStalls)
 	}
 	if len(clients) > 1 {
 		fmt.Printf("tenant draws (%s):", tenantSkew)

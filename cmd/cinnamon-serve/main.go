@@ -16,12 +16,14 @@
 // circuit, catalog programs deeper than the modulus chain are served with
 // mid-program refreshes, and the encrypted session endpoints
 // (/v1/sessions) are live. A refresh is one bootstrap on its request's own
-// goroutine, inside the request's worker slot; refreshes take turns, one at
-// a time process-wide, so each has the whole limb-worker pool.
+// goroutine, inside the request's worker slot, on the evaluator the program
+// is running on; refreshes take turns, one at a time process-wide, so each
+// has the whole limb-worker pool.
 //
 // With -cluster, requests execute over the scale-out worker cluster
 // (cinnamon-worker processes, one chip each): ciphertext limbs are
-// partitioned across the workers and every keyswitch runs the paper's
+// partitioned across the workers and every keyswitch — a -bootstrap
+// refresh's rotations and relinearizations included — runs the paper's
 // network collectives. Local keyswitching stays as the fallback when
 // workers are lost (unless -require-cluster).
 //
@@ -39,9 +41,9 @@
 // With -key-budget-mb, resident tenant evaluation keys are capped: a
 // hard-budget LRU keeps the hot tenants decoded in RAM while colder
 // bundles spill to a content-addressed CRC-framed key store
-// (-key-spill-dir) and reload transparently — prefetched at
-// admission so warm-tenant latency is untouched. /metrics reports the
-// tier under "key_cache".
+// (-key-spill-dir) and reload transparently, on the goroutine of the
+// first request that needs them; warm tenants never touch the store.
+// /metrics reports the tier under "key_cache".
 //
 // Endpoints (see internal/serve for the wire protocol):
 //

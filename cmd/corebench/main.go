@@ -83,8 +83,8 @@ type report struct {
 	// ServeManyTenantRPS is the same pipeline under many-tenant key-cache
 	// churn: 8 tenants with independent key bundles, a key budget admitting
 	// only 2 of them, and Zipf-skewed tenant draws — so hot tenants ride
-	// the resident cache while the tail churns through spill reloads and
-	// admission-time prefetch. Zero when -serve=false.
+	// the resident cache while the tail churns through evictions and spill
+	// reloads. Zero when -serve=false.
 	ServeManyTenantRPS float64 `json:"serve_manytenant_rps"`
 }
 
@@ -298,7 +298,7 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 		if err != nil {
 			return err
 		}
-		bs, err := bootstrap.NewBootstrapperFromKeys(pre, brlk, brtks)
+		bs, err := pre.Bind(ckks.NewEvaluator(bparams, brlk, brtks))
 		if err != nil {
 			return err
 		}
@@ -532,7 +532,7 @@ func serveRPS(reqs int) (float64, error) {
 // 8 tenants, each with its own independently generated key bundle, a key
 // budget sized to keep only 2 bundles resident, and a Zipf tenant draw
 // per request. Hot tenants should be cache hits; tail tenants force
-// evictions, spill reloads and admission-time prefetches — the number
+// evictions and spill reloads — the number
 // this row guards is how little that churn costs end to end.
 func serveManyTenantRPS(reqs int) (float64, error) {
 	lit := workloads.ServeParamsLiteral(8, 4, 20260805)

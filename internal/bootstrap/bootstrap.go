@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -52,8 +53,8 @@ type Precomp struct {
 	rho      float64 // (f·Δ)/q0, the exact scale-to-q0 ratio after ScaleUp
 }
 
-// Bootstrapper binds a Precomp to one key set (relinearization + the
-// transform rotations + conjugation).
+// Bootstrapper binds a Precomp to one evaluator and, through it, to one key
+// set (relinearization + the transform rotations + conjugation).
 type Bootstrapper struct {
 	pre *Precomp
 	ev  *ckks.Evaluator
@@ -186,17 +187,19 @@ func (pre *Precomp) Consumed() int {
 // ExitLevel returns the level a freshly bootstrapped ciphertext lands on.
 func (pre *Precomp) ExitLevel() int { return pre.params.MaxLevel() - pre.Consumed() }
 
-// NewBootstrapperFromKeys binds a shared Precomp to one tenant's keys.
-// rtks must contain keys for every offset in pre.Rotations() plus the
-// conjugation key; rlk is the relinearization key.
-func NewBootstrapperFromKeys(pre *Precomp, rlk *ckks.EvalKey, rtks *ckks.RotationKeySet) (*Bootstrapper, error) {
-	if pre == nil {
-		return nil, fmt.Errorf("bootstrap: nil precomp")
+// ErrMissingKeys marks an evaluator that lacks a key the circuit needs.
+var ErrMissingKeys = errors.New("bootstrap: evaluator is missing required keys")
+
+// Bind binds the shared circuit to ev — the one way a Bootstrapper is made.
+// Bootstrap then runs every operation on ev, so its keyswitches go wherever
+// ev's KeySwitcher sends them. ev must hold the relinearization key, the
+// conjugation key and a rotation key for every offset in pre.Rotations();
+// otherwise Bind fails with ErrMissingKeys naming the absent ids.
+func (pre *Precomp) Bind(ev *ckks.Evaluator) (*Bootstrapper, error) {
+	if missing := ev.MissingKeys(pre.Rotations()); len(missing) > 0 {
+		return nil, fmt.Errorf("%w: %v", ErrMissingKeys, missing)
 	}
-	if rlk == nil {
-		return nil, fmt.Errorf("bootstrap: nil relinearization key")
-	}
-	return &Bootstrapper{pre: pre, ev: ckks.NewEvaluator(pre.params, rlk, rtks)}, nil
+	return &Bootstrapper{pre: pre, ev: ev}, nil
 }
 
 // NewBootstrapper precomputes the CoeffToSlot/SlotToCoeff transforms for
@@ -216,11 +219,11 @@ func NewBootstrapper(params *ckks.Parameters, sk *ckks.SecretKey, cfg Config) (*
 	if err != nil {
 		return nil, err
 	}
-	return NewBootstrapperFromKeys(pre, rlk, rtks)
+	return pre.Bind(ckks.NewEvaluator(params, rlk, rtks))
 }
 
-// Evaluator exposes the internal evaluator (it holds every key the
-// bootstrap circuit needs, which examples often reuse).
+// Evaluator exposes the bound evaluator (it holds every key the bootstrap
+// circuit needs, which examples often reuse).
 func (bs *Bootstrapper) Evaluator() *ckks.Evaluator { return bs.ev }
 
 // Precomp exposes the shared key-independent circuit.

@@ -71,7 +71,7 @@ func newRefreshFixture(t *testing.T) *refreshFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.bs[ti], err = NewBootstrapperFromKeys(pre, rlk, rtks); err != nil {
+		if f.bs[ti], err = pre.Bind(ckks.NewEvaluator(params, rlk, rtks)); err != nil {
 			t.Fatal(err)
 		}
 		for ci := range f.cts[ti] {

@@ -52,6 +52,25 @@ func NewEvaluator(params *Parameters, rlk *EvalKey, rtks *RotationKeySet) *Evalu
 // Params returns the evaluator's parameter set.
 func (ev *Evaluator) Params() *Parameters { return ev.params }
 
+// MissingKeys reports, as "rlk" / "conj" / "rot:<k>" ids, which of the
+// relinearization key, the conjugation key and the rotation keys for the
+// given offsets the evaluator does not hold.
+func (ev *Evaluator) MissingKeys(rotations []int) []string {
+	var missing []string
+	if ev.rlk == nil {
+		missing = append(missing, "rlk")
+	}
+	if ev.rtks == nil || ev.rtks.Conj == nil {
+		missing = append(missing, "conj")
+	}
+	for _, k := range rotations {
+		if ev.rtks == nil || ev.rtks.Keys[k] == nil {
+			missing = append(missing, fmt.Sprintf("rot:%d", k))
+		}
+	}
+	return missing
+}
+
 // Add returns a + b. Operands must share level and scale.
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := ev.checkBinary(a, b); err != nil {

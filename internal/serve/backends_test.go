@@ -8,31 +8,23 @@ import (
 	"cinnamon/internal/cluster"
 )
 
-// newFailoverCluster builds a cluster engine with fallback disabled and a
-// fast heartbeat, so killing its dialers makes it fail typed (ErrDegraded)
-// instead of silently absorbing work locally.
+// failoverOptions disable the engine's own fallback and beat fast, so killing
+// its dialers makes an engine fail typed (ErrDegraded) instead of silently
+// absorbing work locally.
+var failoverOptions = cluster.Options{
+	RPCTimeout:        2 * time.Second,
+	DialTimeout:       2 * time.Second,
+	Retries:           1,
+	RetryBackoff:      10 * time.Millisecond,
+	HeartbeatInterval: 50 * time.Millisecond,
+	DisableFallback:   true,
+}
+
+// newFailoverCluster is newPipeCluster over the shared fixture's parameters
+// with failoverOptions.
 func newFailoverCluster(t *testing.T, n int) (*cluster.Engine, []*cluster.PipeDialer) {
 	t.Helper()
-	reg := testEnv(t)
-	dialers := make([]*cluster.PipeDialer, n)
-	ds := make([]cluster.Dialer, n)
-	for i := range dialers {
-		dialers[i] = cluster.NewPipeDialer(cluster.NewWorker(reg.Params))
-		ds[i] = dialers[i]
-	}
-	eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{
-		RPCTimeout:        2 * time.Second,
-		DialTimeout:       2 * time.Second,
-		Retries:           1,
-		RetryBackoff:      10 * time.Millisecond,
-		HeartbeatInterval: 50 * time.Millisecond,
-		DisableFallback:   true,
-	})
-	if err != nil {
-		t.Fatalf("cluster.NewEngine: %v", err)
-	}
-	t.Cleanup(eng.Close)
-	return eng, dialers
+	return newPipeCluster(t, testEnv(t).Params, n, failoverOptions)
 }
 
 // TestBackendFailover: with two independent cluster backends, killing the

@@ -13,23 +13,29 @@ import (
 	"cinnamon/internal/sched"
 )
 
-// newTestCluster spins up n in-process workers over net.Pipe transports and
+// newPipeCluster spins up n in-process workers over net.Pipe transports and
 // returns the cluster engine plus the dialers (for killing workers).
-func newTestCluster(t *testing.T, n int) (*cluster.Engine, []*cluster.PipeDialer) {
+func newPipeCluster(t *testing.T, params *ckks.Parameters, n int, opts cluster.Options) (*cluster.Engine, []*cluster.PipeDialer) {
 	t.Helper()
-	reg := testEnv(t)
 	dialers := make([]*cluster.PipeDialer, n)
 	ds := make([]cluster.Dialer, n)
 	for i := range dialers {
-		dialers[i] = cluster.NewPipeDialer(cluster.NewWorker(reg.Params))
+		dialers[i] = cluster.NewPipeDialer(cluster.NewWorker(params))
 		ds[i] = dialers[i]
 	}
-	eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{})
+	eng, err := cluster.NewEngine(params, ds, opts)
 	if err != nil {
 		t.Fatalf("cluster.NewEngine: %v", err)
 	}
 	t.Cleanup(eng.Close)
 	return eng, dialers
+}
+
+// newTestCluster is newPipeCluster over the shared fixture's parameters with
+// default options.
+func newTestCluster(t *testing.T, n int) (*cluster.Engine, []*cluster.PipeDialer) {
+	t.Helper()
+	return newPipeCluster(t, testEnv(t).Params, n, cluster.Options{})
 }
 
 // TestServeClusterModeMatchesLocal: the same request served by a core with

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cinnamon/internal/ckks"
-	"cinnamon/internal/ring"
 )
 
 // waitFor polls cond until it holds, failing the test after 5s.
@@ -239,70 +238,45 @@ func TestRequestTimeout(t *testing.T) {
 	})
 }
 
-// refreshProbe watches the keyswitches of tenants' bootstrap evaluators — the
-// only events inside Bootstrap visible from outside it — to see whose refresh
-// is running, and to park one there.
+// refreshProbe is a Config.testInRefresh lever: it sees every refresh from
+// the moment it holds the turn until it ends, so it knows whose refresh is
+// running and can park one there.
 type refreshProbe struct {
 	mu      sync.Mutex
-	order   []string       // tenant of every bootstrap keyswitch, in entry order
-	active  map[string]int // bootstrap keyswitches in flight, per tenant
-	overlap bool           // two tenants' were in flight at once
+	order   []string // tenant of every refresh, in the order they took the turn
+	active  int      // refreshes between taking the turn and ending
+	overlap bool     // two were in there at once
 
-	parked  string        // tenant whose bootstrap keyswitches wait on hold
-	entered chan struct{} // closed when the first of them arrives
-	once    sync.Once
+	parked  string        // tenant whose next refresh waits on hold
+	entered chan struct{} // closed when it arrives
 	hold    chan struct{}
 }
 
-type probeKeySwitcher struct {
-	p      *refreshProbe
-	tenant string
-	ev     *ckks.Evaluator
-}
-
-func (k probeKeySwitcher) KeySwitch(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, error) {
-	p := k.p
+func (p *refreshProbe) inRefresh(tenant string) (done func()) {
 	p.mu.Lock()
-	p.order = append(p.order, k.tenant)
-	for other, n := range p.active {
-		if other != k.tenant && n > 0 {
-			p.overlap = true
-		}
+	p.order = append(p.order, tenant)
+	if p.active > 0 {
+		p.overlap = true
 	}
-	p.active[k.tenant]++
-	hold := p.hold
-	if p.parked != k.tenant {
-		hold = nil
+	p.active++
+	var hold chan struct{}
+	if p.parked == tenant {
+		p.parked, hold = "", p.hold
+		close(p.entered)
 	}
 	p.mu.Unlock()
 	if hold != nil {
-		p.once.Do(func() { close(p.entered) })
 		<-hold
 	}
-	c0, c1, err := k.ev.KeySwitch(c, evk)
-	p.mu.Lock()
-	p.active[k.tenant]--
-	p.mu.Unlock()
-	return c0, c1, err
-}
-
-// probeRefreshes installs the probe on each tenant's cached bootstrapper.
-func probeRefreshes(t *testing.T, reg *Registry, tenants ...string) *refreshProbe {
-	t.Helper()
-	p := &refreshProbe{active: map[string]int{}}
-	for _, tenant := range tenants {
-		bs, err := reg.BootstrapperFor(tenant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs.Evaluator().SetKeySwitcher(probeKeySwitcher{p: p, tenant: tenant, ev: bs.Evaluator()})
+	return func() {
+		p.mu.Lock()
+		p.active--
+		p.mu.Unlock()
 	}
-	return p
 }
 
-// park (once per probe) makes tenant's next bootstrap stop at its first
-// keyswitch — inside Bootstrap, holding the refresh turn — until release is
-// called.
+// park makes tenant's next refresh stop once it holds the turn, before its
+// bootstrap, until release is called.
 func (p *refreshProbe) park(tenant string) (entered <-chan struct{}, release func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -310,7 +284,7 @@ func (p *refreshProbe) park(tenant string) (entered <-chan struct{}, release fun
 	return p.entered, func() { close(p.hold) }
 }
 
-// calls reports how many bootstrap keyswitches tenant has started.
+// calls reports how many refreshes of tenant have taken the turn.
 func (p *refreshProbe) calls(tenant string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -346,14 +320,14 @@ func waitParkedIn(t *testing.T, fn string) {
 func TestRefreshesRunOneAtATime(t *testing.T) {
 	de := newDeepEnv(t, 7)
 	const other = "deep-tenant-2"
-	// A second tenant over the same key pointers still gets its own
-	// bootstrapper and evaluator.
+	// A second tenant over the same key pointers: its requests still run on
+	// evaluators of their own.
 	if err := de.reg.RegisterTenant(other, de.keys); err != nil {
 		t.Fatal(err)
 	}
-	core := NewCore(de.reg, Config{Workers: 4, RequestTimeout: time.Hour})
+	probe := &refreshProbe{}
+	core := NewCore(de.reg, Config{Workers: 4, RequestTimeout: time.Hour, testInRefresh: probe.inRefresh})
 	defer core.Close(context.Background())
-	probe := probeRefreshes(t, de.reg, de.tenant, other)
 	tenants := []string{de.tenant, other}
 	ct, _ := de.encryptInput(t, 700)
 	ids := make([]string, 2)
@@ -386,21 +360,15 @@ func TestRefreshesRunOneAtATime(t *testing.T) {
 		t.Fatalf("bootstraps = %d, want %d", got, 2*perStep)
 	}
 	probe.mu.Lock()
-	switches := 0
-	for i := 1; i < len(probe.order); i++ {
-		if probe.order[i] != probe.order[i-1] {
-			switches++
-		}
-	}
-	overlap := probe.overlap
+	seen, overlap := len(probe.order), probe.overlap
 	probe.mu.Unlock()
-	// Whole bootstraps may alternate between the tenants; their keyswitches
-	// may not interleave.
-	if overlap || switches > 2*perStep-1 {
-		t.Fatalf("refreshes overlapped: concurrent keyswitches %v, %d tenant switches over %d bootstraps", overlap, switches, 2*perStep)
+	// Whole bootstraps may alternate between the tenants; no two may be
+	// between taking the turn and ending at once.
+	if overlap || seen != 2*perStep {
+		t.Fatalf("refreshes overlapped: %v (the probe saw %d of %d bootstraps)", overlap, seen, 2*perStep)
 	}
 
-	// The first tenant's next step stops inside Bootstrap, holding the turn;
+	// The first tenant's next step stops inside refresh, holding the turn;
 	// the second's reaches the turn and waits there.
 	entered, release := probe.park(de.tenant)
 	holder := make(chan error, 1)
@@ -428,7 +396,7 @@ func TestRefreshesRunOneAtATime(t *testing.T) {
 		t.Fatalf("timeouts/errors moved %d/%d, want 1/0", after.Timeouts-before.Timeouts, after.Errors-before.Errors)
 	}
 	if ran := probe.calls(other) - ranBefore; ran != 0 || after.Bootstraps != before.Bootstraps {
-		t.Fatalf("cancelled waiter ran bootstrap work: %d keyswitches, %d bootstraps", ran, after.Bootstraps-before.Bootstraps)
+		t.Fatalf("cancelled waiter ran bootstrap work: %d refreshes took the turn, %d bootstraps", ran, after.Bootstraps-before.Bootstraps)
 	}
 	release()
 	if err := <-holder; err != nil {
@@ -495,16 +463,16 @@ func TestDeepRunsTakeWorkerSlots(t *testing.T) {
 }
 
 // TestCloseDrainsInFlightRefresh: Close called while a deep session step is
-// inside its bootstrap returns only once that step has completed and its
+// inside its refresh returns only once that step has completed and its
 // checkpoint is in the log — a restart resumes from it.
 func TestCloseDrainsInFlightRefresh(t *testing.T) {
 	de := newDeepEnv(t, 7)
 	logPath := filepath.Join(t.TempDir(), "sessions.log")
-	core, err := NewDurableCore(de.reg, Config{SessionLog: logPath, RequestTimeout: time.Hour})
+	probe := &refreshProbe{}
+	core, err := NewDurableCore(de.reg, Config{SessionLog: logPath, RequestTimeout: time.Hour, testInRefresh: probe.inRefresh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := probeRefreshes(t, de.reg, de.tenant)
 	info, err := core.CreateSession(de.tenant, de.prog.Spec.Name)
 	if err != nil {
 		t.Fatal(err)

@@ -45,19 +45,17 @@ type keyCache struct {
 
 	inflight map[string]chan struct{} // closed when a spill load completes
 
-	// onEvict fires (off-lock) for every evicted tenant with the decoded
-	// map that was dropped; the Registry uses it to invalidate the
-	// tenant's cached bootstrapper and to invalidate worker residency on
-	// cluster backends.
+	// onEvict, when set (NewDurableCore, before any request), fires off-lock
+	// for every evicted tenant with the decoded map that was dropped, so
+	// cluster backends can invalidate the corresponding worker-resident keys.
 	onEvict func(id string, keys map[string]*ckks.EvalKey)
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
-	prefetches atomic.Int64
-	stalls     atomic.Int64 // cold misses that blocked a caller (successfully)
-	loadFails  atomic.Int64 // spill reloads that failed; the tenant is dropped
-	stallHist  Histogram
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
+	stalls    atomic.Int64 // cold misses that blocked a caller (successfully)
+	loadFails atomic.Int64 // spill reloads that failed; the tenant is dropped
+	stallHist Histogram
 }
 
 type tenantEntry struct {
@@ -67,11 +65,6 @@ type tenantEntry struct {
 	names map[string]bool // key-id set, for admission-time validation
 	keys  map[string]*ckks.EvalKey
 	elem  *list.Element // LRU position when resident, nil when spilled
-	// gen is the registration generation: bumped each time register
-	// replaces this tenant's entry, stable across spill/reload. Callers
-	// caching artifacts derived from the key material (the bootstrapper
-	// cache) compare generations to detect a concurrent re-register.
-	gen uint64
 }
 
 type evictedTenant struct {
@@ -131,7 +124,6 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 		// The superseded bundle's spill file is garbage once no other
 		// tenant references its hash.
 		c.releaseHashLocked(old.hash)
-		e.gen = old.gen + 1
 	}
 	c.tenants[id] = e
 	e.elem = c.lru.PushFront(e)
@@ -187,18 +179,6 @@ func (c *keyCache) get(id string) (map[string]*ckks.EvalKey, bool) {
 	return keys, ok
 }
 
-// generation reports the tenant's registration generation (see
-// tenantEntry.gen).
-func (c *keyCache) generation(id string) (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.tenants[id]
-	if !ok {
-		return 0, false
-	}
-	return e.gen, true
-}
-
 // names returns the tenant's key-id set without touching the LRU or
 // loading anything — the admission path validates against this so a cold
 // tenant never blocks Submit itself.
@@ -210,28 +190,6 @@ func (c *keyCache) keyNames(id string) (map[string]bool, bool) {
 		return nil, false
 	}
 	return e.names, true
-}
-
-// prefetch starts an async reload of a spilled tenant so the keys are warm
-// by the time its request executes. No-ops when the tenant is unknown,
-// already resident, or already loading.
-func (c *keyCache) prefetch(id string) {
-	c.mu.Lock()
-	e, ok := c.tenants[id]
-	if !ok || e.keys != nil {
-		c.mu.Unlock()
-		return
-	}
-	if _, busy := c.inflight[id]; busy {
-		c.mu.Unlock()
-		return
-	}
-	ch := make(chan struct{})
-	c.inflight[id] = ch
-	hash, size := e.hash, e.size
-	c.mu.Unlock()
-	c.prefetches.Add(1)
-	go c.completeLoad(id, e, ch, hash, size)
 }
 
 // loadLocked resolves a spilled tenant, deduplicating concurrent loads.
@@ -367,7 +325,6 @@ type KeyCacheStats struct {
 	Hits            int64           `json:"hits"`
 	Misses          int64           `json:"misses"`
 	Evictions       int64           `json:"evictions"`
-	PrefetchFires   int64           `json:"prefetch_fires"`
 	ColdMissStalls  int64           `json:"cold_miss_stalls"`
 	ColdMissStallMs *LatencySummary `json:"cold_miss_stall_ms,omitempty"`
 	// SpillLoadFails counts spill reloads that failed (disk error,
@@ -387,7 +344,6 @@ func (c *keyCache) stats() KeyCacheStats {
 	s.Hits = c.hits.Load()
 	s.Misses = c.misses.Load()
 	s.Evictions = c.evictions.Load()
-	s.PrefetchFires = c.prefetches.Load()
 	s.ColdMissStalls = c.stalls.Load()
 	s.SpillLoadFails = c.loadFails.Load()
 	if s.ColdMissStalls > 0 {

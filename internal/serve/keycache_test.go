@@ -104,7 +104,7 @@ func bundleSize(t testing.TB, keys map[string]*ckks.EvalKey) int64 {
 // TestKeyCacheEvictionAndReload drives the LRU directly: with a budget
 // admitting one bundle, registration of a second tenant evicts the first,
 // a blocking get reloads it from spill, metadata stays resident for
-// spilled tenants, and prefetch warms a cold tenant asynchronously.
+// spilled tenants, and a reloaded tenant's next get is a hit.
 func TestKeyCacheEvictionAndReload(t *testing.T) {
 	reg := testEnv(t)
 	params := reg.Params
@@ -163,32 +163,14 @@ func TestKeyCacheEvictionAndReload(t *testing.T) {
 		t.Fatalf("resident %d bytes exceeds budget %d after reload", s.ResidentBytes, s.BudgetBytes)
 	}
 
-	// Prefetch warms tenant b off the calling goroutine; once it lands, the
-	// next get is a hit (no new stall).
-	c.prefetch("b")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s = c.stats(); s.PrefetchFires > 0 {
-			if _, busy := func() (chan struct{}, bool) {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				ch, b := c.inflight["b"]
-				return ch, b
-			}(); !busy {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("prefetch never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The reload made tenant a resident again: the next get is a hit, no
+	// new stall.
 	stallsBefore := c.stats().ColdMissStalls
-	if keys, ok := c.get("b"); !ok || keys["rlk"] == nil {
-		t.Fatal("get(b) after prefetch failed")
+	if keys, ok := c.get("a"); !ok || keys["rlk"] == nil {
+		t.Fatal("get(a) after reload failed")
 	}
 	if got := c.stats().ColdMissStalls; got != stallsBefore {
-		t.Fatalf("prefetched get stalled anyway (%d -> %d)", stallsBefore, got)
+		t.Fatalf("resident get stalled anyway (%d -> %d)", stallsBefore, got)
 	}
 
 	// get on a never-registered tenant is the only false return.
@@ -350,8 +332,8 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 	if s.ResidentBytes > s.BudgetBytes {
 		t.Fatalf("resident %d bytes exceeds budget %d", s.ResidentBytes, s.BudgetBytes)
 	}
-	if s.Misses == 0 && s.PrefetchFires == 0 {
-		t.Fatalf("churn run recorded neither misses nor prefetches: %+v", s)
+	if s.Misses == 0 {
+		t.Fatalf("churn run recorded no misses: %+v", s)
 	}
 }
 
@@ -574,13 +556,13 @@ func TestKeySpillSweepOnRotation(t *testing.T) {
 	}
 }
 
-// TestBootstrapperForColdReloadEviction is the self-deadlock regression:
+// TestBootstrapperForColdReloadEviction began as a self-deadlock regression:
 // BootstrapperFor on a spilled tenant triggers a blocking spill reload,
 // and installing the reloaded keys pushes resident bytes over budget, so
-// the cache evicts another tenant — whose eviction hook takes bsMu to
-// invalidate its cached bootstrapper. BootstrapperFor must not be holding
-// bsMu across that reload (non-reentrant mutex → permanent deadlock of
-// every bootstrapper lookup and tenant registration).
+// the cache evicts another tenant — whose eviction hook once took the
+// bootstrapper cache's mutex, which BootstrapperFor held across the reload.
+// The cache and its mutex are gone; the scenario (a cold reload evicting
+// another tenant mid-lookup) stays.
 func TestBootstrapperForColdReloadEviction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap precomp is expensive")

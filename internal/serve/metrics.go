@@ -144,8 +144,8 @@ type Snapshot struct {
 	SessionLogErrors int64 `json:"session_log_errors,omitempty"`
 
 	// KeyCache reports the budgeted tenant-key tier: resident/spilled
-	// tenant counts, resident bytes vs budget, hit/miss/eviction counters,
-	// prefetch fires and cold-miss stalls with their latency quantiles.
+	// tenant counts, resident bytes vs budget, hit/miss/eviction counters
+	// and cold-miss stalls with their latency quantiles.
 	// Worker-side re-pushes after an eviction appear in the cluster
 	// transport counters (key_evicts / key_repushes).
 	KeyCache *KeyCacheStats `json:"key_cache,omitempty"`

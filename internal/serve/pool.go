@@ -37,10 +37,11 @@ type Config struct {
 	// Workers bounds how many executions — one-shots and session steps,
 	// shallow or deep — run at once: every execution holds one slot, and the
 	// rest of the admitted requests wait for one under their own deadlines.
-	// A run waiting for its refresh turn keeps its slot, and because a
-	// bootstrap takes no context, a request that expires mid-refresh holds
-	// its slot (and the turn) until that one bootstrap ends. Default
-	// GOMAXPROCS.
+	// A run waiting for its refresh turn keeps its slot. A request that
+	// expires mid-refresh gives up its slot (and the turn) at the bootstrap's
+	// next collective when its keyswitches ride a cluster backend; on the
+	// local kernel a bootstrap takes no context, so the slot is held until
+	// that one bootstrap ends. Default GOMAXPROCS.
 	Workers int
 	// LimbWorkers sets the process-wide limb-parallel worker pool used by
 	// ring/keyswitch arithmetic inside every execution (see
@@ -50,9 +51,10 @@ type Config struct {
 	LimbWorkers int
 	// RequestTimeout bounds a request's total time in the system when its
 	// context has no deadline of its own. Expiry is noticed waiting for a
-	// slot, between program nodes and waiting for the refresh turn, but not
-	// inside a bootstrap: a request can overrun by at most one bootstrap.
-	// Default 10s.
+	// slot, between program nodes, waiting for the refresh turn and at every
+	// cluster collective — a refresh's included. Only a bootstrap on the local
+	// kernel runs on past it: there a request can overrun by at most one
+	// bootstrap. Default 10s.
 	RequestTimeout time.Duration
 
 	// AdmissionLimit bounds how many requests may be inside the core at
@@ -86,8 +88,10 @@ type Config struct {
 	// RequireCluster turns off the local fallback at the serving layer:
 	// when no backend can serve (degraded, or its circuit is open) requests
 	// fail typed with cluster.ErrDegraded (503) instead of silently costing
-	// coordinator CPU. Useful when one process cannot keep up with the
-	// cluster's capacity and fallback would just be a slower outage.
+	// coordinator CPU — refreshes included: a bootstrap's keyswitches ride
+	// the same backend as the rest of its program. Useful when one process
+	// cannot keep up with the cluster's capacity and fallback would just be a
+	// slower outage.
 	RequireCluster bool
 
 	// CircuitThreshold is how many consecutive failed cluster runs open a
@@ -106,10 +110,15 @@ type Config struct {
 	MaxSessions int
 
 	// testPreRun, when non-nil, runs at the top of every execution, inside
-	// its recovery point and its worker slot — the tests' one lever: it parks
-	// on a channel to hold slots, sleeps to model a slow backend, or panics
-	// to exercise recovery.
+	// its recovery point and its worker slot — a test lever: it parks on a
+	// channel to hold slots, sleeps to model a slow backend, or panics to
+	// exercise recovery.
 	testPreRun func()
+	// testInRefresh, when non-nil, runs inside refresh once the turn is taken
+	// and the func it returns runs as that refresh ends — the tests' other
+	// lever: it brackets exactly one bootstrap, so a test can see whose
+	// refresh holds the turn, park it there, or break a backend under it.
+	testInRefresh func(tenant string) (done func())
 }
 
 func (c Config) withDefaults() Config {
@@ -196,7 +205,7 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		// A coordinator-side eviction invalidates worker residency on every
 		// backend (best-effort, off the serving path): workers then drop
 		// the key and the next keyswitch lazily re-pushes it.
-		reg.evictHook = func(keys map[string]*ckks.EvalKey) {
+		reg.keys.onEvict = func(_ string, keys map[string]*ckks.EvalKey) {
 			evs := make([]*ckks.EvalKey, 0, len(keys))
 			for _, k := range keys {
 				if k != nil {
@@ -251,7 +260,7 @@ type Health struct {
 
 	// KeyCache summarizes the budgeted tenant-key tier: resident vs
 	// spilled tenants, resident bytes against the budget, and the
-	// hit/miss/eviction/prefetch counters.
+	// hit/miss/eviction counters.
 	KeyCache *KeyCacheStats `json:"key_cache,omitempty"`
 
 	// Bootstrap reports the refresh service: enabled, the level circuits
@@ -361,8 +370,7 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 	}
 	// Admission validates against the tenant's always-resident key-name
 	// metadata — never the decoded keys — so a spilled tenant does not
-	// block here; the async prefetch below warms the decoded map while the
-	// request waits for a worker slot.
+	// block here; its bundle is read back inside the worker slot (run).
 	names, ok := c.reg.TenantKeyNames(tenant)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
@@ -377,7 +385,6 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 	if math.Abs(ct.Scale-def) > 1e-6*def {
 		return nil, fmt.Errorf("%w: ciphertext scale %g, program expects %g", ErrBadRequest, ct.Scale, def)
 	}
-	c.reg.PrefetchTenant(tenant)
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 
@@ -467,14 +474,14 @@ func (c *Core) observe(ctx context.Context, pm *ProgramMetrics, start time.Time,
 // execute is the serving executor — the only way a program runs here,
 // whether a one-shot or a session step — and the request's one recovery
 // point: a panic fails that request typed with ErrInternal and touches no
-// other. It
-// replays prog's graph on ct with the tenant's keys on a ckks.Evaluator.
-// With cluster backends, keyswitches ride the best-ranked healthy engine
-// and a failed run fails over to the next failure domain; bootstraps
-// always run coordinator-local (see refresh). When no backend can serve,
-// the run repeats with local keyswitching from the original input — counted
-// in EmulatorFallbacks, bit-identical (same kernels, only locality changes)
-// — unless RequireCluster turns fallback off.
+// other. It replays prog's graph on ct on one ckks.Evaluator over the
+// tenant's keys — the request's only evaluator: mid-program refreshes
+// bootstrap on it too (see refresh). With cluster backends every keyswitch,
+// a bootstrap's included, rides the best-ranked healthy engine and a failed
+// run fails over to the next failure domain. When no backend can serve, the
+// run repeats with local keyswitching from the original input — counted in
+// EmulatorFallbacks, bit-identical (same kernels, only locality changes) —
+// unless RequireCluster turns fallback off.
 func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys map[string]*ckks.EvalKey, ct *ckks.Ciphertext) (out *ckks.Ciphertext, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -485,15 +492,17 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 	if c.cfg.testPreRun != nil {
 		c.cfg.testPreRun()
 	}
-	var opts sched.RunOpts
-	if c.reg.Pre != nil {
-		opts.Refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-			return c.refresh(ctx, tenant, in)
-		}
-	}
+	// The evaluator holds keys and a KeySwitcher, no run state: a failed
+	// attempt leaves nothing behind, so every attempt reuses it.
 	ev, err := tenantEvaluator(c.reg.Params, keys)
 	if err != nil {
 		return nil, err
+	}
+	var opts sched.RunOpts
+	if c.reg.Pre != nil {
+		opts.Refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+			return c.refresh(ctx, tenant, ev, in)
+		}
 	}
 	if c.backends != nil {
 		for _, b := range c.backends.ranked() {
@@ -522,11 +531,6 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 				return nil, err
 			}
 			b.brk.Failure()
-			// A failed distributed run left the evaluator mid-graph; rebuild
-			// it before the next backend (or the local replay) starts clean.
-			if ev, err = tenantEvaluator(c.reg.Params, keys); err != nil {
-				return nil, err
-			}
 		}
 		if c.cfg.RequireCluster {
 			return nil, fmt.Errorf("serve: no cluster backend available (primary circuit %s): %w",
@@ -535,22 +539,25 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 		// Every backend degraded or erroring: replay locally from the
 		// original input.
 		c.met.EmulatorFallbacks.Add(1)
+		ev.SetKeySwitcher(nil)
 	}
 	return prog.exec.Run(ctx, ev, ct, opts)
 }
 
 // refresh is the executor's refresh hook: one solo Bootstrap on the request's
-// own goroutine, coordinator-local (the bootstrap circuit's evaluator never
-// sees the cluster KeySwitcher). The tenant's bootstrapper is looked up only
-// when a run actually exhausts its levels, so shallow programs never demand
-// the bootstrap circuit's keys — and before the turn is taken, so a cold key
-// reload holds nobody else up. A request already past its deadline, or
-// expiring while it waits for the turn, pays for no bootstrap.
-func (c *Core) refresh(ctx context.Context, tenant string, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+// own goroutine and on ev, the evaluator its program is running on — same
+// keys, same KeySwitcher, same request context — so a refresh's rotations
+// and relinearizations go wherever the rest of the run's do, and a backend
+// lost under it fails the attempt like any other keyswitch error. The
+// circuit is bound only when a run actually exhausts its levels, so shallow
+// programs never demand the bootstrap circuit's keys. A request lacking
+// them, already past its deadline, or expiring while it waits for the turn,
+// pays for no bootstrap; only a completed bootstrap is counted.
+func (c *Core) refresh(ctx context.Context, tenant string, ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bs, err := c.reg.BootstrapperFor(tenant)
+	bs, err := bindBootstrapper(c.reg.Pre, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -563,10 +570,16 @@ func (c *Core) refresh(ctx context.Context, tenant string, ct *ckks.Ciphertext) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if c.cfg.testInRefresh != nil {
+		defer c.cfg.testInRefresh(tenant)()
+	}
 	start := time.Now()
 	out, err := bs.Bootstrap(ct)
+	if err != nil {
+		return nil, err
+	}
 	c.met.ObserveBootstrap(time.Since(start))
-	return out, err
+	return out, nil
 }
 
 // tenantEvaluator builds an evaluator over a tenant's registered key set,

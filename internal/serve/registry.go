@@ -16,8 +16,8 @@
 // There is one executor (Core.execute): sched.Executor walks the program
 // graph on a ckks.Evaluator — the library's planned, fused kernels — with
 // a pluggable cluster keyswitcher and an optional bootstrap-refresh hook
-// (Core.refresh: one solo bootstrap on the request's goroutine, one at a
-// time process-wide).
+// (Core.refresh: one solo bootstrap on that same evaluator, on the request's
+// goroutine, one at a time process-wide).
 // One-shots, deeper-than-chain one-shots and session steps all run through
 // it. The paper's limb-ISA emulator is a functional model of the
 // accelerator, not a serving engine: the registry still lowers each shallow
@@ -30,10 +30,10 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 
 	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/ckks"
@@ -156,14 +156,6 @@ type Registry struct {
 	// per-tenant metadata over an LRU of decoded key maps, spilling to a
 	// content-addressed disk store when KeyBudgetBytes is set.
 	keys *keyCache
-
-	// evictHook, when set (NewDurableCore), is told about every decoded
-	// key map dropped by the cache so cluster backends can invalidate the
-	// corresponding worker-resident keys.
-	evictHook func(keys map[string]*ckks.EvalKey)
-
-	bsMu    sync.Mutex
-	bsCache map[string]*bootstrap.Bootstrapper
 }
 
 // NewRegistry compiles the catalog: for every program, its IR graph and
@@ -182,7 +174,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		Params:   params,
 		Literal:  cfg.Literal,
 		programs: map[string]*Program{},
-		bsCache:  map[string]*bootstrap.Bootstrapper{},
 	}
 	var store *keyStore
 	if cfg.KeyBudgetBytes > 0 {
@@ -197,16 +188,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		}
 	}
 	r.keys = newKeyCache(params, cfg.KeyBudgetBytes, store)
-	r.keys.onEvict = func(id string, keys map[string]*ckks.EvalKey) {
-		// An evicted tenant's bootstrapper would otherwise pin the decoded
-		// keys in memory behind the cache's back.
-		r.bsMu.Lock()
-		delete(r.bsCache, id)
-		r.bsMu.Unlock()
-		if r.evictHook != nil {
-			r.evictHook(keys)
-		}
-	}
 	// Freeze the execution schedules alongside the catalog: keyswitch
 	// plans for every level (digit ranges, base converters, batch NTT
 	// plans, mod-down plans) compile here, once, so no serving request
@@ -274,78 +255,37 @@ func (r *Registry) RegisterTenant(id string, keys map[string]*ckks.EvalKey) erro
 	for k, v := range keys {
 		cp[k] = v
 	}
-	if err := r.keys.register(id, cp); err != nil {
-		return err
-	}
-	// New key material invalidates the tenant's cached bootstrapper.
-	r.bsMu.Lock()
-	delete(r.bsCache, id)
-	r.bsMu.Unlock()
-	return nil
+	return r.keys.register(id, cp)
 }
 
-// BootstrapperFor returns the tenant's bootstrapper — the shared Precomp
-// bound to the tenant's own rlk/conj/rotation keys — building it on first
-// use and caching until the tenant re-registers keys.
+// BootstrapperFor binds the shared Precomp to a fresh local evaluator over
+// the tenant's current keys — no cache, no lock: TenantKeys →
+// tenantEvaluator → bindBootstrapper. Serving does not call it (a refresh
+// binds the evaluator its program is already running on, see Core.refresh);
+// it is a convenience for bench/ and tests.
 func (r *Registry) BootstrapperFor(id string) (*bootstrap.Bootstrapper, error) {
 	if r.Pre == nil {
 		return nil, fmt.Errorf("serve: bootstrapping disabled")
 	}
-	r.bsMu.Lock()
-	cached, ok := r.bsCache[id]
-	r.bsMu.Unlock()
-	if ok {
-		return cached, nil
-	}
-	// Load the keys WITHOUT bsMu held. A cold tenant's spill reload can
-	// push resident bytes over budget, and the cache's eviction hook takes
-	// bsMu to invalidate evicted tenants' bootstrappers — holding it
-	// across TenantKeys would self-deadlock on this goroutine. It also
-	// keeps one tenant's blocking disk reload from serializing every other
-	// tenant's bootstrapper lookup (and RegisterTenant) behind it.
-	gen, _ := r.keys.generation(id)
 	keys, ok := r.TenantKeys(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	rtks := &ckks.RotationKeySet{Keys: map[int]*ckks.EvalKey{}, Conj: keys["conj"]}
-	if rtks.Conj == nil {
-		return nil, fmt.Errorf("%w: conj", ErrMissingKeys)
-	}
-	var missing []string
-	for _, k := range r.Pre.Rotations() {
-		id := fmt.Sprintf("rot:%d", k)
-		if keys[id] == nil {
-			missing = append(missing, id)
-			continue
-		}
-		rtks.Keys[k] = keys[id]
-	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("%w: %v", ErrMissingKeys, missing)
-	}
-	if keys["rlk"] == nil {
-		return nil, fmt.Errorf("%w: rlk", ErrMissingKeys)
-	}
-	bs, err := bootstrap.NewBootstrapperFromKeys(r.Pre, keys["rlk"], rtks)
+	ev, err := tenantEvaluator(r.Params, keys)
 	if err != nil {
 		return nil, err
 	}
-	r.bsMu.Lock()
-	defer r.bsMu.Unlock()
-	if cur, ok := r.bsCache[id]; ok {
-		// A concurrent caller built it first; one copy wins.
-		return cur, nil
+	return bindBootstrapper(r.Pre, ev)
+}
+
+// bindBootstrapper is the one bind path: bootstrap.Precomp.Bind, with an
+// evaluator lacking the circuit's keys failing typed as ErrMissingKeys (403).
+func bindBootstrapper(pre *bootstrap.Precomp, ev *ckks.Evaluator) (*bootstrap.Bootstrapper, error) {
+	bs, err := pre.Bind(ev)
+	if errors.Is(err, bootstrap.ErrMissingKeys) {
+		err = fmt.Errorf("%w: %v", ErrMissingKeys, err)
 	}
-	// Cache only if the tenant hasn't re-registered since the keys were
-	// read: a racing RegisterTenant already invalidated this id, and
-	// caching a bootstrapper built from the superseded keys would undo
-	// that. Returning the just-built bootstrapper is still correct for
-	// this call — the keys were current when it started.
-	if g, ok := r.keys.generation(id); ok && g == gen {
-		r.bsCache[id] = bs
-	}
-	return bs, nil
+	return bs, err
 }
 
 // ResidentKeys returns the deduped evaluation keys of *resident* tenants.
@@ -372,13 +312,6 @@ func (r *Registry) TenantKeys(id string) (map[string]*ckks.EvalKey, bool) {
 // so cold tenants never block Submit itself.
 func (r *Registry) TenantKeyNames(id string) (map[string]bool, bool) {
 	return r.keys.keyNames(id)
-}
-
-// PrefetchTenant starts an async reload of an evicted tenant's keys; it is
-// fired at admission (Submit / SessionStep) so the reload overlaps the
-// request's wait for a worker slot.
-func (r *Registry) PrefetchTenant(id string) {
-	r.keys.prefetch(id)
 }
 
 // KeyCacheStats snapshots the key tier for /metrics and /healthz.

@@ -292,8 +292,7 @@ func (c *Core) CreateSession(tenant, program string) (SessionInfo, error) {
 	if !ok {
 		return SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownProgram, program)
 	}
-	// Validate against the resident key-name metadata and warm the decoded
-	// keys asynchronously — the first step is imminent.
+	// Validate against the resident key-name metadata; no bundle is loaded.
 	names, ok := c.reg.TenantKeyNames(tenant)
 	if !ok {
 		return SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
@@ -301,7 +300,6 @@ func (c *Core) CreateSession(tenant, program string) (SessionInfo, error) {
 	if missing := prog.MissingKeyNames(names); len(missing) > 0 {
 		return SessionInfo{}, fmt.Errorf("%w: %v", ErrMissingKeys, missing)
 	}
-	c.reg.PrefetchTenant(tenant)
 	id, err := newSessionID()
 	if err != nil {
 		return SessionInfo{}, fmt.Errorf("%w: session id: %v", ErrInternal, err)
@@ -338,10 +336,6 @@ func (c *Core) SessionStep(ctx context.Context, id string, ct *ckks.Ciphertext) 
 		return nil, SessionInfo{}, err
 	}
 	defer c.leave()
-	// Start the key reload now so the blocking TenantKeys in run finds the
-	// tenant resident.
-	c.reg.PrefetchTenant(sess.tenant)
-
 	prog, ok := c.reg.Program(sess.program)
 	if !ok {
 		return nil, SessionInfo{}, fmt.Errorf("%w: %q", ErrUnknownProgram, sess.program)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -219,7 +218,19 @@ func newDeepEnv(t *testing.T, logN int) *deepEnv {
 	if !prog.Bootstrapped || prog.BootstrapsRequired < 1 {
 		t.Fatalf("logreg16-deep: bootstrapped=%v required=%d", prog.Bootstrapped, prog.BootstrapsRequired)
 	}
-	kg := ckks.NewKeyGenerator(reg.Params)
+	de := &deepEnv{reg: reg, prog: prog, tenant: "deep-tenant"}
+	de.sk, de.pk, de.keys = de.genKeys(t)
+	if err := reg.RegisterTenant(de.tenant, de.keys); err != nil {
+		t.Fatal(err)
+	}
+	return de
+}
+
+// genKeys draws a fresh secret and the evaluation keys the deep program and
+// the bootstrap circuit need under it.
+func (e *deepEnv) genKeys(t *testing.T) (*ckks.SecretKey, *ckks.PublicKey, map[string]*ckks.EvalKey) {
+	t.Helper()
+	kg := ckks.NewKeyGenerator(e.reg.Params)
 	sk, err := kg.GenSecretKey()
 	if err != nil {
 		t.Fatal(err)
@@ -232,19 +243,9 @@ func newDeepEnv(t *testing.T, logN int) *deepEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rotSet := map[int]bool{}
-	for _, k := range prog.Rotations {
-		rotSet[k] = true
-	}
-	for _, k := range reg.Pre.Rotations() {
-		rotSet[k] = true
-	}
-	rots := make([]int, 0, len(rotSet))
-	for k := range rotSet {
-		rots = append(rots, k)
-	}
-	sort.Ints(rots)
-	rtks, err := kg.GenRotationKeySet(sk, rots, true)
+	// RequiredKeys already names the union of the program's and the
+	// circuit's rotations.
+	rtks, err := kg.GenRotationKeySet(sk, e.prog.Rotations, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,7 @@ func newDeepEnv(t *testing.T, logN int) *deepEnv {
 	for k, key := range rtks.Keys {
 		keys[fmt.Sprintf("rot:%d", k)] = key
 	}
-	const tenant = "deep-tenant"
-	if err := reg.RegisterTenant(tenant, keys); err != nil {
-		t.Fatal(err)
-	}
-	return &deepEnv{reg: reg, prog: prog, tenant: tenant, keys: keys, sk: sk, pk: pk}
+	return sk, pk, keys
 }
 
 // encryptInput encrypts one catalog-shaped input for the deep program.

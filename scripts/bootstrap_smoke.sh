@@ -9,10 +9,11 @@
 #      (each with a mid-program bootstrap) and a 3-step encrypted
 #      session, decrypting and verifying every response/step against
 #      the plaintext model. /metrics must report bootstraps_total > 0.
-#   2. The same deep program again with serve in -cluster mode over a
-#      2-process worker cluster: level ops run the distributed
-#      keyswitch path, refreshes stay coordinator-local, and every
-#      step must still verify.
+#   2. The same deep program again with serve in -cluster
+#      -require-cluster mode over a 2-process worker cluster: level ops
+#      and refreshes alike run the distributed keyswitch path (a
+#      refresh bootstraps on its request's evaluator), nothing may fall
+#      back to local execution, and every step must still verify.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,12 +58,27 @@ drive_load() {
 
 check_bootstraps() {
   local total
-  total=$(curl -sf "http://127.0.0.1:$SERVE_PORT/metrics" | grep -o '"bootstraps_total": *[0-9]*' | grep -o '[0-9]*$')
+  total=$(echo "$1" | grep -o '"bootstraps_total": *[0-9]*' | grep -o '[0-9]*$')
   if [ -z "$total" ] || [ "$total" -lt 1 ]; then
     echo "FAIL: bootstraps_total=$total after deep load" >&2
     exit 1
   fi
-  echo "   bootstraps_total=$total"
+  echo "   bootstraps_total=$total  $(echo "$1" | tr -d '\n' | tr -s ' ' | grep -o '"bootstrap_ms": *{[^}]*}')"
+}
+
+# check_on_cluster: the deep load ran on the workers — collectives happened
+# and not one run or collective fell back to local execution.
+check_on_cluster() {
+  local bcasts efb lfb
+  bcasts=$(echo "$1" | grep -o '"broadcasts": *[0-9]*' | grep -o '[0-9]*$' || true)
+  # emulator_fallbacks is omitted from /metrics while it is zero.
+  efb=$(echo "$1" | grep -o '"emulator_fallbacks": *[0-9]*' | grep -o '[0-9]*$' || true)
+  lfb=$(echo "$1" | grep -o '"local_fallbacks": *[0-9]*' | grep -o '[0-9]*$' || true)
+  if [ "${bcasts:-0}" -lt 1 ] || [ "${efb:-0}" -ne 0 ] || [ "${lfb:-0}" -ne 0 ]; then
+    echo "FAIL: broadcasts=$bcasts emulator_fallbacks=$efb local_fallbacks=$lfb after deep load on the cluster" >&2
+    exit 1
+  fi
+  echo "   broadcasts=$bcasts emulator_fallbacks=${efb:-0} local_fallbacks=${lfb:-0}"
 }
 
 echo "== building binaries =="
@@ -87,7 +103,7 @@ echo "$PROGS" | grep -q '"bootstraps_required"' || {
 }
 
 drive_load deep-emu
-check_bootstraps
+check_bootstraps "$(curl -sf "http://127.0.0.1:$SERVE_PORT/metrics")"
 
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
@@ -108,12 +124,14 @@ for i in $(seq 1 50); do
   sleep 0.2
 done
 
-"$BIN/cinnamon-serve" -addr "127.0.0.1:$SERVE_PORT" -cluster "$WORKERS" \
+"$BIN/cinnamon-serve" -addr "127.0.0.1:$SERVE_PORT" -cluster "$WORKERS" -require-cluster \
   -logn "$LOGN" -levels "$LEVELS" -seed "$SEED" -bootstrap &
 PIDS+=($!)
 wait_healthy
 
 drive_load deep-cluster
-check_bootstraps
+METRICS=$(curl -sf "http://127.0.0.1:$SERVE_PORT/metrics")
+check_bootstraps "$METRICS"
+check_on_cluster "$METRICS"
 
 echo "== bootstrap smoke PASS =="

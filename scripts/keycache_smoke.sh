@@ -4,8 +4,8 @@
 # Registers more tenants than the key budget admits (8 full-catalog
 # bundles of ~0.7 MB against a 2 MiB budget: roughly 25% resident) and
 # drives Zipf-skewed load so hot tenants ride the resident cache while the
-# tail churns through content-addressed spill, eviction and
-# admission-time prefetch. Two rounds:
+# tail churns through content-addressed spill, eviction and blocking
+# reload. Two rounds:
 #   1. Emulator backend: every response decrypt-and-verified, zero errors
 #      allowed; /metrics must show evictions happened AND resident bytes
 #      never exceeding the budget.
