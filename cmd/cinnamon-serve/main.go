@@ -17,8 +17,8 @@
 // mid-program refreshes, and the encrypted session endpoints
 // (/v1/sessions) are live. A refresh is one bootstrap on its request's own
 // goroutine, inside the request's worker slot, on the evaluator the program
-// is running on; refreshes take turns, one at a time process-wide, so each
-// has the whole limb-worker pool.
+// is running on; nothing else bounds it, so up to -workers refreshes run
+// side by side, sharing the limb-worker pool's one helper budget.
 //
 // With -cluster, requests execute over the scale-out worker cluster
 // (cinnamon-worker processes, one chip each): ciphertext limbs are
@@ -44,6 +44,12 @@
 // (-key-spill-dir) and reload transparently, on the goroutine of the
 // first request that needs them; warm tenants never touch the store.
 // /metrics reports the tier under "key_cache".
+//
+// With -pprof, net/http/pprof is served on that address, on a listener of
+// its own (off by default):
+//
+//	cinnamon-serve -addr :8080 -bootstrap -levels 16 -pprof 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
 //
 // Endpoints (see internal/serve for the wire protocol):
 //
@@ -72,6 +78,7 @@ import (
 	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/cluster"
 	"cinnamon/internal/serve"
+	"cinnamon/internal/telemetry"
 	"cinnamon/internal/workloads"
 )
 
@@ -80,7 +87,7 @@ func main() {
 	logN := flag.Int("logn", 8, "ring degree log2 (2^logN coefficients)")
 	levels := flag.Int("levels", 4, "multiplicative levels (4 fits the depth-4 tensor catalog)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (clients must match)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executions (one-shots and session steps) running at once; the rest of the admitted requests wait for a slot")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executions (one-shots and session steps) running at once, and so bootstraps: a refresh runs inside its request's slot; the rest of the admitted requests wait for a slot")
 	limbWorkers := flag.Int("limb-workers", 0, "limb-parallel arithmetic workers per operation (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 1024, "requests admitted at once, waiting or executing, before shedding with 429")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout (a request that expires mid-bootstrap overruns by at most that one bootstrap)")
@@ -93,6 +100,7 @@ func main() {
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "idle encrypted-session eviction deadline")
 	keyBudgetMB := flag.Int64("key-budget-mb", 0, "resident tenant eval-key budget in MiB (0 = unbounded); over budget, LRU tenants spill to the key store and reload on demand")
 	keySpillDir := flag.String("key-spill-dir", "", "directory for spilled key bundles (empty = a fresh temp dir; only used with -key-budget-mb)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = no profiler)")
 	flag.Parse()
 
 	o := options{
@@ -104,6 +112,7 @@ func main() {
 		bootstrap:   *bootstrapOn,
 		sessionTTL:  *sessionTTL,
 		keyBudgetMB: *keyBudgetMB, keySpillDir: *keySpillDir,
+		pprofAddr: *pprofAddr,
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -126,6 +135,7 @@ type options struct {
 	sessionTTL           time.Duration
 	keyBudgetMB          int64
 	keySpillDir          string
+	pprofAddr            string
 }
 
 func spillDirLabel(dir string) string {
@@ -136,6 +146,13 @@ func spillDirLabel(dir string) string {
 }
 
 func run(o options) error {
+	if o.pprofAddr != "" {
+		at, err := telemetry.StartPprof(o.pprofAddr)
+		if err != nil {
+			return fmt.Errorf("-pprof: %w", err)
+		}
+		log.Printf("profiler on http://%s/debug/pprof/", at)
+	}
 	lit := workloads.ServeParamsLiteral(o.logN, o.levels, o.seed)
 	regCfg := serve.RegistryConfig{
 		Literal:        lit,

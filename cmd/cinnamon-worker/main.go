@@ -16,7 +16,8 @@
 //
 // The parameter flags must match the coordinator's (cinnamon-serve or
 // cinnamon-cluster); mismatches are rejected at handshake by params
-// digest.
+// digest. -pprof <addr> serves net/http/pprof on a listener of its own (off
+// by default).
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
+	"cinnamon/internal/telemetry"
 	"cinnamon/internal/workloads"
 )
 
@@ -38,8 +40,17 @@ func main() {
 	levels := flag.Int("levels", 3, "multiplicative levels (must match coordinator)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (must match coordinator)")
 	keyBudgetMB := flag.Int64("key-budget-mb", 0, "resident pushed-key budget per session in MiB (0 = unbounded); LRU keys drop and are re-pushed by the coordinator on next use")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = no profiler)")
 	flag.Parse()
 
+	if *pprofAddr != "" {
+		at, err := telemetry.StartPprof(*pprofAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error: -pprof:", err)
+			os.Exit(1)
+		}
+		log.Printf("profiler on http://%s/debug/pprof/", at)
+	}
 	if err := run(*addr, *logN, *levels, *seed, *keyBudgetMB); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

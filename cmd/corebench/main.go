@@ -268,8 +268,8 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 
 	// bootstrap: one full CKKS refresh (ScaleUp → ModRaise → CoeffToSlot →
 	// EvalMod → SlotToCoeff) on its own sparse-secret parameter set — what
-	// the serving runtime's refresh hook runs, one at a time, for a deep
-	// request. Small ring (logN=8, 16 levels) for the same reason as the
+	// the serving runtime's refresh hook runs, once per exhausted chain, for
+	// a deep request. Small ring (logN=8, 16 levels) for the same reason as the
 	// serve gate: this row watches the circuit's constant factors.
 	{
 		blit := workloads.ServeBootstrapParamsLiteral(8, 16, 20260805)

@@ -106,31 +106,80 @@ func ltTestParams(t testing.TB) (*ckks.Parameters, *ckks.SecretKey) {
 	return params, sk
 }
 
+// strictEvaluate is the oracle for LinearTransform.Evaluate's inner sums: the
+// same baby-step/giant-step walk with each inner sum folded the strict way —
+// one MulPlain per diagonal and one Add per term, each a fresh ciphertext.
+func strictEvaluate(t *testing.T, lt *LinearTransform, ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) *ckks.Ciphertext {
+	t.Helper()
+	level, scale := ct.Level(), ev.TopModulus(ct.Level())
+	var acc *ckks.Ciphertext
+	for i := 0; i*lt.N1 < lt.Slots; i++ {
+		var inner *ckks.Ciphertext
+		for j := 0; j < lt.N1; j++ {
+			if _, ok := lt.Diags[i*lt.N1+j]; !ok {
+				continue
+			}
+			pt, err := lt.diagPlaintext(enc, level, i*lt.N1+j, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rot, err := ev.Rotate(ct, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			term, err := ev.MulPlain(rot, pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inner == nil {
+				inner = term
+			} else if inner, err = ev.Add(inner, term); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if inner == nil {
+			continue
+		}
+		var err error
+		if i != 0 {
+			if inner, err = ev.Rotate(inner, i*lt.N1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if acc == nil {
+			acc = inner
+		} else if acc, err = ev.Add(acc, inner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return acc
+}
+
+// TestLinearTransformHomomorphic: Evaluate on a dense matrix and on one whose
+// diagonals leave whole giant-step blocks empty decrypts to the plaintext
+// product, and is limb for limb what the strict chain returns.
 func TestLinearTransformHomomorphic(t *testing.T) {
 	params, sk := ltTestParams(t)
 	n := 16
 	rng := rand.New(rand.NewSource(5))
-	m := make([][]complex128, n)
-	for i := range m {
-		m[i] = make([]complex128, n)
-		for j := range m[i] {
-			m[i][j] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+	dense := make([][]complex128, n)
+	banded := make([][]complex128, n)
+	for i := range dense {
+		dense[i] = make([]complex128, n)
+		banded[i] = make([]complex128, n)
+		for j := range dense[i] {
+			dense[i][j] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+			// Diagonals 0, 1, 2, 3, 4 and 13.
+			if d := (j - i + n) % n; d <= 4 || d == 13 {
+				banded[i][j] = dense[i][j]
+			}
 		}
 	}
-	lt, err := NewLinearTransform(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	kg := ckks.NewKeyGenerator(params)
-	rtks, err := kg.GenRotationKeySet(sk, lt.Rotations(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rlk, err := kg.GenRelinKey(sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := ckks.NewEvaluator(params, rlk, rtks)
 	enc := ckks.NewEncoder(params)
 	pk, err := kg.GenPublicKey(sk)
 	if err != nil {
@@ -151,26 +200,40 @@ func TestLinearTransformHomomorphic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := lt.Evaluate(ev, enc, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = ev.Rescale(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptOut, err := decr.Decrypt(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := enc.Decode(ptOut, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := lt.Apply(v)
-	for i := range want {
-		if e := cmplx.Abs(got[i] - want[i]); e > 1e-3 {
-			t.Fatalf("slot %d: homomorphic LT error %g", i, e)
+	for name, m := range map[string][][]complex128{"dense": dense, "banded": banded} {
+		lt, err := NewLinearTransform(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtks, err := kg.GenRotationKeySet(sk, lt.Rotations(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := ckks.NewEvaluator(params, rlk, rtks)
+		out, err := lt.Evaluate(ev, enc, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCiphertext(out, strictEvaluate(t, lt, ev, enc, ct)) {
+			t.Fatalf("%s: Evaluate is not limb-identical to the strict chain", name)
+		}
+		out, err = ev.Rescale(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptOut, err := decr.Decrypt(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := enc.Decode(ptOut, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lt.Apply(v)
+		for i := range want {
+			if e := cmplx.Abs(got[i] - want[i]); e > 1e-3 {
+				t.Fatalf("%s: slot %d: homomorphic LT error %g", name, i, e)
+			}
 		}
 	}
 }

@@ -244,27 +244,23 @@ func (cc *chebCtx) evalDirect(coeffs []float64) (*ckks.Ciphertext, error) {
 		}
 		return ev.AddConst(z, complex(coeffs[0], 0))
 	}
-	var acc *ckks.Ciphertext
+	// Powers above minLevel are read through their limb prefix.
+	lc, err := ev.NewLinComb(minLevel)
+	if err != nil {
+		return nil, err
+	}
+	defer lc.Release()
+	delta := ev.Params().DefaultScale()
 	for _, k := range used {
-		t := cc.T[k]
-		if t.Level() > minLevel {
-			var err error
-			if t, err = ev.DropLevel(t, minLevel); err != nil {
-				return nil, err
-			}
-		}
-		term, err := ev.MulConst(t, complex(coeffs[k], 0))
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = term
-		} else if acc, err = ev.Add(acc, term); err != nil {
+		if err := lc.AddMulConst(cc.T[k], coeffs[k], delta); err != nil {
 			return nil, err
 		}
 	}
-	acc, err := ev.Rescale(acc)
+	acc, err := lc.Sum()
 	if err != nil {
+		return nil, err
+	}
+	if acc, err = ev.Rescale(acc); err != nil {
 		return nil, err
 	}
 	if coeffs[0] != 0 {

@@ -155,29 +155,13 @@ func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *c
 	}
 	var acc *ckks.Ciphertext
 	for i := 0; i*lt.N1 < lt.Slots; i++ {
-		var inner *ckks.Ciphertext
-		for j := 0; j < lt.N1; j++ {
-			if _, ok := lt.Diags[i*lt.N1+j]; !ok {
-				continue
-			}
-			pt, err := lt.diagPlaintext(enc, level, i*lt.N1+j, scale)
-			if err != nil {
-				return nil, err
-			}
-			term, err := ev.MulPlain(rotated[j], pt)
-			if err != nil {
-				return nil, err
-			}
-			if inner == nil {
-				inner = term
-			} else if inner, err = ev.Add(inner, term); err != nil {
-				return nil, err
-			}
+		inner, err := lt.innerSum(ev, enc, rotated, i, level, scale)
+		if err != nil {
+			return nil, err
 		}
 		if inner == nil {
 			continue
 		}
-		var err error
 		if i != 0 {
 			if inner, err = ev.Rotate(inner, i*lt.N1); err != nil {
 				return nil, err
@@ -193,6 +177,36 @@ func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *c
 		return nil, fmt.Errorf("bootstrap: linear transform has no nonzero diagonal")
 	}
 	return acc, nil
+}
+
+// innerSum returns giant step i's inner sum Σ_j ptRot_{i,j} ⊙ rotated[j]
+// over the diagonals the transform has in that block, or nil when it has
+// none: one lazy accumulate, one reduction.
+func (lt *LinearTransform) innerSum(ev *ckks.Evaluator, enc *ckks.Encoder, rotated []*ckks.Ciphertext, i, level int, scale float64) (*ckks.Ciphertext, error) {
+	lc, err := ev.NewLinComb(level)
+	if err != nil {
+		return nil, err
+	}
+	defer lc.Release()
+	terms := 0
+	for j := 0; j < lt.N1; j++ {
+		d := i*lt.N1 + j
+		if _, ok := lt.Diags[d]; !ok {
+			continue
+		}
+		pt, err := lt.diagPlaintext(enc, level, d, scale)
+		if err != nil {
+			return nil, err
+		}
+		if err := lc.AddMulPlain(rotated[j], pt); err != nil {
+			return nil, err
+		}
+		terms++
+	}
+	if terms == 0 {
+		return nil, nil
+	}
+	return lc.Sum()
 }
 
 // Apply evaluates the transform on a plaintext vector (reference path for

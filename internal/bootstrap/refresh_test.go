@@ -44,7 +44,7 @@ type refreshFixture struct {
 	cts [2][2]*ckks.Ciphertext
 }
 
-func newRefreshFixture(t *testing.T) *refreshFixture {
+func newRefreshFixture(t testing.TB) *refreshFixture {
 	t.Helper()
 	params, _ := bootstrapParamsAt(t, 7)
 	pre, err := NewPrecomp(params, DefaultConfig())

@@ -244,10 +244,13 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if level > ct.Level() || level < 0 {
 		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level(), level)
 	}
-	out := ct.Copy()
-	out.C0.DropLastLimbs(ct.Level() - level)
-	out.C1.DropLastLimbs(ct.Level() - level)
-	return out, nil
+	return &Ciphertext{C0: copyPrefix(ct.C0, level+1), C1: copyPrefix(ct.C1, level+1), Scale: ct.Scale}, nil
+}
+
+// copyPrefix deep-copies the first n limbs of p; the rest are never read.
+func copyPrefix(p *ring.Poly, n int) *ring.Poly {
+	v := ring.Poly{Basis: p.Basis.Prefix(n), Limbs: p.Limbs[:n], IsNTT: p.IsNTT}
+	return v.Copy()
 }
 
 // Rotate rotates the slot vector by k positions using the matching rotation

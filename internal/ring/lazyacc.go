@@ -63,29 +63,87 @@ func (r *Ring) GetLazyAcc(b rns.Basis) *LazyAcc {
 	return a
 }
 
+// covers reports whether p can be read over the accumulator's basis: p's
+// basis is that basis or extends it, so limb j of p holds residues mod the
+// accumulator's modulus j. A ciphertext above the accumulator's level is
+// read through its limb prefix; nothing is copied.
+func (a *LazyAcc) covers(p *Poly) bool {
+	if len(p.Basis.Moduli) < len(a.basis.Moduli) {
+		return false
+	}
+	for j, q := range a.basis.Moduli {
+		if p.Basis.Moduli[j] != q {
+			return false
+		}
+	}
+	return true
+}
+
 // MulAcc accumulates x ⊙ y (the pointwise product) into the accumulator.
-// Both polynomials must be in the NTT domain over the accumulator's basis,
-// with canonical (< q) coefficients.
+// Both polynomials must be in the NTT domain with canonical (< q)
+// coefficients, over the accumulator's basis or one it prefixes (the limbs
+// beyond the accumulator's are ignored).
 func (a *LazyAcc) MulAcc(x, y *Poly) error {
-	if !x.Basis.Equal(a.basis) || !y.Basis.Equal(a.basis) {
+	if !a.covers(x) || !a.covers(y) {
 		return fmt.Errorf("ring: MulAcc basis mismatch")
 	}
 	if !x.IsNTT || !y.IsNTT {
 		return fmt.Errorf("ring: MulAcc requires NTT domain")
 	}
-	if a.adds+1 > a.maxAdds {
-		a.fold()
+	a.chargeProducts(1)
+	l := a.basis.Len()
+	if parallel.Workers() > 1 && parallel.WorthFanout(l, a.r.N, parallel.CostMul) {
+		parallel.For(l, func(j int) { a.mulAccLimb(j, x.Limbs[j], y.Limbs[j]) })
+		return nil
 	}
-	a.adds++
-	a.r.limbFor(a.basis.Len(), parallel.CostMul, func(j int) {
-		xj, yj := x.Limbs[j], y.Limbs[j]
-		hij := a.hi[j][:len(xj)]
-		loj := a.lo[j][:len(xj)]
-		for i := range xj {
-			hij[i], loj[i] = rns.MulAccLazy(hij[i], loj[i], xj[i], yj[i])
-		}
-	})
+	for j := 0; j < l; j++ {
+		a.mulAccLimb(j, x.Limbs[j], y.Limbs[j])
+	}
 	return nil
+}
+
+func (a *LazyAcc) mulAccLimb(j int, xj, yj []uint64) {
+	hij := a.hi[j][:len(xj)]
+	loj := a.lo[j][:len(xj)]
+	yj = yj[:len(xj)]
+	for i := range xj {
+		hij[i], loj[i] = rns.MulAccLazy(hij[i], loj[i], xj[i], yj[i])
+	}
+}
+
+// MulScalarAcc accumulates v·x, v a signed integer reduced into each
+// modulus — the product of x with the NTT image of the constant polynomial
+// v, which is v mod q in every cell. x is read like MulAcc's operands, in
+// either domain.
+func (a *LazyAcc) MulScalarAcc(x *Poly, v int64) error {
+	if !a.covers(x) {
+		return fmt.Errorf("ring: MulScalarAcc basis mismatch")
+	}
+	a.chargeProducts(1)
+	l := a.basis.Len()
+	if parallel.Workers() > 1 && parallel.WorthFanout(l, a.r.N, parallel.CostMul) {
+		parallel.For(l, func(j int) { a.mulScalarAccLimb(j, x.Limbs[j], v) })
+		return nil
+	}
+	for j := 0; j < l; j++ {
+		a.mulScalarAccLimb(j, x.Limbs[j], v)
+	}
+	return nil
+}
+
+func (a *LazyAcc) mulScalarAccLimb(j int, xj []uint64, v int64) {
+	q := a.basis.Moduli[j]
+	var w uint64
+	if v >= 0 {
+		w = uint64(v) % q
+	} else if rem := (-uint64(v)) % q; rem != 0 {
+		w = q - rem
+	}
+	hij := a.hi[j][:len(xj)]
+	loj := a.lo[j][:len(xj)]
+	for i := range xj {
+		hij[i], loj[i] = rns.MulAccLazy(hij[i], loj[i], xj[i], w)
+	}
 }
 
 // fold reduces the accumulator in place: each 128-bit cell collapses to its

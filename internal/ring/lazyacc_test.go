@@ -115,4 +115,60 @@ func TestLazyAccRejectsMismatch(t *testing.T) {
 	if err := acc.MulAcc(wrong, y); err == nil {
 		t.Fatal("expected error for basis mismatch")
 	}
+	short := randPoly(r, qb.Prefix(1), 4)
+	short.IsNTT = true
+	if err := acc.MulAcc(short, y); err == nil {
+		t.Fatal("expected error for an operand with fewer limbs than the accumulator")
+	}
+	if err := acc.MulScalarAcc(short, 3); err == nil {
+		t.Fatal("expected MulScalarAcc error for an operand with fewer limbs than the accumulator")
+	}
+}
+
+// TestLazyAccPrefixAndScalar: an accumulator over a basis prefix reads
+// longer operands through their first limbs, and MulScalarAcc of a signed
+// integer equals MulAcc with the constant polynomial's NTT image — the
+// integer's residue in every cell.
+func TestLazyAccPrefixAndScalar(t *testing.T) {
+	r, qb, _ := newTestRing(t, 4, 3, 1)
+	low := qb.Prefix(2)
+	x := randPoly(r, qb, 5)
+	y := randPoly(r, qb, 6)
+	x.IsNTT, y.IsNTT = true, true
+	xLow, err := r.Restrict(x, low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yLow, err := r.Restrict(y, low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{0, 7, -7, 1 << 50, -(1 << 50)} {
+		acc := r.GetLazyAcc(low)
+		if err := acc.MulAcc(x, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.MulScalarAcc(x, v); err != nil {
+			t.Fatal(err)
+		}
+		got := r.NewPoly(low)
+		acc.ReduceInto(got)
+		acc.Release()
+
+		c := r.NewPoly(low)
+		c.IsNTT = true
+		for j, q := range low.Moduli {
+			w := uint64(v) % q
+			if v < 0 {
+				w = (q - uint64(-v)%q) % q
+			}
+			for i := range c.Limbs[j] {
+				c.Limbs[j][i] = w
+			}
+		}
+		want := lazyAccReference(t, r, low, []*Poly{xLow, xLow}, []*Poly{yLow, c})
+		if !got.Equal(want) {
+			t.Fatalf("scalar %d: prefix-read accumulate differs from the restricted reference", v)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -20,10 +21,14 @@ type RefreshFunc func(ctx context.Context, ct *ckks.Ciphertext) (*ckks.Ciphertex
 // evaluator reality.
 type TraceFunc func(id int, ct *ckks.Ciphertext)
 
+// ErrNoRefresh marks a run whose input ran out of levels with no refresh
+// service to lift it: the caller's input, not the evaluator, is at fault.
+var ErrNoRefresh = errors.New("sched: levels exhausted and no refresh service is configured")
+
 // RunOpts configures one execution.
 type RunOpts struct {
 	// Refresh services bootstrap insertions. nil means the program must fit
-	// the remaining levels or fail with a typed error.
+	// the remaining levels or fail with ErrNoRefresh.
 	Refresh RefreshFunc
 	// Trace, if set, is called after every node with its live value.
 	Trace TraceFunc
@@ -105,7 +110,7 @@ func (ex *Executor) Run(ctx context.Context, ev *ckks.Evaluator, in *ckks.Cipher
 		}
 		ct := vals[id]
 		if opts.Refresh == nil {
-			return fmt.Errorf("sched: levels exhausted at node %d and no refresh service is configured (enable bootstrapping)", id)
+			return fmt.Errorf("%w: at node %d (enable bootstrapping)", ErrNoRefresh, id)
 		}
 		if !sameScale(ct.Scale, delta) {
 			return fmt.Errorf("sched: refresh of node %d at scale %g, want the default scale %g", id, ct.Scale, delta)

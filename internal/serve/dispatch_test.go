@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,12 +239,12 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 // refreshProbe is a Config.testInRefresh lever: it sees every refresh from
-// the moment it holds the turn until it ends, so it knows whose refresh is
-// running and can park one there.
+// just before its bootstrap until it ends, so it knows whose refreshes are
+// in flight and can park one there.
 type refreshProbe struct {
 	mu      sync.Mutex
-	order   []string // tenant of every refresh, in the order they took the turn
-	active  int      // refreshes between taking the turn and ending
+	order   []string // tenant of every refresh, in the order they began
+	active  int      // refreshes begun and not yet ended
 	overlap bool     // two were in there at once
 
 	parked  string        // tenant whose next refresh waits on hold
@@ -275,7 +275,7 @@ func (p *refreshProbe) inRefresh(tenant string) (done func()) {
 	}
 }
 
-// park makes tenant's next refresh stop once it holds the turn, before its
+// park makes tenant's next refresh stop inside refresh, before its
 // bootstrap, until release is called.
 func (p *refreshProbe) park(tenant string) (entered <-chan struct{}, release func()) {
 	p.mu.Lock()
@@ -284,7 +284,7 @@ func (p *refreshProbe) park(tenant string) (entered <-chan struct{}, release fun
 	return p.entered, func() { close(p.hold) }
 }
 
-// calls reports how many refreshes of tenant have taken the turn.
+// calls reports how many refreshes of tenant have begun.
 func (p *refreshProbe) calls(tenant string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -297,27 +297,12 @@ func (p *refreshProbe) calls(tenant string) int {
 	return n
 }
 
-// waitParkedIn polls until a goroutine is blocked in a select inside fn.
-func waitParkedIn(t *testing.T, fn string) {
-	t.Helper()
-	waitFor(t, "a goroutine to park in "+fn, func() bool {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		for _, g := range strings.Split(string(buf), "\n\n") {
-			if strings.Contains(g, " [select") && strings.Contains(g, fn+"(") {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// TestRefreshesRunOneAtATime: refreshes of different tenants take turns —
-// two deep session steps started together never have bootstrap work in
-// flight at the same time — and a step cancelled while it waits for the turn
-// returns its context's error at once, counted as a timeout, having run no
-// bootstrap.
-func TestRefreshesRunOneAtATime(t *testing.T) {
+// TestRefreshesRunSideBySide: nothing serialises refreshes against each
+// other. With tenant A parked inside its refresh, tenant B's deep step
+// starts, refreshes and completes; both steps return limb for limb what the
+// same steps return run alone on a one-slot core. A step whose context is
+// cancelled before its refresh runs no bootstrap and counts once in Timeouts.
+func TestRefreshesRunSideBySide(t *testing.T) {
 	de := newDeepEnv(t, 7)
 	const other = "deep-tenant-2"
 	// A second tenant over the same key pointers: its requests still run on
@@ -325,82 +310,113 @@ func TestRefreshesRunOneAtATime(t *testing.T) {
 	if err := de.reg.RegisterTenant(other, de.keys); err != nil {
 		t.Fatal(err)
 	}
-	probe := &refreshProbe{}
-	core := NewCore(de.reg, Config{Workers: 4, RequestTimeout: time.Hour, testInRefresh: probe.inRefresh})
-	defer core.Close(context.Background())
 	tenants := []string{de.tenant, other}
-	ct, _ := de.encryptInput(t, 700)
-	ids := make([]string, 2)
-	for i, tenant := range tenants {
-		info, err := core.CreateSession(tenant, de.prog.Spec.Name)
-		if err != nil {
-			t.Fatal(err)
+	cts := make([]*ckks.Ciphertext, 2)
+	cts[0], _ = de.encryptInput(t, 700)
+	cts[1], _ = de.encryptInput(t, 701)
+	sessions := func(core *Core) []string {
+		ids := make([]string, 2)
+		for i, tenant := range tenants {
+			info, err := core.CreateSession(tenant, de.prog.Spec.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = info.ID
 		}
-		ids[i] = info.ID
+		return ids
 	}
 
-	// Two seeding steps together: each refreshes BootstrapsRequired times.
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range ids {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = core.SessionStep(context.Background(), ids[i], ct)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("step of %s: %v", tenants[i], err)
+	alone := NewCore(de.reg, Config{Workers: 1, RequestTimeout: time.Hour})
+	defer closeCoreT(t, alone)
+	want := make([]*ckks.Ciphertext, 2)
+	for i, id := range sessions(alone) {
+		var err error
+		if want[i], _, err = alone.SessionStep(context.Background(), id, cts[i]); err != nil {
+			t.Fatalf("step of %s alone: %v", tenants[i], err)
 		}
 	}
-	perStep := de.prog.BootstrapsRequired
-	if got := core.Metrics().Bootstraps.Load(); got != int64(2*perStep) {
-		t.Fatalf("bootstraps = %d, want %d", got, 2*perStep)
-	}
-	probe.mu.Lock()
-	seen, overlap := len(probe.order), probe.overlap
-	probe.mu.Unlock()
-	// Whole bootstraps may alternate between the tenants; no two may be
-	// between taking the turn and ending at once.
-	if overlap || seen != 2*perStep {
-		t.Fatalf("refreshes overlapped: %v (the probe saw %d of %d bootstraps)", overlap, seen, 2*perStep)
-	}
 
-	// The first tenant's next step stops inside refresh, holding the turn;
-	// the second's reaches the turn and waits there.
+	probe := &refreshProbe{}
+	// gate, while set, stops the next execution at its top, inside its slot.
+	type preRunGate struct{ arrived, release chan struct{} }
+	var gate atomic.Pointer[preRunGate]
+	core := NewCore(de.reg, Config{
+		Workers:        4,
+		RequestTimeout: time.Hour,
+		testInRefresh:  probe.inRefresh,
+		testPreRun: func() {
+			if g := gate.Swap(nil); g != nil {
+				close(g.arrived)
+				<-g.release
+			}
+		},
+	})
+	defer closeCoreT(t, core)
+	ids := sessions(core)
+
+	// A's step stops inside its first refresh; B's whole step runs past it.
 	entered, release := probe.park(de.tenant)
-	holder := make(chan error, 1)
+	type stepResult struct {
+		out *ckks.Ciphertext
+		err error
+	}
+	parked := make(chan stepResult, 1)
 	go func() {
-		_, _, err := core.SessionStep(context.Background(), ids[0], nil)
-		holder <- err
+		out, _, err := core.SessionStep(context.Background(), ids[0], cts[0])
+		parked <- stepResult{out, err}
 	}()
 	<-entered
+	// A minute is a regression's hang turned into a failure, not a pace.
+	ctxB, cancelB := context.WithTimeout(context.Background(), time.Minute)
+	defer cancelB()
+	gotB, _, err := core.SessionStep(ctxB, ids[1], cts[1])
+	if err != nil {
+		t.Fatalf("step of %s beside a parked refresh: %v", other, err)
+	}
+	perStep := de.prog.BootstrapsRequired
+	probe.mu.Lock()
+	active, overlap := probe.active, probe.overlap
+	probe.mu.Unlock()
+	if active != 1 || !overlap || probe.calls(other) != perStep {
+		t.Fatalf("with %s parked: %d refreshes in flight, overlap %v, %s refreshed %d times (want 1, true, %d)",
+			de.tenant, active, overlap, other, probe.calls(other), perStep)
+	}
+	if got := core.Metrics().Bootstraps.Load(); got != int64(perStep) {
+		t.Fatalf("bootstraps = %d with %s still parked, want %d", got, de.tenant, perStep)
+	}
+	release()
+	resA := <-parked
+	if resA.err != nil {
+		t.Fatalf("parked step of %s: %v", de.tenant, resA.err)
+	}
+	sameCiphertext(t, "step parked in its refresh vs alone", resA.out, want[0])
+	sameCiphertext(t, "step run beside a parked refresh vs alone", gotB, want[1])
+
+	// B's next step is cancelled at the top of its execution: the run ends at
+	// its next context check, ahead of the refresh the step would need.
 	before := core.Metrics().Snapshot()
 	ranBefore := probe.calls(other)
+	g := &preRunGate{arrived: make(chan struct{}), release: make(chan struct{})}
+	gate.Store(g)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	waiter := make(chan error, 1)
+	cancelled := make(chan error, 1)
 	go func() {
 		_, _, err := core.SessionStep(ctx, ids[1], nil)
-		waiter <- err
+		cancelled <- err
 	}()
-	waitParkedIn(t, "serve.(*Core).refresh")
+	<-g.arrived
 	cancel()
-	if err := <-waiter; !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter cancelled in the turn wait: %v, want context.Canceled", err)
+	close(g.release)
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("step cancelled before its refresh: %v, want context.Canceled", err)
 	}
 	after := core.Metrics().Snapshot()
 	if after.Timeouts != before.Timeouts+1 || after.Errors != before.Errors {
 		t.Fatalf("timeouts/errors moved %d/%d, want 1/0", after.Timeouts-before.Timeouts, after.Errors-before.Errors)
 	}
 	if ran := probe.calls(other) - ranBefore; ran != 0 || after.Bootstraps != before.Bootstraps {
-		t.Fatalf("cancelled waiter ran bootstrap work: %d refreshes took the turn, %d bootstraps", ran, after.Bootstraps-before.Bootstraps)
-	}
-	release()
-	if err := <-holder; err != nil {
-		t.Fatalf("turn holder: %v", err)
+		t.Fatalf("cancelled step ran bootstrap work: %d refreshes began, %d bootstraps", ran, after.Bootstraps-before.Bootstraps)
 	}
 }
 

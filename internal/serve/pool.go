@@ -37,22 +37,27 @@ type Config struct {
 	// Workers bounds how many executions — one-shots and session steps,
 	// shallow or deep — run at once: every execution holds one slot, and the
 	// rest of the admitted requests wait for one under their own deadlines.
-	// A run waiting for its refresh turn keeps its slot. A request that
-	// expires mid-refresh gives up its slot (and the turn) at the bootstrap's
-	// next collective when its keyswitches ride a cluster backend; on the
-	// local kernel a bootstrap takes no context, so the slot is held until
-	// that one bootstrap ends. Default GOMAXPROCS.
+	// A refresh bootstraps inside its run's slot, so Workers is also how many
+	// bootstraps compute at once; their limb loops share internal/parallel's
+	// process-wide helper budget, so Workers above the core count adds
+	// time-slicing, not throughput. A request that expires mid-refresh gives
+	// up its slot at the bootstrap's next collective when its keyswitches
+	// ride a cluster backend; on the local kernel a bootstrap takes no
+	// context, so the slot is held until that one bootstrap ends. Default
+	// GOMAXPROCS.
 	Workers int
 	// LimbWorkers sets the process-wide limb-parallel worker pool used by
 	// ring/keyswitch arithmetic inside every execution (see
 	// internal/parallel). 0 leaves the pool at its GOMAXPROCS default;
 	// setting it to 1 trades per-request latency for throughput when
-	// Workers already saturates the cores.
+	// Workers already saturates the cores. Concurrent executions, refreshes
+	// included, draw helpers from this one pool's budget (LimbWorkers−1
+	// process-wide), so they cannot oversubscribe the host between them.
 	LimbWorkers int
 	// RequestTimeout bounds a request's total time in the system when its
 	// context has no deadline of its own. Expiry is noticed waiting for a
-	// slot, between program nodes, waiting for the refresh turn and at every
-	// cluster collective — a refresh's included. Only a bootstrap on the local
+	// slot, between program nodes, entering a refresh and at every cluster
+	// collective — a refresh's included. Only a bootstrap on the local
 	// kernel runs on past it: there a request can overrun by at most one
 	// bootstrap. Default 10s.
 	RequestTimeout time.Duration
@@ -114,10 +119,11 @@ type Config struct {
 	// channel to hold slots, sleeps to model a slow backend, or panics to
 	// exercise recovery.
 	testPreRun func()
-	// testInRefresh, when non-nil, runs inside refresh once the turn is taken
-	// and the func it returns runs as that refresh ends — the tests' other
-	// lever: it brackets exactly one bootstrap, so a test can see whose
-	// refresh holds the turn, park it there, or break a backend under it.
+	// testInRefresh, when non-nil, runs inside refresh just before the
+	// bootstrap and the func it returns runs as that refresh ends — the
+	// tests' other lever: it brackets exactly one bootstrap, so a test can
+	// see whose refreshes are in flight, park one there, or break a backend
+	// under it.
 	testInRefresh func(tenant string) (done func())
 }
 
@@ -158,10 +164,6 @@ type Core struct {
 	// (see Config.Workers).
 	admission chan struct{}
 	slots     chan struct{}
-	// refreshTurn is a one-token channel: exactly one bootstrap computes at
-	// a time process-wide, so it fans its hoisted rotations over the whole
-	// limb pool instead of Workers of them oversubscribing it.
-	refreshTurn chan struct{}
 
 	// stateMu orders enter against Close flipping draining: once draining
 	// is set no new request can join inflight, so Close's wait observes
@@ -192,12 +194,11 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		parallel.SetWorkers(cfg.LimbWorkers)
 	}
 	c := &Core{
-		cfg:         cfg,
-		reg:         reg,
-		met:         newMetrics(reg.ProgramNames()),
-		admission:   make(chan struct{}, cfg.AdmissionLimit),
-		slots:       make(chan struct{}, cfg.Workers),
-		refreshTurn: make(chan struct{}, 1),
+		cfg:       cfg,
+		reg:       reg,
+		met:       newMetrics(reg.ProgramNames()),
+		admission: make(chan struct{}, cfg.AdmissionLimit),
+		slots:     make(chan struct{}, cfg.Workers),
 	}
 	if len(cfg.Backends) > 0 {
 		c.backends = newBackendSet(cfg.Backends, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
@@ -523,11 +524,13 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 				c.backends.noteSuccess(b)
 				return out, nil
 			}
-			if ctx.Err() != nil {
-				// The request's own deadline expired mid-run: that is client
-				// evidence, not backend evidence — feeding it to the breaker
-				// would let a burst of impatient clients open a healthy
-				// backend's circuit. No point trying another backend either.
+			if ctx.Err() != nil || requestCaused(err) {
+				// The request's own deadline expired mid-run, or the run hit
+				// a refresh its tenant's keys or this server cannot give it:
+				// that is client evidence, not backend evidence — feeding it
+				// to the breaker would let a burst of impatient or under-keyed
+				// clients open a healthy backend's circuit. Another backend
+				// would fail the same way, so there is no point trying one.
 				return nil, err
 			}
 			b.brk.Failure()
@@ -544,30 +547,30 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 	return prog.exec.Run(ctx, ev, ct, opts)
 }
 
+// requestCaused reports whether a run failed on what the request brought —
+// a tenant without the bootstrap circuit's keys, or an input out of levels on
+// a server with no refresh service — and not on the backend that ran it.
+func requestCaused(err error) bool {
+	return errors.Is(err, ErrMissingKeys) || errors.Is(err, sched.ErrNoRefresh)
+}
+
 // refresh is the executor's refresh hook: one solo Bootstrap on the request's
 // own goroutine and on ev, the evaluator its program is running on — same
 // keys, same KeySwitcher, same request context — so a refresh's rotations
 // and relinearizations go wherever the rest of the run's do, and a backend
 // lost under it fails the attempt like any other keyswitch error. The
 // circuit is bound only when a run actually exhausts its levels, so shallow
-// programs never demand the bootstrap circuit's keys. A request lacking
-// them, already past its deadline, or expiring while it waits for the turn,
-// pays for no bootstrap; only a completed bootstrap is counted.
+// programs never demand the bootstrap circuit's keys. Nothing serialises
+// refreshes against each other: each is bounded by the worker slot its
+// request already holds, so up to Workers run side by side. A request
+// lacking the keys or already past its deadline pays for no bootstrap; only
+// a completed bootstrap is counted.
 func (c *Core) refresh(ctx context.Context, tenant string, ev *ckks.Evaluator, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	bs, err := bindBootstrapper(c.reg.Pre, ev)
 	if err != nil {
-		return nil, err
-	}
-	select {
-	case c.refreshTurn <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-c.refreshTurn }()
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if c.cfg.testInRefresh != nil {

@@ -11,6 +11,7 @@ import (
 
 	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/ckks"
+	"cinnamon/internal/sched"
 	"cinnamon/internal/workloads"
 )
 
@@ -42,7 +43,7 @@ func deepOneShotAndSession(t *testing.T, core *Core, de *deepEnv, ct *ckks.Ciphe
 // TestClusterRefreshMatchesLocal: a refresh bootstraps on the evaluator its
 // program is running on, so on a core with a cluster backend the bootstrap's
 // keyswitches are collectives like every other — the engine's broadcast
-// count rises while a refresh holds the turn, nothing falls back — and a
+// count rises while a refresh is in flight, nothing falls back — and a
 // deep one-shot and every step of a deep session come back limb for limb
 // what a local core returns.
 func TestClusterRefreshMatchesLocal(t *testing.T) {
@@ -102,7 +103,7 @@ func TestMidRefreshFailover(t *testing.T) {
 		RequestTimeout: time.Minute,
 		Backends:       []BackendSpec{{Name: "east", Engine: east}, {Name: "west", Engine: west}},
 		// The first refresh — east's, it ranks first — loses its backend
-		// after taking the turn, before its first collective.
+		// inside refresh, before its first collective.
 		testInRefresh: func(string) func() {
 			kill.Do(func() {
 				for _, d := range eastDialers {
@@ -187,21 +188,25 @@ func TestReRegisterBetweenDeepSteps(t *testing.T) {
 	}
 }
 
-// TestRefreshMissingKeysFailsTyped: the bootstrap circuit's keys are checked
-// when — and only when — a run first needs a refresh. A tenant holding just
-// the shallow program's keys steps its session until the levels run out;
-// that step fails with ErrMissingKeys (403) without taking the refresh turn.
-func TestRefreshMissingKeysFailsTyped(t *testing.T) {
+// shallowSessionEnv is a registry hosting only "square", with or without the
+// refresh service, one tenant holding just the relinearization key, and a
+// ciphertext with one level left: a session's first step squares it away, the
+// second needs a refresh.
+func shallowSessionEnv(t *testing.T, refreshService bool) (reg *Registry, tenant string, ct *ckks.Ciphertext) {
+	t.Helper()
 	sq, ok := workloads.ServeWorkloadByName("square")
 	if !ok {
 		t.Fatal("no square workload")
 	}
-	bcfg := bootstrap.DefaultConfig()
-	reg, err := NewRegistry(RegistryConfig{
-		Literal:   workloads.ServeBootstrapParamsLiteral(7, 16, 20260805),
-		Programs:  []workloads.ServeWorkload{sq},
-		Bootstrap: &bcfg,
-	})
+	rc := RegistryConfig{
+		Literal:  workloads.ServeBootstrapParamsLiteral(7, 16, 20260805),
+		Programs: []workloads.ServeWorkload{sq},
+	}
+	if refreshService {
+		bcfg := bootstrap.DefaultConfig()
+		rc.Bootstrap = &bcfg
+	}
+	reg, err := NewRegistry(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,43 +224,90 @@ func TestRefreshMissingKeysFailsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tenant = "shallow-tenant"
+	tenant = "shallow-tenant"
 	if err := reg.RegisterTenant(tenant, map[string]*ckks.EvalKey{"rlk": rlk}); err != nil {
 		t.Fatal(err)
 	}
-	probe := &refreshProbe{}
-	core := NewCore(reg, Config{Workers: 1, testInRefresh: probe.inRefresh})
-	defer closeCoreT(t, core)
-
 	pt, err := ckks.NewEncoder(params).Encode(make([]complex128, params.Slots()), params.MaxLevel(), params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ckks.NewEncryptor(params, pk).Encrypt(pt)
-	if err != nil {
+	if ct, err = ckks.NewEncryptor(params, pk).Encrypt(pt); err != nil {
 		t.Fatal(err)
 	}
-	// One level left: the first step squares it away, the second needs a
-	// refresh.
 	if ct, err = ckks.NewEvaluator(params, nil, nil).DropLevel(ct, 1); err != nil {
 		t.Fatal(err)
 	}
-	info, err := core.CreateSession(tenant, "square")
-	if err != nil {
-		t.Fatalf("session on a shallow program must not demand bootstrap keys: %v", err)
-	}
-	ctx := context.Background()
-	if _, _, err := core.SessionStep(ctx, info.ID, ct); err != nil {
-		t.Fatalf("step with a level to spare: %v", err)
-	}
-	_, _, err = core.SessionStep(ctx, info.ID, nil)
-	if !errors.Is(err, ErrMissingKeys) || statusFor(err) != http.StatusForbidden {
-		t.Fatalf("step needing a refresh = %v (status %d), want ErrMissingKeys (403)", err, statusFor(err))
-	}
-	if n := probe.calls(tenant); n != 0 || len(core.refreshTurn) != 0 {
-		t.Fatalf("the refresh turn was taken %d times (held now: %d) by a tenant without bootstrap keys", n, len(core.refreshTurn))
-	}
-	if snap := core.Metrics().Snapshot(); snap.Bootstraps != 0 || snap.Errors != 1 {
-		t.Fatalf("bootstraps/errors = %d/%d, want 0/1", snap.Bootstraps, snap.Errors)
+	return reg, tenant, ct
+}
+
+// TestRefreshMissingKeysFailsTyped: the bootstrap circuit's keys are checked
+// when — and only when — a run first needs a refresh. A tenant holding just
+// the shallow program's keys steps its session until the levels run out;
+// that step fails with ErrMissingKeys (403) and starts no bootstrap. The
+// failure is the request's, whatever ran it: on a two-backend cluster core
+// with fallback off and a one-failure breaker it is returned from the first
+// attempt — no breaker failure, no failover, no 503 — and so is a run out of
+// levels on a server with no refresh service (sched.ErrNoRefresh).
+func TestRefreshMissingKeysFailsTyped(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		refreshService bool
+		clustered      bool
+		want           error
+		status         int
+	}{
+		{"local", true, false, ErrMissingKeys, http.StatusForbidden},
+		{"cluster", true, true, ErrMissingKeys, http.StatusForbidden},
+		{"cluster without a refresh service", false, true, sched.ErrNoRefresh, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg, tenant, ct := shallowSessionEnv(t, tc.refreshService)
+			probe := &refreshProbe{}
+			cfg := Config{Workers: 1, testInRefresh: probe.inRefresh}
+			if tc.clustered {
+				east, _ := newPipeCluster(t, reg.Params, 2, failoverOptions)
+				west, _ := newPipeCluster(t, reg.Params, 2, failoverOptions)
+				cfg.Backends = []BackendSpec{{Name: "east", Engine: east}, {Name: "west", Engine: west}}
+				cfg.RequireCluster = true
+				cfg.CircuitThreshold = 1
+			}
+			core := NewCore(reg, cfg)
+			defer closeCoreT(t, core)
+
+			info, err := core.CreateSession(tenant, "square")
+			if err != nil {
+				t.Fatalf("session on a shallow program must not demand bootstrap keys: %v", err)
+			}
+			ctx := context.Background()
+			if _, _, err := core.SessionStep(ctx, info.ID, ct); err != nil {
+				t.Fatalf("step with a level to spare: %v", err)
+			}
+			_, _, err = core.SessionStep(ctx, info.ID, nil)
+			if !errors.Is(err, tc.want) || statusFor(err) != tc.status {
+				t.Fatalf("step needing a refresh = %v (status %d), want %v (%d)", err, statusFor(err), tc.want, tc.status)
+			}
+			if n := probe.calls(tenant); n != 0 {
+				t.Fatalf("%d refreshes began for a request no refresh can serve", n)
+			}
+			snap := core.Metrics().Snapshot()
+			if snap.Bootstraps != 0 || snap.Errors != 1 {
+				t.Fatalf("bootstraps/errors = %d/%d, want 0/1", snap.Bootstraps, snap.Errors)
+			}
+			if !tc.clustered {
+				return
+			}
+			if snap.Failovers != 0 || snap.EmulatorFallbacks != 0 {
+				t.Fatalf("failovers/emulator_fallbacks = %d/%d, want 0/0: a request-caused error is no backend's fault", snap.Failovers, snap.EmulatorFallbacks)
+			}
+			for _, b := range core.backends.all {
+				b.brk.mu.Lock()
+				failures := b.brk.failures
+				b.brk.mu.Unlock()
+				if state := b.brk.State(); state != circuitClosed || failures != 0 {
+					t.Fatalf("backend %s: circuit %s after %d failures, want closed/0", b.name, state, failures)
+				}
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@
 // graph on a ckks.Evaluator — the library's planned, fused kernels — with
 // a pluggable cluster keyswitcher and an optional bootstrap-refresh hook
 // (Core.refresh: one solo bootstrap on that same evaluator, on the request's
-// goroutine, one at a time process-wide).
+// goroutine, inside the worker slot the request already holds).
 // One-shots, deeper-than-chain one-shots and session steps all run through
 // it. The paper's limb-ISA emulator is a functional model of the
 // accelerator, not a serving engine: the registry still lowers each shallow

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -99,5 +100,25 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	if want := float64(goroutines*per+1) / 2 / 1e3; math.Abs(s.MeanMs-want) > 1e-9 {
 		t.Fatalf("mean = %g ms, want %g", s.MeanMs, want)
+	}
+}
+
+// TestStartPprof: the profiler answers on the listener it was given and a
+// taken address is reported, not swallowed.
+func TestStartPprof(t *testing.T) {
+	at, err := StartPprof("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + at.String() + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/pprof/cmdline = %d, want 200", resp.StatusCode)
+	}
+	if _, err := StartPprof(at.String()); err == nil {
+		t.Fatal("second profiler on a bound address reported no error")
 	}
 }
