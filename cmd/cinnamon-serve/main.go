@@ -24,8 +24,11 @@
 // (cinnamon-worker processes, one chip each): ciphertext limbs are
 // partitioned across the workers and every keyswitch — a -bootstrap
 // refresh's rotations and relinearizations included — runs the paper's
-// network collectives. Local keyswitching stays as the fallback when
-// workers are lost (unless -require-cluster).
+// network collectives. A collective that loses a worker fails typed; the
+// request then fails over to the next backend or, when none can serve,
+// replays once from its input with local keyswitching (counted in
+// emulator_fallbacks) — unless -require-cluster, which turns that one
+// fallback off: the request fails 503 and no keyswitch of it runs here.
 //
 // Semicolons split -cluster into independent backends (failure domains),
 // each its own fully-dialed cluster behind its own circuit breaker;
@@ -195,15 +198,10 @@ func run(o options) error {
 	var backends []serve.BackendSpec
 	if o.clusterAddrs != "" {
 		groups := strings.Split(o.clusterAddrs, ";")
-		engOpts := cluster.Options{HeartbeatInterval: o.heartbeat}
-		if len(groups) > 1 {
-			// Multiple failure domains: each must fail typed so the serving
-			// layer can move the request to a survivor, and a restart must
-			// come up even while one domain is entirely dead (its links stay
-			// down until the heartbeat loop redials them).
-			engOpts.DisableFallback = true
-			engOpts.AllowDegradedStart = true
-		}
+		// Multiple failure domains: a restart must come up even while one
+		// domain is entirely dead (its links stay down until the heartbeat
+		// loop redials them).
+		engOpts := cluster.Options{HeartbeatInterval: o.heartbeat, AllowDegradedStart: len(groups) > 1}
 		for gi, group := range groups {
 			var dialers []cluster.Dialer
 			for _, a := range strings.Split(group, ",") {

@@ -193,16 +193,14 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 	}
 
 	// M independent failure domains: separate workers, separate dialers,
-	// separate engines, fallback off (a dead cluster must fail typed).
+	// separate engines (a dead cluster fails its collectives typed).
 	engines := make([]*cluster.Engine, cfg.Clusters)
 	domainDialers := make([][]*cluster.PipeDialer, cfg.Clusters)
 	engOpts := cluster.Options{
 		RPCTimeout:        cfg.RPCTimeout,
 		DialTimeout:       2 * time.Second,
-		Retries:           1,
 		RetryBackoff:      10 * time.Millisecond,
 		HeartbeatInterval: cfg.Heartbeat,
-		DisableFallback:   true,
 	}
 	for m := 0; m < cfg.Clusters; m++ {
 		pds := make([]*cluster.PipeDialer, cfg.Workers)
@@ -371,10 +369,11 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 	}
 
 	// --- phase: kill the whole primary cluster under load ---
-	// Budget: the in-flight chunk burns one RPC deadline per attempt on
-	// the dead backend, the loop moves to the survivor in the same
-	// request; a heartbeat tick marks the dead links; dial slack on top.
-	rep.FailoverBudget = time.Duration(engOpts.Retries+1)*cfg.RPCTimeout + cfg.Heartbeat + 2*time.Second
+	// Budget: the in-flight run burns one RPC deadline per attempt (the
+	// first and its one in-line retry) on the dead backend, the loop moves
+	// to the survivor in the same request; a heartbeat tick marks the dead
+	// links; dial slack on top.
+	rep.FailoverBudget = 2*cfg.RPCTimeout + cfg.Heartbeat + 2*time.Second
 	victim := primaryIdx()
 	cfg.Logf("killing primary cluster c%d (all %d workers)", victim, cfg.Workers)
 	for _, d := range domainDialers[victim] {

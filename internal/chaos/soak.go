@@ -107,7 +107,6 @@ type SoakReport struct {
 
 	CorruptFramesDetected int64 `json:"corrupt_frames_detected"`
 	EmulatorFallbacks     int64 `json:"emulator_fallbacks"`
-	LocalFallbacks        int64 `json:"local_fallbacks"`
 	Reconnects            int64 `json:"reconnects"`
 	Panics                int64 `json:"panics"`
 	CircuitOpens          int64 `json:"circuit_opens"`
@@ -241,7 +240,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	eng, err := cluster.NewEngine(params, dialers, cluster.Options{
 		RPCTimeout:        cfg.RPCTimeout,
 		DialTimeout:       2 * time.Second,
-		Retries:           1,
 		RetryBackoff:      10 * time.Millisecond,
 		HeartbeatInterval: cfg.Heartbeat,
 	})
@@ -437,10 +435,9 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	snap := core.Metrics().Snapshot()
 	rep.EmulatorFallbacks = snap.EmulatorFallbacks
 	rep.Panics = snap.Panics
-	rep.CircuitOpens = snap.CircuitOpens
-	if snap.Cluster != nil {
-		rep.LocalFallbacks = snap.Cluster.LocalFallbacks
-		rep.Reconnects = snap.Cluster.Reconnects
+	for _, b := range snap.Backends {
+		rep.CircuitOpens += b.Opens
+		rep.Reconnects += b.Cluster.Reconnects
 	}
 	cfg.Logf("chaos done: %d requests (%d ok, %d shed, %d timeout, %d degraded, %d failed), %d faults, %d corrupt frames detected, recovered in %v",
 		rep.Requests, rep.OK, rep.Shed, rep.Timeouts, rep.Degraded, rep.Failed,

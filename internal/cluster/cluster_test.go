@@ -240,10 +240,12 @@ func TestEvaluatorClusterHook(t *testing.T) {
 	}
 }
 
-// TestWorkerLossDegradesGracefully: killing a worker mid-run must complete
-// the collective single-process with a bit-exact result (fallback on) or
-// fail with the typed ErrDegraded (fallback off) — never hang or corrupt.
-func TestWorkerLossDegradesGracefully(t *testing.T) {
+// TestWorkerLossFailsTyped: killing a worker mid-run fails the next
+// collective with the typed ErrDegraded and no result — never a hang, a
+// partial result or a silent single-process keyswitch — and marks the engine
+// unhealthy; once the worker is back, the next keyswitch redials, re-pushes
+// the key and is bit-exact again.
+func TestWorkerLossFailsTyped(t *testing.T) {
 	tc := newClusterContext(t, 3, Options{
 		RPCTimeout:   2 * time.Second,
 		RetryBackoff: time.Millisecond,
@@ -260,32 +262,40 @@ func TestWorkerLossDegradesGracefully(t *testing.T) {
 	}
 	tc.dialers[1].Kill()
 	d0, d1, err := tc.eng.KeySwitch(ct.C1, tc.rlk)
-	if err != nil {
-		t.Fatalf("degraded keyswitch failed: %v", err)
+	if !errors.Is(err, ErrDegraded) {
+		t.Fatalf("keyswitch with a dead worker: got %v, want ErrDegraded", err)
 	}
-	if !d0.Equal(s0) || !d1.Equal(s1) {
-		t.Fatal("degraded keyswitch corrupted the result")
-	}
-	if got := tc.eng.Snapshot().LocalFallbacks; got < 1 {
-		t.Fatalf("expected a local fallback, counted %d", got)
+	if d0 != nil || d1 != nil {
+		t.Fatal("a failed collective returned result polynomials")
 	}
 	if tc.eng.Healthy() {
 		t.Fatal("engine still reports healthy with a dead worker")
 	}
-}
 
-// TestWorkerLossWithFallbackDisabled: the strict mode fails cleanly.
-func TestWorkerLossWithFallbackDisabled(t *testing.T) {
-	tc := newClusterContext(t, 3, Options{
-		RPCTimeout:      2 * time.Second,
-		RetryBackoff:    time.Millisecond,
-		DisableFallback: true,
-	})
-	ct := tc.encryptRandom(t, 41)
-	tc.dialers[2].Kill()
-	_, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk)
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("expected ErrDegraded, got %v", err)
+	pushesBefore := tc.eng.Snapshot().KeyPushes
+	tc.dialers[1].Revive()
+	// The link's redial window (a few RetryBackoffs at most) may still be
+	// closed right after the revive; the first keyswitch past it reconnects.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d0, d1, err = tc.eng.KeySwitch(ct.C1, tc.rlk)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrDegraded) || time.Now().After(deadline) {
+			t.Fatalf("keyswitch after revive: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !d0.Equal(s0) || !d1.Equal(s1) {
+		t.Fatal("post-revive keyswitch differs from sequential")
+	}
+	snap := tc.eng.Snapshot()
+	if snap.Reconnects < 1 || snap.KeyPushes <= pushesBefore {
+		t.Fatalf("expected a redial and a key re-push after revive: %+v", snap)
+	}
+	if !tc.eng.Healthy() {
+		t.Fatal("engine not healthy after the worker came back")
 	}
 }
 
@@ -342,9 +352,9 @@ func TestHeartbeatRedialsLostWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc.dialers[1].Kill()
-	// Force the engine to notice (the next collective degrades).
-	if _, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk); err != nil {
-		t.Fatal(err)
+	// Force the engine to notice (the next collective fails typed).
+	if _, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("keyswitch with a dead worker: got %v, want ErrDegraded", err)
 	}
 	tc.dialers[1].Revive()
 	deadline := time.Now().Add(5 * time.Second)
@@ -454,6 +464,18 @@ func TestHandshakeDigestMismatch(t *testing.T) {
 	_, err = NewEngine(params, []Dialer{NewPipeDialer(NewWorker(other))}, Options{})
 	if !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("expected ErrDigestMismatch, got %v", err)
+	}
+	// A degraded start tolerates unreachable workers only: a worker that
+	// answers on other parameters would sit "down" behind the heartbeat
+	// forever, so it fails construction all the same.
+	dead := NewPipeDialer(NewWorker(params))
+	dead.Kill()
+	eng, err := NewEngine(params, []Dialer{dead, NewPipeDialer(NewWorker(other))}, Options{AllowDegradedStart: true})
+	if !errors.Is(err, ErrDigestMismatch) {
+		if eng != nil {
+			eng.Close()
+		}
+		t.Fatalf("degraded start with a wrong-parameter worker: got %v, want ErrDigestMismatch", err)
 	}
 }
 
@@ -669,8 +691,8 @@ func TestWorkerKeyBudgetForcesRepush(t *testing.T) {
 // TestConcurrentEvictKeySwitchStress hammers EvictKeys against a stream of
 // keyswitches. The eviction race (encoding erased between a collective's
 // id resolution and the lazy push) must be absorbed by re-resolving a
-// fresh id — never by dropping a clean session: any reconnect or local
-// fallback here is a regression.
+// fresh id — never by dropping a clean session: any reconnect or failed
+// collective here is a regression (the loop below stops at the first error).
 func TestConcurrentEvictKeySwitchStress(t *testing.T) {
 	tc := newClusterContext(t, 2, Options{
 		RPCTimeout:   5 * time.Second,
@@ -714,9 +736,6 @@ func TestConcurrentEvictKeySwitchStress(t *testing.T) {
 	snap := tc.eng.Snapshot()
 	if snap.Reconnects != 0 {
 		t.Fatalf("eviction churn dropped sessions: %d reconnects (stress snapshot %+v)", snap.Reconnects, snap)
-	}
-	if snap.LocalFallbacks != 0 {
-		t.Fatalf("eviction churn degraded collectives: %d local fallbacks", snap.LocalFallbacks)
 	}
 	if snap.KeyEvicts < 1 {
 		t.Fatal("stress loop never actually evicted")
@@ -788,8 +807,8 @@ func (c *dupLimbsConn) Close() error {
 // TestDuplicatedDigitFrameRejected: a digit frame delivered twice must not
 // be absorbed twice — that would reach the announced frame count with one
 // digit doubled and one missing, and ship a wrong result under a valid CRC
-// and request id. The worker rejects it and the keyswitch still comes back
-// bit-exact (through the engine's local fallback).
+// and request id. The worker rejects it, and the rejection surfaces as
+// ErrDegraded with no result polynomials.
 func TestDuplicatedDigitFrameRejected(t *testing.T) {
 	tc := newClusterContext(t, 1, Options{}) // keys, encryptor; its engine is unused
 	var arm atomic.Bool
@@ -803,25 +822,18 @@ func TestDuplicatedDigitFrameRejected(t *testing.T) {
 	}
 	defer eng.Close()
 	ct := tc.encryptRandom(t, 77)
-	s0, s1, err := ckks.NewEvaluator(tc.params, nil, nil).KeySwitch(ct.C1, tc.rlk)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := eng.EnsureKeys(tc.rlk); err != nil {
 		t.Fatal(err)
 	}
 	arm.Store(true)
 	d0, d1, err := eng.KeySwitch(ct.C1, tc.rlk)
-	if err != nil {
-		t.Fatalf("keyswitch with a duplicated digit frame: %v", err)
-	}
 	if arm.Load() {
 		t.Fatal("no digit frame was duplicated")
 	}
-	if !d0.Equal(s0) || !d1.Equal(s1) {
-		t.Fatal("a duplicated digit frame corrupted the keyswitch result")
+	if !errors.Is(err, ErrDegraded) {
+		t.Fatalf("keyswitch with a duplicated digit frame: got %v, want ErrDegraded (the worker must reject the collective)", err)
 	}
-	if got := eng.Snapshot().LocalFallbacks; got != 1 {
-		t.Fatalf("local fallbacks = %d, want 1 (the worker must reject the collective)", got)
+	if d0 != nil || d1 != nil {
+		t.Fatal("a rejected collective returned result polynomials")
 	}
 }

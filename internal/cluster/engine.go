@@ -16,10 +16,17 @@ import (
 	"cinnamon/internal/ring"
 )
 
-// ErrDegraded is returned (wrapped) when a worker is lost mid-collective
-// and local fallback is disabled: the caller gets a clean typed failure
-// instead of a hang or a partial result.
+// ErrDegraded is returned (wrapped) when a collective loses a worker — a
+// transport error that outlives the one in-line retry, or a worker's in-band
+// rejection: the caller gets a clean typed failure instead of a hang or a
+// partial result. The engine never computes a keyswitch itself; what to do
+// about a lost worker (fail over, replay locally, give up) is the caller's
+// decision — internal/serve's Core.execute makes it.
 var ErrDegraded = errors.New("cluster: degraded")
+
+// rpcRetries is how many times a failed per-worker RPC is redialed and
+// retried in line before its collective fails with ErrDegraded.
+const rpcRetries = 1
 
 // Options tunes the coordinator's production behaviour.
 type Options struct {
@@ -28,10 +35,8 @@ type Options struct {
 	RPCTimeout time.Duration
 	// DialTimeout bounds one connection attempt. Default 5s.
 	DialTimeout time.Duration
-	// Retries is how many times a failed per-worker RPC is redialed and
-	// retried before the collective degrades. Default 1.
-	Retries int
-	// RetryBackoff is the pause before each retry. Default 100ms.
+	// RetryBackoff is the pause before a failed per-worker RPC's one redial
+	// and retry. Default 100ms.
 	RetryBackoff time.Duration
 	// HeartbeatInterval enables a background ping loop that detects dead
 	// workers early and redials lost ones. 0 disables.
@@ -43,16 +48,13 @@ type Options struct {
 	// lockstep by every heartbeat tick and RPC retry. Default:
 	// max(1s, 4×HeartbeatInterval) with the heartbeat enabled, else 5s.
 	RedialBackoffMax time.Duration
-	// DisableFallback turns off graceful degradation: a lost worker then
-	// fails the collective with ErrDegraded instead of completing it
-	// single-process.
-	DisableFallback bool
 	// AllowDegradedStart lets NewEngine succeed even when some (or all)
-	// workers are unreachable at boot: a failed initial handshake leaves
-	// that link down — to be redialed with backoff by the heartbeat loop
-	// and RPC retries — instead of failing construction. Meant for
-	// coordinators fronting several failure domains, where a restart must
-	// not be held hostage by one dead backend.
+	// workers are unreachable at boot: a failed initial dial leaves that
+	// link down — to be redialed with backoff by the heartbeat loop and RPC
+	// retries — instead of failing construction. A worker that answers with
+	// a different parameter digest (ErrDigestMismatch) fails construction
+	// regardless. Meant for coordinators fronting several failure domains,
+	// where a restart must not be held hostage by one dead backend.
 	AllowDegradedStart bool
 }
 
@@ -62,11 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 1
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * time.Millisecond
@@ -91,7 +88,7 @@ func (o Options) withDefaults() Options {
 // rotations over the cluster.
 type Engine struct {
 	params *ckks.Parameters
-	local  *keyswitch.Engine // fallback path + shared partition arithmetic
+	local  *keyswitch.Engine // shared partition arithmetic (OAMine); never computes
 	opts   Options
 	links  []*link
 	stats  Stats
@@ -146,9 +143,10 @@ type link struct {
 // NewEngine dials and handshakes every worker. Worker i is chip i; the
 // chip count is len(dialers). Startup is strict — a worker that cannot be
 // reached or negotiates a different parameter digest fails construction —
-// while runtime losses degrade per Options. With
+// while a runtime loss fails its collective with ErrDegraded. With
 // Options.AllowDegradedStart, unreachable workers leave their links down
-// for the heartbeat loop to recover instead of failing construction.
+// for the heartbeat loop to recover instead of failing construction; a
+// digest mismatch still fails it, since no redial can cure one.
 func NewEngine(params *ckks.Parameters, dialers []Dialer, opts Options) (*Engine, error) {
 	if len(dialers) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one worker")
@@ -175,11 +173,10 @@ func NewEngine(params *ckks.Parameters, dialers []Dialer, opts Options) (*Engine
 		}
 		// connectBackoff (not bare connect) so a boot-time failure seeds
 		// the link's jittered redial state in the degraded-start case.
-		if err := lk.connectBackoff(); err != nil {
-			if !opts.AllowDegradedStart {
-				e.Close()
-				return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
-			}
+		err := lk.connectBackoff()
+		if err != nil && (!opts.AllowDegradedStart || errors.Is(err, ErrDigestMismatch)) {
+			e.Close()
+			return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
 		}
 		e.links = append(e.links, lk)
 	}
@@ -230,11 +227,6 @@ func (e *Engine) LastHandshake() time.Time {
 	}
 	return time.Unix(0, ns)
 }
-
-// FallbackDisabled reports whether graceful degradation to the local
-// single-process path is turned off (collectives then fail with
-// ErrDegraded when a worker is lost).
-func (e *Engine) FallbackDisabled() bool { return e.opts.DisableFallback }
 
 // Snapshot captures the transport counters for the metrics endpoint.
 func (e *Engine) Snapshot() *Snapshot {
@@ -419,9 +411,7 @@ func (b boundEngine) KeySwitch(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ri
 }
 
 // KeySwitchStats is KeySwitch plus the measured communication bill of the
-// collective, in the paper's units. A collective that degraded to local
-// execution reports zero CommStats (no network collective happened); the
-// degradation itself is counted in Stats.LocalFallbacks.
+// collective, in the paper's units.
 func (e *Engine) KeySwitchStats(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, keyswitch.CommStats, error) {
 	return e.keySwitchStatsCtx(context.Background(), c, evk)
 }
@@ -521,24 +511,8 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 		}(chip, mine)
 	}
 	wg.Wait()
-	for chip, err := range errs {
-		if err == nil {
-			continue
-		}
-		// Graceful degradation: finish the keyswitch single-process. The
-		// sequential kernel is bit-exact with the distributed input
-		// broadcast, so degradation never corrupts a result. A caller whose
-		// ctx expired gets the ctx error — its deadline is already blown, so
-		// burning more time on a local keyswitch helps nobody.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, keyswitch.CommStats{}, cerr
-		}
-		if e.opts.DisableFallback {
-			return nil, nil, keyswitch.CommStats{}, fmt.Errorf("%w: worker %d lost mid-broadcast: %v", ErrDegraded, chip, err)
-		}
-		e.stats.LocalFallbacks.Add(1)
-		f0, f1, _, ferr := e.local.KeySwitch(c, evk, keyswitch.Sequential)
-		return f0, f1, keyswitch.CommStats{}, ferr
+	if err := lostWorker(ctx, errs, "broadcast"); err != nil {
+		return nil, nil, keyswitch.CommStats{}, err
 	}
 	stats := keyswitch.CommStats{Broadcasts: 1}
 	for _, m := range moved {
@@ -606,21 +580,8 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 		}(chip, mine)
 	}
 	wg.Wait()
-	for chip, err := range errs {
-		if err == nil {
-			continue
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, keyswitch.CommStats{}, cerr
-		}
-		if e.opts.DisableFallback {
-			return nil, nil, keyswitch.CommStats{}, fmt.Errorf("%w: worker %d lost mid-aggregation: %v", ErrDegraded, chip, err)
-		}
-		// The in-process engine runs the identical ChipOA kernels and sums
-		// in the same chip order, so the degraded result is bit-identical.
-		e.stats.LocalFallbacks.Add(1)
-		f0, f1, _, ferr := e.local.KeySwitch(c, evk, keyswitch.OutputAggregation)
-		return f0, f1, keyswitch.CommStats{}, ferr
+	if err := lostWorker(ctx, errs, "aggregation"); err != nil {
+		return nil, nil, keyswitch.CommStats{}, err
 	}
 
 	// Aggregate: sum the partial polynomials in chip order (modular
@@ -653,6 +614,23 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 	e.stats.LimbsMoved.Add(int64(stats.LimbsMoved))
 	e.stats.collectiveLat.Observe(time.Since(start))
 	return sum0, sum1, stats, nil
+}
+
+// lostWorker turns a collective's per-chip RPC errors into its one outcome:
+// nil when every chip answered, the caller's own context error when that is
+// what ended it (client evidence, not worker evidence), else ErrDegraded
+// naming the first lost chip.
+func lostWorker(ctx context.Context, errs []error, collective string) error {
+	for chip, err := range errs {
+		if err == nil {
+			continue
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		return fmt.Errorf("%w: worker %d lost mid-%s: %v", ErrDegraded, chip, collective, err)
+	}
+	return nil
 }
 
 // addInto accumulates src into dst mod q (the aggregation root's sum).
@@ -796,8 +774,8 @@ func (lk *link) connect() error {
 }
 
 // errRedialBackoff is the fast-path failure while a link's redial window
-// has not elapsed: callers fail over (or fall back) immediately instead of
-// stacking dial attempts on a worker that just refused one.
+// has not elapsed: the collective fails at once instead of stacking dial
+// attempts on a worker that just refused one.
 var errRedialBackoff = errors.New("cluster: worker redial backed off")
 
 // connectBackoff is connect() behind the jittered exponential redial gate
@@ -884,7 +862,7 @@ func (lk *link) ensureKey(id uint64, e *Engine) error {
 // errors are not retried.
 func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, begin ksBeginMsg, sendLimbs func(*bufio.Writer, uint64) error) (*ksResultMsg, error) {
 	var lastErr error
-	for attempt := 0; attempt <= lk.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= rpcRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():

@@ -97,9 +97,7 @@ func (s *backendSet) close() {
 	<-s.done
 }
 
-// primaryBackend returns the backend that most recently served a request
-// (the single-valued health/metrics fields keep reporting it, so a
-// one-backend deployment looks exactly like it did before backend sets).
+// primaryBackend returns the backend that most recently served a request.
 func (s *backendSet) primaryBackend() *backend {
 	return s.all[int(s.primary.Load())]
 }

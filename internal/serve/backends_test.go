@@ -2,22 +2,20 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"cinnamon/internal/cluster"
 )
 
-// failoverOptions disable the engine's own fallback and beat fast, so killing
-// its dialers makes an engine fail typed (ErrDegraded) instead of silently
-// absorbing work locally.
+// failoverOptions retry and beat fast, so an engine whose dialers were killed
+// fails typed (ErrDegraded) promptly and a revived one is redialed promptly.
 var failoverOptions = cluster.Options{
 	RPCTimeout:        2 * time.Second,
 	DialTimeout:       2 * time.Second,
-	Retries:           1,
 	RetryBackoff:      10 * time.Millisecond,
 	HeartbeatInterval: 50 * time.Millisecond,
-	DisableFallback:   true,
 }
 
 // newFailoverCluster is newPipeCluster over the shared fixture's parameters
@@ -164,5 +162,55 @@ func TestBackendsAllDownRequireCluster(t *testing.T) {
 	}
 	for _, d := range dialers {
 		d.Revive()
+	}
+}
+
+// TestHealthzAllBackendsDown: two backends, both dead. Without RequireCluster
+// requests still succeed through the local replay, so /healthz must say ok —
+// a 503 there beside a 200 on the run endpoint would take a serving replica
+// out of rotation; with RequireCluster the same outage is ok=false.
+func TestHealthzAllBackendsDown(t *testing.T) {
+	reg := testEnv(t)
+	for _, require := range []bool{false, true} {
+		engA, dialersA := newFailoverCluster(t, 2)
+		engB, dialersB := newFailoverCluster(t, 2)
+		core := NewCore(reg, Config{
+			Workers:        1,
+			RequireCluster: require,
+			Backends:       []BackendSpec{{Name: "east", Engine: engA}, {Name: "west", Engine: engB}},
+		})
+		for _, d := range append(dialersA, dialersB...) {
+			d.Kill()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for engA.HealthyWorkers()+engB.HealthyWorkers() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the heartbeats never marked the killed workers unhealthy")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		h := core.Health()
+		if len(h.Backends) != 2 || h.Backends[0].Healthy != 0 || h.Backends[1].Healthy != 0 {
+			t.Fatalf("require=%v: health backends = %+v, want two with no healthy worker", require, h.Backends)
+		}
+		ct, _ := encryptRandom(t, 5)
+		out, err := core.Submit(context.Background(), "square", testTenant, ct)
+		if require {
+			if h.OK || !errors.Is(err, cluster.ErrDegraded) {
+				t.Fatalf("RequireCluster, every backend dead: ok=%v, submit error %v; want ok=false and ErrDegraded", h.OK, err)
+			}
+		} else {
+			if !h.OK || err != nil {
+				t.Fatalf("every backend dead, local replay allowed: ok=%v, submit error %v; want ok=true and success", h.OK, err)
+			}
+			want := decryptDecode(t, reference(t, "square", ct))
+			if e := maxSlotErr(decryptDecode(t, out), want); e > 1e-2 {
+				t.Fatalf("local replay decrypts wrong: max slot err %g", e)
+			}
+			if got := core.Metrics().EmulatorFallbacks.Load(); got != 1 {
+				t.Fatalf("emulator_fallbacks = %d, want 1", got)
+			}
+		}
+		closeCoreT(t, core)
 	}
 }

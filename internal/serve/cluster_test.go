@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,15 +78,15 @@ func TestServeClusterModeMatchesLocal(t *testing.T) {
 	if snap.EmulatorFallbacks != 0 {
 		t.Fatalf("healthy cluster run recorded %d local fallbacks", snap.EmulatorFallbacks)
 	}
-	if snap.CircuitState != circuitClosed {
-		t.Fatalf("primary circuit state %q in metrics, want closed", snap.CircuitState)
+	if len(snap.Backends) != 1 || snap.Backends[0].Circuit != circuitClosed || snap.Backends[0].Cluster != snap.Cluster {
+		t.Fatalf("metrics backends = %+v, want one closed row whose transport counters are the cluster section", snap.Backends)
 	}
 	h := clustered.Health()
 	if len(h.Backends) != 1 || h.Backends[0].Name != "c0" || !h.Backends[0].Primary {
 		t.Fatalf("health backends = %+v, want one primary named c0", h.Backends)
 	}
-	if !h.Cluster || h.Workers != 3 {
-		t.Fatalf("single-valued cluster health fields regressed: %+v", h)
+	if !h.Cluster || h.Backends[0].Workers != 3 {
+		t.Fatalf("cluster health regressed: %+v", h)
 	}
 	if localSnap := local.Metrics().Snapshot(); localSnap.Cluster != nil {
 		t.Fatal("local-only core must not report a cluster section")
@@ -94,17 +95,16 @@ func TestServeClusterModeMatchesLocal(t *testing.T) {
 
 // TestServeClusterFallbackToLocal: with every worker dead the core must
 // keep serving correct results with local keyswitching and count the
-// fallbacks.
+// fallbacks — from the first post-kill request on: its first collective
+// fails typed, and the whole request replays locally, once.
 func TestServeClusterFallbackToLocal(t *testing.T) {
 	reg := testEnv(t)
 	eng, dialers := newTestCluster(t, 3)
 
 	core := NewCore(reg, Config{Workers: 2, Backends: []BackendSpec{{Engine: eng}}})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		core.Close(ctx)
-	}()
+	local := NewCore(reg, Config{Workers: 2})
+	defer closeCoreT(t, core)
+	defer closeCoreT(t, local)
 
 	// Warm run through the cluster, then kill every worker.
 	ct, _ := encryptRandom(t, 99)
@@ -115,25 +115,18 @@ func TestServeClusterFallbackToLocal(t *testing.T) {
 		d.Kill()
 	}
 
-	// The first post-kill request may still complete through the cluster
-	// engine's per-op local fallback while flipping the health state; the
-	// second must then run locally. Both stay correct.
-	var out *ckks.Ciphertext
-	for i := 0; i < 2; i++ {
-		var err error
-		out, err = core.Submit(context.Background(), "quartic", testTenant, ct)
-		if err != nil {
-			t.Fatalf("degraded-cluster run %d: %v", i, err)
-		}
+	out, err := core.Submit(context.Background(), "quartic", testTenant, ct)
+	if err != nil {
+		t.Fatalf("degraded-cluster run: %v", err)
 	}
-	got := decryptDecode(t, out)
-	want := decryptDecode(t, reference(t, "quartic", ct))
-	if e := maxSlotErr(got, want); e > 1e-3 {
-		t.Fatalf("degraded result off by %g vs reference", e)
+	want, err := local.Submit(context.Background(), "quartic", testTenant, ct)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameCiphertext(t, "degraded-cluster run vs local core", out, want)
 	snap := core.Metrics().Snapshot()
-	if snap.EmulatorFallbacks == 0 {
-		t.Fatal("dead cluster did not record a local fallback")
+	if snap.EmulatorFallbacks != 1 {
+		t.Fatalf("emulator_fallbacks = %d after the first post-kill request, want 1", snap.EmulatorFallbacks)
 	}
 	if snap.Cluster == nil || snap.Cluster.Healthy == snap.Cluster.Workers {
 		t.Fatalf("cluster snapshot should report lost workers: %+v", snap.Cluster)
@@ -261,5 +254,88 @@ func TestClientExpiryIsolated(t *testing.T) {
 	brk.mu.Unlock()
 	if failures != 0 || brk.State() != circuitClosed {
 		t.Fatalf("breaker recorded %d failure(s), state %s, after a client expiry", failures, brk.State())
+	}
+}
+
+// TestWorkerLostMidRun: one backend on plain cluster.Options{}, one of its
+// workers killed in the middle of a request's collective. There is one
+// fallback and it is the serving layer's: the collective fails typed, the
+// breaker hears about it, and the request either replays locally — once, bit
+// for bit what a local core returns — or, under RequireCluster, fails with
+// cluster.ErrDegraded (503) without one keyswitch computed on the
+// coordinator.
+func TestWorkerLostMidRun(t *testing.T) {
+	reg := testEnv(t)
+	for _, require := range []bool{true, false} {
+		var armed atomic.Bool
+		pipes := make([]*cluster.PipeDialer, 2)
+		ds := make([]cluster.Dialer, 2)
+		for i := range ds {
+			pipes[i] = cluster.NewPipeDialer(cluster.NewWorker(reg.Params))
+			ds[i] = writeHookDialer{
+				Dialer: pipes[i],
+				onWrite: func() {
+					if armed.CompareAndSwap(true, false) {
+						pipes[1].Kill()
+					}
+				},
+			}
+		}
+		eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{})
+		if err != nil {
+			t.Fatalf("cluster.NewEngine: %v", err)
+		}
+		// Pre-push the keys so the first write after arming is the request's
+		// first collective.
+		var keys []*ckks.EvalKey
+		for _, k := range env.keys {
+			keys = append(keys, k)
+		}
+		if err := eng.EnsureKeys(keys...); err != nil {
+			t.Fatalf("key pre-push: %v", err)
+		}
+		core := NewCore(reg, Config{Workers: 1, RequireCluster: require, Backends: []BackendSpec{{Engine: eng}}})
+
+		ct, _ := encryptRandom(t, 813)
+		armed.Store(true)
+		out, err := core.Submit(context.Background(), "rotsum", testTenant, ct)
+		if armed.Load() {
+			t.Fatal("the request never reached the wire")
+		}
+		snap := core.Metrics().Snapshot()
+		if require {
+			if !errors.Is(err, cluster.ErrDegraded) || statusFor(err) != http.StatusServiceUnavailable {
+				t.Fatalf("RequireCluster, worker lost mid-run: error %v, want cluster.ErrDegraded (503)", err)
+			}
+			if snap.EmulatorFallbacks != 0 || snap.Errors != 1 {
+				t.Fatalf("emulator_fallbacks/errors = %d/%d, want 0/1", snap.EmulatorFallbacks, snap.Errors)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("worker lost mid-run: %v", err)
+			}
+			ev, err := tenantEvaluator(reg.Params, env.keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, _ := reg.Program("rotsum")
+			want, err := prog.Executor().Run(context.Background(), ev, ct, sched.RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCiphertext(t, "local replay vs local executor", out, want)
+			if snap.EmulatorFallbacks != 1 || snap.Completed != 1 || snap.Errors != 0 {
+				t.Fatalf("emulator_fallbacks/completed/errors = %d/%d/%d, want 1/1/0", snap.EmulatorFallbacks, snap.Completed, snap.Errors)
+			}
+		}
+		brk := core.backends.all[0].brk
+		brk.mu.Lock()
+		failures := brk.failures
+		brk.mu.Unlock()
+		if failures != 1 {
+			t.Fatalf("require=%v: breaker recorded %d failures for the lost worker, want 1", require, failures)
+		}
+		closeCoreT(t, core)
+		eng.Close()
 	}
 }

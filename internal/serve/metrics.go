@@ -38,9 +38,10 @@ type Metrics struct {
 
 	// EmulatorFallbacks counts cluster-mode requests that were re-executed
 	// with local keyswitching because no backend could serve them
-	// (degraded, circuit open, or the distributed run errored). The name —
-	// and the emulator_fallbacks JSON key — predate the single executor;
-	// they are kept for the scripts and dashboards that read them.
+	// (degraded, circuit open, or the distributed run errored) — the one
+	// degradation counter: the cluster engine has no fallback of its own.
+	// The name — and the emulator_fallbacks JSON key — predate the single
+	// executor; they are kept for the scripts and dashboards that read them.
 	EmulatorFallbacks atomic.Int64
 
 	// Panics counts recovered execution panics (each fails its own request
@@ -70,9 +71,9 @@ type Metrics struct {
 	programs map[string]*ProgramMetrics // fixed at startup, values atomic
 
 	// backendsSource, when set (NewCore in cluster mode), enumerates every
-	// backend with its own circuit and transport view — the primary's row
-	// also fills Snapshot's single-valued cluster and circuit fields;
-	// keyCacheSource snapshots the budgeted tenant-key tier.
+	// backend with its own circuit and transport view — the primary's
+	// transport counters also fill Snapshot.Cluster; keyCacheSource
+	// snapshots the budgeted tenant-key tier.
 	backendsSource func() []BackendSnapshot
 	keyCacheSource func() KeyCacheStats
 }
@@ -111,8 +112,9 @@ type Snapshot struct {
 	Programs        map[string]ProgramSnapshot `json:"programs"`
 
 	// Cluster holds the scale-out transport counters when the core runs in
-	// cluster mode (bytes, collectives, latency quantiles, reconnects).
-	// With multiple backends it reports the current primary; Backends
+	// cluster mode (bytes, collectives, latency quantiles, reconnects): a
+	// copy of the current primary's Backends[].Cluster, kept because the
+	// frozen benchmark (bench/) and cinnamon-loadgen read it. Backends
 	// enumerates every failure domain with its own circuit state, opens
 	// count, last-handshake age and transport counters.
 	Cluster           *cluster.Snapshot `json:"cluster,omitempty"`
@@ -120,9 +122,7 @@ type Snapshot struct {
 	EmulatorFallbacks int64             `json:"emulator_fallbacks,omitempty"`
 	Failovers         int64             `json:"failovers_total"`
 
-	Panics       int64  `json:"panics"`
-	CircuitState string `json:"circuit_state,omitempty"`
-	CircuitOpens int64  `json:"circuit_opens,omitempty"`
+	Panics int64 `json:"panics"`
 
 	// Refreshes: Bootstraps counts them, BootstrapMs is one refresh's
 	// wall-time quantiles. BootstrapBatches is vestigial — there are no
@@ -178,7 +178,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.EmulatorFallbacks = m.EmulatorFallbacks.Load()
 		for _, b := range s.Backends {
 			if b.Primary {
-				s.Cluster, s.CircuitState, s.CircuitOpens = b.Cluster, b.Circuit, b.Opens
+				s.Cluster = b.Cluster
 			}
 		}
 	}

@@ -74,8 +74,11 @@ type Config struct {
 	// gets its own circuit breaker (CircuitThreshold/CircuitCooldown); a
 	// request tries backends in health-ranked order and fails over on
 	// error, ErrDegraded or an open circuit, counted in Metrics.Failovers.
-	// When none can serve, the request re-runs with local keyswitching —
-	// counted in Metrics.EmulatorFallbacks — unless RequireCluster is set.
+	// When none can serve, the request re-runs once, from its original
+	// input, with local keyswitching — counted in Metrics.EmulatorFallbacks —
+	// unless RequireCluster is set. That replay is the only fallback in the
+	// stack: a cluster.Engine never computes a keyswitch itself, it fails
+	// the collective with ErrDegraded.
 	// A background recovery loop re-runs worker handshakes and re-pushes
 	// the resident tenants' keys before a recovered backend is eligible
 	// again.
@@ -90,13 +93,13 @@ type Config struct {
 	// bit-exactly. Use NewDurableCore to surface open/replay errors.
 	SessionLog string
 
-	// RequireCluster turns off the local fallback at the serving layer:
-	// when no backend can serve (degraded, or its circuit is open) requests
-	// fail typed with cluster.ErrDegraded (503) instead of silently costing
-	// coordinator CPU — refreshes included: a bootstrap's keyswitches ride
-	// the same backend as the rest of its program. Useful when one process
-	// cannot keep up with the cluster's capacity and fallback would just be a
-	// slower outage.
+	// RequireCluster turns off the local replay — the one fallback there is:
+	// when no backend can serve (a worker lost mid-run, degraded, or its
+	// circuit open) requests fail typed with cluster.ErrDegraded (503) and no
+	// keyswitch of theirs is ever computed on the coordinator — refreshes
+	// included: a bootstrap's keyswitches ride the same backend as the rest
+	// of its program. Useful when one process cannot keep up with the
+	// cluster's capacity and fallback would just be a slower outage.
 	RequireCluster bool
 
 	// CircuitThreshold is how many consecutive failed cluster runs open a
@@ -242,20 +245,17 @@ func (c *Core) Metrics() *Metrics { return c.met }
 
 // Health is the live state /healthz reports.
 type Health struct {
-	// OK is false when the core cannot currently serve: the cluster
-	// backend is fully down and no fallback may take its place.
-	OK       bool   `json:"ok"`
-	Programs int    `json:"programs"`
-	Draining bool   `json:"draining"`
-	Cluster  bool   `json:"cluster"` // cluster mode configured
-	Workers  int    `json:"workers,omitempty"`
-	Healthy  int    `json:"workers_healthy,omitempty"`
-	Circuit  string `json:"circuit_state,omitempty"`
+	// OK is false when the core cannot currently serve: it is draining, or
+	// every cluster backend is fully down and RequireCluster forbids the
+	// local replay that would otherwise take their place.
+	OK       bool `json:"ok"`
+	Programs int  `json:"programs"`
+	Draining bool `json:"draining"`
+	Cluster  bool `json:"cluster"` // cluster mode configured
 
 	// Backends enumerates every cluster backend: circuit state, opens
-	// count, worker health and last-handshake age per failure domain. The
-	// single-valued Workers/Healthy/Circuit fields above keep reporting
-	// the current primary. Failovers counts primary switches.
+	// count, worker health and last-handshake age per failure domain.
+	// Failovers counts primary switches.
 	Backends  []BackendHealth `json:"backends,omitempty"`
 	Failovers int64           `json:"failovers_total,omitempty"`
 
@@ -274,12 +274,12 @@ type Health struct {
 	SessionsRestored int64 `json:"session_restores_total,omitempty"`
 }
 
-// Health reports whether the core can serve right now. With cluster
-// backends and fallback unavailable (RequireCluster, or every engine's own
-// DisableFallback), zero healthy workers across ALL failure domains means
-// requests cannot succeed — /healthz then turns 503 so load balancers stop
-// routing here. One backend down with another healthy stays OK: that is
-// what failover is for.
+// Health reports whether the core can serve right now. With RequireCluster,
+// zero healthy workers across ALL failure domains means requests cannot
+// succeed — /healthz then turns 503 so load balancers stop routing here. One
+// backend down with another healthy stays OK: that is what failover is for;
+// and without RequireCluster every backend down stays OK too, because
+// requests then succeed through execute's local replay.
 func (c *Core) Health() Health {
 	h := Health{OK: true, Programs: len(c.reg.ProgramNames())}
 	c.stateMu.RLock()
@@ -287,23 +287,13 @@ func (c *Core) Health() Health {
 	c.stateMu.RUnlock()
 	if c.backends != nil {
 		h.Cluster = true
-		p := c.backends.primaryBackend()
-		h.Workers = p.eng.NChips()
-		h.Healthy = p.eng.HealthyWorkers()
-		h.Circuit = p.brk.State()
 		h.Backends = c.backends.healthList()
 		h.Failovers = c.met.Failovers.Load()
 		totalHealthy := 0
 		for _, bh := range h.Backends {
 			totalHealthy += bh.Healthy
 		}
-		allFallbackOff := true
-		for _, b := range c.backends.all {
-			if !b.eng.FallbackDisabled() {
-				allFallbackOff = false
-			}
-		}
-		if totalHealthy == 0 && (c.cfg.RequireCluster || allFallbackOff) {
+		if totalHealthy == 0 && c.cfg.RequireCluster {
 			h.OK = false
 		}
 	}

@@ -136,7 +136,7 @@ func TestPanicRecoveryIsolatesRequest(t *testing.T) {
 }
 
 // TestHealthzClusterDown: with a cluster backend, all workers down and
-// fallback off, /healthz turns 503 with a JSON body reporting
+// fallback off, /healthz turns 503 with a JSON body whose backend row reports
 // workers_healthy and circuit_state — the load-balancer signal that this
 // replica cannot currently serve.
 func TestHealthzClusterDown(t *testing.T) {
@@ -164,10 +164,13 @@ func TestHealthzClusterDown(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 			t.Fatalf("healthz body %q: %v", rec.Body.String(), err)
 		}
+		if len(h.Backends) != 1 {
+			t.Fatalf("healthz body %q: want one backend row", rec.Body.String())
+		}
 		return rec.Code, h
 	}
 
-	if code, h := get(); code != http.StatusOK || !h.OK || h.Healthy != 1 {
+	if code, h := get(); code != http.StatusOK || !h.OK || h.Backends[0].Healthy != 1 {
 		t.Fatalf("healthy cluster: code %d, health %+v", code, h)
 	}
 
@@ -185,10 +188,10 @@ func TestHealthzClusterDown(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz with cluster down = %d, want 503", code)
 	}
-	if h.OK || h.Healthy != 0 || !h.Cluster {
+	if h.OK || h.Backends[0].Healthy != 0 || !h.Cluster {
 		t.Fatalf("health body %+v, want ok=false workers_healthy=0", h)
 	}
-	if h.Circuit == "" {
+	if h.Backends[0].Circuit == "" {
 		t.Fatal("health body missing circuit_state")
 	}
 
@@ -196,7 +199,7 @@ func TestHealthzClusterDown(t *testing.T) {
 	dialer.Revive()
 	deadline = time.Now().Add(2 * time.Second)
 	for {
-		if code, h := get(); code == http.StatusOK && h.OK && h.Healthy == 1 {
+		if code, h := get(); code == http.StatusOK && h.OK && h.Backends[0].Healthy == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
