@@ -1,6 +1,6 @@
 // Command cinnamon-chaos is the chaos soak: it boots the full scale-out
 // serving stack in one process — three cluster workers, chaos-wrapped
-// transports, the batching core — drives verified encrypted load through a
+// transports, the serving core — drives verified encrypted load through a
 // deterministic fault schedule, and asserts the failure-model invariants:
 //
 //  1. No response ever decrypts wrong (bit flips are caught by the frame

@@ -97,7 +97,7 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
 	clusterAddrs := flag.String("cluster", "", "cinnamon-worker addresses: comma-separated within a backend, semicolon-separated between backends (host:port,...;host:port,...); empty = local execution only")
 	requireCluster := flag.Bool("require-cluster", false, "fail typed (503) instead of falling back to local execution when no cluster backend can serve")
-	heartbeat := flag.Duration("heartbeat", 1*time.Second, "cluster worker heartbeat interval (0 disables; redials back off with jitter)")
+	heartbeat := flag.Duration("heartbeat", 1*time.Second, "cluster worker heartbeat interval (redials back off with jitter)")
 	sessionLog := flag.String("session-log", "", "durable session checkpoint log path; replayed at boot (empty = sessions are memory-only)")
 	bootstrapOn := flag.Bool("bootstrap", false, "enable the bootstrapping service (sparse-secret parameters; serves deeper-than-chain programs and sessions)")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "idle encrypted-session eviction deadline")

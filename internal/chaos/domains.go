@@ -3,13 +3,10 @@ package chaos
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"math/cmplx"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"cinnamon/internal/ckks"
@@ -91,13 +88,7 @@ func (c DomainConfig) withDefaults() DomainConfig {
 
 // DomainReport is the measured outcome of one domain soak.
 type DomainReport struct {
-	Requests     int64 `json:"requests"`
-	OK           int64 `json:"ok"`
-	Shed         int64 `json:"shed"`
-	Timeouts     int64 `json:"timeouts"`
-	Degraded     int64 `json:"degraded"`
-	Failed       int64 `json:"failed"`
-	WrongResults int64 `json:"wrong_results"`
+	Outcomes
 
 	// FailoverTime is kill-of-primary to first verified success on the
 	// surviving backend; FailoverBudget what the failure model allows
@@ -108,11 +99,10 @@ type DomainReport struct {
 	FailbackOK     bool          `json:"failback_ok"`
 
 	// Session durability across the coordinator restart.
-	SessionRestores int64    `json:"session_restores_total"`
-	SessionResumed  bool     `json:"session_resumed"`
-	SessionBitExact bool     `json:"session_bit_exact"`
-	RecoveredAll    bool     `json:"recovered_all"` // every cluster fully healthy at the end
-	FailureSamples  []string `json:"failure_samples,omitempty"`
+	SessionRestores int64 `json:"session_restores_total"`
+	SessionResumed  bool  `json:"session_resumed"`
+	SessionBitExact bool  `json:"session_bit_exact"`
+	RecoveredAll    bool  `json:"recovered_all"` // every cluster fully healthy at the end
 }
 
 // Violations judges the report against the failure-domain invariants:
@@ -287,50 +277,9 @@ func RunDomainSoak(cfg DomainConfig) (*DomainReport, error) {
 		want[i] = x * x
 	}
 
-	addFailure := func(err error) {
-		if len(rep.FailureSamples) < 5 {
-			rep.FailureSamples = append(rep.FailureSamples, err.Error())
-		}
-	}
-	// runOne submits the precomputed square input and classifies the
-	// outcome; returns true on a verified success.
-	runOne := func() bool {
-		atomic.AddInt64(&rep.Requests, 1)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.RequestTimeout)
-		out, err := core.Submit(ctx, "square", tenant, in)
-		cancel()
-		switch {
-		case err == nil:
-			got, derr := decrypt(out)
-			if derr != nil {
-				atomic.AddInt64(&rep.WrongResults, 1)
-				return false
-			}
-			worst := 0.0
-			for i := range got {
-				if e := cmplx.Abs(got[i] - want[i]); e > worst {
-					worst = e
-				}
-			}
-			if worst > cfg.Tolerance {
-				atomic.AddInt64(&rep.WrongResults, 1)
-				cfg.Logf("WRONG RESULT: square slot error %.2e", worst)
-				return false
-			}
-			atomic.AddInt64(&rep.OK, 1)
-			return true
-		case errors.Is(err, serve.ErrOverloaded):
-			atomic.AddInt64(&rep.Shed, 1)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			atomic.AddInt64(&rep.Timeouts, 1)
-		case errors.Is(err, cluster.ErrDegraded):
-			atomic.AddInt64(&rep.Degraded, 1)
-		default:
-			atomic.AddInt64(&rep.Failed, 1)
-			addFailure(err)
-		}
-		return false
-	}
+	// runOne submits the precomputed square input; true on a verified success.
+	submit := rep.verifiedSubmit(core, tenant, cfg.RequestTimeout, cfg.Tolerance, decrypt, cfg.Logf)
+	runOne := func() bool { return submit("square", in, want) }
 
 	// --- warmup ---
 	if !runOne() {

@@ -90,9 +90,10 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	return c
 }
 
-// SoakReport is the measured outcome of one soak, against which the
-// failure-model invariants are asserted (see Violations).
-type SoakReport struct {
+// Outcomes tallies verified submissions by how they ended: the classes the
+// failure model allows (ok, shed, timeout, degraded) and the two it forbids
+// (an untyped failure, a wrong decrypt). Both soaks' reports embed it.
+type Outcomes struct {
 	Requests int64 `json:"requests"`
 	OK       int64 `json:"ok"`
 	Shed     int64 `json:"shed"`     // ErrOverloaded (typed, retryable)
@@ -101,6 +102,63 @@ type SoakReport struct {
 	Failed   int64 `json:"failed"`   // anything untyped — an invariant violation
 
 	WrongResults int64 `json:"wrong_results"` // responses that decrypted wrong
+
+	FailureSamples []string `json:"failure_samples,omitempty"`
+	samplesMu      sync.Mutex
+}
+
+// verifiedSubmit is the one way both soaks drive load: it returns a func
+// that submits ct under timeout, decrypts a success and checks its worst
+// slot error against want within tol, tallies the outcome into o, and
+// reports whether it was a verified success.
+func (o *Outcomes) verifiedSubmit(core *serve.Core, tenant string, timeout time.Duration, tol float64,
+	decrypt func(*ckks.Ciphertext) ([]complex128, error), logf func(string, ...any),
+) func(program string, ct *ckks.Ciphertext, want []complex128) bool {
+	return func(program string, ct *ckks.Ciphertext, want []complex128) bool {
+		atomic.AddInt64(&o.Requests, 1)
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		out, err := core.Submit(ctx, program, tenant, ct)
+		cancel()
+		switch {
+		case err == nil:
+			got, derr := decrypt(out)
+			if derr != nil {
+				atomic.AddInt64(&o.WrongResults, 1)
+				return false
+			}
+			worst := 0.0
+			for i := range got {
+				worst = max(worst, cmplx.Abs(got[i]-want[i]))
+			}
+			if worst > tol {
+				atomic.AddInt64(&o.WrongResults, 1)
+				logf("WRONG RESULT: %s slot error %.2e", program, worst)
+				return false
+			}
+			atomic.AddInt64(&o.OK, 1)
+			return true
+		case errors.Is(err, serve.ErrOverloaded):
+			atomic.AddInt64(&o.Shed, 1)
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+			atomic.AddInt64(&o.Timeouts, 1)
+		case errors.Is(err, cluster.ErrDegraded):
+			atomic.AddInt64(&o.Degraded, 1)
+		default:
+			atomic.AddInt64(&o.Failed, 1)
+			o.samplesMu.Lock()
+			if len(o.FailureSamples) < 5 {
+				o.FailureSamples = append(o.FailureSamples, err.Error())
+			}
+			o.samplesMu.Unlock()
+		}
+		return false
+	}
+}
+
+// SoakReport is the measured outcome of one soak, against which the
+// failure-model invariants are asserted (see Violations).
+type SoakReport struct {
+	Outcomes
 
 	Faults      map[string]int64 `json:"faults_injected"`
 	TotalFaults int64            `json:"total_faults"`
@@ -115,8 +173,6 @@ type SoakReport struct {
 	RecoveryTime   time.Duration `json:"recovery_time_ns"`
 	RecoveryBudget time.Duration `json:"recovery_budget_ns"`
 	PostChaosOK    bool          `json:"post_chaos_ok"` // verified requests after recovery
-
-	FailureSamples []string `json:"failure_samples,omitempty"`
 }
 
 // Violations checks the report against the three invariants of the
@@ -316,57 +372,12 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 
 	rep := &SoakReport{Faults: map[string]int64{}}
-	var failMu sync.Mutex
-	addFailure := func(err error) {
-		failMu.Lock()
-		if len(rep.FailureSamples) < 5 {
-			rep.FailureSamples = append(rep.FailureSamples, err.Error())
-		}
-		failMu.Unlock()
-	}
-
-	// runOne submits one precomputed input and classifies the outcome.
-	runOne := func(in soakInput) {
-		atomic.AddInt64(&rep.Requests, 1)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.RequestTimeout)
-		out, err := core.Submit(ctx, in.program, tenant, in.ct)
-		cancel()
-		switch {
-		case err == nil:
-			got, derr := decrypt(out)
-			if derr != nil {
-				atomic.AddInt64(&rep.WrongResults, 1)
-				return
-			}
-			worst := 0.0
-			for i := range got {
-				if e := cmplx.Abs(got[i] - in.want[i]); e > worst {
-					worst = e
-				}
-			}
-			if worst > cfg.Tolerance {
-				atomic.AddInt64(&rep.WrongResults, 1)
-				cfg.Logf("WRONG RESULT: %s slot error %.2e", in.program, worst)
-				return
-			}
-			atomic.AddInt64(&rep.OK, 1)
-		case errors.Is(err, serve.ErrOverloaded):
-			atomic.AddInt64(&rep.Shed, 1)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			atomic.AddInt64(&rep.Timeouts, 1)
-		case errors.Is(err, cluster.ErrDegraded):
-			atomic.AddInt64(&rep.Degraded, 1)
-		default:
-			atomic.AddInt64(&rep.Failed, 1)
-			addFailure(err)
-		}
-	}
+	submit := rep.verifiedSubmit(core, tenant, cfg.RequestTimeout, cfg.Tolerance, decrypt, cfg.Logf)
+	runOne := func(in soakInput) bool { return submit(in.program, in.ct, in.want) }
 
 	// --- warmup: one verified request per program, chaos off ---
 	for _, spec := range specs {
-		before := atomic.LoadInt64(&rep.OK)
-		runOne(inputs[indexOf(specs, spec.Name)*inputsPerProgram])
-		if atomic.LoadInt64(&rep.OK) != before+1 {
+		if !runOne(inputs[indexOf(specs, spec.Name)*inputsPerProgram]) {
 			return rep, fmt.Errorf("chaos: warmup request for %q failed before any fault was injected", spec.Name)
 		}
 	}
@@ -417,13 +428,11 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	// circuit breaker's probe if chaos left it open).
 	rep.PostChaosOK = true
 	for _, spec := range specs {
-		before := atomic.LoadInt64(&rep.OK)
-		for try := 0; try < 3 && atomic.LoadInt64(&rep.OK) == before; try++ {
-			runOne(inputs[indexOf(specs, spec.Name)*inputsPerProgram])
+		ok := false
+		for try := 0; try < 3 && !ok; try++ {
+			ok = runOne(inputs[indexOf(specs, spec.Name)*inputsPerProgram])
 		}
-		if atomic.LoadInt64(&rep.OK) == before {
-			rep.PostChaosOK = false
-		}
+		rep.PostChaosOK = rep.PostChaosOK && ok
 	}
 
 	// --- counters ---

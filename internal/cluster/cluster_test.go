@@ -837,3 +837,55 @@ func TestDuplicatedDigitFrameRejected(t *testing.T) {
 		t.Fatal("a rejected collective returned result polynomials")
 	}
 }
+
+// countingDialer counts Dial calls through to the wrapped dialer.
+type countingDialer struct {
+	Dialer
+	dials atomic.Int64
+}
+
+func (d *countingDialer) Dial(ctx context.Context) (net.Conn, error) {
+	d.dials.Add(1)
+	return d.Dialer.Dial(ctx)
+}
+
+// TestEnsureKeysRespectsRedialWindow: EnsureKeys dials a down link through
+// the same jittered redial gate as the heartbeat and RPC retries — inside
+// the link's window it fails at once without a Dial, even though a dial
+// would now succeed — so a dead worker is dialed on one schedule, not two.
+func TestEnsureKeysRespectsRedialWindow(t *testing.T) {
+	tc := newClusterContext(t, 1, Options{}) // keys; its engine is unused
+	pd := NewPipeDialer(NewWorker(tc.params))
+	pd.Kill()
+	cd := &countingDialer{Dialer: pd}
+	// The failed boot dial opens a window of RetryBackoff jittered into
+	// [0.5, 1]× — at least 30s here — and an hour between heartbeats keeps
+	// the heartbeat from dialing at all.
+	eng, err := NewEngine(tc.params, []Dialer{cd}, Options{
+		RetryBackoff:       time.Minute,
+		HeartbeatInterval:  time.Hour,
+		AllowDegradedStart: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if n := cd.dials.Load(); n != 1 {
+		t.Fatalf("boot made %d dials, want 1", n)
+	}
+	pd.Revive()
+	start := time.Now()
+	err = eng.EnsureKeys(tc.rlk)
+	if !errors.Is(err, errRedialBackoff) {
+		t.Fatalf("EnsureKeys inside the redial window: got %v, want errRedialBackoff", err)
+	}
+	if n := cd.dials.Load() - 1; n != 0 {
+		t.Fatalf("EnsureKeys inside the redial window made %d dials, want 0", n)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("EnsureKeys inside the redial window took %v, want an immediate return", d)
+	}
+	if eng.Healthy() {
+		t.Fatal("link came up inside its redial window")
+	}
+}

@@ -38,15 +38,17 @@ type Options struct {
 	// RetryBackoff is the pause before a failed per-worker RPC's one redial
 	// and retry. Default 100ms.
 	RetryBackoff time.Duration
-	// HeartbeatInterval enables a background ping loop that detects dead
-	// workers early and redials lost ones. 0 disables.
+	// HeartbeatInterval paces the background ping loop that detects dead
+	// workers early and redials lost ones — the only thing that brings a
+	// lost worker back without request traffic, so it is always on.
+	// Default 1s.
 	HeartbeatInterval time.Duration
 	// RedialBackoffMax caps the jittered exponential backoff between
 	// redial attempts of a dead worker. Consecutive failed connects double
 	// the per-link delay from RetryBackoff up to this cap, so a dead
 	// backend is probed at a decaying rate instead of being hammered in
 	// lockstep by every heartbeat tick and RPC retry. Default:
-	// max(1s, 4×HeartbeatInterval) with the heartbeat enabled, else 5s.
+	// max(1s, 4×HeartbeatInterval).
 	RedialBackoffMax time.Duration
 	// AllowDegradedStart lets NewEngine succeed even when some (or all)
 	// workers are unreachable at boot: a failed initial dial leaves that
@@ -68,15 +70,11 @@ func (o Options) withDefaults() Options {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * time.Millisecond
 	}
+	if o.HeartbeatInterval <= 0 {
+		o.HeartbeatInterval = time.Second
+	}
 	if o.RedialBackoffMax <= 0 {
-		if o.HeartbeatInterval > 0 {
-			o.RedialBackoffMax = 4 * o.HeartbeatInterval
-			if o.RedialBackoffMax < time.Second {
-				o.RedialBackoffMax = time.Second
-			}
-		} else {
-			o.RedialBackoffMax = 5 * time.Second
-		}
+		o.RedialBackoffMax = max(time.Second, 4*o.HeartbeatInterval)
 	}
 	return o
 }
@@ -180,11 +178,9 @@ func NewEngine(params *ckks.Parameters, dialers []Dialer, opts Options) (*Engine
 		}
 		e.links = append(e.links, lk)
 	}
-	if opts.HeartbeatInterval > 0 {
-		e.hbStop = make(chan struct{})
-		e.hbDone = make(chan struct{})
-		go e.heartbeatLoop()
-	}
+	e.hbStop = make(chan struct{})
+	e.hbDone = make(chan struct{})
+	go e.heartbeatLoop()
 	return e, nil
 }
 
@@ -243,7 +239,7 @@ func (e *Engine) Snapshot() *Snapshot {
 // Close tears down the heartbeat loop and every worker session.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		if e.hbStop != nil {
+		if e.hbStop != nil { // nil when construction failed before starting it
 			close(e.hbStop)
 			<-e.hbDone
 		}
@@ -255,8 +251,10 @@ func (e *Engine) Close() {
 	})
 }
 
-// EnsureKeys pre-pushes evaluation keys to every worker (e.g. at tenant
-// registration), so the first request doesn't pay the transfer.
+// EnsureKeys pre-pushes evaluation keys to every worker, so the first
+// collective doesn't pay the transfer. A down link is dialed through the
+// same redial gate as the heartbeat and RPC retries: inside its backoff
+// window EnsureKeys fails at once without dialing.
 func (e *Engine) EnsureKeys(keys ...*ckks.EvalKey) error {
 	for _, k := range keys {
 		if k == nil {
@@ -270,7 +268,7 @@ func (e *Engine) EnsureKeys(keys ...*ckks.EvalKey) error {
 			lk.mu.Lock()
 			err := func() error {
 				if lk.conn == nil {
-					if err := lk.connect(); err != nil {
+					if err := lk.connectBackoff(); err != nil {
 						return err
 					}
 				}

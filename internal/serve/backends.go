@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -23,78 +22,36 @@ type BackendSpec struct {
 	Engine *cluster.Engine
 }
 
-// backend pairs one engine with its breaker and bookkeeping.
+// backend pairs one engine with its breaker.
 type backend struct {
 	idx  int
 	name string
 	eng  *cluster.Engine
 	brk  *breaker
-
-	// warmedReconnects is the engine's Reconnects counter at the last
-	// successful key warm-up: a delta means some worker re-handshook (its
-	// key store is empty again), so the recovery loop re-pushes before the
-	// first request pays the transfer.
-	warmedReconnects atomic.Int64
 }
 
 // backendSet is the failure-domain layer between the serving core and N
 // cluster engines: health-ranked backend selection, per-backend circuit
-// breaking, failover accounting, and a background recovery loop that
-// re-runs handshakes and re-pushes content-addressed tenant keys before a
-// recovered backend takes traffic again.
+// breaking and failover accounting. It owns no goroutine and no recovery
+// schedule: after a loss each engine's heartbeat redials its workers, the
+// breaker's own half-open probe readmits the backend, and keys go back to a
+// rejoined worker lazily, with the first collective that needs them.
 type backendSet struct {
 	all     []*backend
 	primary atomic.Int32 // index of the backend that served last
-
-	reg *Registry
-	met *Metrics
-
-	interval time.Duration // recovery probe pacing
-	quit     chan struct{}
-	done     chan struct{}
+	met     *Metrics
 }
 
-func newBackendSet(specs []BackendSpec, reg *Registry, met *Metrics, threshold int, cooldown time.Duration) *backendSet {
-	s := &backendSet{
-		reg:      reg,
-		met:      met,
-		interval: recoveryInterval(cooldown),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+func newBackendSet(specs []BackendSpec, met *Metrics, threshold int, cooldown time.Duration) *backendSet {
+	s := &backendSet{met: met}
 	for i, spec := range specs {
 		name := spec.Name
 		if name == "" {
 			name = fmt.Sprintf("c%d", i)
 		}
-		b := &backend{idx: i, name: name, eng: spec.Engine, brk: newBreaker(threshold, cooldown)}
-		b.warmedReconnects.Store(-1) // force one warm-up pass at boot
-		s.all = append(s.all, b)
+		s.all = append(s.all, &backend{idx: i, name: name, eng: spec.Engine, brk: newBreaker(threshold, cooldown)})
 	}
-	go s.recoveryLoop()
 	return s
-}
-
-// recoveryInterval paces the background recovery probes: a quarter of the
-// breaker cooldown (so a cooled-down circuit is probed promptly), clamped
-// to [50ms, 2s].
-func recoveryInterval(cooldown time.Duration) time.Duration {
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	ival := cooldown / 4
-	if ival < 50*time.Millisecond {
-		ival = 50 * time.Millisecond
-	}
-	if ival > 2*time.Second {
-		ival = 2 * time.Second
-	}
-	return ival
-}
-
-func (s *backendSet) close() {
-	close(s.quit)
-	<-s.done
 }
 
 // primaryBackend returns the backend that most recently served a request.
@@ -144,63 +101,6 @@ func (s *backendSet) noteSuccess(b *backend) {
 	old := s.primary.Swap(int32(b.idx))
 	if int(old) != b.idx {
 		s.met.Failovers.Add(1)
-	}
-}
-
-// recoveryLoop is the background path back to eligibility for a backend
-// that failed: it re-runs the worker handshakes (EnsureKeys dials dropped
-// links) and re-pushes the *resident* tenants' evaluation keys — the
-// cache's working set, not the whole key population; spilled tenants
-// re-push lazily on next use and the content-addressed push skips keys
-// the current sessions already hold — then closes the breaker, so the
-// first request after recovery pays neither handshake nor key-transfer
-// latency for the hot set. Probes back off exponentially with jitter
-// while a backend stays dead.
-func (s *backendSet) recoveryLoop() {
-	defer close(s.done)
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	next := make([]time.Time, len(s.all))
-	delay := make([]time.Duration, len(s.all))
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-		}
-		for i, b := range s.all {
-			healthy := b.eng.HealthyWorkers() == b.eng.NChips()
-			reconnects := int64(0)
-			if snap := b.eng.Snapshot(); snap != nil {
-				reconnects = snap.Reconnects
-			}
-			needsWarm := healthy && reconnects != b.warmedReconnects.Load()
-			if b.brk.State() == circuitClosed && !needsWarm {
-				delay[i], next[i] = 0, time.Time{}
-				continue
-			}
-			if !next[i].IsZero() && time.Now().Before(next[i]) {
-				continue
-			}
-			err := b.eng.EnsureKeys(s.reg.ResidentKeys()...)
-			if err == nil && b.eng.Healthy() {
-				b.warmedReconnects.Store(reconnects)
-				b.brk.Success()
-				delay[i], next[i] = 0, time.Time{}
-				continue
-			}
-			if delay[i] == 0 {
-				delay[i] = s.interval
-			} else {
-				delay[i] *= 2
-			}
-			if max := 8 * s.interval; delay[i] > max {
-				delay[i] = max
-			}
-			jittered := delay[i]/2 + time.Duration(rng.Int63n(int64(delay[i]/2)+1))
-			next[i] = time.Now().Add(jittered)
-		}
 	}
 }
 

@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
 )
 
@@ -93,8 +95,8 @@ func TestBackendFailover(t *testing.T) {
 		t.Fatalf("primary did not move: east=%+v west=%+v", east, west)
 	}
 
-	// Revive east: heartbeat redials (with jittered backoff) and the
-	// recovery loop re-warms keys; it must return to full health.
+	// Revive east: its heartbeat redials (with jittered backoff); it must
+	// return to full health.
 	for _, d := range dialersA {
 		d.Revive()
 	}
@@ -213,4 +215,132 @@ func TestHealthzAllBackendsDown(t *testing.T) {
 		}
 		closeCoreT(t, core)
 	}
+}
+
+// TestRecoveredBackendPushesLazily: recovery after a whole-backend loss is
+// the engine heartbeat's redial and nothing else — no key traffic while the
+// revived backend idles, however many heartbeats pass — and the first
+// request after it pushes only the keys its own program needs (square: the
+// relinearization key, once per worker), with output limb-identical to the
+// local executor.
+func TestRecoveredBackendPushesLazily(t *testing.T) {
+	reg := testEnv(t)
+	eng, dialers := newFailoverCluster(t, 2)
+	core := NewCore(reg, Config{
+		Workers:         1,
+		RequireCluster:  true,
+		CircuitCooldown: 200 * time.Millisecond,
+		Backends:        []BackendSpec{{Engine: eng}},
+	})
+	defer closeCoreT(t, core)
+	ct, _ := encryptRandom(t, 815)
+	if _, err := core.Submit(context.Background(), "square", testTenant, ct); err != nil {
+		t.Fatalf("warm submit: %v", err)
+	}
+	before := eng.Snapshot()
+
+	waitWorkers := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); eng.HealthyWorkers() != want; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d/%d workers healthy, want %d", eng.HealthyWorkers(), eng.NChips(), want)
+			}
+		}
+	}
+	for _, d := range dialers {
+		d.Kill()
+	}
+	waitWorkers(0)
+	for _, d := range dialers {
+		d.Revive()
+	}
+	waitWorkers(eng.NChips())
+	time.Sleep(6 * failoverOptions.HeartbeatInterval)
+
+	idle := eng.Snapshot()
+	if idle.Reconnects <= before.Reconnects {
+		t.Fatalf("reconnects %d -> %d: the heartbeat never redialed", before.Reconnects, idle.Reconnects)
+	}
+	if idle.KeyPushes != before.KeyPushes {
+		t.Fatalf("key pushes %d -> %d while the recovered backend idled: keys were re-pushed with no request", before.KeyPushes, idle.KeyPushes)
+	}
+
+	out, err := core.Submit(context.Background(), "square", testTenant, ct)
+	if err != nil {
+		t.Fatalf("first submit after recovery: %v", err)
+	}
+	if got, want := eng.Snapshot().KeyPushes-idle.KeyPushes, int64(eng.NChips()); got != want {
+		t.Fatalf("first request after recovery pushed %d keys, want %d (square's relinearization key, once per worker)", got, want)
+	}
+	sameCiphertext(t, "first request after recovery vs local executor", out, runLocally(t, "square", ct))
+}
+
+// TestAbandonedProbeReArms: a half-open probe whose request context expires
+// mid-run reports no verdict to the breaker. It must not wedge the circuit:
+// one cooldown later the next request is admitted as a fresh probe, runs on
+// the backend and closes the circuit.
+func TestAbandonedProbeReArms(t *testing.T) {
+	reg := testEnv(t)
+	var armed atomic.Bool
+	probeCtx, cancelProbe := context.WithCancel(context.Background())
+	defer cancelProbe()
+	ds := make([]cluster.Dialer, 2)
+	for i := range ds {
+		ds[i] = writeHookDialer{
+			Dialer: cluster.NewPipeDialer(cluster.NewWorker(reg.Params)),
+			onWrite: func() {
+				if armed.CompareAndSwap(true, false) {
+					cancelProbe() // the probe's client goes away mid-run
+				}
+			},
+		}
+	}
+	// A silent wire: an hour between heartbeats, so no ping takes the hook.
+	eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("cluster.NewEngine: %v", err)
+	}
+	defer eng.Close()
+	var keys []*ckks.EvalKey
+	for _, k := range env.keys {
+		keys = append(keys, k)
+	}
+	if err := eng.EnsureKeys(keys...); err != nil {
+		t.Fatalf("key pre-push: %v", err)
+	}
+	const cooldown = 100 * time.Millisecond
+	core := NewCore(reg, Config{
+		Workers:          1,
+		RequireCluster:   true,
+		CircuitThreshold: 1,
+		CircuitCooldown:  cooldown,
+		Backends:         []BackendSpec{{Engine: eng}},
+	})
+	defer closeCoreT(t, core)
+	brk := core.backends.all[0].brk
+	brk.Failure() // threshold 1: the circuit is open
+	ct, _ := encryptRandom(t, 816)
+
+	time.Sleep(cooldown)
+	armed.Store(true)
+	_, err = core.Submit(probeCtx, "rotsum", testTenant, ct)
+	if armed.Load() {
+		t.Fatal("the probe never reached the wire")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe error = %v, want context.Canceled", err)
+	}
+	if st := brk.State(); st == circuitClosed {
+		t.Fatal("an abandoned probe closed the circuit")
+	}
+
+	time.Sleep(cooldown)
+	out, err := core.Submit(context.Background(), "rotsum", testTenant, ct)
+	if err != nil {
+		t.Fatalf("request one cooldown after the abandoned probe: %v", err)
+	}
+	if st := brk.State(); st != circuitClosed {
+		t.Fatalf("circuit %s after a successful probe, want closed", st)
+	}
+	sameCiphertext(t, "re-armed probe vs local executor", out, runLocally(t, "rotsum", ct))
 }

@@ -26,11 +26,13 @@ type breaker struct {
 	now       func() time.Time // injectable clock for tests
 
 	mu       sync.Mutex
-	failures int       // consecutive failures while closed
-	openAt   time.Time // when the breaker last opened
-	open     bool
-	probing  bool // a half-open probe is in flight
-	opens    int64
+	failures int // consecutive failures while closed
+	// openAt starts the current cooldown window: when the breaker opened,
+	// or last admitted or failed a probe.
+	openAt  time.Time
+	open    bool
+	probing bool // a half-open probe was admitted and has no verdict yet
+	opens   int64
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
@@ -44,20 +46,23 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 }
 
 // Allow reports whether a cluster attempt may proceed. In the open state
-// it admits exactly one probe per cooldown window; the caller MUST report
-// that probe's outcome via Success or Failure. A probe abandoned without
-// a verdict (the request's own context expired mid-run, or it panicked)
-// keeps the slot taken until the recovery loop's next Success.
+// it admits exactly one probe per cooldown window — the only way an open
+// circuit closes. The caller should report that probe's outcome via
+// Success or Failure; a probe abandoned without a verdict (the request's
+// own context expired mid-run, it was request-caused, or it panicked)
+// just lets its window run out, and the next probe is admitted one
+// cooldown after it.
 func (b *breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.open {
 		return true
 	}
-	if b.probing || b.now().Sub(b.openAt) < b.cooldown {
+	if b.now().Sub(b.openAt) < b.cooldown {
 		return false
 	}
 	b.probing = true
+	b.openAt = b.now()
 	return true
 }
 

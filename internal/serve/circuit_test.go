@@ -109,3 +109,32 @@ func TestBreakerProbeFailureRestartsCooldown(t *testing.T) {
 		t.Fatalf("opens = %d, want 1", b.Opens())
 	}
 }
+
+// TestBreakerAbandonedProbeReArms: a probe admitted and never reported (its
+// request expired, was request-caused or panicked) holds the half-open slot
+// for one cooldown only; then the next Allow admits a fresh probe, whose
+// success closes the circuit.
+func TestBreakerAbandonedProbeReArms(t *testing.T) {
+	b, clk := newFakeBreaker(1, time.Second)
+	b.Failure() // open
+	clk.advance(time.Second)
+	if !b.Allow() {
+		t.Fatal("probe refused")
+	}
+	// No Success, no Failure: the probe is abandoned.
+	if b.State() != circuitHalfOpen {
+		t.Fatalf("state with a probe out = %s, want half-open", b.State())
+	}
+	clk.advance(time.Second - time.Millisecond)
+	if b.Allow() {
+		t.Fatal("admitted a second probe inside the abandoned probe's window")
+	}
+	clk.advance(time.Millisecond)
+	if !b.Allow() {
+		t.Fatal("an abandoned probe wedged the circuit: no probe admitted one cooldown later")
+	}
+	b.Success()
+	if b.State() != circuitClosed {
+		t.Fatalf("state after the re-armed probe succeeded = %s, want closed", b.State())
+	}
+}

@@ -187,13 +187,14 @@ func TestClientExpiryIsolated(t *testing.T) {
 			},
 		}
 	}
-	eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{})
+	// A silent wire: an hour between heartbeats, so no ping takes the hook.
+	eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{HeartbeatInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("cluster.NewEngine: %v", err)
 	}
 	defer eng.Close()
 	// Pre-push the keys so the only writes after arming are request 1's
-	// collectives (no lazy key push, no recovery-loop warm-up traffic).
+	// collectives (no lazy key push).
 	var keys []*ckks.EvalKey
 	for _, k := range env.keys {
 		keys = append(keys, k)
@@ -257,7 +258,7 @@ func TestClientExpiryIsolated(t *testing.T) {
 	}
 }
 
-// TestWorkerLostMidRun: one backend on plain cluster.Options{}, one of its
+// TestWorkerLostMidRun: one backend on default cluster.Options, one of its
 // workers killed in the middle of a request's collective. There is one
 // fallback and it is the serving layer's: the collective fails typed, the
 // breaker hears about it, and the request either replays locally — once, bit
@@ -281,7 +282,8 @@ func TestWorkerLostMidRun(t *testing.T) {
 				},
 			}
 		}
-		eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{})
+		// A silent wire: an hour between heartbeats, so no ping takes the hook.
+		eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{HeartbeatInterval: time.Hour})
 		if err != nil {
 			t.Fatalf("cluster.NewEngine: %v", err)
 		}

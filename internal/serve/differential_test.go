@@ -21,6 +21,22 @@ func sameCiphertext(t *testing.T, label string, got, want *ckks.Ciphertext) {
 	}
 }
 
+// runLocally is the oracle a served output is held to: the program's
+// executor over the test tenant's keys with local keyswitching.
+func runLocally(t *testing.T, program string, ct *ckks.Ciphertext) *ckks.Ciphertext {
+	t.Helper()
+	ev, err := tenantEvaluator(env.reg.Params, env.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := env.reg.Program(program)
+	out, err := prog.Executor().Run(context.Background(), ev, ct, sched.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestExecutorsAgreeOnCatalog is the differential oracle behind the single
 // serving executor: every shallow program the test parameter set hosts
 // (tensor entries included) runs the same ciphertext through the limb-ISA

@@ -296,25 +296,6 @@ func (c *keyCache) fireEvictHooks(evicted []evictedTenant) {
 	}
 }
 
-// residentKeys returns the deduped eval keys of resident tenants only —
-// what backend recovery re-pushes eagerly; spilled tenants re-push lazily
-// on next use via the engine's content-addressed push.
-func (c *keyCache) residentKeys() []*ckks.EvalKey {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := map[*ckks.EvalKey]bool{}
-	var out []*ckks.EvalKey
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		for _, k := range el.Value.(*tenantEntry).keys {
-			if k != nil && !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
-		}
-	}
-	return out
-}
-
 // KeyCacheStats is the JSON telemetry view of the key tier, surfaced under
 // "key_cache" in /metrics and summarized in /healthz.
 type KeyCacheStats struct {

@@ -79,9 +79,9 @@ type Config struct {
 	// unless RequireCluster is set. That replay is the only fallback in the
 	// stack: a cluster.Engine never computes a keyswitch itself, it fails
 	// the collective with ErrDegraded.
-	// A background recovery loop re-runs worker handshakes and re-pushes
-	// the resident tenants' keys before a recovered backend is eligible
-	// again.
+	// After a loss nothing here schedules recovery: the engine's heartbeat
+	// redials its workers, one half-open probe per CircuitCooldown readmits
+	// the backend, and keys reach a rejoined worker lazily.
 	Backends []BackendSpec
 
 	// SessionLog, when non-empty, is the path of the durable session
@@ -158,8 +158,8 @@ type Core struct {
 	met *Metrics
 
 	// backends is the failure-domain layer over the configured cluster
-	// engines (nil in local-only mode): per-backend circuit breakers,
-	// health-ranked failover, background recovery.
+	// engines (nil in local-only mode): per-backend circuit breakers and
+	// health-ranked failover.
 	backends *backendSet
 
 	// admission bounds the requests concurrently inside the core (see
@@ -204,7 +204,7 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 		slots:     make(chan struct{}, cfg.Workers),
 	}
 	if len(cfg.Backends) > 0 {
-		c.backends = newBackendSet(cfg.Backends, reg, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
+		c.backends = newBackendSet(cfg.Backends, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
 		c.met.backendsSource = c.backends.snapshots
 		// A coordinator-side eviction invalidates worker residency on every
 		// backend (best-effort, off the serving path): workers then drop
@@ -227,9 +227,6 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 	c.sessions = newSessionStore(c, cfg.SessionTTL, cfg.MaxSessions)
 	if cfg.SessionLog != "" {
 		if err := c.sessions.enableLog(cfg.SessionLog); err != nil {
-			if c.backends != nil {
-				c.backends.close()
-			}
 			c.sessions.close()
 			return nil, fmt.Errorf("session log %s: %w", cfg.SessionLog, err)
 		}
@@ -415,8 +412,8 @@ func (c *Core) run(ctx context.Context, prog *Program, tenant string, ct *ckks.C
 
 // Close drains the runtime: no new requests are accepted and every admitted
 // request — waiting for a worker slot or executing, refreshes included —
-// runs to completion before the session store and the backends stop. It
-// returns early with the context's error if draining exceeds the deadline.
+// runs to completion before the session store stops. It returns early with
+// the context's error if draining exceeds the deadline.
 func (c *Core) Close(ctx context.Context) error {
 	c.stateMu.Lock()
 	already := c.draining
@@ -429,9 +426,6 @@ func (c *Core) Close(ctx context.Context) error {
 	go func() {
 		c.inflight.Wait()
 		c.sessions.close()
-		if c.backends != nil {
-			c.backends.close()
-		}
 		close(done)
 	}()
 	select {

@@ -288,16 +288,6 @@ func bindBootstrapper(pre *bootstrap.Precomp, ev *ckks.Evaluator) (*bootstrap.Bo
 	return bs, err
 }
 
-// ResidentKeys returns the deduped evaluation keys of *resident* tenants.
-// Backend recovery re-pushes exactly this working set to a rejoining
-// cluster before the first request lands there (the push is
-// content-addressed and lazy, so keys a worker session already holds cost
-// nothing); spilled tenants re-push lazily on their next use instead of
-// materializing the whole key population.
-func (r *Registry) ResidentKeys() []*ckks.EvalKey {
-	return r.keys.residentKeys()
-}
-
 // TenantKeys returns the tenant's key map (read-only — do not mutate).
 // An evicted tenant reloads from the spill store here — a blocking cold
 // miss on the caller's goroutine, metered as a cold-miss stall — so ok is

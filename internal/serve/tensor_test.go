@@ -94,7 +94,7 @@ func TestRegistrySkipsDeepPrograms(t *testing.T) {
 }
 
 // TestTensorServedMatchesPlainReference is the exit criterion in-process:
-// both tensor programs served through the batching core, decrypted, and
+// both tensor programs served through the serving core, decrypted, and
 // verified against the crypto-free plaintext reference.
 func TestTensorServedMatchesPlainReference(t *testing.T) {
 	reg := testEnv(t)
