@@ -203,39 +203,44 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale}, nil
 }
 
+// ErrNoRescalePlan marks a rescale no precompiled plan covers: a ciphertext
+// at level 0, in the coefficient domain, or off the standard chain prefix.
+var ErrNoRescalePlan = errors.New("ckks: no rescale plan applies")
+
 // Rescale divides the ciphertext by its last chain modulus, dropping one
 // level and dividing the scale accordingly.
+//
+// A rescale is a mod-down by the one-limb extension {q_l}, run in the NTT
+// domain through the level's precompiled plan (ring.ModDownNTTWith): per
+// component one inverse transform (limb q_l) and l fused
+// subtract-scale-forward transforms, bit-identical to INTT → ring.Rescale
+// → NTT. Outputs come from the ring pools.
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
-	if ct.Level() == 0 {
-		return nil, fmt.Errorf("ckks: cannot rescale at level 0")
+	l := ct.Level()
+	if l == 0 {
+		return nil, fmt.Errorf("%w: ciphertext is at level 0", ErrNoRescalePlan)
+	}
+	if !ct.C0.IsNTT || !ct.C1.IsNTT {
+		return nil, fmt.Errorf("%w: input must be NTT", ErrNoRescalePlan)
+	}
+	pl, err := ev.params.KSPlanAtLevel(l)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoRescalePlan, err)
+	}
+	if !pl.sBasis.Equal(ct.C0.Basis) || !pl.sBasis.Equal(ct.C1.Basis) {
+		return nil, fmt.Errorf("%w: input basis is not the level-%d chain prefix", ErrNoRescalePlan, l)
 	}
 	r := ev.params.Ring
-	ql := ct.C0.Basis.Moduli[ct.Level()]
-	c0 := r.CopyPoly(ct.C0)
-	c1 := r.CopyPoly(ct.C1)
-	defer r.PutPoly(c0)
-	defer r.PutPoly(c1)
-	if err := r.INTT(c0); err != nil {
-		return nil, err
-	}
-	if err := r.INTT(c1); err != nil {
-		return nil, err
-	}
-	r0, err := r.Rescale(c0)
+	r0, err := r.ModDownNTTWith(pl.rescale, ct.C0)
 	if err != nil {
 		return nil, err
 	}
-	r1, err := r.Rescale(c1)
+	r1, err := r.ModDownNTTWith(pl.rescale, ct.C1)
 	if err != nil {
+		r.PutPoly(r0)
 		return nil, err
 	}
-	if err := r.NTT(r0); err != nil {
-		return nil, err
-	}
-	if err := r.NTT(r1); err != nil {
-		return nil, err
-	}
-	return &Ciphertext{C0: r0, C1: r1, Scale: ct.Scale / float64(ql)}, nil
+	return &Ciphertext{C0: r0, C1: r1, Scale: ct.Scale / float64(pl.sBasis.Moduli[l])}, nil
 }
 
 // DropLevel truncates the ciphertext to the given (lower) level without

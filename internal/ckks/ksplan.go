@@ -11,9 +11,10 @@ import (
 // KSPlan is the precompiled per-level keyswitch schedule (DESIGN.md §12):
 // every quantity the hybrid keyswitch otherwise derives per call — digit
 // ranges, complement bases, base converters, batch NTT plans, the mod-down
-// plan and the evaluation-key limb indices — frozen at compile time. The
-// serving registry builds plans for all levels once; a warm planned
-// keyswitch then performs zero setup work and zero heap allocations.
+// plan and the evaluation-key limb indices — frozen at compile time — plus
+// the level's rescale plan. The serving registry builds plans for all
+// levels once; a warm planned keyswitch then performs zero setup work and
+// zero heap allocations, and a warm rescale allocates only its Ciphertext.
 type KSPlan struct {
 	level  int
 	sBasis rns.Basis // chain prefix Q_l
@@ -30,6 +31,9 @@ type KSPlan struct {
 	nttS    *ntt.BatchPlan // batch plan covering Q_l (universe-aligned prefix)
 	nttU    *ntt.BatchPlan // batch plan over the union basis
 	modDown *ring.ModDownPlan
+	// rescale is the level's one-limb mod-down Q_{l−1} ∪ {q_l} → Q_{l−1}
+	// (Evaluator.Rescale); nil at level 0.
+	rescale *ring.ModDownPlan
 }
 
 // ksDigit is one digit's frozen decomposition state.
@@ -85,6 +89,12 @@ func (p *Parameters) newKSPlan(l int) (*KSPlan, error) {
 		nttS:    r.Plan(),
 		nttU:    nttU,
 		modDown: md,
+	}
+	if l > 0 {
+		pl.rescale, err = r.NewModDownPlan(sBasis.Prefix(l), rns.Basis{Moduli: sBasis.Moduli[l:]})
+		if err != nil {
+			return nil, err
+		}
 	}
 	for d := 0; ; d++ {
 		lo, hi, ok := p.DigitRange(d, l)
@@ -147,10 +157,10 @@ func (p *Parameters) KSPlanAtLevel(l int) (*KSPlan, error) {
 	return pl, nil
 }
 
-// CompilePlans eagerly compiles the keyswitch plans of every level, so
-// steady-state serving never compiles on a request path. The serving
-// registry calls this once at program-catalog build time. It is a no-op on
-// lazy (table-free) parameter sets, which cannot execute anyway.
+// CompilePlans eagerly compiles the keyswitch and rescale plans of every
+// level, so steady-state serving never compiles on a request path. The
+// serving registry calls this once at program-catalog build time. It is a
+// no-op on lazy (table-free) parameter sets, which cannot execute anyway.
 func (p *Parameters) CompilePlans() error {
 	if p.Ring.Plan() == nil {
 		return nil

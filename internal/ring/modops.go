@@ -176,7 +176,9 @@ func rescaleConstant(ql, q uint64) shoupScalar {
 
 // Rescale divides p by its last modulus q_ℓ and drops the corresponding
 // limb — the CKKS rescaling operation that consumes one level. Works in the
-// coefficient domain.
+// coefficient domain. Ciphertexts rescale in the NTT domain instead, as a
+// one-limb ModDownNTTWith (ckks.Evaluator.Rescale); this kernel is that
+// path's bit-identity oracle.
 func (r *Ring) Rescale(p *Poly) (*Poly, error) {
 	if p.IsNTT {
 		return nil, fmt.Errorf("ring: Rescale requires coefficient domain")

@@ -63,6 +63,20 @@ func (mp *ModDownPlan) S() rns.Basis { return mp.s }
 // Ext returns the plan's extension basis.
 func (mp *ModDownPlan) Ext() rns.Basis { return mp.ext }
 
+// checkBasis rejects p unless its basis is s ∪ ext in that order: a poly
+// with the right limb count over other moduli would otherwise be divided
+// with the wrong constants and no error.
+func (mp *ModDownPlan) checkBasis(op string, p *Poly) error {
+	sLen := mp.s.Len()
+	b := p.Basis
+	if b.Len() != sLen+mp.ext.Len() ||
+		!mp.s.Equal(rns.Basis{Moduli: b.Moduli[:sLen]}) ||
+		!mp.ext.Equal(rns.Basis{Moduli: b.Moduli[sLen:]}) {
+		return fmt.Errorf("ring: %s on %v, plan wants %v then %v", op, b, mp.s, mp.ext)
+	}
+	return nil
+}
+
 // ModDownWith is ModDown through a precompiled plan: p (coefficient
 // domain, basis s ∪ ext in that order) is divided by P = Π ext and rounded
 // down to basis s. The returned polynomial and all scratch come from the
@@ -71,10 +85,10 @@ func (r *Ring) ModDownWith(mp *ModDownPlan, p *Poly) (*Poly, error) {
 	if p.IsNTT {
 		return nil, fmt.Errorf("ring: ModDownWith requires coefficient domain")
 	}
-	sLen, eLen := mp.s.Len(), mp.ext.Len()
-	if p.Basis.Len() != sLen+eLen {
-		return nil, fmt.Errorf("ring: ModDownWith on %d limbs, plan wants %d+%d", p.Basis.Len(), sLen, eLen)
+	if err := mp.checkBasis("ModDownWith", p); err != nil {
+		return nil, err
 	}
+	sLen := mp.s.Len()
 	z := r.getPolyUninit(mp.ext)
 	conv := r.getPolyUninit(mp.s)
 	if err := mp.bc.ConvertInto(p.Limbs[sLen:], z.Limbs, conv.Limbs); err != nil {
@@ -121,10 +135,10 @@ func (r *Ring) ModDownNTTWith(mp *ModDownPlan, p *Poly) (*Poly, error) {
 	if mp.extPlan == nil || mp.sPlan == nil {
 		return nil, fmt.Errorf("ring: mod-down plan lacks NTT tables")
 	}
-	sLen, eLen := mp.s.Len(), mp.ext.Len()
-	if p.Basis.Len() != sLen+eLen {
-		return nil, fmt.Errorf("ring: ModDownNTTWith on %d limbs, plan wants %d+%d", p.Basis.Len(), sLen, eLen)
+	if err := mp.checkBasis("ModDownNTTWith", p); err != nil {
+		return nil, err
 	}
+	sLen, eLen := mp.s.Len(), mp.ext.Len()
 	// Scaled out-of-place inverse: each extension limb leaves the NTT
 	// domain already multiplied by its z-stage scalar (P/p_k)⁻¹, so the
 	// base conversion skips straight to its accumulate stage.

@@ -313,6 +313,48 @@ func TestModDownDividesByP(t *testing.T) {
 	}
 }
 
+// TestModDownRejectsForeignBasis: a planned mod-down, coefficient or NTT
+// domain, refuses a poly whose limb count matches the plan but whose
+// moduli — or their order — do not; dividing it would use the wrong
+// constants and return garbage with a nil error.
+func TestModDownRejectsForeignBasis(t *testing.T) {
+	r, qb, pb := newTestRing(t, 4, 3, 2)
+	q, p := qb.Moduli, pb.Moduli
+	mp, err := r.NewModDownPlan(qb.Prefix(2), pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := map[string][]uint64{
+		"plan basis":            {q[0], q[1], p[0], p[1]},
+		"foreign working limb":  {q[0], q[2], p[0], p[1]},
+		"foreign extension":     {q[0], q[1], p[0], q[2]},
+		"working limbs swapped": {q[1], q[0], p[0], p[1]},
+		"extension swapped":     {q[0], q[1], p[1], p[0]},
+	}
+	for name, moduli := range bases {
+		for _, ntt := range []bool{false, true} {
+			in := randPoly(r, rns.MustBasis(moduli), 41)
+			in.IsNTT = ntt
+			var out *Poly
+			if ntt {
+				out, err = r.ModDownNTTWith(mp, in)
+			} else {
+				out, err = r.ModDownWith(mp, in)
+			}
+			if name == "plan basis" {
+				if err != nil {
+					t.Fatalf("%s (NTT %v): %v", name, ntt, err)
+				}
+				r.PutPoly(out)
+				continue
+			}
+			if err == nil || out != nil {
+				t.Errorf("%s (NTT %v): accepted, want a basis error", name, ntt)
+			}
+		}
+	}
+}
+
 // TestRescaleDividesByLastModulus mirrors the CKKS level drop.
 func TestRescaleDividesByLastModulus(t *testing.T) {
 	r, qb, _ := newTestRing(t, 4, 3, 1)

@@ -9,21 +9,21 @@ package rns
 
 import "math/bits"
 
-// AddMod returns (a + b) mod q. It requires a, b < q.
+// AddMod returns (a + b) mod q. It requires a, b < q; q may be any modulus
+// below 2^64. It is branch-free because a compare-and-branch mispredicts
+// on random residues: d = a + b − q is kept unless the sum neither carried
+// out of 64 bits nor reached q, in which case q is added back.
 func AddMod(a, b, q uint64) uint64 {
-	s := a + b
-	if s >= q || s < a { // s < a detects wraparound (q may be close to 2^64)
-		s -= q
-	}
-	return s
+	s, carry := bits.Add64(a, b, 0)
+	d, borrow := bits.Sub64(s, q, 0)
+	return d + q&-(borrow&^carry)
 }
 
-// SubMod returns (a - b) mod q. It requires a, b < q.
+// SubMod returns (a - b) mod q. It requires a, b < q; q may be any modulus
+// below 2^64. Branch-free: q is added back exactly when a − b borrows.
 func SubMod(a, b, q uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return q - b + a
+	d, borrow := bits.Sub64(a, b, 0)
+	return d + q&-borrow
 }
 
 // NegMod returns (-a) mod q. It requires a < q.

@@ -37,6 +37,38 @@ func TestAddModLargeModulus(t *testing.T) {
 	}
 }
 
+// TestAddSubModAgainstBigInt: the branch-free AddMod and SubMod agree with
+// exact arithmetic for any modulus below 2^64 — small, NTT-sized, and
+// within 64 of 2^64, where a + b wraps past 2^64 — on random operands and
+// on the operand extremes 0, 1, q−2 and q−1.
+func TestAddSubModAgainstBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	moduli := []uint64{2, 3, 97, 1<<40 + 1, testPrime, 1<<63 + 1, 0xffffffffffffffc5}
+	for d := uint64(1); d <= 64; d++ {
+		moduli = append(moduli, -d) // 2^64 − d
+	}
+	for _, q := range moduli {
+		qb := new(big.Int).SetUint64(q)
+		ops := []uint64{0, 1 % q, (q - 2) % q, q - 1}
+		for i := 0; i < 200; i++ {
+			ops = append(ops, rng.Uint64()%q)
+		}
+		for i, a := range ops {
+			for _, b := range []uint64{ops[(i+1)%len(ops)], ops[len(ops)-1-i], a} {
+				ab, bb := new(big.Int).SetUint64(a), new(big.Int).SetUint64(b)
+				sum := new(big.Int).Add(ab, bb)
+				if got, want := AddMod(a, b, q), sum.Mod(sum, qb).Uint64(); got != want {
+					t.Fatalf("AddMod(%d, %d, %d) = %d, want %d", a, b, q, got, want)
+				}
+				diff := new(big.Int).Sub(ab, bb)
+				if got, want := SubMod(a, b, q), diff.Mod(diff, qb).Uint64(); got != want {
+					t.Fatalf("SubMod(%d, %d, %d) = %d, want %d", a, b, q, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMulModAgainstBigInt(t *testing.T) {
 	f := func(a, b uint64) bool {
 		q := testPrime

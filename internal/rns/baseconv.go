@@ -215,30 +215,26 @@ func (bc *BaseConverter) accumulate(k int, z [][]uint64, n int, acc []uint64) []
 // limb stores, later limbs accumulate, so acc needs no prior zeroing (and
 // no wasted zero-fill pass on pooled scratch).
 //
-// The one- and two-limb sources — every keyswitch digit at alpha ≤ 2, and
-// every mod-down whose extension is a special-modulus pair — run a fully
-// in-register path: lazy Shoup products (< 2p each, sum < 4p < 2^64 for the
-// ≤ 61-bit moduli GenerateNTTPrimes emits) and a single Barrett reduction,
-// with no canonical correction per term and no intermediate stores. The
-// Barrett result is the unique canonical residue, so the fast path is
+// A one-limb source — every rescale, a one-limb mod-down, and a keyswitch
+// digit at alpha = 1 — is a single Shoup product with its one conditional
+// subtraction, which is the general loop's first pass. The two-limb
+// sources — every keyswitch digit at alpha = 2, and every mod-down whose
+// extension is a special-modulus pair — run a fully in-register path: two
+// lazy Shoup products (< 2p each, for any z, even from a source modulus
+// larger than p) summed with no per-term correction, then conditional
+// subtractions of 2p and p (the sum is < 4p < 2^64 under the p < 2^62
+// gate). The result is the unique canonical residue, so the fast path is
 // bit-identical to the general accumulation.
 func (bc *BaseConverter) accInto(k int, z [][]uint64, acc []uint64) {
 	p := bc.dst.Moduli[k]
-	if len(z) <= 2 && p < 1<<62 {
-		bp := bc.dstBar[k]
+	if len(z) == 2 && p < 1<<62 {
+		twoP := 2 * p
 		f0, fs0 := bc.qHatModP[0][k], bc.qHatShoup[0][k]
-		z0 := z[0]
-		if len(z) == 1 {
-			for i := range acc {
-				acc[i] = bp.Reduce(MulModShoupLazy(z0[i], f0, fs0, p))
-			}
-			return
-		}
 		f1, fs1 := bc.qHatModP[1][k], bc.qHatShoup[1][k]
-		z1 := z[1]
+		z0, z1 := z[0], z[1]
 		for i := range acc {
-			acc[i] = bp.Reduce(MulModShoupLazy(z0[i], f0, fs0, p) +
-				MulModShoupLazy(z1[i], f1, fs1, p))
+			s := MulModShoupLazy(z0[i], f0, fs0, p) + MulModShoupLazy(z1[i], f1, fs1, p)
+			acc[i] = ReduceOnce(Reduce2Q(s, twoP), p)
 		}
 		return
 	}

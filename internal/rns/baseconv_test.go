@@ -142,6 +142,66 @@ func TestConvertExactIsExact(t *testing.T) {
 	}
 }
 
+// TestAccumulateSmallSourcesAgainstBigInt: the one- and two-limb
+// accumulate — the rescale's and the special-pair mod-down's lazy path —
+// returns Σ_j z_j·(Q/q_j) mod p exactly, for canonical z at both ends of
+// its range, from source moduli larger and smaller than the target, into
+// 40- and 61-bit targets and a hand-built modulus above the lazy gate.
+func TestAccumulateSmallSourcesAgainstBigInt(t *testing.T) {
+	p61, err := GenerateNTTPrimes(61, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p40 := testBasis(t, 40, 10, 3).Moduli
+	const largest64 = uint64(0xffffffffffffffc5) // largest 64-bit prime
+	dst := MustBasis([]uint64{p40[1], p40[2], p61[2], p61[3], largest64})
+	sources := [][]uint64{
+		{p61[0]},         // one limb, larger than the 40-bit targets
+		{p40[0]},         // one limb, smaller than the 61-bit targets
+		{p61[0], p61[1]}, // a 61-bit pair
+		{p61[1], p40[0]}, // a mixed pair
+	}
+	rng := rand.New(rand.NewSource(41))
+	const n = 256
+	for _, moduli := range sources {
+		src := MustBasis(moduli)
+		bc, err := NewBaseConverter(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Q := src.Product()
+		z := make([][]uint64, src.Len())
+		for j, q := range src.Moduli {
+			z[j] = make([]uint64, n)
+			for i := range z[j] {
+				z[j][i] = rng.Uint64() % q
+			}
+			z[j][0], z[j][1] = q-1, 0
+			z[j][2+j] = q - 1 // and one coefficient per limb at q−1 alone
+		}
+		out := make([][]uint64, dst.Len())
+		for k := range out {
+			out[k] = make([]uint64, n)
+		}
+		if err := bc.AccumulateInto(z, out); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			sum := new(big.Int)
+			for j, q := range src.Moduli {
+				qHat := new(big.Int).Div(Q, new(big.Int).SetUint64(q))
+				sum.Add(sum, qHat.Mul(qHat, new(big.Int).SetUint64(z[j][i])))
+			}
+			for k, p := range dst.Moduli {
+				want := new(big.Int).Mod(sum, new(big.Int).SetUint64(p)).Uint64()
+				if out[k][i] != want {
+					t.Fatalf("source %v, target %d, coeff %d: got %d, want %d", moduli, p, i, out[k][i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestBaseConvertInputValidation(t *testing.T) {
 	src := testBasis(t, 40, 10, 3)
 	dst := testBasis(t, 41, 10, 2)
