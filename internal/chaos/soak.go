@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math/cmplx"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,178 +18,121 @@ import (
 	"cinnamon/internal/workloads"
 )
 
-// SoakConfig parameterizes one chaos soak: an in-process worker cluster
-// behind the serving runtime, verified load, and a seeded fault schedule.
+// Scenario is what a soak does to the stack. Both scenarios boot the same
+// stack, drive it with the same closed-loop clients and judge it with the
+// same oracle and the same Violations.
+type Scenario string
+
+const (
+	// FrameFaults runs the seeded per-frame fault schedule for one load
+	// phase against a single cluster; requests may replay locally.
+	FrameFaults Scenario = "soak"
+	// ClusterKills runs two clusters behind a core that requires the
+	// cluster and logs sessions durably: the primary cluster is killed
+	// whole for one load phase, revived, the other killed for a second
+	// (fail back), then the core restarts mid-session.
+	ClusterKills Scenario = "domains"
+)
+
+// The stack both scenarios boot.
+const (
+	logN, levels     = 8, 4 // 4 levels: a ClusterKills session squares three times
+	workers          = 3    // per cluster
+	clients          = 3    // closed-loop load clients
+	inputsPerProgram = 4
+	heartbeat        = 250 * time.Millisecond
+	rpcTimeout       = 500 * time.Millisecond // small: every dropped frame costs one
+	requestTimeout   = 5 * time.Second
+	delayMin         = 500 * time.Microsecond
+	delayMax         = 5 * time.Millisecond
+	tenant           = "chaos"
+
+	// recoveryBudget bounds the return to full health once faults stop:
+	// an in-flight RPC burns its deadline, the next heartbeat tick redials
+	// the lost session, plus dial slack.
+	recoveryBudget = rpcTimeout + heartbeat + 2*time.Second
+	// failoverBudget bounds kill-of-primary to first verified success: a
+	// request burns one RPC deadline per attempt (the first and its one
+	// in-line retry) on the dead cluster before it moves to the survivor.
+	failoverBudget = 2*rpcTimeout + heartbeat + 2*time.Second
+)
+
+// programs are served in both scenarios: one multiply chain, one rotation
+// chain (both collective kinds), and square, the ClusterKills session.
+var programs = []string{"quartic", "rotsum", "square"}
+
+// SoakConfig parameterizes one soak.
 type SoakConfig struct {
-	// Seed drives both the fault schedule and the request inputs.
+	Scenario Scenario
+	// Seed drives the fault schedule, the request inputs and the load mix.
 	Seed int64
-	// Duration is how long chaos-phase load runs.
+	// Duration is the length of each load phase.
 	Duration time.Duration
-	// Workers is the cluster width. Default 3.
-	Workers int
-	// Concurrency is the closed-loop client count. Default 3.
-	Concurrency int
-	// LogN/Levels size the CKKS parameter set. Defaults 8/3.
-	LogN, Levels int
-	// Programs are the catalog entries to serve. Default quartic+rotsum
-	// (one multiply chain, one rotation chain — both collective kinds).
-	Programs []string
-	// Rates is the fault profile. Zero value selects DefaultRates.
+	// Rates is the FrameFaults profile. Zero value selects DefaultRates.
 	Rates Rates
-	// DelayMin/DelayMax bound injected delivery delays.
-	DelayMin, DelayMax time.Duration
-	// Heartbeat is the engine's heartbeat interval. Default 250ms.
-	Heartbeat time.Duration
-	// RPCTimeout bounds one per-worker collective RPC. Default 500ms. Keep
-	// it small: every dropped frame costs one of these.
-	RPCTimeout time.Duration
-	// RequestTimeout bounds one request end to end. Default 5s.
-	RequestTimeout time.Duration
-	// Tolerance is the max slot error a response may show against the
-	// reference evaluation. Default 1e-3.
-	Tolerance float64
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
 
-func (c SoakConfig) withDefaults() SoakConfig {
-	if c.Duration <= 0 {
-		c.Duration = 20 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = 3
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 3
-	}
-	if c.LogN <= 0 {
-		c.LogN = 8
-	}
-	if c.Levels <= 0 {
-		c.Levels = 3
-	}
-	if len(c.Programs) == 0 {
-		c.Programs = []string{"quartic", "rotsum"}
-	}
-	if c.Rates == (Rates{}) {
-		c.Rates = DefaultRates()
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 250 * time.Millisecond
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 500 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-3
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	return c
-}
+// Report is the measured outcome of one soak, judged by Violations.
+type Report struct {
+	Scenario Scenario `json:"scenario"`
 
-// Outcomes tallies verified submissions by how they ended: the classes the
-// failure model allows (ok, shed, timeout, degraded) and the two it forbids
-// (an untyped failure, a wrong decrypt). Both soaks' reports embed it.
-type Outcomes struct {
-	Requests int64 `json:"requests"`
-	OK       int64 `json:"ok"`
-	Shed     int64 `json:"shed"`     // ErrOverloaded (typed, retryable)
-	Timeouts int64 `json:"timeouts"` // context deadline (typed)
-	Degraded int64 `json:"degraded"` // cluster.ErrDegraded (typed)
-	Failed   int64 `json:"failed"`   // anything untyped — an invariant violation
-
-	WrongResults int64 `json:"wrong_results"` // responses that decrypted wrong
-
+	// Requests by how they ended: the outcomes the failure model allows
+	// (ok, shed, timeout, degraded) and the two it forbids.
+	Requests       int64    `json:"requests"`
+	OK             int64    `json:"ok"`
+	Shed           int64    `json:"shed"`          // ErrOverloaded (typed, retryable)
+	Timeouts       int64    `json:"timeouts"`      // context deadline (typed)
+	Degraded       int64    `json:"degraded"`      // cluster.ErrDegraded (typed)
+	Failed         int64    `json:"failed"`        // anything untyped
+	WrongResults   int64    `json:"wrong_results"` // bytes differ from the control core's
 	FailureSamples []string `json:"failure_samples,omitempty"`
-	samplesMu      sync.Mutex
-}
 
-// verifiedSubmit is the one way both soaks drive load: it returns a func
-// that submits ct under timeout, decrypts a success and checks its worst
-// slot error against want within tol, tallies the outcome into o, and
-// reports whether it was a verified success.
-func (o *Outcomes) verifiedSubmit(core *serve.Core, tenant string, timeout time.Duration, tol float64,
-	decrypt func(*ckks.Ciphertext) ([]complex128, error), logf func(string, ...any),
-) func(program string, ct *ckks.Ciphertext, want []complex128) bool {
-	return func(program string, ct *ckks.Ciphertext, want []complex128) bool {
-		atomic.AddInt64(&o.Requests, 1)
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		out, err := core.Submit(ctx, program, tenant, ct)
-		cancel()
-		switch {
-		case err == nil:
-			got, derr := decrypt(out)
-			if derr != nil {
-				atomic.AddInt64(&o.WrongResults, 1)
-				return false
-			}
-			worst := 0.0
-			for i := range got {
-				worst = max(worst, cmplx.Abs(got[i]-want[i]))
-			}
-			if worst > tol {
-				atomic.AddInt64(&o.WrongResults, 1)
-				logf("WRONG RESULT: %s slot error %.2e", program, worst)
-				return false
-			}
-			atomic.AddInt64(&o.OK, 1)
-			return true
-		case errors.Is(err, serve.ErrOverloaded):
-			atomic.AddInt64(&o.Shed, 1)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			atomic.AddInt64(&o.Timeouts, 1)
-		case errors.Is(err, cluster.ErrDegraded):
-			atomic.AddInt64(&o.Degraded, 1)
-		default:
-			atomic.AddInt64(&o.Failed, 1)
-			o.samplesMu.Lock()
-			if len(o.FailureSamples) < 5 {
-				o.FailureSamples = append(o.FailureSamples, err.Error())
-			}
-			o.samplesMu.Unlock()
-		}
-		return false
-	}
-}
+	Panics       int64 `json:"panics"`
+	LocalReplays int64 `json:"local_replays"`
+	Reconnects   int64 `json:"reconnects"`
+	CircuitOpens int64 `json:"circuit_opens"`
 
-// SoakReport is the measured outcome of one soak, against which the
-// failure-model invariants are asserted (see Violations).
-type SoakReport struct {
-	Outcomes
-
-	Faults      map[string]int64 `json:"faults_injected"`
-	TotalFaults int64            `json:"total_faults"`
-
-	CorruptFramesDetected int64 `json:"corrupt_frames_detected"`
-	EmulatorFallbacks     int64 `json:"emulator_fallbacks"`
-	Reconnects            int64 `json:"reconnects"`
-	Panics                int64 `json:"panics"`
-	CircuitOpens          int64 `json:"circuit_opens"`
+	Faults                map[string]int64 `json:"faults_injected"`
+	TotalFaults           int64            `json:"total_faults"`
+	CorruptFramesDetected int64            `json:"corrupt_frames_detected"`
 
 	Recovered      bool          `json:"recovered"`
 	RecoveryTime   time.Duration `json:"recovery_time_ns"`
 	RecoveryBudget time.Duration `json:"recovery_budget_ns"`
 	PostChaosOK    bool          `json:"post_chaos_ok"` // verified requests after recovery
+
+	FailoverTime    time.Duration `json:"failover_time_ns"`
+	FailoverBudget  time.Duration `json:"failover_budget_ns"`
+	Failovers       int64         `json:"failovers_total"`
+	FailbackOK      bool          `json:"failback_ok"`
+	SessionRestores int64         `json:"session_restores_total"`
+	SessionResumed  bool          `json:"session_resumed"`
+	SessionBitExact bool          `json:"session_bit_exact"`
 }
 
-// Violations checks the report against the three invariants of the
-// failure model (plus the fault-coverage floor) and returns one line per
-// breach; empty means the soak passed.
+// Violations judges the report against the failure model and returns one
+// line per breach; empty means the soak passed. Both scenarios are held to
+// invariants 1–3; the rest apply to the scenario that measures them.
 //
-//  1. No response ever decrypts wrong: corruption is detected, not served.
-//  2. Every injected fault resolves typed: retried, degraded-and-counted,
-//     or shed — never an untyped error, never a panic.
-//  3. After faults stop, the cluster returns to fully healthy within the
-//     recovery budget, and verified traffic flows again.
-func (r *SoakReport) Violations(minFaults int64, allKinds bool) []string {
+//  1. No wrong result: every response is byte-equal to the control core's.
+//  2. Every fault resolves typed — retried, degraded-and-counted or shed;
+//     never an untyped error, never a panic.
+//  3. After faults stop every cluster is fully healthy within the recovery
+//     budget, and verified traffic flows again.
+//  4. (ClusterKills) Killing the primary cluster moves traffic to the
+//     survivor within the failover budget; killing the survivor moves it
+//     back.
+//  5. (ClusterKills) A restart mid-session resumes the session from its
+//     log, byte-equal to an uninterrupted run.
+//
+// FrameFaults also checks coverage: at least minFaults faults, every kind
+// when allKinds, and bit flips caught by the frame CRC.
+func (r *Report) Violations(minFaults int64, allKinds bool) []string {
 	var v []string
 	if r.WrongResults > 0 {
-		v = append(v, fmt.Sprintf("invariant 1: %d responses decrypted wrong", r.WrongResults))
+		v = append(v, fmt.Sprintf("invariant 1: %d responses differ from the control core's", r.WrongResults))
 	}
 	if r.Failed > 0 {
 		v = append(v, fmt.Sprintf("invariant 2: %d requests failed with untyped errors: %v", r.Failed, r.FailureSamples))
@@ -196,10 +141,31 @@ func (r *SoakReport) Violations(minFaults int64, allKinds bool) []string {
 		v = append(v, fmt.Sprintf("invariant 2: %d unhandled panics recovered by the serving layer", r.Panics))
 	}
 	if !r.Recovered {
-		v = append(v, fmt.Sprintf("invariant 3: cluster not fully healthy %v after faults stopped", r.RecoveryBudget))
+		v = append(v, fmt.Sprintf("invariant 3: clusters not fully healthy %v after faults stopped", r.RecoveryBudget))
 	}
 	if !r.PostChaosOK {
-		v = append(v, "invariant 3: post-chaos verified requests failed")
+		v = append(v, "invariant 3: verified requests failed after recovery")
+	}
+	if r.Scenario == ClusterKills {
+		if r.FailoverTime > r.FailoverBudget {
+			v = append(v, fmt.Sprintf("invariant 4: failover took %v, budget %v", r.FailoverTime, r.FailoverBudget))
+		}
+		if r.Failovers < 2 {
+			v = append(v, fmt.Sprintf("invariant 4: failovers_total = %d, want >= 2 (over and back)", r.Failovers))
+		}
+		if !r.FailbackOK {
+			v = append(v, "invariant 4: no verified success after failing back")
+		}
+		if r.SessionRestores < 1 {
+			v = append(v, "invariant 5: restarted core replayed no sessions")
+		}
+		if !r.SessionResumed {
+			v = append(v, "invariant 5: session did not resume after the restart")
+		}
+		if !r.SessionBitExact {
+			v = append(v, "invariant 5: resumed session differs from the uninterrupted run")
+		}
+		return v
 	}
 	if r.TotalFaults < minFaults {
 		v = append(v, fmt.Sprintf("coverage: %d faults injected, want >= %d", r.TotalFaults, minFaults))
@@ -217,256 +183,435 @@ func (r *SoakReport) Violations(minFaults int64, allKinds bool) []string {
 	return v
 }
 
-// soakInput is one precomputed request: a ciphertext and the slots its
-// response must decrypt to (reference evaluation, local keyswitching).
-type soakInput struct {
+// input is one precomputed request and its oracle: the control core's
+// response to it, as ct.Write bytes.
+type input struct {
 	program string
 	ct      *ckks.Ciphertext
-	want    []complex128
+	want    []byte
 }
 
-// RunSoak boots the full stack — workers, chaos-wrapped transports,
-// cluster engine, serving core — drives verified load through the fault
-// schedule, then asserts recovery. The returned report carries every
-// counter the invariants are judged on; err is a harness failure (setup
-// broke), not an invariant breach.
-func RunSoak(cfg SoakConfig) (*SoakReport, error) {
-	cfg = cfg.withDefaults()
-	corruptBase := cluster.CorruptFrames()
+// harness is the one stack both scenarios run on.
+type harness struct {
+	cfg SoakConfig
+	inj *Injector
+	reg *serve.Registry
 
-	// --- stack setup (chaos disabled) ---
-	lit := workloads.ServeParamsLiteral(cfg.LogN, cfg.Levels, 20260805)
-	var specs []workloads.ServeWorkload
-	rotSet := map[int]bool{}
-	for _, name := range cfg.Programs {
-		spec, ok := workloads.ServeWorkloadByName(name)
-		if !ok {
-			return nil, fmt.Errorf("chaos: no serve workload %q", name)
-		}
-		specs = append(specs, spec)
-		for _, k := range spec.Rotations {
-			rotSet[k] = true
-		}
+	engines []*cluster.Engine
+	dialers [][]*cluster.PipeDialer // per cluster, to kill and revive it
+	coreCfg serve.Config
+	core    *serve.Core
+	control *serve.Core // no backends: the oracle
+	inputs  []input
+	dir     string // ClusterKills session log
+
+	corruptBase int64
+	mu          sync.Mutex // guards rep's tallies
+	rep         *Report
+}
+
+// RunSoak boots the stack, warms it up, runs cfg.Scenario under verified
+// load and ends with the recovery check. The report carries every counter
+// the invariants are judged on; err is a harness failure (setup broke),
+// not an invariant breach.
+func RunSoak(cfg SoakConfig) (*Report, error) {
+	if cfg.Scenario != FrameFaults && cfg.Scenario != ClusterKills {
+		return nil, fmt.Errorf("chaos: unknown scenario %q", cfg.Scenario)
 	}
-	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: lit, Programs: specs})
-	if err != nil {
+	if cfg.Duration <= 0 {
+		return nil, errors.New("chaos: Duration must be positive")
+	}
+	if cfg.Rates == (Rates{}) {
+		cfg.Rates = DefaultRates()
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	h := &harness{cfg: cfg, corruptBase: cluster.CorruptFrames(), rep: &Report{
+		Scenario:       cfg.Scenario,
+		Faults:         map[string]int64{},
+		RecoveryBudget: recoveryBudget,
+	}}
+	defer h.close()
+	if err := h.boot(); err != nil {
 		return nil, err
 	}
+	for i := 0; i < len(h.inputs); i += inputsPerProgram {
+		if !h.submit(h.inputs[i]) {
+			return h.rep, fmt.Errorf("chaos: warmup request for %q failed before any fault was injected", h.inputs[i].program)
+		}
+	}
+	if cfg.Scenario == ClusterKills {
+		if err := h.killClusters(); err != nil {
+			return h.rep, err
+		}
+	} else {
+		cfg.Logf("warmup ok; enabling chaos for %v (seed %d)", cfg.Duration, cfg.Seed)
+		h.inj.SetEnabled(true)
+		h.load()
+		h.inj.SetEnabled(false)
+	}
+	h.finish()
+	return h.rep, nil
+}
+
+// boot builds the stack with the injector disabled: registry, the
+// tenant's keys, the clusters of in-process workers behind injector-wrapped
+// dialers, one engine per cluster, the serving core, and the oracle — every
+// input run once through a control core with no backends.
+func (h *harness) boot() error {
+	var specs []workloads.ServeWorkload
+	var rots []int
+	for _, name := range programs {
+		spec, ok := workloads.ServeWorkloadByName(name)
+		if !ok {
+			return fmt.Errorf("chaos: no serve workload %q", name)
+		}
+		specs = append(specs, spec)
+		rots = append(rots, spec.Rotations...)
+	}
+	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: workloads.ServeParamsLiteral(logN, levels, 20260805), Programs: specs})
+	if err != nil {
+		return err
+	}
+	h.reg = reg
 	params := reg.Params
 
 	kg := ckks.NewKeyGenerator(params)
 	sk, err := kg.GenSecretKey()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pk, err := kg.GenPublicKey(sk)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rlk, err := kg.GenRelinKey(sk)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var rots []int
-	for k := range rotSet {
-		rots = append(rots, k)
+	rtks, err := kg.GenRotationKeySet(sk, rots, false)
+	if err != nil {
+		return err
 	}
 	keys := map[string]*ckks.EvalKey{"rlk": rlk}
-	var rtks *ckks.RotationKeySet
-	if len(rots) > 0 {
-		if rtks, err = kg.GenRotationKeySet(sk, rots, false); err != nil {
-			return nil, err
-		}
-		for k, key := range rtks.Keys {
-			keys[fmt.Sprintf("rot:%d", k)] = key
-		}
+	evks := []*ckks.EvalKey{rlk}
+	for k, key := range rtks.Keys {
+		keys[fmt.Sprintf("rot:%d", k)] = key
+		evks = append(evks, key)
 	}
-	const tenant = "chaos"
 	if err := reg.RegisterTenant(tenant, keys); err != nil {
-		return nil, err
+		return err
 	}
 
-	inj := NewInjector(Config{Seed: cfg.Seed, Rates: cfg.Rates, DelayMin: cfg.DelayMin, DelayMax: cfg.DelayMax})
-	dialers := make([]cluster.Dialer, cfg.Workers)
-	for i := range dialers {
-		w := cluster.NewWorker(params)
-		w.PartialFrameTimeout = 2 * cfg.RPCTimeout
-		dialers[i] = inj.WrapDialer(fmt.Sprintf("w%d", i), cluster.NewPipeDialer(w))
+	h.coreCfg = serve.Config{
+		Workers:         2,
+		AdmissionLimit:  64,
+		RequestTimeout:  requestTimeout,
+		CircuitCooldown: 250 * time.Millisecond,
 	}
-	eng, err := cluster.NewEngine(params, dialers, cluster.Options{
-		RPCTimeout:        cfg.RPCTimeout,
-		DialTimeout:       2 * time.Second,
-		RetryBackoff:      10 * time.Millisecond,
-		HeartbeatInterval: cfg.Heartbeat,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("chaos: cluster startup: %w", err)
+	clusters := 1
+	if h.cfg.Scenario == ClusterKills {
+		clusters = 2
+		if h.dir, err = os.MkdirTemp("", "cinnamon-chaos-*"); err != nil {
+			return err
+		}
+		h.coreCfg.RequireCluster = true
+		h.coreCfg.SessionLog = filepath.Join(h.dir, "sessions.log")
 	}
-	defer eng.Close()
-	if err := eng.EnsureKeys(keysList(keys)...); err != nil {
-		return nil, fmt.Errorf("chaos: key pre-push: %w", err)
+	h.inj = NewInjector(Config{Seed: h.cfg.Seed, Rates: h.cfg.Rates, DelayMin: delayMin, DelayMax: delayMax})
+	for m := 0; m < clusters; m++ {
+		pds := make([]*cluster.PipeDialer, workers)
+		ds := make([]cluster.Dialer, workers)
+		for i := range pds {
+			w := cluster.NewWorker(params)
+			w.PartialFrameTimeout = 2 * rpcTimeout
+			pds[i] = cluster.NewPipeDialer(w)
+			ds[i] = h.inj.WrapDialer(fmt.Sprintf("w%d", m*workers+i), pds[i])
+		}
+		eng, err := cluster.NewEngine(params, ds, cluster.Options{
+			RPCTimeout:        rpcTimeout,
+			DialTimeout:       2 * time.Second,
+			RetryBackoff:      10 * time.Millisecond,
+			HeartbeatInterval: heartbeat,
+		})
+		if err != nil {
+			return fmt.Errorf("chaos: cluster %d startup: %w", m, err)
+		}
+		h.engines = append(h.engines, eng)
+		h.dialers = append(h.dialers, pds)
+		h.coreCfg.Backends = append(h.coreCfg.Backends, serve.BackendSpec{Engine: eng})
+		if err := eng.EnsureKeys(evks...); err != nil {
+			return fmt.Errorf("chaos: cluster %d key pre-push: %w", m, err)
+		}
+	}
+	if err := h.startCore(); err != nil {
+		return err
 	}
 
-	core := serve.NewCore(reg, serve.Config{
-		Workers:          2,
-		AdmissionLimit:   64,
-		RequestTimeout:   cfg.RequestTimeout,
-		Backends:         []serve.BackendSpec{{Engine: eng}},
-		CircuitThreshold: 5,
-		CircuitCooldown:  250 * time.Millisecond,
-	})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		core.Close(ctx)
-	}()
-
-	// --- crypto plumbing + precomputed verified inputs ---
-	var cryptoMu sync.Mutex
+	h.control = serve.NewCore(reg, serve.Config{Workers: 1, RequestTimeout: requestTimeout})
 	enc := ckks.NewEncoder(params)
 	encr := ckks.NewEncryptor(params, pk)
-	decr := ckks.NewDecryptor(params, sk)
-	refEv := ckks.NewEvaluator(params, rlk, rtks)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	decrypt := func(ct *ckks.Ciphertext) ([]complex128, error) {
-		cryptoMu.Lock()
-		defer cryptoMu.Unlock()
-		pt, err := decr.Decrypt(ct)
-		if err != nil {
-			return nil, err
-		}
-		return enc.Decode(pt, params.Slots())
-	}
-
-	const inputsPerProgram = 4
-	var inputs []soakInput
+	rng := rand.New(rand.NewSource(h.cfg.Seed))
 	for _, spec := range specs {
 		for k := 0; k < inputsPerProgram; k++ {
 			v := make([]complex128, params.Slots())
 			for i := range v {
 				v[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 			}
-			cryptoMu.Lock()
 			pt, err := enc.Encode(v, params.MaxLevel(), params.DefaultScale())
 			if err != nil {
-				cryptoMu.Unlock()
-				return nil, err
+				return err
 			}
 			ct, err := encr.Encrypt(pt)
 			if err != nil {
-				cryptoMu.Unlock()
-				return nil, err
+				return err
 			}
-			ref, err := spec.Reference(refEv, enc, ct)
-			cryptoMu.Unlock()
+			ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
+			out, err := h.control.Submit(ctx, spec.Name, tenant, ct)
+			cancel()
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("chaos: control run of %q: %w", spec.Name, err)
 			}
-			want, err := decrypt(ref)
-			if err != nil {
-				return nil, err
-			}
-			inputs = append(inputs, soakInput{program: spec.Name, ct: ct, want: want})
+			h.inputs = append(h.inputs, input{program: spec.Name, ct: ct, want: ctBytes(out)})
 		}
 	}
+	return nil
+}
 
-	rep := &SoakReport{Faults: map[string]int64{}}
-	submit := rep.verifiedSubmit(core, tenant, cfg.RequestTimeout, cfg.Tolerance, decrypt, cfg.Logf)
-	runOne := func(in soakInput) bool { return submit(in.program, in.ct, in.want) }
+// killClusters is the ClusterKills scenario between warmup and recovery.
+func (h *harness) killClusters() error {
+	const program = "square"
+	in := h.inputs[0].ct
+	si, err := h.core.CreateSession(tenant, program)
+	if err != nil {
+		return fmt.Errorf("chaos: create session: %w", err)
+	}
+	if _, _, err := step(h.core, si.ID, in); err != nil {
+		return fmt.Errorf("chaos: session step 1: %w", err)
+	}
 
-	// --- warmup: one verified request per program, chaos off ---
-	for _, spec := range specs {
-		if !runOne(inputs[indexOf(specs, spec.Name)*inputsPerProgram]) {
-			return rep, fmt.Errorf("chaos: warmup request for %q failed before any fault was injected", spec.Name)
+	victim := 0
+	for i, b := range h.core.Health().Backends {
+		if b.Primary {
+			victim = i
 		}
 	}
-	warm := atomic.LoadInt64(&rep.Requests)
-	cfg.Logf("warmup ok (%d requests); enabling chaos for %v (seed %d)", warm, cfg.Duration, cfg.Seed)
+	h.cfg.Logf("killing primary cluster c%d (all %d workers)", victim, workers)
+	h.setDown(victim, true)
+	killAt := time.Now()
+	h.rep.FailoverBudget = failoverBudget
+	h.rep.FailoverTime = failoverBudget + 1 // a breach until a success lands
+	if first := h.load(); !first.IsZero() {
+		h.rep.FailoverTime = first.Sub(killAt)
+		h.cfg.Logf("failed over in %v", h.rep.FailoverTime.Round(time.Millisecond))
+	}
+	h.cfg.Logf("reviving cluster c%d", victim)
+	h.setDown(victim, false)
+	awaitHealthy(h.engines[victim:victim+1], recoveryBudget)
 
-	// --- chaos phase: closed-loop verified load under the schedule ---
-	inj.SetEnabled(true)
-	deadline := time.Now().Add(cfg.Duration)
+	other := 1 - victim
+	h.cfg.Logf("killing cluster c%d (fail back)", other)
+	h.setDown(other, true)
+	h.rep.FailbackOK = !h.load().IsZero()
+	h.setDown(other, false)
+
+	// Step once more, then restart the core over the same log and engines.
+	_, pre, err := step(h.core, si.ID, nil)
+	if err != nil {
+		return fmt.Errorf("chaos: session step 2: %w", err)
+	}
+	h.cfg.Logf("restarting the core mid-session (session %s at step %d)", si.ID, pre.Steps)
+	h.stopCore()
+	if err := h.startCore(); err != nil {
+		return fmt.Errorf("chaos: core restart: %w", err)
+	}
+	info, err := h.core.Session(si.ID)
+	resumed, _, serr := step(h.core, si.ID, nil)
+	if h.rep.SessionResumed = err == nil && serr == nil && info.Steps == pre.Steps; !h.rep.SessionResumed {
+		return nil
+	}
+
+	// The uninterrupted run: the same input stepped as often on the control core.
+	ci, err := h.control.CreateSession(tenant, program)
+	if err != nil {
+		return fmt.Errorf("chaos: control session: %w", err)
+	}
+	var want *ckks.Ciphertext
+	for s := 0; s <= pre.Steps; s, in = s+1, nil {
+		if want, _, err = step(h.control, ci.ID, in); err != nil {
+			return fmt.Errorf("chaos: control session step %d: %w", s+1, err)
+		}
+	}
+	h.rep.SessionBitExact = bytes.Equal(ctBytes(resumed), ctBytes(want))
+	return nil
+}
+
+// finish ends both scenarios: every cluster fully healthy within the
+// recovery budget, verified traffic flowing again (which also drives a
+// breaker's probe if the run left a circuit open), and the counters.
+func (h *harness) finish() {
+	r := h.rep
+	r.Recovered, r.RecoveryTime = awaitHealthy(h.engines, recoveryBudget)
+	r.PostChaosOK = true
+	for i := 0; i < len(h.inputs); i += inputsPerProgram {
+		ok := false
+		for try := 0; try < 3 && !ok; try++ {
+			ok = h.submit(h.inputs[i])
+		}
+		r.PostChaosOK = r.PostChaosOK && ok
+	}
+	h.stopCore()
+	for k, n := range h.inj.Counts() {
+		r.Faults[k.String()] = n
+	}
+	r.TotalFaults = h.inj.Total()
+	r.CorruptFramesDetected = cluster.CorruptFrames() - h.corruptBase
+	for _, eng := range h.engines {
+		r.Reconnects += eng.Snapshot().Reconnects
+	}
+	h.cfg.Logf("%s done: %d requests (%d ok, %d shed, %d timeout, %d degraded, %d failed, %d wrong), %d faults, %d corrupt frames detected, %d local replays, recovered in %v",
+		r.Scenario, r.Requests, r.OK, r.Shed, r.Timeouts, r.Degraded, r.Failed, r.WrongResults,
+		r.TotalFaults, r.CorruptFramesDetected, r.LocalReplays, r.RecoveryTime.Round(time.Millisecond))
+}
+
+// load runs the closed-loop clients for one load phase and returns when
+// the first verified success landed (zero if none did).
+func (h *harness) load() time.Time {
+	var first atomic.Int64
+	deadline := time.Now().Add(h.cfg.Duration)
 	var wg sync.WaitGroup
-	for g := 0; g < cfg.Concurrency; g++ {
+	for g := 0; g < clients; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func(rng *rand.Rand) {
 			defer wg.Done()
-			gr := rand.New(rand.NewSource(cfg.Seed + int64(g) + 1))
 			for time.Now().Before(deadline) {
-				runOne(inputs[gr.Intn(len(inputs))])
+				if h.submit(h.inputs[rng.Intn(len(h.inputs))]) {
+					first.CompareAndSwap(0, time.Now().UnixNano())
+				}
 			}
-		}(g)
-	}
-	lastLog := time.Now()
-	for time.Now().Before(deadline) {
-		time.Sleep(100 * time.Millisecond)
-		if time.Since(lastLog) >= 5*time.Second {
-			lastLog = time.Now()
-			cfg.Logf("t-%v: %d requests, %d faults", deadline.Sub(lastLog).Round(time.Second), atomic.LoadInt64(&rep.Requests), inj.Total())
-		}
+		}(rand.New(rand.NewSource(h.cfg.Seed + int64(g) + 1)))
 	}
 	wg.Wait()
-	inj.SetEnabled(false)
+	if ns := first.Load(); ns != 0 {
+		return time.Unix(0, ns)
+	}
+	return time.Time{}
+}
 
-	// --- recovery: all workers healthy within the budget ---
-	// Worst case after the last fault: one in-flight RPC burns its
-	// deadline, the next heartbeat tick detects the poisoned session and
-	// redials it in place. Budget = RPC drain + one heartbeat + dial slack.
-	rep.RecoveryBudget = cfg.RPCTimeout + cfg.Heartbeat + 2*time.Second
-	recoverStart := time.Now()
-	for time.Since(recoverStart) < rep.RecoveryBudget {
-		if eng.Healthy() {
-			rep.Recovered = true
-			break
+// submit sends one input to the core and tallies how it ended; true only
+// for a verified success — a response byte-equal to the control core's.
+func (h *harness) submit(in input) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
+	out, err := h.core.Submit(ctx, in.program, tenant, in.ct)
+	cancel()
+	ok := err == nil && bytes.Equal(ctBytes(out), in.want)
+	if err == nil && !ok {
+		h.cfg.Logf("WRONG RESULT: %s response differs from the control core's", in.program)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	r := h.rep
+	r.Requests++
+	switch {
+	case ok:
+		r.OK++
+	case err == nil:
+		r.WrongResults++
+	case errors.Is(err, serve.ErrOverloaded):
+		r.Shed++
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		r.Timeouts++
+	case errors.Is(err, cluster.ErrDegraded):
+		r.Degraded++
+	default:
+		r.Failed++
+		if len(r.FailureSamples) < 5 {
+			r.FailureSamples = append(r.FailureSamples, err.Error())
+		}
+	}
+	return ok
+}
+
+func (h *harness) startCore() (err error) {
+	h.core, err = serve.NewDurableCore(h.reg, h.coreCfg)
+	return err
+}
+
+// stopCore drains the core and folds its counters into the report, so a
+// restarted core's counts add to its predecessor's.
+func (h *harness) stopCore() {
+	drain(h.core)
+	snap := h.core.Metrics().Snapshot()
+	r := h.rep
+	r.Panics += snap.Panics
+	r.LocalReplays += snap.EmulatorFallbacks
+	r.Failovers += snap.Failovers
+	r.SessionRestores += snap.SessionRestores
+	for _, b := range snap.Backends {
+		r.CircuitOpens += b.Opens
+	}
+	h.core = nil
+}
+
+// setDown kills (down) or revives every worker of cluster m.
+func (h *harness) setDown(m int, down bool) {
+	for _, d := range h.dialers[m] {
+		if down {
+			d.Kill()
+		} else {
+			d.Revive()
+		}
+	}
+}
+
+// close releases whatever boot and the scenario left running.
+func (h *harness) close() {
+	if h.core != nil {
+		drain(h.core)
+	}
+	if h.control != nil {
+		drain(h.control)
+	}
+	for _, eng := range h.engines {
+		eng.Close()
+	}
+	if h.dir != "" {
+		os.RemoveAll(h.dir)
+	}
+}
+
+// awaitHealthy polls until every worker of every engine holds a session
+// or budget runs out, and reports which and how long it waited.
+func awaitHealthy(engines []*cluster.Engine, budget time.Duration) (bool, time.Duration) {
+	start := time.Now()
+	for {
+		healthy := true
+		for _, eng := range engines {
+			healthy = healthy && eng.Healthy()
+		}
+		if healthy || time.Since(start) >= budget {
+			return healthy, time.Since(start)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	rep.RecoveryTime = time.Since(recoverStart)
-
-	// Post-chaos: verified traffic must flow again (this also drives the
-	// circuit breaker's probe if chaos left it open).
-	rep.PostChaosOK = true
-	for _, spec := range specs {
-		ok := false
-		for try := 0; try < 3 && !ok; try++ {
-			ok = runOne(inputs[indexOf(specs, spec.Name)*inputsPerProgram])
-		}
-		rep.PostChaosOK = rep.PostChaosOK && ok
-	}
-
-	// --- counters ---
-	for k, n := range inj.Counts() {
-		rep.Faults[k.String()] = n
-	}
-	rep.TotalFaults = inj.Total()
-	rep.CorruptFramesDetected = cluster.CorruptFrames() - corruptBase
-	snap := core.Metrics().Snapshot()
-	rep.EmulatorFallbacks = snap.EmulatorFallbacks
-	rep.Panics = snap.Panics
-	for _, b := range snap.Backends {
-		rep.CircuitOpens += b.Opens
-		rep.Reconnects += b.Cluster.Reconnects
-	}
-	cfg.Logf("chaos done: %d requests (%d ok, %d shed, %d timeout, %d degraded, %d failed), %d faults, %d corrupt frames detected, recovered in %v",
-		rep.Requests, rep.OK, rep.Shed, rep.Timeouts, rep.Degraded, rep.Failed,
-		rep.TotalFaults, rep.CorruptFramesDetected, rep.RecoveryTime.Round(time.Millisecond))
-	return rep, nil
 }
 
-func keysList(m map[string]*ckks.EvalKey) []*ckks.EvalKey {
-	out := make([]*ckks.EvalKey, 0, len(m))
-	for _, k := range m {
-		out = append(out, k)
-	}
-	return out
+func step(c *serve.Core, id string, ct *ckks.Ciphertext) (*ckks.Ciphertext, serve.SessionInfo, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
+	defer cancel()
+	return c.SessionStep(ctx, id, ct)
 }
 
-func indexOf(specs []workloads.ServeWorkload, name string) int {
-	for i, s := range specs {
-		if s.Name == name {
-			return i
-		}
-	}
-	return 0
+func drain(c *serve.Core) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c.Close(ctx)
+}
+
+// ctBytes is the oracle's view of a ciphertext: its wire encoding.
+func ctBytes(ct *ckks.Ciphertext) []byte {
+	var b bytes.Buffer
+	ct.Write(&b) // writing to a bytes.Buffer cannot fail
+	return b.Bytes()
 }

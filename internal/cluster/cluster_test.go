@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -887,5 +889,88 @@ func TestEnsureKeysRespectsRedialWindow(t *testing.T) {
 	}
 	if eng.Healthy() {
 		t.Fatal("link came up inside its redial window")
+	}
+}
+
+// connDialer hands out one pre-made connection.
+type connDialer struct{ conn net.Conn }
+
+func (d connDialer) Dial(context.Context) (net.Conn, error) { return d.conn, nil }
+
+// TestStalePongSkipped: a pong delivered twice — the chaos injector's
+// receive-side Duplicate — is stale once its ping is answered. The next
+// exchange on the link, here a first-time key push, must skip it rather
+// than fail and drop a healthy session.
+func TestStalePongSkipped(t *testing.T) {
+	tc := newClusterContext(t, 1, Options{}) // params and keys; its engine is unused
+	coord, worker := net.Pipe()
+	t.Cleanup(func() { worker.Close() })
+	errc := make(chan error, 1)
+	go func() {
+		errc <- func() error {
+			br, bw := bufio.NewReader(worker), bufio.NewWriter(worker)
+			expect := func(want byte) ([]byte, error) {
+				typ, payload, err := ReadFrame(br)
+				if err == nil && typ != want {
+					err = fmt.Errorf("got frame %#x, want %#x", typ, want)
+				}
+				return payload, err
+			}
+			reply := func(typ byte, payloads ...[]byte) error {
+				for _, p := range payloads {
+					if err := WriteFrame(bw, typ, p); err != nil {
+						return err
+					}
+				}
+				return bw.Flush()
+			}
+			if _, err := expect(msgHello); err != nil {
+				return err
+			}
+			if err := reply(msgHelloAck, encodeHelloAck(ParamsDigest(tc.params))); err != nil {
+				return err
+			}
+			ping, err := expect(msgPing)
+			if err != nil {
+				return err
+			}
+			// Both pongs in one write: a net.Pipe write blocks until read,
+			// and the second must already be waiting when the push is sent.
+			if err := reply(msgPong, ping, ping); err != nil {
+				return err
+			}
+			push, err := expect(msgSetKey)
+			if err != nil {
+				return err
+			}
+			id, _, err := decodeSetKey(push, tc.params)
+			if err != nil {
+				return err
+			}
+			return reply(msgKeyAck, encodeKeyAck(id))
+		}()
+	}()
+
+	// An hour between heartbeats: the test sends the one ping itself.
+	eng, err := NewEngine(tc.params, []Dialer{connDialer{coord}}, Options{HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	lk := eng.links[0]
+	lk.mu.Lock()
+	err = lk.ping(eng)
+	lk.mu.Unlock()
+	if err != nil {
+		t.Fatalf("ping: %v", err)
+	}
+	if err := eng.EnsureKeys(tc.rlk); err != nil {
+		t.Fatalf("key push after a doubled pong: %v", err)
+	}
+	if n := eng.Snapshot().Reconnects; n != 0 {
+		t.Fatalf("a stale pong cost %d reconnects, want 0", n)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("fake worker: %v", err)
 	}
 }

@@ -359,27 +359,21 @@ func (lk *link) evictKey(id uint64) error {
 	if err := lk.bw.Flush(); err != nil {
 		return err
 	}
-	for {
-		typ, payload, err := ReadFrame(lk.br)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case msgKeyGone:
-			_, got, err := decodeKeyGone(payload)
-			if err != nil {
-				return err
-			}
-			if got != id {
-				return fmt.Errorf("cluster: evict ack for key %d, sent %d", got, id)
-			}
-			return nil
-		case msgPong:
-			continue // stale heartbeat reply; ignore
-		default:
-			return fmt.Errorf("cluster: expected evict ack, got frame %#x", typ)
-		}
+	typ, payload, err := lk.readReply(0)
+	if err != nil {
+		return err
 	}
+	if typ != msgKeyGone {
+		return fmt.Errorf("cluster: expected evict ack, got frame %#x", typ)
+	}
+	_, got, err := decodeKeyGone(payload)
+	if err != nil {
+		return err
+	}
+	if got != id {
+		return fmt.Errorf("cluster: evict ack for key %d, sent %d", got, id)
+	}
+	return nil
 }
 
 // KeySwitch implements ckks.KeySwitcher: the algorithm follows the key's
@@ -835,7 +829,7 @@ func (lk *link) ensureKey(id uint64, e *Engine) error {
 	if err := lk.bw.Flush(); err != nil {
 		return err
 	}
-	typ, payload, err := ReadFrame(lk.br)
+	typ, payload, err := lk.readReply(0)
 	if err != nil {
 		return err
 	}
@@ -958,54 +952,65 @@ func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 		if err := lk.bw.Flush(); err != nil {
 			return nil, err
 		}
-	await:
-		for {
-			typ, payload, err := ReadFrame(lk.br)
+		typ, payload, err := lk.readReply(0)
+		if err != nil {
+			return nil, err
+		}
+		switch typ {
+		case msgKSResult:
+			m, err := decodeKSResult(payload, lk.params.N())
 			if err != nil {
 				return nil, err
 			}
-			switch typ {
-			case msgKSResult:
-				m, err := decodeKSResult(payload, lk.params.N())
-				if err != nil {
-					return nil, err
-				}
-				if m.req != req {
-					return nil, fmt.Errorf("cluster: result for request %d, expected %d", m.req, req)
-				}
-				return &m, nil
-			case msgKeyGone:
-				r, id, err := decodeKeyGone(payload)
-				if err != nil {
-					return nil, err
-				}
-				if r != req {
-					return nil, fmt.Errorf("cluster: keyGone frame for request %d, expected %d", r, req)
-				}
-				if id != begin.keyID {
-					return nil, fmt.Errorf("cluster: keyGone for key %d, keyswitch uses %d", id, begin.keyID)
-				}
-				if repushed {
-					return nil, &remoteError{msg: fmt.Sprintf("worker dropped key %d immediately after re-push (budget too small for one key?)", id)}
-				}
-				repushed = true
-				delete(lk.pushed, id)
-				lk.stats.KeyRepushes.Add(1)
-				break await
-			case msgError:
-				r, msg, err := decodeError(payload)
-				if err != nil {
-					return nil, err
-				}
-				if r != req {
-					return nil, fmt.Errorf("cluster: error frame for request %d, expected %d", r, req)
-				}
-				return nil, &remoteError{msg: msg}
-			case msgPong:
-				continue // stale heartbeat reply; ignore
-			default:
-				return nil, fmt.Errorf("cluster: unexpected frame %#x awaiting result", typ)
+			if m.req != req {
+				return nil, fmt.Errorf("cluster: result for request %d, expected %d", m.req, req)
 			}
+			return &m, nil
+		case msgKeyGone:
+			r, id, err := decodeKeyGone(payload)
+			if err != nil {
+				return nil, err
+			}
+			if r != req {
+				return nil, fmt.Errorf("cluster: keyGone frame for request %d, expected %d", r, req)
+			}
+			if id != begin.keyID {
+				return nil, fmt.Errorf("cluster: keyGone for key %d, keyswitch uses %d", id, begin.keyID)
+			}
+			if repushed {
+				return nil, &remoteError{msg: fmt.Sprintf("worker dropped key %d immediately after re-push (budget too small for one key?)", id)}
+			}
+			repushed = true
+			delete(lk.pushed, id)
+			lk.stats.KeyRepushes.Add(1)
+		case msgError:
+			r, msg, err := decodeError(payload)
+			if err != nil {
+				return nil, err
+			}
+			if r != req {
+				return nil, fmt.Errorf("cluster: error frame for request %d, expected %d", r, req)
+			}
+			return nil, &remoteError{msg: msg}
+		default:
+			return nil, fmt.Errorf("cluster: unexpected frame %#x awaiting result", typ)
+		}
+	}
+}
+
+// readReply reads the next reply on the session (lk.mu held), skipping
+// every pong except the one answering the ping in flight — ping is that
+// ping's nonce, 0 outside a heartbeat (nonces start at 1). A pong that
+// arrives late or twice is stale, and must not fail whichever exchange
+// happens to read next.
+func (lk *link) readReply(ping uint64) (byte, []byte, error) {
+	for {
+		typ, payload, err := ReadFrame(lk.br)
+		if err != nil || typ != msgPong {
+			return typ, payload, err
+		}
+		if nonce, err := decodePing(payload); err != nil || nonce == ping {
+			return typ, payload, err
 		}
 	}
 }
@@ -1025,19 +1030,12 @@ func (lk *link) ping(e *Engine) error {
 	if err := lk.bw.Flush(); err != nil {
 		return err
 	}
-	typ, payload, err := ReadFrame(lk.br)
+	typ, _, err := lk.readReply(nonce)
 	if err != nil {
 		return err
 	}
 	if typ != msgPong {
 		return fmt.Errorf("cluster: expected pong, got frame %#x", typ)
-	}
-	got, err := decodePing(payload)
-	if err != nil {
-		return err
-	}
-	if got != nonce {
-		return fmt.Errorf("cluster: pong nonce %d, want %d", got, nonce)
 	}
 	return nil
 }

@@ -138,6 +138,6 @@ if ! grep -q "resumed after" "$STATE/session.out"; then
 fi
 
 echo "== 4. in-process domain soak (kills + restart, bit-exact resume) =="
-"$BIN/cinnamon-chaos" -mode domains -phase-load 2s -json
+"$BIN/cinnamon-chaos" -mode domains -duration 2s -json
 
 echo "== failover smoke PASS =="
