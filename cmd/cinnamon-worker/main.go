@@ -8,7 +8,9 @@
 // Workers are stateless between connections: the coordinator pushes
 // parameters via handshake digest negotiation and evaluation keys lazily,
 // so a worker can be restarted at any time and rejoin the cluster on the
-// coordinator's next reconnect.
+// coordinator's next reconnect. A worker holds the keys its coordinator
+// pushed and has not evicted; the coordinator's key cache is what bounds
+// them.
 //
 // Usage:
 //
@@ -39,7 +41,6 @@ func main() {
 	logN := flag.Int("logn", 8, "ring degree log2 (must match coordinator)")
 	levels := flag.Int("levels", 3, "multiplicative levels (must match coordinator)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (must match coordinator)")
-	keyBudgetMB := flag.Int64("key-budget-mb", 0, "resident pushed-key budget per session in MiB (0 = unbounded); LRU keys drop and are re-pushed by the coordinator on next use")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = no profiler)")
 	flag.Parse()
 
@@ -51,19 +52,18 @@ func main() {
 		}
 		log.Printf("profiler on http://%s/debug/pprof/", at)
 	}
-	if err := run(*addr, *logN, *levels, *seed, *keyBudgetMB); err != nil {
+	if err := run(*addr, *logN, *levels, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, logN, levels int, seed, keyBudgetMB int64) error {
+func run(addr string, logN, levels int, seed int64) error {
 	params, err := ckks.NewParameters(workloads.ServeParamsLiteral(logN, levels, seed))
 	if err != nil {
 		return err
 	}
 	w := cluster.NewWorker(params)
-	w.KeyBudgetBytes = keyBudgetMB << 20
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

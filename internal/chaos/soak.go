@@ -295,10 +295,8 @@ func (h *harness) boot() error {
 		return err
 	}
 	keys := map[string]*ckks.EvalKey{"rlk": rlk}
-	evks := []*ckks.EvalKey{rlk}
 	for k, key := range rtks.Keys {
 		keys[fmt.Sprintf("rot:%d", k)] = key
-		evks = append(evks, key)
 	}
 	if err := reg.RegisterTenant(tenant, keys); err != nil {
 		return err
@@ -341,9 +339,6 @@ func (h *harness) boot() error {
 		h.engines = append(h.engines, eng)
 		h.dialers = append(h.dialers, pds)
 		h.coreCfg.Backends = append(h.coreCfg.Backends, serve.BackendSpec{Engine: eng})
-		if err := eng.EnsureKeys(evks...); err != nil {
-			return fmt.Errorf("chaos: cluster %d key pre-push: %w", m, err)
-		}
 	}
 	if err := h.startCore(); err != nil {
 		return err

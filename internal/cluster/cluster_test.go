@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -602,99 +603,37 @@ func TestEvictKeysInvalidatesWorkers(t *testing.T) {
 	tc.eng.EvictKeys(tc.rlk)
 }
 
-// TestWorkerKeyBudgetForcesRepush: a worker under its own key budget drops
-// LRU keys on its side; the coordinator still believes them pushed, so the
-// next keyswitch using a dropped key gets an in-band key-gone answer and
-// must transparently re-push on the same session — no reconnect, same bits.
-func TestWorkerKeyBudgetForcesRepush(t *testing.T) {
-	params := testParams(t)
-	kg := ckks.NewKeyGenerator(params)
-	sk, err := kg.GenSecretKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, err := kg.GenRelinKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := kg.GenRelinKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 1-byte budget means any second key exceeds it: the worker always
-	// holds exactly the most recently pushed key (the livelock guard keeps
-	// that one resident no matter how small the budget is).
-	dialers := make([]Dialer, 2)
-	for i := range dialers {
-		w := NewWorker(params)
-		w.KeyBudgetBytes = 1
-		dialers[i] = NewPipeDialer(w)
-	}
-	eng, err := NewEngine(params, dialers, Options{
+// TestUnknownKeyRejectedInBand: a worker drops a key only when the
+// coordinator evicts it, so a keyswitch naming a key the worker never
+// received is a protocol error. The worker answers it in band with msgError:
+// the collective fails typed and the session survives.
+func TestUnknownKeyRejectedInBand(t *testing.T) {
+	tc := newClusterContext(t, 2, Options{
 		RPCTimeout:   2 * time.Second,
 		RetryBackoff: time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
+	ct := tc.encryptRandom(t, 88)
+	id := tc.eng.keyID(tc.rlk)
+	for _, lk := range tc.eng.links {
+		lk.mu.Lock()
+		lk.pushed[id] = true // believed pushed, never sent
+		lk.mu.Unlock()
 	}
-	defer eng.Close()
-
-	enc := ckks.NewEncoder(params)
-	v := make([]complex128, params.Slots())
-	for i := range v {
-		v[i] = complex(float64(i%5)/5-0.4, float64(i%3)/3-0.3)
+	_, _, err := tc.eng.KeySwitch(ct.C1, tc.rlk)
+	if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "unknown key id") {
+		t.Fatalf("keyswitch on a key the workers never received: got %v, want ErrDegraded naming the unknown key", err)
 	}
-	pt, err := enc.Encode(v, params.MaxLevel(), params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := ckks.NewEncryptor(params, pk).Encrypt(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seq := ckks.NewEvaluator(params, nil, nil)
-	check := func(step string, key *ckks.EvalKey) {
-		t.Helper()
-		s0, s1, err := seq.KeySwitch(ct.C1, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d0, d1, err := eng.KeySwitch(ct.C1, key)
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		if !d0.Equal(s0) || !d1.Equal(s1) {
-			t.Fatalf("%s: distributed keyswitch differs from sequential", step)
-		}
-	}
-	check("first key", k1)
-	check("second key (worker drops first)", k2)
-	// k1 is gone worker-side but the coordinator's session still marks it
-	// pushed: this call must ride the key-gone -> re-push path.
-	check("first key again (re-push)", k1)
-
-	snap := eng.Snapshot()
-	if snap.KeyRepushes < 1 {
-		t.Fatalf("budgeted worker never forced a re-push: %+v", snap)
-	}
-	if snap.Reconnects != 0 {
-		t.Fatalf("re-push should ride the live session, counted %d reconnects", snap.Reconnects)
-	}
-	if !eng.Healthy() {
-		t.Fatal("engine not healthy after budget-forced re-push")
+	if snap := tc.eng.Snapshot(); snap.Reconnects != 0 || !tc.eng.Healthy() {
+		t.Fatalf("an in-band rejection dropped a session: %d reconnects, healthy=%v", snap.Reconnects, tc.eng.Healthy())
 	}
 }
 
 // TestConcurrentEvictKeySwitchStress hammers EvictKeys against a stream of
-// keyswitches. The eviction race (encoding erased between a collective's
-// id resolution and the lazy push) must be absorbed by re-resolving a
-// fresh id — never by dropping a clean session: any reconnect or failed
-// collective here is a regression (the loop below stops at the first error).
+// keyswitches. A keyswitch names and pushes its key under the link lock, so
+// an eviction either finishes on that link first (the key gets a fresh id
+// and is pushed again) or waits for the keyswitch — never a clean session
+// dropped: any reconnect or failed collective here is a regression (the
+// loop below stops at the first error).
 func TestConcurrentEvictKeySwitchStress(t *testing.T) {
 	tc := newClusterContext(t, 2, Options{
 		RPCTimeout:   5 * time.Second,
@@ -824,7 +763,8 @@ func TestDuplicatedDigitFrameRejected(t *testing.T) {
 	}
 	defer eng.Close()
 	ct := tc.encryptRandom(t, 77)
-	if err := eng.EnsureKeys(tc.rlk); err != nil {
+	// Warm: push the key, so the first write after arming is the digit stream.
+	if _, _, err := eng.KeySwitch(ct.C1, tc.rlk); err != nil {
 		t.Fatal(err)
 	}
 	arm.Store(true)
@@ -837,58 +777,6 @@ func TestDuplicatedDigitFrameRejected(t *testing.T) {
 	}
 	if d0 != nil || d1 != nil {
 		t.Fatal("a rejected collective returned result polynomials")
-	}
-}
-
-// countingDialer counts Dial calls through to the wrapped dialer.
-type countingDialer struct {
-	Dialer
-	dials atomic.Int64
-}
-
-func (d *countingDialer) Dial(ctx context.Context) (net.Conn, error) {
-	d.dials.Add(1)
-	return d.Dialer.Dial(ctx)
-}
-
-// TestEnsureKeysRespectsRedialWindow: EnsureKeys dials a down link through
-// the same jittered redial gate as the heartbeat and RPC retries — inside
-// the link's window it fails at once without a Dial, even though a dial
-// would now succeed — so a dead worker is dialed on one schedule, not two.
-func TestEnsureKeysRespectsRedialWindow(t *testing.T) {
-	tc := newClusterContext(t, 1, Options{}) // keys; its engine is unused
-	pd := NewPipeDialer(NewWorker(tc.params))
-	pd.Kill()
-	cd := &countingDialer{Dialer: pd}
-	// The failed boot dial opens a window of RetryBackoff jittered into
-	// [0.5, 1]× — at least 30s here — and an hour between heartbeats keeps
-	// the heartbeat from dialing at all.
-	eng, err := NewEngine(tc.params, []Dialer{cd}, Options{
-		RetryBackoff:       time.Minute,
-		HeartbeatInterval:  time.Hour,
-		AllowDegradedStart: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if n := cd.dials.Load(); n != 1 {
-		t.Fatalf("boot made %d dials, want 1", n)
-	}
-	pd.Revive()
-	start := time.Now()
-	err = eng.EnsureKeys(tc.rlk)
-	if !errors.Is(err, errRedialBackoff) {
-		t.Fatalf("EnsureKeys inside the redial window: got %v, want errRedialBackoff", err)
-	}
-	if n := cd.dials.Load() - 1; n != 0 {
-		t.Fatalf("EnsureKeys inside the redial window made %d dials, want 0", n)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("EnsureKeys inside the redial window took %v, want an immediate return", d)
-	}
-	if eng.Healthy() {
-		t.Fatal("link came up inside its redial window")
 	}
 }
 
@@ -964,7 +852,10 @@ func TestStalePongSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if err := eng.EnsureKeys(tc.rlk); err != nil {
+	lk.mu.Lock()
+	err = lk.ensureKey(eng.keyID(tc.rlk), tc.rlk)
+	lk.mu.Unlock()
+	if err != nil {
 		t.Fatalf("key push after a doubled pong: %v", err)
 	}
 	if n := eng.Snapshot().Reconnects; n != 0 {

@@ -91,9 +91,11 @@ type Engine struct {
 	links  []*link
 	stats  Stats
 
+	// keyIDs names each key by pointer for the wire: a push encodes the
+	// *EvalKey the collective holds, and EvictKeys forgets the name, so a
+	// later push of the same pointer gets a fresh id.
 	keyMu   sync.Mutex
 	keyIDs  map[*ckks.EvalKey]uint64
-	keyEnc  map[uint64][]byte // encoded pushes, shared across workers
 	nextKey uint64
 
 	reqSeq   atomic.Uint64
@@ -123,7 +125,7 @@ type link struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
-	pushed  map[uint64]bool // keys live on the CURRENT session
+	pushed  map[uint64]bool // keys live on the CURRENT session; drop clears it
 	dialed  bool            // a session existed before (reconnects count)
 	healthy atomic.Bool
 
@@ -159,7 +161,6 @@ func NewEngine(params *ckks.Parameters, dialers []Dialer, opts Options) (*Engine
 		local:  local,
 		opts:   opts,
 		keyIDs: map[*ckks.EvalKey]uint64{},
-		keyEnc: map[uint64][]byte{},
 	}
 	for i, d := range dialers {
 		lk := &link{
@@ -251,60 +252,12 @@ func (e *Engine) Close() {
 	})
 }
 
-// EnsureKeys pre-pushes evaluation keys to every worker, so the first
-// collective doesn't pay the transfer. A down link is dialed through the
-// same redial gate as the heartbeat and RPC retries: inside its backoff
-// window EnsureKeys fails at once without dialing.
-func (e *Engine) EnsureKeys(keys ...*ckks.EvalKey) error {
-	for _, k := range keys {
-		if k == nil {
-			continue
-		}
-		id, err := e.keyID(k)
-		if err != nil {
-			return err
-		}
-		for _, lk := range e.links {
-			lk.mu.Lock()
-			err := func() error {
-				if lk.conn == nil {
-					if err := lk.connectBackoff(); err != nil {
-						return err
-					}
-				}
-				lk.conn.SetDeadline(time.Now().Add(lk.opts.RPCTimeout))
-				defer func() {
-					if lk.conn != nil {
-						lk.conn.SetDeadline(time.Time{})
-					}
-				}()
-				if err := lk.ensureKey(id, e); err != nil {
-					if errors.Is(err, errKeyEvicted) {
-						// Evicted concurrently: the pre-push is moot, and the
-						// stream is untouched — skip the key, keep the session.
-						return nil
-					}
-					lk.drop()
-					return err
-				}
-				return nil
-			}()
-			lk.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("cluster: pushing key to worker %d: %w", lk.chip, err)
-			}
-		}
-	}
-	return nil
-}
-
-// EvictKeys invalidates evaluation keys end to end after a coordinator-
-// side cache eviction: the engine forgets the pointers' ids and encodings
-// (a later push of the same material gets a fresh id), and every live
-// worker session is told to drop its copy so worker memory shrinks with
-// the coordinator's budget instead of only growing. Best-effort: a link
-// that fails the exchange is dropped, and its reconnect starts from an
-// empty worker key store anyway.
+// EvictKeys invalidates evaluation keys end to end once the coordinator's
+// key cache has let them go: the engine forgets the pointers' ids (a later
+// push of the same pointer gets a fresh id), and every live worker session
+// is told to drop its copy, so a worker holds only what the cache holds.
+// Best-effort: a link that fails the exchange is dropped, and its
+// reconnect starts from an empty worker key store anyway.
 func (e *Engine) EvictKeys(keys ...*ckks.EvalKey) {
 	var ids []uint64
 	e.keyMu.Lock()
@@ -315,7 +268,6 @@ func (e *Engine) EvictKeys(keys ...*ckks.EvalKey) {
 		if id, ok := e.keyIDs[k]; ok {
 			ids = append(ids, id)
 			delete(e.keyIDs, k)
-			delete(e.keyEnc, id)
 		}
 	}
 	e.keyMu.Unlock()
@@ -334,6 +286,7 @@ func (e *Engine) EvictKeys(keys ...*ckks.EvalKey) {
 				continue
 			}
 			delete(lk.pushed, id)
+			lk.stats.KeysResident.Add(-1)
 			// One RPCTimeout per round trip, not one for the whole batch:
 			// a wide key set over a slow link must not turn a routine
 			// cache eviction into a dropped (healthy) worker session when
@@ -421,21 +374,16 @@ func (e *Engine) keySwitchStatsCtx(ctx context.Context, c *ring.Poly, evk *ckks.
 	return e.inputBroadcast(ctx, c, evk)
 }
 
-func (e *Engine) keyID(evk *ckks.EvalKey) (uint64, error) {
+func (e *Engine) keyID(evk *ckks.EvalKey) uint64 {
 	e.keyMu.Lock()
 	defer e.keyMu.Unlock()
-	if id, ok := e.keyIDs[evk]; ok {
-		return id, nil
+	id, ok := e.keyIDs[evk]
+	if !ok {
+		e.nextKey++
+		id = e.nextKey
+		e.keyIDs[evk] = id
 	}
-	e.nextKey++
-	id := e.nextKey
-	enc, err := encodeSetKey(id, evk)
-	if err != nil {
-		return 0, err
-	}
-	e.keyIDs[evk] = id
-	e.keyEnc[id] = enc
-	return id, nil
+	return id
 }
 
 // digitRanges lists the [lo,hi) chain ranges of every hybrid digit at
@@ -461,10 +409,6 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 	l := c.Basis.Len() - 1
 	n := len(e.links)
 	start := time.Now()
-	keyID, err := e.keyID(evk)
-	if err != nil {
-		return nil, nil, keyswitch.CommStats{}, err
-	}
 	digits := e.digitRanges(evk, l)
 
 	cc := c.Copy()
@@ -487,7 +431,7 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 		go func(chip int, mine []int) {
 			defer wg.Done()
 			res, err := e.links[chip].keyswitchRPC(ctx, e, evk, ksBeginMsg{
-				alg: algIB, keyID: keyID, level: uint32(l), frames: uint32(len(digits)),
+				alg: algIB, level: uint32(l), frames: uint32(len(digits)),
 			}, func(bw *bufio.Writer, req uint64) error {
 				return streamDigits(bw, req, digits, cc)
 			})
@@ -529,10 +473,6 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 	if len(evk.DigitSets) != n {
 		return nil, nil, keyswitch.CommStats{}, fmt.Errorf("cluster: key has %d digit sets, cluster has %d workers", len(evk.DigitSets), n)
 	}
-	keyID, err := e.keyID(evk)
-	if err != nil {
-		return nil, nil, keyswitch.CommStats{}, err
-	}
 
 	cc := c.Copy()
 	if err := r.INTT(cc); err != nil {
@@ -553,7 +493,7 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 		go func(chip int, mine []int) {
 			defer wg.Done()
 			res, err := e.links[chip].keyswitchRPC(ctx, e, evk, ksBeginMsg{
-				alg: algOA, keyID: keyID, level: uint32(l), frames: 1,
+				alg: algOA, level: uint32(l), frames: 1,
 			}, func(bw *bufio.Writer, req uint64) error {
 				limbs := make([][]uint64, len(mine))
 				for k, j := range mine {
@@ -756,7 +696,6 @@ func (lk *link) connect() error {
 	}
 	lk.dialed = true
 	lk.conn, lk.br, lk.bw = conn, br, bw
-	lk.pushed = map[uint64]bool{} // fresh session: worker's key store is empty
 	lk.healthy.Store(true)
 	lk.redialDelay, lk.nextRedial = 0, time.Time{}
 	if lk.lastHS != nil {
@@ -796,32 +735,28 @@ func (lk *link) connectBackoff() error {
 	return err
 }
 
-// drop closes the session (under lk.mu) and marks the link unhealthy.
+// drop closes the session (under lk.mu) and marks the link unhealthy. The
+// worker's key store died with the session, so the link forgets it too.
 func (lk *link) drop() {
 	if lk.conn != nil {
 		lk.conn.Close()
 		lk.conn, lk.br, lk.bw = nil, nil, nil
 	}
 	lk.healthy.Store(false)
+	lk.stats.KeysResident.Add(-int64(len(lk.pushed)))
+	clear(lk.pushed)
 }
 
-// errKeyEvicted: the key's encoding vanished between id resolution and the
-// push — a concurrent EvictKeys won the race. Nothing was written, so the
-// session stream is still clean: callers must NOT drop the link, just
-// re-resolve the key (which assigns a fresh id and encoding) and retry.
-var errKeyEvicted = errors.New("cluster: key evicted before push")
-
-// ensureKey pushes the key if this session hasn't seen it (lazy, keyed by
-// pointer identity on the coordinator; a reconnect clears the set).
-func (lk *link) ensureKey(id uint64, e *Engine) error {
+// ensureKey pushes evk under id if this session hasn't seen it — the one
+// push path: lazy, keyed by pointer identity on the coordinator, encoded
+// from the key the collective holds.
+func (lk *link) ensureKey(id uint64, evk *ckks.EvalKey) error {
 	if lk.pushed[id] {
 		return nil
 	}
-	e.keyMu.Lock()
-	enc := e.keyEnc[id]
-	e.keyMu.Unlock()
-	if enc == nil {
-		return fmt.Errorf("key %d: %w", id, errKeyEvicted)
+	enc, err := encodeSetKey(id, evk)
+	if err != nil {
+		return err
 	}
 	if err := WriteFrame(lk.bw, msgSetKey, enc); err != nil {
 		return err
@@ -845,6 +780,7 @@ func (lk *link) ensureKey(id uint64, e *Engine) error {
 	}
 	lk.pushed[id] = true
 	lk.stats.KeyPushes.Add(1)
+	lk.stats.KeysResident.Add(1)
 	return nil
 }
 
@@ -898,11 +834,8 @@ func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 	}
 	// Any failure past this point poisons the session (the stream position
 	// is unknown), so drop it; the retry or the heartbeat loop redials.
-	// Exception: errKeyEvicted happens strictly before the first write of
-	// an attempt, so the stream is still at a frame boundary — dropping
-	// would turn a benign eviction race into a reconnect storm.
 	defer func() {
-		if err != nil && !errors.Is(err, errKeyEvicted) {
+		if err != nil {
 			if _, ok := err.(*remoteError); !ok {
 				lk.drop()
 			}
@@ -914,87 +847,52 @@ func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 			lk.conn.SetDeadline(time.Time{})
 		}
 	}()
-	// The retry loop covers exactly two cases, each bounded:
-	//   - A concurrent EvictKeys erased the key's encoding between the
-	//     caller's id resolution and our push: re-resolving assigns a fresh
-	//     id and encoding, and nothing touched the wire.
-	//   - A worker that dropped the key under its own budget answers
-	//     keyGone (after consuming the announced limb stream — a clean
-	//     frame boundary): the coordinator re-pushes and replays on the
-	//     same session. One re-push per RPC; a worker that immediately
-	//     forgets a key it just acked is broken.
-	repushed := false
-	for resolves := 0; ; {
-		id, err := e.keyID(evk)
+	// The key is named and pushed under the link lock, so an EvictKeys of
+	// it waits for this keyswitch to finish on this link, or has already
+	// finished and the key gets a fresh id.
+	begin.keyID = e.keyID(evk)
+	if err := lk.ensureKey(begin.keyID, evk); err != nil {
+		return nil, err
+	}
+	req := e.reqSeq.Add(1)
+	begin.req = req
+	p := encodeKSBegin(begin)
+	err = WriteFrame(lk.bw, msgKSBegin, p)
+	putFrameBuf(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := sendLimbs(lk.bw, req); err != nil {
+		return nil, err
+	}
+	if err := lk.bw.Flush(); err != nil {
+		return nil, err
+	}
+	typ, payload, err := lk.readReply(0)
+	if err != nil {
+		return nil, err
+	}
+	switch typ {
+	case msgKSResult:
+		m, err := decodeKSResult(payload, lk.params.N())
 		if err != nil {
 			return nil, err
 		}
-		begin.keyID = id
-		if err := lk.ensureKey(id, e); err != nil {
-			if errors.Is(err, errKeyEvicted) {
-				if resolves++; resolves <= 3 {
-					continue
-				}
-			}
-			return nil, err
+		if m.req != req {
+			return nil, fmt.Errorf("cluster: result for request %d, expected %d", m.req, req)
 		}
-		req := e.reqSeq.Add(1)
-		begin.req = req
-		p := encodeKSBegin(begin)
-		err = WriteFrame(lk.bw, msgKSBegin, p)
-		putFrameBuf(p)
+		return &m, nil
+	case msgError:
+		r, msg, err := decodeError(payload)
 		if err != nil {
 			return nil, err
 		}
-		if err := sendLimbs(lk.bw, req); err != nil {
-			return nil, err
+		if r != req {
+			return nil, fmt.Errorf("cluster: error frame for request %d, expected %d", r, req)
 		}
-		if err := lk.bw.Flush(); err != nil {
-			return nil, err
-		}
-		typ, payload, err := lk.readReply(0)
-		if err != nil {
-			return nil, err
-		}
-		switch typ {
-		case msgKSResult:
-			m, err := decodeKSResult(payload, lk.params.N())
-			if err != nil {
-				return nil, err
-			}
-			if m.req != req {
-				return nil, fmt.Errorf("cluster: result for request %d, expected %d", m.req, req)
-			}
-			return &m, nil
-		case msgKeyGone:
-			r, id, err := decodeKeyGone(payload)
-			if err != nil {
-				return nil, err
-			}
-			if r != req {
-				return nil, fmt.Errorf("cluster: keyGone frame for request %d, expected %d", r, req)
-			}
-			if id != begin.keyID {
-				return nil, fmt.Errorf("cluster: keyGone for key %d, keyswitch uses %d", id, begin.keyID)
-			}
-			if repushed {
-				return nil, &remoteError{msg: fmt.Sprintf("worker dropped key %d immediately after re-push (budget too small for one key?)", id)}
-			}
-			repushed = true
-			delete(lk.pushed, id)
-			lk.stats.KeyRepushes.Add(1)
-		case msgError:
-			r, msg, err := decodeError(payload)
-			if err != nil {
-				return nil, err
-			}
-			if r != req {
-				return nil, fmt.Errorf("cluster: error frame for request %d, expected %d", r, req)
-			}
-			return nil, &remoteError{msg: msg}
-		default:
-			return nil, fmt.Errorf("cluster: unexpected frame %#x awaiting result", typ)
-		}
+		return nil, &remoteError{msg: msg}
+	default:
+		return nil, fmt.Errorf("cluster: unexpected frame %#x awaiting result", typ)
 	}
 }
 

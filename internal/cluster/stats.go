@@ -18,11 +18,11 @@ type Stats struct {
 	Aggregations atomic.Int64 // aggregate-and-scatter operations completed
 	LimbsMoved   atomic.Int64 // limbs that crossed a chip boundary (paper units)
 
-	KeyPushes   atomic.Int64 // evaluation keys shipped to workers
-	KeyEvicts   atomic.Int64 // keys invalidated on workers after a coordinator eviction
-	KeyRepushes atomic.Int64 // keys re-pushed after a worker reported it no longer held one
-	Reconnects  atomic.Int64 // worker sessions re-established after loss
-	Heartbeats  atomic.Int64 // ping/pong round trips
+	KeyPushes    atomic.Int64 // evaluation keys shipped to workers
+	KeyEvicts    atomic.Int64 // keys invalidated on workers after a coordinator eviction
+	KeysResident atomic.Int64 // gauge: pushed keys held by live worker sessions, summed over links
+	Reconnects   atomic.Int64 // worker sessions re-established after loss
+	Heartbeats   atomic.Int64 // ping/pong round trips
 
 	collectiveLat telemetry.Histogram // one observation per distributed collective
 }
@@ -40,10 +40,12 @@ type Snapshot struct {
 	Aggregations int64 `json:"aggregations"`
 	LimbsMoved   int64 `json:"limbs_moved"`
 
-	KeyPushes   int64 `json:"key_pushes"`
-	KeyEvicts   int64 `json:"key_evicts"`
-	KeyRepushes int64 `json:"key_repushes"`
-	Reconnects  int64 `json:"reconnects"`
+	KeyPushes int64 `json:"key_pushes"`
+	KeyEvicts int64 `json:"key_evicts"`
+	// KeysResident is a gauge: the keys the live worker sessions hold, one
+	// count per (key, worker) pair.
+	KeysResident int64 `json:"keys_resident"`
+	Reconnects   int64 `json:"reconnects"`
 	// LocalFallbacks is vestigial and always zero: the engine has no local
 	// fallback — a collective that loses a worker fails with ErrDegraded. It
 	// stays, with its JSON key, only because the frozen benchmark (bench/,
@@ -69,7 +71,7 @@ func (s *Stats) snapshot() Snapshot {
 		LimbsMoved:        s.LimbsMoved.Load(),
 		KeyPushes:         s.KeyPushes.Load(),
 		KeyEvicts:         s.KeyEvicts.Load(),
-		KeyRepushes:       s.KeyRepushes.Load(),
+		KeysResident:      s.KeysResident.Load(),
 		Reconnects:        s.Reconnects.Load(),
 		Heartbeats:        s.Heartbeats.Load(),
 		CorruptFrames:     CorruptFrames(),

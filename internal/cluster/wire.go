@@ -86,7 +86,7 @@ const (
 	msgPong     byte = 0x09
 	msgError    byte = 0x0a // worker → coordinator: request-scoped failure
 	msgKeyEvict byte = 0x0b // coordinator → worker: drop a pushed key
-	msgKeyGone  byte = 0x0c // worker → coordinator: key not resident (evict ack, or re-push request mid-keyswitch)
+	msgKeyGone  byte = 0x0c // worker → coordinator: evict ack
 )
 
 // Keyswitch algorithms on the wire.
@@ -428,11 +428,10 @@ func decodeKeyAck(p []byte) (uint64, error) {
 // --- keyEvict / keyGone ---
 
 // A key eviction is a round trip: the coordinator announces the id, the
-// worker drops the key and acknowledges with keyGone (req 0). The same
-// keyGone frame, carrying a request id, is the worker's in-band answer to
-// a keyswitch whose key it no longer holds — a budget eviction on the
-// worker side, which the coordinator heals by re-pushing on the same
-// session, unlike msgError which is deterministic and never retried.
+// worker drops the key and acknowledges with keyGone. The ack's request
+// field is always 0; it stays in the payload so the v2 frame layout is
+// unchanged. A worker drops a key only when told to, so a keyswitch naming
+// a key it does not hold is a protocol error, answered with msgError.
 func encodeKeyEvict(id uint64) []byte { return appendU64(nil, id) }
 
 func decodeKeyEvict(p []byte) (uint64, error) {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
@@ -21,7 +20,9 @@ var ErrDigestMismatch = errors.New("cluster: parameter digest mismatch")
 // stateless between sessions: each coordinator connection carries its own
 // handshake (topology, parameter digest) and key store, so a restarted
 // coordinator — or a reconnect after a network fault — starts clean and
-// re-pushes whatever keys it needs.
+// re-pushes whatever keys it needs. What a session's key store holds is the
+// coordinator's decision alone: it pushes a key before the first keyswitch
+// that names it and evicts it when its key cache lets the key go.
 type Worker struct {
 	Params *ckks.Parameters
 
@@ -31,15 +32,6 @@ type Worker struct {
 	// defaultPartialFrameTimeout; sessions may still idle indefinitely
 	// between frames.
 	PartialFrameTimeout time.Duration
-
-	// KeyBudgetBytes caps the bytes of pushed evaluation keys a session
-	// keeps resident (wire-encoding length as the cost proxy; 0 =
-	// unbounded, the historical always-grow behavior). Over budget, the
-	// least-recently-used keys are dropped silently; a keyswitch naming a
-	// dropped key gets a keyGone answer and the coordinator re-pushes on
-	// the same session. The most recent key never drops, so a single key
-	// larger than the whole budget still serves.
-	KeyBudgetBytes int64
 }
 
 const defaultPartialFrameTimeout = 30 * time.Second
@@ -56,55 +48,7 @@ type session struct {
 	eng  *keyswitch.Engine
 	chip int
 	bw   *bufio.Writer
-
-	// The key store is an LRU over the session's pushed keys, budgeted by
-	// Worker.KeyBudgetBytes (unbounded when 0).
-	keys     map[uint64]*workerKey
-	keyLRU   *list.List // *workerKey, most recently used first
-	keyBytes int64
-}
-
-// workerKey is one resident evaluation key with its LRU bookkeeping.
-type workerKey struct {
-	id   uint64
-	key  *ckks.EvalKey
-	size int64 // wire-encoding bytes, the residency cost proxy
-	elem *list.Element
-}
-
-// key returns a resident key, refreshing its LRU position.
-func (s *session) key(id uint64) (*ckks.EvalKey, bool) {
-	wk, ok := s.keys[id]
-	if !ok {
-		return nil, false
-	}
-	s.keyLRU.MoveToFront(wk.elem)
-	return wk.key, true
-}
-
-// setKey installs a pushed key and evicts least-recently-used others until
-// the store fits the budget. The just-pushed key is exempt — evicting it
-// would make the coordinator's push/keyswitch sequence livelock.
-func (s *session) setKey(id uint64, key *ckks.EvalKey, size int64) {
-	if old, ok := s.keys[id]; ok {
-		s.keyLRU.Remove(old.elem)
-		s.keyBytes -= old.size
-	}
-	wk := &workerKey{id: id, key: key, size: size}
-	wk.elem = s.keyLRU.PushFront(wk)
-	s.keys[id] = wk
-	s.keyBytes += size
-	if budget := s.w.KeyBudgetBytes; budget > 0 {
-		for s.keyBytes > budget && s.keyLRU.Len() > 1 {
-			s.dropKey(s.keyLRU.Back().Value.(*workerKey))
-		}
-	}
-}
-
-func (s *session) dropKey(wk *workerKey) {
-	s.keyLRU.Remove(wk.elem)
-	delete(s.keys, wk.id)
-	s.keyBytes -= wk.size
+	keys map[uint64]*ckks.EvalKey // pushed and not yet evicted
 }
 
 // pendingKS is one in-flight keyswitch request. Limb frames absorb into it
@@ -115,7 +59,6 @@ func (s *session) dropKey(wk *workerKey) {
 type pendingKS struct {
 	req    uint64
 	alg    byte
-	keyID  uint64
 	key    *ckks.EvalKey
 	level  int
 	frames int
@@ -124,10 +67,6 @@ type pendingKS struct {
 	ib      *keyswitch.ChipIB
 	scatter [][]uint64 // OA: the chip's digit-set limbs, in OAMine order
 	err     error
-	// keyGone marks the one recoverable rejection — the key was evicted
-	// under the session budget — answered with msgKeyGone instead of
-	// msgError so the coordinator re-pushes rather than failing the RPC.
-	keyGone bool
 }
 
 // Serve runs one coordinator session until the peer disconnects. A clean
@@ -141,7 +80,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 		partial = defaultPartialFrameTimeout
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	s := &session{w: w, keys: map[uint64]*workerKey{}, keyLRU: list.New(), bw: bufio.NewWriterSize(conn, 1<<16)}
+	s := &session{w: w, keys: map[uint64]*ckks.EvalKey{}, bw: bufio.NewWriterSize(conn, 1<<16)}
 
 	typ, payload, err := ReadFrameTimeout(conn, br, partial)
 	if err != nil {
@@ -191,7 +130,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 			if err != nil {
 				return fmt.Errorf("cluster: decoding key push: %w", err)
 			}
-			s.setKey(id, key, int64(len(payload)))
+			s.keys[id] = key
 			if err := s.send(msgKeyAck, encodeKeyAck(id)); err != nil {
 				return err
 			}
@@ -200,9 +139,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 			if err != nil {
 				return fmt.Errorf("cluster: decoding key evict: %w", err)
 			}
-			if wk, ok := s.keys[id]; ok {
-				s.dropKey(wk)
-			}
+			delete(s.keys, id)
 			if err := s.send(msgKeyGone, encodeKeyGone(0, id)); err != nil {
 				return err
 			}
@@ -254,11 +191,10 @@ func (s *session) send(typ byte, payload []byte) error {
 // frames are still consumed (the coordinator has announced them) before
 // the error goes back.
 func (s *session) begin(m ksBeginMsg) *pendingKS {
-	p := &pendingKS{req: m.req, alg: m.alg, keyID: m.keyID, level: int(m.level), frames: int(m.frames)}
-	key, ok := s.key(m.keyID)
+	p := &pendingKS{req: m.req, alg: m.alg, level: int(m.level), frames: int(m.frames)}
+	key, ok := s.keys[m.keyID]
 	if !ok {
 		p.err = fmt.Errorf("unknown key id %d (coordinator must push it first)", m.keyID)
-		p.keyGone = true
 		return p
 	}
 	p.key = key
@@ -405,9 +341,6 @@ func (s *session) finish(p *pendingKS) error {
 			r.PutPoly(down1)
 			return err
 		}
-	}
-	if p.keyGone {
-		return s.send(msgKeyGone, encodeKeyGone(p.req, p.keyID))
 	}
 	return s.send(msgError, encodeError(p.req, p.err.Error()))
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
 )
 
@@ -301,13 +300,6 @@ func TestAbandonedProbeReArms(t *testing.T) {
 		t.Fatalf("cluster.NewEngine: %v", err)
 	}
 	defer eng.Close()
-	var keys []*ckks.EvalKey
-	for _, k := range env.keys {
-		keys = append(keys, k)
-	}
-	if err := eng.EnsureKeys(keys...); err != nil {
-		t.Fatalf("key pre-push: %v", err)
-	}
 	const cooldown = 100 * time.Millisecond
 	core := NewCore(reg, Config{
 		Workers:          1,
@@ -317,9 +309,13 @@ func TestAbandonedProbeReArms(t *testing.T) {
 		Backends:         []BackendSpec{{Engine: eng}},
 	})
 	defer closeCoreT(t, core)
+	ct, _ := encryptRandom(t, 816)
+	// Warm: push rotsum's keys, so the probe's first write is a collective.
+	if _, err := core.Submit(context.Background(), "rotsum", testTenant, ct); err != nil {
+		t.Fatalf("warm submit: %v", err)
+	}
 	brk := core.backends.all[0].brk
 	brk.Failure() // threshold 1: the circuit is open
-	ct, _ := encryptRandom(t, 816)
 
 	time.Sleep(cooldown)
 	armed.Store(true)

@@ -176,10 +176,10 @@ func TestClientExpiryIsolated(t *testing.T) {
 			onWrite: func() {
 				if armed.CompareAndSwap(true, false) {
 					// First wire write after arming: request 1 is mid-run.
-					// Hold it there until request 2 is executing too, then
-					// cancel it.
+					// Hold it there until request 2 is executing too (the
+					// third one-shot, after the warm-up), then cancel it.
 					close(midRun)
-					for deadline := time.Now().Add(5 * time.Second); core.Metrics().OneShots.Load() < 2 && time.Now().Before(deadline); {
+					for deadline := time.Now().Add(5 * time.Second); core.Metrics().OneShots.Load() < 3 && time.Now().Before(deadline); {
 						time.Sleep(time.Millisecond)
 					}
 					cancel1()
@@ -193,21 +193,17 @@ func TestClientExpiryIsolated(t *testing.T) {
 		t.Fatalf("cluster.NewEngine: %v", err)
 	}
 	defer eng.Close()
-	// Pre-push the keys so the only writes after arming are request 1's
-	// collectives (no lazy key push).
-	var keys []*ckks.EvalKey
-	for _, k := range env.keys {
-		keys = append(keys, k)
-	}
-	if err := eng.EnsureKeys(keys...); err != nil {
-		t.Fatalf("key pre-push: %v", err)
-	}
 
 	core = NewCore(reg, Config{Workers: 2, Backends: []BackendSpec{{Engine: eng}}})
 	defer closeCoreT(t, core)
 
 	ct1, _ := encryptRandom(t, 811)
 	ct2, _ := encryptRandom(t, 812)
+	// Warm: push rotsum's keys, so the only writes after arming are request
+	// 1's collectives (no lazy key push).
+	if _, err := core.Submit(context.Background(), "rotsum", testTenant, ct2); err != nil {
+		t.Fatalf("warm submit: %v", err)
+	}
 	err1 := make(chan error, 1)
 	armed.Store(true)
 	go func() {
@@ -243,8 +239,8 @@ func TestClientExpiryIsolated(t *testing.T) {
 	if snap.EmulatorFallbacks != 0 {
 		t.Fatalf("emulator_fallbacks = %d: one client's expiry sent work to the local fallback", snap.EmulatorFallbacks)
 	}
-	if snap.Completed != 1 || snap.Errors != 0 || snap.Timeouts != 1 {
-		t.Fatalf("completed/errors/timeouts = %d/%d/%d, want 1/0/1 (a client expiry is not an execution error)", snap.Completed, snap.Errors, snap.Timeouts)
+	if snap.Completed != 2 || snap.Errors != 0 || snap.Timeouts != 1 {
+		t.Fatalf("completed/errors/timeouts = %d/%d/%d, want 2/0/1 with the warm-up (a client expiry is not an execution error)", snap.Completed, snap.Errors, snap.Timeouts)
 	}
 	if snap.Cluster.LocalFallbacks != 0 || snap.Cluster.Reconnects != 0 {
 		t.Fatalf("cluster transport disturbed by a client expiry: %+v", snap.Cluster)
@@ -287,18 +283,14 @@ func TestWorkerLostMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cluster.NewEngine: %v", err)
 		}
-		// Pre-push the keys so the first write after arming is the request's
-		// first collective.
-		var keys []*ckks.EvalKey
-		for _, k := range env.keys {
-			keys = append(keys, k)
-		}
-		if err := eng.EnsureKeys(keys...); err != nil {
-			t.Fatalf("key pre-push: %v", err)
-		}
 		core := NewCore(reg, Config{Workers: 1, RequireCluster: require, Backends: []BackendSpec{{Engine: eng}}})
 
 		ct, _ := encryptRandom(t, 813)
+		// Warm: push rotsum's keys, so the first write after arming is the
+		// request's first collective.
+		if _, err := core.Submit(context.Background(), "rotsum", testTenant, ct); err != nil {
+			t.Fatalf("warm submit: %v", err)
+		}
 		armed.Store(true)
 		out, err := core.Submit(context.Background(), "rotsum", testTenant, ct)
 		if armed.Load() {
@@ -326,8 +318,8 @@ func TestWorkerLostMidRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameCiphertext(t, "local replay vs local executor", out, want)
-			if snap.EmulatorFallbacks != 1 || snap.Completed != 1 || snap.Errors != 0 {
-				t.Fatalf("emulator_fallbacks/completed/errors = %d/%d/%d, want 1/1/0", snap.EmulatorFallbacks, snap.Completed, snap.Errors)
+			if snap.EmulatorFallbacks != 1 || snap.Completed != 2 || snap.Errors != 0 {
+				t.Fatalf("emulator_fallbacks/completed/errors = %d/%d/%d, want 1/2/0 with the warm-up", snap.EmulatorFallbacks, snap.Completed, snap.Errors)
 			}
 		}
 		brk := core.backends.all[0].brk

@@ -21,6 +21,9 @@ import (
 // callers, so a cold tenant costs one disk read no matter how many
 // requests pile up behind it).
 //
+// The cache is also the one owner of what cluster workers hold (see
+// keySet and onEvict).
+//
 // Budget accounting uses the serialized bundle length as the residency
 // cost proxy — it tracks the decoded footprint within a small constant
 // factor and is exact, cheap and stable across runs. Budget 0 means
@@ -46,8 +49,8 @@ type keyCache struct {
 	inflight map[string]chan struct{} // closed when a spill load completes
 
 	// onEvict, when set (NewDurableCore, before any request), fires off-lock
-	// for every evicted tenant with the decoded map that was dropped, so
-	// cluster backends can invalidate the corresponding worker-resident keys.
+	// once for every decoded map that has left the cache and has no holder
+	// left, so cluster backends can invalidate the worker-resident keys.
 	onEvict func(id string, keys map[string]*ckks.EvalKey)
 
 	hits      atomic.Int64
@@ -63,13 +66,21 @@ type tenantEntry struct {
 	hash  string          // content address of the serialized bundle
 	size  int64           // serialized bundle bytes
 	names map[string]bool // key-id set, for admission-time validation
-	keys  map[string]*ckks.EvalKey
-	elem  *list.Element // LRU position when resident, nil when spilled
+	keys  *keySet         // decoded keys when resident, nil when spilled
+	elem  *list.Element   // LRU position when resident, nil when spilled
 }
 
-type evictedTenant struct {
-	id   string
-	keys map[string]*ckks.EvalKey
+// keySet is one decoded key map and the runs holding it (acquire takes a
+// hold, release gives it back; holds and gone are guarded by keyCache.mu).
+// A map leaves the cache (gone) by LRU eviction or when a re-registration
+// supersedes it; onEvict fires for it once no run holds it — at once, or at
+// the last release — so worker keys outlive neither the cache entry nor
+// the last run that could push them.
+type keySet struct {
+	id    string
+	m     map[string]*ckks.EvalKey
+	holds int
+	gone  bool
 }
 
 func newKeyCache(params *ckks.Parameters, budget int64, store *keyStore) *keyCache {
@@ -87,7 +98,7 @@ func newKeyCache(params *ckks.Parameters, budget int64, store *keyStore) *keyCac
 // register installs (or replaces) a tenant: spill the serialized bundle
 // write-through, then make the decoded map resident.
 func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
-	e := &tenantEntry{id: id, keys: keys, names: make(map[string]bool, len(keys))}
+	e := &tenantEntry{id: id, keys: &keySet{id: id, m: keys}, names: make(map[string]bool, len(keys))}
 	for name := range keys {
 		e.names[name] = true
 	}
@@ -115,11 +126,11 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 		}
 	}
 	c.mu.Lock()
+	var due []*keySet
 	if old, ok := c.tenants[id]; ok {
 		if old.elem != nil {
 			c.lru.Remove(old.elem)
-			old.elem = nil
-			c.resident -= old.size
+			due = c.leaveLocked(due, old)
 		}
 		// The superseded bundle's spill file is garbage once no other
 		// tenant references its hash.
@@ -128,9 +139,9 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 	c.tenants[id] = e
 	e.elem = c.lru.PushFront(e)
 	c.resident += e.size
-	evicted := c.enforceBudgetLocked()
+	due = append(due, c.enforceBudgetLocked()...)
 	c.mu.Unlock()
-	c.fireEvictHooks(evicted)
+	c.fireEvictHooks(due)
 	return nil
 }
 
@@ -148,12 +159,13 @@ func (c *keyCache) releaseHashLocked(hash string) {
 	}
 }
 
-// get returns the tenant's decoded key map, blocking on a spill reload
-// when the tenant is registered but not resident. The bool is false only
-// for unknown tenants — never registered, or dropped because their spill
+// acquire returns the tenant's decoded keys with a hold on them, blocking
+// on a spill reload when the tenant is registered but not resident; the
+// caller gives the hold back with release. The bool is false only for
+// unknown tenants — never registered, or dropped because their spill
 // bundle could not be read back (completeLoad); either way the remedy is
 // the same: re-register.
-func (c *keyCache) get(id string) (map[string]*ckks.EvalKey, bool) {
+func (c *keyCache) acquire(id string) (*keySet, bool) {
 	c.mu.Lock()
 	e, ok := c.tenants[id]
 	if !ok {
@@ -163,20 +175,43 @@ func (c *keyCache) get(id string) (map[string]*ckks.EvalKey, bool) {
 	if e.keys != nil {
 		c.hits.Add(1)
 		c.touchLocked(e)
-		keys := e.keys
+		e.keys.holds++
 		c.mu.Unlock()
-		return keys, true
+		return e.keys, true
 	}
 	c.misses.Add(1)
 	start := time.Now()
-	keys, ok := c.loadLocked(id)
+	ks, ok := c.loadLocked(id)
 	// Failed loads are metered as loadFails, not stalls: a disk error is
 	// not a cold-miss latency sample and would skew the histogram.
 	if ok {
 		c.stalls.Add(1)
 		c.stallHist.Observe(time.Since(start))
 	}
-	return keys, ok
+	return ks, ok
+}
+
+// release gives back a hold taken by acquire. The last holder of a map
+// that has left the cache fires its eviction hook.
+func (c *keyCache) release(ks *keySet) {
+	c.mu.Lock()
+	ks.holds--
+	due := ks.gone && ks.holds == 0
+	c.mu.Unlock()
+	if due {
+		c.fireEvictHooks([]*keySet{ks})
+	}
+}
+
+// get is acquire and release in one: the tenant's decoded key map, for
+// callers that push no key to a worker.
+func (c *keyCache) get(id string) (map[string]*ckks.EvalKey, bool) {
+	ks, ok := c.acquire(id)
+	if !ok {
+		return nil, false
+	}
+	c.release(ks)
+	return ks.m, true
 }
 
 // names returns the tenant's key-id set without touching the LRU or
@@ -192,9 +227,9 @@ func (c *keyCache) keyNames(id string) (map[string]bool, bool) {
 	return e.names, true
 }
 
-// loadLocked resolves a spilled tenant, deduplicating concurrent loads.
-// Called with c.mu held; returns with it released.
-func (c *keyCache) loadLocked(id string) (map[string]*ckks.EvalKey, bool) {
+// loadLocked resolves a spilled tenant under a hold, deduplicating
+// concurrent loads. Called with c.mu held; returns with it released.
+func (c *keyCache) loadLocked(id string) (*keySet, bool) {
 	for {
 		e, ok := c.tenants[id]
 		if !ok {
@@ -203,9 +238,9 @@ func (c *keyCache) loadLocked(id string) (map[string]*ckks.EvalKey, bool) {
 		}
 		if e.keys != nil {
 			c.touchLocked(e)
-			keys := e.keys
+			e.keys.holds++
 			c.mu.Unlock()
-			return keys, true
+			return e.keys, true
 		}
 		if ch, busy := c.inflight[id]; busy {
 			c.mu.Unlock()
@@ -222,9 +257,10 @@ func (c *keyCache) loadLocked(id string) (map[string]*ckks.EvalKey, bool) {
 }
 
 // completeLoad reads the spill file, deserializes, and installs the keys
-// (unless the tenant re-registered meanwhile — the fresh registration
-// wins). Callers must hold the inflight slot; it is released here.
-func (c *keyCache) completeLoad(id string, e *tenantEntry, ch chan struct{}, hash string, size int64) (map[string]*ckks.EvalKey, bool) {
+// with the caller's hold on them (unless the tenant re-registered meanwhile
+// — the fresh registration wins, and the caller's map is out of the cache
+// from the start). Callers must hold the inflight slot; it is released here.
+func (c *keyCache) completeLoad(id string, e *tenantEntry, ch chan struct{}, hash string, size int64) (*keySet, bool) {
 	var keys map[string]*ckks.EvalKey
 	bundle, err := c.store.Load(hash)
 	if err == nil {
@@ -248,16 +284,19 @@ func (c *keyCache) completeLoad(id string, e *tenantEntry, ch chan struct{}, has
 		c.mu.Unlock()
 		return nil, false
 	}
-	var evicted []evictedTenant
+	ks := &keySet{id: id, m: keys, holds: 1}
+	var due []*keySet
 	if cur, ok := c.tenants[id]; ok && cur == e && cur.keys == nil {
-		cur.keys = keys
+		cur.keys = ks
 		c.resident += size
 		c.touchLocked(cur)
-		evicted = c.enforceBudgetLocked()
+		due = c.enforceBudgetLocked()
+	} else {
+		ks.gone = true // re-registered meanwhile: the map never enters the cache
 	}
 	c.mu.Unlock()
-	c.fireEvictHooks(evicted)
-	return keys, true
+	c.fireEvictHooks(due)
+	return ks, true
 }
 
 func (c *keyCache) touchLocked(e *tenantEntry) {
@@ -269,30 +308,41 @@ func (c *keyCache) touchLocked(e *tenantEntry) {
 }
 
 // enforceBudgetLocked evicts least-recently-used entries until resident
-// bytes fit the budget. Dropping the decoded map is always safe: in-flight
-// requests hold their own reference, and the serialized bundle is on disk.
-func (c *keyCache) enforceBudgetLocked() []evictedTenant {
+// bytes fit the budget, returning the maps whose hooks are due now.
+// Dropping the decoded map is always safe: in-flight requests hold it, and
+// the serialized bundle is on disk.
+func (c *keyCache) enforceBudgetLocked() []*keySet {
 	if c.budget <= 0 {
 		return nil
 	}
-	var evicted []evictedTenant
+	var due []*keySet
 	for c.resident > c.budget && c.lru.Len() > 0 {
 		e := c.lru.Remove(c.lru.Back()).(*tenantEntry)
-		evicted = append(evicted, evictedTenant{id: e.id, keys: e.keys})
-		e.elem = nil
-		e.keys = nil
-		c.resident -= e.size
+		due = c.leaveLocked(due, e)
 		c.evictions.Add(1)
 	}
-	return evicted
+	return due
 }
 
-func (c *keyCache) fireEvictHooks(evicted []evictedTenant) {
+// leaveLocked takes a resident entry's decoded map out of the cache (the
+// caller has already unlinked e.elem) and appends the map to due when no
+// run holds it; otherwise its last release fires the hook.
+func (c *keyCache) leaveLocked(due []*keySet, e *tenantEntry) []*keySet {
+	e.keys.gone = true
+	if e.keys.holds == 0 {
+		due = append(due, e.keys)
+	}
+	e.elem, e.keys = nil, nil
+	c.resident -= e.size
+	return due
+}
+
+func (c *keyCache) fireEvictHooks(due []*keySet) {
 	if c.onEvict == nil {
 		return
 	}
-	for _, ev := range evicted {
-		c.onEvict(ev.id, ev.keys)
+	for _, ks := range due {
+		c.onEvict(ks.id, ks.m)
 	}
 }
 

@@ -8,11 +8,13 @@ import (
 	"math/cmplx"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/ckks"
+	"cinnamon/internal/cluster"
 	"cinnamon/internal/workloads"
 )
 
@@ -632,4 +634,126 @@ func decodeTenant(t testing.TB, params *ckks.Parameters, decr *ckks.Decryptor, e
 		t.Fatal(err)
 	}
 	return v
+}
+
+// squareRegistry compiles a square-only registry on the fixture's literal,
+// cheap enough to build per test, with an optional key budget.
+func squareRegistry(t *testing.T, budget int64) *Registry {
+	t.Helper()
+	testEnv(t)
+	sq, ok := workloads.ServeWorkloadByName("square")
+	if !ok {
+		t.Fatal("no square workload")
+	}
+	cfg := RegistryConfig{Literal: env.lit, Programs: []workloads.ServeWorkload{sq}, KeyBudgetBytes: budget}
+	if budget > 0 {
+		cfg.KeySpillDir = t.TempDir()
+	}
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// waitKeyResidency waits for the engine's workers to hold exactly resident
+// keys after exactly evicts worker-side evictions — the eviction hook runs
+// off the serving path — and fails the test if they never settle there.
+func waitKeyResidency(t *testing.T, eng *cluster.Engine, resident, evicts int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap := eng.Snapshot()
+		if snap.KeysResident == resident && snap.KeyEvicts == evicts {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("keys_resident/key_evicts = %d/%d, want %d/%d", snap.KeysResident, snap.KeyEvicts, resident, evicts)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReRegisterEvictsSupersededKeys: a re-registration supersedes the
+// tenant's key map, and the superseded keys leave the workers — three
+// generations of one tenant, each run once, leave exactly one generation
+// resident.
+func TestReRegisterEvictsSupersededKeys(t *testing.T) {
+	reg := squareRegistry(t, 0)
+	eng, _ := newPipeCluster(t, reg.Params, 2, cluster.Options{})
+	core := NewCore(reg, Config{Workers: 1, RequireCluster: true, Backends: []BackendSpec{{Engine: eng}}})
+	defer closeCoreT(t, core)
+	ct, _ := encryptRandom(t, 4400)
+	for gen := 1; gen <= 3; gen++ {
+		if err := reg.RegisterTenant("rotating", genTenantKeys(t, reg.Params)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Submit(context.Background(), "square", "rotating", ct); err != nil {
+			t.Fatalf("generation %d: %v", gen, err)
+		}
+	}
+	// One generation's relinearization key on each worker; the two
+	// superseded ones evicted.
+	n := int64(eng.NChips())
+	waitKeyResidency(t, eng, n, 2)
+	if got := eng.Snapshot().KeyPushes; got != 3*n {
+		t.Fatalf("key_pushes = %d, want %d (one key per generation per worker)", got, 3*n)
+	}
+}
+
+// TestEvictedMidRunLeavesNoWorkerKeys: a tenant evicted while its run holds
+// its keys keeps them until the run returns, and then loses them on the
+// workers too — the run's lazy push does not outlive the eviction.
+func TestEvictedMidRunLeavesNoWorkerKeys(t *testing.T) {
+	kA := genTenantKeys(t, testEnv(t).Params)
+	size := bundleSize(t, kA)
+	reg := squareRegistry(t, size+size/2) // 1.5 single-key bundles: one tenant resident
+	if err := reg.RegisterTenant("a", kA); err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := newPipeCluster(t, reg.Params, 2, cluster.Options{})
+	var armed atomic.Bool
+	parked, resume := make(chan struct{}), make(chan struct{})
+	core := NewCore(reg, Config{
+		Workers:        1,
+		RequireCluster: true,
+		Backends:       []BackendSpec{{Engine: eng}},
+		testPreRun: func() {
+			if armed.CompareAndSwap(true, false) {
+				close(parked)
+				<-resume
+			}
+		},
+	})
+	defer closeCoreT(t, core)
+	ct, _ := encryptRandom(t, 4401)
+
+	armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := core.Submit(context.Background(), "square", "a", ct)
+		done <- err
+	}()
+	<-parked
+	if err := reg.RegisterTenant("b", genTenantKeys(t, reg.Params)); err != nil { // evicts a
+		t.Fatal(err)
+	}
+	if s := reg.KeyCacheStats(); s.Evictions != 1 {
+		t.Fatalf("registering b evicted %d tenants, want 1 (a)", s.Evictions)
+	}
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatalf("a's run: %v", err)
+	}
+	// a's run pushed its key to both workers; its release evicts them.
+	n := int64(eng.NChips())
+	waitKeyResidency(t, eng, 0, 1)
+
+	if _, err := core.Submit(context.Background(), "square", "b", ct); err != nil {
+		t.Fatalf("b's run: %v", err)
+	}
+	waitKeyResidency(t, eng, n, 1)
+	if got := eng.Snapshot().KeyPushes; got != 2*n {
+		t.Fatalf("key_pushes = %d, want %d (a's key and b's, once per worker)", got, 2*n)
+	}
 }

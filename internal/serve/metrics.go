@@ -146,8 +146,8 @@ type Snapshot struct {
 	// KeyCache reports the budgeted tenant-key tier: resident/spilled
 	// tenant counts, resident bytes vs budget, hit/miss/eviction counters
 	// and cold-miss stalls with their latency quantiles.
-	// Worker-side re-pushes after an eviction appear in the cluster
-	// transport counters (key_evicts / key_repushes).
+	// Workers hold what this cache holds: the cluster transport counters
+	// show the worker side (key_evicts, and the keys_resident gauge).
 	KeyCache *KeyCacheStats `json:"key_cache,omitempty"`
 }
 

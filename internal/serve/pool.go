@@ -206,9 +206,9 @@ func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 	if len(cfg.Backends) > 0 {
 		c.backends = newBackendSet(cfg.Backends, c.met, cfg.CircuitThreshold, cfg.CircuitCooldown)
 		c.met.backendsSource = c.backends.snapshots
-		// A coordinator-side eviction invalidates worker residency on every
-		// backend (best-effort, off the serving path): workers then drop
-		// the key and the next keyswitch lazily re-pushes it.
+		// A map leaving the key cache, once no run holds it, invalidates
+		// worker residency on every backend (best-effort, off the serving
+		// path): the cache is the one owner of what workers hold.
 		reg.keys.onEvict = func(_ string, keys map[string]*ckks.EvalKey) {
 			evs := make([]*ckks.EvalKey, 0, len(keys))
 			for _, k := range keys {
@@ -389,7 +389,9 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 // deep — executes: it waits under ctx for one of the Workers slots (the wait
 // shows in QueueDepth), loads the tenant's keys inside it, so a cold reload
 // stalls only this request (a failed one has dropped the tenant), and
-// executes. The slot is free again when run returns.
+// executes. The slot is free again when run returns, and so is the run's
+// hold on the keys: an eviction or re-registration in between reaches the
+// workers only then.
 func (c *Core) run(ctx context.Context, prog *Program, tenant string, ct *ckks.Ciphertext, oneShot bool) (*ckks.Ciphertext, error) {
 	c.met.QueueDepth.Add(1)
 	select {
@@ -400,14 +402,15 @@ func (c *Core) run(ctx context.Context, prog *Program, tenant string, ct *ckks.C
 		c.met.QueueDepth.Add(-1)
 		return nil, fmt.Errorf("waiting for a worker slot: %w", ctx.Err())
 	}
-	keys, ok := c.reg.TenantKeys(tenant)
+	keys, ok := c.reg.keys.acquire(tenant)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
+	defer c.reg.keys.release(keys)
 	if oneShot {
 		c.met.OneShots.Add(1)
 	}
-	return c.execute(ctx, prog, tenant, keys, ct)
+	return c.execute(ctx, prog, tenant, keys.m, ct)
 }
 
 // Close drains the runtime: no new requests are accepted and every admitted

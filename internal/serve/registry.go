@@ -246,7 +246,9 @@ func (r *Registry) ProgramNames() []string {
 // RegisterTenant installs (or replaces) a tenant's evaluation keys. The
 // map is copied; callers keep ownership of theirs. With a key budget
 // configured the bundle also writes through to the spill store, and the
-// registration may evict colder tenants to fit.
+// registration may evict colder tenants to fit. A replaced map leaves the
+// cache like an evicted one: its keys leave the workers once no run holds
+// them.
 func (r *Registry) RegisterTenant(id string, keys map[string]*ckks.EvalKey) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty tenant id")
@@ -292,7 +294,9 @@ func bindBootstrapper(pre *bootstrap.Precomp, ev *ckks.Evaluator) (*bootstrap.Bo
 // An evicted tenant reloads from the spill store here — a blocking cold
 // miss on the caller's goroutine, metered as a cold-miss stall — so ok is
 // false only for unknown tenants: never registered, or dropped because
-// their spill bundle failed to read back (they must re-register).
+// their spill bundle failed to read back (they must re-register). It takes
+// no hold on the map, so serving runs load keys through the cache's
+// acquire instead (Core.run).
 func (r *Registry) TenantKeys(id string) (map[string]*ckks.EvalKey, bool) {
 	return r.keys.get(id)
 }

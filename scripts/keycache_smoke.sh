@@ -9,10 +9,10 @@
 #   1. Emulator backend: every response decrypt-and-verified, zero errors
 #      allowed; /metrics must show evictions happened AND resident bytes
 #      never exceeding the budget.
-#   2. 2-worker cluster backend with a worker-side key budget too: the
-#      coordinator's evictions invalidate worker residency (key_evicts)
-#      and budget-dropped worker keys are transparently re-pushed
-#      (key_repushes), still with zero errors.
+#   2. 2-worker cluster backend: the coordinator's key cache is the one
+#      owner of what workers hold, so its evictions invalidate worker
+#      residency (key_evicts >= 1, keys_resident printed), still with zero
+#      errors.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,10 +90,10 @@ assert_cache_bounded
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 
-echo "== 2. cluster backend: 2 budgeted workers + coordinator budget =="
+echo "== 2. cluster backend: 2 workers behind the coordinator budget =="
 for port in "${WPORTS[@]}"; do
   "$BIN/cinnamon-worker" -addr "127.0.0.1:$port" \
-    -logn "$LOGN" -levels "$LEVELS" -seed "$SEED" -key-budget-mb 1 &
+    -logn "$LOGN" -levels "$LEVELS" -seed "$SEED" &
   PIDS+=($!)
 done
 WORKERS=$(IFS=,; echo "${WPORTS[*]/#/127.0.0.1:}")
@@ -119,8 +119,8 @@ wait_healthy
 assert_cache_bounded
 
 KEY_EVICTS=$(metric key_evicts)
-KEY_REPUSHES=$(metric key_repushes)
-echo "cluster key flow: $KEY_EVICTS worker invalidations, $KEY_REPUSHES budget-forced re-pushes"
+KEYS_RESIDENT=$(metric keys_resident)
+echo "cluster key flow: $KEY_EVICTS worker invalidations, $KEYS_RESIDENT keys resident on workers"
 if [ "$KEY_EVICTS" -lt 1 ]; then
   echo "FAIL: coordinator evictions never invalidated worker residency" >&2
   exit 1
