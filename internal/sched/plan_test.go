@@ -2,10 +2,10 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"cinnamon/internal/ckks"
@@ -57,10 +57,55 @@ func encodeOperands(t testing.TB, params *ckks.Parameters, enc *ckks.Encoder, sp
 	return pts, scales
 }
 
-// TestPlanMatchesEvaluator is the tracker's ground-truth check: for every
-// catalog program that fits the parameter set, execute the graph on a real
-// evaluator and compare each node's actual (level, scale) against the
-// plan's prediction, op by op.
+// planTrace builds the plan and records the walk's prediction for every node.
+func planTrace(t testing.TB, g *polyir.Graph, params *ckks.Parameters, ptScales map[string]float64, exitLevel int) (*Plan, map[int]NodeState) {
+	t.Helper()
+	states := map[int]NodeState{}
+	plan, err := buildPlan(g, params, ptScales, exitLevel, func(id int, s NodeState) { states[id] = s })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, states
+}
+
+// runAgainstPlan runs ex on ct and fails t wherever a node's live (level,
+// scale) differs from the plan walk's prediction, a node is in one trace and
+// not the other, or the output differs from the plan's.
+func runAgainstPlan(t *testing.T, name string, ex *Executor, ev *ckks.Evaluator, ct *ckks.Ciphertext, refresh RefreshFunc, plan *Plan, want map[int]NodeState) {
+	t.Helper()
+	seen := 0
+	trace := func(id int, live *ckks.Ciphertext) {
+		seen++
+		w, ok := want[id]
+		if !ok {
+			t.Errorf("%s node %d: executed but not in the plan walk's trace", name, id)
+			return
+		}
+		if live.Level() != w.Level {
+			t.Errorf("%s node %d: level %d, plan predicted %d", name, id, live.Level(), w.Level)
+		}
+		if !sameScale(live.Scale, w.Scale) {
+			t.Errorf("%s node %d: scale %g, plan predicted %g (rel err %g)",
+				name, id, live.Scale, w.Scale, math.Abs(live.Scale-w.Scale)/w.Scale)
+		}
+	}
+	out, err := ex.Run(context.Background(), ev, ct, RunOpts{Refresh: refresh, Trace: trace})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if seen != len(want) {
+		t.Fatalf("%s: executor traced %d nodes, plan walk %d", name, seen, len(want))
+	}
+	if out.Level() != plan.OutLevel || !sameScale(out.Scale, plan.OutScale) {
+		t.Fatalf("%s: output (level %d, scale %g), plan (level %d, scale %g)",
+			name, out.Level(), out.Scale, plan.OutLevel, plan.OutScale)
+	}
+}
+
+// TestPlanMatchesEvaluator is the plan's ground-truth check on programs that
+// fit the chain: for every catalog program that fits the parameter set,
+// execute the graph on a real evaluator and compare each node's actual
+// (level, scale) against the plan walk's prediction, op by op.
 func TestPlanMatchesEvaluator(t *testing.T) {
 	lit := workloads.ServeParamsLiteral(8, 4, 20260807)
 	params, err := ckks.NewParameters(lit)
@@ -70,59 +115,32 @@ func TestPlanMatchesEvaluator(t *testing.T) {
 	enc := ckks.NewEncoder(params)
 
 	type compiled struct {
-		spec workloads.ServeWorkload
-		g    *polyir.Graph
-		plan *Plan
-		pts  map[string]*ckks.Plaintext
+		spec   workloads.ServeWorkload
+		g      *polyir.Graph
+		plan   *Plan
+		states map[int]NodeState
+		pts    map[string]*ckks.Plaintext
 	}
 	var progs []compiled
-	rotSet := map[int]bool{}
+	var rots []int
 	for _, spec := range workloads.ServeWorkloads() {
 		if spec.MinLevels > params.MaxLevel() || spec.MinSlots > params.Slots() {
 			continue
 		}
 		g := buildGraph(t, spec, params.MaxLevel())
 		pts, ptScales := encodeOperands(t, params, enc, spec)
-		plan, err := BuildPlan(g, params, ptScales, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+		plan, states := planTrace(t, g, params, ptScales, 0)
 		if plan.Bootstraps != 0 {
 			t.Fatalf("%s fits the chain but plans %d bootstraps", spec.Name, plan.Bootstraps)
 		}
-		progs = append(progs, compiled{spec, g, plan, pts})
-		for _, k := range plan.Rotations {
-			rotSet[k] = true
-		}
+		progs = append(progs, compiled{spec, g, plan, states, pts})
+		rots = append(rots, plan.Rotations...)
 	}
 	if len(progs) < 4 {
 		t.Fatalf("only %d catalog programs fit the 4-level test parameters", len(progs))
 	}
 
-	kg := ckks.NewKeyGenerator(params)
-	sk, err := kg.GenSecretKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rlk, err := kg.GenRelinKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rots := make([]int, 0, len(rotSet))
-	for k := range rotSet {
-		rots = append(rots, k)
-	}
-	sort.Ints(rots)
-	rtks, err := kg.GenRotationKeySet(sk, rots, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := ckks.NewEvaluator(params, rlk, rtks)
-	encr := ckks.NewEncryptor(params, pk)
+	ev, encr := testEvaluator(t, params, rots, false)
 
 	v := make([]complex128, params.Slots())
 	for i := range v {
@@ -135,36 +153,8 @@ func TestPlanMatchesEvaluator(t *testing.T) {
 			// here, but a well-formed input keeps the run meaningful.
 			in = p.spec.MakeInput(rand.New(rand.NewSource(20260807)), params.Slots())
 		}
-		pt, err := enc.Encode(in, params.MaxLevel(), params.DefaultScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := encr.Encrypt(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := NewExecutor(p.g, params, p.pts)
-		trace := func(id int, live *ckks.Ciphertext) {
-			want, ok := p.plan.States[id]
-			if !ok {
-				return
-			}
-			if live.Level() != want.Level {
-				t.Errorf("%s node %d: level %d, plan predicted %d", p.spec.Name, id, live.Level(), want.Level)
-			}
-			if !sameScale(live.Scale, want.Scale) {
-				t.Errorf("%s node %d: scale %g, plan predicted %g (rel err %g)",
-					p.spec.Name, id, live.Scale, want.Scale, math.Abs(live.Scale-want.Scale)/want.Scale)
-			}
-		}
-		out, err := ex.Run(context.Background(), ev, ct, RunOpts{Trace: trace})
-		if err != nil {
-			t.Fatalf("%s: %v", p.spec.Name, err)
-		}
-		if out.Level() != p.plan.OutLevel || !sameScale(out.Scale, p.plan.OutScale) {
-			t.Fatalf("%s: output (level %d, scale %g), plan (level %d, scale %g)",
-				p.spec.Name, out.Level(), out.Scale, p.plan.OutLevel, p.plan.OutScale)
-		}
+		ct := encryptAt(t, params, encr, in, params.MaxLevel())
+		runAgainstPlan(t, p.spec.Name, NewExecutor(p.g, params, p.pts), ev, ct, nil, p.plan, p.states)
 	}
 }
 
@@ -191,9 +181,6 @@ func TestDeepPlanInsertsBootstraps(t *testing.T) {
 	if plan.Bootstraps != 1 {
 		t.Fatalf("plan schedules %d bootstraps, want exactly 1", plan.Bootstraps)
 	}
-	if len(plan.RefreshBefore) == 0 {
-		t.Fatal("plan has no refresh points")
-	}
 	if plan.OutLevel != 0 {
 		t.Fatalf("deep plan exits at level %d, want 0", plan.OutLevel)
 	}
@@ -203,8 +190,8 @@ func TestDeepPlanInsertsBootstraps(t *testing.T) {
 
 	// Without a refresh service the same graph must fail to plan, with an
 	// error that says why.
-	if _, err := BuildPlan(g, params, nil, 0); err == nil {
-		t.Fatal("depth-20 program planned against a 16-level chain without bootstrapping")
+	if _, err := BuildPlan(g, params, nil, 0); !errors.Is(err, ErrNoRefresh) {
+		t.Fatalf("depth-20 program against a 16-level chain without bootstrapping: %v, want ErrNoRefresh", err)
 	}
 }
 

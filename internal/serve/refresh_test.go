@@ -248,7 +248,8 @@ func shallowSessionEnv(t *testing.T, refreshService bool) (reg *Registry, tenant
 // failure is the request's, whatever ran it: on a two-backend cluster core
 // with fallback off and a one-failure breaker it is returned from the first
 // attempt — no breaker failure, no failover, no 503 — and so is a run out of
-// levels on a server with no refresh service (sched.ErrNoRefresh).
+// levels on a server with no refresh service (sched.ErrNoRefresh, 400: a
+// client retrying it would fail the same way).
 func TestRefreshMissingKeysFailsTyped(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -259,7 +260,7 @@ func TestRefreshMissingKeysFailsTyped(t *testing.T) {
 	}{
 		{"local", true, false, ErrMissingKeys, http.StatusForbidden},
 		{"cluster", true, true, ErrMissingKeys, http.StatusForbidden},
-		{"cluster without a refresh service", false, true, sched.ErrNoRefresh, http.StatusInternalServerError},
+		{"cluster without a refresh service", false, true, sched.ErrNoRefresh, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg, tenant, ct := shallowSessionEnv(t, tc.refreshService)

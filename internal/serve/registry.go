@@ -19,7 +19,10 @@
 // (Core.refresh: one solo bootstrap on that same evaluator, on the request's
 // goroutine, inside the worker slot the request already holds).
 // One-shots, deeper-than-chain one-shots and session steps all run through
-// it. The paper's limb-ISA emulator is a functional model of the
+// it. sched.BuildPlan runs the same walk at compile time over predicted
+// (level, scale) states, so what /v1/programs advertises (output level and
+// scale, required keys, bootstraps_required) is what that walk does to an
+// input at MaxLevel. The paper's limb-ISA emulator is a functional model of the
 // accelerator, not a serving engine: the registry still lowers each shallow
 // program to its batch-1 limb module so the compiler stays exercised, and
 // tests run that module on emulator.Machine — and the catalog's
@@ -114,9 +117,8 @@ type Program struct {
 	// circuit's.
 	Bootstrapped       bool
 	BootstrapsRequired int
-	// plan is the level/scale schedule; exec walks the program graph on a
-	// real evaluator — every request and session step runs here.
-	plan *sched.Plan
+	// exec walks the program graph on a real evaluator — every request and
+	// session step runs here.
 	exec *sched.Executor
 	// variant is the batch-1 limb module; nil for Bootstrapped programs
 	// (the limb ISA cannot host more virtual than physical levels).
@@ -129,9 +131,6 @@ type Program struct {
 // for bench/'s emulator probes and the differential test, which run it on
 // emulator.Machine as an oracle for the executor.
 func (p *Program) VariantFor(n int) *Variant { return p.variant }
-
-// Plan exposes the level/scale schedule (tests and tooling).
-func (p *Program) Plan() *sched.Plan { return p.plan }
 
 // Executor exposes the replay executor (tests and tooling).
 func (p *Program) Executor() *sched.Executor { return p.exec }
@@ -364,7 +363,9 @@ func encodePlaintexts(params *ckks.Parameters, enc *ckks.Encoder, spec workloads
 }
 
 // compileProgram builds a catalog entry: the batch-1 IR graph, its
-// level/scale plan and the executor that walks it. Requests arrive at
+// level/scale plan and the executor that walks it. The plan is the
+// executor's walk over predicted states, so a scale mismatch the evaluator
+// would reject fails compilation instead of a request. Requests arrive at
 // MaxLevel whatever the program's depth. A plan that needs refreshes makes
 // the entry Bootstrapped — the tenant's key set must then also cover the
 // bootstrap circuit (conj + its rotation offsets), which RequiredKeys
@@ -399,7 +400,6 @@ func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.S
 	if err != nil {
 		return nil, err
 	}
-	p.plan = plan
 	p.exec = sched.NewExecutor(g, params, p.Plaintexts)
 	p.OutLevel, p.OutScale = plan.OutLevel, plan.OutScale
 	p.BootstrapsRequired = plan.Bootstraps
@@ -438,9 +438,3 @@ func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.S
 	p.variant = &Variant{Module: mod}
 	return p, nil
 }
-
-// Output metadata (level, scale, required keys) is inferred by
-// sched.BuildPlan: it walks the IR graph tracking the scale arithmetic the
-// reference evaluator performs and validates that additions mix equal
-// scales, so a frontend scale-management bug fails compilation instead of
-// corrupting served results.

@@ -13,6 +13,7 @@ import (
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
+	"cinnamon/internal/sched"
 )
 
 // HTTP wire protocol (all binary bodies use the ckks little-endian
@@ -300,7 +301,7 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrUnknownTenant), errors.Is(err, ErrMissingKeys):
 		return http.StatusForbidden
-	case errors.Is(err, ErrBadRequest):
+	case errors.Is(err, ErrBadRequest), errors.Is(err, sched.ErrNoRefresh):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
