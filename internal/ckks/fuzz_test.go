@@ -2,6 +2,9 @@ package ckks
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -155,5 +158,67 @@ func TestReadEvalKeyTruncated(t *testing.T) {
 	corrupt[2] = 0xff
 	if _, err := ReadEvalKey(bytes.NewReader(corrupt), tc.params); err == nil {
 		t.Fatal("huge digit count accepted")
+	}
+}
+
+// allocBytes is the heap f allocates per call, averaged over runs.
+func allocBytes(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// hostilePolyHeader is a polynomial header claiming 2^16 limbs of 2^20
+// coefficients, followed by one modulus' worth of bytes and then EOF.
+func hostilePolyHeader(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, 1<<16)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, 1<<20)
+	return binary.LittleEndian.AppendUint64(b, 1<<40)
+}
+
+// TestReadCiphertextHostileHeaderAllocCeiling: a 48-byte body whose header
+// claims 2^16 limbs of 2^20 coefficients must be refused on the header,
+// against the parameter set, before the claimed size is allocated.
+func TestReadCiphertextHostileHeaderAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	params, _ := smallMarshalContext(t)
+	in := binary.LittleEndian.AppendUint64(nil, ctMagic)
+	in = binary.LittleEndian.AppendUint64(in, math.Float64bits(1<<40))
+	in = hostilePolyHeader(in)
+	if len(in) != 48 {
+		t.Fatalf("hostile input is %d bytes, want 48", len(in))
+	}
+	per := allocBytes(4, func() {
+		if _, err := ReadCiphertext(bytes.NewReader(in), params); err == nil {
+			t.Fatal("hostile header accepted")
+		}
+	})
+	if per > 64<<10 {
+		t.Fatalf("hostile ciphertext header allocated %.0f bytes, ceiling 64 KiB", per)
+	}
+}
+
+// TestReadEvalKeyHostileHeaderAllocCeiling is the same case for an
+// evaluation key: one digit whose first polynomial lies about its size.
+func TestReadEvalKeyHostileHeaderAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	params, _ := smallMarshalContext(t)
+	in := hostilePolyHeader(binary.LittleEndian.AppendUint64(nil, 1))
+	per := allocBytes(4, func() {
+		if _, err := ReadEvalKey(bytes.NewReader(in), params); err == nil {
+			t.Fatal("hostile header accepted")
+		}
+	})
+	if per > 64<<10 {
+		t.Fatalf("hostile evaluation key header allocated %.0f bytes, ceiling 64 KiB", per)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"cinnamon/internal/ring"
 	"cinnamon/internal/rns"
@@ -14,111 +16,170 @@ import (
 // any downstream user of the library needs. The format is little-endian:
 // a small header (magic, domain flag, scale, limb count, ring dimension)
 // followed by per-limb modulus + coefficients.
+//
+// There is one encoder (Append, which Write wraps: it appends into the
+// writer's own free space when the writer exposes it) and one decoder
+// (polyReader, behind ReadCiphertext and ReadEvalKey). The decoder knows
+// the basis every caller expects, so it rejects a header whose limb count
+// or ring dimension the parameter set cannot hold before it allocates, and
+// checks each limb's modulus against that basis and each coefficient
+// against its modulus in the decode loop itself.
 
 const ctMagic = 0x43494e31 // "CIN1"
 
-func writePoly(w io.Writer, p *ring.Poly) error {
-	hdr := []uint64{uint64(len(p.Limbs)), 0}
-	if p.IsNTT {
-		hdr[1] = 1
+// polyHeaderLen is a polynomial's header: limb count, NTT flag and ring
+// dimension, one u64 each.
+const polyHeaderLen = 24
+
+func polyDim(p *ring.Poly) int {
+	if len(p.Limbs) == 0 {
+		return 0
 	}
-	if len(p.Limbs) > 0 {
-		hdr = append(hdr, uint64(len(p.Limbs[0])))
-	} else {
-		hdr = append(hdr, 0)
-	}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	for j, limb := range p.Limbs {
-		if err := binary.Write(w, binary.LittleEndian, p.Basis.Moduli[j]); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, limb); err != nil {
-			return err
-		}
+	return len(p.Limbs[0])
+}
+
+// polyLen is the encoded byte length of p: the header, then per limb its
+// modulus and coefficients.
+func polyLen(p *ring.Poly) int {
+	return polyHeaderLen + len(p.Limbs)*8*(1+polyDim(p))
+}
+
+// FreeSpace returns the unused tail of w's buffer when w exposes one
+// (bytes.Buffer and bufio.Writer do, through AvailableBuffer): an image
+// appended to it and passed straight to w.Write lands in place, with no
+// buffer of its own. It returns nil for any other writer.
+func FreeSpace(w io.Writer) []byte {
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		return ab.AvailableBuffer()
 	}
 	return nil
 }
 
-func readPoly(r io.Reader) (*ring.Poly, error) {
-	hdr := make([]uint64, 3)
-	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
+func appendPoly(b []byte, p *ring.Poly) []byte {
+	var ntt uint64
+	if p.IsNTT {
+		ntt = 1
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.Limbs)))
+	b = binary.LittleEndian.AppendUint64(b, ntt)
+	b = binary.LittleEndian.AppendUint64(b, uint64(polyDim(p)))
+	for j, limb := range p.Limbs {
+		b = binary.LittleEndian.AppendUint64(b, p.Basis.Moduli[j])
+		off := len(b)
+		b = append(b, make([]byte, 8*len(limb))...)
+		dst := b[off:]
+		for i, c := range limb {
+			binary.LittleEndian.PutUint64(dst[8*i:], c)
+		}
+	}
+	return b
+}
+
+// polyReader decodes one stream through a single reusable scratch buffer.
+type polyReader struct {
+	r       io.Reader
+	scratch []byte
+}
+
+// next reads exactly n bytes into the scratch buffer and returns them; the
+// slice is valid until the following call.
+func (pr *polyReader) next(n int) ([]byte, error) {
+	if cap(pr.scratch) < n {
+		pr.scratch = make([]byte, n)
+	}
+	b := pr.scratch[:n]
+	if _, err := io.ReadFull(pr.r, b); err != nil {
 		return nil, err
 	}
-	limbs, isNTT, n := int(hdr[0]), hdr[1] == 1, int(hdr[2])
-	if limbs < 0 || limbs > 1<<16 || n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("ckks: implausible polynomial header (%d limbs, %d coeffs)", limbs, n)
-	}
-	moduli := make([]uint64, limbs)
-	data := make([][]uint64, limbs)
-	for j := 0; j < limbs; j++ {
-		if err := binary.Read(r, binary.LittleEndian, &moduli[j]); err != nil {
-			return nil, err
-		}
-		data[j] = make([]uint64, n)
-		if err := binary.Read(r, binary.LittleEndian, data[j]); err != nil {
-			return nil, err
-		}
-		for _, c := range data[j] {
-			if c >= moduli[j] {
-				return nil, fmt.Errorf("ckks: coefficient %d out of range for modulus %d", c, moduli[j])
-			}
-		}
-	}
-	basis, err := rns.NewBasis(moduli)
+	return b, nil
+}
+
+// readPoly decodes one polynomial over a prefix of basis (over all of it
+// when whole is set) with ring dimension n. The header is checked against
+// both before anything is allocated; the limbs then land in one backing
+// array, each limb's modulus compared to basis and each coefficient to its
+// modulus as it is decoded.
+func (pr *polyReader) readPoly(basis rns.Basis, whole bool, n int) (*ring.Poly, error) {
+	hdr, err := pr.next(polyHeaderLen)
 	if err != nil {
 		return nil, err
 	}
-	return &ring.Poly{Basis: basis, Limbs: data, IsNTT: isNTT}, nil
+	limbs := binary.LittleEndian.Uint64(hdr)
+	isNTT := binary.LittleEndian.Uint64(hdr[8:]) == 1
+	dim := binary.LittleEndian.Uint64(hdr[16:])
+	if limbs == 0 || limbs > uint64(basis.Len()) || whole && limbs != uint64(basis.Len()) {
+		return nil, fmt.Errorf("ckks: polynomial with %d limbs does not fit the parameter set's %d-limb basis", limbs, basis.Len())
+	}
+	if dim != uint64(n) {
+		return nil, fmt.Errorf("ckks: ring dimension %d, parameter set has %d", dim, n)
+	}
+	k := int(limbs)
+	data := make([]uint64, k*n)
+	p := &ring.Poly{Basis: basis.Prefix(k), Limbs: make([][]uint64, k), IsNTT: isNTT}
+	for j := range p.Limbs {
+		raw, err := pr.next(8 + 8*n)
+		if err != nil {
+			return nil, err
+		}
+		q := basis.Moduli[j]
+		if m := binary.LittleEndian.Uint64(raw); m != q {
+			return nil, fmt.Errorf("ckks: limb %d has modulus %d, parameter set has %d", j, m, q)
+		}
+		raw = raw[8:]
+		limb := data[j*n : (j+1)*n : (j+1)*n]
+		for i := range limb {
+			c := binary.LittleEndian.Uint64(raw[8*i:])
+			if c >= q {
+				return nil, fmt.Errorf("ckks: coefficient %d out of range for modulus %d", c, q)
+			}
+			limb[i] = c
+		}
+		p.Limbs[j] = limb
+	}
+	return p, nil
 }
 
-// Write serializes the ciphertext.
+// EncodedLen is the byte length of the ciphertext's wire image.
+func (ct *Ciphertext) EncodedLen() int {
+	return 16 + polyLen(ct.C0) + polyLen(ct.C1)
+}
+
+// Append appends the ciphertext's wire image to b, growing b at most once.
+func (ct *Ciphertext) Append(b []byte) []byte {
+	b = slices.Grow(b, ct.EncodedLen())
+	b = binary.LittleEndian.AppendUint64(b, ctMagic)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ct.Scale))
+	return appendPoly(appendPoly(b, ct.C0), ct.C1)
+}
+
+// Write serializes the ciphertext in one Write call.
 func (ct *Ciphertext) Write(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(ctMagic)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, ct.Scale); err != nil {
-		return err
-	}
-	if err := writePoly(w, ct.C0); err != nil {
-		return err
-	}
-	return writePoly(w, ct.C1)
+	_, err := w.Write(ct.Append(FreeSpace(w)))
+	return err
 }
 
 // ReadCiphertext deserializes a ciphertext and validates it against the
 // parameter set (basis must be a chain prefix, dimensions must match).
 func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
-	var magic uint64
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+	pr := polyReader{r: r}
+	hdr, err := pr.next(16)
+	if err != nil {
 		return nil, err
 	}
-	if magic != ctMagic {
+	if magic := binary.LittleEndian.Uint64(hdr); magic != ctMagic {
 		return nil, fmt.Errorf("ckks: bad ciphertext magic %#x", magic)
 	}
-	var scale float64
-	if err := binary.Read(r, binary.LittleEndian, &scale); err != nil {
-		return nil, err
-	}
+	scale := math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
 	if !(scale > 0) {
 		return nil, fmt.Errorf("ckks: invalid scale %g", scale)
 	}
-	c0, err := readPoly(r)
+	c0, err := pr.readPoly(params.QBasis, false, params.N())
 	if err != nil {
 		return nil, err
 	}
-	c1, err := readPoly(r)
+	c1, err := pr.readPoly(params.QBasis, false, params.N())
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range []*ring.Poly{c0, c1} {
-		if len(p.Limbs) == 0 || len(p.Limbs[0]) != params.N() {
-			return nil, fmt.Errorf("ckks: ring dimension mismatch")
-		}
-		if !p.Basis.Equal(params.QBasis.Prefix(p.Basis.Len())) {
-			return nil, fmt.Errorf("ckks: basis is not a chain prefix of the parameter set")
-		}
 	}
 	if c0.Basis.Len() != c1.Basis.Len() {
 		return nil, fmt.Errorf("ckks: component level mismatch")
@@ -126,44 +187,52 @@ func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
 	return &Ciphertext{C0: c0, C1: c1, Scale: scale}, nil
 }
 
-// Write serializes an evaluation key (all digits, both halves).
-func (k *EvalKey) Write(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(k.B))); err != nil {
-		return err
-	}
+// EncodedLen is the byte length of the key's wire image.
+func (k *EvalKey) EncodedLen() int {
+	n := 8
 	for d := range k.B {
-		if err := writePoly(w, k.B[d]); err != nil {
-			return err
-		}
-		if err := writePoly(w, k.A[d]); err != nil {
-			return err
-		}
+		n += polyLen(k.B[d]) + polyLen(k.A[d])
 	}
-	return nil
+	return n
+}
+
+// Append appends the key's wire image (all digits, both halves) to b,
+// growing b at most once.
+func (k *EvalKey) Append(b []byte) []byte {
+	b = slices.Grow(b, k.EncodedLen())
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(k.B)))
+	for d := range k.B {
+		b = appendPoly(appendPoly(b, k.B[d]), k.A[d])
+	}
+	return b
+}
+
+// Write serializes an evaluation key in one Write call.
+func (k *EvalKey) Write(w io.Writer) error {
+	_, err := w.Write(k.Append(FreeSpace(w)))
+	return err
 }
 
 // ReadEvalKey deserializes an evaluation key (default digit partition).
+// Every digit must be over Q∪P.
 func ReadEvalKey(r io.Reader, params *Parameters) (*EvalKey, error) {
-	var digits uint64
-	if err := binary.Read(r, binary.LittleEndian, &digits); err != nil {
+	pr := polyReader{r: r}
+	hdr, err := pr.next(8)
+	if err != nil {
 		return nil, err
 	}
+	digits := binary.LittleEndian.Uint64(hdr)
 	if digits == 0 || digits > 1<<10 {
 		return nil, fmt.Errorf("ckks: implausible digit count %d", digits)
 	}
+	qp := params.QPBasis()
 	k := &EvalKey{B: make([]*ring.Poly, digits), A: make([]*ring.Poly, digits)}
-	for d := 0; d < int(digits); d++ {
-		var err error
-		if k.B[d], err = readPoly(r); err != nil {
-			return nil, err
+	for d := range k.B {
+		if k.B[d], err = pr.readPoly(qp, true, params.N()); err != nil {
+			return nil, fmt.Errorf("ckks: evaluation key digit %d: %w", d, err)
 		}
-		if k.A[d], err = readPoly(r); err != nil {
-			return nil, err
-		}
-		for _, p := range []*ring.Poly{k.B[d], k.A[d]} {
-			if !p.Basis.Equal(params.QPBasis()) {
-				return nil, fmt.Errorf("ckks: evaluation key digit %d is not over Q∪P", d)
-			}
+		if k.A[d], err = pr.readPoly(qp, true, params.N()); err != nil {
+			return nil, fmt.Errorf("ckks: evaluation key digit %d: %w", d, err)
 		}
 	}
 	return k, nil

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -52,6 +54,41 @@ func TestFrameEncodeZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, roundTrip); allocs != 0 {
 		t.Fatalf("warm frame encode allocated %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestReadFrameAllocCeiling: reading a large frame allocates about its
+// payload once. The body grows through pooled buffers until the announced
+// length is within reach, so the doubling steps cost no garbage once the
+// pool is warm.
+func TestReadFrameAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	for _, size := range []int{1 << 20, 8 << 20} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, msgKSResult, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		var r bytes.Reader
+		read := func() {
+			r.Reset(frame)
+			if _, p, err := ReadFrame(&r); err != nil || len(p) != size {
+				t.Fatalf("ReadFrame: %d bytes, %v", len(p), err)
+			}
+		}
+		read() // warm the pool classes the growth steps draw from
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(size); ratio > 1.5 {
+			t.Fatalf("%d-byte frame: ReadFrame allocated %.2fx the payload, ceiling 1.5x", size, ratio)
+		}
 	}
 }
 

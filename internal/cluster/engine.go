@@ -754,11 +754,7 @@ func (lk *link) ensureKey(id uint64, evk *ckks.EvalKey) error {
 	if lk.pushed[id] {
 		return nil
 	}
-	enc, err := encodeSetKey(id, evk)
-	if err != nil {
-		return err
-	}
-	if err := WriteFrame(lk.bw, msgSetKey, enc); err != nil {
+	if err := WriteFrame(lk.bw, msgSetKey, encodeSetKey(id, evk)); err != nil {
 		return err
 	}
 	if err := lk.bw.Flush(); err != nil {

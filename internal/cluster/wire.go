@@ -118,43 +118,117 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// frameBodyLen applies the length rule to a frame's u32 length prefix and
+// returns the byte count that follows the type byte (payload plus CRC
+// trailer). ReadFrame and SplitFrame both go through it.
+func frameBodyLen(n uint32) (int, error) {
+	if n < frameOverhead {
+		return 0, fmt.Errorf("cluster: frame length %d shorter than %d-byte minimum", n, frameOverhead)
+	}
+	if n > maxFrame {
+		return 0, fmt.Errorf("cluster: frame length %d exceeds %d-byte limit", n, maxFrame)
+	}
+	return int(n - 1), nil
+}
+
+// openFrame checks body's CRC-32C trailer against typ||payload (typ is
+// the one-byte type field) and returns the payload. ReadFrame and
+// SplitFrame both go through it, so the stream and the in-place paths
+// apply one integrity rule.
+func openFrame(typ, body []byte) ([]byte, error) {
+	payload := body[:len(body)-crcLen]
+	got := binary.LittleEndian.Uint32(body[len(body)-crcLen:])
+	if crc := crc32.Update(crc32.Checksum(typ, crcTable), crcTable, payload); got != crc {
+		corruptFrames.Add(1)
+		return nil, fmt.Errorf("%w: type %#x, %d payload bytes", ErrCorruptFrame, typ[0], len(payload))
+	}
+	return payload, nil
+}
+
 // ReadFrame reads one frame, rejecting implausible lengths before
 // allocating and verifying the CRC-32C trailer before handing the payload
 // to any decoder. A checksum mismatch returns an error wrapping
 // ErrCorruptFrame.
+//
+// The body is not sized from the length prefix alone: a frame longer than
+// readChunk is read through pooled buffers that double as bytes arrive, and
+// only once the announced length is within twice the bytes received is the
+// caller's buffer allocated at its exact size. A lying prefix on a short
+// stream therefore costs one pooled chunk, the buffers held never exceed
+// about twice the bytes received, and a warm read allocates the payload
+// once.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < frameOverhead {
-		return 0, nil, fmt.Errorf("cluster: frame length %d shorter than %d-byte minimum", n, frameOverhead)
+	want, err := frameBodyLen(binary.LittleEndian.Uint32(hdr[:4]))
+	if err != nil {
+		return 0, nil, err
 	}
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("cluster: frame length %d exceeds %d-byte limit", n, maxFrame)
+	body, err := readBody(r, want)
+	if err != nil {
+		return 0, nil, err
 	}
-	// Grow the body as bytes actually arrive (64 KiB steps) instead of
-	// trusting the length prefix with one big allocation: a lying header on
-	// a short stream then costs one chunk, not maxFrame.
-	want := int(n - 1) // payload + CRC trailer
-	body := make([]byte, 0, minInt(want, readChunk))
-	for len(body) < want {
-		k := minInt(want-len(body), readChunk)
-		off := len(body)
-		body = append(body, make([]byte, k)...)
-		if _, err = io.ReadFull(r, body[off:]); err != nil {
-			return 0, nil, err
-		}
-	}
-	payload = body[:want-crcLen]
-	got := binary.LittleEndian.Uint32(body[want-crcLen:])
-	crc := crc32.Update(crc32.Checksum(hdr[4:5], crcTable), crcTable, payload)
-	if got != crc {
-		corruptFrames.Add(1)
-		return 0, nil, fmt.Errorf("%w: type %#x, %d payload bytes", ErrCorruptFrame, hdr[4], len(payload))
+	if payload, err = openFrame(hdr[4:5], body); err != nil {
+		return 0, nil, err
 	}
 	return hdr[4], payload, nil
+}
+
+// readBody reads exactly want bytes (see ReadFrame for the growth rule).
+func readBody(r io.Reader, want int) ([]byte, error) {
+	if want <= readChunk {
+		body := make([]byte, want)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	buf := getFrameBuf(readChunk)[:readChunk]
+	have := 0
+	for {
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			putFrameBuf(buf)
+			return nil, err
+		}
+		have = len(buf)
+		if 2*have >= want {
+			break
+		}
+		next := getFrameBuf(2 * have)[:2*have]
+		copy(next, buf)
+		putFrameBuf(buf)
+		buf = next
+	}
+	body := make([]byte, want)
+	copy(body, buf)
+	putFrameBuf(buf)
+	if _, err := io.ReadFull(r, body[have:]); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// SplitFrame checks the frame at the start of b in place, with the same
+// length and CRC-32C rule as ReadFrame, and returns its type, its payload
+// (a subslice of b, not a copy) and the bytes after it. A b that ends
+// inside the frame fails with io.ErrUnexpectedEOF.
+func SplitFrame(b []byte) (typ byte, payload, rest []byte, err error) {
+	if len(b) < 5 {
+		return 0, nil, nil, io.ErrUnexpectedEOF
+	}
+	want, err := frameBodyLen(binary.LittleEndian.Uint32(b[:4]))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if len(b)-5 < want {
+		return 0, nil, nil, io.ErrUnexpectedEOF
+	}
+	if payload, err = openFrame(b[4:5], b[5:5+want]); err != nil {
+		return 0, nil, nil, err
+	}
+	return b[4], payload, b[5+want:], nil
 }
 
 // frameReader is the io.Reader side of ReadFrameTimeout: a bufio-style
@@ -185,14 +259,9 @@ func ReadFrameTimeout(conn net.Conn, br frameReader, d time.Duration) (typ byte,
 	return ReadFrame(br)
 }
 
+// readChunk is the largest frame body ReadFrame allocates up front, and
+// the first pooled buffer of a longer one.
 const readChunk = 1 << 16
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // cursor decodes a payload with sticky error handling: the first short
 // read poisons every later access, and done() reports it (plus trailing
@@ -369,8 +438,12 @@ func decodeHelloAck(p []byte) (uint64, error) {
 // encodeSetKey serializes an evaluation key push: key id, the digit-set
 // partition (absent for the default hybrid partition — EvalKey.Write does
 // not carry it), then the key material itself.
-func encodeSetKey(id uint64, k *ckks.EvalKey) ([]byte, error) {
-	b := appendU64(nil, id)
+func encodeSetKey(id uint64, k *ckks.EvalKey) []byte {
+	n := 12 + k.EncodedLen()
+	for _, set := range k.DigitSets {
+		n += 4 + 4*len(set)
+	}
+	b := appendU64(make([]byte, 0, n), id)
 	b = appendU32(b, uint32(len(k.DigitSets)))
 	for _, set := range k.DigitSets {
 		b = appendU32(b, uint32(len(set)))
@@ -378,11 +451,7 @@ func encodeSetKey(id uint64, k *ckks.EvalKey) ([]byte, error) {
 			b = appendU32(b, uint32(j))
 		}
 	}
-	var buf writerBuf
-	if err := k.Write(&buf); err != nil {
-		return nil, err
-	}
-	return append(b, buf...), nil
+	return k.Append(b)
 }
 
 func decodeSetKey(p []byte, params *ckks.Parameters) (uint64, *ckks.EvalKey, error) {
@@ -451,15 +520,8 @@ func decodeKeyGone(p []byte) (req, id uint64, err error) {
 	return req, id, c.done()
 }
 
-// writerBuf/readerBuf adapt the ckks marshal API (io.Writer/io.Reader) to
-// in-memory frame payloads without an extra copy layer.
-type writerBuf []byte
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
+// readerBuf adapts the ckks decoder (an io.Reader) to an in-memory frame
+// payload without an extra copy layer.
 type readerBuf struct{ b *[]byte }
 
 func (r readerBuf) Read(p []byte) (int, error) {

@@ -127,6 +127,58 @@ func TestFrameCRCDetectsBitFlip(t *testing.T) {
 	}
 }
 
+// TestSplitFrameMatchesReadFrame: the in-place frame check and the stream
+// reader apply one rule. On every truncation and every single-bit flip of a
+// two-frame buffer they accept and reject the same inputs, and agree on
+// the first frame's type and payload.
+func TestSplitFrameMatchesReadFrame(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, msgLimbs, []byte("first frame payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&buf, msgPing, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	check := func(b []byte) {
+		t.Helper()
+		rt, rp, rerr := ReadFrame(bytes.NewReader(b))
+		st, sp, rest, serr := SplitFrame(b)
+		if (rerr == nil) != (serr == nil) {
+			t.Fatalf("%d-byte input: ReadFrame err %v, SplitFrame err %v", len(b), rerr, serr)
+		}
+		if errors.Is(rerr, ErrCorruptFrame) != errors.Is(serr, ErrCorruptFrame) {
+			t.Fatalf("%d-byte input: corruption classified differently: %v vs %v", len(b), rerr, serr)
+		}
+		if serr != nil {
+			return
+		}
+		if rt != st || !bytes.Equal(rp, sp) {
+			t.Fatalf("frames differ: %#x %q vs %#x %q", rt, rp, st, sp)
+		}
+		if want := len(b) - (4 + frameOverhead + len(sp)); len(rest) != want {
+			t.Fatalf("SplitFrame left %d bytes, want %d", len(rest), want)
+		}
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		check(full[:cut])
+	}
+	for i := range full {
+		for bit := 0; bit < 8; bit++ {
+			mut := bytes.Clone(full)
+			mut[i] ^= 1 << bit
+			check(mut)
+		}
+	}
+	_, p, rest, err := SplitFrame(full)
+	if err != nil || &p[0] != &full[5] {
+		t.Fatalf("SplitFrame copied the payload or failed: %v", err)
+	}
+	if typ, p2, rest2, err := SplitFrame(rest); err != nil || typ != msgPing || len(p2) != 1 || len(rest2) != 0 {
+		t.Fatalf("second frame: %#x %v %d trailing, %v", typ, p2, len(rest2), err)
+	}
+}
+
 // TestReadFrameTimeoutPartialFrame: a peer that ships a frame header and
 // then stalls must fail the read within the partial-frame budget instead
 // of holding the session forever. The idle wait before the first byte is

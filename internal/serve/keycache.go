@@ -103,22 +103,21 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 		e.names[name] = true
 	}
 	if c.store != nil {
-		var buf bytes.Buffer
-		if err := WriteKeyBundle(&buf, keys); err != nil {
+		bundle, err := appendKeyBundle(nil, keys)
+		if err != nil {
 			return fmt.Errorf("serve: serializing key bundle: %w", err)
 		}
-		e.size = int64(buf.Len())
-		e.hash = bundleHash(buf.Bytes())
-		// Reserve the content address before Save's existence check: a
-		// concurrent replace of the hash's last other referent could
-		// otherwise sweep the file between that check and the install
-		// below.
+		e.size = int64(len(bundle))
+		e.hash = bundleHash(bundle)
+		// Reserve the content address before Save: a concurrent replace of
+		// the hash's last other referent could otherwise sweep the file
+		// between Save's rename and the install below.
 		c.mu.Lock()
 		c.hashRefs[e.hash]++
 		c.mu.Unlock()
 		// Registration fails rather than admit a tenant whose keys could
 		// not spill: eviction would otherwise lose the only copy.
-		if err := c.store.Save(e.hash, buf.Bytes()); err != nil {
+		if err := c.store.Save(e.hash, bundle); err != nil {
 			c.mu.Lock()
 			c.releaseHashLocked(e.hash)
 			c.mu.Unlock()
@@ -172,12 +171,12 @@ func (c *keyCache) acquire(id string) (*keySet, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	if e.keys != nil {
+	if ks := e.keys; ks != nil {
 		c.hits.Add(1)
 		c.touchLocked(e)
-		e.keys.holds++
+		ks.holds++
 		c.mu.Unlock()
-		return e.keys, true
+		return ks, true
 	}
 	c.misses.Add(1)
 	start := time.Now()
@@ -236,11 +235,11 @@ func (c *keyCache) loadLocked(id string) (*keySet, bool) {
 			c.mu.Unlock()
 			return nil, false
 		}
-		if e.keys != nil {
+		if ks := e.keys; ks != nil {
 			c.touchLocked(e)
-			e.keys.holds++
+			ks.holds++
 			c.mu.Unlock()
-			return e.keys, true
+			return ks, true
 		}
 		if ch, busy := c.inflight[id]; busy {
 			c.mu.Unlock()

@@ -58,16 +58,16 @@ func (s *keyStore) path(hash string) string {
 	return filepath.Join(s.dir, hash+".keys")
 }
 
-// Save writes the bundle under its content hash, once: a bundle already on
-// disk (same tenant re-registering, or another tenant with identical keys)
-// costs a stat, not a write. The file lands via rename from a temp file in
-// the same directory so a crash mid-write never leaves a partial file at
-// the content address.
+// Save writes the bundle under its content hash. It always writes, even
+// when a file already sits at the address: that file may have rotted since
+// it was written, and a re-registration of the same content is how a
+// tenant recovers from a failed reload (keeping the old file would fail
+// the next reload of every tenant sharing it). The file lands via fsync
+// and rename from a temp file in the same directory, so a crash mid-write
+// never leaves a partial file at the content address and a concurrent Load
+// reads either the old file or the new one, whole.
 func (s *keyStore) Save(hash string, bundle []byte) error {
 	dst := s.path(hash)
-	if _, err := os.Stat(dst); err == nil {
-		return nil
-	}
 	tmp, err := os.CreateTemp(s.dir, "spill-*.tmp")
 	if err != nil {
 		return err
@@ -112,46 +112,67 @@ func (s *keyStore) Remove(hash string) {
 	os.Remove(s.path(hash))
 }
 
-// Load reads a spilled bundle back, verifying every frame CRC and the
-// announced total length. The returned bytes are the exact WriteKeyBundle
-// image that was saved.
+// Load reads a spilled bundle back with one file read, then checks it in
+// place: every frame's length and CRC (the cluster codec's rule), the
+// announced total, and the SHA-256 content address. The returned bytes are
+// the exact WriteKeyBundle image that was saved; for a one-chunk file they
+// are a subslice of the file's bytes, not a copy.
 func (s *keyStore) Load(hash string) ([]byte, error) {
-	f, err := os.Open(s.path(hash))
+	raw, err := os.ReadFile(s.path(hash))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	typ, payload, err := cluster.ReadFrame(f)
+	bundle, err := unframeSpill(raw)
 	if err != nil {
-		return nil, fmt.Errorf("serve: spill %s: header: %w", hash[:12], err)
-	}
-	if typ != spillHeader || len(payload) != 12 {
-		return nil, fmt.Errorf("serve: spill %s: bad header frame (type %#x, %d bytes)", hash[:12], typ, len(payload))
-	}
-	total := int(u64le(payload))
-	nChunks := int(u32le(payload[8:]))
-	if total < 0 || nChunks < 1 || nChunks > (total/spillChunkSize)+1 {
-		return nil, fmt.Errorf("serve: spill %s: implausible header (%d bytes, %d chunks)", hash[:12], total, nChunks)
-	}
-	bundle := make([]byte, 0, total)
-	for i := 0; i < nChunks; i++ {
-		typ, payload, err = cluster.ReadFrame(f)
-		if err != nil {
-			return nil, fmt.Errorf("serve: spill %s: chunk %d: %w", hash[:12], i, err)
-		}
-		if typ != spillChunk {
-			return nil, fmt.Errorf("serve: spill %s: chunk %d has type %#x", hash[:12], i, typ)
-		}
-		bundle = append(bundle, payload...)
-	}
-	if len(bundle) != total {
-		return nil, fmt.Errorf("serve: spill %s: %d bytes reassembled, header says %d", hash[:12], len(bundle), total)
+		return nil, fmt.Errorf("serve: spill %s: %w", hash[:12], err)
 	}
 	// The address is the proof: a store that returns bytes not hashing to
 	// the requested address has been corrupted in a way the per-frame CRCs
 	// missed (or tampered with), and must not be deserialized.
 	if got := bundleHash(bundle); got != hash {
 		return nil, fmt.Errorf("serve: spill %s: content hash mismatch (%s)", hash[:12], got[:12])
+	}
+	return bundle, nil
+}
+
+// unframeSpill checks a spill file's frames in place and returns the
+// bundle they carry: one chunk's payload as is, several joined.
+func unframeSpill(raw []byte) ([]byte, error) {
+	typ, payload, rest, err := cluster.SplitFrame(raw)
+	if err != nil {
+		return nil, fmt.Errorf("header: %w", err)
+	}
+	if typ != spillHeader || len(payload) != 12 {
+		return nil, fmt.Errorf("bad header frame (type %#x, %d bytes)", typ, len(payload))
+	}
+	total := int(u64le(payload))
+	nChunks := int(u32le(payload[8:]))
+	if total < 0 || total > len(raw) || nChunks < 1 || nChunks > (total/spillChunkSize)+1 {
+		return nil, fmt.Errorf("implausible header (%d bytes, %d chunks)", total, nChunks)
+	}
+	var bundle []byte
+	if nChunks > 1 {
+		bundle = make([]byte, 0, total)
+	}
+	for i := 0; i < nChunks; i++ {
+		typ, payload, rest, err = cluster.SplitFrame(rest)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d: %w", i, err)
+		}
+		if typ != spillChunk {
+			return nil, fmt.Errorf("chunk %d has type %#x", i, typ)
+		}
+		if nChunks == 1 {
+			bundle = payload
+		} else {
+			bundle = append(bundle, payload...)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the last chunk", len(rest))
+	}
+	if len(bundle) != total {
+		return nil, fmt.Errorf("%d bytes reassembled, header says %d", len(bundle), total)
 	}
 	return bundle, nil
 }

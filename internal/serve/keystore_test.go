@@ -1,0 +1,369 @@
+package serve
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"cinnamon/internal/ckks"
+	"cinnamon/internal/cluster"
+	"cinnamon/internal/workloads"
+)
+
+// seededImages returns the wire images of a bundle (relinearization key
+// plus two rotation keys) and of a ciphertext, all drawn from fixed seeds:
+// key generation and encryption are deterministic per generator.
+func seededImages(t *testing.T) (bundle, ct []byte) {
+	t.Helper()
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{
+		LogN: 5, LogQ: []int{45, 40, 40}, LogP: []int{50, 50}, LogScale: 40, Seed: 20261016,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := kg.GenPublicKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtks, err := kg.GenRotationKeySet(sk, []int{1, 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]*ckks.EvalKey{"rlk": rlk, "rot:1": rtks.Keys[1], "rot:2": rtks.Keys[2]}
+	var b bytes.Buffer
+	if err := WriteKeyBundle(&b, keys); err != nil {
+		t.Fatal(err)
+	}
+	v := make([]complex128, params.Slots())
+	for i := range v {
+		v[i] = complex(float64(i%7)/7-0.5, float64(i%3)/3)
+	}
+	pt, err := ckks.NewEncoder(params).Encode(v, params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ckks.NewEncryptor(params, pk).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb bytes.Buffer
+	if err := c.Write(&cb); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes(), cb.Bytes()
+}
+
+// TestWireImagesPinned: the bundle and ciphertext byte formats are a
+// compatibility contract. Spill files are addressed by the SHA-256 of the
+// bundle image, and clients encode ciphertexts themselves, so an encoder
+// change that moves a single byte must fail here.
+func TestWireImagesPinned(t *testing.T) {
+	bundle, ct := seededImages(t)
+	for _, c := range []struct {
+		name, want string
+		image      []byte
+	}{
+		{"bundle", "e9ffadf0af2bcf64386eeccb69b82131792a823950354a2165fee5438117ce20", bundle},
+		{"ciphertext", "d3d1f279473549cd2d52292569060067deb402c3482081471bb4154842ae8468", ct},
+	} {
+		sum := sha256.Sum256(c.image)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s image (%d bytes): sha256 %s, pinned %s", c.name, len(c.image), got, c.want)
+		}
+	}
+}
+
+// allocBytes is the heap f allocates per call, averaged over runs.
+func allocBytes(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestCorruptSpillRewrittenOnReRegister: two tenants with identical keys
+// share one spill file. When it rots, the first reload drops its tenant;
+// that tenant's re-registration must rewrite the file, or the other
+// tenant's reload fails on the same rotten bytes.
+func TestCorruptSpillRewrittenOnReRegister(t *testing.T) {
+	params := testEnv(t).Params
+	store, err := newKeyStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := genTenantKeys(t, params)
+	c := newKeyCache(params, bundleSize(t, keys), store) // one bundle resident
+	for _, id := range []string{"a", "b"} {              // b evicts a
+		if err := c.register(id, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	hash := c.tenants["a"].hash
+	shared := c.tenants["b"].hash == hash
+	c.mu.Unlock()
+	if !shared {
+		t.Fatal("identical bundles got different content addresses")
+	}
+	raw, err := os.ReadFile(store.path(hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x40
+	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.get("a"); ok {
+		t.Fatal("a reloaded from a rotten spill file")
+	}
+	if err := c.register("a", keys); err != nil { // evicts b
+		t.Fatal(err)
+	}
+	if keys, ok := c.get("b"); !ok || keys["rlk"] == nil {
+		t.Fatal("b's reload failed: re-registering a kept the rotten spill file")
+	}
+	if s := c.stats(); s.SpillLoadFails != 1 {
+		t.Fatalf("spill_load_failures = %d, want 1", s.SpillLoadFails)
+	}
+}
+
+// writeSpill writes a spill file of the given header and chunk payloads,
+// each in a CRC-valid frame.
+func writeSpill(t *testing.T, path string, hdr []byte, chunks ...[]byte) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := cluster.WriteFrame(&out, spillHeader, hdr); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		if err := cluster.WriteFrame(&out, spillChunk, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// splitSpill returns a saved spill file's header payload and chunk
+// payloads.
+func splitSpill(t *testing.T, path string) (hdr []byte, chunks [][]byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hdr, rest, err := cluster.SplitFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(rest) > 0 {
+		var c []byte
+		if _, c, rest, err = cluster.SplitFrame(rest); err != nil {
+			t.Fatal(err)
+		}
+		chunks = append(chunks, c)
+	}
+	return hdr, chunks
+}
+
+// TestKeyStoreRejectsTamperedContent: a chunk rewritten with a valid CRC
+// passes every frame check; only the SHA-256 content address catches it.
+func TestKeyStoreRejectsTamperedContent(t *testing.T) {
+	store, err := newKeyStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := bytes.Repeat([]byte("tenant key material "), 200)
+	hash := bundleHash(bundle)
+	if err := store.Save(hash, bundle); err != nil {
+		t.Fatal(err)
+	}
+	hdr, chunks := splitSpill(t, store.path(hash))
+	if len(chunks) != 1 || !bytes.Equal(chunks[0], bundle) {
+		t.Fatalf("saved file holds %d chunks", len(chunks))
+	}
+	tampered := bytes.Clone(bundle)
+	tampered[len(tampered)/3] ^= 0x01
+	writeSpill(t, store.path(hash), hdr, tampered)
+	_, err = store.Load(hash)
+	if err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+		t.Fatalf("CRC-valid tampered chunk: Load err %v, want a content hash mismatch", err)
+	}
+}
+
+// TestKeyStoreTruncationSweep cuts a small spill file at every byte, and
+// appends one: every variant but the whole file must fail to load.
+func TestKeyStoreTruncationSweep(t *testing.T) {
+	store, err := newKeyStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := bytes.Repeat([]byte{0x5a, 0xa5, 0x33}, 70)
+	hash := bundleHash(bundle)
+	if err := store.Save(hash, bundle); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(store.path(hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if err := os.WriteFile(store.path(hash), raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Load(hash); err == nil {
+			t.Fatalf("spill file cut at %d of %d bytes loaded", cut, len(raw))
+		}
+	}
+	if err := os.WriteFile(store.path(hash), append(bytes.Clone(raw), 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load(hash); err == nil {
+		t.Fatal("spill file with a trailing byte loaded")
+	}
+	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := store.Load(hash); err != nil || !bytes.Equal(got, bundle) {
+		t.Fatalf("whole file: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestKeyStoreMultiChunk: a bundle past one chunk frame round-trips, and
+// the joined path keeps every check: a file cut at the chunk boundary and
+// a CRC-valid tamper in the second chunk both fail.
+func TestKeyStoreMultiChunk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes a 32 MiB spill file")
+	}
+	store, err := newKeyStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := make([]byte, spillChunkSize+4096)
+	for i := range bundle {
+		bundle[i] = byte(i * 7)
+	}
+	hash := bundleHash(bundle)
+	if err := store.Save(hash, bundle); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.Load(hash)
+	if err != nil || !bytes.Equal(got, bundle) {
+		t.Fatalf("multi-chunk round trip: %d bytes, %v", len(got), err)
+	}
+	hdr, chunks := splitSpill(t, store.path(hash))
+	if len(chunks) != 2 {
+		t.Fatalf("%d chunks, want 2", len(chunks))
+	}
+	writeSpill(t, store.path(hash), hdr, chunks[0])
+	if _, err := store.Load(hash); err == nil {
+		t.Fatal("file cut at the chunk boundary loaded")
+	}
+	chunks[1][0] ^= 0x01
+	writeSpill(t, store.path(hash), hdr, chunks...)
+	if _, err := store.Load(hash); err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+		t.Fatalf("CRC-valid tampered second chunk: Load err %v, want a content hash mismatch", err)
+	}
+}
+
+// TestColdReloadAllocCeiling: a cold reload of a logN 10 bundle (rlk plus
+// eight rotation keys) costs one file read and one decode — about twice
+// the bundle's bytes — not a chain of copies.
+func TestColdReloadAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	params, err := ckks.NewParameters(workloads.ServeParamsLiteral(10, 4, 20260805))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params)
+	ids := []string{"a", "b"}
+	bundles := make([]map[string]*ckks.EvalKey, len(ids))
+	for i := range bundles {
+		sk, err := kg.GenSecretKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rlk, err := kg.GenRelinKey(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtks, err := kg.GenRotationKeySet(sk, []int{1, 2, 3, 4, 5, 6, 7, 8}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles[i] = map[string]*ckks.EvalKey{"rlk": rlk}
+		for k, key := range rtks.Keys {
+			bundles[i][fmt.Sprintf("rot:%d", k)] = key
+		}
+	}
+	size := bundleSize(t, bundles[0])
+	store, err := newKeyStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newKeyCache(params, size+size/2, store) // one tenant resident
+	for i, id := range ids {
+		if err := c.register(id, bundles[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	reload := func() { // every get reloads one tenant and spills the other
+		if keys, ok := c.get(ids[n%2]); !ok || len(keys) != 9 {
+			t.Fatalf("reload of %s failed", ids[n%2])
+		}
+		n++
+	}
+	reload()
+	const runs = 4
+	ratio := allocBytes(runs, reload) / float64(size)
+	if s := c.stats(); s.ColdMissStalls != runs+1 {
+		t.Fatalf("%d cold reloads, want %d", s.ColdMissStalls, runs+1)
+	}
+	t.Logf("%.1f MB bundle: a cold reload allocates %.2fx its bytes", float64(size)/1e6, ratio)
+	if ratio > 2.5 {
+		t.Fatalf("cold reload allocated %.2fx the bundle's %d bytes, ceiling 2.5x", ratio, size)
+	}
+}
+
+// TestWriteKeyBundleAllocCeiling: writing a bundle into a buffer grown to
+// its length costs that buffer and nothing more — the image is appended in
+// place, not built aside and copied in.
+func TestWriteKeyBundleAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	testEnv(t)
+	size := bundleSize(t, env.keys)
+	write := func() {
+		var buf bytes.Buffer
+		buf.Grow(int(size))
+		if err := WriteKeyBundle(&buf, env.keys); err != nil || int64(buf.Len()) != size {
+			t.Fatalf("wrote %d of %d bytes: %v", buf.Len(), size, err)
+		}
+	}
+	if ratio := allocBytes(4, write) / float64(size); ratio > 1.1 {
+		t.Fatalf("WriteKeyBundle allocated %.2fx the bundle's %d bytes, ceiling 1.1x", ratio, size)
+	}
+}

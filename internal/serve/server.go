@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 
@@ -315,58 +316,62 @@ func statusFor(err error) int {
 }
 
 // WriteKeyBundle serializes named evaluation keys (sorted by name for a
-// deterministic wire image).
+// deterministic wire image) in one Write call, appending into w's own free
+// space when it has room (ckks.FreeSpace).
 func WriteKeyBundle(w io.Writer, keys map[string]*ckks.EvalKey) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(keyBundleMagic)); err != nil {
+	b, err := appendKeyBundle(ckks.FreeSpace(w), keys)
+	if err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(keys))); err != nil {
-		return err
-	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendKeyBundle appends the bundle image of keys to b, growing b at most
+// once: magic, key count, then per key (by name) a u16 name length, the
+// name and the key's own image.
+func appendKeyBundle(b []byte, keys map[string]*ckks.EvalKey) ([]byte, error) {
 	names := make([]string, 0, len(keys))
-	for name := range keys {
+	size := 8
+	for name, k := range keys {
+		if len(name) > 1<<8 {
+			return nil, fmt.Errorf("serve: key name %q too long", name)
+		}
 		names = append(names, name)
+		size += 2 + len(name) + k.EncodedLen()
 	}
 	sort.Strings(names)
+	b = slices.Grow(b, size)
+	b = binary.LittleEndian.AppendUint32(b, keyBundleMagic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
 	for _, name := range names {
-		if len(name) > 1<<8 {
-			return fmt.Errorf("serve: key name %q too long", name)
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint16(len(name))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, name); err != nil {
-			return err
-		}
-		if err := keys[name].Write(w); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+		b = append(b, name...)
+		b = keys[name].Append(b)
 	}
-	return nil
+	return b, nil
 }
 
 // ReadKeyBundle parses an untrusted key bundle, validating every key
 // against the parameter set.
 func ReadKeyBundle(r io.Reader, params *ckks.Parameters) (map[string]*ckks.EvalKey, error) {
-	var magic, count uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+	hdr := make([]byte, 8)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	if magic != keyBundleMagic {
+	if magic := binary.LittleEndian.Uint32(hdr); magic != keyBundleMagic {
 		return nil, fmt.Errorf("serve: bad key bundle magic %#x", magic)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
+	count := binary.LittleEndian.Uint32(hdr[4:])
 	if count == 0 || count > 1024 {
 		return nil, fmt.Errorf("serve: implausible key count %d", count)
 	}
 	keys := make(map[string]*ckks.EvalKey, count)
 	for i := uint32(0); i < count; i++ {
-		var nameLen uint16
-		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
+		if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 			return nil, err
 		}
+		nameLen := binary.LittleEndian.Uint16(hdr)
 		if nameLen == 0 || nameLen > 1<<8 {
 			return nil, fmt.Errorf("serve: implausible key name length %d", nameLen)
 		}

@@ -244,17 +244,12 @@ func encodeCreateRecord(cp sessionCheckpoint) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(cp.touch))
 }
 
-func encodeStepRecord(cp sessionCheckpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(2 + len(cp.id) + 12)
-	b := appendLogString(nil, cp.id)
+func encodeStepRecord(cp sessionCheckpoint) []byte {
+	b := make([]byte, 0, 2+len(cp.id)+12+cp.state.EncodedLen())
+	b = appendLogString(b, cp.id)
 	b = binary.LittleEndian.AppendUint32(b, uint32(cp.steps))
 	b = binary.LittleEndian.AppendUint64(b, uint64(cp.touch))
-	buf.Write(b)
-	if err := cp.state.Write(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return cp.state.Append(b)
 }
 
 // append writes one record, flushes it and fsyncs (l.mu held by callers
@@ -280,11 +275,7 @@ func (l *sessionLog) appendCreate(cp sessionCheckpoint) error {
 }
 
 func (l *sessionLog) appendStep(cp sessionCheckpoint) error {
-	payload, err := encodeStepRecord(cp)
-	if err != nil {
-		return err
-	}
-	return l.append(recSessionStep, payload)
+	return l.append(recSessionStep, encodeStepRecord(cp))
 }
 
 func (l *sessionLog) appendClose(id string) error {
@@ -335,11 +326,7 @@ func (l *sessionLog) compact(live []sessionCheckpoint) (err error) {
 		if cp.state == nil {
 			continue // created but never stepped: no state to checkpoint
 		}
-		var payload []byte
-		if payload, err = encodeStepRecord(cp); err != nil {
-			return err
-		}
-		if err = cluster.WriteFrame(bw, recSessionStep, payload); err != nil {
+		if err = cluster.WriteFrame(bw, recSessionStep, encodeStepRecord(cp)); err != nil {
 			return err
 		}
 		written++

@@ -321,21 +321,12 @@ func TestSessionLogOrphanStepSkipped(t *testing.T) {
 	ghost := sessionCheckpoint{id: "ghost", tenant: testTenant, program: "square", steps: 2, touch: now.UnixNano(), state: ct}
 	b := sessionCheckpoint{id: "b", tenant: testTenant, program: "square", steps: 3, touch: now.UnixNano(), state: ct}
 	write(recSessionCreate, encodeCreateRecord(a))
-	stepA, err := encodeStepRecord(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stepA := encodeStepRecord(a)
 	write(recSessionStep, stepA)
-	stepGhost, err := encodeStepRecord(ghost) // no create record for "ghost"
-	if err != nil {
-		t.Fatal(err)
-	}
+	stepGhost := encodeStepRecord(ghost) // no create record for "ghost"
 	write(recSessionStep, stepGhost)
 	write(recSessionCreate, encodeCreateRecord(b))
-	stepB, err := encodeStepRecord(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stepB := encodeStepRecord(b)
 	write(recSessionStep, stepB)
 
 	size := int64(buf.Len())
@@ -458,10 +449,7 @@ func FuzzSessionLogReplay(f *testing.F) {
 	if err := cluster.WriteFrame(&seed, recSessionCreate, encodeCreateRecord(cp)); err != nil {
 		f.Fatal(err)
 	}
-	step, err := encodeStepRecord(cp)
-	if err != nil {
-		f.Fatal(err)
-	}
+	step := encodeStepRecord(cp)
 	if err := cluster.WriteFrame(&seed, recSessionStep, step); err != nil {
 		f.Fatal(err)
 	}
