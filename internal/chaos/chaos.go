@@ -185,9 +185,6 @@ func NewInjector(cfg Config) *Injector {
 // warms up or cools down.
 func (in *Injector) SetEnabled(v bool) { in.enabled.Store(v) }
 
-// Enabled reports whether faults are currently being injected.
-func (in *Injector) Enabled() bool { return in.enabled.Load() }
-
 // Counts returns the number of faults injected so far, per kind.
 func (in *Injector) Counts() map[Kind]int64 {
 	out := map[Kind]int64{}

@@ -177,15 +177,6 @@ func reduceInt64(v int64, q uint64) uint64 {
 	return q - r
 }
 
-// EncodeReal is a convenience wrapper for real-valued inputs.
-func (e *Encoder) EncodeReal(values []float64, level int, scale float64) (*Plaintext, error) {
-	cv := make([]complex128, len(values))
-	for i, f := range values {
-		cv[i] = complex(f, 0)
-	}
-	return e.Encode(cv, level, scale)
-}
-
 // Plaintext is an encoded message: a ring polynomial with scale and level
 // bookkeeping.
 type Plaintext struct {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -686,21 +685,21 @@ func TestConcurrentEvictKeySwitchStress(t *testing.T) {
 	}
 }
 
-// dupLimbsDialer wraps a dialer so the first msgLimbs frame written after
-// arm is set goes out twice. Writes are queued and pumped by a goroutine —
-// like a socket buffer, and unlike a bare net.Pipe, whose lock-step writes
-// would stall the duplicate into an RPC timeout instead of delivering it.
-type dupLimbsDialer struct {
-	Dialer
-	arm *atomic.Bool
+// dupConn delivers twice the first frame of type typ written after arm is
+// set. Writes are queued and pumped by a goroutine — like a socket
+// buffer, and unlike a bare net.Pipe, whose lock-step writes would stall
+// the duplicate into an RPC timeout instead of delivering it.
+type dupConn struct {
+	net.Conn
+	typ  byte
+	arm  *atomic.Bool
+	q    chan []byte
+	done chan struct{}
+	once sync.Once
 }
 
-func (d dupLimbsDialer) Dial(ctx context.Context) (net.Conn, error) {
-	conn, err := d.Dialer.Dial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	dc := &dupLimbsConn{Conn: conn, arm: d.arm, done: make(chan struct{})}
+func newDupConn(conn net.Conn, typ byte, arm *atomic.Bool) *dupConn {
+	dc := &dupConn{Conn: conn, typ: typ, arm: arm, done: make(chan struct{})}
 	dc.q = make(chan []byte, 64) // deeper than one keyswitch's frames
 	go func() {
 		for {
@@ -714,20 +713,12 @@ func (d dupLimbsDialer) Dial(ctx context.Context) (net.Conn, error) {
 			}
 		}
 	}()
-	return dc, nil
+	return dc
 }
 
-type dupLimbsConn struct {
-	net.Conn
-	arm  *atomic.Bool
-	q    chan []byte
-	done chan struct{}
-	once sync.Once
-}
-
-func (c *dupLimbsConn) Write(p []byte) (int, error) {
+func (c *dupConn) Write(p []byte) (int, error) {
 	n := 1
-	if len(p) > 4 && p[4] == msgLimbs && c.arm.CompareAndSwap(true, false) {
+	if len(p) > 4 && p[4] == c.typ && c.arm.CompareAndSwap(true, false) {
 		n = 2
 	}
 	for ; n > 0; n-- {
@@ -740,9 +731,38 @@ func (c *dupLimbsConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (c *dupLimbsConn) Close() error {
+func (c *dupConn) Close() error {
 	c.once.Do(func() { close(c.done) })
 	return c.Conn.Close()
+}
+
+// dupDialer duplicates one coordinator request frame of type typ.
+type dupDialer struct {
+	Dialer
+	typ byte
+	arm *atomic.Bool
+}
+
+func (d dupDialer) Dial(ctx context.Context) (net.Conn, error) {
+	conn, err := d.Dialer.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return newDupConn(conn, d.typ, d.arm), nil
+}
+
+// dupReplyDialer serves a real Worker whose conn duplicates one reply
+// frame of type typ.
+type dupReplyDialer struct {
+	w   *Worker
+	typ byte
+	arm *atomic.Bool
+}
+
+func (d dupReplyDialer) Dial(context.Context) (net.Conn, error) {
+	coord, worker := net.Pipe()
+	go d.w.Serve(newDupConn(worker, d.typ, d.arm))
+	return coord, nil
 }
 
 // TestDuplicatedDigitFrameRejected: a digit frame delivered twice must not
@@ -755,7 +775,7 @@ func TestDuplicatedDigitFrameRejected(t *testing.T) {
 	var arm atomic.Bool
 	ds := make([]Dialer, 2)
 	for i := range ds {
-		ds[i] = dupLimbsDialer{Dialer: NewPipeDialer(NewWorker(tc.params)), arm: &arm}
+		ds[i] = dupDialer{Dialer: NewPipeDialer(NewWorker(tc.params)), typ: msgLimbs, arm: &arm}
 	}
 	eng, err := NewEngine(tc.params, ds, Options{RPCTimeout: 2 * time.Second, RetryBackoff: time.Millisecond})
 	if err != nil {
@@ -780,88 +800,93 @@ func TestDuplicatedDigitFrameRejected(t *testing.T) {
 	}
 }
 
-// connDialer hands out one pre-made connection.
-type connDialer struct{ conn net.Conn }
-
-func (d connDialer) Dial(context.Context) (net.Conn, error) { return d.conn, nil }
-
-// TestStalePongSkipped: a pong delivered twice — the chaos injector's
-// receive-side Duplicate — is stale once its ping is answered. The next
-// exchange on the link, here a first-time key push, must skip it rather
-// than fail and drop a healthy session.
-func TestStalePongSkipped(t *testing.T) {
+// TestStaleReplySkipped: a reply delivered twice — the chaos injector's
+// receive-side Duplicate — is stale once its exchange is settled. Every
+// reply leads with the id it answers and no id names two exchanges, so
+// whichever exchange reads the duplicate next skips it instead of failing
+// and dropping a healthy session.
+func TestStaleReplySkipped(t *testing.T) {
 	tc := newClusterContext(t, 1, Options{}) // params and keys; its engine is unused
-	coord, worker := net.Pipe()
-	t.Cleanup(func() { worker.Close() })
-	errc := make(chan error, 1)
-	go func() {
-		errc <- func() error {
-			br, bw := bufio.NewReader(worker), bufio.NewWriter(worker)
-			expect := func(want byte) ([]byte, error) {
-				typ, payload, err := ReadFrame(br)
-				if err == nil && typ != want {
-					err = fmt.Errorf("got frame %#x, want %#x", typ, want)
-				}
-				return payload, err
-			}
-			reply := func(typ byte, payloads ...[]byte) error {
-				for _, p := range payloads {
-					if err := WriteFrame(bw, typ, p); err != nil {
-						return err
-					}
-				}
-				return bw.Flush()
-			}
-			if _, err := expect(msgHello); err != nil {
-				return err
-			}
-			if err := reply(msgHelloAck, encodeHelloAck(ParamsDigest(tc.params))); err != nil {
-				return err
-			}
-			ping, err := expect(msgPing)
+	ct := tc.encryptRandom(t, 66)
+	locked := func(e *Engine, f func(lk *link) error) error {
+		lk := e.links[0]
+		lk.mu.Lock()
+		defer lk.mu.Unlock()
+		return f(lk)
+	}
+	ping := func(e *Engine) error {
+		return locked(e, func(lk *link) error {
+			nonce := e.ids.Add(1)
+			_, err := lk.call(time.Now().Add(2*time.Second), nonce, msgPong, msgPing, appendU64(nil, nonce), nil)
+			return err
+		})
+	}
+	push := func(e *Engine) error {
+		return locked(e, func(lk *link) error {
+			return lk.ensureKey(time.Now().Add(2*time.Second), e.keyID(tc.rlk), tc.rlk)
+		})
+	}
+	evict := func(e *Engine) error {
+		e.EvictKeys(tc.rlk)
+		return nil
+	}
+	pushEvict := func(e *Engine) error {
+		if err := push(e); err != nil {
+			return err
+		}
+		return evict(e)
+	}
+	keySwitch := func(e *Engine) error {
+		_, _, err := e.KeySwitch(ct.C1, tc.rlk)
+		return err
+	}
+	// refused runs a keyswitch the worker answers with msgError: it names
+	// a key believed pushed but never sent.
+	refused := func(e *Engine) error {
+		locked(e, func(lk *link) error {
+			lk.pushed[e.keyID(tc.rlk)] = true
+			return nil
+		})
+		if err := keySwitch(e); !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "unknown key id") {
+			return fmt.Errorf("got %v, want an in-band refusal", err)
+		}
+		return nil
+	}
+	for _, row := range []struct {
+		name        string
+		dup         byte
+		first, next func(*Engine) error
+	}{
+		{"pong read by a key push", msgPong, ping, push},
+		{"keyAck read by a keyswitch", msgKeyAck, push, keySwitch},
+		{"keyAck read by the evict of its key", msgKeyAck, push, evict},
+		{"keyGone read by a key push", msgKeyGone, pushEvict, push},
+		{"ksResult read by a heartbeat", msgKSResult, keySwitch, ping},
+		{"msgError read by a heartbeat", msgError, refused, ping},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var arm atomic.Bool
+			// An hour between heartbeats: the rows send their pings themselves.
+			eng, err := NewEngine(tc.params, []Dialer{dupReplyDialer{w: NewWorker(tc.params), typ: row.dup, arm: &arm}}, Options{
+				RPCTimeout: 2 * time.Second, RetryBackoff: time.Millisecond, HeartbeatInterval: time.Hour,
+			})
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			// Both pongs in one write: a net.Pipe write blocks until read,
-			// and the second must already be waiting when the push is sent.
-			if err := reply(msgPong, ping, ping); err != nil {
-				return err
+			defer eng.Close()
+			arm.Store(true)
+			if err := row.first(eng); err != nil {
+				t.Fatalf("first exchange: %v", err)
 			}
-			push, err := expect(msgSetKey)
-			if err != nil {
-				return err
+			if arm.Load() {
+				t.Fatalf("no %#x reply was duplicated", row.dup)
 			}
-			id, _, err := decodeSetKey(push, tc.params)
-			if err != nil {
-				return err
+			if err := row.next(eng); err != nil {
+				t.Fatalf("exchange after a doubled %#x: %v", row.dup, err)
 			}
-			return reply(msgKeyAck, encodeKeyAck(id))
-		}()
-	}()
-
-	// An hour between heartbeats: the test sends the one ping itself.
-	eng, err := NewEngine(tc.params, []Dialer{connDialer{coord}}, Options{HeartbeatInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	lk := eng.links[0]
-	lk.mu.Lock()
-	err = lk.ping(eng)
-	lk.mu.Unlock()
-	if err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	lk.mu.Lock()
-	err = lk.ensureKey(eng.keyID(tc.rlk), tc.rlk)
-	lk.mu.Unlock()
-	if err != nil {
-		t.Fatalf("key push after a doubled pong: %v", err)
-	}
-	if n := eng.Snapshot().Reconnects; n != 0 {
-		t.Fatalf("a stale pong cost %d reconnects, want 0", n)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("fake worker: %v", err)
+			if n := eng.Snapshot().Reconnects; n != 0 || !eng.Healthy() {
+				t.Fatalf("a stale %#x cost %d reconnects (healthy=%v), want 0", row.dup, n, eng.Healthy())
+			}
+		})
 	}
 }

@@ -40,16 +40,10 @@ type Options struct {
 	RetryBackoff time.Duration
 	// HeartbeatInterval paces the background ping loop that detects dead
 	// workers early and redials lost ones — the only thing that brings a
-	// lost worker back without request traffic, so it is always on.
+	// lost worker back without request traffic, so it is always on. It
+	// also caps the redial backoff at max(1s, 4×HeartbeatInterval).
 	// Default 1s.
 	HeartbeatInterval time.Duration
-	// RedialBackoffMax caps the jittered exponential backoff between
-	// redial attempts of a dead worker. Consecutive failed connects double
-	// the per-link delay from RetryBackoff up to this cap, so a dead
-	// backend is probed at a decaying rate instead of being hammered in
-	// lockstep by every heartbeat tick and RPC retry. Default:
-	// max(1s, 4×HeartbeatInterval).
-	RedialBackoffMax time.Duration
 	// AllowDegradedStart lets NewEngine succeed even when some (or all)
 	// workers are unreachable at boot: a failed initial dial leaves that
 	// link down — to be redialed with backoff by the heartbeat loop and RPC
@@ -73,9 +67,6 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = time.Second
 	}
-	if o.RedialBackoffMax <= 0 {
-		o.RedialBackoffMax = max(time.Second, 4*o.HeartbeatInterval)
-	}
 	return o
 }
 
@@ -86,7 +77,6 @@ func (o Options) withDefaults() Options {
 // rotations over the cluster.
 type Engine struct {
 	params *ckks.Parameters
-	local  *keyswitch.Engine // shared partition arithmetic (OAMine); never computes
 	opts   Options
 	links  []*link
 	stats  Stats
@@ -94,12 +84,13 @@ type Engine struct {
 	// keyIDs names each key by pointer for the wire: a push encodes the
 	// *EvalKey the collective holds, and EvictKeys forgets the name, so a
 	// later push of the same pointer gets a fresh id.
-	keyMu   sync.Mutex
-	keyIDs  map[*ckks.EvalKey]uint64
-	nextKey uint64
+	keyMu  sync.Mutex
+	keyIDs map[*ckks.EvalKey]uint64
 
-	reqSeq   atomic.Uint64
-	nonceSeq atomic.Uint64
+	// ids is the one id sequence of the engine's exchanges: key ids,
+	// keyswitch request ids and heartbeat nonces all come from it, so an id
+	// names one exchange and a reply leading with another id is stale.
+	ids atomic.Uint64
 
 	// lastHandshake is the unix-nano time of the most recent successful
 	// worker handshake across all links (0 before the first).
@@ -111,8 +102,8 @@ type Engine struct {
 }
 
 // link is one worker pairing. mu serializes the connection: exactly one
-// RPC (or heartbeat) is on the wire at a time, and reconnects replace the
-// conn under the same lock.
+// exchange (link.call) is on the wire at a time, and reconnects replace
+// the conn under the same lock.
 type link struct {
 	dialer Dialer
 	chip   int
@@ -152,13 +143,8 @@ func NewEngine(params *ckks.Parameters, dialers []Dialer, opts Options) (*Engine
 		return nil, fmt.Errorf("cluster: need at least one worker")
 	}
 	opts = opts.withDefaults()
-	local, err := keyswitch.NewEngine(params, len(dialers))
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		params: params,
-		local:  local,
 		opts:   opts,
 		keyIDs: map[*ckks.EvalKey]uint64{},
 	}
@@ -257,7 +243,8 @@ func (e *Engine) Close() {
 // push of the same pointer gets a fresh id), and every live worker session
 // is told to drop its copy, so a worker holds only what the cache holds.
 // Best-effort: a link that fails the exchange is dropped, and its
-// reconnect starts from an empty worker key store anyway.
+// reconnect starts from an empty worker key store anyway. A key id is also
+// its evict exchange's id: the worker's keyGone echoes it.
 func (e *Engine) EvictKeys(keys ...*ckks.EvalKey) {
 	var ids []uint64
 	e.keyMu.Lock()
@@ -277,11 +264,9 @@ func (e *Engine) EvictKeys(keys ...*ckks.EvalKey) {
 	e.stats.KeyEvicts.Add(int64(len(ids)))
 	for _, lk := range e.links {
 		lk.mu.Lock()
-		if lk.conn == nil {
-			lk.mu.Unlock()
-			continue // nothing resident on a dead session
-		}
 		for _, id := range ids {
+			// A dead session holds nothing: drop cleared pushed, so a link
+			// whose evict fails (call drops it) skips the rest.
 			if !lk.pushed[id] {
 				continue
 			}
@@ -291,42 +276,10 @@ func (e *Engine) EvictKeys(keys ...*ckks.EvalKey) {
 			// a wide key set over a slow link must not turn a routine
 			// cache eviction into a dropped (healthy) worker session when
 			// a single shared deadline expires partway through.
-			lk.conn.SetDeadline(time.Now().Add(lk.opts.RPCTimeout))
-			if err := lk.evictKey(id); err != nil {
-				lk.drop()
-				break
-			}
-		}
-		if lk.conn != nil {
-			lk.conn.SetDeadline(time.Time{})
+			_, _ = lk.call(time.Now().Add(lk.opts.RPCTimeout), id, msgKeyGone, msgKeyEvict, appendU64(nil, id), nil)
 		}
 		lk.mu.Unlock()
 	}
-}
-
-// evictKey runs one evict round trip (lk.mu held, conn non-nil).
-func (lk *link) evictKey(id uint64) error {
-	if err := WriteFrame(lk.bw, msgKeyEvict, encodeKeyEvict(id)); err != nil {
-		return err
-	}
-	if err := lk.bw.Flush(); err != nil {
-		return err
-	}
-	typ, payload, err := lk.readReply(0)
-	if err != nil {
-		return err
-	}
-	if typ != msgKeyGone {
-		return fmt.Errorf("cluster: expected evict ack, got frame %#x", typ)
-	}
-	_, got, err := decodeKeyGone(payload)
-	if err != nil {
-		return err
-	}
-	if got != id {
-		return fmt.Errorf("cluster: evict ack for key %d, sent %d", got, id)
-	}
-	return nil
 }
 
 // KeySwitch implements ckks.KeySwitcher: the algorithm follows the key's
@@ -379,25 +332,10 @@ func (e *Engine) keyID(evk *ckks.EvalKey) uint64 {
 	defer e.keyMu.Unlock()
 	id, ok := e.keyIDs[evk]
 	if !ok {
-		e.nextKey++
-		id = e.nextKey
+		id = e.ids.Add(1)
 		e.keyIDs[evk] = id
 	}
 	return id
-}
-
-// digitRanges lists the [lo,hi) chain ranges of every hybrid digit at
-// level l — one broadcast frame per digit.
-func (e *Engine) digitRanges(evk *ckks.EvalKey, l int) [][2]int {
-	var out [][2]int
-	for d := 0; d < evk.Digits(); d++ {
-		lo, hi, ok := e.params.DigitRange(d, l)
-		if !ok {
-			break
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
 }
 
 // inputBroadcast runs Fig. 8b over the cluster: ONE broadcast of the input
@@ -409,7 +347,7 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 	l := c.Basis.Len() - 1
 	n := len(e.links)
 	start := time.Now()
-	digits := e.digitRanges(evk, l)
+	digits := keyswitch.DigitRanges(e.params, evk, l)
 
 	cc := c.Copy()
 	if err := r.INTT(cc); err != nil {
@@ -423,7 +361,7 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for chip := 0; chip < n; chip++ {
-		mine := chipOwned(chip, l, n)
+		mine := keyswitch.ChipLimbs(chip, l, n)
 		if len(mine) == 0 {
 			continue // more chips than limbs: this chip sits the collective out
 		}
@@ -482,7 +420,7 @@ func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for chip := 0; chip < n; chip++ {
-		mine, err := e.local.OAMine(evk, chip, l)
+		mine, err := keyswitch.OADigitSet(evk, n, chip, l)
 		if err != nil {
 			return nil, nil, keyswitch.CommStats{}, err
 		}
@@ -576,16 +514,6 @@ func addInto(dst, src []uint64, q uint64) {
 	}
 }
 
-// chipOwned lists the chain indices chip owns at level l under the modular
-// partition.
-func chipOwned(chip, l, nChips int) []int {
-	var out []int
-	for j := chip; j <= l; j += nChips {
-		out = append(out, j)
-	}
-	return out
-}
-
 // streamDigits broadcasts the input limbs digit by digit, flushing each
 // frame so the worker's absorb of digit d overlaps the send of digit d+1.
 func streamDigits(bw *bufio.Writer, req uint64, digits [][2]int, cc *ring.Poly) error {
@@ -632,16 +560,11 @@ func copyOwnedLimbs(out0, out1 *ring.Poly, res *ksResultMsg, mine []int) error {
 	return nil
 }
 
-// remoteError is a semantic failure reported in-band by a worker. It is
-// deterministic (bad key, wrong topology), so the RPC layer does not retry
-// it.
-type remoteError struct{ msg string }
-
-func (e *remoteError) Error() string { return "cluster: worker reported: " + e.msg }
-
 // --- link: per-worker session management ---
 
-// connect establishes (or re-establishes) the session under lk.mu.
+// connect establishes (or re-establishes) the session under lk.mu. The
+// hello's exchange id is the parameter digest: the worker echoes it in its
+// helloAck, or refuses the pairing with a msgError leading with it.
 func (lk *link) connect() error {
 	lk.drop()
 	ctx, cancel := context.WithTimeout(context.Background(), lk.opts.DialTimeout)
@@ -651,51 +574,23 @@ func (lk *link) connect() error {
 		return err
 	}
 	conn := &countingConn{Conn: raw, stats: lk.stats}
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-
-	conn.SetDeadline(time.Now().Add(lk.opts.RPCTimeout))
-	defer conn.SetDeadline(time.Time{})
+	lk.conn, lk.br, lk.bw = conn, bufio.NewReaderSize(conn, 1<<16), bufio.NewWriterSize(conn, 1<<16)
 	digest := ParamsDigest(lk.params)
-	if err := WriteFrame(bw, msgHello, encodeHello(helloMsg{
+	_, err = lk.call(time.Now().Add(lk.opts.RPCTimeout), digest, msgHelloAck, msgHello, encodeHello(helloMsg{
 		digest: digest, nChips: uint32(lk.nChips), chip: uint32(lk.chip),
-	})); err != nil {
-		raw.Close()
-		return err
+	}), nil)
+	var rerr *remoteError
+	if errors.As(err, &rerr) {
+		lk.drop()
+		return fmt.Errorf("%w: %s", ErrDigestMismatch, rerr.msg)
 	}
-	if err := bw.Flush(); err != nil {
-		raw.Close()
-		return err
-	}
-	typ, payload, err := ReadFrame(br)
 	if err != nil {
-		raw.Close()
-		return fmt.Errorf("cluster: reading hello ack: %w", err)
-	}
-	switch typ {
-	case msgHelloAck:
-		got, err := decodeHelloAck(payload)
-		if err != nil {
-			raw.Close()
-			return err
-		}
-		if got != digest {
-			raw.Close()
-			return fmt.Errorf("%w: coordinator %016x, worker %016x", ErrDigestMismatch, digest, got)
-		}
-	case msgError:
-		_, msg, _ := decodeError(payload)
-		raw.Close()
-		return fmt.Errorf("%w: %s", ErrDigestMismatch, msg)
-	default:
-		raw.Close()
-		return fmt.Errorf("cluster: unexpected handshake frame %#x", typ)
+		return fmt.Errorf("cluster: handshake: %w", err)
 	}
 	if lk.dialed {
 		lk.stats.Reconnects.Add(1)
 	}
 	lk.dialed = true
-	lk.conn, lk.br, lk.bw = conn, br, bw
 	lk.healthy.Store(true)
 	lk.redialDelay, lk.nextRedial = 0, time.Time{}
 	if lk.lastHS != nil {
@@ -711,7 +606,9 @@ var errRedialBackoff = errors.New("cluster: worker redial backed off")
 
 // connectBackoff is connect() behind the jittered exponential redial gate
 // (lk.mu held by caller). Every failed attempt doubles the link's delay
-// from RetryBackoff up to RedialBackoffMax; the next window is jittered
+// from RetryBackoff up to max(1s, 4×HeartbeatInterval), so a dead backend
+// is probed at a decaying rate instead of being hammered in lockstep by
+// every heartbeat tick and RPC retry; the next window is jittered
 // into [0.5, 1.0]× so coordinators sharing a revived worker don't redial
 // in lockstep. A successful connect resets the state.
 func (lk *link) connectBackoff() error {
@@ -727,9 +624,7 @@ func (lk *link) connectBackoff() error {
 	} else {
 		lk.redialDelay *= 2
 	}
-	if lk.redialDelay > lk.opts.RedialBackoffMax {
-		lk.redialDelay = lk.opts.RedialBackoffMax
-	}
+	lk.redialDelay = min(lk.redialDelay, max(time.Second, 4*lk.opts.HeartbeatInterval))
 	jittered := lk.redialDelay/2 + time.Duration(lk.rng.Int63n(int64(lk.redialDelay/2)+1))
 	lk.nextRedial = time.Now().Add(jittered)
 	return err
@@ -749,30 +644,13 @@ func (lk *link) drop() {
 
 // ensureKey pushes evk under id if this session hasn't seen it — the one
 // push path: lazy, keyed by pointer identity on the coordinator, encoded
-// from the key the collective holds.
-func (lk *link) ensureKey(id uint64, evk *ckks.EvalKey) error {
+// from the key the collective holds. The key id is the exchange id.
+func (lk *link) ensureKey(deadline time.Time, id uint64, evk *ckks.EvalKey) error {
 	if lk.pushed[id] {
 		return nil
 	}
-	if err := WriteFrame(lk.bw, msgSetKey, encodeSetKey(id, evk)); err != nil {
+	if _, err := lk.call(deadline, id, msgKeyAck, msgSetKey, encodeSetKey(id, evk), nil); err != nil {
 		return err
-	}
-	if err := lk.bw.Flush(); err != nil {
-		return err
-	}
-	typ, payload, err := lk.readReply(0)
-	if err != nil {
-		return err
-	}
-	if typ != msgKeyAck {
-		return fmt.Errorf("cluster: expected key ack, got frame %#x", typ)
-	}
-	got, err := decodeKeyAck(payload)
-	if err != nil {
-		return err
-	}
-	if got != id {
-		return fmt.Errorf("cluster: key ack for %d, pushed %d", got, id)
 	}
 	lk.pushed[id] = true
 	lk.stats.KeyPushes.Add(1)
@@ -807,17 +685,7 @@ func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 	return nil, lastErr
 }
 
-// rpcDeadline is the per-RPC wire deadline: RPCTimeout from now, clamped
-// by the caller's context deadline when that is sooner.
-func (lk *link) rpcDeadline(ctx context.Context) time.Time {
-	d := time.Now().Add(lk.opts.RPCTimeout)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(d) {
-		d = cd
-	}
-	return d
-}
-
-func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, begin ksBeginMsg, sendLimbs func(*bufio.Writer, uint64) error) (res *ksResultMsg, err error) {
+func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, begin ksBeginMsg, sendLimbs func(*bufio.Writer, uint64) error) (*ksResultMsg, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -828,110 +696,71 @@ func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 			return nil, err
 		}
 	}
-	// Any failure past this point poisons the session (the stream position
-	// is unknown), so drop it; the retry or the heartbeat loop redials.
-	defer func() {
-		if err != nil {
-			if _, ok := err.(*remoteError); !ok {
-				lk.drop()
-			}
-		}
-	}()
-	lk.conn.SetDeadline(lk.rpcDeadline(ctx))
-	defer func() {
-		if lk.conn != nil {
-			lk.conn.SetDeadline(time.Time{})
-		}
-	}()
+	// RPCTimeout from now, clamped by the caller's deadline when sooner.
+	deadline := time.Now().Add(lk.opts.RPCTimeout)
+	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
+		deadline = cd
+	}
 	// The key is named and pushed under the link lock, so an EvictKeys of
 	// it waits for this keyswitch to finish on this link, or has already
 	// finished and the key gets a fresh id.
 	begin.keyID = e.keyID(evk)
-	if err := lk.ensureKey(begin.keyID, evk); err != nil {
+	if err := lk.ensureKey(deadline, begin.keyID, evk); err != nil {
 		return nil, err
 	}
-	req := e.reqSeq.Add(1)
-	begin.req = req
+	begin.req = e.ids.Add(1)
 	p := encodeKSBegin(begin)
-	err = WriteFrame(lk.bw, msgKSBegin, p)
+	reply, err := lk.call(deadline, begin.req, msgKSResult, msgKSBegin, p, func(bw *bufio.Writer) error {
+		return sendLimbs(bw, begin.req)
+	})
 	putFrameBuf(p)
 	if err != nil {
 		return nil, err
 	}
-	if err := sendLimbs(lk.bw, req); err != nil {
-		return nil, err
-	}
-	if err := lk.bw.Flush(); err != nil {
-		return nil, err
-	}
-	typ, payload, err := lk.readReply(0)
+	m, err := decodeKSResult(reply, lk.params.N())
 	if err != nil {
 		return nil, err
 	}
-	switch typ {
-	case msgKSResult:
-		m, err := decodeKSResult(payload, lk.params.N())
-		if err != nil {
-			return nil, err
-		}
-		if m.req != req {
-			return nil, fmt.Errorf("cluster: result for request %d, expected %d", m.req, req)
-		}
-		return &m, nil
-	case msgError:
-		r, msg, err := decodeError(payload)
-		if err != nil {
-			return nil, err
-		}
-		if r != req {
-			return nil, fmt.Errorf("cluster: error frame for request %d, expected %d", r, req)
-		}
-		return nil, &remoteError{msg: msg}
-	default:
-		return nil, fmt.Errorf("cluster: unexpected frame %#x awaiting result", typ)
-	}
+	return &m, nil
 }
 
-// readReply reads the next reply on the session (lk.mu held), skipping
-// every pong except the one answering the ping in flight — ping is that
-// ping's nonce, 0 outside a heartbeat (nonces start at 1). A pong that
-// arrives late or twice is stale, and must not fail whichever exchange
-// happens to read next.
-func (lk *link) readReply(ping uint64) (byte, []byte, error) {
-	for {
-		typ, payload, err := ReadFrame(lk.br)
-		if err != nil || typ != msgPong {
-			return typ, payload, err
-		}
-		if nonce, err := decodePing(payload); err != nil || nonce == ping {
-			return typ, payload, err
-		}
-	}
-}
-
-// ping runs one heartbeat round trip (lock held by caller).
-func (lk *link) ping(e *Engine) error {
-	lk.conn.SetDeadline(time.Now().Add(lk.opts.RPCTimeout))
+// call is the one exchange on a worker link (lk.mu held, session up): it
+// writes the typ request, lets more stream the frames that follow it (nil
+// for none), flushes, and reads until the answer — the first want or
+// msgError frame leading with id. Every other frame is a stale duplicate of
+// a settled exchange and is skipped (parseReply). The exchange runs under
+// deadline. A msgError answer returns *remoteError and keeps the session;
+// any other failure drops it, since the stream position is then unknown.
+func (lk *link) call(deadline time.Time, id uint64, want, typ byte, payload []byte, more func(*bufio.Writer) error) (reply []byte, err error) {
 	defer func() {
-		if lk.conn != nil {
+		var rerr *remoteError
+		if err != nil && !errors.As(err, &rerr) {
+			lk.drop()
+		} else {
 			lk.conn.SetDeadline(time.Time{})
 		}
 	}()
-	nonce := e.nonceSeq.Add(1)
-	if err := WriteFrame(lk.bw, msgPing, encodePing(nonce)); err != nil {
-		return err
+	lk.conn.SetDeadline(deadline)
+	if err := WriteFrame(lk.bw, typ, payload); err != nil {
+		return nil, err
+	}
+	if more != nil {
+		if err := more(lk.bw); err != nil {
+			return nil, err
+		}
 	}
 	if err := lk.bw.Flush(); err != nil {
-		return err
+		return nil, err
 	}
-	typ, _, err := lk.readReply(nonce)
-	if err != nil {
-		return err
+	for {
+		rtyp, reply, err := ReadFrame(lk.br)
+		if err != nil {
+			return nil, err
+		}
+		if done, err := parseReply(rtyp, reply, id, want); done || err != nil {
+			return reply, err
+		}
 	}
-	if typ != msgPong {
-		return fmt.Errorf("cluster: expected pong, got frame %#x", typ)
-	}
-	return nil
 }
 
 // heartbeatLoop periodically pings healthy workers (detecting silent
@@ -939,8 +768,9 @@ func (lk *link) ping(e *Engine) error {
 // without operator action. Redials go through the per-link jittered
 // exponential backoff: the first loss is retried on the next tick, a
 // worker that stays dead is probed at a decaying rate up to
-// RedialBackoffMax apart, and the first successful connect resets the
-// schedule — so reviving a worker never triggers a lockstep dial storm.
+// max(1s, 4×HeartbeatInterval) apart, and the first successful connect
+// resets the schedule — so reviving a worker never triggers a lockstep
+// dial storm.
 func (e *Engine) heartbeatLoop() {
 	defer close(e.hbDone)
 	t := time.NewTicker(e.opts.HeartbeatInterval)
@@ -955,19 +785,16 @@ func (e *Engine) heartbeatLoop() {
 			if !lk.mu.TryLock() {
 				continue // an RPC is in flight: the link is demonstrably alive
 			}
-			if lk.conn == nil {
-				if err := lk.connectBackoff(); err == nil {
-					e.stats.Heartbeats.Add(1)
-				}
-			} else if err := lk.ping(e); err != nil {
-				// Redial in the same tick: a poisoned session (corrupt frame,
-				// mid-collective disconnect) costs at most one heartbeat
-				// interval of degraded capacity, not two.
-				lk.drop()
-				if err := lk.connectBackoff(); err == nil {
-					e.stats.Heartbeats.Add(1)
-				}
-			} else {
+			alive := false
+			if lk.conn != nil {
+				nonce := e.ids.Add(1)
+				_, err := lk.call(time.Now().Add(e.opts.RPCTimeout), nonce, msgPong, msgPing, appendU64(nil, nonce), nil)
+				alive = err == nil
+			}
+			// Redial in the same tick: a poisoned session (corrupt frame,
+			// mid-collective disconnect) costs at most one heartbeat
+			// interval of degraded capacity, not two.
+			if alive || lk.connectBackoff() == nil {
 				e.stats.Heartbeats.Add(1)
 			}
 			lk.mu.Unlock()

@@ -27,7 +27,7 @@ import (
 	"cinnamon/internal/ckks"
 )
 
-// Wire format v2: every frame is [u32 LE length][u8 type][payload]
+// Wire format v3: every frame is [u32 LE length][u8 type][payload]
 // [u32 LE crc32c] where length = 1 + len(payload) + 4 and the CRC-32C
 // (Castagnoli) covers type||payload. Integers are little-endian
 // throughout; limb data is raw u64 coefficients. The codec never trusts a
@@ -36,8 +36,14 @@ import (
 // instead of a panic or an over-allocation (FuzzReadFrame,
 // FuzzDecodeLimbs). A frame whose checksum does not match fails with a
 // typed ErrCorruptFrame — corruption is detected and the session redialed,
-// never silently accepted (v1 peers, which lack the trailer, are rejected
-// at the versioned handshake).
+// never silently accepted (peers of another version are rejected at the
+// versioned handshake).
+//
+// Every worker reply leads with the u64 id of the exchange it answers: the
+// parameter digest for a hello, the key id for a key push or evict, the
+// nonce for a ping, the request id for a keyswitch. Ids come from one
+// sequence per coordinator, so a reply that is not the awaited one is a
+// stale duplicate of a settled exchange (parseReply).
 const (
 	// maxFrame bounds one frame (64 MiB): comfortably above any real
 	// payload (a full-width result at logN=17, 40 limbs is ~42 MiB) while
@@ -50,7 +56,7 @@ const (
 	frameOverhead = 1 + crcLen
 	crcLen        = 4
 
-	protoVersion = 2          // v2: CRC-32C frame trailer (v1 peers rejected at hello)
+	protoVersion = 3          // v3: every reply leads with the id it answers
 	helloMagic   = 0x434e4d4e // "CNMN"
 )
 
@@ -84,7 +90,7 @@ const (
 	msgKSResult byte = 0x07 // worker → coordinator: chip output limbs
 	msgPing     byte = 0x08 // heartbeat
 	msgPong     byte = 0x09
-	msgError    byte = 0x0a // worker → coordinator: request-scoped failure
+	msgError    byte = 0x0a // worker → coordinator: id, message of a refused exchange
 	msgKeyEvict byte = 0x0b // coordinator → worker: drop a pushed key
 	msgKeyGone  byte = 0x0c // worker → coordinator: evict ack
 )
@@ -423,16 +429,6 @@ func decodeHello(p []byte) (helloMsg, error) {
 	return h, nil
 }
 
-func encodeHelloAck(digest uint64) []byte {
-	return appendU64(nil, digest)
-}
-
-func decodeHelloAck(p []byte) (uint64, error) {
-	c := cursor{b: p}
-	d := c.u64()
-	return d, c.done()
-}
-
 // --- setKey ---
 
 // encodeSetKey serializes an evaluation key push: key id, the digit-set
@@ -484,40 +480,6 @@ func decodeSetKey(p []byte, params *ckks.Parameters) (uint64, *ckks.EvalKey, err
 	}
 	k.DigitSets = sets
 	return id, k, nil
-}
-
-func encodeKeyAck(id uint64) []byte { return appendU64(nil, id) }
-
-func decodeKeyAck(p []byte) (uint64, error) {
-	c := cursor{b: p}
-	id := c.u64()
-	return id, c.done()
-}
-
-// --- keyEvict / keyGone ---
-
-// A key eviction is a round trip: the coordinator announces the id, the
-// worker drops the key and acknowledges with keyGone. The ack's request
-// field is always 0; it stays in the payload so the v2 frame layout is
-// unchanged. A worker drops a key only when told to, so a keyswitch naming
-// a key it does not hold is a protocol error, answered with msgError.
-func encodeKeyEvict(id uint64) []byte { return appendU64(nil, id) }
-
-func decodeKeyEvict(p []byte) (uint64, error) {
-	c := cursor{b: p}
-	id := c.u64()
-	return id, c.done()
-}
-
-func encodeKeyGone(req, id uint64) []byte {
-	return appendU64(appendU64(nil, req), id)
-}
-
-func decodeKeyGone(p []byte) (req, id uint64, err error) {
-	c := cursor{b: p}
-	req = c.u64()
-	id = c.u64()
-	return req, id, c.done()
 }
 
 // readerBuf adapts the ckks decoder (an io.Reader) to an in-memory frame
@@ -681,23 +643,52 @@ func decodeKSResult(p []byte, n int) (ksResultMsg, error) {
 	return m, nil
 }
 
-// --- ping / error ---
+// --- ids and replies ---
 
-func encodePing(nonce uint64) []byte { return appendU64(nil, nonce) }
-
-func decodePing(p []byte) (uint64, error) {
+// decodeID decodes a payload that is one u64 id and nothing else: a ping,
+// a key evict, and every acknowledgement (helloAck, keyAck, pong,
+// keyGone). The ack payloads are appendU64(nil, id).
+func decodeID(p []byte) (uint64, error) {
 	c := cursor{b: p}
-	n := c.u64()
-	return n, c.done()
+	id := c.u64()
+	return id, c.done()
 }
 
-func encodeError(req uint64, msg string) []byte {
-	return appendStr(appendU64(nil, req), msg)
+// parseReply applies the reply rule to one frame read while exchange id
+// awaits a want reply. done reports whether the frame answers it: a want
+// or msgError frame that leads with id. Any other frame is a stale
+// duplicate of a settled exchange and the caller reads on. A msgError
+// answer ([u64 id][u32 len][message]) returns *remoteError; a frame of an
+// answering type too short to carry an id, or an acknowledgement with
+// bytes after its id, is a protocol error. A ksResult payload is left to
+// decodeKSResult.
+func parseReply(typ byte, payload []byte, id uint64, want byte) (done bool, err error) {
+	if typ != want && typ != msgError {
+		return false, nil
+	}
+	c := cursor{b: payload}
+	got := c.u64()
+	switch {
+	case c.err != nil:
+		return true, fmt.Errorf("cluster: reply frame %#x carries no id: %w", typ, c.err)
+	case got != id:
+		return false, nil
+	case typ == msgError:
+		msg := c.str()
+		if err := c.done(); err != nil {
+			return true, err
+		}
+		return true, &remoteError{msg: msg}
+	case want == msgKSResult:
+		return true, nil
+	default:
+		return true, c.done()
+	}
 }
 
-func decodeError(p []byte) (uint64, string, error) {
-	c := cursor{b: p}
-	req := c.u64()
-	msg := c.str()
-	return req, msg, c.done()
-}
+// remoteError is a semantic failure reported in-band by a worker. It is
+// deterministic (bad key, wrong topology), so the RPC layer does not retry
+// it, and it leaves the session up.
+type remoteError struct{ msg string }
+
+func (e *remoteError) Error() string { return "cluster: worker reported: " + e.msg }

@@ -217,7 +217,7 @@ func TestReadFrameTimeoutCompleteFrame(t *testing.T) {
 	go func() {
 		time.Sleep(20 * time.Millisecond) // idle gap longer than... nothing: no deadline yet
 		var buf bytes.Buffer
-		WriteFrame(&buf, msgPing, encodePing(77))
+		WriteFrame(&buf, msgPing, appendU64(nil, 77))
 		client.Write(buf.Bytes())
 	}()
 	br := bufio.NewReader(server)
@@ -228,7 +228,7 @@ func TestReadFrameTimeoutCompleteFrame(t *testing.T) {
 	if typ != msgPing {
 		t.Fatalf("got frame type %#x", typ)
 	}
-	if nonce, err := decodePing(payload); err != nil || nonce != 77 {
+	if nonce, err := decodeID(payload); err != nil || nonce != 77 {
 		t.Fatalf("nonce %d err %v", nonce, err)
 	}
 }
@@ -291,6 +291,43 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := decodeHello(bad); err == nil {
 		t.Fatal("corrupted magic accepted")
 	}
+	// A version-2 peer, whose replies do not all lead with their id.
+	old := encodeHello(h)
+	old[4] = 2
+	if _, err := decodeHello(old); err == nil || !strings.Contains(err.Error(), "protocol version 2") {
+		t.Fatalf("version-2 hello: got %v, want a protocol version error", err)
+	}
+}
+
+// TestParseReply pins the reply rule: the answer is the first want or
+// msgError frame leading with the exchange's id; everything else is stale.
+func TestParseReply(t *testing.T) {
+	ack := appendU64(nil, 7)
+	for _, tc := range []struct {
+		name          string
+		typ           byte
+		payload       []byte
+		want          byte
+		done, remote  bool
+		protocolError bool
+	}{
+		{"answer", msgKeyAck, ack, msgKeyAck, true, false, false},
+		{"other id", msgKeyAck, appendU64(nil, 6), msgKeyAck, false, false, false},
+		{"other type, same id", msgKeyAck, ack, msgKeyGone, false, false, false},
+		{"stale pong", msgPong, appendU64(nil, 3), msgKSResult, false, false, false},
+		{"refusal", msgError, appendStr(appendU64(nil, 7), "no"), msgKSResult, true, true, false},
+		{"stale refusal", msgError, appendStr(appendU64(nil, 6), "no"), msgKSResult, false, false, false},
+		{"result body left to its decoder", msgKSResult, append(appendU64(nil, 7), 1, 2, 3), msgKSResult, true, false, false},
+		{"ack with trailing bytes", msgPong, append(appendU64(nil, 7), 0), msgPong, true, false, true},
+		{"no id", msgHelloAck, []byte{7}, msgHelloAck, true, false, true},
+		{"truncated refusal", msgError, append(appendU64(nil, 7), 9, 0, 0, 0), msgKeyGone, true, false, true},
+	} {
+		done, err := parseReply(tc.typ, tc.payload, 7, tc.want)
+		var rerr *remoteError
+		if done != tc.done || errors.As(err, &rerr) != tc.remote || (err != nil && rerr == nil) != tc.protocolError {
+			t.Errorf("%s: done=%v err=%v", tc.name, done, err)
+		}
+	}
 }
 
 var fuzzParamsOnce = sync.OnceValues(func() (*ckks.Parameters, error) {
@@ -350,7 +387,7 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(encodeLimbs(1, 2, []int{0, 1}, [][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}}))
 	f.Add(encodeKSResult(ksResultMsg{req: 1, chain0: []int{0}, limbs0: [][]uint64{{1, 2, 3, 4}}, chain1: []int{0}, limbs1: [][]uint64{{5, 6, 7, 8}}}))
 	f.Add(encodeHello(helloMsg{digest: 9, nChips: 2, chip: 0}))
-	f.Add(encodeError(3, "boom"))
+	f.Add(appendStr(appendU64(nil, 3), "boom"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, n := range []int{1, 4, 16} {
@@ -358,11 +395,12 @@ func FuzzDecodePayloads(f *testing.F) {
 			decodeKSResult(data, n)
 		}
 		decodeHello(data)
-		decodeHelloAck(data)
 		decodeKSBegin(data)
-		decodeError(data)
-		decodePing(data)
-		decodeKeyAck(data)
+		decodeID(data)
+		for _, want := range []byte{msgHelloAck, msgKeyAck, msgKSResult, msgPong, msgKeyGone} {
+			parseReply(want, data, 3, want)
+			parseReply(msgError, data, 3, want)
+		}
 		if params, err := fuzzParamsOnce(); err == nil {
 			decodeSetKey(data, params)
 		}

@@ -65,7 +65,8 @@ type pendingKS struct {
 	got    int
 
 	ib      *keyswitch.ChipIB
-	scatter [][]uint64 // OA: the chip's digit-set limbs, in OAMine order
+	digits  [][2]int   // IB: the chain range of each digit frame, in order
+	scatter [][]uint64 // OA: the chip's digit-set limbs, in OADigitSet order
 	err     error
 }
 
@@ -95,15 +96,15 @@ func (w *Worker) Serve(conn net.Conn) error {
 	}
 	digest := ParamsDigest(w.Params)
 	if h.digest != digest {
-		// Tell the coordinator why before hanging up.
-		s.send(msgError, encodeError(0, fmt.Sprintf("parameter digest mismatch: coordinator %016x, worker %016x", h.digest, digest)))
+		// Tell the coordinator why before hanging up, answering its digest.
+		s.send(msgError, appendStr(appendU64(nil, h.digest), fmt.Sprintf("parameter digest mismatch: coordinator %016x, worker %016x", h.digest, digest)))
 		return ErrDigestMismatch
 	}
 	if s.eng, err = keyswitch.NewEngine(w.Params, int(h.nChips)); err != nil {
 		return err
 	}
 	s.chip = int(h.chip)
-	if err := s.send(msgHelloAck, encodeHelloAck(digest)); err != nil {
+	if err := s.send(msgHelloAck, appendU64(nil, digest)); err != nil {
 		return err
 	}
 
@@ -118,11 +119,11 @@ func (w *Worker) Serve(conn net.Conn) error {
 		}
 		switch typ {
 		case msgPing:
-			nonce, err := decodePing(payload)
+			nonce, err := decodeID(payload)
 			if err != nil {
 				return err
 			}
-			if err := s.send(msgPong, encodePing(nonce)); err != nil {
+			if err := s.send(msgPong, appendU64(nil, nonce)); err != nil {
 				return err
 			}
 		case msgSetKey:
@@ -131,16 +132,16 @@ func (w *Worker) Serve(conn net.Conn) error {
 				return fmt.Errorf("cluster: decoding key push: %w", err)
 			}
 			s.keys[id] = key
-			if err := s.send(msgKeyAck, encodeKeyAck(id)); err != nil {
+			if err := s.send(msgKeyAck, appendU64(nil, id)); err != nil {
 				return err
 			}
 		case msgKeyEvict:
-			id, err := decodeKeyEvict(payload)
+			id, err := decodeID(payload)
 			if err != nil {
 				return fmt.Errorf("cluster: decoding key evict: %w", err)
 			}
 			delete(s.keys, id)
-			if err := s.send(msgKeyGone, encodeKeyGone(0, id)); err != nil {
+			if err := s.send(msgKeyGone, appendU64(nil, id)); err != nil {
 				return err
 			}
 		case msgKSBegin:
@@ -200,19 +201,20 @@ func (s *session) begin(m ksBeginMsg) *pendingKS {
 	p.key = key
 	switch m.alg {
 	case algIB:
+		p.digits = keyswitch.DigitRanges(s.w.Params, key, p.level)
 		ib, err := s.eng.NewChipIB(key, s.chip, p.level)
 		if err != nil {
 			p.err = err
 		} else if ib == nil {
 			p.err = fmt.Errorf("chip %d owns no limbs at level %d", s.chip, p.level)
-		} else if ib.Digits() != p.frames {
-			p.err = fmt.Errorf("request announces %d digit frames, level %d has %d digits", p.frames, p.level, ib.Digits())
+		} else if len(p.digits) != p.frames {
+			p.err = fmt.Errorf("request announces %d digit frames, level %d has %d digits", p.frames, p.level, len(p.digits))
 			ib.Release()
 		} else {
 			p.ib = ib
 		}
 	case algOA:
-		if _, err := s.eng.OAMine(key, s.chip, p.level); err != nil {
+		if _, err := keyswitch.OADigitSet(key, s.eng.NChips, s.chip, p.level); err != nil {
 			p.err = err
 		} else if p.frames != 1 {
 			p.err = fmt.Errorf("output aggregation expects 1 scatter frame, got %d", p.frames)
@@ -243,11 +245,9 @@ func (s *session) absorb(p *pendingKS, f limbFrame) {
 			p.err = fmt.Errorf("digit frame %d arrived in position %d (duplicated or reordered)", f.digit, p.got-1)
 			return
 		}
-		lo, hi, ok := p.ib.DigitRange(int(f.digit))
-		if !ok {
-			p.err = fmt.Errorf("digit %d out of range at level %d", f.digit, p.level)
-			return
-		}
+		// In range: a frame's position is below the announced count,
+		// which begin checked against len(p.digits).
+		lo, hi := p.digits[f.digit][0], p.digits[f.digit][1]
 		for i, j := range f.chain {
 			if j != lo+i {
 				p.err = fmt.Errorf("digit %d limb %d has chain index %d, want %d", f.digit, i, j, lo+i)
@@ -264,7 +264,7 @@ func (s *session) absorb(p *pendingKS, f limbFrame) {
 			p.err = fmt.Errorf("output aggregation expects a scatter frame")
 			return
 		}
-		mine, err := s.eng.OAMine(p.key, s.chip, p.level)
+		mine, err := keyswitch.OADigitSet(p.key, s.eng.NChips, s.chip, p.level)
 		if err != nil {
 			p.err = err
 			return
@@ -342,5 +342,5 @@ func (s *session) finish(p *pendingKS) error {
 			return err
 		}
 	}
-	return s.send(msgError, encodeError(p.req, p.err.Error()))
+	return s.send(msgError, appendStr(appendU64(nil, p.req), p.err.Error()))
 }

@@ -109,7 +109,7 @@ func (e *Engine) RotateAndSum(ct *ckks.Ciphertext, ks []int, keys map[int]*ckks.
 			return nil, stats, err
 		}
 		for chip := 0; chip < n; chip++ {
-			mine := intersectLevel(key.DigitSets[chip], l)
+			mine, _ := OADigitSet(key, n, chip, l) // validated above
 			if len(mine) == 0 {
 				continue
 			}

@@ -67,6 +67,7 @@ type ChipIB struct {
 	acc0, acc1 *ring.LazyAcc // fused inner product over the chip basis
 
 	moved    int // limbs absorbed that the chip does not own
+	digits   int // digits covering level l (AbsorbDigit calls Finish expects)
 	absorbed int // digits folded in so far
 	finished bool
 
@@ -87,7 +88,7 @@ func (e *Engine) NewChipIB(evk *ckks.EvalKey, chip, l int) (*ChipIB, error) {
 	if l < 0 || l >= e.Params.QBasis.Len() {
 		return nil, fmt.Errorf("keyswitch: level %d out of range", l)
 	}
-	mine := e.chipLimbs(chip, l)
+	mine := ChipLimbs(chip, l, e.NChips)
 	if len(mine) == 0 {
 		return nil, nil
 	}
@@ -109,6 +110,7 @@ func (e *Engine) NewChipIB(evk *ckks.EvalKey, chip, l int) (*ChipIB, error) {
 		chip:      chip,
 		l:         l,
 		mine:      mine,
+		digits:    len(DigitRanges(params, evk, l)),
 		ownBasis:  rns.Basis{Moduli: ownMods},
 		chipBasis: rns.Basis{Moduli: chipMods},
 		acc0:      r.GetLazyAcc(rns.Basis{Moduli: chipMods}),
@@ -145,25 +147,6 @@ func (e *Engine) NewChipIB(evk *ckks.EvalKey, chip, l int) (*ChipIB, error) {
 
 // Mine returns the chain indices this chip owns at the keyswitch level.
 func (c *ChipIB) Mine() []int { return c.mine }
-
-// Digits returns how many digits cover level l (the number of AbsorbDigit
-// calls Finish expects).
-func (c *ChipIB) Digits() int {
-	n := 0
-	for d := 0; d < c.evk.Digits(); d++ {
-		if _, _, ok := c.e.Params.DigitRange(d, c.l); !ok {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// DigitRange exposes the chain-index range [lo,hi) of digit d at the
-// chip's level.
-func (c *ChipIB) DigitRange(d int) (lo, hi int, ok bool) {
-	return c.e.Params.DigitRange(d, c.l)
-}
 
 // AbsorbDigit folds digit d into the chip's inner product. digitLimbs are
 // the coefficient-domain limbs of the input polynomial at chain indices
@@ -240,8 +223,8 @@ func (c *ChipIB) Finish() (down0, down1 *ring.Poly, err error) {
 	if c.finished {
 		return nil, nil, fmt.Errorf("keyswitch: Finish called twice")
 	}
-	if want := c.Digits(); c.absorbed != want {
-		return nil, nil, fmt.Errorf("keyswitch: Finish after %d of %d digits", c.absorbed, want)
+	if c.absorbed != c.digits {
+		return nil, nil, fmt.Errorf("keyswitch: Finish after %d of %d digits", c.absorbed, c.digits)
 	}
 	c.finished = true
 	r := c.e.Params.Ring
@@ -357,14 +340,14 @@ func (e *Engine) chipDigitModUpOwn(digitLimbs [][]uint64, lo, hi int, mine []int
 
 // ChipOA runs one chip's share of an output-aggregation keyswitch (Fig.
 // 8c). mineLimbs are the coefficient-domain limbs of the level-l input at
-// the chain indices of the chip's digit set (OAMine order); the chip needs
+// the chain indices of the chip's digit set (OADigitSet order); the chip needs
 // no other input, which is why Fig. 8c has no input broadcast. The
 // returned polynomials are the chip's mod-downed partial sums over the
 // full level basis, coefficient domain, ready for the cross-chip
 // aggregation; both are pooled (release with PutPoly).
 func (e *Engine) ChipOA(evk *ckks.EvalKey, chip, l int, mineLimbs [][]uint64) (down0, down1 *ring.Poly, err error) {
 	params, r := e.Params, e.Params.Ring
-	mine, err := e.OAMine(evk, chip, l)
+	mine, err := OADigitSet(evk, e.NChips, chip, l)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -430,22 +413,6 @@ func (e *Engine) ChipOA(evk *ckks.EvalKey, chip, l int, mineLimbs [][]uint64) (d
 		}
 	}
 	return down0, down1, nil
-}
-
-// OAMine returns the chain indices of chip's digit set restricted to level
-// l, validating that the key carries a modular-digit partition matching
-// the engine's chip count.
-func (e *Engine) OAMine(evk *ckks.EvalKey, chip, l int) ([]int, error) {
-	if evk.DigitSets == nil {
-		return nil, fmt.Errorf("keyswitch: output aggregation requires a modular-digit key (GenEvalKeyDigits)")
-	}
-	if len(evk.DigitSets) != e.NChips {
-		return nil, fmt.Errorf("keyswitch: key has %d digits, engine has %d chips", len(evk.DigitSets), e.NChips)
-	}
-	if chip < 0 || chip >= e.NChips {
-		return nil, fmt.Errorf("keyswitch: chip %d out of range [0,%d)", chip, e.NChips)
-	}
-	return intersectLevel(evk.DigitSets[chip], l), nil
 }
 
 // scatteredDigitModUp mod-ups the (possibly non-contiguous) digit given by

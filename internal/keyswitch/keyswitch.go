@@ -120,13 +120,55 @@ func NewEngine(params *ckks.Parameters, nChips int) (*Engine, error) {
 // partition of paper §4.3.1.
 func (e *Engine) ChipOf(j int) int { return j % e.NChips }
 
-// chipLimbs returns the chain indices owned by chip c at level l.
-func (e *Engine) chipLimbs(c, l int) []int {
+// The partition rule, shared by the in-process engine, the cluster
+// coordinator and its workers: one definition of who owns which limb and
+// which limbs travel together.
+
+// ChipLimbs returns the chain indices chip owns at level l under the
+// modular partition: the limbs an input-broadcast chip keeps.
+func ChipLimbs(chip, l, nChips int) []int {
 	var out []int
-	for j := c; j <= l; j += e.NChips {
+	for j := chip; j <= l; j += nChips {
 		out = append(out, j)
 	}
 	return out
+}
+
+// DigitRanges returns the chain-index range [lo,hi) of every hybrid digit
+// of evk that is non-empty at level l, in digit order: the digits one
+// input broadcast streams.
+func DigitRanges(params *ckks.Parameters, evk *ckks.EvalKey, l int) [][2]int {
+	var out [][2]int
+	for d := 0; d < evk.Digits(); d++ {
+		lo, hi, ok := params.DigitRange(d, l)
+		if !ok {
+			break
+		}
+		out = append(out, [2]int{lo, hi})
+	}
+	return out
+}
+
+// OADigitSet returns the chain indices of chip's digit set restricted to
+// level l — the only limbs an output-aggregation chip receives —
+// validating that the key carries a modular-digit partition over nChips.
+func OADigitSet(evk *ckks.EvalKey, nChips, chip, l int) ([]int, error) {
+	if evk.DigitSets == nil {
+		return nil, fmt.Errorf("keyswitch: output aggregation requires a modular-digit key (GenEvalKeyDigits)")
+	}
+	if len(evk.DigitSets) != nChips {
+		return nil, fmt.Errorf("keyswitch: key has %d digits, engine has %d chips", len(evk.DigitSets), nChips)
+	}
+	if chip < 0 || chip >= nChips {
+		return nil, fmt.Errorf("keyswitch: chip %d out of range [0,%d)", chip, nChips)
+	}
+	var out []int
+	for _, j := range evk.DigitSets[chip] {
+		if j <= l {
+			out = append(out, j)
+		}
+	}
+	return out, nil
 }
 
 // KeySwitch runs the selected algorithm on polynomial c (NTT domain,

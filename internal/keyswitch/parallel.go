@@ -76,11 +76,8 @@ func (e *Engine) inputBroadcast(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *r
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	for d := 0; ; d++ {
-		lo, hi, ok := e.Params.DigitRange(d, l)
-		if !ok {
-			break
-		}
+	for d, rng := range DigitRanges(e.Params, evk, l) {
+		lo, hi := rng[0], rng[1]
 		extNTT, err := e.DigitExtNTT(cc.Limbs[lo:hi], lo, hi)
 		if err != nil {
 			return nil, nil, stats, err
@@ -155,7 +152,7 @@ func (e *Engine) outputAggregation(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly,
 	}
 	l := c.Basis.Len() - 1
 	n := e.NChips
-	if _, err := e.OAMine(evk, 0, l); err != nil {
+	if _, err := OADigitSet(evk, n, 0, l); err != nil {
 		return nil, nil, CommStats{}, err
 	}
 	stats := CommStats{Aggregations: 2}
@@ -172,7 +169,7 @@ func (e *Engine) outputAggregation(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly,
 	down0 := make([]*ring.Poly, n)
 	down1 := make([]*ring.Poly, n)
 	err := forEachChip(n, func(chip int) error {
-		mine, err := e.OAMine(evk, chip, l)
+		mine, err := OADigitSet(evk, n, chip, l)
 		if err != nil || len(mine) == 0 {
 			return err
 		}
@@ -213,16 +210,6 @@ func (e *Engine) outputAggregation(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly,
 		return nil, nil, stats, err
 	}
 	return sum0, sum1, stats, nil
-}
-
-func intersectLevel(set []int, l int) []int {
-	var out []int
-	for _, j := range set {
-		if j <= l {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // ModularDigitSets returns the per-chip modular partition of the full

@@ -170,17 +170,6 @@ func (a *LazyAcc) foldLimb(j int) {
 	}
 }
 
-// chargeProduct books one canonical product per cell against the overflow
-// budget, folding first when the budget is exhausted. Internal fused
-// kernels (AbsorbDigitFused) call it instead of MulAcc.
-func (a *LazyAcc) chargeProduct() {
-	if a.adds+1 > a.maxAdds {
-		a.fold()
-		return
-	}
-	a.adds++
-}
-
 // chargeProducts books w canonical-product units. Kernels that accumulate
 // lazy left factors (ntt.ForwardMulAccPair: x < 4q) weigh each product at
 // ntt.LazyMulAccWeight units, since the product can reach 4q·q. Folds first

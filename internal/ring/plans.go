@@ -60,9 +60,6 @@ func (r *Ring) NewModDownPlan(s, ext rns.Basis) (*ModDownPlan, error) {
 // S returns the plan's working (output) basis.
 func (mp *ModDownPlan) S() rns.Basis { return mp.s }
 
-// Ext returns the plan's extension basis.
-func (mp *ModDownPlan) Ext() rns.Basis { return mp.ext }
-
 // checkBasis rejects p unless its basis is s ∪ ext in that order: a poly
 // with the right limb count over other moduli would otherwise be divided
 // with the wrong constants and no error.

@@ -3,7 +3,6 @@ package ring
 import (
 	"fmt"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -49,34 +48,6 @@ func (r *Ring) PutPoly(p *Poly) {
 	p.Basis = rns.Basis{}
 	p.IsNTT = false
 	r.polyPool.Put(p)
-}
-
-// CopyPoly returns a pooled deep copy of p (contents, basis and domain).
-// The serial path is closure-free so a warm copy allocates nothing.
-func (r *Ring) CopyPoly(p *Poly) *Poly {
-	out := r.getPolyHeader()
-	out.Basis = p.Basis
-	out.IsNTT = p.IsNTT
-	n := len(p.Limbs)
-	if cap(out.Limbs) >= n {
-		out.Limbs = out.Limbs[:n]
-	} else {
-		out.Limbs = make([][]uint64, n)
-	}
-	if parallel.Workers() > 1 && parallel.WorthFanout(n, r.N, parallel.CostLight) {
-		parallel.For(n, func(j int) {
-			l := r.getLimbNoZero()
-			copy(l, p.Limbs[j])
-			out.Limbs[j] = l
-		})
-		return out
-	}
-	for j := 0; j < n; j++ {
-		l := r.getLimbNoZero()
-		copy(l, p.Limbs[j])
-		out.Limbs[j] = l
-	}
-	return out
 }
 
 // GetPolyUninit returns a pooled polynomial over b with unspecified limb

@@ -141,27 +141,6 @@ func (r *Ring) PlanForBasis(b rns.Basis) (*ntt.BatchPlan, error) {
 	return ntt.NewBatchPlan(tables)
 }
 
-// NTTWith transforms p to the evaluation domain through a precompiled batch
-// plan (p's limbs must be a prefix of the plan's). The allocation-free
-// steady-state path: no table resolution, no per-call closures.
-func (r *Ring) NTTWith(pl *ntt.BatchPlan, p *Poly) {
-	if p.IsNTT {
-		return
-	}
-	pl.Forward(p.Limbs)
-	p.IsNTT = true
-}
-
-// INTTWith transforms p to the coefficient domain through a precompiled
-// batch plan.
-func (r *Ring) INTTWith(pl *ntt.BatchPlan, p *Poly) {
-	if !p.IsNTT {
-		return
-	}
-	pl.Inverse(p.Limbs)
-	p.IsNTT = false
-}
-
 // TableOf returns the NTT table for modulus q — a slice index when q is a
 // universe modulus (the per-limb hot path), falling back to the table-set
 // map for foreign moduli. Returns nil when no table exists.
@@ -423,7 +402,7 @@ func (r *Ring) INTT(p *Poly) error {
 
 // ensureShape gives p exactly `limbs` limbs of length N, reusing both the
 // limb-slice header array and any retained limb capacity (from a previous
-// larger shape, a DropLastLimbs, or the pool) instead of reallocating.
+// larger shape or the pool) instead of reallocating.
 // Contents of reused limbs are unspecified; every caller overwrites all
 // coefficients.
 func (r *Ring) ensureShape(p *Poly, limbs int) {
@@ -507,13 +486,6 @@ func (p *Poly) View(indices []int) (*Poly, error) {
 		mods[k] = p.Basis.Moduli[j]
 	}
 	return &Poly{Basis: rns.Basis{Moduli: mods}, Limbs: limbs, IsNTT: p.IsNTT}, nil
-}
-
-// DropLastLimbs removes the trailing k limbs of p (used after rescale).
-func (p *Poly) DropLastLimbs(k int) {
-	n := len(p.Limbs) - k
-	p.Limbs = p.Limbs[:n]
-	p.Basis = p.Basis.Prefix(n)
 }
 
 // Equal reports deep equality of basis, domain and limb contents.

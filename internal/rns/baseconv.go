@@ -71,9 +71,6 @@ func NewBaseConverter(src, dst Basis) (*BaseConverter, error) {
 	return bc, nil
 }
 
-// Src returns the source basis.
-func (bc *BaseConverter) Src() Basis { return bc.src }
-
 // Dst returns the target basis.
 func (bc *BaseConverter) Dst() Basis { return bc.dst }
 

@@ -534,8 +534,7 @@ func (lw *lowerer) mulPlainRescaleTo(v val, name string, base []float64, target 
 // Name returns the model name.
 func (c *Compiled) Name() string { return c.m.name }
 
-// Dim is the logical input dimension; BlockDim the padded packing block.
-func (c *Compiled) Dim() int      { return c.m.dim }
+// BlockDim is the padded packing block of the logical input dimension.
 func (c *Compiled) BlockDim() int { return c.d }
 
 // Depth is the number of multiplicative levels the program consumes.
