@@ -643,7 +643,9 @@ func (c *client) fire(info serve.ProgramInfo, seed int64, verify bool, tol float
 			// Decrypt-and-verify against the plaintext reference.
 			ref = spec.EvalPlain(v)
 		} else {
-			want, err := spec.Reference(c.ev, c.enc, ct)
+			// The server runs the request truncated to the program's
+			// input level; so does the reference.
+			want, err := spec.Reference(c.ev, c.enc, ct.AtLevel(info.InputLevel))
 			if err != nil {
 				res.transport, res.ok = err, false
 				return res

@@ -22,6 +22,21 @@ func (ct *Ciphertext) Copy() *Ciphertext {
 	return &Ciphertext{C0: ct.C0.Copy(), C1: ct.C1.Copy(), Scale: ct.Scale}
 }
 
+// AtLevel returns ct truncated to level, 0 ≤ level ≤ ct.Level(): a view of
+// its first level+1 limbs that shares their storage, so no limb is copied.
+// Dropping the top of the chain changes neither the encrypted values nor the
+// scale. ct itself is returned when it is already at level.
+func (ct *Ciphertext) AtLevel(level int) *Ciphertext {
+	if level == ct.Level() {
+		return ct
+	}
+	n := level + 1
+	prefix := func(p *ring.Poly) *ring.Poly {
+		return &ring.Poly{Basis: p.Basis.Prefix(n), Limbs: p.Limbs[:n:n], IsNTT: p.IsNTT}
+	}
+	return &Ciphertext{C0: prefix(ct.C0), C1: prefix(ct.C1), Scale: ct.Scale}
+}
+
 // Encryptor encrypts plaintexts under a public key.
 type Encryptor struct {
 	params  *Parameters

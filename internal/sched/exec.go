@@ -31,8 +31,8 @@ type RunOpts struct {
 // Executor runs a compiled batch-1 program graph op by op on a real
 // ckks.Evaluator: it is the walk BuildPlan runs, over ciphertexts instead of
 // predicted states. The rule fires on the actual runtime level, so the same
-// executor serves one-shot requests entering at MaxLevel and session steps
-// resuming from whatever level the previous step left.
+// executor serves one-shot requests entering at the planned level and
+// session steps resuming from whatever level the previous step left.
 //
 // The executor itself is stateless across runs apart from a cache of
 // level-restricted plaintext operands; it is safe for concurrent use by

@@ -16,8 +16,8 @@ type NodeState struct {
 }
 
 // Plan is what the walk predicts for one compiled program graph and an
-// input at params.MaxLevel(): the output metadata the registry advertises,
-// the keys the program needs and the refreshes it performs.
+// input at a given level: the output metadata the registry advertises, the
+// keys the program needs and the refreshes it performs.
 type Plan struct {
 	// OutLevel and OutScale describe the output.
 	OutLevel int
@@ -27,30 +27,34 @@ type Plan struct {
 	Keys      []string
 	Rotations []int
 	// Bootstraps counts the refreshes one execution performs when the input
-	// arrives at MaxLevel (sessions resuming from lower levels may need
-	// more; the executor's walk decides on the actual levels).
+	// arrives at the planned level (sessions resuming from lower levels may
+	// need more; the executor's walk decides on the actual levels).
 	Bootstraps int
 }
 
-// BuildPlan runs the walk over predicted (level, scale) states: inputs enter
-// at params.MaxLevel() and the default scale, Mul multiplies scales, Rescale
+// BuildPlan runs the walk over predicted (level, scale) states: the input
+// enters at inLevel and the default scale, Mul multiplies scales, Rescale
 // divides by the dropped modulus, and plaintext operands carry their scales
 // from ptScales (the default scale when absent). Additions must mix equal
 // scales, so a frontend scale-management bug fails here instead of at run
 // time.
 //
+// inLevel is the level the input enters at, 0 … params.MaxLevel().
 // exitLevel is the level a refresh restores (bootstrap Precomp.ExitLevel());
 // pass 0 when bootstrapping is unavailable, and a program that needs a
 // refresh then fails to plan with ErrNoRefresh.
-func BuildPlan(g *polyir.Graph, params *ckks.Parameters, ptScales map[string]float64, exitLevel int) (*Plan, error) {
-	return buildPlan(g, params, ptScales, exitLevel, nil)
+func BuildPlan(g *polyir.Graph, params *ckks.Parameters, ptScales map[string]float64, inLevel, exitLevel int) (*Plan, error) {
+	return buildPlan(g, params, ptScales, inLevel, exitLevel, nil)
 }
 
 // buildPlan is BuildPlan with the walk's per-node trace.
-func buildPlan(g *polyir.Graph, params *ckks.Parameters, ptScales map[string]float64, exitLevel int, trace func(int, NodeState)) (*Plan, error) {
+func buildPlan(g *polyir.Graph, params *ckks.Parameters, ptScales map[string]float64, inLevel, exitLevel int, trace func(int, NodeState)) (*Plan, error) {
+	if inLevel < 0 || inLevel > params.MaxLevel() {
+		return nil, fmt.Errorf("sched: input level %d outside the chain [0,%d]", inLevel, params.MaxLevel())
+	}
 	pr := &predict{params: params, ptScales: ptScales, exitLevel: exitLevel, rots: map[int]bool{}}
 	delta := params.DefaultScale()
-	out, err := walk[NodeState](context.Background(), g, pr, delta, NodeState{params.MaxLevel(), delta}, trace)
+	out, err := walk[NodeState](context.Background(), g, pr, delta, NodeState{inLevel, delta}, trace)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,10 @@ func encodeOperands(t testing.TB, params *ckks.Parameters, enc *ckks.Encoder, sp
 		}
 		scale := params.DefaultScale()
 		if ps.Scale != nil {
-			scale = ps.Scale(params)
+			var err error
+			if scale, err = ps.Scale(params, params.MaxLevel()); err != nil {
+				t.Fatal(err)
+			}
 		}
 		pt, err := enc.Encode(values(params.Slots()), params.MaxLevel(), scale)
 		if err != nil {
@@ -57,11 +60,12 @@ func encodeOperands(t testing.TB, params *ckks.Parameters, enc *ckks.Encoder, sp
 	return pts, scales
 }
 
-// planTrace builds the plan and records the walk's prediction for every node.
+// planTrace builds the plan for an input at MaxLevel and records the walk's
+// prediction for every node.
 func planTrace(t testing.TB, g *polyir.Graph, params *ckks.Parameters, ptScales map[string]float64, exitLevel int) (*Plan, map[int]NodeState) {
 	t.Helper()
 	states := map[int]NodeState{}
-	plan, err := buildPlan(g, params, ptScales, exitLevel, func(id int, s NodeState) { states[id] = s })
+	plan, err := buildPlan(g, params, ptScales, params.MaxLevel(), exitLevel, func(id int, s NodeState) { states[id] = s })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +178,7 @@ func TestDeepPlanInsertsBootstraps(t *testing.T) {
 	}
 	g := buildGraph(t, spec, spec.MinLevels)
 
-	plan, err := BuildPlan(g, params, nil, 4)
+	plan, err := BuildPlan(g, params, nil, params.MaxLevel(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +194,7 @@ func TestDeepPlanInsertsBootstraps(t *testing.T) {
 
 	// Without a refresh service the same graph must fail to plan, with an
 	// error that says why.
-	if _, err := BuildPlan(g, params, nil, 0); !errors.Is(err, ErrNoRefresh) {
+	if _, err := BuildPlan(g, params, nil, params.MaxLevel(), 0); !errors.Is(err, ErrNoRefresh) {
 		t.Fatalf("depth-20 program against a 16-level chain without bootstrapping: %v, want ErrNoRefresh", err)
 	}
 }
@@ -212,7 +216,7 @@ func TestPlanRejectsScaleMixing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildPlan(g, params, nil, 0); err == nil {
+	if _, err := BuildPlan(g, params, nil, params.MaxLevel(), 0); err == nil {
 		t.Fatal("scale-mixing add planned without error")
 	}
 }

@@ -5,12 +5,12 @@
 //
 //   - ciphertexts on a real ckks.Evaluator (Executor.Run), refreshed through
 //     the caller's hook (RunOpts.Refresh). The rule fires on the actual
-//     runtime level, so a one-shot entering at MaxLevel refreshes where the
-//     plan says and a session step resuming from a lower level refreshes
-//     more;
+//     runtime level, so a one-shot entering at its planned level refreshes
+//     where the plan says and a session step resuming from a lower level
+//     refreshes more;
 //   - predicted (level, scale) states (BuildPlan), which check the scale
 //     arithmetic at compile time and collect the program's keys, rotations,
-//     output metadata and refresh count for an input at MaxLevel.
+//     output metadata and refresh count for an input at a given level.
 package sched
 
 import (

@@ -165,7 +165,7 @@ func TestBuildPlanRejectsStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildPlan(g, params, nil, 0); err == nil {
+	if _, err := BuildPlan(g, params, nil, params.MaxLevel(), 0); err == nil {
 		t.Fatal("a two-stream graph planned without error")
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
-	"cinnamon/internal/sched"
+	"cinnamon/internal/keyswitch"
 )
 
 // newPipeCluster spins up n in-process workers over net.Pipe transports and
@@ -224,16 +224,7 @@ func TestClientExpiryIsolated(t *testing.T) {
 	if err := <-err1; !errors.Is(err, context.Canceled) {
 		t.Fatalf("request 1 error = %v, want context.Canceled", err)
 	}
-	ev, err := tenantEvaluator(reg.Params, env.keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, _ := reg.Program("rotsum")
-	want, err := prog.Executor().Run(context.Background(), ev, ct2, sched.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCiphertext(t, "request 2 vs local executor", out2, want)
+	sameCiphertext(t, "request 2 vs local executor", out2, runLocally(t, "rotsum", ct2))
 
 	snap := core.Metrics().Snapshot()
 	if snap.EmulatorFallbacks != 0 {
@@ -260,9 +251,15 @@ func TestClientExpiryIsolated(t *testing.T) {
 // breaker hears about it, and the request either replays locally — once, bit
 // for bit what a local core returns — or, under RequireCluster, fails with
 // cluster.ErrDegraded (503) without one keyswitch computed on the
-// coordinator.
+// coordinator. The program runs at an input level where the killed worker
+// owns limbs, so its collective cannot complete without it.
 func TestWorkerLostMidRun(t *testing.T) {
 	reg := testEnv(t)
+	const program = "square"
+	prog, _ := reg.Program(program)
+	if owned := keyswitch.ChipLimbs(1, prog.InLevel, 2); len(owned) == 0 {
+		t.Fatalf("%s runs at level %d, where worker 1 of 2 owns no limb: killing it tests nothing", program, prog.InLevel)
+	}
 	for _, require := range []bool{true, false} {
 		var armed atomic.Bool
 		pipes := make([]*cluster.PipeDialer, 2)
@@ -286,13 +283,13 @@ func TestWorkerLostMidRun(t *testing.T) {
 		core := NewCore(reg, Config{Workers: 1, RequireCluster: require, Backends: []BackendSpec{{Engine: eng}}})
 
 		ct, _ := encryptRandom(t, 813)
-		// Warm: push rotsum's keys, so the first write after arming is the
-		// request's first collective.
-		if _, err := core.Submit(context.Background(), "rotsum", testTenant, ct); err != nil {
+		// Warm: push the program's keys, so the first write after arming is
+		// the request's first collective.
+		if _, err := core.Submit(context.Background(), program, testTenant, ct); err != nil {
 			t.Fatalf("warm submit: %v", err)
 		}
 		armed.Store(true)
-		out, err := core.Submit(context.Background(), "rotsum", testTenant, ct)
+		out, err := core.Submit(context.Background(), program, testTenant, ct)
 		if armed.Load() {
 			t.Fatal("the request never reached the wire")
 		}
@@ -308,16 +305,7 @@ func TestWorkerLostMidRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("worker lost mid-run: %v", err)
 			}
-			ev, err := tenantEvaluator(reg.Params, env.keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, _ := reg.Program("rotsum")
-			want, err := prog.Executor().Run(context.Background(), ev, ct, sched.RunOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameCiphertext(t, "local replay vs local executor", out, want)
+			sameCiphertext(t, "local replay vs local executor", out, runLocally(t, program, ct))
 			if snap.EmulatorFallbacks != 1 || snap.Completed != 2 || snap.Errors != 0 {
 				t.Fatalf("emulator_fallbacks/completed/errors = %d/%d/%d, want 1/2/0 with the warm-up", snap.EmulatorFallbacks, snap.Completed, snap.Errors)
 			}

@@ -21,8 +21,9 @@ func sameCiphertext(t *testing.T, label string, got, want *ckks.Ciphertext) {
 	}
 }
 
-// runLocally is the oracle a served output is held to: the program's
-// executor over the test tenant's keys with local keyswitching.
+// runLocally is the oracle a served one-shot output is held to: the
+// program's executor over the test tenant's keys with local keyswitching, on
+// the request truncated to the program's input level.
 func runLocally(t *testing.T, program string, ct *ckks.Ciphertext) *ckks.Ciphertext {
 	t.Helper()
 	ev, err := tenantEvaluator(env.reg.Params, env.keys)
@@ -30,7 +31,7 @@ func runLocally(t *testing.T, program string, ct *ckks.Ciphertext) *ckks.Ciphert
 		t.Fatal(err)
 	}
 	prog, _ := env.reg.Program(program)
-	out, err := prog.Executor().Run(context.Background(), ev, ct, sched.RunOpts{})
+	out, err := prog.Executor().Run(context.Background(), ev, ct.AtLevel(prog.InLevel), sched.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +40,9 @@ func runLocally(t *testing.T, program string, ct *ckks.Ciphertext) *ckks.Ciphert
 
 // TestExecutorsAgreeOnCatalog is the differential oracle behind the single
 // serving executor: every shallow program the test parameter set hosts
-// (tensor entries included) runs the same ciphertext through the limb-ISA
-// emulator on the batch-1 module, sched.Executor with local keyswitching,
+// (tensor entries included) runs the same ciphertext, truncated to the
+// program's input level, through the limb-ISA emulator on the batch-1 module
+// lowered at that level, sched.Executor with local keyswitching,
 // sched.Executor with keyswitching over a net.Pipe worker cluster, and the
 // hand-written Spec.Reference closure. All four must agree bit for bit, so
 // serving through the graph executor alone loses nothing the other paths
@@ -55,7 +57,8 @@ func TestExecutorsAgreeOnCatalog(t *testing.T) {
 	}
 	for i, name := range names {
 		prog, _ := reg.Program(name)
-		ct, _ := encryptRandom(t, int64(7000+i))
+		full, _ := encryptRandom(t, int64(7000+i))
+		ct := full.AtLevel(prog.InLevel)
 
 		local, err := tenantEvaluator(reg.Params, env.keys)
 		if err != nil {

@@ -345,7 +345,9 @@ func (c *Core) withTimeout(ctx context.Context) (context.Context, context.Cancel
 }
 
 // Submit runs one encrypted request on the caller's goroutine and blocks
-// until its response, its context deadline, or load shedding.
+// until its response, its context deadline, or load shedding. The request
+// ciphertext may arrive at any level from the program's InLevel up; it runs
+// truncated to InLevel.
 func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	c.met.Received.Add(1)
 	if err := c.enter(); err != nil {
@@ -366,9 +368,13 @@ func (c *Core) Submit(ctx context.Context, program, tenant string, ct *ckks.Ciph
 	if missing := prog.MissingKeyNames(names); len(missing) > 0 {
 		return nil, fmt.Errorf("%w: %v", ErrMissingKeys, missing)
 	}
-	if ct.Level() != prog.InLevel {
-		return nil, fmt.Errorf("%w: ciphertext at level %d, program expects %d", ErrBadRequest, ct.Level(), prog.InLevel)
+	// A one-shot runs at its program's input level: a ciphertext above it
+	// is cut down to a limb-prefix view (no limb is copied), one below it
+	// lacks the levels the program consumes.
+	if ct.Level() < prog.InLevel {
+		return nil, fmt.Errorf("%w: ciphertext at level %d, program needs at least %d", ErrBadRequest, ct.Level(), prog.InLevel)
 	}
+	ct = ct.AtLevel(prog.InLevel)
 	def := c.reg.Params.DefaultScale()
 	if math.Abs(ct.Scale-def) > 1e-6*def {
 		return nil, fmt.Errorf("%w: ciphertext scale %g, program expects %g", ErrBadRequest, ct.Scale, def)

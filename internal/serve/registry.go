@@ -20,13 +20,17 @@
 // goroutine, inside the worker slot the request already holds).
 // One-shots, deeper-than-chain one-shots and session steps all run through
 // it. sched.BuildPlan runs the same walk at compile time over predicted
-// (level, scale) states, so what /v1/programs advertises (output level and
-// scale, required keys, bootstraps_required) is what that walk does to an
-// input at MaxLevel. The paper's limb-ISA emulator is a functional model of the
-// accelerator, not a serving engine: the registry still lowers each shallow
-// program to its batch-1 limb module so the compiler stays exercised, and
-// tests run that module on emulator.Machine — and the catalog's
-// hand-written Reference closures — as bit-exact oracles for the executor.
+// (level, scale) states. The registry uses it to pick each program's input
+// level — the least one whose plan succeeds with no more refreshes than the
+// plan at MaxLevel — and admission truncates every one-shot to that level,
+// so what /v1/programs advertises (input and output level, output scale,
+// required keys, bootstraps_required) is what that walk does to an input at
+// the program's InLevel. The paper's limb-ISA emulator is a functional model
+// of the accelerator, not a serving engine: the registry still lowers each
+// shallow program to its batch-1 limb module so the compiler stays
+// exercised, and tests run that module on emulator.Machine — and the
+// catalog's hand-written Reference closures — as bit-exact oracles for the
+// executor.
 //
 // The package is stdlib-only; cmd/cinnamon-serve wraps it in net/http and
 // cmd/cinnamon-loadgen drives it open-loop.
@@ -94,7 +98,10 @@ type Variant struct {
 // Program is a compiled catalog entry.
 type Program struct {
 	Spec workloads.ServeWorkload
-	// InLevel is the level request ciphertexts must arrive at.
+	// InLevel is the level one-shot requests run at: the least input level
+	// whose plan succeeds with no more refreshes than the plan at MaxLevel.
+	// Requests may arrive at any level from InLevel up; admission truncates
+	// them to it.
 	InLevel int
 	// OutLevel and OutScale describe the response ciphertext.
 	OutLevel int
@@ -336,68 +343,104 @@ func (p *Program) MissingKeyNames(names map[string]bool) []string {
 	return missing
 }
 
-// encodePlaintexts encodes the catalog operands with every limb
-// (MaxLevel); the executor restricts on demand (and the limb ISA addresses
-// limbs by modulus), so circuits consuming an operand at a lower level just
-// use fewer limbs.
-func encodePlaintexts(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload) (map[string]*ckks.Plaintext, map[string]float64, error) {
+// encodePlaintexts encodes the catalog operands at the scales the plan
+// assumed, with every limb (MaxLevel); the executor restricts on demand (and
+// the limb ISA addresses limbs by modulus), so circuits consuming an operand
+// at a lower level just use fewer limbs.
+func encodePlaintexts(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, scales map[string]float64) (map[string]*ckks.Plaintext, error) {
 	pts := map[string]*ckks.Plaintext{}
-	ptScales := map[string]float64{}
 	for _, ps := range spec.Plaintexts {
 		values := ps.Values
 		if values == nil {
 			values = func(slots int) []complex128 { return workloads.ServeWeightVector(ps.Name, slots) }
 		}
-		scale := params.DefaultScale()
-		if ps.Scale != nil {
-			scale = ps.Scale(params)
-		}
-		pt, err := enc.Encode(values(params.Slots()), params.MaxLevel(), scale)
+		pt, err := enc.Encode(values(params.Slots()), params.MaxLevel(), scales[ps.Name])
 		if err != nil {
-			return nil, nil, fmt.Errorf("encoding plaintext %q: %w", ps.Name, err)
+			return nil, fmt.Errorf("encoding plaintext %q: %w", ps.Name, err)
 		}
 		pts[ps.Name] = pt
-		ptScales[ps.Name] = scale
 	}
-	return pts, ptScales, nil
+	return pts, nil
 }
 
-// compileProgram builds a catalog entry: the batch-1 IR graph, its
-// level/scale plan and the executor that walks it. The plan is the
-// executor's walk over predicted states, so a scale mismatch the evaluator
-// would reject fails compilation instead of a request. Requests arrive at
-// MaxLevel whatever the program's depth. A plan that needs refreshes makes
-// the entry Bootstrapped — the tenant's key set must then also cover the
-// bootstrap circuit (conj + its rotation offsets), which RequiredKeys
-// advertises; any other program is additionally lowered to its batch-1
-// limb module (see Program.VariantFor).
-func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, pre *bootstrap.Precomp) (*Program, error) {
-	p := &Program{Spec: spec, InLevel: params.MaxLevel()}
-	// Encode plaintext operands first: their (possibly non-default) scales
-	// feed the level/scale plan below.
-	var ptScales map[string]float64
-	var err error
-	if p.Plaintexts, ptScales, err = encodePlaintexts(params, enc, spec); err != nil {
-		return nil, err
-	}
+// levelPlan is a program recorded and planned for one input level.
+type levelPlan struct {
+	level    int
+	graph    *polyir.Graph
+	ptScales map[string]float64
+	plan     *sched.Plan
+}
+
+// planAt records the program's batch-1 IR graph with its input at level,
+// resolves its plaintext scales for that level and runs the plan walk. A
+// program that cannot run from level fails here: the DSL runs out of levels,
+// a scale names a modulus below the chain, or the walk needs a refresh no
+// service provides.
+func planAt(params *ckks.Parameters, spec workloads.ServeWorkload, level, exitLevel int) (*levelPlan, error) {
 	// The DSL tracks virtual levels eagerly, so a deeper-than-chain program
-	// is built at its own depth; physical levels are the plan's business.
-	depth := max(spec.MinLevels, params.MaxLevel())
-	prog := dsl.NewProgram(dsl.Config{MaxLevel: depth})
+	// is recorded at its own depth; physical levels are the plan's business.
+	dslLevel := level
+	if spec.MinLevels > params.MaxLevel() {
+		dslLevel = spec.MinLevels
+	}
+	prog := dsl.NewProgram(dsl.Config{MaxLevel: dslLevel})
 	dsl.StreamPool(prog, 1, func(i int, s *dsl.Stream) {
-		x := s.Input(fmt.Sprintf("x%d", i), depth)
+		x := s.Input(fmt.Sprintf("x%d", i), dslLevel)
 		s.Output(fmt.Sprintf("y%d", i), spec.Build(s, x))
 	})
 	g, err := prog.Finish()
 	if err != nil {
 		return nil, err
 	}
+	ptScales := map[string]float64{}
+	for _, ps := range spec.Plaintexts {
+		scale := params.DefaultScale()
+		if ps.Scale != nil {
+			if scale, err = ps.Scale(params, level); err != nil {
+				return nil, err
+			}
+		}
+		ptScales[ps.Name] = scale
+	}
+	plan, err := sched.BuildPlan(g, params, ptScales, level, exitLevel)
+	if err != nil {
+		return nil, err
+	}
+	return &levelPlan{level: level, graph: g, ptScales: ptScales, plan: plan}, nil
+}
+
+// compileProgram builds a catalog entry: the batch-1 IR graph, its
+// level/scale plan and the executor that walks it. The plan is the
+// executor's walk over predicted states, so a scale mismatch the evaluator
+// would reject fails compilation instead of a request.
+//
+// InLevel is the least input level whose plan succeeds with no more
+// refreshes than the plan for an input at MaxLevel; the search runs that
+// same walk from level 0 up. Admission truncates one-shot requests to it, and
+// the graph, the plaintext scales, the advertised output level and scale and
+// the limb module all describe an input at InLevel. A plan that needs
+// refreshes makes the entry Bootstrapped — the tenant's key set must then
+// also cover the bootstrap circuit (conj + its rotation offsets), which
+// RequiredKeys advertises; any other program is additionally lowered to its
+// batch-1 limb module (see Program.VariantFor).
+func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.ServeWorkload, pre *bootstrap.Precomp) (*Program, error) {
 	exitLevel := 0
 	if pre != nil {
 		exitLevel = pre.ExitLevel()
 	}
-	plan, err := sched.BuildPlan(g, params, ptScales, exitLevel)
+	lp, err := planAt(params, spec, params.MaxLevel(), exitLevel)
 	if err != nil {
+		return nil, err
+	}
+	for level := 0; level < params.MaxLevel(); level++ {
+		if low, err := planAt(params, spec, level, exitLevel); err == nil && low.plan.Bootstraps <= lp.plan.Bootstraps {
+			lp = low
+			break
+		}
+	}
+	g, plan := lp.graph, lp.plan
+	p := &Program{Spec: spec, InLevel: lp.level}
+	if p.Plaintexts, err = encodePlaintexts(params, enc, spec, lp.ptScales); err != nil {
 		return nil, err
 	}
 	p.exec = sched.NewExecutor(g, params, p.Plaintexts)

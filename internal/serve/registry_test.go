@@ -16,6 +16,9 @@ func TestRegistryCompilesCatalog(t *testing.T) {
 	if len(names) < 4 {
 		t.Fatalf("expected >= 4 programs, got %v", names)
 	}
+	// The 4-level test chain hosts every shallow catalog program; each one's
+	// input level is its multiplicative depth.
+	inLevels := map[string]int{"square": 1, "quartic": 2, "rotsum": 0, "wavg4": 1, "logreg16": 4, "xform64": 1}
 	for _, name := range names {
 		p, ok := reg.Program(name)
 		if !ok {
@@ -27,8 +30,9 @@ func TestRegistryCompilesCatalog(t *testing.T) {
 		if p.Executor() == nil || p.Bootstrapped {
 			t.Fatalf("%s: executor %v, bootstrapped %v", name, p.Executor(), p.Bootstrapped)
 		}
-		if p.InLevel != reg.Params.MaxLevel() {
-			t.Fatalf("%s: input level %d", name, p.InLevel)
+		// Each program enters at its own depth, not at the top of the chain.
+		if want, ok := inLevels[name]; !ok || p.InLevel != want {
+			t.Fatalf("%s: input level %d, want %d", name, p.InLevel, want)
 		}
 	}
 }
@@ -36,13 +40,13 @@ func TestRegistryCompilesCatalog(t *testing.T) {
 func TestRegistryOutputMetadata(t *testing.T) {
 	reg := testEnv(t)
 	def := reg.Params.DefaultScale()
-	top := reg.Params.MaxLevel()
 
+	// A program's output is what its plan does to an input at its InLevel.
 	sq, _ := reg.Program("square")
-	if sq.OutLevel != top-1 {
-		t.Fatalf("square out level %d, want %d", sq.OutLevel, top-1)
+	if sq.InLevel != 1 || sq.OutLevel != 0 {
+		t.Fatalf("square levels in %d out %d, want 1 and 0", sq.InLevel, sq.OutLevel)
 	}
-	wantScale := def * def / float64(reg.Params.QBasis.Moduli[top])
+	wantScale := def * def / float64(reg.Params.QBasis.Moduli[1])
 	if math.Abs(sq.OutScale-wantScale) > 1e-6*wantScale {
 		t.Fatalf("square out scale %g, want %g", sq.OutScale, wantScale)
 	}
@@ -51,16 +55,16 @@ func TestRegistryOutputMetadata(t *testing.T) {
 	}
 
 	rs, _ := reg.Program("rotsum")
-	if rs.OutLevel != top || rs.OutScale != def {
-		t.Fatalf("rotsum out (%d, %g), want (%d, %g)", rs.OutLevel, rs.OutScale, top, def)
+	if rs.InLevel != 0 || rs.OutLevel != 0 || rs.OutScale != def {
+		t.Fatalf("rotsum in %d out (%d, %g), want 0 and (0, %g)", rs.InLevel, rs.OutLevel, rs.OutScale, def)
 	}
 	if !reflect.DeepEqual(rs.RequiredKeys, []string{"rot:1", "rot:2", "rot:4"}) {
 		t.Fatalf("rotsum keys %v", rs.RequiredKeys)
 	}
 
 	qu, _ := reg.Program("quartic")
-	if qu.OutLevel != top-2 {
-		t.Fatalf("quartic out level %d, want %d", qu.OutLevel, top-2)
+	if qu.InLevel != 2 || qu.OutLevel != 0 {
+		t.Fatalf("quartic levels in %d out %d, want 2 and 0", qu.InLevel, qu.OutLevel)
 	}
 
 	wa, _ := reg.Program("wavg4")

@@ -51,7 +51,12 @@ type HandlerConfig struct {
 	MaxKeyBundleBytes int64
 }
 
-// ProgramInfo is the JSON program listing entry.
+// ProgramInfo is the JSON program listing entry. InputLevel is the level
+// one-shot requests run at: the least level from which the program's plan
+// completes with no more refreshes than from the top of the chain. A request
+// ciphertext may arrive at any level from InputLevel up and is truncated to
+// it; one below is a 400. OutputLevel and OutputScale describe the response
+// to a request at InputLevel.
 type ProgramInfo struct {
 	Name         string   `json:"name"`
 	Description  string   `json:"description"`

@@ -12,13 +12,12 @@ import (
 )
 
 // TestTensorProgramsCompiled: the tensor-frontend catalog entries are in
-// the registry with the exact metadata the frontend promises — output at
-// exactly the default scale, level = top − depth, and required keys that
-// mirror the compiled rotation set one-for-one.
+// the registry with the exact metadata the frontend promises — input at
+// level = depth, output at level 0 and exactly the default scale, and
+// required keys that mirror the compiled rotation set one-for-one.
 func TestTensorProgramsCompiled(t *testing.T) {
 	reg := testEnv(t)
 	def := reg.Params.DefaultScale()
-	top := reg.Params.MaxLevel()
 
 	cases := []struct {
 		name  string
@@ -32,8 +31,8 @@ func TestTensorProgramsCompiled(t *testing.T) {
 		if !ok {
 			t.Fatalf("tensor program %q not in registry", tc.name)
 		}
-		if p.OutLevel != top-tc.depth {
-			t.Fatalf("%s: out level %d, want %d", tc.name, p.OutLevel, top-tc.depth)
+		if p.InLevel != tc.depth || p.OutLevel != 0 {
+			t.Fatalf("%s: levels in %d out %d, want %d and 0", tc.name, p.InLevel, p.OutLevel, tc.depth)
 		}
 		if math.Abs(p.OutScale-def) > 1e-6*def {
 			t.Fatalf("%s: out scale %g, want exactly the default scale %g", tc.name, p.OutScale, def)

@@ -86,7 +86,11 @@ func (b *ckksBackend) mulCt(x, y any) any {
 	return b.check(b.ev.MulRelin(x.(*ckks.Ciphertext), y.(*ckks.Ciphertext)))
 }
 func (b *ckksBackend) encode(p *ptOperand) *ckks.Plaintext {
-	pt, err := b.enc.Encode(p.values(b.params.Slots()), b.inLevel-p.off, p.sc.eval(b.params, b.inLevel))
+	scale, err := p.sc.eval(b.params, b.inLevel)
+	if err != nil {
+		bail("encoding operand %q: %v", p.name, err)
+	}
+	pt, err := b.enc.Encode(p.values(b.params.Slots()), b.inLevel-p.off, scale)
 	if err != nil {
 		bail("encoding operand %q: %v", p.name, err)
 	}

@@ -552,9 +552,8 @@ func (c *Compiled) Rotations() []int {
 }
 
 // PlaintextSpecs lists every plaintext operand with its values and
-// exact encoding scale, for the serving registry. Scales assume the
-// input arrives at the parameter set's max level, which is what the
-// serve runtime enforces.
+// exact encoding scale, for the serving registry. A scale depends on the
+// level the input enters at, so Scale takes it.
 func (c *Compiled) PlaintextSpecs() []PlaintextSpec {
 	specs := make([]PlaintextSpec, 0, len(c.pts))
 	for _, p := range c.pts {
@@ -562,9 +561,7 @@ func (c *Compiled) PlaintextSpecs() []PlaintextSpec {
 		specs = append(specs, PlaintextSpec{
 			Name:   p.name,
 			Values: p.values,
-			Scale: func(params *ckks.Parameters) float64 {
-				return p.sc.eval(params, params.MaxLevel())
-			},
+			Scale:  p.sc.eval,
 		})
 	}
 	return specs

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"sort"
 
 	"cinnamon/internal/ckks"
@@ -88,8 +89,9 @@ func (s scaleExpr) equal(t scaleExpr) bool {
 }
 
 // eval resolves the expression against a parameter set for a value chain
-// entered at inLevel.
-func (s scaleExpr) eval(params *ckks.Parameters, inLevel int) float64 {
+// entered at inLevel. A level too low to hold every modulus the expression
+// names (below the program's depth) or above the chain is an error.
+func (s scaleExpr) eval(params *ckks.Parameters, inLevel int) (float64, error) {
 	v := 1.0
 	for i := 0; i < s.dPow; i++ {
 		v *= params.DefaultScale()
@@ -97,11 +99,26 @@ func (s scaleExpr) eval(params *ckks.Parameters, inLevel int) float64 {
 	for i := 0; i > s.dPow; i-- {
 		v /= params.DefaultScale()
 	}
+	modulus := func(o int) (float64, error) {
+		l := inLevel - o
+		if l < 0 || l > params.MaxLevel() {
+			return 0, fmt.Errorf("tensor: scale names the modulus at level %d, outside the chain [0,%d] for an input at level %d", l, params.MaxLevel(), inLevel)
+		}
+		return float64(params.QBasis.Moduli[l]), nil
+	}
 	for _, o := range s.num {
-		v *= float64(params.QBasis.Moduli[inLevel-o])
+		q, err := modulus(o)
+		if err != nil {
+			return 0, err
+		}
+		v *= q
 	}
 	for _, o := range s.den {
-		v /= float64(params.QBasis.Moduli[inLevel-o])
+		q, err := modulus(o)
+		if err != nil {
+			return 0, err
+		}
+		v /= q
 	}
-	return v
+	return v, nil
 }

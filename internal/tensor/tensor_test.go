@@ -459,6 +459,47 @@ func TestLogregEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlaintextScaleBelowDepth: an operand scale asked for at an input level
+// below the program's depth may name a modulus under the bottom of the chain
+// (at level 0 some operand does). That is an error the serving registry's
+// input-level search steps over, not an index panic; every level from the
+// depth up resolves, and a Reference replay from too low a level fails.
+func TestPlaintextScaleBelowDepth(t *testing.T) {
+	m := NewModel("lr", 16)
+	h := m.MatVec(m.Input(), "w", 1, 16, Auto)
+	h = m.BiasAdd(h, "b")
+	m.Output(m.Poly(h, []float64{0.5, 0.197, 0, -0.004}))
+	c, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := newCrypto(t, c, 1)
+	specs := c.PlaintextSpecs()
+	for level := 0; level <= cr.params.MaxLevel(); level++ {
+		failed := 0
+		for _, ps := range specs {
+			scale, err := ps.Scale(cr.params, level)
+			if err != nil {
+				failed++
+				continue
+			}
+			if !(scale > 0) || math.IsInf(scale, 0) {
+				t.Fatalf("level %d: operand %q resolves to scale %g", level, ps.Name, scale)
+			}
+		}
+		if (level == 0 && failed == 0) || (level >= c.Depth() && failed > 0) {
+			t.Fatalf("level %d (depth %d): %d of %d operand scales failed", level, c.Depth(), failed, len(specs))
+		}
+	}
+	if _, err := specs[0].Scale(cr.params, cr.params.MaxLevel()+1); err == nil {
+		t.Fatal("a scale above the chain resolved")
+	}
+	low := cr.encrypt(t, c.MakeInput(rand.New(rand.NewSource(3)), cr.params.Slots()), c.Depth()-1)
+	if _, err := c.Reference(cr.ev, cr.enc, low); err == nil {
+		t.Fatalf("Reference ran from level %d, below the depth %d", c.Depth()-1, c.Depth())
+	}
+}
+
 // graphRotations compiles the dsl emission and collects the rotation
 // offsets the polyir graph actually contains.
 func graphRotations(t *testing.T, c *Compiled, maxLevel int) map[int]int {

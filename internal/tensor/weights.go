@@ -57,8 +57,10 @@ type PlaintextSpec struct {
 	// Values returns the full slot vector to encode. nil means the
 	// catalog default (the FNV-derived broadcast weight for Name).
 	Values func(slots int) []complex128
-	// Scale returns the encoding scale. nil means the default scale.
-	Scale func(params *ckks.Parameters) float64
+	// Scale returns the encoding scale for an input entering at inLevel,
+	// or an error when the program cannot run from that level. nil means
+	// the default scale at any level.
+	Scale func(params *ckks.Parameters, inLevel int) (float64, error)
 }
 
 // ptOperand is the internal form: a d-periodic base block plus a
