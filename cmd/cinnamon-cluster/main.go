@@ -1,7 +1,7 @@
 // Command cinnamon-cluster is the cluster verification tool: it connects
 // to a set of cinnamon-worker processes, runs serve workloads through the
-// distributed keyswitch collectives (ciphertext limbs partitioned across
-// the workers), and checks the results bit-for-bit against a
+// distributed input-broadcast keyswitch (ciphertext limbs partitioned
+// across the workers), and checks the results bit-for-bit against a
 // single-process run of the same workloads. It is what the CI cluster
 // smoke uses to prove that a real multi-process cluster computes exactly
 // what one process computes.

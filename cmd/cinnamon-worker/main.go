@@ -1,9 +1,9 @@
 // Command cinnamon-worker runs one chip of the scale-out cluster runtime:
 // a worker process that owns a modular slice of every ciphertext's limbs
 // (chip c owns limbs j with j % nChips == c) and executes its side of the
-// paper's keyswitch collectives — absorbing broadcast digits for input
-// broadcast, and computing scattered inner-product partials for
-// aggregate-and-scatter.
+// paper's input-broadcast keyswitch (Fig. 8b): it absorbs the broadcast
+// digits as they arrive and returns the output limbs it owns. Output
+// aggregation (Fig. 8c) runs only in-process and never reaches a worker.
 //
 // Workers are stateless between connections: the coordinator pushes
 // parameters via handshake digest negotiation and evaluation keys lazily,

@@ -37,7 +37,7 @@ func TestFrameEncodeZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		putFrameBuf(p)
-		b := encodeKSBegin(ksBeginMsg{req: 7, alg: algIB, keyID: 1, level: 8, frames: 5})
+		b := encodeKSBegin(ksBeginMsg{req: 7, keyID: 1, level: 8, frames: 5})
 		if err := WriteFrame(io.Discard, msgKSBegin, b); err != nil {
 			t.Fatal(err)
 		}

@@ -140,12 +140,13 @@ func TestDistributedInputBroadcastBitExact(t *testing.T) {
 	}
 }
 
-// TestDistributedOutputAggregationBitExact: the distributed Fig. 8c
-// collective must agree with the in-process engine (identical ChipOA
-// kernels, same aggregation order) bit for bit.
-func TestDistributedOutputAggregationBitExact(t *testing.T) {
+// TestPartitionedKeyRefusedBeforeWire: the cluster runs input broadcast
+// only, so a key with a digit partition (GenEvalKeyDigits) fails before
+// any key push, limb frame or collective — the wire never sees it.
+func TestPartitionedKeyRefusedBeforeWire(t *testing.T) {
 	n := 3
-	tc := newClusterContext(t, n, Options{})
+	// An hour between heartbeats: no ping may move the byte counters.
+	tc := newClusterContext(t, n, Options{HeartbeatInterval: time.Hour})
 	r := tc.params.Ring
 	s2 := r.NewPoly(tc.params.QPBasis())
 	if err := r.MulCoeffs(tc.sk.S, tc.sk.S, s2); err != nil {
@@ -156,29 +157,17 @@ func TestDistributedOutputAggregationBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := tc.encryptRandom(t, 20)
-	l := ct.Level()
-
-	localEng, err := keyswitch.NewEngine(tc.params, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l0, l1, _, err := localEng.KeySwitch(ct.C1, rlkMod, keyswitch.OutputAggregation)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := tc.eng.Snapshot()
 	d0, d1, stats, err := tc.eng.KeySwitchStats(ct.C1, rlkMod)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "digit partition") {
+		t.Fatalf("partitioned key: got %v, want a digit-partition refusal", err)
 	}
-	if !d0.Equal(l0) || !d1.Equal(l1) {
-		t.Fatal("distributed output aggregation differs from in-process engine")
+	if d0 != nil || d1 != nil || stats != (keyswitch.CommStats{}) {
+		t.Fatalf("refused keyswitch returned results (%v, %v) or stats %+v", d0 != nil, d1 != nil, stats)
 	}
-	want := keyswitch.AnalyticStats(keyswitch.OutputAggregation, l, n, tc.params.PBasis.Len())
-	if stats != want {
-		t.Fatalf("measured %+v, analytic %+v", stats, want)
-	}
-	if snap := tc.eng.Snapshot(); snap.Aggregations != 2 {
-		t.Fatalf("%d aggregations recorded, want 2", snap.Aggregations)
+	after := tc.eng.Snapshot()
+	if after.KeyPushes != 0 || after.Broadcasts != 0 || after.BytesSent != before.BytesSent {
+		t.Fatalf("refused keyswitch reached the wire: %d key pushes, %d broadcasts, %d bytes sent", after.KeyPushes, after.Broadcasts, after.BytesSent-before.BytesSent)
 	}
 }
 

@@ -282,9 +282,9 @@ func (e *Engine) EvictKeys(keys ...*ckks.EvalKey) {
 	}
 }
 
-// KeySwitch implements ckks.KeySwitcher: the algorithm follows the key's
-// digit format — a modular-digit key (GenEvalKeyDigits) runs output
-// aggregation, the default hybrid partition runs input broadcast.
+// KeySwitch implements ckks.KeySwitcher with the input-broadcast
+// collective. It takes default-partition keys only: a key with a digit
+// partition (GenEvalKeyDigits) fails before any key push or frame.
 func (e *Engine) KeySwitch(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, error) {
 	f0, f1, _, err := e.KeySwitchStats(c, evk)
 	return f0, f1, err
@@ -309,7 +309,7 @@ func (b boundEngine) KeySwitch(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ri
 }
 
 // KeySwitchStats is KeySwitch plus the measured communication bill of the
-// collective, in the paper's units.
+// input broadcast, in the paper's units.
 func (e *Engine) KeySwitchStats(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, keyswitch.CommStats, error) {
 	return e.keySwitchStatsCtx(context.Background(), c, evk)
 }
@@ -322,7 +322,7 @@ func (e *Engine) keySwitchStatsCtx(ctx context.Context, c *ring.Poly, evk *ckks.
 		return nil, nil, keyswitch.CommStats{}, err
 	}
 	if evk.DigitSets != nil {
-		return e.outputAggregation(ctx, c, evk)
+		return nil, nil, keyswitch.CommStats{}, fmt.Errorf("cluster: key has a %d-set digit partition; the cluster runs input broadcast over default-partition keys only", len(evk.DigitSets))
 	}
 	return e.inputBroadcast(ctx, c, evk)
 }
@@ -368,11 +368,7 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 		wg.Add(1)
 		go func(chip int, mine []int) {
 			defer wg.Done()
-			res, err := e.links[chip].keyswitchRPC(ctx, e, evk, ksBeginMsg{
-				alg: algIB, level: uint32(l), frames: uint32(len(digits)),
-			}, func(bw *bufio.Writer, req uint64) error {
-				return streamDigits(bw, req, digits, cc)
-			})
+			res, err := e.links[chip].keyswitchRPC(ctx, e, evk, digits, cc)
 			if err != nil {
 				errs[chip] = err
 				return
@@ -385,7 +381,7 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 		}(chip, mine)
 	}
 	wg.Wait()
-	if err := lostWorker(ctx, errs, "broadcast"); err != nil {
+	if err := lostWorker(ctx, errs); err != nil {
 		return nil, nil, keyswitch.CommStats{}, err
 	}
 	stats := keyswitch.CommStats{Broadcasts: 1}
@@ -398,99 +394,11 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 	return out0, out1, stats, nil
 }
 
-// outputAggregation runs Fig. 8c over the cluster: the chip partition IS
-// the digit partition, so each worker receives ONLY its own limbs (the
-// scatter), computes and mod-downs its full-width product locally, and the
-// coordinator — standing in for the aggregation root — sums the two
-// partial polynomials: the two aggregate-and-scatter operations.
-func (e *Engine) outputAggregation(ctx context.Context, c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, keyswitch.CommStats, error) {
-	r := e.params.Ring
-	l := c.Basis.Len() - 1
-	n := len(e.links)
-	start := time.Now()
-	if len(evk.DigitSets) != n {
-		return nil, nil, keyswitch.CommStats{}, fmt.Errorf("cluster: key has %d digit sets, cluster has %d workers", len(evk.DigitSets), n)
-	}
-
-	cc := c.Copy()
-	if err := r.INTT(cc); err != nil {
-		return nil, nil, keyswitch.CommStats{}, err
-	}
-	results := make([]*ksResultMsg, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for chip := 0; chip < n; chip++ {
-		mine, err := keyswitch.OADigitSet(evk, n, chip, l)
-		if err != nil {
-			return nil, nil, keyswitch.CommStats{}, err
-		}
-		if len(mine) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(chip int, mine []int) {
-			defer wg.Done()
-			res, err := e.links[chip].keyswitchRPC(ctx, e, evk, ksBeginMsg{
-				alg: algOA, level: uint32(l), frames: 1,
-			}, func(bw *bufio.Writer, req uint64) error {
-				limbs := make([][]uint64, len(mine))
-				for k, j := range mine {
-					limbs[k] = cc.Limbs[j]
-				}
-				p := encodeLimbs(req, scatterDigit, mine, limbs)
-				err := WriteFrame(bw, msgLimbs, p)
-				putFrameBuf(p)
-				return err
-			})
-			if err != nil {
-				errs[chip] = err
-				return
-			}
-			results[chip] = res
-		}(chip, mine)
-	}
-	wg.Wait()
-	if err := lostWorker(ctx, errs, "aggregation"); err != nil {
-		return nil, nil, keyswitch.CommStats{}, err
-	}
-
-	// Aggregate: sum the partial polynomials in chip order (modular
-	// addition is exactly associative, but a fixed order keeps runs
-	// reproducible), then return to NTT domain.
-	sum0 := r.NewPoly(c.Basis)
-	sum1 := r.NewPoly(c.Basis)
-	stats := keyswitch.CommStats{Aggregations: 2}
-	for chip := 0; chip < n; chip++ {
-		res := results[chip]
-		if res == nil {
-			continue
-		}
-		if len(res.limbs0) != l+1 || len(res.limbs1) != l+1 {
-			return nil, nil, stats, fmt.Errorf("cluster: worker %d returned %d+%d partial limbs, want %d each", chip, len(res.limbs0), len(res.limbs1), l+1)
-		}
-		for j := 0; j <= l; j++ {
-			addInto(sum0.Limbs[j], res.limbs0[j], c.Basis.Moduli[j])
-			addInto(sum1.Limbs[j], res.limbs1[j], c.Basis.Moduli[j])
-		}
-		stats.LimbsMoved += int(res.moved)
-	}
-	if err := r.NTT(sum0); err != nil {
-		return nil, nil, stats, err
-	}
-	if err := r.NTT(sum1); err != nil {
-		return nil, nil, stats, err
-	}
-	e.stats.Aggregations.Add(2)
-	e.stats.LimbsMoved.Add(int64(stats.LimbsMoved))
-	e.stats.collectiveLat.Observe(time.Since(start))
-	return sum0, sum1, stats, nil
-}
-
-// lostWorker turns a collective's per-chip RPC errors into its one outcome:
+// lostWorker turns a broadcast's per-chip RPC errors into its one outcome:
 // nil when every chip answered, the caller's own context error when that is
 // what ended it (client evidence, not worker evidence), else ErrDegraded
 // naming the first lost chip.
-func lostWorker(ctx context.Context, errs []error, collective string) error {
+func lostWorker(ctx context.Context, errs []error) error {
 	for chip, err := range errs {
 		if err == nil {
 			continue
@@ -498,20 +406,9 @@ func lostWorker(ctx context.Context, errs []error, collective string) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		return fmt.Errorf("%w: worker %d lost mid-%s: %v", ErrDegraded, chip, collective, err)
+		return fmt.Errorf("%w: worker %d lost mid-broadcast: %v", ErrDegraded, chip, err)
 	}
 	return nil
-}
-
-// addInto accumulates src into dst mod q (the aggregation root's sum).
-func addInto(dst, src []uint64, q uint64) {
-	for i, v := range src {
-		s := dst[i] + v
-		if s >= q {
-			s -= q
-		}
-		dst[i] = s
-	}
 }
 
 // streamDigits broadcasts the input limbs digit by digit, flushing each
@@ -659,10 +556,10 @@ func (lk *link) ensureKey(deadline time.Time, id uint64, evk *ckks.EvalKey) erro
 }
 
 // keyswitchRPC runs one keyswitch against this worker: begin frame, the
-// caller-provided limb stream, then the result — under a per-RPC deadline,
-// with bounded redial-and-retry on transport failure. Semantic worker
-// errors are not retried.
-func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, begin ksBeginMsg, sendLimbs func(*bufio.Writer, uint64) error) (*ksResultMsg, error) {
+// digit stream of cc (coefficient domain), then the result — under a
+// per-RPC deadline, with bounded redial-and-retry on transport failure.
+// Semantic worker errors are not retried.
+func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, digits [][2]int, cc *ring.Poly) (*ksResultMsg, error) {
 	var lastErr error
 	for attempt := 0; attempt <= rpcRetries; attempt++ {
 		if attempt > 0 {
@@ -672,7 +569,7 @@ func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 			case <-time.After(lk.opts.RetryBackoff):
 			}
 		}
-		res, err := lk.tryKeyswitch(ctx, e, evk, begin, sendLimbs)
+		res, err := lk.tryKeyswitch(ctx, e, evk, digits, cc)
 		if err == nil {
 			return res, nil
 		}
@@ -685,7 +582,7 @@ func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 	return nil, lastErr
 }
 
-func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, begin ksBeginMsg, sendLimbs func(*bufio.Writer, uint64) error) (*ksResultMsg, error) {
+func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, digits [][2]int, cc *ring.Poly) (*ksResultMsg, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -704,14 +601,14 @@ func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 	// The key is named and pushed under the link lock, so an EvictKeys of
 	// it waits for this keyswitch to finish on this link, or has already
 	// finished and the key gets a fresh id.
-	begin.keyID = e.keyID(evk)
+	begin := ksBeginMsg{keyID: e.keyID(evk), level: uint32(cc.Basis.Len() - 1), frames: uint32(len(digits))}
 	if err := lk.ensureKey(deadline, begin.keyID, evk); err != nil {
 		return nil, err
 	}
 	begin.req = e.ids.Add(1)
 	p := encodeKSBegin(begin)
 	reply, err := lk.call(deadline, begin.req, msgKSResult, msgKSBegin, p, func(bw *bufio.Writer) error {
-		return sendLimbs(bw, begin.req)
+		return streamDigits(bw, begin.req, digits, cc)
 	})
 	putFrameBuf(p)
 	if err != nil {

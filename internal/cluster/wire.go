@@ -1,15 +1,16 @@
 // Package cluster is the scale-out runtime of the Cinnamon paper rendered
 // over real processes: a coordinator partitions ciphertext limbs across N
-// worker processes (the paper's chips) and executes the two keyswitch
-// collectives of §4.3.1 as genuine network collectives — the input
-// broadcast of Fig. 8b and the aggregate-and-scatter of Fig. 8c — over a
-// length-prefixed binary wire protocol.
+// worker processes (the paper's chips) and executes the input-broadcast
+// keyswitch collective of §4.3.1 (Fig. 8b) as a genuine network collective
+// over a length-prefixed binary wire protocol. The output aggregation of
+// Fig. 8c runs only in-process (internal/keyswitch): no serving path can
+// hold the modular-digit key it needs, so the wire carries one collective.
 //
-// Workers run exactly the per-chip kernels of internal/keyswitch
-// (ChipIB/ChipOA), which is what makes a distributed keyswitch bit-exact
-// with the in-process engine and, for input broadcast, with the sequential
-// reference. Communication is metered twice: in the paper's units (limbs
-// crossing a chip boundary, CommStats) and in transport bytes on the wire.
+// Workers run exactly the per-chip kernel of internal/keyswitch (ChipIB),
+// which is what makes a distributed keyswitch bit-exact with the
+// in-process engine and with the sequential reference. Communication is
+// metered twice: in the paper's units (limbs crossing a chip boundary,
+// CommStats) and in transport bytes on the wire.
 package cluster
 
 import (
@@ -27,7 +28,7 @@ import (
 	"cinnamon/internal/ckks"
 )
 
-// Wire format v3: every frame is [u32 LE length][u8 type][payload]
+// Wire format v4: every frame is [u32 LE length][u8 type][payload]
 // [u32 LE crc32c] where length = 1 + len(payload) + 4 and the CRC-32C
 // (Castagnoli) covers type||payload. Integers are little-endian
 // throughout; limb data is raw u64 coefficients. The codec never trusts a
@@ -56,7 +57,7 @@ const (
 	frameOverhead = 1 + crcLen
 	crcLen        = 4
 
-	protoVersion = 3          // v3: every reply leads with the id it answers
+	protoVersion = 4          // v4: a key push carries no digit partition, a keyswitch no algorithm
 	helloMagic   = 0x434e4d4e // "CNMN"
 )
 
@@ -94,17 +95,6 @@ const (
 	msgKeyEvict byte = 0x0b // coordinator → worker: drop a pushed key
 	msgKeyGone  byte = 0x0c // worker → coordinator: evict ack
 )
-
-// Keyswitch algorithms on the wire.
-const (
-	algIB byte = 0 // input broadcast (Fig. 8b)
-	algOA byte = 1 // output aggregation (Fig. 8c)
-)
-
-// scatterDigit marks a msgLimbs frame that carries an output-aggregation
-// scatter (the chip's digit-set limbs) rather than a contiguous hybrid
-// digit.
-const scatterDigit = ^uint32(0)
 
 // WriteFrame writes one frame to w, appending the CRC-32C trailer. The
 // frame is assembled in a pooled buffer and issued as a single Write — a
@@ -431,46 +421,16 @@ func decodeHello(p []byte) (helloMsg, error) {
 
 // --- setKey ---
 
-// encodeSetKey serializes an evaluation key push: key id, the digit-set
-// partition (absent for the default hybrid partition — EvalKey.Write does
-// not carry it), then the key material itself.
+// encodeSetKey serializes an evaluation key push: [u64 key id][EvalKey
+// image]. The image carries no digit partition, so only default-partition
+// keys cross the wire (the engine refuses any other before a push).
 func encodeSetKey(id uint64, k *ckks.EvalKey) []byte {
-	n := 12 + k.EncodedLen()
-	for _, set := range k.DigitSets {
-		n += 4 + 4*len(set)
-	}
-	b := appendU64(make([]byte, 0, n), id)
-	b = appendU32(b, uint32(len(k.DigitSets)))
-	for _, set := range k.DigitSets {
-		b = appendU32(b, uint32(len(set)))
-		for _, j := range set {
-			b = appendU32(b, uint32(j))
-		}
-	}
-	return k.Append(b)
+	return k.Append(appendU64(make([]byte, 0, 8+k.EncodedLen()), id))
 }
 
 func decodeSetKey(p []byte, params *ckks.Parameters) (uint64, *ckks.EvalKey, error) {
 	c := cursor{b: p}
 	id := c.u64()
-	nSets := int(c.u32())
-	var sets [][]int
-	if nSets > 0 {
-		if !c.need(4 * nSets) { // each set header is at least 4 bytes
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		sets = make([][]int, nSets)
-		for i := range sets {
-			m := int(c.u32())
-			if !c.need(4 * m) {
-				return 0, nil, io.ErrUnexpectedEOF
-			}
-			sets[i] = make([]int, m)
-			for j := range sets[i] {
-				sets[i][j] = int(c.u32())
-			}
-		}
-	}
 	if c.err != nil {
 		return 0, nil, c.err
 	}
@@ -478,7 +438,6 @@ func decodeSetKey(p []byte, params *ckks.Parameters) (uint64, *ckks.EvalKey, err
 	if err != nil {
 		return 0, nil, err
 	}
-	k.DigitSets = sets
 	return id, k, nil
 }
 
@@ -499,7 +458,6 @@ func (r readerBuf) Read(p []byte) (int, error) {
 
 type ksBeginMsg struct {
 	req    uint64
-	alg    byte
 	keyID  uint64
 	level  uint32
 	frames uint32 // msgLimbs frames that follow
@@ -510,7 +468,6 @@ type ksBeginMsg struct {
 func encodeKSBegin(m ksBeginMsg) []byte {
 	b := getFrameBuf(32)
 	b = appendU64(b, m.req)
-	b = append(b, m.alg)
 	b = appendU64(b, m.keyID)
 	b = appendU32(b, m.level)
 	b = appendU32(b, m.frames)
@@ -519,12 +476,9 @@ func encodeKSBegin(m ksBeginMsg) []byte {
 
 func decodeKSBegin(p []byte) (ksBeginMsg, error) {
 	c := cursor{b: p}
-	m := ksBeginMsg{req: c.u64(), alg: c.u8(), keyID: c.u64(), level: c.u32(), frames: c.u32()}
+	m := ksBeginMsg{req: c.u64(), keyID: c.u64(), level: c.u32(), frames: c.u32()}
 	if err := c.done(); err != nil {
 		return ksBeginMsg{}, err
-	}
-	if m.alg != algIB && m.alg != algOA {
-		return ksBeginMsg{}, fmt.Errorf("cluster: unknown keyswitch algorithm %d", m.alg)
 	}
 	return m, nil
 }
@@ -533,7 +487,7 @@ func decodeKSBegin(p []byte) (ksBeginMsg, error) {
 
 type limbFrame struct {
 	req   uint64
-	digit uint32 // hybrid digit index, or scatterDigit for an OA scatter
+	digit uint32 // hybrid digit index
 	chain []int  // chain index of each limb
 	limbs [][]uint64
 }

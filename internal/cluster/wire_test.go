@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -291,11 +292,71 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := decodeHello(bad); err == nil {
 		t.Fatal("corrupted magic accepted")
 	}
-	// A version-2 peer, whose replies do not all lead with their id.
-	old := encodeHello(h)
-	old[4] = 2
-	if _, err := decodeHello(old); err == nil || !strings.Contains(err.Error(), "protocol version 2") {
-		t.Fatalf("version-2 hello: got %v, want a protocol version error", err)
+	// A version-2 peer, whose replies do not all lead with their id, and a
+	// version-3 peer, whose key pushes carry a digit-set section and whose
+	// keyswitch begins carry an algorithm byte.
+	for _, ver := range []byte{2, 3} {
+		old := encodeHello(h)
+		old[4] = ver
+		if _, err := decodeHello(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("protocol version %d", ver)) {
+			t.Fatalf("version-%d hello: got %v, want a protocol version error", ver, err)
+		}
+	}
+}
+
+// TestSetKeyRoundTrip pins the v4 key push: [u64 id][EvalKey image], with
+// no digit-set section, decoding to the same key under the same id.
+func TestSetKeyRoundTrip(t *testing.T) {
+	params, err := fuzzParamsOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := fuzzKey(t, params)
+	p := encodeSetKey(0xfeed, k)
+	if want := append(appendU64(nil, 0xfeed), k.Append(nil)...); !bytes.Equal(p, want) {
+		t.Fatalf("key push is %d bytes, want [u64 id][EvalKey image] (%d bytes)", len(p), len(want))
+	}
+	id, got, err := decodeSetKey(p, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 0xfeed || got.Digits() != k.Digits() || got.DigitSets != nil {
+		t.Fatalf("decoded id %#x, %d digits, digit sets %v", id, got.Digits(), got.DigitSets)
+	}
+	for d := range k.B {
+		if !got.B[d].Equal(k.B[d]) || !got.A[d].Equal(k.A[d]) {
+			t.Fatalf("digit %d differs after the round trip", d)
+		}
+	}
+	for _, n := range []int{0, 7, 8, len(p) - 1} {
+		if _, _, err := decodeSetKey(p[:n], params); err == nil {
+			t.Fatalf("key push truncated to %d of %d bytes decoded", n, len(p))
+		}
+	}
+}
+
+// TestKSBeginRoundTrip pins the v4 keyswitch begin: [u64 req][u64 key id]
+// [u32 level][u32 frames]. A v3-shaped begin, with its algorithm byte after
+// the request id, is one byte too long and fails to decode.
+func TestKSBeginRoundTrip(t *testing.T) {
+	m := ksBeginMsg{req: 11, keyID: 22, level: 3, frames: 4}
+	p := encodeKSBegin(m)
+	if len(p) != 24 {
+		t.Fatalf("begin payload is %d bytes, want 24", len(p))
+	}
+	got, err := decodeKSBegin(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != m {
+		t.Fatalf("decoded %+v, want %+v", got, m)
+	}
+	v3 := append(append(appendU64(nil, m.req), 0), p[8:]...)
+	if _, err := decodeKSBegin(v3); err == nil {
+		t.Fatal("a v3 begin with an algorithm byte decoded")
+	}
+	if _, err := decodeKSBegin(p[:len(p)-1]); err == nil {
+		t.Fatal("a truncated begin decoded")
 	}
 }
 
@@ -340,6 +401,21 @@ var fuzzParamsOnce = sync.OnceValues(func() (*ckks.Parameters, error) {
 	})
 })
 
+// fuzzKey is a relinearization key over the fuzz parameters.
+func fuzzKey(t testing.TB, params *ckks.Parameters) *ckks.EvalKey {
+	t.Helper()
+	kg := ckks.NewKeyGenerator(params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rlk
+}
+
 // FuzzReadFrame: arbitrary byte streams must produce a frame or an error —
 // never a panic, never an allocation beyond the bytes provided (plus one
 // chunk).
@@ -350,7 +426,7 @@ func FuzzReadFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[:4], maxFrame)
 	f.Add(huge[:])
 	var buf bytes.Buffer
-	WriteFrame(&buf, msgKSBegin, encodeKSBegin(ksBeginMsg{req: 1, alg: algIB, keyID: 2, level: 3, frames: 4}))
+	WriteFrame(&buf, msgKSBegin, encodeKSBegin(ksBeginMsg{req: 1, keyID: 2, level: 3, frames: 4}))
 	f.Add(buf.Bytes())
 	// CRC-corruption seeds: a well-formed frame with a flipped payload bit
 	// and one with a flipped trailer bit — both must fail, never decode.
@@ -389,6 +465,10 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(encodeHello(helloMsg{digest: 9, nChips: 2, chip: 0}))
 	f.Add(appendStr(appendU64(nil, 3), "boom"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(encodeKSBegin(ksBeginMsg{req: 1, keyID: 2, level: 3, frames: 4}))
+	if params, err := fuzzParamsOnce(); err == nil {
+		f.Add(encodeSetKey(5, fuzzKey(f, params)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, n := range []int{1, 4, 16} {
 			decodeLimbs(data, n)
@@ -411,7 +491,7 @@ func FuzzDecodePayloads(f *testing.F) {
 // limb frames derived from fuzz input.
 func FuzzLimbsRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint32(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint64(999), scatterDigit, make([]byte, 64))
+	f.Add(uint64(999), uint32(7), make([]byte, 64))
 	f.Fuzz(func(t *testing.T, req uint64, digit uint32, raw []byte) {
 		n := 4 // coefficients per limb
 		nLimbs := len(raw) / (8 * n)

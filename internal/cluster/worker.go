@@ -58,16 +58,13 @@ type session struct {
 // (which would deadlock an unbuffered transport like net.Pipe).
 type pendingKS struct {
 	req    uint64
-	alg    byte
-	key    *ckks.EvalKey
 	level  int
 	frames int
 	got    int
 
-	ib      *keyswitch.ChipIB
-	digits  [][2]int   // IB: the chain range of each digit frame, in order
-	scatter [][]uint64 // OA: the chip's digit-set limbs, in OADigitSet order
-	err     error
+	ib     *keyswitch.ChipIB
+	digits [][2]int // the chain range of each digit frame, in order
+	err    error
 }
 
 // Serve runs one coordinator session until the peer disconnects. A clean
@@ -153,7 +150,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 				return fmt.Errorf("cluster: keyswitch %d begun while %d in flight", m.req, pending.req)
 			}
 			pending = s.begin(m)
-			if pending.frames == 0 { // rejected outright (unknown key, bad topology)
+			if pending.frames == 0 { // no limb frames announced: answer at once
 				if err := s.finish(pending); err != nil {
 					return err
 				}
@@ -188,117 +185,71 @@ func (s *session) send(typ byte, payload []byte) error {
 }
 
 // begin validates a keyswitch request and sets up its pending state. A
-// request that cannot even start reports frames=0 with err set; limb
-// frames are still consumed (the coordinator has announced them) before
-// the error goes back.
+// request that cannot start latches err; its announced limb frames are
+// still consumed before the error goes back.
 func (s *session) begin(m ksBeginMsg) *pendingKS {
-	p := &pendingKS{req: m.req, alg: m.alg, level: int(m.level), frames: int(m.frames)}
+	p := &pendingKS{req: m.req, level: int(m.level), frames: int(m.frames)}
 	key, ok := s.keys[m.keyID]
 	if !ok {
 		p.err = fmt.Errorf("unknown key id %d (coordinator must push it first)", m.keyID)
 		return p
 	}
-	p.key = key
-	switch m.alg {
-	case algIB:
-		p.digits = keyswitch.DigitRanges(s.w.Params, key, p.level)
-		ib, err := s.eng.NewChipIB(key, s.chip, p.level)
-		if err != nil {
-			p.err = err
-		} else if ib == nil {
-			p.err = fmt.Errorf("chip %d owns no limbs at level %d", s.chip, p.level)
-		} else if len(p.digits) != p.frames {
-			p.err = fmt.Errorf("request announces %d digit frames, level %d has %d digits", p.frames, p.level, len(p.digits))
-			ib.Release()
-		} else {
-			p.ib = ib
-		}
-	case algOA:
-		if _, err := keyswitch.OADigitSet(key, s.eng.NChips, s.chip, p.level); err != nil {
-			p.err = err
-		} else if p.frames != 1 {
-			p.err = fmt.Errorf("output aggregation expects 1 scatter frame, got %d", p.frames)
-		}
+	p.digits = keyswitch.DigitRanges(s.w.Params, key, p.level)
+	ib, err := s.eng.NewChipIB(key, s.chip, p.level)
+	if err != nil {
+		p.err = err
+	} else if ib == nil {
+		p.err = fmt.Errorf("chip %d owns no limbs at level %d", s.chip, p.level)
+	} else if len(p.digits) != p.frames {
+		p.err = fmt.Errorf("request announces %d digit frames, level %d has %d digits", p.frames, p.level, len(p.digits))
+		ib.Release()
+	} else {
+		p.ib = ib
 	}
 	return p
 }
 
-// absorb folds one limb frame into the pending keyswitch: for input
-// broadcast the digit's inner-product term is computed immediately, so the
-// chip computes digit d while the coordinator is still sending digit d+1.
+// absorb folds one digit frame into the pending keyswitch: the digit's
+// inner-product term is computed immediately, so the chip computes digit d
+// while the coordinator is still sending digit d+1.
 func (s *session) absorb(p *pendingKS, f limbFrame) {
 	p.got++
 	if p.err != nil {
 		return // consume remaining frames silently; error already latched
 	}
-	switch p.alg {
-	case algIB:
-		if f.digit == scatterDigit {
-			p.err = fmt.Errorf("scatter frame in an input-broadcast request")
-			return
-		}
-		// The coordinator streams digits in order, each exactly once. A
-		// duplicated frame would otherwise be absorbed twice, reach the
-		// announced frame count early and ship a wrong result under a valid
-		// CRC and request id.
-		if int(f.digit) != p.got-1 {
-			p.err = fmt.Errorf("digit frame %d arrived in position %d (duplicated or reordered)", f.digit, p.got-1)
-			return
-		}
-		// In range: a frame's position is below the announced count,
-		// which begin checked against len(p.digits).
-		lo, hi := p.digits[f.digit][0], p.digits[f.digit][1]
-		for i, j := range f.chain {
-			if j != lo+i {
-				p.err = fmt.Errorf("digit %d limb %d has chain index %d, want %d", f.digit, i, j, lo+i)
-				return
-			}
-		}
-		if len(f.limbs) != hi-lo {
-			p.err = fmt.Errorf("digit %d carries %d limbs, want %d", f.digit, len(f.limbs), hi-lo)
-			return
-		}
-		p.err = p.ib.AbsorbDigit(int(f.digit), f.limbs, nil)
-	case algOA:
-		if f.digit != scatterDigit {
-			p.err = fmt.Errorf("output aggregation expects a scatter frame")
-			return
-		}
-		mine, err := keyswitch.OADigitSet(p.key, s.eng.NChips, s.chip, p.level)
-		if err != nil {
-			p.err = err
-			return
-		}
-		if len(f.chain) != len(mine) {
-			p.err = fmt.Errorf("scatter carries %d limbs, chip digit set has %d", len(f.chain), len(mine))
-			return
-		}
-		for i, j := range f.chain {
-			if j != mine[i] {
-				p.err = fmt.Errorf("scatter limb %d has chain index %d, want %d", i, j, mine[i])
-				return
-			}
-		}
-		p.scatter = f.limbs
+	// The coordinator streams digits in order, each exactly once. A
+	// duplicated frame would otherwise be absorbed twice, reach the
+	// announced frame count early and ship a wrong result under a valid
+	// CRC and request id.
+	if int(f.digit) != p.got-1 {
+		p.err = fmt.Errorf("digit frame %d arrived in position %d (duplicated or reordered)", f.digit, p.got-1)
+		return
 	}
+	// In range: a frame's position is below the announced count, which
+	// begin checked against len(p.digits).
+	lo, hi := p.digits[f.digit][0], p.digits[f.digit][1]
+	for i, j := range f.chain {
+		if j != lo+i {
+			p.err = fmt.Errorf("digit %d limb %d has chain index %d, want %d", f.digit, i, j, lo+i)
+			return
+		}
+	}
+	if len(f.limbs) != hi-lo {
+		p.err = fmt.Errorf("digit %d carries %d limbs, want %d", f.digit, len(f.limbs), hi-lo)
+		return
+	}
+	p.err = p.ib.AbsorbDigit(int(f.digit), f.limbs, nil)
 }
 
-// finish completes the keyswitch and sends the result (or the latched
-// error) back.
+// finish completes the keyswitch and sends the chip's owned output limbs
+// (or the latched error) back.
 func (s *session) finish(p *pendingKS) error {
-	defer func() {
-		if p.ib != nil {
-			p.ib.Release()
-		}
-	}()
+	if p.ib != nil {
+		defer p.ib.Release()
+	}
 	if p.err == nil {
-		switch p.alg {
-		case algIB:
-			down0, down1, err := p.ib.Finish()
-			if err != nil {
-				p.err = err
-				break
-			}
+		down0, down1, err := p.ib.Finish()
+		if err == nil {
 			res := encodeKSResult(ksResultMsg{
 				req:    p.req,
 				moved:  uint32(p.ib.Moved()),
@@ -308,39 +259,8 @@ func (s *session) finish(p *pendingKS) error {
 			err = s.send(msgKSResult, res)
 			putFrameBuf(res)
 			return err
-		case algOA:
-			down0, down1, err := s.eng.ChipOA(p.key, s.chip, p.level, p.scatter)
-			if err != nil {
-				p.err = err
-				break
-			}
-			if down0 == nil {
-				p.err = fmt.Errorf("chip %d has no digit-set limbs at level %d", s.chip, p.level)
-				break
-			}
-			r := s.w.Params.Ring
-			chain := make([]int, p.level+1)
-			for j := range chain {
-				chain[j] = j
-			}
-			// The chip ships its two full-width partial sums to the
-			// aggregation root; that is the entire communication of Fig. 8c.
-			moved := 0
-			if s.chip != 0 {
-				moved = 2 * (p.level + 1)
-			}
-			res := encodeKSResult(ksResultMsg{
-				req:    p.req,
-				moved:  uint32(moved),
-				chain0: chain, limbs0: down0.Limbs,
-				chain1: chain, limbs1: down1.Limbs,
-			})
-			err = s.send(msgKSResult, res)
-			putFrameBuf(res)
-			r.PutPoly(down0)
-			r.PutPoly(down1)
-			return err
 		}
+		p.err = err
 	}
 	return s.send(msgError, appendStr(appendU64(nil, p.req), p.err.Error()))
 }

@@ -1,8 +1,7 @@
 package keyswitch
 
-// Per-chip keyswitch kernels. These are the units of work one chip (one
-// worker process, in internal/cluster) performs during the paper's two
-// scale-out collectives:
+// Per-chip keyswitch kernels. These are the units of work one chip
+// performs during the paper's two scale-out collectives:
 //
 //   - ChipIB is the input-broadcast kernel (Fig. 8b) as an incremental
 //     state machine: the caller feeds coefficient-domain digit limbs as
@@ -14,8 +13,9 @@ package keyswitch
 //     the full-width product locally, and hands back its mod-downed
 //     partial sums for the aggregate-and-scatter.
 //
-// Both the in-process engine (parallel.go) and the cluster worker
-// (internal/cluster) execute exactly these kernels, which is what makes a
+// The in-process engine (parallel.go) executes both. Only ChipIB runs on
+// a cluster worker (internal/cluster): the cluster puts input broadcast
+// alone on the wire, and running the same kernel is what makes a
 // distributed keyswitch bit-identical to the single-process one.
 //
 // The inner product is fused: each absorbed digit contributes unreduced

@@ -254,13 +254,18 @@ func (r *Registry) ProgramNames() []string {
 // configured the bundle also writes through to the spill store, and the
 // registration may evict colder tenants to fit. A replaced map leaves the
 // cache like an evicted one: its keys leave the workers once no run holds
-// them.
+// them. A key with a digit partition (GenEvalKeyDigits) fails with
+// ErrBadRequest: the key bundle does not carry the partition, so a spill
+// reload would return a different key than the one registered.
 func (r *Registry) RegisterTenant(id string, keys map[string]*ckks.EvalKey) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty tenant id")
 	}
 	cp := make(map[string]*ckks.EvalKey, len(keys))
 	for k, v := range keys {
+		if v != nil && v.DigitSets != nil {
+			return fmt.Errorf("%w: key %q has a %d-set digit partition; only default-partition keys can be registered", ErrBadRequest, k, len(v.DigitSets))
+		}
 		cp[k] = v
 	}
 	return r.keys.register(id, cp)

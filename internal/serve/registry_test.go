@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cinnamon/internal/ckks"
+	"cinnamon/internal/keyswitch"
 )
 
 func TestRegistryCompilesCatalog(t *testing.T) {
@@ -132,5 +135,31 @@ func TestSubmitRejectsBadCiphertext(t *testing.T) {
 	bad.Scale = ct.Scale * 2
 	if _, err := core.Submit(context.Background(), "square", testTenant, bad); err == nil || statusFor(err) != 400 {
 		t.Fatalf("scale mismatch: %v", err)
+	}
+}
+
+// TestRegisterRejectsPartitionedKey: a key with a digit partition cannot
+// be registered. The key bundle does not carry the partition, so once the
+// tenant spilled, its reload would hand back the same digits labelled as
+// hybrid digits — a different key than the one registered.
+func TestRegisterRejectsPartitionedKey(t *testing.T) {
+	reg := squareRegistry(t, 1) // every registration spills
+	kg := ckks.NewKeyGenerator(reg.Params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modKeys, err := keyswitch.GenModularRotationKeys(reg.Params, sk, 2, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := genTenantKeys(t, reg.Params)
+	keys["rot:1"] = modKeys[1]
+	err = reg.RegisterTenant("partitioned", keys)
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), `"rot:1"`) {
+		t.Fatalf("partitioned key: got %v, want ErrBadRequest naming rot:1", err)
+	}
+	if _, ok := reg.TenantKeys("partitioned"); ok {
+		t.Fatal("a refused registration left the tenant registered")
 	}
 }
