@@ -88,7 +88,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	logN := flag.Int("logn", 8, "ring degree log2 (2^logN coefficients)")
-	levels := flag.Int("levels", 4, "multiplicative levels (4 fits the depth-4 tensor catalog)")
+	levels := flag.Int("levels", 4, "multiplicative levels (4 fits every one-shot catalog program; the deepest needs 3)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (clients must match)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executions (one-shots and session steps) running at once, and so bootstraps: a refresh runs inside its request's slot; the rest of the admitted requests wait for a slot")
 	limbWorkers := flag.Int("limb-workers", 0, "limb-parallel arithmetic workers per operation (0 = GOMAXPROCS)")

@@ -91,10 +91,53 @@ func (ex *Executor) plaintextAt(name string, level int) (*ckks.Plaintext, error)
 // evaluator carries the caller's keys; refreshes go through opts.Refresh.
 func (ex *Executor) Run(ctx context.Context, ev *ckks.Evaluator, in *ckks.Ciphertext, opts RunOpts) (*ckks.Ciphertext, error) {
 	r := &run{ctx: ctx, ex: ex, ev: ev, hook: opts.Refresh}
-	return walk[*ckks.Ciphertext](ctx, ex.Graph, r, ex.Params.DefaultScale(), in, opts.Trace)
+	var trace func(int, *value)
+	var traceErr error
+	if opts.Trace != nil {
+		trace = func(id int, v *value) {
+			ct, err := r.force(v)
+			if err != nil {
+				if traceErr == nil {
+					traceErr = fmt.Errorf("sched: node %d: %w", id, err)
+				}
+				return
+			}
+			opts.Trace(id, ct)
+		}
+	}
+	out, err := walk[*value](ctx, ex.Graph, r, ex.Params.DefaultScale(), &value{ct: in}, trace)
+	if err == nil {
+		err = traceErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r.force(out)
 }
 
-// run is the walk's runtime domain: a value is a ciphertext on ev.
+// value is the run domain's value: a ciphertext, or a pending sum Σ ctₖ ⊙ ptₖ
+// of plaintext products at level. A MulPlain starts a one-term sum and an Add
+// of two pending sums at one level and scale concatenates their terms, so an
+// inner product of a linear transform costs one ckks.LinComb pass instead of
+// a MulPlain and an Add per term. Any other consumer forces the sum once and
+// it becomes the ciphertext. LinComb returns the canonical residue of the
+// exact sum, so the forced value is limb for limb what the MulPlain → Add
+// chain returns, and its scale is the first term's, as Add's is.
+type value struct {
+	ct    *ckks.Ciphertext // nil while the sum is pending
+	terms []term           // a pending sum's plaintext products
+	level int              // a pending sum's level; its terms may sit higher
+	scale float64          // a pending sum's scale: its first term's
+}
+
+// term is one plaintext product of a pending sum; pt sits at ct's level.
+type term struct {
+	ct *ckks.Ciphertext
+	pt *ckks.Plaintext
+}
+
+// run is the walk's runtime domain: a value is a ciphertext on ev or a
+// pending sum of plaintext products.
 type run struct {
 	ctx  context.Context
 	ex   *Executor
@@ -102,43 +145,136 @@ type run struct {
 	hook RefreshFunc
 }
 
-func (r *run) level(ct *ckks.Ciphertext) int     { return ct.Level() }
-func (r *run) scale(ct *ckks.Ciphertext) float64 { return ct.Scale }
-
-func (r *run) dropLevel(ct *ckks.Ciphertext, level int) (*ckks.Ciphertext, error) {
-	return r.ev.DropLevel(ct, level)
+// force returns v's ciphertext, evaluating a pending sum on first use: one
+// term is ev.MulPlain, more are one LinComb pass that reads every operand
+// through its limb prefix at the sum's level.
+func (r *run) force(v *value) (*ckks.Ciphertext, error) {
+	if v.ct != nil {
+		return v.ct, nil
+	}
+	var ct *ckks.Ciphertext
+	var err error
+	if t := v.terms[0]; len(v.terms) == 1 && t.ct.Level() == v.level {
+		ct, err = r.ev.MulPlain(t.ct, t.pt)
+	} else {
+		ct, err = r.linComb(v)
+	}
+	if err != nil {
+		return nil, err
+	}
+	v.ct, v.terms = ct, nil
+	return ct, nil
 }
 
-func (r *run) add(a, b *ckks.Ciphertext) (*ckks.Ciphertext, error)   { return r.ev.Add(a, b) }
-func (r *run) sub(a, b *ckks.Ciphertext) (*ckks.Ciphertext, error)   { return r.ev.Sub(a, b) }
-func (r *run) neg(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)     { return r.ev.Neg(ct), nil }
-func (r *run) mulCt(a, b *ckks.Ciphertext) (*ckks.Ciphertext, error) { return r.ev.MulRelin(a, b) }
-func (r *run) rotate(ct *ckks.Ciphertext, k int) (*ckks.Ciphertext, error) {
-	return r.ev.Rotate(ct, k)
-}
-func (r *run) conjugate(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) { return r.ev.Conjugate(ct) }
-func (r *run) rescale(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)   { return r.ev.Rescale(ct) }
-
-func (r *run) addPlain(ct *ckks.Ciphertext, name string) (*ckks.Ciphertext, error) {
-	return r.withPlain(ct, name, r.ev.AddPlain)
-}
-
-func (r *run) mulPlain(ct *ckks.Ciphertext, name string) (*ckks.Ciphertext, error) {
-	return r.withPlain(ct, name, r.ev.MulPlain)
+func (r *run) linComb(v *value) (*ckks.Ciphertext, error) {
+	lc, err := r.ev.NewLinComb(v.level)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range v.terms {
+		if err := lc.AddMulPlain(t.ct, t.pt); err != nil {
+			lc.Release()
+			return nil, err
+		}
+	}
+	return lc.Sum()
 }
 
-// withPlain applies op to ct and the named operand at ct's level.
-func (r *run) withPlain(ct *ckks.Ciphertext, name string, op func(*ckks.Ciphertext, *ckks.Plaintext) (*ckks.Ciphertext, error)) (*ckks.Ciphertext, error) {
+// on forces v and applies op to its ciphertext.
+func (r *run) on(v *value, op func(*ckks.Ciphertext) (*ckks.Ciphertext, error)) (*value, error) {
+	ct, err := r.force(v)
+	if err != nil {
+		return nil, err
+	}
+	out, err := op(ct)
+	if err != nil {
+		return nil, err
+	}
+	return &value{ct: out}, nil
+}
+
+// on2 forces a and b and applies op to their ciphertexts.
+func (r *run) on2(a, b *value, op func(a, b *ckks.Ciphertext) (*ckks.Ciphertext, error)) (*value, error) {
+	cb, err := r.force(b)
+	if err != nil {
+		return nil, err
+	}
+	return r.on(a, func(ca *ckks.Ciphertext) (*ckks.Ciphertext, error) { return op(ca, cb) })
+}
+
+func (r *run) level(v *value) int {
+	if v.ct == nil {
+		return v.level
+	}
+	return v.ct.Level()
+}
+
+func (r *run) scale(v *value) float64 {
+	if v.ct == nil {
+		return v.scale
+	}
+	return v.ct.Scale
+}
+
+// dropLevel is a limb-prefix view: no run-domain op writes into an operand
+// (AddPlain copies first, every other op writes a fresh output), so the view
+// may share the operand's limbs. A pending sum only lowers its level, since
+// LinComb reads its operands' prefixes.
+func (r *run) dropLevel(v *value, level int) (*value, error) {
+	if v.ct == nil {
+		return &value{terms: v.terms, level: level, scale: v.scale}, nil
+	}
+	return &value{ct: v.ct.AtLevel(level)}, nil
+}
+
+// add concatenates two pending sums, left terms first; anything else is
+// ev.Add on the forced operands.
+func (r *run) add(a, b *value) (*value, error) {
+	if a.ct == nil && b.ct == nil && a.level == b.level && sameScale(a.scale, b.scale) {
+		terms := make([]term, 0, len(a.terms)+len(b.terms))
+		return &value{terms: append(append(terms, a.terms...), b.terms...), level: a.level, scale: a.scale}, nil
+	}
+	return r.on2(a, b, r.ev.Add)
+}
+
+func (r *run) sub(a, b *value) (*value, error)   { return r.on2(a, b, r.ev.Sub) }
+func (r *run) mulCt(a, b *value) (*value, error) { return r.on2(a, b, r.ev.MulRelin) }
+func (r *run) neg(v *value) (*value, error) {
+	return r.on(v, func(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) { return r.ev.Neg(ct), nil })
+}
+func (r *run) rotate(v *value, k int) (*value, error) {
+	return r.on(v, func(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) { return r.ev.Rotate(ct, k) })
+}
+func (r *run) conjugate(v *value) (*value, error) { return r.on(v, r.ev.Conjugate) }
+func (r *run) rescale(v *value) (*value, error)   { return r.on(v, r.ev.Rescale) }
+
+func (r *run) addPlain(v *value, name string) (*value, error) {
+	return r.on(v, func(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+		pt, err := r.ex.plaintextAt(name, ct.Level())
+		if err != nil {
+			return nil, err
+		}
+		return r.ev.AddPlain(ct, pt)
+	})
+}
+
+// mulPlain starts a one-term sum: the product is formed by whichever
+// consumer forces it.
+func (r *run) mulPlain(v *value, name string) (*value, error) {
+	ct, err := r.force(v)
+	if err != nil {
+		return nil, err
+	}
 	pt, err := r.ex.plaintextAt(name, ct.Level())
 	if err != nil {
 		return nil, err
 	}
-	return op(ct, pt)
+	return &value{terms: []term{{ct, pt}}, level: ct.Level(), scale: ct.Scale * pt.Scale}, nil
 }
 
-func (r *run) refresh(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+func (r *run) refresh(v *value) (*value, error) {
 	if r.hook == nil {
 		return nil, ErrNoRefresh
 	}
-	return r.hook(r.ctx, ct)
+	return r.on(v, func(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) { return r.hook(r.ctx, ct) })
 }

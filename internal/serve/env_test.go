@@ -35,7 +35,7 @@ var env struct {
 const testTenant = "tenant-a"
 
 func testEnvInit() {
-	// Four levels: deep enough for the tensor catalog's depth-4 logistic
+	// Four levels: deep enough for the tensor catalog's depth-3 logistic
 	// regression (the depth-2 toy kernels leave the rest unused).
 	env.lit = workloads.ServeParamsLiteral(8, 4, 20260805)
 	env.reg, env.err = NewRegistry(RegistryConfig{Literal: env.lit})

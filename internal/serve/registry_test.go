@@ -21,7 +21,7 @@ func TestRegistryCompilesCatalog(t *testing.T) {
 	}
 	// The 4-level test chain hosts every shallow catalog program; each one's
 	// input level is its multiplicative depth.
-	inLevels := map[string]int{"square": 1, "quartic": 2, "rotsum": 0, "wavg4": 1, "logreg16": 4, "xform64": 1}
+	inLevels := map[string]int{"square": 1, "quartic": 2, "rotsum": 0, "wavg4": 1, "logreg16": 3, "xform64": 1}
 	for _, name := range names {
 		p, ok := reg.Program(name)
 		if !ok {

@@ -23,7 +23,7 @@ func TestTensorProgramsCompiled(t *testing.T) {
 		name  string
 		depth int
 	}{
-		{"logreg16", 4},
+		{"logreg16", 3},
 		{"xform64", 1},
 	}
 	for _, tc := range cases {
@@ -67,27 +67,27 @@ func TestTensorProgramsCompiled(t *testing.T) {
 	}
 }
 
-// TestRegistrySkipsDeepPrograms: a 3-level parameter set cannot host the
-// depth-4 logistic regression; the registry must skip it (with a reason)
+// TestRegistrySkipsDeepPrograms: a 2-level parameter set cannot host the
+// depth-3 logistic regression; the registry must skip it (with a reason)
 // and still serve everything else.
 func TestRegistrySkipsDeepPrograms(t *testing.T) {
-	lit := workloads.ServeParamsLiteral(8, 3, 20260805)
+	lit := workloads.ServeParamsLiteral(8, 2, 20260805)
 	reg, err := NewRegistry(RegistryConfig{Literal: lit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := reg.Program("logreg16"); ok {
-		t.Fatal("depth-4 logreg16 compiled into a 3-level registry")
+		t.Fatal("depth-3 logreg16 compiled into a 2-level registry")
 	}
 	if _, ok := reg.Program("logreg16-deep"); ok {
-		t.Fatal("depth-20 logreg16-deep compiled into a 3-level registry without bootstrapping")
+		t.Fatal("depth-20 logreg16-deep compiled into a 2-level registry without bootstrapping")
 	}
 	if len(reg.Skipped) != 2 {
 		t.Fatalf("skipped %v, want exactly the two logreg entries", reg.Skipped)
 	}
 	for _, name := range []string{"square", "quartic", "rotsum", "wavg4", "xform64"} {
 		if _, ok := reg.Program(name); !ok {
-			t.Fatalf("%s missing from the 3-level registry", name)
+			t.Fatalf("%s missing from the 2-level registry", name)
 		}
 	}
 }

@@ -249,9 +249,10 @@ func (lw *lowerer) lowerMatVec(n *node) val {
 		for col := 0; col < n.cols; col++ {
 			wb[col] = n.factor * W[0][col]
 		}
-		t := lw.mulPlain(x, lw.qual(n.weight)+".w", wb, qExpr(x.off))
-		t = lw.rotsum(t)
-		return addBias(lw.rescale(t))
+		// Rescale before the rotate-and-add tree: the same depth, and
+		// every rotation keyswitches one limb fewer.
+		t := lw.rescale(lw.mulPlain(x, lw.qual(n.weight)+".w", wb, qExpr(x.off)))
+		return addBias(lw.rotsum(t))
 
 	case Diagonal:
 		var acc val
@@ -368,11 +369,13 @@ func (lw *lowerer) lowerPoly(n *node) val {
 			terms = append(terms, lw.mulPlainRescaleTo(t, pre+".c1", bc(cs[1]), deltaExpr()))
 		}
 	case 3:
+		// Depth 2: t² and c3·t are formed side by side, one level each,
+		// and their product is the cubic. c3·t is landed on scale
+		// q_o·q_{o+1}/Δ so that (Δ²/q_o)·(q_o·q_{o+1}/Δ) = Δ·q_{o+1}
+		// rescales onto exactly Δ.
 		u := lw.rescale(lw.mulCt(t, t)) // (Δ²/q_o, o+1)
-		// Route the cubic through scale q_{o+2} so the final ct·ct product
-		// with t (at Δ) rescales back onto Δ exactly.
-		m3 := lw.mulPlainRescaleTo(u, pre+".c3", bc(cs[3]), qExpr(t.off+2))
-		w := lw.rescale(lw.mulCt(m3, lw.alignTo(t, t.off+2))) // (Δ, o+3)
+		v := lw.mulPlainRescaleTo(t, pre+".c3", bc(cs[3]), qExpr(t.off).mul(qExpr(t.off+1)).div(deltaExpr()))
+		w := lw.rescale(lw.mulCt(u, v)) // (Δ, o+2)
 		terms = append(terms, w)
 		if cs[2] != 0 {
 			terms = append(terms, lw.mulPlainRescaleTo(u, pre+".c2", bc(cs[2]), deltaExpr()))

@@ -14,7 +14,8 @@ import (
 
 // LogregModel is the encrypted logistic-regression inference step: a
 // 16-feature dot product with fused bias followed by a degree-3 sigmoid
-// approximation σ(t) ≈ 0.5 + 0.197t − 0.004t³. Depth 4.
+// approximation σ(t) ≈ 0.5 + 0.197t − 0.004t³. Depth 3: one for the dot
+// product, two for the cubic.
 func LogregModel() *tensor.Model {
 	m := tensor.NewModel("logreg16", 16)
 	h := m.MatVec(m.Input(), "w", 1, 16, tensor.Auto)
@@ -66,7 +67,7 @@ func tensorServeWorkload(m *tensor.Model, desc string, tol float64) ServeWorkloa
 func TensorServeWorkloads() []ServeWorkload {
 	return []ServeWorkload{
 		tensorServeWorkload(LogregModel(),
-			"logistic regression step: 16-feature matvec + bias + degree-3 sigmoid (depth 4)", 2e-3),
+			"logistic regression step: 16-feature matvec + bias + degree-3 sigmoid (depth 3)", 2e-3),
 		tensorServeWorkload(XformModel(),
 			"transformer linear block: 64x64 BSGS matmul + bias (depth 1)", 1e-3),
 	}
