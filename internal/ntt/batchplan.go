@@ -10,7 +10,7 @@ import (
 // Where the limb-at-a-time path re-derives its table, checks its gating
 // and forks per limb, a plan freezes the table sequence for a fixed basis
 // at construction time and dispatches the whole batch at once: one
-// fanout decision, cache-blocked per-limb kernels, twiddles in the
+// fanout decision, the radix-4 per-limb kernels, twiddles in the
 // interleaved layout so each butterfly pair costs one cache line.
 //
 // Plans are immutable after construction and safe for concurrent use.
@@ -62,12 +62,12 @@ func (pl *BatchPlan) Forward(limbs [][]uint64) {
 		// to For escapes and heap-allocates at its creation site).
 		tables := pl.tables
 		parallel.For(l, func(i int) {
-			tables[i].forwardB(limbs[i])
+			tables[i].Forward(limbs[i])
 		})
 		return
 	}
 	for i := 0; i < l; i++ {
-		pl.tables[i].forwardB(limbs[i])
+		pl.tables[i].Forward(limbs[i])
 	}
 }
 
@@ -81,11 +81,11 @@ func (pl *BatchPlan) Inverse(limbs [][]uint64) {
 	if parallel.Workers() > 1 && parallel.WorthFanout(l, pl.N, parallel.CostNTT) {
 		tables := pl.tables
 		parallel.For(l, func(i int) {
-			tables[i].inverseB(limbs[i])
+			tables[i].Inverse(limbs[i])
 		})
 		return
 	}
 	for i := 0; i < l; i++ {
-		pl.tables[i].inverseB(limbs[i])
+		pl.tables[i].Inverse(limbs[i])
 	}
 }

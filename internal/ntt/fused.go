@@ -11,20 +11,24 @@ import "cinnamon/internal/rns"
 // per fusion opportunity — pure memory traffic the GPU FHE literature
 // eliminates by kernel fusion, and which applies identically on CPU.
 //
-// The kernels here split the transform into a cache-blocked main body
-// (all stages but one) and interchangeable boundary stages:
+// The kernels here split the transform into one main body per direction
+// and interchangeable boundary stages:
 //
-//   - forwardMain runs Cooley-Tukey stages m = 1 .. N/4 with the
-//     interleaved twiddle layout, leaving last-stage inputs in [0, 4q);
-//   - fwdLast / fwdLastMul / fwdLastMulAccPair finish the transform with,
-//     respectively, a canonical store, a fused Barrett multiply against a
-//     second operand, or a fused multiply-accumulate into two 128-bit
-//     accumulators (the keyswitch digit absorb);
+//   - forwardMain runs Cooley-Tukey stages m = 1 .. N/4, leaving
+//     last-stage inputs in [0, 4q);
+//   - fwdLast / fwdLastMul / fwdLastMulAccPair / fwdLastSubMul finish the
+//     transform with, respectively, a canonical store, a fused Barrett
+//     multiply against a second operand, a fused multiply-accumulate into
+//     two 128-bit accumulators (the keyswitch digit absorb), or the fused
+//     mod-down combine;
 //   - inverseMain runs Gentleman-Sande stages m = N .. 4, optionally
 //     fusing a pointwise add into its first-stage reads (the canonical
 //     inputs sum to < 2q, which is exactly the stage invariant, so the
 //     fusion is free);
 //   - invLast finishes with the N⁻¹ folding and canonical correction.
+//
+// Forward and Inverse are forwardMain+fwdLast and inverseMain+invLast, so
+// every transform in the process runs one butterfly body per direction.
 //
 // The fused multiply needs no canonical correction at all: the lazy
 // butterfly outputs are < 4q and the Barrett kernel accepts any left
@@ -32,101 +36,109 @@ import "cinnamon/internal/rns"
 // guarantees for q < 2^62. The two conditional subtractions of the plain
 // last stage simply vanish.
 //
-// blockWords is the cache-block size of the main stages in coefficients:
-// once butterfly spans fit in a block, each block's remaining stages run
-// to completion while the data is L1-resident, instead of sweeping the
-// full limb once per stage. 4096 words = 32 KiB, sized to a common L1d.
-const blockWords = 4096
+// The main bodies are radix-4: each pass loads four quarter spans, runs
+// two radix-2 stages on them in registers and stores once, so a transform
+// sweeps the limb half as often. Every coefficient still meets the same
+// lazy butterflies in the same order as the stage-by-stage transform —
+// the butterflies of one stage are independent, so regrouping them
+// changes no value — and the output is bit-identical to it. The loops
+// live in small out-of-line functions over equal-length spans, so they
+// carry no bounds checks and no per-group setup; spans of width 2 (and the
+// inverse's width-1 first stage) run as whole-stage loops instead of one
+// call per group.
+
+// ct is the lazy Cooley-Tukey butterfly: inputs < 4q, outputs < 4q.
+func ct(x, y, w, ws, q, twoQ uint64) (uint64, uint64) {
+	u := rns.Reduce2Q(x, twoQ)
+	v := rns.MulModShoupLazy(y, w, ws, q)
+	return u + v, u + twoQ - v
+}
+
+// gs is the lazy Gentleman-Sande butterfly: inputs < 2q, outputs < 2q.
+func gs(x, y, w, ws, q, twoQ uint64) (uint64, uint64) {
+	return rns.AddModLazy(x, y, twoQ), rns.MulModShoupLazy(x+twoQ-y, w, ws, q)
+}
 
 // forwardMain runs all forward stages except the last (inputs canonical,
 // outputs < 4q). For N ≤ 2 there is nothing to do: the single stage is the
-// last stage.
+// last stage. Stage m has m butterfly groups N/(2m) apart, group i under
+// twiddle m+i. When the stage count (log N − 1) is odd the first stage runs
+// alone, skipping Reduce2Q on its canonical inputs; every other stage
+// pairs into a radix-4 pass (where the first stage's Reduce2Q is a no-op).
 func (t *Table) forwardMain(a []uint64) {
-	q, twoQ := t.Q, t.twoQ
 	n := t.N
 	if n <= 2 {
 		return
 	}
-	tw := t.twF
-	half := n >> 1
-	// Stage m=1: inputs are canonical (< q), so the conditional
-	// subtract-by-2q is provably a no-op and skipped.
-	w, ws := tw[2], tw[3]
-	{
-		x, y := a[:half:half], a[half:n:n]
+	q, twoQ, tw := t.Q, t.twoQ, t.twF
+	m, step := 1, n>>1
+	if t.logN&1 == 0 {
+		x, y := a[:step:step], a[step:n:n]
+		y = y[:len(x)]
+		w, ws := tw[2], tw[3]
 		for i := range x {
 			u := x[i]
 			v := rns.MulModShoupLazy(y[i], w, ws, q)
-			x[i] = u + v
-			y[i] = u + twoQ - v
+			x[i], y[i] = u+v, u+twoQ-v
 		}
+		m, step = 2, step>>1
 	}
-	// Phase 1: full-array passes while a butterfly span still exceeds the
-	// cache block.
-	step := half
-	m := 2
-	for ; m <= n>>2 && step > blockWords; m <<= 1 {
-		step >>= 1
+	// Pass (m, 2m): group i of stage m pairs quarters (x0,x2) and (x1,x3)
+	// under twiddle m+i; stage 2m pairs (x0,x1) under 2m+2i and (x2,x3)
+	// under 2m+2i+1.
+	for ; m <= n>>2; m, step = m<<2, step>>2 {
+		h := step >> 1
+		if h == 2 {
+			fwd4Span2(a[:8*m], tw[2*m:4*m], tw[4*m:8*m], q, twoQ)
+			continue
+		}
 		for i := 0; i < m; i++ {
-			j1 := 2 * i * step
-			w, ws := tw[2*(m+i)], tw[2*(m+i)+1]
-			x := a[j1 : j1+step : j1+step]
-			y := a[j1+step : j1+2*step : j1+2*step]
-			for k := range x {
-				u := rns.Reduce2Q(x[k], twoQ)
-				v := rns.MulModShoupLazy(y[k], w, ws, q)
-				x[k] = u + v
-				y[k] = u + twoQ - v
-			}
-		}
-	}
-	if m > n>>2 {
-		return
-	}
-	// Phase 2: the array now decomposes into mS contiguous blocks of
-	// L = N/mS ≤ blockWords coefficients; every remaining stage works
-	// within one block, so each block runs its stages back to back while
-	// L1-resident. Twiddle index of stage mm, block b, local butterfly ii
-	// is mm + b·(mm/mS) + ii.
-	mS := m
-	L := step
-	for b := 0; b < mS; b++ {
-		base := b * L
-		stepB := L >> 1
-		mPer := 1
-		for mm := mS; mm <= n>>2; mm <<= 1 {
-			for ii := 0; ii < mPer; ii++ {
-				i := b*mPer + ii
-				j1 := base + 2*ii*stepB
-				w, ws := tw[2*(mm+i)], tw[2*(mm+i)+1]
-				x := a[j1 : j1+stepB : j1+stepB]
-				y := a[j1+stepB : j1+2*stepB : j1+2*stepB]
-				for k := range x {
-					u := rns.Reduce2Q(x[k], twoQ)
-					v := rns.MulModShoupLazy(y[k], w, ws, q)
-					x[k] = u + v
-					y[k] = u + twoQ - v
-				}
-			}
-			stepB >>= 1
-			mPer <<= 1
+			b := a[4*i*h : 4*(i+1)*h]
+			w1, w2 := tw[2*(m+i):2*(m+i)+2], tw[4*(m+i):4*(m+i)+4]
+			fwd4(b[:h:h], b[h:2*h:2*h], b[2*h:3*h:3*h], b[3*h:], w1, w2, q, twoQ)
 		}
 	}
 }
 
+// fwd4 is one forward radix-4 group over four equal quarter spans: one
+// stage-m twiddle pair (w1) and two stage-2m pairs (w2).
+func fwd4(x0, x1, x2, x3, w1, w2 []uint64, q, twoQ uint64) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	w1, w2 = w1[:2:2], w2[:4:4]
+	for k := len(x0) - 1; k >= 0; k-- {
+		a0, a2 := ct(x0[k], x2[k], w1[0], w1[1], q, twoQ)
+		a1, a3 := ct(x1[k], x3[k], w1[0], w1[1], q, twoQ)
+		x0[k], x1[k] = ct(a0, a1, w2[0], w2[1], q, twoQ)
+		x2[k], x3[k] = ct(a2, a3, w2[2], w2[3], q, twoQ)
+	}
+}
+
+// fwd4Span2 is a whole forward radix-4 pass with quarter spans of width 2:
+// eight coefficients, one stage-m twiddle pair (t1) and two stage-2m pairs
+// (t2) per group.
+func fwd4Span2(a, t1, t2 []uint64, q, twoQ uint64) {
+	for len(a) >= 8 && len(t1) >= 2 && len(t2) >= 4 {
+		x, w1, w2 := a[:8:8], t1[:2:2], t2[:4:4]
+		for k := 0; k < 2; k++ {
+			a0, a2 := ct(x[k], x[k+4], w1[0], w1[1], q, twoQ)
+			a1, a3 := ct(x[k+2], x[k+6], w1[0], w1[1], q, twoQ)
+			x[k], x[k+2] = ct(a0, a1, w2[0], w2[1], q, twoQ)
+			x[k+4], x[k+6] = ct(a2, a3, w2[2], w2[3], q, twoQ)
+		}
+		a, t1, t2 = a[8:], t1[2:], t2[4:]
+	}
+}
+
 // fwdLast finishes a forward transform with canonical (< q) outputs;
-// forwardMain + fwdLast is bit-identical to Forward.
+// Forward is forwardMain + fwdLast.
 func (t *Table) fwdLast(a []uint64) {
 	q, twoQ := t.Q, t.twoQ
-	m := t.N >> 1
-	tw := t.twF
-	for i := 0; i < m; i++ {
-		j := 2 * i
-		w, ws := tw[2*(m+i)], tw[2*(m+i)+1]
-		u := rns.Reduce2Q(a[j], twoQ)
-		v := rns.MulModShoupLazy(a[j+1], w, ws, q)
-		a[j] = rns.ReduceOnce(rns.Reduce2Q(u+v, twoQ), q)
-		a[j+1] = rns.ReduceOnce(rns.Reduce2Q(u+twoQ-v, twoQ), q)
+	x := a[:t.N]
+	w := t.twF[t.N:][:len(x)]
+	for j := 0; j < len(x)-1; j += 2 {
+		u, v := ct(x[j], x[j+1], w[j], w[j+1], q, twoQ)
+		x[j] = rns.ReduceOnce(rns.Reduce2Q(u, twoQ), q)
+		x[j+1] = rns.ReduceOnce(rns.Reduce2Q(v, twoQ), q)
 	}
 }
 
@@ -136,16 +148,13 @@ func (t *Table) fwdLast(a []uint64) {
 // no intermediate store of the transform result.
 func (t *Table) fwdLastMul(a, b, out []uint64) {
 	q, twoQ := t.Q, t.twoQ
-	m := t.N >> 1
-	tw := t.twF
 	bar := t.bar
-	for i := 0; i < m; i++ {
-		j := 2 * i
-		w, ws := tw[2*(m+i)], tw[2*(m+i)+1]
-		u := rns.Reduce2Q(a[j], twoQ)
-		v := rns.MulModShoupLazy(a[j+1], w, ws, q)
-		out[j] = bar.MulMod(u+v, b[j])
-		out[j+1] = bar.MulMod(u+twoQ-v, b[j+1])
+	x := a[:t.N]
+	w, b, out := t.twF[t.N:][:len(x)], b[:len(x)], out[:len(x)]
+	for j := 0; j < len(x)-1; j += 2 {
+		u, v := ct(x[j], x[j+1], w[j], w[j+1], q, twoQ)
+		out[j] = bar.MulMod(u, b[j])
+		out[j+1] = bar.MulMod(v, b[j+1])
 	}
 }
 
@@ -159,15 +168,11 @@ func (t *Table) fwdLastMul(a, b, out []uint64) {
 // caller must budget each product at LazyMulAccWeight canonical units.
 func (t *Table) fwdLastMulAccPair(a, b0, b1, h0, l0, h1, l1 []uint64) {
 	q, twoQ := t.Q, t.twoQ
-	m := t.N >> 1
-	tw := t.twF
-	for i := 0; i < m; i++ {
-		j := 2 * i
-		w, ws := tw[2*(m+i)], tw[2*(m+i)+1]
-		u := rns.Reduce2Q(a[j], twoQ)
-		v := rns.MulModShoupLazy(a[j+1], w, ws, q)
-		x0 := u + v
-		x1 := u + twoQ - v
+	x := a[:t.N]
+	w, b0, b1 := t.twF[t.N:][:len(x)], b0[:len(x)], b1[:len(x)]
+	h0, l0, h1, l1 = h0[:len(x)], l0[:len(x)], h1[:len(x)], l1[:len(x)]
+	for j := 0; j < len(x)-1; j += 2 {
+		x0, x1 := ct(x[j], x[j+1], w[j], w[j+1], q, twoQ)
 		h0[j], l0[j] = rns.MulAccLazy(h0[j], l0[j], x0, b0[j])
 		h1[j], l1[j] = rns.MulAccLazy(h1[j], l1[j], x0, b1[j])
 		h0[j+1], l0[j+1] = rns.MulAccLazy(h0[j+1], l0[j+1], x1, b0[j+1])
@@ -185,15 +190,12 @@ func (t *Table) fwdLastMulAccPair(a, b0, b1, h0, l0, h1, l1 []uint64) {
 func (t *Table) fwdLastSubMul(a, src, out []uint64, w, ws uint64) {
 	q, twoQ := t.Q, t.twoQ
 	fourQ := twoQ << 1
-	m := t.N >> 1
-	tw := t.twF
-	for i := 0; i < m; i++ {
-		j := 2 * i
-		tww, tws := tw[2*(m+i)], tw[2*(m+i)+1]
-		u := rns.Reduce2Q(a[j], twoQ)
-		v := rns.MulModShoupLazy(a[j+1], tww, tws, q)
-		out[j] = rns.MulModShoup(src[j]+fourQ-(u+v), w, ws, q)
-		out[j+1] = rns.MulModShoup(src[j+1]+fourQ-(u+twoQ-v), w, ws, q)
+	x := a[:t.N]
+	tw, src, out := t.twF[t.N:][:len(x)], src[:len(x)], out[:len(x)]
+	for j := 0; j < len(x)-1; j += 2 {
+		u, v := ct(x[j], x[j+1], tw[j], tw[j+1], q, twoQ)
+		out[j] = rns.MulModShoup(src[j]+fourQ-u, w, ws, q)
+		out[j+1] = rns.MulModShoup(src[j+1]+fourQ-v, w, ws, q)
 	}
 }
 
@@ -211,90 +213,93 @@ func (t *Table) ForwardSubMul(a, src, out []uint64, w, ws uint64) {
 // be < 2q; when add is non-nil, the first stage reads a[k]+add[k] instead
 // of a[k] — with both canonical the sum is < 2q, exactly the stage's input
 // invariant, so the preceding pointwise add costs nothing. Outputs are
-// < 2q. The stages are cache-blocked: each block of ≤ blockWords
-// coefficients runs its small-span stages to completion first.
+// < 2q.
 func (t *Table) inverseMain(a, add []uint64) {
-	t.inverseMainFrom(a, add, nil)
+	t.inverseMainFrom(a, add, a)
 }
 
 // inverseMainFrom is inverseMain with the first stage optionally reading
 // from src instead of a (writes still go to a): the input copy that
 // otherwise precedes an out-of-place inverse transform folds into the
-// first-stage loads for free. add and src compose; src == nil reads a.
+// first-stage loads for free. add and src compose; src == a reads a.
+// Requires N ≥ 4.
+//
+// Stage m has m/2 butterfly groups, group i under twiddle m/2+i. The
+// span-1 first stage (m = N) runs alone with its fused reads; radix-4
+// passes follow, and when the remaining stage count is odd the widest
+// stage (m = 4) runs alone at the end.
 func (t *Table) inverseMainFrom(a, add, src []uint64) {
-	q, twoQ := t.Q, t.twoQ
+	q, twoQ, tw := t.Q, t.twoQ, t.twI
 	n := t.N
-	tw := t.twI
-	L := blockWords
-	if L > n {
-		L = n
-	}
-	nB := n / L
-	for b := 0; b < nB; b++ {
-		base := b * L
-		step := 1
-		first := add != nil || src != nil
-		for m := n; m >= 2*nB && m > 2; m >>= 1 {
-			h := m >> 1
-			gPer := L * m / (2 * n)
-			j1 := base
-			for ii := 0; ii < gPer; ii++ {
-				i := b*gPer + ii
-				w, ws := tw[2*(h+i)], tw[2*(h+i)+1]
-				x := a[j1 : j1+step : j1+step]
-				y := a[j1+step : j1+2*step : j1+2*step]
-				if first {
-					rx, ry := x, y
-					if src != nil {
-						rx = src[j1 : j1+step : j1+step]
-						ry = src[j1+step : j1+2*step : j1+2*step]
-					}
-					if add != nil {
-						bx := add[j1 : j1+step : j1+step]
-						by := add[j1+step : j1+2*step : j1+2*step]
-						for k := range x {
-							u := rx[k] + bx[k]
-							v := ry[k] + by[k]
-							x[k] = rns.AddModLazy(u, v, twoQ)
-							y[k] = rns.MulModShoupLazy(u+twoQ-v, w, ws, q)
-						}
-					} else {
-						for k := range x {
-							u, v := rx[k], ry[k]
-							x[k] = rns.AddModLazy(u, v, twoQ)
-							y[k] = rns.MulModShoupLazy(u+twoQ-v, w, ws, q)
-						}
-					}
-				} else {
-					for k := range x {
-						u, v := x[k], y[k]
-						x[k] = rns.AddModLazy(u, v, twoQ)
-						y[k] = rns.MulModShoupLazy(u+twoQ-v, w, ws, q)
-					}
-				}
-				j1 += 2 * step
-			}
-			first = false
-			step <<= 1
+	x := a[:n:n]
+	r, w := src[:len(x)], tw[n:][:len(x)]
+	if add != nil {
+		b := add[:len(x)]
+		for j := 0; j < len(x)-1; j += 2 {
+			x[j], x[j+1] = gs(r[j]+b[j], r[j+1]+b[j+1], w[j], w[j+1], q, twoQ)
+		}
+	} else {
+		for j := 0; j < len(x)-1; j += 2 {
+			x[j], x[j+1] = gs(r[j], r[j+1], w[j], w[j+1], q, twoQ)
 		}
 	}
-	// Full-array stages: spans larger than one block.
-	step := L
-	for m := nB; m > 2; m >>= 1 {
-		h := m >> 1
-		j1 := 0
+	// Pass (m, m/2), m/2 = 2h: stage m pairs quarters (x0,x1) under twiddle
+	// 2h+2i and (x2,x3) under 2h+2i+1; stage m/2 pairs (x0,x2) and (x1,x3)
+	// under h+i.
+	m, step := n>>1, 2
+	for ; m >= 8; m, step = m>>2, step<<2 {
+		h := m >> 2
+		if step == 2 {
+			inv4Span2(a, tw[4*h:8*h], tw[2*h:4*h], q, twoQ)
+			continue
+		}
 		for i := 0; i < h; i++ {
-			w, ws := tw[2*(h+i)], tw[2*(h+i)+1]
-			x := a[j1 : j1+step : j1+step]
-			y := a[j1+step : j1+2*step : j1+2*step]
-			for k := range x {
-				u, v := x[k], y[k]
-				x[k] = rns.AddModLazy(u, v, twoQ)
-				y[k] = rns.MulModShoupLazy(u+twoQ-v, w, ws, q)
-			}
-			j1 += 2 * step
+			b := a[4*i*step : 4*(i+1)*step]
+			wa, wb := tw[4*(h+i):4*(h+i)+4], tw[2*(h+i):2*(h+i)+2]
+			inv4(b[:step:step], b[step:2*step:2*step], b[2*step:3*step:3*step], b[3*step:], wa, wb, q, twoQ)
 		}
-		step <<= 1
+	}
+	if m == 4 {
+		w := tw[4:8:8]
+		inv2(a[:step:step], a[step:2*step:2*step], w[0], w[1], q, twoQ)
+		inv2(a[2*step:3*step:3*step], a[3*step:4*step], w[2], w[3], q, twoQ)
+	}
+}
+
+// inv4 is one inverse radix-4 group over four equal quarter spans: two
+// stage-m twiddle pairs (wa) and one stage-m/2 pair (wb).
+func inv4(x0, x1, x2, x3, wa, wb []uint64, q, twoQ uint64) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	wa, wb = wa[:4:4], wb[:2:2]
+	for k := len(x0) - 1; k >= 0; k-- {
+		a0, a1 := gs(x0[k], x1[k], wa[0], wa[1], q, twoQ)
+		a2, a3 := gs(x2[k], x3[k], wa[2], wa[3], q, twoQ)
+		x0[k], x2[k] = gs(a0, a2, wb[0], wb[1], q, twoQ)
+		x1[k], x3[k] = gs(a1, a3, wb[0], wb[1], q, twoQ)
+	}
+}
+
+// inv4Span2 is a whole inverse radix-4 pass with quarter spans of width 2:
+// eight coefficients, two stage-m twiddle pairs (ta) and one stage-m/2
+// pair (tb) per group.
+func inv4Span2(a, ta, tb []uint64, q, twoQ uint64) {
+	for len(a) >= 8 && len(ta) >= 4 && len(tb) >= 2 {
+		x, wa, wb := a[:8:8], ta[:4:4], tb[:2:2]
+		for k := 0; k < 2; k++ {
+			a0, a1 := gs(x[k], x[k+2], wa[0], wa[1], q, twoQ)
+			a2, a3 := gs(x[k+4], x[k+6], wa[2], wa[3], q, twoQ)
+			x[k], x[k+4] = gs(a0, a2, wb[0], wb[1], q, twoQ)
+			x[k+2], x[k+6] = gs(a1, a3, wb[0], wb[1], q, twoQ)
+		}
+		a, ta, tb = a[8:], ta[4:], tb[2:]
+	}
+}
+
+// inv2 is one inverse radix-2 group over two equal spans.
+func inv2(x, y []uint64, w, ws, q, twoQ uint64) {
+	y = y[:len(x)]
+	for k := range x {
+		x[k], y[k] = gs(x[k], y[k], w, ws, q, twoQ)
 	}
 }
 
@@ -308,6 +313,7 @@ func (t *Table) invLastScaled(a []uint64, wx, wxs, wy, wys uint64) {
 	q, twoQ := t.Q, t.twoQ
 	half := t.N >> 1
 	x, y := a[:half:half], a[half:t.N:t.N]
+	y = y[:len(x)]
 	for k := range x {
 		u, v := x[k], y[k]
 		x[k] = rns.ReduceOnce(rns.MulModShoupLazy(u+v, wx, wxs, q), q)
@@ -349,6 +355,7 @@ func (t *Table) invLast(a []uint64) {
 	ni, nis := t.nInv, t.nInvShoup
 	w, ws := t.wLast, t.wLastShoup
 	x, y := a[:half:half], a[half:t.N:t.N]
+	y = y[:len(x)]
 	for k := range x {
 		u, v := x[k], y[k]
 		x[k] = rns.ReduceOnce(rns.MulModShoupLazy(u+v, ni, nis, q), q)
@@ -407,21 +414,5 @@ func (t *Table) AddInverse(a, b []uint64) {
 		return
 	}
 	t.inverseMain(a, b)
-	t.invLast(a)
-}
-
-// forwardB is the batched-plan forward transform: blocked main stages plus
-// the canonical last stage. Bit-identical to Forward.
-func (t *Table) forwardB(a []uint64) {
-	t.forwardMain(a)
-	t.fwdLast(a)
-}
-
-// inverseB is the batched-plan inverse transform. Bit-identical to
-// Inverse.
-func (t *Table) inverseB(a []uint64) {
-	if t.N >= 4 {
-		t.inverseMain(a, nil)
-	}
 	t.invLast(a)
 }

@@ -19,7 +19,7 @@ func strictForward(t *Table, a []uint64) {
 		step >>= 1
 		for i := 0; i < m; i++ {
 			j1 := 2 * i * step
-			w, ws := t.psiFwd[m+i], t.psiFwdShoup[m+i]
+			w, ws := t.twF[2*(m+i)], t.twF[2*(m+i)+1]
 			for j := j1; j < j1+step; j++ {
 				u := a[j]
 				v := rns.MulModShoup(a[j+step], w, ws, q)
@@ -40,7 +40,7 @@ func strictInverse(t *Table, a []uint64) {
 		h := m >> 1
 		j1 := 0
 		for i := 0; i < h; i++ {
-			w, ws := t.psiInv[h+i], t.psiInvShoup[h+i]
+			w, ws := t.twI[2*(h+i)], t.twI[2*(h+i)+1]
 			for j := j1; j < j1+step; j++ {
 				u, v := a[j], a[j+step]
 				a[j] = rns.AddMod(u, v, q)
@@ -152,7 +152,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 	for _, logN := range []int{2, 4, 6} {
 		tb := newTestTable(t, logN)
 		n, q := tb.N, tb.Q
-		psi := tb.psiFwd[reverseBits(1, tb.logN)]
+		psi := tb.twF[2*reverseBits(1, tb.logN)]
 		rng := rand.New(rand.NewSource(int64(logN)))
 		a := make([]uint64, n)
 		for i := range a {

@@ -29,21 +29,18 @@ type Table struct {
 	logN int
 	twoQ uint64
 
-	psiFwd      []uint64 // ψ^brv(i): powers of the 2N-th root in bit-reversed order
-	psiFwdShoup []uint64
-	psiInv      []uint64 // ψ^{-brv(i)}
-	psiInvShoup []uint64
-	nInv        uint64 // N^{-1}, folded into the inverse last stage
-	nInvShoup   uint64
-	wLast       uint64 // ψ^{-brv(1)}·N^{-1}: last-stage inverse twiddle with N⁻¹ folded in
-	wLastShoup  uint64
-
-	// Interleaved twiddle layout for the fused/batched kernels: twF[2i] =
-	// psiFwd[i], twF[2i+1] = psiFwdShoup[i] (same for twI with the inverse
-	// tables). A butterfly then touches one cache line per twiddle pair
-	// instead of two parallel streams.
+	// Twiddles in the interleaved layout the kernels read: twF[2i] =
+	// ψ^brv(i) (powers of the 2N-th root in bit-reversed order) and
+	// twF[2i+1] its Shoup companion; twI likewise holds ψ^{-brv(i)}. A
+	// butterfly touches one cache line per twiddle pair instead of two
+	// parallel streams.
 	twF []uint64
 	twI []uint64
+
+	nInv       uint64 // N^{-1}, folded into the inverse last stage
+	nInvShoup  uint64
+	wLast      uint64 // ψ^{-brv(1)}·N^{-1}: last-stage inverse twiddle with N⁻¹ folded in
+	wLastShoup uint64
 
 	// bar caches the Barrett constants of Q for the fused last-stage
 	// multiply (ForwardMul), whose left operand is a lazy (< 4q) butterfly
@@ -69,38 +66,26 @@ func NewTable(n int, q uint64) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		N:           n,
-		Q:           q,
-		logN:        bits.Len(uint(n)) - 1,
-		twoQ:        2 * q,
-		psiFwd:      make([]uint64, n),
-		psiFwdShoup: make([]uint64, n),
-		psiInv:      make([]uint64, n),
-		psiInvShoup: make([]uint64, n),
+		N:    n,
+		Q:    q,
+		logN: bits.Len(uint(n)) - 1,
+		twoQ: 2 * q,
+		twF:  make([]uint64, 2*n),
+		twI:  make([]uint64, 2*n),
 	}
 	psiInv := rns.InvMod(psi, q)
 	fwd, inv := uint64(1), uint64(1)
 	for i := 0; i < n; i++ {
 		r := reverseBits(uint64(i), t.logN)
-		t.psiFwd[r] = fwd
-		t.psiInv[r] = inv
+		t.twF[2*r], t.twF[2*r+1] = fwd, rns.ShoupPrecomp(fwd, q)
+		t.twI[2*r], t.twI[2*r+1] = inv, rns.ShoupPrecomp(inv, q)
 		fwd = rns.MulMod(fwd, psi, q)
 		inv = rns.MulMod(inv, psiInv, q)
 	}
-	for i := 0; i < n; i++ {
-		t.psiFwdShoup[i] = rns.ShoupPrecomp(t.psiFwd[i], q)
-		t.psiInvShoup[i] = rns.ShoupPrecomp(t.psiInv[i], q)
-	}
 	t.nInv = rns.InvMod(uint64(n)%q, q)
 	t.nInvShoup = rns.ShoupPrecomp(t.nInv, q)
-	t.wLast = rns.MulMod(t.psiInv[1], t.nInv, q)
+	t.wLast = rns.MulMod(t.twI[2], t.nInv, q)
 	t.wLastShoup = rns.ShoupPrecomp(t.wLast, q)
-	t.twF = make([]uint64, 2*n)
-	t.twI = make([]uint64, 2*n)
-	for i := 0; i < n; i++ {
-		t.twF[2*i], t.twF[2*i+1] = t.psiFwd[i], t.psiFwdShoup[i]
-		t.twI[2*i], t.twI[2*i+1] = t.psiInv[i], t.psiInvShoup[i]
-	}
 	t.bar = rns.NewBarrettParams(q)
 	return t, nil
 }
@@ -122,50 +107,8 @@ func (t *Table) Forward(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: Forward on slice of length %d, table dimension %d", len(a), t.N))
 	}
-	q, twoQ := t.Q, t.twoQ
-	n := t.N
-	if n > 2 {
-		// First stage (m=1): one twiddle, inputs are canonical (< q), so
-		// the conditional subtract-by-2q is provably a no-op and skipped.
-		half := n >> 1
-		w, ws := t.psiFwd[1], t.psiFwdShoup[1]
-		x, y := a[:half:half], a[half:n:n]
-		for i := range x {
-			u := x[i]
-			v := rns.MulModShoupLazy(y[i], w, ws, q)
-			x[i] = u + v
-			y[i] = u + twoQ - v
-		}
-		// Middle stages (m = 2 .. N/4): full lazy butterflies over
-		// re-sliced sub-slices, keeping the inner loops bounds-check free.
-		step := half
-		for m := 2; m <= n>>2; m <<= 1 {
-			step >>= 1
-			for i := 0; i < m; i++ {
-				j1 := 2 * i * step
-				w, ws := t.psiFwd[m+i], t.psiFwdShoup[m+i]
-				x := a[j1 : j1+step : j1+step]
-				y := a[j1+step : j1+2*step : j1+2*step]
-				for k := range x {
-					u := rns.Reduce2Q(x[k], twoQ)
-					v := rns.MulModShoupLazy(y[k], w, ws, q)
-					x[k] = u + v
-					y[k] = u + twoQ - v
-				}
-			}
-		}
-	}
-	// Last stage (m = N/2, step = 1) with the correction to [0, q) folded
-	// into the butterfly, so no separate pass reruns over the array.
-	m := n >> 1
-	for i := 0; i < m; i++ {
-		j := 2 * i
-		w, ws := t.psiFwd[m+i], t.psiFwdShoup[m+i]
-		u := rns.Reduce2Q(a[j], twoQ)
-		v := rns.MulModShoupLazy(a[j+1], w, ws, q)
-		a[j] = rns.ReduceOnce(rns.Reduce2Q(u+v, twoQ), q)
-		a[j+1] = rns.ReduceOnce(rns.Reduce2Q(u+twoQ-v, twoQ), q)
-	}
+	t.forwardMain(a)
+	t.fwdLast(a)
 }
 
 // Inverse transforms a from the evaluation domain back to the coefficient
@@ -182,37 +125,10 @@ func (t *Table) Inverse(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: Inverse on slice of length %d, table dimension %d", len(a), t.N))
 	}
-	q, twoQ := t.Q, t.twoQ
-	n := t.N
-	step := 1
-	for m := n; m > 2; m >>= 1 {
-		h := m >> 1
-		j1 := 0
-		for i := 0; i < h; i++ {
-			w, ws := t.psiInv[h+i], t.psiInvShoup[h+i]
-			x := a[j1 : j1+step : j1+step]
-			y := a[j1+step : j1+2*step : j1+2*step]
-			for k := range x {
-				u, v := x[k], y[k]
-				x[k] = rns.AddModLazy(u, v, twoQ)
-				y[k] = rns.MulModShoupLazy(u+twoQ-v, w, ws, q)
-			}
-			j1 += 2 * step
-		}
-		step <<= 1
+	if t.N >= 4 {
+		t.inverseMain(a, nil)
 	}
-	// Last stage (m=2, step=N/2): both outputs pick up N⁻¹ — the sum via a
-	// lazy multiply by N⁻¹, the difference via the precomputed ψ^{-brv(1)}·N⁻¹
-	// twiddle — and one conditional subtraction returns them to [0, q).
-	half := n >> 1
-	ni, nis := t.nInv, t.nInvShoup
-	w, ws := t.wLast, t.wLastShoup
-	x, y := a[:half:half], a[half:n:n]
-	for k := range x {
-		u, v := x[k], y[k]
-		x[k] = rns.ReduceOnce(rns.MulModShoupLazy(u+v, ni, nis, q), q)
-		y[k] = rns.ReduceOnce(rns.MulModShoupLazy(u+twoQ-v, w, ws, q), q)
-	}
+	t.invLast(a)
 }
 
 // TableSet caches one Table per modulus for a fixed ring dimension.

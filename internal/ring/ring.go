@@ -328,32 +328,35 @@ func (r *Ring) MulScalarBigRNS(a *Poly, sRes []uint64, out *Poly) error {
 	return nil
 }
 
-// tablesFor resolves the NTT table of every limb of p. When p's basis is
-// universe-aligned (limb j holds universe modulus j — true for every chain
-// prefix and the full Q∪P basis) the cached universe slice is returned
-// directly: no map lookups and no per-call allocation on the hot path.
-// Misaligned bases (chip bases, foreign moduli) fall back to the map.
-func (r *Ring) tablesFor(p *Poly) ([]*ntt.Table, error) {
+// transformLimbs runs the forward (or inverse) transform on every limb of
+// a basis that is not a universe prefix (chip bases, the P basis alone,
+// foreign moduli), resolving each limb's table as it goes. A modulus with
+// no table fails before any limb changes. The closure lives only on the
+// fan-out branch, so the serial path allocates nothing.
+func (r *Ring) transformLimbs(p *Poly, inverse bool) error {
+	for _, q := range p.Basis.Moduli {
+		if r.TableOf(q) == nil {
+			return fmt.Errorf("ring: no NTT table for modulus %d", q)
+		}
+	}
 	l := p.Basis.Len()
-	aligned := l <= len(r.univTables)
-	for j := 0; aligned && j < l; j++ {
-		aligned = p.Basis.Moduli[j] == r.Universe.Moduli[j]
+	if parallel.Workers() > 1 && parallel.WorthFanout(l, r.N, parallel.CostNTT) {
+		parallel.For(l, func(j int) { r.transformLimb(p, j, inverse) })
+		return nil
 	}
-	if aligned {
-		for j := 0; j < l; j++ {
-			if r.univTables[j] == nil {
-				return nil, fmt.Errorf("ring: no NTT table for modulus %d", p.Basis.Moduli[j])
-			}
-		}
-		return r.univTables[:l], nil
+	for j := 0; j < l; j++ {
+		r.transformLimb(p, j, inverse)
 	}
-	tables := make([]*ntt.Table, l)
-	for j, q := range p.Basis.Moduli {
-		if tables[j] = r.TableOf(q); tables[j] == nil {
-			return nil, fmt.Errorf("ring: no NTT table for modulus %d", q)
-		}
+	return nil
+}
+
+func (r *Ring) transformLimb(p *Poly, j int, inverse bool) {
+	tb := r.TableOf(p.Basis.Moduli[j])
+	if inverse {
+		tb.Inverse(p.Limbs[j])
+	} else {
+		tb.Forward(p.Limbs[j])
 	}
-	return tables, nil
 }
 
 // NTT transforms p to the evaluation domain in place (no-op if already
@@ -367,13 +370,9 @@ func (r *Ring) NTT(p *Poly) error {
 		p.IsNTT = true
 		return nil
 	}
-	tables, err := r.tablesFor(p)
-	if err != nil {
+	if err := r.transformLimbs(p, false); err != nil {
 		return err
 	}
-	r.limbFor(len(tables), parallel.CostNTT, func(j int) {
-		tables[j].Forward(p.Limbs[j])
-	})
 	p.IsNTT = true
 	return nil
 }
@@ -389,13 +388,9 @@ func (r *Ring) INTT(p *Poly) error {
 		p.IsNTT = false
 		return nil
 	}
-	tables, err := r.tablesFor(p)
-	if err != nil {
+	if err := r.transformLimbs(p, true); err != nil {
 		return err
 	}
-	r.limbFor(len(tables), parallel.CostNTT, func(j int) {
-		tables[j].Inverse(p.Limbs[j])
-	})
 	p.IsNTT = false
 	return nil
 }

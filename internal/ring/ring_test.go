@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -453,5 +454,86 @@ func TestMulScalar(t *testing.T) {
 	}
 	if err := r.MulScalarBigRNS(a, res[:1], out2); err == nil {
 		t.Fatal("expected residue-count error")
+	}
+}
+
+// misalignedBases are bases that are not universe prefixes, so NTT/INTT
+// take the per-limb table path instead of the universe batch plan: the P
+// basis alone (a worker's digit extension) and a chip's owned limbs.
+func misalignedBases(qb, pb rns.Basis) map[string]rns.Basis {
+	q := qb.Moduli
+	return map[string]rns.Basis{
+		"P basis":    pb,
+		"chip limbs": rns.MustBasis([]uint64{q[1], q[2], pb.Moduli[0]}),
+	}
+}
+
+// TestMisalignedNTTMatchesTables pins the per-limb path to each modulus's
+// own table, both directions.
+func TestMisalignedNTTMatchesTables(t *testing.T) {
+	r, qb, pb := newTestRing(t, 6, 3, 2)
+	for name, b := range misalignedBases(qb, pb) {
+		p := randPoly(r, b, 43)
+		want := p.Copy()
+		if err := r.NTT(p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for j, q := range b.Moduli {
+			r.TableOf(q).Forward(want.Limbs[j])
+		}
+		want.IsNTT = true
+		if !p.Equal(want) {
+			t.Fatalf("%s: NTT differs from the per-modulus tables", name)
+		}
+		if err := r.INTT(p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for j, q := range b.Moduli {
+			r.TableOf(q).Inverse(want.Limbs[j])
+		}
+		want.IsNTT = false
+		if !p.Equal(want) {
+			t.Fatalf("%s: INTT differs from the per-modulus tables", name)
+		}
+	}
+}
+
+// TestNTTForeignModulusTouchesNoLimb: a basis with one modulus the ring has
+// no table for fails before any limb is transformed.
+func TestNTTForeignModulusTouchesNoLimb(t *testing.T) {
+	r, qb, pb := newTestRing(t, 4, 3, 2)
+	foreign, err := rns.GenerateNTTPrimes(40, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := randPoly(r, rns.MustBasis([]uint64{qb.Moduli[1], pb.Moduli[0]}), 47)
+	p.Basis = rns.MustBasis([]uint64{qb.Moduli[1], foreign[0]})
+	before := p.Copy()
+	if err := r.NTT(p); err == nil {
+		t.Fatal("NTT over a foreign modulus succeeded")
+	}
+	if !p.Equal(before) {
+		t.Fatal("failed NTT modified the polynomial")
+	}
+}
+
+// TestMisalignedNTTZeroAlloc: a warm NTT/INTT over a basis that is not a
+// universe prefix allocates nothing on the serial path.
+func TestMisalignedNTTZeroAlloc(t *testing.T) {
+	r, qb, pb := newTestRing(t, 10, 3, 2)
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	for name, b := range misalignedBases(qb, pb) {
+		p := randPoly(r, b, 53)
+		if avg := testing.AllocsPerRun(20, func() {
+			if err := r.NTT(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.INTT(p); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("%s: warm NTT+INTT allocated %.1f times per run, want 0", name, avg)
+		}
 	}
 }
