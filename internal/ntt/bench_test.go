@@ -8,18 +8,18 @@ import (
 	"cinnamon/internal/rns"
 )
 
-// Core micro-benchmarks for the fused transform entry points the
+// Core micro-benchmarks for the transforms and the fused entry points the
 // keyswitch runs per digit and per limb (ForwardMulAccPair absorbs a
 // digit, ForwardSubMul is the mod-down combine, InverseScaledFrom the
-// digit decompose), at the deep-session (7), mid (10) and serving (12)
-// ring sizes:
+// digit decompose), at the deep-session (7), mid (10), serving (12) and
+// largest (14) ring sizes, once per kernel set:
 //
 //	go test ./internal/ntt -run xxx -bench BenchmarkCore
 //
 // Each iteration restores the consumed input from a canonical copy, so
 // every call transforms a valid coefficient-domain limb.
 
-var benchCoreLogN = []int{7, 10, 12}
+var benchCoreLogN = []int{7, 10, 12, 14}
 
 func benchTable(b *testing.B, logN int) (*Table, []uint64, []uint64, []uint64) {
 	b.Helper()
@@ -36,48 +36,88 @@ func benchTable(b *testing.B, logN int) (*Table, []uint64, []uint64, []uint64) {
 	return tb, randPoly(rng, n, tb.Q), randPoly(rng, n, tb.Q), randPoly(rng, n, tb.Q)
 }
 
-func BenchmarkCoreForwardMulAccPair(b *testing.B) {
+// benchCore runs f as one sub-benchmark per ring size and kernel set
+// ("go", "avx512"); the avx512 rows skip on a CPU without AVX-512 F/DQ.
+func benchCore(b *testing.B, f func(b *testing.B, logN int)) {
+	host := useAVX512
+	defer func() { useAVX512 = host }()
 	for _, logN := range benchCoreLogN {
-		b.Run(fmt.Sprintf("logN=%d", logN), func(b *testing.B) {
-			tb, src, b0, b1 := benchTable(b, logN)
-			a := make([]uint64, tb.N)
-			h0, l0 := make([]uint64, tb.N), make([]uint64, tb.N)
-			h1, l1 := make([]uint64, tb.N), make([]uint64, tb.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(a, src)
-				tb.ForwardMulAccPair(a, b0, b1, h0, l0, h1, l1)
+		for _, vec := range []bool{false, true} {
+			name := fmt.Sprintf("logN=%d/go", logN)
+			if vec {
+				name = fmt.Sprintf("logN=%d/avx512", logN)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				if vec && !hasAVX512 {
+					b.Skip("this CPU (or its OS) offers no AVX-512 F/DQ")
+				}
+				useAVX512 = vec
+				f(b, logN)
+			})
+		}
 	}
+}
+
+func BenchmarkCoreForward(b *testing.B) {
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, src, _, _ := benchTable(b, logN)
+		a := make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(a, src)
+			tb.Forward(a)
+		}
+	})
+}
+
+func BenchmarkCoreInverse(b *testing.B) {
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, src, _, _ := benchTable(b, logN)
+		a := make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(a, src)
+			tb.Inverse(a)
+		}
+	})
+}
+
+func BenchmarkCoreForwardMulAccPair(b *testing.B) {
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, src, b0, b1 := benchTable(b, logN)
+		a := make([]uint64, tb.N)
+		h0, l0 := make([]uint64, tb.N), make([]uint64, tb.N)
+		h1, l1 := make([]uint64, tb.N), make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(a, src)
+			tb.ForwardMulAccPair(a, b0, b1, h0, l0, h1, l1)
+		}
+	})
 }
 
 func BenchmarkCoreForwardSubMul(b *testing.B) {
-	for _, logN := range benchCoreLogN {
-		b.Run(fmt.Sprintf("logN=%d", logN), func(b *testing.B) {
-			tb, src, nttSrc, _ := benchTable(b, logN)
-			w := tb.Q / 3
-			ws := rns.ShoupPrecomp(w, tb.Q)
-			a, out := make([]uint64, tb.N), make([]uint64, tb.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(a, src)
-				tb.ForwardSubMul(a, nttSrc, out, w, ws)
-			}
-		})
-	}
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, src, nttSrc, _ := benchTable(b, logN)
+		w := tb.Q / 3
+		ws := rns.ShoupPrecomp(w, tb.Q)
+		a, out := make([]uint64, tb.N), make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(a, src)
+			tb.ForwardSubMul(a, nttSrc, out, w, ws)
+		}
+	})
 }
 
 func BenchmarkCoreInverseScaledFrom(b *testing.B) {
-	for _, logN := range benchCoreLogN {
-		b.Run(fmt.Sprintf("logN=%d", logN), func(b *testing.B) {
-			tb, src, _, _ := benchTable(b, logN)
-			wx, wxs, wy, wys := tb.ScaledLastPair(tb.Q / 3)
-			dst := make([]uint64, tb.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tb.InverseScaledFrom(src, dst, wx, wxs, wy, wys)
-			}
-		})
-	}
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, src, _, _ := benchTable(b, logN)
+		wx, wxs, wy, wys := tb.ScaledLastPair(tb.Q / 3)
+		dst := make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tb.InverseScaledFrom(src, dst, wx, wxs, wy, wys)
+		}
+	})
 }

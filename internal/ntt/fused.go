@@ -46,6 +46,11 @@ import "cinnamon/internal/rns"
 // carry no bounds checks and no per-group setup; spans of width 2 (and the
 // inverse's width-1 first stage) run as whole-stage loops instead of one
 // call per group.
+//
+// Each pass is one function that runs its AVX-512 body (kernels_amd64.s)
+// when useAVX512 is set and its Go loop otherwise. The two compute the
+// same integers lane for lane (DESIGN.md §10); the Go loops are the
+// portable path and the reference the vector bodies are tested against.
 
 // ct is the lazy Cooley-Tukey butterfly: inputs < 4q, outputs < 4q.
 func ct(x, y, w, ws, q, twoQ uint64) (uint64, uint64) {
@@ -73,30 +78,48 @@ func (t *Table) forwardMain(a []uint64) {
 	q, twoQ, tw := t.Q, t.twoQ, t.twF
 	m, step := 1, n>>1
 	if t.logN&1 == 0 {
-		x, y := a[:step:step], a[step:n:n]
-		y = y[:len(x)]
-		w, ws := tw[2], tw[3]
-		for i := range x {
-			u := x[i]
-			v := rns.MulModShoupLazy(y[i], w, ws, q)
-			x[i], y[i] = u+v, u+twoQ-v
-		}
+		fwdFirst(a[:step:step], a[step:n:n], tw[2], tw[3], q, twoQ)
 		m, step = 2, step>>1
 	}
 	// Pass (m, 2m): group i of stage m pairs quarters (x0,x2) and (x1,x3)
 	// under twiddle m+i; stage 2m pairs (x0,x1) under 2m+2i and (x2,x3)
-	// under 2m+2i+1.
+	// under 2m+2i+1. The quarter span h is 2 in the last pass and a
+	// multiple of 8 before it.
 	for ; m <= n>>2; m, step = m<<2, step>>2 {
-		h := step >> 1
-		if h == 2 {
+		if h := step >> 1; h == 2 {
 			fwd4Span2(a[:8*m], tw[2*m:4*m], tw[4*m:8*m], q, twoQ)
-			continue
+		} else {
+			fwd4Pass(a[:4*m*h], tw[2*m:4*m], tw[4*m:8*m], h, q, twoQ)
 		}
-		for i := 0; i < m; i++ {
-			b := a[4*i*h : 4*(i+1)*h]
-			w1, w2 := tw[2*(m+i):2*(m+i)+2], tw[4*(m+i):4*(m+i)+4]
-			fwd4(b[:h:h], b[h:2*h:2*h], b[2*h:3*h:3*h], b[3*h:], w1, w2, q, twoQ)
-		}
+	}
+}
+
+// fwdFirst is the forward lone first stage over the halves x, y under one
+// twiddle pair. Its inputs are canonical, so it skips Reduce2Q.
+func fwdFirst(x, y []uint64, w, ws, q, twoQ uint64) {
+	if useAVX512 && len(x) >= 8 {
+		fwd2Vec(x, y, w, ws, q, twoQ)
+		return
+	}
+	y = y[:len(x)]
+	for i := range x {
+		u := x[i]
+		v := rns.MulModShoupLazy(y[i], w, ws, q)
+		x[i], y[i] = u+v, u+twoQ-v
+	}
+}
+
+// fwd4Pass is a whole forward radix-4 pass over m = len(t1)/2 groups of
+// four quarter spans of width h, a multiple of 8: one stage-m twiddle pair
+// (t1) and two stage-2m pairs (t2) per group.
+func fwd4Pass(a, t1, t2 []uint64, h int, q, twoQ uint64) {
+	if useAVX512 {
+		fwd4Vec(a, t1, t2, h, q, twoQ)
+		return
+	}
+	for i := 0; i < len(t1)/2; i++ {
+		b := a[4*i*h : 4*(i+1)*h]
+		fwd4(b[:h:h], b[h:2*h:2*h], b[2*h:3*h:3*h], b[3*h:], t1[2*i:2*i+2], t2[4*i:4*i+4], q, twoQ)
 	}
 }
 
@@ -117,6 +140,10 @@ func fwd4(x0, x1, x2, x3, w1, w2 []uint64, q, twoQ uint64) {
 // eight coefficients, one stage-m twiddle pair (t1) and two stage-2m pairs
 // (t2) per group.
 func fwd4Span2(a, t1, t2 []uint64, q, twoQ uint64) {
+	if useAVX512 && len(a) >= 16 {
+		fwd4Span2Vec(a, t1, t2, q, twoQ)
+		return
+	}
 	for len(a) >= 8 && len(t1) >= 2 && len(t2) >= 4 {
 		x, w1, w2 := a[:8:8], t1[:2:2], t2[:4:4]
 		for k := 0; k < 2; k++ {
@@ -135,6 +162,10 @@ func (t *Table) fwdLast(a []uint64) {
 	q, twoQ := t.Q, t.twoQ
 	x := a[:t.N]
 	w := t.twF[t.N:][:len(x)]
+	if useAVX512 && len(x) >= 16 {
+		fwdLastVec(x, w, q, twoQ)
+		return
+	}
 	for j := 0; j < len(x)-1; j += 2 {
 		u, v := ct(x[j], x[j+1], w[j], w[j+1], q, twoQ)
 		x[j] = rns.ReduceOnce(rns.Reduce2Q(u, twoQ), q)
@@ -171,6 +202,10 @@ func (t *Table) fwdLastMulAccPair(a, b0, b1, h0, l0, h1, l1 []uint64) {
 	x := a[:t.N]
 	w, b0, b1 := t.twF[t.N:][:len(x)], b0[:len(x)], b1[:len(x)]
 	h0, l0, h1, l1 = h0[:len(x)], l0[:len(x)], h1[:len(x)], l1[:len(x)]
+	if useAVX512 && len(x) >= 16 {
+		fwdLastMulAccPairVec(x, w, b0, b1, h0, l0, h1, l1, q, twoQ)
+		return
+	}
 	for j := 0; j < len(x)-1; j += 2 {
 		x0, x1 := ct(x[j], x[j+1], w[j], w[j+1], q, twoQ)
 		h0[j], l0[j] = rns.MulAccLazy(h0[j], l0[j], x0, b0[j])
@@ -192,6 +227,10 @@ func (t *Table) fwdLastSubMul(a, src, out []uint64, w, ws uint64) {
 	fourQ := twoQ << 1
 	x := a[:t.N]
 	tw, src, out := t.twF[t.N:][:len(x)], src[:len(x)], out[:len(x)]
+	if useAVX512 && len(x) >= 16 {
+		fwdLastSubMulVec(x, tw, src, out, w, ws, q, twoQ)
+		return
+	}
 	for j := 0; j < len(x)-1; j += 2 {
 		u, v := ct(x[j], x[j+1], tw[j], tw[j+1], q, twoQ)
 		out[j] = rns.MulModShoup(src[j]+fourQ-u, w, ws, q)
@@ -231,8 +270,36 @@ func (t *Table) inverseMain(a, add []uint64) {
 func (t *Table) inverseMainFrom(a, add, src []uint64) {
 	q, twoQ, tw := t.Q, t.twoQ, t.twI
 	n := t.N
-	x := a[:n:n]
-	r, w := src[:len(x)], tw[n:][:len(x)]
+	invFirst(a[:n:n], src, add, tw[n:], q, twoQ)
+	// Pass (m, m/2), m/2 = 2h: stage m pairs quarters (x0,x1) under twiddle
+	// 2h+2i and (x2,x3) under 2h+2i+1; stage m/2 pairs (x0,x2) and (x1,x3)
+	// under h+i. The quarter span step is 2 in the first pass and a
+	// multiple of 8 after it.
+	m, step := n>>1, 2
+	for ; m >= 8; m, step = m>>2, step<<2 {
+		h := m >> 2
+		if step == 2 {
+			inv4Span2(a, tw[4*h:8*h], tw[2*h:4*h], q, twoQ)
+		} else {
+			inv4Pass(a[:4*h*step], tw[4*h:8*h], tw[2*h:4*h], step, q, twoQ)
+		}
+	}
+	if m == 4 {
+		w := tw[4:8:8]
+		inv2(a[:step:step], a[step:2*step:2*step], w[0], w[1], q, twoQ)
+		inv2(a[2*step:3*step:3*step], a[3*step:4*step], w[2], w[3], q, twoQ)
+	}
+}
+
+// invFirst is the inverse span-1 first stage: it reads src (plus add,
+// unless add is nil), pairs neighbours under the interleaved twiddles w
+// and writes x.
+func invFirst(x, src, add, w []uint64, q, twoQ uint64) {
+	r, w := src[:len(x)], w[:len(x)]
+	if useAVX512 && len(x) >= 16 {
+		invFirstVec(x, r, add, w, q, twoQ)
+		return
+	}
 	if add != nil {
 		b := add[:len(x)]
 		for j := 0; j < len(x)-1; j += 2 {
@@ -243,26 +310,19 @@ func (t *Table) inverseMainFrom(a, add, src []uint64) {
 			x[j], x[j+1] = gs(r[j], r[j+1], w[j], w[j+1], q, twoQ)
 		}
 	}
-	// Pass (m, m/2), m/2 = 2h: stage m pairs quarters (x0,x1) under twiddle
-	// 2h+2i and (x2,x3) under 2h+2i+1; stage m/2 pairs (x0,x2) and (x1,x3)
-	// under h+i.
-	m, step := n>>1, 2
-	for ; m >= 8; m, step = m>>2, step<<2 {
-		h := m >> 2
-		if step == 2 {
-			inv4Span2(a, tw[4*h:8*h], tw[2*h:4*h], q, twoQ)
-			continue
-		}
-		for i := 0; i < h; i++ {
-			b := a[4*i*step : 4*(i+1)*step]
-			wa, wb := tw[4*(h+i):4*(h+i)+4], tw[2*(h+i):2*(h+i)+2]
-			inv4(b[:step:step], b[step:2*step:2*step], b[2*step:3*step:3*step], b[3*step:], wa, wb, q, twoQ)
-		}
+}
+
+// inv4Pass is a whole inverse radix-4 pass over h = len(tb)/2 groups of
+// four quarter spans of width step, a multiple of 8: two stage-m twiddle
+// pairs (ta) and one stage-m/2 pair (tb) per group.
+func inv4Pass(a, ta, tb []uint64, step int, q, twoQ uint64) {
+	if useAVX512 {
+		inv4Vec(a, ta, tb, step, q, twoQ)
+		return
 	}
-	if m == 4 {
-		w := tw[4:8:8]
-		inv2(a[:step:step], a[step:2*step:2*step], w[0], w[1], q, twoQ)
-		inv2(a[2*step:3*step:3*step], a[3*step:4*step], w[2], w[3], q, twoQ)
+	for i := 0; i < len(tb)/2; i++ {
+		b := a[4*i*step : 4*(i+1)*step]
+		inv4(b[:step:step], b[step:2*step:2*step], b[2*step:3*step:3*step], b[3*step:], ta[4*i:4*i+4], tb[2*i:2*i+2], q, twoQ)
 	}
 }
 
@@ -283,6 +343,10 @@ func inv4(x0, x1, x2, x3, wa, wb []uint64, q, twoQ uint64) {
 // eight coefficients, two stage-m twiddle pairs (ta) and one stage-m/2
 // pair (tb) per group.
 func inv4Span2(a, ta, tb []uint64, q, twoQ uint64) {
+	if useAVX512 && len(a) >= 16 {
+		inv4Span2Vec(a, ta, tb, q, twoQ)
+		return
+	}
 	for len(a) >= 8 && len(ta) >= 4 && len(tb) >= 2 {
 		x, wa, wb := a[:8:8], ta[:4:4], tb[:2:2]
 		for k := 0; k < 2; k++ {
@@ -297,6 +361,10 @@ func inv4Span2(a, ta, tb []uint64, q, twoQ uint64) {
 
 // inv2 is one inverse radix-2 group over two equal spans.
 func inv2(x, y []uint64, w, ws, q, twoQ uint64) {
+	if useAVX512 && len(x) >= 8 {
+		inv2Vec(x, y, w, ws, q, twoQ)
+		return
+	}
 	y = y[:len(x)]
 	for k := range x {
 		x[k], y[k] = gs(x[k], y[k], w, ws, q, twoQ)
@@ -314,6 +382,10 @@ func (t *Table) invLastScaled(a []uint64, wx, wxs, wy, wys uint64) {
 	half := t.N >> 1
 	x, y := a[:half:half], a[half:t.N:t.N]
 	y = y[:len(x)]
+	if useAVX512 && len(x) >= 8 {
+		invLastVec(x, y, wx, wxs, wy, wys, q, twoQ)
+		return
+	}
 	for k := range x {
 		u, v := x[k], y[k]
 		x[k] = rns.ReduceOnce(rns.MulModShoupLazy(u+v, wx, wxs, q), q)
@@ -350,17 +422,7 @@ func (t *Table) InverseScaledFrom(src, dst []uint64, wx, wxs, wy, wys uint64) {
 // invLast finishes an inverse transform: both outputs pick up N⁻¹ and one
 // conditional subtraction returns them to [0, q). Inputs must be < 2q.
 func (t *Table) invLast(a []uint64) {
-	q, twoQ := t.Q, t.twoQ
-	half := t.N >> 1
-	ni, nis := t.nInv, t.nInvShoup
-	w, ws := t.wLast, t.wLastShoup
-	x, y := a[:half:half], a[half:t.N:t.N]
-	y = y[:len(x)]
-	for k := range x {
-		u, v := x[k], y[k]
-		x[k] = rns.ReduceOnce(rns.MulModShoupLazy(u+v, ni, nis, q), q)
-		y[k] = rns.ReduceOnce(rns.MulModShoupLazy(u+twoQ-v, w, ws, q), q)
-	}
+	t.invLastScaled(a, t.nInv, t.nInvShoup, t.wLast, t.wLastShoup)
 }
 
 // ForwardMul computes out = NTT(a) ⊙ b in one fused pass: the forward

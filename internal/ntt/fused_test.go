@@ -46,18 +46,21 @@ var (
 	sweepBits = []int{30, 45, 58, 61}
 )
 
-// forEachTable runs f on one table per (logN, prime width) of the sweep.
-func forEachTable(t *testing.T, f func(tb *Table, rng *rand.Rand)) {
+// forEachTable runs f on one table per (logN, prime width) of the sweep,
+// once per kernel set.
+func forEachTable(t *testing.T, f func(t *testing.T, tb *Table, rng *rand.Rand)) {
 	t.Helper()
-	for _, logN := range sweepLogN {
-		for _, bits := range sweepBits {
-			tb, err := NewTable(1<<logN, testPrime(t, 1<<logN, bits))
-			if err != nil {
-				t.Fatalf("logN=%d bits=%d: %v", logN, bits, err)
+	forEachKernel(t, func(t *testing.T) {
+		for _, logN := range sweepLogN {
+			for _, bits := range sweepBits {
+				tb, err := NewTable(1<<logN, testPrime(t, 1<<logN, bits))
+				if err != nil {
+					t.Fatalf("logN=%d bits=%d: %v", logN, bits, err)
+				}
+				f(t, tb, rand.New(rand.NewSource(int64(100*logN+bits))))
 			}
-			f(tb, rand.New(rand.NewSource(int64(100*logN+bits))))
 		}
-	}
+	})
 }
 
 // strictNTT returns the strict reference transform of a; a is unchanged.
@@ -86,7 +89,7 @@ func mustEqual(t *testing.T, tb *Table, what string, got, want []uint64) {
 // TestForwardMulMatchesUnfused proves the fused NTT+pointwise-multiply
 // equals the strict reference transform followed by a canonical multiply.
 func TestForwardMulMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(tb *Table, rng *rand.Rand) {
+	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
 		a, b := randPoly(rng, tb.N, tb.Q), randPoly(rng, tb.N, tb.Q)
 		ref := strictNTT(tb, a)
 		for i := range ref {
@@ -101,7 +104,7 @@ func TestForwardMulMatchesUnfused(t *testing.T) {
 // TestForwardMulPairMatchesUnfused checks the two-output variant against
 // two strict compositions.
 func TestForwardMulPairMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(tb *Table, rng *rand.Rand) {
+	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
 		a := randPoly(rng, tb.N, tb.Q)
 		b0, b1 := randPoly(rng, tb.N, tb.Q), randPoly(rng, tb.N, tb.Q)
 		x := strictNTT(tb, a)
@@ -124,7 +127,7 @@ func TestForwardMulPairMatchesUnfused(t *testing.T) {
 // bit-for-bit is the canonical residue after the wide Barrett reduction —
 // the only value the keyswitch ever reads out of an accumulator.
 func TestForwardMulAccPairMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(tb *Table, rng *rand.Rand) {
+	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
 		q := tb.Q
 		bar := rns.NewBarrettParams(q)
 		a := randPoly(rng, tb.N, q)
@@ -152,7 +155,7 @@ func TestForwardMulAccPairMatchesUnfused(t *testing.T) {
 // combine equals the strict transform followed by a canonical pointwise
 // (src − x)·w mod q.
 func TestForwardSubMulMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(tb *Table, rng *rand.Rand) {
+	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
 		q := tb.Q
 		w := rng.Uint64() % q
 		ws := rns.ShoupPrecomp(w, q)
@@ -171,7 +174,7 @@ func TestForwardSubMulMatchesUnfused(t *testing.T) {
 // inverse transform equals the strict inverse followed by a pointwise
 // scalar multiply, and leaves its source untouched.
 func TestInverseScaledFromMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(tb *Table, rng *rand.Rand) {
+	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
 		q := tb.Q
 		s := rng.Uint64() % q
 		wx, wxs, wy, wys := tb.ScaledLastPair(s)
@@ -191,7 +194,7 @@ func TestInverseScaledFromMatchesUnfused(t *testing.T) {
 // TestAddInverseMatchesUnfused proves the fused add+INTT equals a
 // canonical pointwise add followed by the strict inverse.
 func TestAddInverseMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(tb *Table, rng *rand.Rand) {
+	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
 		a, b := randPoly(rng, tb.N, tb.Q), randPoly(rng, tb.N, tb.Q)
 		sum := make([]uint64, tb.N)
 		for i := range sum {
@@ -208,6 +211,10 @@ func TestAddInverseMatchesUnfused(t *testing.T) {
 // worker settings (the serial path and the fork-join path take different
 // code routes).
 func TestBatchPlanMatchesPerLimb(t *testing.T) {
+	forEachKernel(t, testBatchPlanMatchesPerLimb)
+}
+
+func testBatchPlanMatchesPerLimb(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	for _, logN := range sweepLogN {
 		n := 1 << logN

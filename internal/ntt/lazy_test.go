@@ -60,6 +60,10 @@ func strictInverse(t *Table, a []uint64) {
 // under the 2^62 lazy bound), that the lazy transforms agree bit-for-bit
 // with the fully-reduced reference and that their outputs are canonical.
 func TestLazyMatchesStrict(t *testing.T) {
+	forEachKernel(t, testLazyMatchesStrict)
+}
+
+func testLazyMatchesStrict(t *testing.T) {
 	for _, logN := range []int{1, 2, 3, 6, 10, 12} {
 		for _, bitsz := range []int{30, 45, 50, 55, 58, 61} {
 			primes, err := rns.GenerateNTTPrimes(bitsz, logN, 1)
@@ -107,6 +111,10 @@ func TestLazyMatchesStrict(t *testing.T) {
 // testing/quick with adversarial extremes mixed in (0 and q-1 saturate the
 // lazy [0,4q) headroom fastest).
 func TestLazyMatchesStrictQuick(t *testing.T) {
+	forEachKernel(t, testLazyMatchesStrictQuick)
+}
+
+func testLazyMatchesStrictQuick(t *testing.T) {
 	tb := newTestTable(t, 9)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -149,6 +157,10 @@ func TestLazyMatchesStrictQuick(t *testing.T) {
 // the odd powers of the 2N-th root ψ, in bit-reversed order —
 // out[i] = Σ_j a_j · ψ^{(2·brv(i)+1)·j} mod q.
 func TestForwardMatchesNaiveDFT(t *testing.T) {
+	forEachKernel(t, testForwardMatchesNaiveDFT)
+}
+
+func testForwardMatchesNaiveDFT(t *testing.T) {
 	for _, logN := range []int{2, 4, 6} {
 		tb := newTestTable(t, logN)
 		n, q := tb.N, tb.Q

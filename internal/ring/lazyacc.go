@@ -3,6 +3,7 @@ package ring
 import (
 	"fmt"
 
+	"cinnamon/internal/ntt"
 	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
@@ -103,12 +104,7 @@ func (a *LazyAcc) MulAcc(x, y *Poly) error {
 }
 
 func (a *LazyAcc) mulAccLimb(j int, xj, yj []uint64) {
-	hij := a.hi[j][:len(xj)]
-	loj := a.lo[j][:len(xj)]
-	yj = yj[:len(xj)]
-	for i := range xj {
-		hij[i], loj[i] = rns.MulAccLazy(hij[i], loj[i], xj[i], yj[i])
-	}
+	ntt.MulAccWide(a.hi[j], a.lo[j], xj, yj)
 }
 
 // MulScalarAcc accumulates v·x, v a signed integer reduced into each
@@ -201,11 +197,7 @@ func (a *LazyAcc) ReduceInto(out *Poly) {
 }
 
 func (a *LazyAcc) reduceLimb(j int, oj []uint64) {
-	bp := a.r.Barrett(a.basis.Moduli[j])
-	hij, loj := a.hi[j], a.lo[j]
-	for i := range oj {
-		oj[i] = bp.ReduceWide(hij[i], loj[i])
-	}
+	ntt.ReduceWide(oj, a.hi[j], a.lo[j], a.r.Barrett(a.basis.Moduli[j]))
 }
 
 // Release returns the accumulator's limb storage and the struct itself to
