@@ -91,7 +91,6 @@ func main() {
 	levels := flag.Int("levels", 4, "multiplicative levels (4 fits every one-shot catalog program; the deepest needs 3)")
 	seed := flag.Int64("seed", 20260805, "parameter generation seed (clients must match)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executions (one-shots and session steps) running at once, and so bootstraps: a refresh runs inside its request's slot; the rest of the admitted requests wait for a slot")
-	limbWorkers := flag.Int("limb-workers", 0, "limb-parallel arithmetic workers per operation (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 1024, "requests admitted at once, waiting or executing, before shedding with 429")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout (a request that expires mid-bootstrap overruns by at most that one bootstrap)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
@@ -108,7 +107,7 @@ func main() {
 
 	o := options{
 		addr: *addr, logN: *logN, levels: *levels, seed: *seed,
-		workers: *workers, limbWorkers: *limbWorkers, queue: *queue, timeout: *timeout,
+		workers: *workers, queue: *queue, timeout: *timeout,
 		drain: *drain, clusterAddrs: *clusterAddrs,
 		requireCluster: *requireCluster, heartbeat: *heartbeat,
 		sessionLog:  *sessionLog,
@@ -124,21 +123,20 @@ func main() {
 }
 
 type options struct {
-	addr                 string
-	logN, levels         int
-	seed                 int64
-	workers, limbWorkers int
-	queue                int
-	timeout, drain       time.Duration
-	clusterAddrs         string
-	requireCluster       bool
-	heartbeat            time.Duration
-	sessionLog           string
-	bootstrap            bool
-	sessionTTL           time.Duration
-	keyBudgetMB          int64
-	keySpillDir          string
-	pprofAddr            string
+	addr           string
+	logN, levels   int
+	seed           int64
+	workers, queue int
+	timeout, drain time.Duration
+	clusterAddrs   string
+	requireCluster bool
+	heartbeat      time.Duration
+	sessionLog     string
+	bootstrap      bool
+	sessionTTL     time.Duration
+	keyBudgetMB    int64
+	keySpillDir    string
+	pprofAddr      string
 }
 
 func spillDirLabel(dir string) string {
@@ -226,7 +224,6 @@ func run(o options) error {
 
 	core, err := serve.NewDurableCore(reg, serve.Config{
 		Workers:        o.workers,
-		LimbWorkers:    o.limbWorkers,
 		AdmissionLimit: o.queue,
 		RequestTimeout: o.timeout,
 		Backends:       backends,

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/ring"
 )
 
@@ -314,108 +313,41 @@ var ErrNoKeySwitchPlan = errors.New("ckks: no keyswitch plan applies")
 // each digit to Q_l ∪ P, inner-product with the evaluation key, and
 // mod-down back to Q_l. Returns the two output polynomials in NTT domain.
 //
-// It rides the precompiled per-level plan (ksplan.go): fused
-// transform/absorb kernels, batch NTT plans, zero setup work and zero heap
-// allocations once warm. The plan covers ciphertexts over the standard
-// chain prefix with a default-partition key; anything else is rejected with
-// ErrNoKeySwitchPlan rather than switched under the wrong digit ranges.
+// It is the one-chip case of the per-chip kernel (ksplan.go): the level's
+// cached local plan owns all of Q_l, so it runs with zero setup work and
+// zero heap allocations once warm — the fused scaled decompose, one absorb
+// per digit (the digit's own limbs are read straight from c, already
+// NTT-domain), then Finish. The plan covers ciphertexts over the
+// standard chain prefix with a default-partition key of enough digits;
+// anything else is rejected with ErrNoKeySwitchPlan rather than switched
+// under the wrong digit ranges.
 func (ev *Evaluator) KeySwitch(c *ring.Poly, evk *EvalKey) (*ring.Poly, *ring.Poly, error) {
 	if !c.IsNTT {
 		return nil, nil, fmt.Errorf("ckks: KeySwitch input must be NTT")
 	}
-	params := ev.params
-	if evk.DigitSets != nil {
-		return nil, nil, fmt.Errorf("%w: key carries a custom digit partition", ErrNoKeySwitchPlan)
-	}
-	if len(evk.B) == 0 || evk.B[0].Basis.Len() != params.Ring.Universe.Len() {
-		return nil, nil, fmt.Errorf("%w: key is not over the full modulus universe", ErrNoKeySwitchPlan)
-	}
-	pl, err := params.KSPlanAtLevel(c.Basis.Len() - 1)
+	pl, err := ev.params.KSPlanAtLevel(c.Basis.Len() - 1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrNoKeySwitchPlan, err)
 	}
 	if !pl.sBasis.Equal(c.Basis) {
-		return nil, nil, fmt.Errorf("%w: input basis is not the level-%d chain prefix", ErrNoKeySwitchPlan, pl.sBasis.Len()-1)
+		return nil, nil, fmt.Errorf("%w: input basis is not the level-%d chain prefix", ErrNoKeySwitchPlan, pl.level)
 	}
-	if len(evk.B) < len(pl.digits) {
-		return nil, nil, fmt.Errorf("%w: key has %d digits, level needs %d", ErrNoKeySwitchPlan, len(evk.B), len(pl.digits))
+	run, err := pl.Start(evk)
+	if err != nil {
+		return nil, nil, err
 	}
-	return ev.keySwitchPlanned(pl, c, evk)
-}
-
-// keySwitchPlanned is the steady-state keyswitch: every derived quantity
-// comes from the plan, every temporary from the ring pools, and the digit
-// loop runs the fused forward-transform-and-accumulate kernel. The digit's
-// own limbs skip their transforms entirely — the input is already their
-// NTT image (NTT∘INTT is bit-exact), so only the base-converted complement
-// limbs transform, fused into the accumulate.
-func (ev *Evaluator) keySwitchPlanned(pl *KSPlan, c *ring.Poly, evk *EvalKey) (*ring.Poly, *ring.Poly, error) {
+	defer run.Release()
 	r := ev.params.Ring
-	// Scaled decompose: limb j's out-of-place inverse transform emits its
-	// owning digit's z-value directly (copy, INTT and z-stage in one pass).
-	zAll := r.GetPolyUninit(pl.sBasis)
-	defer r.PutPoly(zAll)
-	sLen := pl.sBasis.Len()
-	if parallel.Workers() > 1 && parallel.WorthFanout(sLen, r.N, parallel.CostNTT) {
-		parallel.For(sLen, func(j int) {
-			zs := &pl.zscale[j]
-			pl.nttS.Table(j).InverseScaledFrom(c.Limbs[j], zAll.Limbs[j], zs[0], zs[1], zs[2], zs[3])
-		})
-	} else {
-		for j := 0; j < sLen; j++ {
-			zs := &pl.zscale[j]
-			pl.nttS.Table(j).InverseScaledFrom(c.Limbs[j], zAll.Limbs[j], zs[0], zs[1], zs[2], zs[3])
-		}
-	}
-	acc0 := r.GetLazyAcc(pl.union)
-	acc1 := r.GetLazyAcc(pl.union)
-	defer acc0.Release()
-	defer acc1.Release()
+	z := r.GetPolyUninit(pl.sBasis)
+	defer r.PutPoly(z)
+	pl.decompose(c, z)
 	for d := range pl.digits {
 		dg := &pl.digits[d]
-		conv := r.GetPolyUninit(dg.comp)
-		if err := dg.bc.AccumulateInto(zAll.Limbs[dg.lo:dg.hi], conv.Limbs); err != nil {
-			r.PutPoly(conv)
-			return nil, nil, err
-		}
-		bD, err := r.ViewAt(evk.B[d], pl.union, pl.evkIdx)
-		if err != nil {
-			r.PutPoly(conv)
-			return nil, nil, err
-		}
-		aD, err := r.ViewAt(evk.A[d], pl.union, pl.evkIdx)
-		if err != nil {
-			r.PutView(bD)
-			r.PutPoly(conv)
-			return nil, nil, err
-		}
-		err = r.AbsorbDigitFused(pl.nttU, acc0, acc1, dg.own, c, conv.Limbs, bD, aD)
-		r.PutView(bD)
-		r.PutView(aD)
-		r.PutPoly(conv)
-		if err != nil {
+		if err := run.absorb(d, z.Limbs[dg.lo:dg.hi], c.Limbs[dg.lo:dg.hi]); err != nil {
 			return nil, nil, err
 		}
 	}
-	g0 := r.GetPolyUninit(pl.union)
-	g1 := r.GetPolyUninit(pl.union)
-	defer r.PutPoly(g0)
-	defer r.PutPoly(g1)
-	acc0.ReduceInto(g0)
-	acc1.ReduceInto(g1)
-	// NTT-domain mod-down: only the extension limbs leave the NTT domain,
-	// and the converted limbs' forward transforms are fused with the
-	// combine — 2·|Q_l| fewer transforms than INTT → mod-down → NTT.
-	f0, err := r.ModDownNTTWith(pl.modDown, g0)
-	if err != nil {
-		return nil, nil, err
-	}
-	f1, err := r.ModDownNTTWith(pl.modDown, g1)
-	if err != nil {
-		r.PutPoly(f0)
-		return nil, nil, err
-	}
-	return f0, f1, nil
+	return run.Finish()
 }
 
 // SetScale brings the ciphertext to exactly the target scale by

@@ -1,10 +1,16 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"runtime"
 	"testing"
+	"time"
+
+	"cinnamon/internal/keyswitch"
+	"cinnamon/internal/parallel"
 )
 
 // TestFrameEncodeZeroAlloc pins the wire-path memory discipline: once the
@@ -119,5 +125,77 @@ func TestBufPoolReuse(t *testing.T) {
 	putFrameBuf(make([]byte, 0, 16))
 	if d := getFrameBuf(8); cap(d) < 8 || cap(d) > 1<<bufMinBits {
 		t.Fatalf("minimum class request got cap %d", cap(d))
+	}
+}
+
+// TestWorkerKeySwitchAllocCeiling: a warm chip keyswitch on a worker
+// session compiles no plan — the session keeps its chip's plan per level
+// from the first keyswitch at that level — so it allocates only its frame
+// reads and decodes and its pending state. The test plays the coordinator
+// over net.Pipe with frames encoded before the count starts, so the count
+// is the worker's (plus the one reply read on this side).
+func TestWorkerKeySwitchAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	// Frame reads (with their read deadlines), limb decodes and the
+	// pending request at logN 9, level 4 (three digits), one limb worker:
+	// 30 measured. A worker that compiled its chip's kernel state on every
+	// keyswitch measured 101.
+	const ceiling = 40
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(1)
+	tc := newClusterContext(t, 1, Options{HeartbeatInterval: time.Hour})
+	params := tc.params
+	l := params.MaxLevel()
+	cc := tc.encryptRandom(t, 5).C1.Copy()
+	if err := params.Ring.INTT(cc); err != nil {
+		t.Fatal(err)
+	}
+	conn, wconn := net.Pipe()
+	defer conn.Close()
+	go NewWorker(params).Serve(wconn)
+	br := bufio.NewReader(conn)
+	exchange := func(typ byte, payload []byte, want byte) {
+		t.Helper()
+		if err := WriteFrame(conn, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, p, err := ReadFrame(br); err != nil || got != want {
+			t.Fatalf("frame %#x answered with %#x (%q), %v", typ, got, p, err)
+		}
+	}
+	exchange(msgHello, encodeHello(helloMsg{digest: ParamsDigest(params), nChips: 2, chip: 0}), msgHelloAck)
+	exchange(msgSetKey, encodeSetKey(1, tc.rlk), msgKeyAck)
+
+	var req bytes.Buffer
+	digits := keyswitch.DigitRanges(params, tc.rlk, l)
+	if err := WriteFrame(&req, msgKSBegin, encodeKSBegin(ksBeginMsg{req: 9, keyID: 1, level: uint32(l), frames: uint32(len(digits))})); err != nil {
+		t.Fatal(err)
+	}
+	for d, rng := range digits {
+		chain := make([]int, 0, rng[1]-rng[0])
+		for j := rng[0]; j < rng[1]; j++ {
+			chain = append(chain, j)
+		}
+		if err := WriteFrame(&req, msgLimbs, encodeLimbs(9, uint32(d), chain, cc.Limbs[rng[0]:rng[1]])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keyswitch := func() {
+		if _, err := conn.Write(req.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		typ, p, err := ReadFrame(br)
+		if err != nil || typ != msgKSResult {
+			t.Fatalf("keyswitch answered with %#x (%q), %v", typ, p, err)
+		}
+		putFrameBuf(p)
+	}
+	for i := 0; i < 3; i++ {
+		keyswitch()
+	}
+	if allocs := testing.AllocsPerRun(20, keyswitch); allocs > ceiling {
+		t.Fatalf("warm chip keyswitch allocated %.1f times per op, ceiling %d", allocs, ceiling)
 	}
 }

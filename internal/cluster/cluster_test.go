@@ -14,6 +14,7 @@ import (
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/keyswitch"
+	"cinnamon/internal/ring"
 )
 
 func testParams(t testing.TB) *ckks.Parameters {
@@ -102,40 +103,53 @@ func (tc *clusterContext) encryptRandom(t testing.TB, seed int64) *ckks.Cipherte
 }
 
 // TestDistributedInputBroadcastBitExact: the distributed Fig. 8b
-// collective must reproduce both the in-process input broadcast AND the
-// sequential reference limb-for-limb, with the measured CommStats matching
-// the paper's analytic bill.
+// collective must reproduce the local keyswitch limb for limb at every
+// level, for the relinearization, a rotation and the conjugation key, on
+// clusters wide enough that some chips own no limb at low levels — with
+// the measured CommStats and transport counters matching the paper's bill.
 func TestDistributedInputBroadcastBitExact(t *testing.T) {
-	for _, n := range []int{1, 2, 3} {
-		tc := newClusterContext(t, n, Options{})
+	for _, n := range []int{1, 2, 3, 4, 6} {
+		tc := newClusterContext(t, n, Options{HeartbeatInterval: time.Hour})
+		rtks, err := tc.kg.GenRotationKeySet(tc.sk, []int{1}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := map[string]*ckks.EvalKey{"rlk": tc.rlk, "rot:1": rtks.Keys[1], "conj": rtks.Conj}
 		ct := tc.encryptRandom(t, int64(10+n))
-		l := ct.Level()
-
 		seq := ckks.NewEvaluator(tc.params, nil, nil)
-		s0, s1, err := seq.KeySwitch(ct.C1, tc.rlk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d0, d1, stats, err := tc.eng.KeySwitchStats(ct.C1, tc.rlk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d0.Equal(s0) || !d1.Equal(s1) {
-			t.Fatalf("n=%d: distributed input broadcast differs from sequential", n)
-		}
-		want := keyswitch.AnalyticStats(keyswitch.InputBroadcast, l, n, tc.params.PBasis.Len())
-		if stats != want {
-			t.Fatalf("n=%d: measured %+v, analytic %+v", n, stats, want)
-		}
-		snap := tc.eng.Snapshot()
-		if n > 0 && (snap.BytesSent == 0 || snap.BytesReceived == 0) {
-			t.Fatalf("n=%d: transport counted no bytes: %+v", n, snap)
-		}
-		if snap.Broadcasts != 1 {
-			t.Fatalf("n=%d: %d broadcasts recorded, want 1", n, snap.Broadcasts)
-		}
-		if snap.LimbsMoved != int64(want.LimbsMoved) {
-			t.Fatalf("n=%d: transport counted %d limbs, analytic %d", n, snap.LimbsMoved, want.LimbsMoved)
+		for l := 0; l <= tc.params.MaxLevel(); l++ {
+			c := &ring.Poly{Basis: tc.params.QBasis.Prefix(l + 1), Limbs: ct.C1.Limbs[:l+1], IsNTT: true}
+			for name, key := range keys {
+				s0, s1, err := seq.KeySwitch(c, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := tc.eng.Snapshot()
+				d0, d1, stats, err := tc.eng.KeySwitchStats(c, key)
+				if err != nil {
+					t.Fatalf("n=%d level=%d %s: %v", n, l, name, err)
+				}
+				if !d0.Equal(s0) || !d1.Equal(s1) {
+					t.Fatalf("n=%d level=%d %s: distributed input broadcast differs from the local keyswitch", n, l, name)
+				}
+				// Chips beyond the level's limb count own nothing and sit
+				// out; with every chip active this is the analytic bill.
+				active := min(n, l+1)
+				want := keyswitch.AnalyticStats(keyswitch.InputBroadcast, l, active, tc.params.PBasis.Len())
+				if stats != want {
+					t.Fatalf("n=%d level=%d %s: measured %+v, analytic %+v", n, l, name, stats, want)
+				}
+				after := tc.eng.Snapshot()
+				if after.BytesSent == before.BytesSent || after.BytesReceived == before.BytesReceived {
+					t.Fatalf("n=%d level=%d %s: transport counted no bytes", n, l, name)
+				}
+				if after.Broadcasts-before.Broadcasts != 1 {
+					t.Fatalf("n=%d level=%d %s: %d broadcasts recorded, want 1", n, l, name, after.Broadcasts-before.Broadcasts)
+				}
+				if moved := after.LimbsMoved - before.LimbsMoved; moved != int64(want.LimbsMoved) {
+					t.Fatalf("n=%d level=%d %s: transport counted %d limbs, analytic %d", n, l, name, moved, want.LimbsMoved)
+				}
+			}
 		}
 	}
 }

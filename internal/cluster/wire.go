@@ -6,11 +6,12 @@
 // Fig. 8c runs only in-process (internal/keyswitch): no serving path can
 // hold the modular-digit key it needs, so the wire carries one collective.
 //
-// Workers run exactly the per-chip kernel of internal/keyswitch (ChipIB),
-// which is what makes a distributed keyswitch bit-exact with the
-// in-process engine and with the sequential reference. Communication is
-// metered twice: in the paper's units (limbs crossing a chip boundary,
-// CommStats) and in transport bytes on the wire.
+// A worker runs the local keyswitch kernel restricted to the limbs its
+// chip owns: a ckks.KSPlan compiled once per session and level, fed each
+// digit frame as it arrives. One kernel is what makes a distributed
+// keyswitch bit-exact with the in-process engine and with the local
+// keyswitch. Communication is metered twice: in the paper's units (limbs
+// crossing a chip boundary, CommStats) and in transport bytes on the wire.
 package cluster
 
 import (

@@ -44,11 +44,13 @@ func NewWorker(params *ckks.Parameters) *Worker {
 
 // session is the per-connection state of one coordinator pairing.
 type session struct {
-	w    *Worker
-	eng  *keyswitch.Engine
-	chip int
-	bw   *bufio.Writer
-	keys map[uint64]*ckks.EvalKey // pushed and not yet evicted
+	w            *Worker
+	chip, nChips int
+	bw           *bufio.Writer
+	keys         map[uint64]*ckks.EvalKey // pushed and not yet evicted
+	// plans holds the chip's keyswitch plan per level, compiled by the
+	// first keyswitch at that level and kept for the session.
+	plans []*ckks.KSPlan
 }
 
 // pendingKS is one in-flight keyswitch request. Limb frames absorb into it
@@ -62,9 +64,9 @@ type pendingKS struct {
 	frames int
 	got    int
 
-	ib     *keyswitch.ChipIB
-	digits [][2]int // the chain range of each digit frame, in order
-	err    error
+	pl  *ckks.KSPlan
+	run ckks.KSRun
+	err error
 }
 
 // Serve runs one coordinator session until the peer disconnects. A clean
@@ -97,10 +99,8 @@ func (w *Worker) Serve(conn net.Conn) error {
 		s.send(msgError, appendStr(appendU64(nil, h.digest), fmt.Sprintf("parameter digest mismatch: coordinator %016x, worker %016x", h.digest, digest)))
 		return ErrDigestMismatch
 	}
-	if s.eng, err = keyswitch.NewEngine(w.Params, int(h.nChips)); err != nil {
-		return err
-	}
-	s.chip = int(h.chip)
+	s.chip, s.nChips = int(h.chip), int(h.nChips)
+	s.plans = make([]*ckks.KSPlan, w.Params.MaxLevel()+1)
 	if err := s.send(msgHelloAck, appendU64(nil, digest)); err != nil {
 		return err
 	}
@@ -194,19 +194,37 @@ func (s *session) begin(m ksBeginMsg) *pendingKS {
 		p.err = fmt.Errorf("unknown key id %d (coordinator must push it first)", m.keyID)
 		return p
 	}
-	p.digits = keyswitch.DigitRanges(s.w.Params, key, p.level)
-	ib, err := s.eng.NewChipIB(key, s.chip, p.level)
-	if err != nil {
-		p.err = err
-	} else if ib == nil {
-		p.err = fmt.Errorf("chip %d owns no limbs at level %d", s.chip, p.level)
-	} else if len(p.digits) != p.frames {
-		p.err = fmt.Errorf("request announces %d digit frames, level %d has %d digits", p.frames, p.level, len(p.digits))
-		ib.Release()
-	} else {
-		p.ib = ib
+	if p.pl, p.err = s.plan(p.level); p.err != nil {
+		return p
+	}
+	if p.run, p.err = p.pl.Start(key); p.err != nil {
+		return p
+	}
+	if p.pl.Digits() != p.frames {
+		p.err = fmt.Errorf("request announces %d digit frames, level %d has %d digits", p.frames, p.level, p.pl.Digits())
 	}
 	return p
+}
+
+// plan returns the chip's keyswitch plan at level l, compiling it once per
+// session: the plan owns the chain limbs the modular partition gives the
+// chip.
+func (s *session) plan(l int) (*ckks.KSPlan, error) {
+	if l < 0 || l >= len(s.plans) {
+		return nil, fmt.Errorf("level %d out of range [0,%d]", l, len(s.plans)-1)
+	}
+	if s.plans[l] == nil {
+		mine := keyswitch.ChipLimbs(s.chip, l, s.nChips)
+		if len(mine) == 0 {
+			return nil, fmt.Errorf("chip %d owns no limbs at level %d", s.chip, l)
+		}
+		pl, err := s.w.Params.KSPlanFor(l, mine)
+		if err != nil {
+			return nil, err
+		}
+		s.plans[l] = pl
+	}
+	return s.plans[l], nil
 }
 
 // absorb folds one digit frame into the pending keyswitch: the digit's
@@ -226,36 +244,40 @@ func (s *session) absorb(p *pendingKS, f limbFrame) {
 		return
 	}
 	// In range: a frame's position is below the announced count, which
-	// begin checked against len(p.digits).
-	lo, hi := p.digits[f.digit][0], p.digits[f.digit][1]
+	// begin checked against the plan's digit count.
+	lo, hi, _ := s.w.Params.DigitRange(int(f.digit), p.level)
+	if len(f.chain) != hi-lo {
+		p.err = fmt.Errorf("digit %d carries %d limbs, want %d", f.digit, len(f.chain), hi-lo)
+		return
+	}
 	for i, j := range f.chain {
 		if j != lo+i {
 			p.err = fmt.Errorf("digit %d limb %d has chain index %d, want %d", f.digit, i, j, lo+i)
 			return
 		}
 	}
-	if len(f.limbs) != hi-lo {
-		p.err = fmt.Errorf("digit %d carries %d limbs, want %d", f.digit, len(f.limbs), hi-lo)
-		return
-	}
-	p.err = p.ib.AbsorbDigit(int(f.digit), f.limbs, nil)
+	p.err = p.run.AbsorbCoeff(int(f.digit), f.limbs)
 }
 
 // finish completes the keyswitch and sends the chip's owned output limbs
-// (or the latched error) back.
+// (or the latched error) back. The chip absorbed every input limb and owns
+// len(Owned()) of them, so the rest crossed a chip boundary (CommStats
+// units).
 func (s *session) finish(p *pendingKS) error {
-	if p.ib != nil {
-		defer p.ib.Release()
-	}
+	defer p.run.Release()
 	if p.err == nil {
-		down0, down1, err := p.ib.Finish()
+		down0, down1, err := p.run.Finish()
 		if err == nil {
+			owned := p.pl.Owned()
 			res := encodeKSResult(ksResultMsg{
 				req:    p.req,
-				moved:  uint32(p.ib.Moved()),
-				chain0: p.ib.Mine(), limbs0: down0.Limbs,
-				chain1: p.ib.Mine(), limbs1: down1.Limbs,
+				moved:  uint32(p.level + 1 - len(owned)),
+				chain0: owned, limbs0: down0.Limbs,
+				chain1: owned, limbs1: down1.Limbs,
 			})
+			r := s.w.Params.Ring
+			r.PutPoly(down0)
+			r.PutPoly(down1)
 			err = s.send(msgKSResult, res)
 			putFrameBuf(res)
 			return err

@@ -15,10 +15,14 @@
 // check the algorithms against the sequential reference bit-for-bit (input
 // broadcast) or decryption-for-decryption (output aggregation, whose
 // mod-down/aggregate reorder is equivalent only up to rounding noise).
+// Sequential and input broadcast run one kernel, ckks.KSPlan: the
+// sequential keyswitch is its one-chip case, and an input-broadcast chip
+// runs the plan compiled for the limbs it owns.
 package keyswitch
 
 import (
 	"fmt"
+	"sync"
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/ring"
@@ -106,6 +110,8 @@ func AnalyticStats(alg Algorithm, l, nChips, pLen int) CommStats {
 type Engine struct {
 	Params *ckks.Parameters
 	NChips int
+
+	plans sync.Map // [2]int{chip, level} → *ckks.KSPlan (chipPlan)
 }
 
 // NewEngine validates and builds an engine.
@@ -115,10 +121,6 @@ func NewEngine(params *ckks.Parameters, nChips int) (*Engine, error) {
 	}
 	return &Engine{Params: params, NChips: nChips}, nil
 }
-
-// ChipOf returns the chip owning chain-limb index j under the modular
-// partition of paper §4.3.1.
-func (e *Engine) ChipOf(j int) int { return j % e.NChips }
 
 // The partition rule, shared by the in-process engine, the cluster
 // coordinator and its workers: one definition of who owns which limb and

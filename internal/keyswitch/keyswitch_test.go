@@ -86,10 +86,13 @@ func (tc *ksContext) encryptRandom(t testing.TB, slots int, seed int64) ([]compl
 
 // TestInputBroadcastBitExact: the input-broadcast algorithm must reproduce
 // the sequential keyswitch output exactly, limb for limb, at every level,
-// chip count and limb-worker setting. The two share no kernel — Sequential
-// is the evaluator's planned keyswitch (scaled decompose, full-basis fused
-// absorb), InputBroadcast the per-chip ChipIB state machines — so each is
-// the other's oracle; both emit canonical residues, which are unique.
+// chip count and limb-worker setting. Both run the ckks plan kernel —
+// Sequential its local plan (scaled decompose, full-basis absorb),
+// InputBroadcast one plan per chip fed coefficient-domain digits — so this
+// pins the restriction to owned limbs (including chips that own none at
+// low levels); the kernel's own oracle is ckks's unfused reference
+// (TestKeySwitchMatchesUnfusedReference). Both emit canonical residues,
+// which are unique.
 func TestInputBroadcastBitExact(t *testing.T) {
 	tc := newKSContext(t, nil)
 	r := tc.params.Ring

@@ -27,87 +27,66 @@ func forEachChip(n int, fn func(chip int) error) error {
 // inputBroadcast implements paper Fig. 8b. Every chip receives a copy of
 // all input limbs (one all-gather), then computes, entirely locally, the
 // mod-up, inner product and mod-down restricted to its own chain limbs plus
-// a duplicated copy of the extension limbs. The per-limb arithmetic is
-// identical to the sequential algorithm, so the result is bit-exact.
+// a duplicated copy of the extension limbs: the chip's ckks.KSPlan, fed
+// the coefficient-domain digits exactly as a cluster worker is fed them off
+// the wire. The per-limb arithmetic is the sequential algorithm's, so the
+// result is bit-exact.
 //
-// The returned CommStats are measured, not analytic: each ChipIB counts
-// the limbs it absorbed across a chip boundary, exactly as the cluster
-// transport does, and the per-chip counts are summed here. A test asserts
-// the measurement equals the paper's analytic formula (AnalyticStats).
+// The returned CommStats are measured, not analytic: each chip that takes
+// part absorbs every input limb and owns len(Owned()) of them, so it moved
+// the rest across a chip boundary — the count a cluster worker reports. A
+// test asserts the measurement equals the paper's analytic formula
+// (AnalyticStats).
 func (e *Engine) inputBroadcast(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *ring.Poly, CommStats, error) {
 	r := e.Params.Ring
 	if !c.IsNTT {
 		return nil, nil, CommStats{}, fmt.Errorf("keyswitch: input must be NTT")
 	}
 	l := c.Basis.Len() - 1
-	n := e.NChips
 	stats := CommStats{Broadcasts: 1}
 
 	cc := c.Copy()
 	if err := r.INTT(cc); err != nil {
 		return nil, nil, stats, err
 	}
+	digits := DigitRanges(e.Params, evk, l)
 	out0 := r.NewPoly(c.Basis)
 	out1 := r.NewPoly(c.Basis)
 	out0.IsNTT, out1.IsNTT = true, true
 
-	// Each chip writes a disjoint set of out0/out1 limbs, so chips run
-	// concurrently on the worker pool (the software analogue of the paper's
-	// per-chip execution). The digit loop is hoisted outside the chip loop:
-	// the extension-limb part of each digit's mod-up is identical on every
-	// chip (all chip bases duplicate the same P moduli), so it is computed
-	// and NTT'd once per digit here and shared read-only across chips — a
-	// cluster worker hosting a single chip computes it locally instead.
-	chips := make([]*ChipIB, n)
-	err := forEachChip(n, func(chip int) error {
-		ck, err := e.NewChipIB(evk, chip, l)
-		if err == nil {
-			chips[chip] = ck // nil when the chip owns no limbs at this level
+	// Each chip writes a disjoint set of out0/out1 limbs and only reads cc,
+	// so chips run concurrently on the worker pool (the software analogue
+	// of the paper's per-chip execution).
+	moved := make([]int, e.NChips)
+	err := forEachChip(e.NChips, func(chip int) error {
+		if chip > l {
+			return nil // more chips than limbs: this chip sits the collective out
 		}
-		return err
-	})
-	defer func() {
-		for _, ck := range chips {
-			if ck != nil {
-				ck.Release()
-			}
-		}
-	}()
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	for d, rng := range DigitRanges(e.Params, evk, l) {
-		lo, hi := rng[0], rng[1]
-		extNTT, err := e.DigitExtNTT(cc.Limbs[lo:hi], lo, hi)
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		err = forEachChip(n, func(chip int) error {
-			if chips[chip] == nil {
-				return nil
-			}
-			return chips[chip].AbsorbDigit(d, cc.Limbs[lo:hi], extNTT)
-		})
-		e.Params.Ring.PutPoly(extNTT)
-		if err != nil {
-			return nil, nil, stats, err
-		}
-	}
-	moved := make([]int, n)
-	err = forEachChip(n, func(chip int) error {
-		ck := chips[chip]
-		if ck == nil {
-			return nil
-		}
-		down0, down1, err := ck.Finish()
+		pl, err := e.chipPlan(chip, l)
 		if err != nil {
 			return err
 		}
-		for k, j := range ck.Mine() {
-			copy(out0.Limbs[j], down0.Limbs[k])
-			copy(out1.Limbs[j], down1.Limbs[k])
+		run, err := pl.Start(evk)
+		if err != nil {
+			return err
 		}
-		moved[chip] = ck.Moved()
+		defer run.Release()
+		for d, rng := range digits {
+			if err := run.AbsorbCoeff(d, cc.Limbs[rng[0]:rng[1]]); err != nil {
+				return err
+			}
+		}
+		f0, f1, err := run.Finish()
+		if err != nil {
+			return err
+		}
+		for k, j := range pl.Owned() {
+			copy(out0.Limbs[j], f0.Limbs[k])
+			copy(out1.Limbs[j], f1.Limbs[k])
+		}
+		r.PutPoly(f0)
+		r.PutPoly(f1)
+		moved[chip] = l + 1 - len(pl.Owned())
 		return nil
 	})
 	if err != nil {
@@ -117,6 +96,21 @@ func (e *Engine) inputBroadcast(c *ring.Poly, evk *ckks.EvalKey) (*ring.Poly, *r
 		stats.LimbsMoved += m
 	}
 	return out0, out1, stats, nil
+}
+
+// chipPlan returns chip's keyswitch plan at level l, compiling it on first
+// use: the plan owns ChipLimbs(chip, l, NChips).
+func (e *Engine) chipPlan(chip, l int) (*ckks.KSPlan, error) {
+	key := [2]int{chip, l}
+	if pl, ok := e.plans.Load(key); ok {
+		return pl.(*ckks.KSPlan), nil
+	}
+	pl, err := e.Params.KSPlanFor(l, ChipLimbs(chip, l, e.NChips))
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := e.plans.LoadOrStore(key, pl)
+	return actual.(*ckks.KSPlan), nil
 }
 
 // cifher implements the prior-art parallel keyswitch of CiFHER [38]: limbs

@@ -23,7 +23,8 @@ func TestCommStatsMeasuredMatchesAnalytic(t *testing.T) {
 		_, ct := tc.encryptRandom(t, 64, int64(100+nChips))
 		l := ct.Level()
 
-		// Input broadcast: measured by ChipIB.Moved() at absorption.
+		// Input broadcast: measured per chip as the absorbed limbs it
+		// does not own.
 		_, _, got, err := eng.KeySwitch(ct.C1, tc.rlk, InputBroadcast)
 		if err != nil {
 			t.Fatal(err)

@@ -16,25 +16,23 @@ import "cinnamon/internal/rns"
 //
 //   - forwardMain runs Cooley-Tukey stages m = 1 .. N/4, leaving
 //     last-stage inputs in [0, 4q);
-//   - fwdLast / fwdLastMul / fwdLastMulAccPair / fwdLastSubMul finish the
-//     transform with, respectively, a canonical store, a fused Barrett
-//     multiply against a second operand, a fused multiply-accumulate into
-//     two 128-bit accumulators (the keyswitch digit absorb), or the fused
-//     mod-down combine;
+//   - fwdLast / fwdLastMulAccPair / fwdLastSubMul finish the transform
+//     with, respectively, a canonical store, a fused multiply-accumulate
+//     into two 128-bit accumulators (the keyswitch digit absorb,
+//     ForwardMulAccPair), or the fused mod-down combine (ForwardSubMul);
 //   - inverseMain runs Gentleman-Sande stages m = N .. 4, optionally
-//     fusing a pointwise add into its first-stage reads (the canonical
-//     inputs sum to < 2q, which is exactly the stage invariant, so the
-//     fusion is free);
-//   - invLast finishes with the N⁻¹ folding and canonical correction.
+//     reading its first stage from another buffer (the keyswitch
+//     decompose's out-of-place transform, InverseScaledFrom);
+//   - invLast / invLastScaled finish with the N⁻¹ folding (times a
+//     caller's scalar) and canonical correction.
 //
 // Forward and Inverse are forwardMain+fwdLast and inverseMain+invLast, so
 // every transform in the process runs one butterfly body per direction.
 //
-// The fused multiply needs no canonical correction at all: the lazy
-// butterfly outputs are < 4q and the Barrett kernel accepts any left
-// operand whose product keeps the high word below q, which 4q·q < q·2^64
-// guarantees for q < 2^62. The two conditional subtractions of the plain
-// last stage simply vanish.
+// The fused multiply-accumulate needs no canonical correction at all: the
+// lazy butterfly outputs are < 4q, the products stay congruent mod q, and
+// the accumulator's final Barrett reduction canonicalizes. The two
+// conditional subtractions of the plain last stage simply vanish.
 //
 // The main bodies are radix-4: each pass loads four quarter spans, runs
 // two radix-2 stages on them in registers and stores once, so a transform
@@ -173,22 +171,6 @@ func (t *Table) fwdLast(a []uint64) {
 	}
 }
 
-// fwdLastMul finishes a forward transform fused with a pointwise multiply:
-// out = NTT(a) ⊙ b, with b canonical NTT-domain. The lazy butterfly sums
-// (< 4q) feed the Barrett multiply directly — no canonical correction and
-// no intermediate store of the transform result.
-func (t *Table) fwdLastMul(a, b, out []uint64) {
-	q, twoQ := t.Q, t.twoQ
-	bar := t.bar
-	x := a[:t.N]
-	w, b, out := t.twF[t.N:][:len(x)], b[:len(x)], out[:len(x)]
-	for j := 0; j < len(x)-1; j += 2 {
-		u, v := ct(x[j], x[j+1], w[j], w[j+1], q, twoQ)
-		out[j] = bar.MulMod(u, b[j])
-		out[j+1] = bar.MulMod(v, b[j+1])
-	}
-}
-
 // fwdLastMulAccPair finishes a forward transform fused with the keyswitch
 // digit absorb: the transform value x (computed in-register) is
 // multiply-accumulated into two 128-bit accumulators, x·b0 into (h0, l0)
@@ -249,28 +231,24 @@ func (t *Table) ForwardSubMul(a, src, out []uint64, w, ws uint64) {
 }
 
 // inverseMain runs all inverse stages except the last (m=2). Inputs must
-// be < 2q; when add is non-nil, the first stage reads a[k]+add[k] instead
-// of a[k] — with both canonical the sum is < 2q, exactly the stage's input
-// invariant, so the preceding pointwise add costs nothing. Outputs are
-// < 2q.
-func (t *Table) inverseMain(a, add []uint64) {
-	t.inverseMainFrom(a, add, a)
+// be < 2q; outputs are < 2q.
+func (t *Table) inverseMain(a []uint64) {
+	t.inverseMainFrom(a, a)
 }
 
-// inverseMainFrom is inverseMain with the first stage optionally reading
-// from src instead of a (writes still go to a): the input copy that
-// otherwise precedes an out-of-place inverse transform folds into the
-// first-stage loads for free. add and src compose; src == a reads a.
-// Requires N ≥ 4.
+// inverseMainFrom is inverseMain with the first stage reading from src
+// instead of a (writes still go to a): the input copy that otherwise
+// precedes an out-of-place inverse transform folds into the first-stage
+// loads for free. src == a reads a. Requires N ≥ 4.
 //
 // Stage m has m/2 butterfly groups, group i under twiddle m/2+i. The
 // span-1 first stage (m = N) runs alone with its fused reads; radix-4
 // passes follow, and when the remaining stage count is odd the widest
 // stage (m = 4) runs alone at the end.
-func (t *Table) inverseMainFrom(a, add, src []uint64) {
+func (t *Table) inverseMainFrom(a, src []uint64) {
 	q, twoQ, tw := t.Q, t.twoQ, t.twI
 	n := t.N
-	invFirst(a[:n:n], src, add, tw[n:], q, twoQ)
+	invFirst(a[:n:n], src, tw[n:], q, twoQ)
 	// Pass (m, m/2), m/2 = 2h: stage m pairs quarters (x0,x1) under twiddle
 	// 2h+2i and (x2,x3) under 2h+2i+1; stage m/2 pairs (x0,x2) and (x1,x3)
 	// under h+i. The quarter span step is 2 in the first pass and a
@@ -291,24 +269,16 @@ func (t *Table) inverseMainFrom(a, add, src []uint64) {
 	}
 }
 
-// invFirst is the inverse span-1 first stage: it reads src (plus add,
-// unless add is nil), pairs neighbours under the interleaved twiddles w
-// and writes x.
-func invFirst(x, src, add, w []uint64, q, twoQ uint64) {
+// invFirst is the inverse span-1 first stage: it reads src, pairs
+// neighbours under the interleaved twiddles w and writes x.
+func invFirst(x, src, w []uint64, q, twoQ uint64) {
 	r, w := src[:len(x)], w[:len(x)]
 	if useAVX512 && len(x) >= 16 {
-		invFirstVec(x, r, add, w, q, twoQ)
+		invFirstVec(x, r, w, q, twoQ)
 		return
 	}
-	if add != nil {
-		b := add[:len(x)]
-		for j := 0; j < len(x)-1; j += 2 {
-			x[j], x[j+1] = gs(r[j]+b[j], r[j+1]+b[j+1], w[j], w[j+1], q, twoQ)
-		}
-	} else {
-		for j := 0; j < len(x)-1; j += 2 {
-			x[j], x[j+1] = gs(r[j], r[j+1], w[j], w[j+1], q, twoQ)
-		}
+	for j := 0; j < len(x)-1; j += 2 {
+		x[j], x[j+1] = gs(r[j], r[j+1], w[j], w[j+1], q, twoQ)
 	}
 }
 
@@ -414,7 +384,7 @@ func (t *Table) InverseScaledFrom(src, dst []uint64, wx, wxs, wy, wys uint64) {
 	if t.N < 4 {
 		copy(dst, src)
 	} else {
-		t.inverseMainFrom(dst, nil, src)
+		t.inverseMainFrom(dst, src)
 	}
 	t.invLastScaled(dst, wx, wxs, wy, wys)
 }
@@ -423,25 +393,6 @@ func (t *Table) InverseScaledFrom(src, dst []uint64, wx, wxs, wy, wys uint64) {
 // conditional subtraction returns them to [0, q). Inputs must be < 2q.
 func (t *Table) invLast(a []uint64) {
 	t.invLastScaled(a, t.nInv, t.nInvShoup, t.wLast, t.wLastShoup)
-}
-
-// ForwardMul computes out = NTT(a) ⊙ b in one fused pass: the forward
-// transform's last stage multiplies against b (canonical, NTT domain)
-// instead of storing the transform result, so the NTT-domain intermediate
-// of a never reaches memory. a is consumed (left in an unspecified
-// pre-last-stage state); out must not alias a. Bit-identical to
-// Forward(a) followed by a canonical Barrett pointwise multiply.
-func (t *Table) ForwardMul(a, b, out []uint64) {
-	t.forwardMain(a)
-	t.fwdLastMul(a, b, out)
-}
-
-// ForwardMulPair computes out0 = NTT(a) ⊙ b0 and out1 = NTT(a) ⊙ b1,
-// transforming a once. a is consumed; out0/out1 must not alias a.
-func (t *Table) ForwardMulPair(a, b0, b1, out0, out1 []uint64) {
-	t.forwardMain(a)
-	t.fwdLastMul(a, b0, out0)
-	t.fwdLastMul(a, b1, out1)
 }
 
 // LazyMulAccWeight is the overflow-budget weight of one ForwardMulAccPair
@@ -461,20 +412,4 @@ const LazyMulAccWeight = 4
 func (t *Table) ForwardMulAccPair(a, b0, b1, h0, l0, h1, l1 []uint64) {
 	t.forwardMain(a)
 	t.fwdLastMulAccPair(a, b0, b1, h0, l0, h1, l1)
-}
-
-// AddInverse computes a = INTT(a + b) in one fused pass, folding the
-// pointwise add into the inverse transform's first-stage reads. Both
-// inputs must be canonical NTT-domain values; b is unchanged.
-// Bit-identical to AddMod followed by Inverse.
-func (t *Table) AddInverse(a, b []uint64) {
-	if t.N < 4 {
-		for i := range a {
-			a[i] += b[i] // < 2q: exactly invLast's input invariant
-		}
-		t.invLast(a)
-		return
-	}
-	t.inverseMain(a, b)
-	t.invLast(a)
 }

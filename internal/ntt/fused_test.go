@@ -86,40 +86,6 @@ func mustEqual(t *testing.T, tb *Table, what string, got, want []uint64) {
 	}
 }
 
-// TestForwardMulMatchesUnfused proves the fused NTT+pointwise-multiply
-// equals the strict reference transform followed by a canonical multiply.
-func TestForwardMulMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
-		a, b := randPoly(rng, tb.N, tb.Q), randPoly(rng, tb.N, tb.Q)
-		ref := strictNTT(tb, a)
-		for i := range ref {
-			ref[i] = rns.MulMod(ref[i], b[i], tb.Q)
-		}
-		out := make([]uint64, tb.N)
-		tb.ForwardMul(a, b, out)
-		mustEqual(t, tb, "ForwardMul", out, ref)
-	})
-}
-
-// TestForwardMulPairMatchesUnfused checks the two-output variant against
-// two strict compositions.
-func TestForwardMulPairMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
-		a := randPoly(rng, tb.N, tb.Q)
-		b0, b1 := randPoly(rng, tb.N, tb.Q), randPoly(rng, tb.N, tb.Q)
-		x := strictNTT(tb, a)
-		ref0, ref1 := make([]uint64, tb.N), make([]uint64, tb.N)
-		for i := range x {
-			ref0[i] = rns.MulMod(x[i], b0[i], tb.Q)
-			ref1[i] = rns.MulMod(x[i], b1[i], tb.Q)
-		}
-		out0, out1 := make([]uint64, tb.N), make([]uint64, tb.N)
-		tb.ForwardMulPair(a, b0, b1, out0, out1)
-		mustEqual(t, tb, "ForwardMulPair out0", out0, ref0)
-		mustEqual(t, tb, "ForwardMulPair out1", out1, ref1)
-	})
-}
-
 // TestForwardMulAccPairMatchesUnfused proves the fused digit-absorb kernel
 // (transform + double multiply-accumulate) against the strict transform.
 // The fused kernel accumulates lazy (< 4q) transform values, so raw 128-bit
@@ -188,21 +154,6 @@ func TestInverseScaledFromMatchesUnfused(t *testing.T) {
 		tb.InverseScaledFrom(src, dst, wx, wxs, wy, wys)
 		mustEqual(t, tb, "InverseScaledFrom", dst, ref)
 		mustEqual(t, tb, "InverseScaledFrom source", src, keep)
-	})
-}
-
-// TestAddInverseMatchesUnfused proves the fused add+INTT equals a
-// canonical pointwise add followed by the strict inverse.
-func TestAddInverseMatchesUnfused(t *testing.T) {
-	forEachTable(t, func(t *testing.T, tb *Table, rng *rand.Rand) {
-		a, b := randPoly(rng, tb.N, tb.Q), randPoly(rng, tb.N, tb.Q)
-		sum := make([]uint64, tb.N)
-		for i := range sum {
-			sum[i] = rns.AddMod(a[i], b[i], tb.Q)
-		}
-		ref := strictINTT(tb, sum)
-		tb.AddInverse(a, b)
-		mustEqual(t, tb, "AddInverse", a, ref)
 	})
 }
 

@@ -59,7 +59,7 @@ func fwdLastSubMulAVX512(a, w, src, out []uint64, s, ss, q, twoQ uint64)
 func fwdLastMulAccPairAVX512(a, w, b0, b1, h0, l0, h1, l1 []uint64, q, twoQ uint64)
 
 //go:noescape
-func invFirstAVX512(a, src, add, w []uint64, q, twoQ uint64)
+func invFirstAVX512(a, src, w []uint64, q, twoQ uint64)
 
 //go:noescape
 func inv4AVX512(a, ta, tb []uint64, step int, q, twoQ uint64)
@@ -129,14 +129,10 @@ func fwdLastMulAccPairVec(a, w, b0, b1, h0, l0, h1, l1 []uint64, q, twoQ uint64)
 	fwdLastMulAccPairAVX512(a, w[:n], b0[:n], b1[:n], h0[:n], l0[:n], h1[:n], l1[:n], q, twoQ)
 }
 
-// invFirstVec is the inverse span-1 first stage reading src (+ add, unless
-// add is nil) and writing a.
-func invFirstVec(a, src, add, w []uint64, q, twoQ uint64) {
+// invFirstVec is the inverse span-1 first stage reading src and writing a.
+func invFirstVec(a, src, w []uint64, q, twoQ uint64) {
 	mustVec(len(a), 16)
-	if add != nil {
-		add = add[:len(a)]
-	}
-	invFirstAVX512(a, src[:len(a)], add, w[:len(a)], q, twoQ)
+	invFirstAVX512(a, src[:len(a)], w[:len(a)], q, twoQ)
 }
 
 // inv4Vec is a whole inverse radix-4 pass of h = len(tb)/2 groups with

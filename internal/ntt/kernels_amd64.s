@@ -487,22 +487,18 @@ fwdmaccloop:
 	ADDQ        $128, SI; \
 	ADDQ        $128, R9
 
-// func invFirstAVX512(a, src, add, w []uint64, q, twoQ uint64)
+// func invFirstAVX512(a, src, w []uint64, q, twoQ uint64)
 //
-// add is empty or as long as a; src may be a itself.
-TEXT ·invFirstAVX512(SB), NOSPLIT, $0-112
+// src may be a itself.
+TEXT ·invFirstAVX512(SB), NOSPLIT, $0-88
 	MOVQ a_base+0(FP), DI
 	MOVQ a_len+8(FP), CX
 	SHRQ $4, CX
 	MOVQ src_base+24(FP), SI
-	MOVQ add_base+48(FP), R8
-	MOVQ add_len+56(FP), DX
-	MOVQ w_base+72(FP), R9
-	MOVQ q+96(FP), AX
-	MOVQ twoQ+104(FP), BX
+	MOVQ w_base+48(FP), R9
+	MOVQ q+72(FP), AX
+	MOVQ twoQ+80(FP), BX
 	LANECONSTS
-	TESTQ DX, DX
-	JNZ   invfirstadd
 
 invfirstloop:
 	VMOVDQU64 (SI), Z10
@@ -510,18 +506,6 @@ invfirstloop:
 	INVFIRST
 	DECQ      CX
 	JNZ       invfirstloop
-	VZEROUPPER
-	RET
-
-invfirstadd:
-	VMOVDQU64 (SI), Z10
-	VMOVDQU64 64(SI), Z11
-	VPADDQ    (R8), Z10, Z10
-	VPADDQ    64(R8), Z11, Z11
-	ADDQ      $128, R8
-	INVFIRST
-	DECQ      CX
-	JNZ       invfirstadd
 	VZEROUPPER
 	RET
 

@@ -15,7 +15,7 @@ func fwd4Vec(a, t1, t2 []uint64, h int, q, twoQ uint64)               { panic(no
 func fwd4Span2Vec(a, t1, t2 []uint64, q, twoQ uint64)                 { panic(noVector) }
 func fwdLastVec(a, w []uint64, q, twoQ uint64)                        { panic(noVector) }
 func fwdLastSubMulVec(a, w, src, out []uint64, s, ss, q, twoQ uint64) { panic(noVector) }
-func invFirstVec(a, src, add, w []uint64, q, twoQ uint64)             { panic(noVector) }
+func invFirstVec(a, src, w []uint64, q, twoQ uint64)                  { panic(noVector) }
 func inv4Vec(a, ta, tb []uint64, step int, q, twoQ uint64)            { panic(noVector) }
 func inv4Span2Vec(a, ta, tb []uint64, q, twoQ uint64)                 { panic(noVector) }
 func inv2Vec(x, y []uint64, w, ws, q, twoQ uint64)                    { panic(noVector) }

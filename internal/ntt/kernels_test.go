@@ -68,11 +68,10 @@ func vectorPasses(tb *Table, rng *rand.Rand) []passCase {
 			tb.fwdLastMulAccPair(a, b, c, acc[0], acc[1], acc[2], acc[3])
 		}},
 		{"MulAccWide", func(a, b, c []uint64, acc [][]uint64) { MulAccWide(acc[0], acc[1], a, b) }},
-		{"ReduceWide", func(a, b, c []uint64, _ [][]uint64) { ReduceWide(c, a, b, tb.bar) }},
-		{"ReduceWideInPlace", func(a, b, c []uint64, _ [][]uint64) { ReduceWide(b, a, b, tb.bar) }},
-		{"invFirst", func(a, b, c []uint64, _ [][]uint64) { invFirst(a, a, nil, iw[n:], q, twoQ) }},
-		{"invFirstFrom", func(a, b, c []uint64, _ [][]uint64) { invFirst(c, a, nil, iw[n:], q, twoQ) }},
-		{"invFirstAdd", func(a, b, c []uint64, _ [][]uint64) { invFirst(a, a, b, iw[n:], q, twoQ) }},
+		{"ReduceWide", func(a, b, c []uint64, _ [][]uint64) { ReduceWide(c, a, b, rns.NewBarrettParams(tb.Q)) }},
+		{"ReduceWideInPlace", func(a, b, c []uint64, _ [][]uint64) { ReduceWide(b, a, b, rns.NewBarrettParams(tb.Q)) }},
+		{"invFirst", func(a, b, c []uint64, _ [][]uint64) { invFirst(a, a, iw[n:], q, twoQ) }},
+		{"invFirstFrom", func(a, b, c []uint64, _ [][]uint64) { invFirst(c, a, iw[n:], q, twoQ) }},
 		{"inv4Span2", func(a, b, c []uint64, _ [][]uint64) { inv4Span2(a, iw[n/2:n], iw[n/4:n/2], q, twoQ) }},
 		{"inv2", func(a, b, c []uint64, _ [][]uint64) { inv2(a[:n/2], a[n/2:], iw[4], iw[5], q, twoQ) }},
 		{"invLastScaled", func(a, b, c []uint64, _ [][]uint64) { tb.invLastScaled(a, wx, wxs, wy, wys) }},
@@ -184,10 +183,9 @@ func TestVectorWrappersRejectShortOperands(t *testing.T) {
 		"fwd4 no groups":         func() { fwd4Vec(full, nil, nil, 8, q, twoQ) },
 		"fwd2 length not 8k":     func() { fwd2Vec(full[:12], full[12:24], 1, 1, q, twoQ) },
 		"fwdLast short twiddles": func() { fwdLastVec(full, short, q, twoQ) },
-		"invFirst short add":     func() { invFirstVec(full, full, short, tb.twI[n:], q, twoQ) },
 		"inv4 short twiddles":    func() { inv4Vec(full, make([]uint64, 2), make([]uint64, 2), n/4, q, twoQ) },
 		"MulAccWide short y":     func() { MulAccWide(full, full, full, short) },
-		"ReduceWide short hi":    func() { ReduceWide(full, short, full, tb.bar) },
+		"ReduceWide short hi":    func() { ReduceWide(full, short, full, rns.NewBarrettParams(tb.Q)) },
 	}
 	for name, f := range cases {
 		func() {

@@ -41,11 +41,6 @@ type Table struct {
 	nInvShoup  uint64
 	wLast      uint64 // ψ^{-brv(1)}·N^{-1}: last-stage inverse twiddle with N⁻¹ folded in
 	wLastShoup uint64
-
-	// bar caches the Barrett constants of Q for the fused last-stage
-	// multiply (ForwardMul), whose left operand is a lazy (< 4q) butterfly
-	// output.
-	bar rns.BarrettParams
 }
 
 // NewTable builds NTT tables for dimension n (a power of two) and prime q
@@ -86,7 +81,6 @@ func NewTable(n int, q uint64) (*Table, error) {
 	t.nInvShoup = rns.ShoupPrecomp(t.nInv, q)
 	t.wLast = rns.MulMod(t.twI[2], t.nInv, q)
 	t.wLastShoup = rns.ShoupPrecomp(t.wLast, q)
-	t.bar = rns.NewBarrettParams(q)
 	return t, nil
 }
 
@@ -126,7 +120,7 @@ func (t *Table) Inverse(a []uint64) {
 		panic(fmt.Sprintf("ntt: Inverse on slice of length %d, table dimension %d", len(a), t.N))
 	}
 	if t.N >= 4 {
-		t.inverseMain(a, nil)
+		t.inverseMain(a)
 	}
 	t.invLast(a)
 }

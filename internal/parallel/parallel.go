@@ -178,7 +178,7 @@ func (p *Pool) tryAddHelper() bool {
 }
 
 // SetWorkers configures the default pool; n <= 0 restores the GOMAXPROCS
-// default. The serving runtime wires its Config.LimbWorkers here.
+// default. Tests use it to pin the fan-out.
 func SetWorkers(n int) { Default.SetWorkers(n) }
 
 // Workers returns the default pool's effective size.

@@ -8,97 +8,18 @@ import (
 	"cinnamon/internal/rns"
 )
 
-// Ring-level fused kernels (DESIGN.md §12). Each pairs an NTT boundary
-// stage with the pointwise operation that always neighbors it in the
-// evaluator, so the intermediate polynomial between the two never reaches
-// memory. All of them are bit-identical to their unfused compositions —
-// the fused last stage produces the same canonical values the plain last
-// stage would, just without storing them in between.
-
-// NTTMulCoeffs computes out = NTT(a) ⊙ b through the fused transform
-// kernel: a must be coefficient-domain, b NTT-domain canonical, both over
-// the same basis. a is consumed (its limbs are left mid-transform); out
-// may alias b but not a. out is NTT-domain.
-func (r *Ring) NTTMulCoeffs(pl *ntt.BatchPlan, a, b, out *Poly) error {
-	if a.IsNTT || !b.IsNTT {
-		return fmt.Errorf("ring: NTTMulCoeffs wants coefficient ⊙ NTT operands")
-	}
-	l := len(a.Limbs)
-	if l != len(b.Limbs) || pl.Limbs() < l {
-		return fmt.Errorf("ring: NTTMulCoeffs limb mismatch (%d vs %d, plan %d)", l, len(b.Limbs), pl.Limbs())
-	}
-	out.Basis, out.IsNTT = a.Basis, true
-	r.ensureShape(out, l)
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, r.N, parallel.CostNTT) {
-		parallel.For(l, func(j int) {
-			pl.Table(j).ForwardMul(a.Limbs[j], b.Limbs[j], out.Limbs[j])
-		})
-		return nil
-	}
-	for j := 0; j < l; j++ {
-		pl.Table(j).ForwardMul(a.Limbs[j], b.Limbs[j], out.Limbs[j])
-	}
-	return nil
-}
-
-// NTTMulCoeffsPair computes out0 = NTT(a) ⊙ b0 and out1 = NTT(a) ⊙ b1,
-// transforming a once — the ciphertext shape (c0, c1) scaled by one plain
-// polynomial. a is consumed; outputs must not alias a.
-func (r *Ring) NTTMulCoeffsPair(pl *ntt.BatchPlan, a, b0, b1, out0, out1 *Poly) error {
-	if a.IsNTT || !b0.IsNTT || !b1.IsNTT {
-		return fmt.Errorf("ring: NTTMulCoeffsPair wants coefficient ⊙ NTT operands")
-	}
-	l := len(a.Limbs)
-	if l != len(b0.Limbs) || l != len(b1.Limbs) || pl.Limbs() < l {
-		return fmt.Errorf("ring: NTTMulCoeffsPair limb mismatch")
-	}
-	out0.Basis, out0.IsNTT = a.Basis, true
-	out1.Basis, out1.IsNTT = a.Basis, true
-	r.ensureShape(out0, l)
-	r.ensureShape(out1, l)
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, r.N, parallel.CostNTT) {
-		parallel.For(l, func(j int) {
-			pl.Table(j).ForwardMulPair(a.Limbs[j], b0.Limbs[j], b1.Limbs[j], out0.Limbs[j], out1.Limbs[j])
-		})
-		return nil
-	}
-	for j := 0; j < l; j++ {
-		pl.Table(j).ForwardMulPair(a.Limbs[j], b0.Limbs[j], b1.Limbs[j], out0.Limbs[j], out1.Limbs[j])
-	}
-	return nil
-}
-
-// AddINTT computes a = INTT(a + b) in one fused pass, folding the
-// pointwise add into the inverse transform's first-stage reads. Both
-// operands must be NTT-domain canonical over the same limb count; b is
-// unchanged.
-func (r *Ring) AddINTT(pl *ntt.BatchPlan, a, b *Poly) error {
-	if !a.IsNTT || !b.IsNTT {
-		return fmt.Errorf("ring: AddINTT requires NTT domain")
-	}
-	l := len(a.Limbs)
-	if l != len(b.Limbs) || pl.Limbs() < l {
-		return fmt.Errorf("ring: AddINTT limb mismatch (%d vs %d, plan %d)", l, len(b.Limbs), pl.Limbs())
-	}
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, r.N, parallel.CostNTT) {
-		parallel.For(l, func(j int) {
-			pl.Table(j).AddInverse(a.Limbs[j], b.Limbs[j])
-		})
-	} else {
-		for j := 0; j < l; j++ {
-			pl.Table(j).AddInverse(a.Limbs[j], b.Limbs[j])
-		}
-	}
-	a.IsNTT = false
-	return nil
-}
+// The ring-level fused keyswitch kernel (DESIGN.md §12; the NTT-domain
+// mod-down, ModDownNTTWith, is in plans.go). It pairs the forward
+// transform's last stage with the inner-product multiply-accumulate that
+// always follows it, so the transformed limb never reaches memory, and it
+// is bit-identical to the unfused composition.
 
 // AbsorbDigitFused accumulates evk_d ⊙ NTT(modup_d) into the accumulator
 // pair (a0, a1) — the whole per-digit body of the hybrid keyswitch inner
 // product in one pass. For each limb u of the accumulators' basis:
 //
 //   - own[u] ≥ 0 marks a limb the digit owns: the mod-up value there is the
-//     digit's residue itself, so src.Limbs[own[u]] (already NTT-domain —
+//     digit's residue itself, so src[own[u]] (already NTT-domain —
 //     NTT∘INTT is bit-exact, no transform needed) multiply-accumulates
 //     directly against b0/b1;
 //   - own[u] < 0 marks a complementary limb: the next limb of conv (the
@@ -111,7 +32,7 @@ func (r *Ring) AddINTT(pl *ntt.BatchPlan, a, b *Poly) error {
 // ntt.LazyMulAccWeight product units per cell against both accumulators'
 // overflow budgets — the fused forward kernel accumulates lazy (< 4q)
 // transform values, whose products are up to 4× a canonical product.
-func (r *Ring) AbsorbDigitFused(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, src *Poly, conv [][]uint64, b0, b1 *Poly) error {
+func (r *Ring) AbsorbDigitFused(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, src, conv [][]uint64, b0, b1 *Poly) error {
 	m := a0.basis.Len()
 	if len(own) != m || len(b0.Limbs) != m || len(b1.Limbs) != m || pl.Limbs() < m {
 		return fmt.Errorf("ring: AbsorbDigitFused shape mismatch")
@@ -136,11 +57,11 @@ func (r *Ring) AbsorbDigitFused(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, s
 // absorbLimb processes accumulator limb u of AbsorbDigitFused. conv is
 // indexed by the count of non-own limbs before u (own and conv never
 // overlap, so the prefix count is the conv position).
-func (r *Ring) absorbLimb(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, src *Poly, conv [][]uint64, b0, b1 *Poly, u int) {
+func (r *Ring) absorbLimb(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, src, conv [][]uint64, b0, b1 *Poly, u int) {
 	h0, l0 := a0.hi[u], a0.lo[u]
 	h1, l1 := a1.hi[u], a1.lo[u]
 	if j := own[u]; j >= 0 {
-		xj := src.Limbs[j]
+		xj := src[j]
 		b0j, b1j := b0.Limbs[u], b1.Limbs[u]
 		for i := range xj {
 			h0[i], l0[i] = rns.MulAccLazy(h0[i], l0[i], xj[i], b0j[i])

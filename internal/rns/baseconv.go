@@ -113,12 +113,28 @@ func (bc *BaseConverter) Convert(in [][]uint64) ([][]uint64, error) {
 // BENCH_core.json — wide gating keeps exactly that shape serial while
 // mod-down's many-limb conversions still fan out.
 func (bc *BaseConverter) ConvertInto(in, z, out [][]uint64) error {
-	l, m := bc.src.Len(), bc.dst.Len()
+	if len(out) != bc.dst.Len() {
+		return fmt.Errorf("rns: got %d output limbs, target basis has %d", len(out), bc.dst.Len())
+	}
+	if err := bc.ZInto(in, z); err != nil {
+		return err
+	}
+	for k := range out {
+		if len(out[k]) != len(z[0]) {
+			return fmt.Errorf("rns: output limb %d length %d != %d", k, len(out[k]), len(z[0]))
+		}
+	}
+	return bc.AccumulateInto(z, out)
+}
+
+// ZInto runs only the z stage of ConvertInto: z_j = [x_j·(Q/q_j)⁻¹]_{q_j},
+// canonical, for every source limb. A caller that must convert one source
+// onto several targets, or read the z-values beside the conversion, runs
+// it once and enters AccumulateInto per target.
+func (bc *BaseConverter) ZInto(in, z [][]uint64) error {
+	l := bc.src.Len()
 	if len(in) != l || len(z) != l {
 		return fmt.Errorf("rns: got %d/%d limbs, source basis has %d", len(in), len(z), l)
-	}
-	if len(out) != m {
-		return fmt.Errorf("rns: got %d output limbs, target basis has %d", len(out), m)
 	}
 	n := len(in[0])
 	for j := 0; j < l; j++ {
@@ -126,11 +142,13 @@ func (bc *BaseConverter) ConvertInto(in, z, out [][]uint64) error {
 			return fmt.Errorf("rns: limb %d length %d/%d != %d", j, len(in[j]), len(z[j]), n)
 		}
 	}
-	for k := 0; k < m; k++ {
-		if len(out[k]) != n {
-			return fmt.Errorf("rns: output limb %d length %d != %d", k, len(out[k]), n)
-		}
-	}
+	bc.zInto(in, z)
+	return nil
+}
+
+// zInto is the z stage over checked operands, striped over source limbs.
+func (bc *BaseConverter) zInto(in, z [][]uint64) {
+	l, n := len(in), len(in[0])
 	if parallel.Workers() > 1 && parallel.WorthFanout(l, n, parallel.CostMul) {
 		parallel.For(l, func(j int) { bc.zLimb(j, in[j], z[j]) })
 	} else {
@@ -138,7 +156,6 @@ func (bc *BaseConverter) ConvertInto(in, z, out [][]uint64) error {
 			bc.zLimb(j, in[j], z[j])
 		}
 	}
-	return bc.AccumulateInto(z, out)
 }
 
 // AccumulateInto runs only the accumulate stage of ConvertInto: z must

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -319,5 +321,49 @@ func TestWorkerLostMidRun(t *testing.T) {
 		}
 		closeCoreT(t, core)
 		eng.Close()
+	}
+}
+
+// TestShortKeyRefusedOnEveryPath: a key with fewer digits than the level
+// needs is refused on every keyswitch path — the local evaluator, the
+// in-process input broadcast, a net.Pipe cluster's workers (in band) — and
+// at registration, instead of being switched into a wrong ciphertext with
+// no error.
+func TestShortKeyRefusedOnEveryPath(t *testing.T) {
+	reg := testEnv(t)
+	params := reg.Params
+	rlk := env.keys["rlk"]
+	if params.Digits() < 2 {
+		t.Fatalf("the fixture's top level has %d digits; the test needs two", params.Digits())
+	}
+	short := &ckks.EvalKey{B: rlk.B[:1], A: rlk.A[:1]}
+	ct, _ := encryptRandom(t, 700)
+	want := fmt.Sprintf("key has 1 digits, level needs %d", params.Digits())
+
+	if _, _, err := ckks.NewEvaluator(params, nil, nil).KeySwitch(ct.C1, short); !errors.Is(err, ckks.ErrNoKeySwitchPlan) {
+		t.Errorf("local: got %v, want ErrNoKeySwitchPlan", err)
+	}
+	ks, err := keyswitch.NewEngine(params, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f0, _, _, err := ks.KeySwitch(ct.C1, short, keyswitch.InputBroadcast); !errors.Is(err, ckks.ErrNoKeySwitchPlan) || f0 != nil {
+		t.Errorf("in-process input broadcast: got %v, want ErrNoKeySwitchPlan and no output", err)
+	}
+	eng, _ := newPipeCluster(t, params, 2, cluster.Options{HeartbeatInterval: time.Hour})
+	if f0, _, _, err := eng.KeySwitchStats(ct.C1, short); err == nil || !strings.Contains(err.Error(), want) || f0 != nil {
+		t.Errorf("cluster: got %v, want a worker refusal naming %q and no output", err, want)
+	}
+	// The workers refused in band: the sessions survive and switch a full
+	// key next.
+	if _, _, _, err := eng.KeySwitchStats(ct.C1, rlk); err != nil {
+		t.Errorf("cluster after the refusal: %v", err)
+	}
+	err = reg.RegisterTenant("short-key", map[string]*ckks.EvalKey{"rlk": short})
+	if !errors.Is(err, ErrBadRequest) || statusFor(err) != http.StatusBadRequest {
+		t.Errorf("registry: got %v, want ErrBadRequest (400)", err)
+	}
+	if _, ok := reg.TenantKeys("short-key"); ok {
+		t.Error("a refused registration left the tenant registered")
 	}
 }

@@ -227,10 +227,14 @@ func TestRequestTimeout(t *testing.T) {
 	})
 	t.Run("deep mid-run", func(t *testing.T) {
 		de := newDeepEnv(t, 7)
-		core := NewCore(de.reg, Config{})
+		// The run's refresh outlasts the deadline whatever the kernels'
+		// speed: a bootstrap at this ring alone can finish inside it.
+		core := NewCore(de.reg, Config{testInRefresh: func(string) func() {
+			time.Sleep(60 * time.Millisecond)
+			return func() {}
+		}})
 		defer core.Close(context.Background())
 		ct, _ := de.encryptInput(t, 601)
-		// A deep run costs one bootstrap (>= 100 ms at this ring).
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		defer cancel()
 		_, err := core.Submit(ctx, de.prog.Spec.Name, de.tenant, ct)

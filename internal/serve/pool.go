@@ -14,7 +14,6 @@ import (
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/sched"
 )
 
@@ -46,14 +45,6 @@ type Config struct {
 	// context, so the slot is held until that one bootstrap ends. Default
 	// GOMAXPROCS.
 	Workers int
-	// LimbWorkers sets the process-wide limb-parallel worker pool used by
-	// ring/keyswitch arithmetic inside every execution (see
-	// internal/parallel). 0 leaves the pool at its GOMAXPROCS default;
-	// setting it to 1 trades per-request latency for throughput when
-	// Workers already saturates the cores. Concurrent executions, refreshes
-	// included, draw helpers from this one pool's budget (LimbWorkers−1
-	// process-wide), so they cannot oversubscribe the host between them.
-	LimbWorkers int
 	// RequestTimeout bounds a request's total time in the system when its
 	// context has no deadline of its own. Expiry is noticed waiting for a
 	// slot, between program nodes, entering a refresh and at every cluster
@@ -193,9 +184,6 @@ func NewCore(reg *Registry, cfg Config) *Core {
 // instead of panicking. With Config.SessionLog unset it never fails.
 func NewDurableCore(reg *Registry, cfg Config) (*Core, error) {
 	cfg = cfg.withDefaults()
-	if cfg.LimbWorkers > 0 {
-		parallel.SetWorkers(cfg.LimbWorkers)
-	}
 	c := &Core{
 		cfg:       cfg,
 		reg:       reg,

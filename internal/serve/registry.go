@@ -256,7 +256,9 @@ func (r *Registry) ProgramNames() []string {
 // cache like an evicted one: its keys leave the workers once no run holds
 // them. A key with a digit partition (GenEvalKeyDigits) fails with
 // ErrBadRequest: the key bundle does not carry the partition, so a spill
-// reload would return a different key than the one registered.
+// reload would return a different key than the one registered. So does a
+// key with fewer digits than the top level needs, which no keyswitch
+// accepts.
 func (r *Registry) RegisterTenant(id string, keys map[string]*ckks.EvalKey) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty tenant id")
@@ -265,6 +267,9 @@ func (r *Registry) RegisterTenant(id string, keys map[string]*ckks.EvalKey) erro
 	for k, v := range keys {
 		if v != nil && v.DigitSets != nil {
 			return fmt.Errorf("%w: key %q has a %d-set digit partition; only default-partition keys can be registered", ErrBadRequest, k, len(v.DigitSets))
+		}
+		if v != nil && v.Digits() < r.Params.Digits() {
+			return fmt.Errorf("%w: key %q has %d digits, the top level needs %d", ErrBadRequest, k, v.Digits(), r.Params.Digits())
 		}
 		cp[k] = v
 	}
