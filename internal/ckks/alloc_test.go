@@ -72,3 +72,16 @@ func TestKeySwitchPlannedZeroAlloc(t *testing.T) {
 		t.Fatalf("warm planned keyswitch allocated %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestNewEvaluatorAllocCeiling: serving builds an evaluator per request, so
+// a warm NewEvaluator must build no tables (no encoder among them): one
+// allocation, the evaluator itself.
+func TestNewEvaluatorAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	tc := newTestContext(t, nil)
+	if a := testing.AllocsPerRun(50, func() { _ = NewEvaluator(tc.params, tc.rlk, nil) }); a > 1 {
+		t.Fatalf("warm NewEvaluator: %.0f allocations, want at most 1", a)
+	}
+}

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -504,5 +505,64 @@ func TestScaleTracking(t *testing.T) {
 	ql := float64(tc.params.QBasis.Moduli[tc.params.MaxLevel()])
 	if want := prod.Scale / ql; math.Abs(res.Scale-want)/want > 1e-12 {
 		t.Fatalf("rescaled scale %g, want %g", res.Scale, want)
+	}
+}
+
+// TestSharedEncoderAcrossEvaluators: two goroutines, each with its own
+// evaluator, encode and decode through one encoder at once (run under
+// -race: an Encoder is read-only once built, so callers may share it),
+// and every plaintext and sum equals the one computed alone.
+func TestSharedEncoderAcrossEvaluators(t *testing.T) {
+	tc := newTestContext(t, nil)
+	enc := NewEncoder(tc.params)
+	vals := [][]complex128{randomComplex(tc.params.Slots(), 1, 5), randomComplex(tc.params.Slots(), 1, 6)}
+	want := make([]*Plaintext, len(vals))
+	for g, v := range vals {
+		pt, err := enc.Encode(v, tc.params.MaxLevel(), tc.params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g] = pt
+	}
+	ct, err := tc.encr.Encrypt(want[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := tc.ev.Add(ct, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, len(vals))
+	for g := range vals {
+		go func(g int) {
+			errs <- func() error {
+				ev := NewEvaluator(tc.params, tc.rlk, nil)
+				for range 4 {
+					pt, err := enc.Encode(vals[g], tc.params.MaxLevel(), tc.params.DefaultScale())
+					if err != nil {
+						return err
+					}
+					if !pt.Poly.Equal(want[g].Poly) {
+						return fmt.Errorf("goroutine %d: shared-encoder plaintext differs from the serial one", g)
+					}
+					if _, err := enc.Decode(pt, len(vals[g])); err != nil {
+						return err
+					}
+					s, err := ev.Add(ct, ct)
+					if err != nil {
+						return err
+					}
+					if !s.C0.Equal(sum.C0) || !s.C1.Equal(sum.C1) {
+						return fmt.Errorf("goroutine %d: sum differs from the serial one", g)
+					}
+				}
+				return nil
+			}()
+		}(g)
+	}
+	for range vals {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

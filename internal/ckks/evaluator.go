@@ -14,7 +14,6 @@ import (
 // required key fail with a descriptive error.
 type Evaluator struct {
 	params *Parameters
-	enc    *Encoder
 	rlk    *EvalKey
 	rtks   *RotationKeySet
 	ks     KeySwitcher
@@ -43,9 +42,10 @@ func (ev *Evaluator) keySwitch(c *ring.Poly, evk *EvalKey) (*ring.Poly, *ring.Po
 }
 
 // NewEvaluator returns an evaluator. rlk and rtks may be nil when only
-// linear operations are used.
+// linear operations are used. It builds no tables of its own — serving
+// makes one per request — so a warm call is one small allocation.
 func NewEvaluator(params *Parameters, rlk *EvalKey, rtks *RotationKeySet) *Evaluator {
-	return &Evaluator{params: params, enc: NewEncoder(params), rlk: rlk, rtks: rtks}
+	return &Evaluator{params: params, rlk: rlk, rtks: rtks}
 }
 
 // Params returns the evaluator's parameter set.

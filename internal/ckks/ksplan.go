@@ -51,7 +51,7 @@ type ksDigit struct {
 	lo, hi int       // chain-index interval [lo, hi)
 	digit  rns.Basis // the digit's own moduli
 	comp   rns.Basis // basis minus the digit's limbs, in basis order
-	bc     *rns.BaseConverter
+	bc     *ring.BaseConverter
 	// own[u] ≥ 0 marks accumulator limb u as the digit's chain limb
 	// lo+own[u], read from the digit's NTT-domain source; own[u] < 0 marks
 	// a base-converted limb.
@@ -227,6 +227,8 @@ type KSRun struct {
 // ride internal/keyswitch's output-aggregation kernels), one not over the
 // full modulus universe, or one with fewer digits than the level needs —
 // switching under those would yield a wrong polynomial and no error.
+// Every refusal's text begins with ErrNoKeySwitchPlan's: a cluster worker
+// sends it back as text, and the coordinator recognises it by that prefix.
 func (pl *KSPlan) Start(evk *EvalKey) (KSRun, error) {
 	switch {
 	case evk.DigitSets != nil:

@@ -94,7 +94,7 @@ func refKeySwitch(t *testing.T, params *Parameters, c *ring.Poly, evk *EvalKey) 
 				comp = append(comp, q)
 			}
 		}
-		bc, err := rns.NewBaseConverter(rns.Basis{Moduli: union.Moduli[lo:hi]}, rns.Basis{Moduli: comp})
+		bc, err := ring.NewBaseConverter(rns.Basis{Moduli: union.Moduli[lo:hi]}, rns.Basis{Moduli: comp})
 		if err != nil {
 			t.Fatal(err)
 		}

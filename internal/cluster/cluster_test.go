@@ -893,3 +893,67 @@ func TestStaleReplySkipped(t *testing.T) {
 		})
 	}
 }
+
+// TestWorkerRefusalNotDegraded: a key with fewer digits than the level
+// needs is refused by every worker's keyswitch plan in band. That is the
+// request's error — the local keyswitch refuses it too — so the collective
+// returns the workers' refusal as itself, not as ErrDegraded, and both
+// sessions stay up.
+func TestWorkerRefusalNotDegraded(t *testing.T) {
+	tc := newClusterContext(t, 2, Options{RPCTimeout: 2 * time.Second, RetryBackoff: time.Millisecond})
+	ct := tc.encryptRandom(t, 91)
+	if tc.rlk.Digits() < 2 {
+		t.Fatalf("test parameters give the relinearization key %d digits; need 2 or more", tc.rlk.Digits())
+	}
+	short := &ckks.EvalKey{B: tc.rlk.B[:1], A: tc.rlk.A[:1]}
+	if got := tc.eng.HealthyWorkers(); got != 2 {
+		t.Fatalf("healthy workers before: %d, want 2", got)
+	}
+	d0, d1, err := tc.eng.KeySwitch(ct.C1, short)
+	if err == nil || d0 != nil || d1 != nil {
+		t.Fatalf("keyswitch under a short key: got (%v, %v, %v), want a refusal and no result", d0, d1, err)
+	}
+	if errors.Is(err, ErrDegraded) {
+		t.Fatalf("a worker's refusal of the key was reported as a lost worker: %v", err)
+	}
+	if !errors.Is(err, ckks.ErrNoKeySwitchPlan) || !strings.Contains(err.Error(), "worker reported") || !strings.Contains(err.Error(), "digits") {
+		t.Fatalf("keyswitch under a short key: got %v, want the worker's ErrNoKeySwitchPlan message", err)
+	}
+	if got := tc.eng.HealthyWorkers(); got != 2 {
+		t.Fatalf("healthy workers after a refusal: %d, want 2", got)
+	}
+	if snap := tc.eng.Snapshot(); snap.Reconnects != 0 {
+		t.Fatalf("a refusal dropped a session: %d reconnects", snap.Reconnects)
+	}
+	tc.eng.EvictKeys(short)
+
+	// A worker sends a refusal back as its text alone, so every refusal
+	// KSPlan.Start can give must still read as one on the coordinator's
+	// side. A custom digit partition never reaches a worker (the engine
+	// refuses it before the broadcast), but a worker's plan refuses it too.
+	pl, err := tc.params.KSPlanAtLevel(tc.params.MaxLevel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, evk := range map[string]*ckks.EvalKey{
+		"short key":              short,
+		"custom digit partition": {B: tc.rlk.B, A: tc.rlk.A, DigitSets: [][]int{{0}}},
+		"no digits":              {},
+	} {
+		_, serr := pl.Start(evk)
+		if !errors.Is(serr, ckks.ErrNoKeySwitchPlan) {
+			t.Fatalf("%s: KSPlan.Start gave %v, want ErrNoKeySwitchPlan", name, serr)
+		}
+		rerr := lostWorker(context.Background(), []error{nil, &remoteError{msg: serr.Error()}})
+		if errors.Is(rerr, ErrDegraded) || !errors.Is(rerr, ckks.ErrNoKeySwitchPlan) {
+			t.Fatalf("%s: a worker's refusal %q came back as %v, want ErrNoKeySwitchPlan and not ErrDegraded", name, serr, rerr)
+		}
+	}
+	custom := &ckks.EvalKey{B: tc.rlk.B, A: tc.rlk.A, DigitSets: [][]int{{0}}}
+	if _, _, err := tc.eng.KeySwitch(ct.C1, custom); err == nil || errors.Is(err, ErrDegraded) {
+		t.Fatalf("keyswitch under a custom-partition key: got %v, want a refusal that is not ErrDegraded", err)
+	}
+	if got := tc.eng.HealthyWorkers(); got != 2 {
+		t.Fatalf("healthy workers after the custom-partition refusal: %d, want 2", got)
+	}
+}

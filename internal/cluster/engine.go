@@ -396,8 +396,9 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 
 // lostWorker turns a broadcast's per-chip RPC errors into its one outcome:
 // nil when every chip answered, the caller's own context error when that is
-// what ended it (client evidence, not worker evidence), else ErrDegraded
-// naming the first lost chip.
+// what ended it (client evidence, not worker evidence), the first failed
+// chip's refusal of the request itself (ckks.ErrNoKeySwitchPlan, the
+// session kept) as it came, else ErrDegraded naming that chip.
 func lostWorker(ctx context.Context, errs []error) error {
 	for chip, err := range errs {
 		if err == nil {
@@ -405,6 +406,9 @@ func lostWorker(ctx context.Context, errs []error) error {
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
+		}
+		if errors.Is(err, ckks.ErrNoKeySwitchPlan) {
+			return err
 		}
 		return fmt.Errorf("%w: worker %d lost mid-broadcast: %v", ErrDegraded, chip, err)
 	}

@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -647,3 +648,13 @@ func parseReply(typ byte, payload []byte, id uint64, want byte) (done bool, err 
 type remoteError struct{ msg string }
 
 func (e *remoteError) Error() string { return "cluster: worker reported: " + e.msg }
+
+// Is reports a worker's refusal of the request itself as
+// ckks.ErrNoKeySwitchPlan: the worker's plan does not cover the key (too
+// few digits for the level, a custom digit partition). The local keyswitch
+// and every other worker refuse it the same way, so it is the request's
+// error, not evidence against the worker. Every other in-band failure
+// (an unknown key id, a duplicated digit frame) is not.
+func (e *remoteError) Is(target error) bool {
+	return target == ckks.ErrNoKeySwitchPlan && strings.HasPrefix(e.msg, target.Error())
+}

@@ -284,5 +284,9 @@ func (s *session) finish(p *pendingKS) error {
 		}
 		p.err = err
 	}
+	// p.err goes out as its text, with nothing put in front: a refusal
+	// from KSPlan.Start begins with ckks.ErrNoKeySwitchPlan's text, and
+	// that prefix is how the coordinator (remoteError.Is) tells the
+	// request's own error from a lost worker.
 	return s.send(msgError, appendStr(appendU64(nil, p.req), p.err.Error()))
 }

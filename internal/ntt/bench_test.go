@@ -121,3 +121,67 @@ func BenchmarkCoreInverseScaledFrom(b *testing.B) {
 		}
 	})
 }
+
+// The lane kernels, one limb per call, with ns per coefficient reported
+// beside ns per call. ConvAccumulate runs the two-limb source of a
+// special-pair mod-down or an alpha = 2 keyswitch digit.
+
+func reportPerCoeff(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/coef")
+}
+
+func BenchmarkCoreConvAccumulate(b *testing.B) {
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, z0, z1, _ := benchTable(b, logN)
+		q := tb.Q
+		f := []uint64{q / 3, q / 5}
+		fs := []uint64{rns.ShoupPrecomp(f[0], q), rns.ShoupPrecomp(f[1], q)}
+		bp := rns.NewBarrettParams(q)
+		acc := make([]uint64, tb.N)
+		z := [][]uint64{z0, z1}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ConvAccumulate(acc, z, f, fs, bp)
+		}
+		reportPerCoeff(b, tb.N)
+	})
+}
+
+func BenchmarkCoreMulShoup(b *testing.B) {
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, x, _, _ := benchTable(b, logN)
+		w := tb.Q / 3
+		ws := rns.ShoupPrecomp(w, tb.Q)
+		out := make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulShoup(out, x, w, ws, tb.Q)
+		}
+		reportPerCoeff(b, tb.N)
+	})
+}
+
+func BenchmarkCoreMulCoeffs(b *testing.B) {
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, x, y, _ := benchTable(b, logN)
+		bp := rns.NewBarrettParams(tb.Q)
+		out := make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulBarrett(out, x, y, bp)
+		}
+		reportPerCoeff(b, tb.N)
+	})
+}
+
+func BenchmarkCoreAddMod(b *testing.B) {
+	benchCore(b, func(b *testing.B, logN int) {
+		tb, x, y, _ := benchTable(b, logN)
+		out := make([]uint64, tb.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			AddMod(out, x, y, tb.Q)
+		}
+		reportPerCoeff(b, tb.N)
+	})
+}

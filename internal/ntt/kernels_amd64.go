@@ -79,6 +79,24 @@ func mulAccWideAVX512(hi, lo, x, y []uint64)
 //go:noescape
 func reduceWideAVX512(out, hi, lo []uint64, q, bhi, blo uint64)
 
+//go:noescape
+func mulAccWideScalarAVX512(hi, lo, x []uint64, w uint64)
+
+//go:noescape
+func mulBarrettAVX512(out, a, b []uint64, q, bhi, blo uint64)
+
+//go:noescape
+func mulShoupAVX512(out, x []uint64, w, ws, q uint64)
+
+//go:noescape
+func addModAVX512(out, a, b []uint64, q uint64)
+
+//go:noescape
+func subModAVX512(out, a, b []uint64, q uint64)
+
+//go:noescape
+func convAcc2AVX512(acc, z0, z1 []uint64, f0, fs0, f1, fs1, p, twoP uint64)
+
 // mustVec panics unless n is a positive multiple of the kernel's step.
 // Every kernel loop runs at least once, so a zero count must not reach it.
 func mustVec(n, step int) {
@@ -175,4 +193,54 @@ func reduceWideVec(out, hi, lo []uint64, q, bhi, blo uint64) {
 	n := len(out)
 	mustVec(n, 8)
 	reduceWideAVX512(out, hi[:n], lo[:n], q, bhi, blo)
+}
+
+// mulAccWideScalarVec is MulAccWideScalar's loop.
+func mulAccWideScalarVec(hi, lo, x []uint64, w uint64) {
+	n := len(x)
+	mustVec(n, 8)
+	mulAccWideScalarAVX512(hi[:n], lo[:n], x, w)
+}
+
+// mulBarrettVec is MulBarrett's loop.
+func mulBarrettVec(out, a, b []uint64, q, bhi, blo uint64) {
+	n := len(out)
+	mustVec(n, 8)
+	mulBarrettAVX512(out, a[:n], b[:n], q, bhi, blo)
+}
+
+// mulShoupVec is MulShoup's loop.
+func mulShoupVec(out, x []uint64, w, ws, q uint64) {
+	mustVec(len(out), 8)
+	mulShoupAVX512(out, x[:len(out)], w, ws, q)
+}
+
+// addModVec is AddMod's loop.
+func addModVec(out, a, b []uint64, q uint64) {
+	n := len(out)
+	mustVec(n, 8)
+	addModAVX512(out, a[:n], b[:n], q)
+}
+
+// subModVec is SubMod's loop.
+func subModVec(out, a, b []uint64, q uint64) {
+	n := len(out)
+	mustVec(n, 8)
+	subModAVX512(out, a[:n], b[:n], q)
+}
+
+// convAccVec is ConvAccumulate's in-register sum for a one- or two-limb
+// source: a one-limb source is one Shoup product, a two-limb source runs
+// with both factors held in registers.
+func convAccVec(acc []uint64, z [][]uint64, f, fs []uint64, p uint64) {
+	n := len(acc)
+	mustVec(n, 8)
+	switch len(z) {
+	case 1:
+		mulShoupAVX512(acc, z[0][:n], f[0], fs[0], p)
+	case 2:
+		convAcc2AVX512(acc, z[0][:n], z[1][:n], f[0], fs[0], f[1], fs[1], p, 2*p)
+	default:
+		panic(fmt.Sprintf("ntt: base conversion accumulate over %d source limbs, want 1 or 2", len(z)))
+	}
 }

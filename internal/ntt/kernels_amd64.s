@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX-512 F/DQ bodies of the NTT passes in fused.go. Each computes, lane
-// for lane, the integer function of its Go loop (DESIGN.md §10, "Vector
-// bodies"). Register conventions, shared by every kernel:
+// AVX-512 F/DQ bodies of the NTT passes in fused.go and of the lane
+// kernels in lanes.go. Each computes, lane for lane, the integer function
+// of its Go loop (DESIGN.md §10, "Vector bodies"). Register conventions,
+// shared by every kernel:
 //
 //	Z29 = 2q, Z30 = q, Z31 = 0x00000000ffffffff in every lane
 //	Z14..Z18 are the butterfly macros' scratch
@@ -696,12 +697,46 @@ mulaccloop:
 	VZEROUPPER
 	RET
 
-// func reduceWideAVX512(out, hi, lo []uint64, q, bhi, blo uint64)
-//
-// rns.BarrettReduce per lane: t0 = hi64(lo·blo), t1 = hi·blo and
+// BARRETTWIDE sets Z23 to rns.BarrettReduce of the 128-bit lanes
+// (hi Z10, lo Z11) with (bhi, blo) = floor(2^128/q) split as Z2, Z3 (bhi,
+// bhi>>32) and Z0, Z1 (blo, blo>>32): t0 = hi64(lo·blo), t1 = hi·blo and
 // t2 = lo·bhi as 128-bit products, m = hi·bhi + t1.hi + t2.hi + the two
 // carries of t1.lo + t2.lo + t0, r = lo − m·q, then two conditional
-// subtractions of q.
+// subtractions of q. Z30 = q, Z27 = 1, Z31 = the 32-bit mask.
+#define BARRETTWIDE \
+	MULHI(Z11, Z0, Z1, Z12); \
+	MULHI(Z10, Z0, Z1, Z13); \
+	VPMULLQ   Z0, Z10, Z14; \
+	MULHI(Z11, Z2, Z3, Z15); \
+	VPMULLQ   Z2, Z11, Z19; \
+	VPADDQ    Z19, Z14, Z20; \
+	VPCMPUQ   $1, Z14, Z20, K1; \
+	VPADDQ    Z12, Z20, Z21; \
+	VPCMPUQ   $1, Z20, Z21, K2; \
+	VPMULLQ   Z2, Z10, Z22; \
+	VPADDQ    Z13, Z22, Z22; \
+	VPADDQ    Z15, Z22, Z22; \
+	VPADDQ    Z27, Z22, K1, Z22; \
+	VPADDQ    Z27, Z22, K2, Z22; \
+	VPMULLQ   Z30, Z22, Z22; \
+	VPSUBQ    Z22, Z11, Z23; \
+	REDUCE(Z30, Z23); \
+	REDUCE(Z30, Z23)
+
+// BARRETTCONSTS broadcasts q (AX), the 32-bit mask, 1, and the Barrett
+// constant halves bhi (R9) and blo (R11) for BARRETTWIDE.
+#define BARRETTCONSTS \
+	VPBROADCASTQ AX, Z30; \
+	MOVQ         $0xffffffff, AX; \
+	VPBROADCASTQ AX, Z31; \
+	MOVQ         $1, AX; \
+	VPBROADCASTQ AX, Z27; \
+	VPBROADCASTQ R9, Z2; \
+	VPSRLQ       $32, Z2, Z3; \
+	VPBROADCASTQ R11, Z0; \
+	VPSRLQ       $32, Z0, Z1
+
+// func reduceWideAVX512(out, hi, lo []uint64, q, bhi, blo uint64)
 TEXT ·reduceWideAVX512(SB), NOSPLIT, $0-96
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
@@ -709,43 +744,211 @@ TEXT ·reduceWideAVX512(SB), NOSPLIT, $0-96
 	MOVQ hi_base+24(FP), SI
 	MOVQ lo_base+48(FP), R8
 	MOVQ q+72(FP), AX
-	VPBROADCASTQ AX, Z30
-	MOVQ $0xffffffff, AX
-	VPBROADCASTQ AX, Z31
-	MOVQ $1, AX
-	VPBROADCASTQ AX, Z27
-	MOVQ bhi+80(FP), AX
-	VPBROADCASTQ AX, Z2
-	VPSRLQ $32, Z2, Z3
-	MOVQ blo+88(FP), AX
-	VPBROADCASTQ AX, Z0
-	VPSRLQ $32, Z0, Z1
+	MOVQ bhi+80(FP), R9
+	MOVQ blo+88(FP), R11
+	BARRETTCONSTS
 	XORQ BX, BX
 
 reducewideloop:
 	VMOVDQU64 (SI)(BX*1), Z10
 	VMOVDQU64 (R8)(BX*1), Z11
-	MULHI(Z11, Z0, Z1, Z12)
-	MULHI(Z10, Z0, Z1, Z13)
-	VPMULLQ   Z0, Z10, Z14
-	MULHI(Z11, Z2, Z3, Z15)
-	VPMULLQ   Z2, Z11, Z19
-	VPADDQ    Z19, Z14, Z20
-	VPCMPUQ   $1, Z14, Z20, K1
-	VPADDQ    Z12, Z20, Z21
-	VPCMPUQ   $1, Z20, Z21, K2
-	VPMULLQ   Z2, Z10, Z22
-	VPADDQ    Z13, Z22, Z22
-	VPADDQ    Z15, Z22, Z22
-	VPADDQ    Z27, Z22, K1, Z22
-	VPADDQ    Z27, Z22, K2, Z22
-	VPMULLQ   Z30, Z22, Z22
-	VPSUBQ    Z22, Z11, Z23
-	REDUCE(Z30, Z23)
-	REDUCE(Z30, Z23)
+	BARRETTWIDE
 	VMOVDQU64 Z23, (DI)(BX*1)
 	ADDQ      $64, BX
 	DECQ      CX
 	JNZ       reducewideloop
+	VZEROUPPER
+	RET
+
+// func mulBarrettAVX512(out, a, b []uint64, q, bhi, blo uint64)
+//
+// rns.BarrettParams.MulMod per lane: the 128-bit product a·b (hi by
+// MULHI, lo by VPMULLQ) reduced by BARRETTWIDE.
+TEXT ·mulBarrettAVX512(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	MOVQ q+72(FP), AX
+	MOVQ bhi+80(FP), R9
+	MOVQ blo+88(FP), R11
+	BARRETTCONSTS
+	XORQ BX, BX
+
+mulbarrettloop:
+	VMOVDQU64 (SI)(BX*1), Z4
+	VMOVDQU64 (R8)(BX*1), Z5
+	VPSRLQ    $32, Z5, Z6
+	MULHI(Z4, Z5, Z6, Z10)
+	VPMULLQ   Z5, Z4, Z11
+	BARRETTWIDE
+	VMOVDQU64 Z23, (DI)(BX*1)
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       mulbarrettloop
+	VZEROUPPER
+	RET
+
+// func mulAccWideScalarAVX512(hi, lo, x []uint64, w uint64)
+//
+// mulAccWideAVX512 with the multiplier w broadcast once: lo' = lo + x·w
+// mod 2^64 and hi' = hi + hi64(x·w) + (lo' < x·w mod 2^64).
+TEXT ·mulAccWideScalarAVX512(SB), NOSPLIT, $0-80
+	MOVQ hi_base+0(FP), R12
+	MOVQ lo_base+24(FP), R13
+	MOVQ x_base+48(FP), DI
+	MOVQ x_len+56(FP), CX
+	SHRQ $3, CX
+	MOVQ $0xffffffff, AX
+	VPBROADCASTQ AX, Z31
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z27
+	MOVQ w+72(FP), AX
+	VPBROADCASTQ AX, Z20
+	VPSRLQ $32, Z20, Z21
+	XORQ BX, BX
+
+mulaccscalarloop:
+	VMOVDQU64 (DI)(BX*1), Z10
+	MULHI(Z10, Z20, Z21, Z22)
+	VPMULLQ   Z20, Z10, Z23
+	VMOVDQU64 (R13)(BX*1), Z24
+	VPADDQ    Z23, Z24, Z24
+	VPCMPUQ   $1, Z23, Z24, K1
+	VMOVDQU64 (R12)(BX*1), Z25
+	VPADDQ    Z22, Z25, Z25
+	VPADDQ    Z27, Z25, K1, Z25
+	VMOVDQU64 Z24, (R13)(BX*1)
+	VMOVDQU64 Z25, (R12)(BX*1)
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       mulaccscalarloop
+	VZEROUPPER
+	RET
+
+// func mulShoupAVX512(out, x []uint64, w, ws, q uint64)
+//
+// rns.MulModShoup per lane: SHOUPLAZY, then min(r, r−q), which is the
+// conditional subtraction of q for every word r.
+TEXT ·mulShoupAVX512(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ x_base+24(FP), SI
+	MOVQ q+64(FP), AX
+	VPBROADCASTQ AX, Z30
+	MOVQ $0xffffffff, AX
+	VPBROADCASTQ AX, Z31
+	MOVQ w+48(FP), AX
+	VPBROADCASTQ AX, Z0
+	MOVQ ws+56(FP), AX
+	VPBROADCASTQ AX, Z1
+	VPSRLQ $32, Z1, Z2
+	XORQ BX, BX
+
+mulshouploop:
+	VMOVDQU64 (SI)(BX*1), Z10
+	SHOUPLAZY(Z10, Z0, Z1, Z2, Z11)
+	REDUCE(Z30, Z11)
+	VMOVDQU64 Z11, (DI)(BX*1)
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       mulshouploop
+	VZEROUPPER
+	RET
+
+// func addModAVX512(out, a, b []uint64, q uint64)
+//
+// rns.AddMod per lane for q < 2^63 (the wrapper's gate): s = a + b cannot
+// carry, and min(s, s−q) is s − q exactly when s ≥ q.
+TEXT ·addModAVX512(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	MOVQ q+72(FP), AX
+	VPBROADCASTQ AX, Z30
+	XORQ BX, BX
+
+addmodloop:
+	VMOVDQU64 (SI)(BX*1), Z10
+	VMOVDQU64 (R8)(BX*1), Z11
+	VPADDQ    Z11, Z10, Z10
+	REDUCE(Z30, Z10)
+	VMOVDQU64 Z10, (DI)(BX*1)
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       addmodloop
+	VZEROUPPER
+	RET
+
+// func subModAVX512(out, a, b []uint64, q uint64)
+//
+// rns.SubMod per lane: d = a − b, plus q in the lanes where a < b (the
+// borrow), for every word and every q.
+TEXT ·subModAVX512(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	MOVQ q+72(FP), AX
+	VPBROADCASTQ AX, Z30
+	XORQ BX, BX
+
+submodloop:
+	VMOVDQU64 (SI)(BX*1), Z10
+	VMOVDQU64 (R8)(BX*1), Z11
+	VPCMPUQ   $1, Z11, Z10, K1
+	VPSUBQ    Z11, Z10, Z10
+	VPADDQ    Z30, Z10, K1, Z10
+	VMOVDQU64 Z10, (DI)(BX*1)
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       submodloop
+	VZEROUPPER
+	RET
+
+// func convAcc2AVX512(acc, z0, z1 []uint64, f0, fs0, f1, fs1, p, twoP uint64)
+//
+// The base conversion's accumulate for one target p < 2^62 and a two-limb
+// source, both factors in registers: s = SHOUPLAZY(z0, f0) +
+// SHOUPLAZY(z1, f1) (< 4p), then min(s, s−2p) and min(s, s−p) is the
+// canonical residue.
+TEXT ·convAcc2AVX512(SB), NOSPLIT, $0-120
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ z0_base+24(FP), SI
+	MOVQ z1_base+48(FP), R8
+	MOVQ p+104(FP), AX
+	MOVQ twoP+112(FP), BX
+	LANECONSTS
+	MOVQ f0+72(FP), AX
+	VPBROADCASTQ AX, Z0
+	MOVQ fs0+80(FP), AX
+	VPBROADCASTQ AX, Z1
+	VPSRLQ $32, Z1, Z2
+	MOVQ f1+88(FP), AX
+	VPBROADCASTQ AX, Z3
+	MOVQ fs1+96(FP), AX
+	VPBROADCASTQ AX, Z4
+	VPSRLQ $32, Z4, Z5
+	XORQ BX, BX
+
+convacc2loop:
+	VMOVDQU64 (SI)(BX*1), Z10
+	VMOVDQU64 (R8)(BX*1), Z11
+	SHOUPLAZY(Z10, Z0, Z1, Z2, Z12)
+	SHOUPLAZY(Z11, Z3, Z4, Z5, Z13)
+	VPADDQ    Z13, Z12, Z12
+	REDUCE(Z29, Z12)
+	REDUCE(Z30, Z12)
+	VMOVDQU64 Z12, (DI)(BX*1)
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       convacc2loop
 	VZEROUPPER
 	RET

@@ -8,7 +8,7 @@ const hasAVX512 = false
 
 var useAVX512 = false
 
-const noVector = "ntt: no vector NTT kernels on this architecture"
+const noVector = "ntt: no vector kernels on this architecture"
 
 func fwd2Vec(x, y []uint64, w, ws, q, twoQ uint64)                    { panic(noVector) }
 func fwd4Vec(a, t1, t2 []uint64, h int, q, twoQ uint64)               { panic(noVector) }
@@ -22,6 +22,12 @@ func inv2Vec(x, y []uint64, w, ws, q, twoQ uint64)                    { panic(no
 func invLastVec(x, y []uint64, wx, wxs, wy, wys, q, twoQ uint64)      { panic(noVector) }
 func mulAccWideVec(hi, lo, x, y []uint64)                             { panic(noVector) }
 func reduceWideVec(out, hi, lo []uint64, q, bhi, blo uint64)          { panic(noVector) }
+func mulAccWideScalarVec(hi, lo, x []uint64, w uint64)                { panic(noVector) }
+func mulBarrettVec(out, a, b []uint64, q, bhi, blo uint64)            { panic(noVector) }
+func mulShoupVec(out, x []uint64, w, ws, q uint64)                    { panic(noVector) }
+func addModVec(out, a, b []uint64, q uint64)                          { panic(noVector) }
+func subModVec(out, a, b []uint64, q uint64)                          { panic(noVector) }
+func convAccVec(acc []uint64, z [][]uint64, f, fs []uint64, p uint64) { panic(noVector) }
 
 func fwdLastMulAccPairVec(a, w, b0, b1, h0, l0, h1, l1 []uint64, q, twoQ uint64) {
 	panic(noVector)

@@ -178,14 +178,24 @@ func TestVectorWrappersRejectShortOperands(t *testing.T) {
 	tb := newTestTable(t, 6)
 	n, q, twoQ := tb.N, tb.Q, tb.twoQ
 	full, short := make([]uint64, n), make([]uint64, n-8)
+	bp, two := rns.NewBarrettParams(q), []uint64{1, 1}
 	cases := map[string]func(){
-		"fwd4 short data":        func() { fwd4Vec(short, tb.twF[2:4], tb.twF[4:8], n/4, q, twoQ) },
-		"fwd4 no groups":         func() { fwd4Vec(full, nil, nil, 8, q, twoQ) },
-		"fwd2 length not 8k":     func() { fwd2Vec(full[:12], full[12:24], 1, 1, q, twoQ) },
-		"fwdLast short twiddles": func() { fwdLastVec(full, short, q, twoQ) },
-		"inv4 short twiddles":    func() { inv4Vec(full, make([]uint64, 2), make([]uint64, 2), n/4, q, twoQ) },
-		"MulAccWide short y":     func() { MulAccWide(full, full, full, short) },
-		"ReduceWide short hi":    func() { ReduceWide(full, short, full, rns.NewBarrettParams(tb.Q)) },
+		"fwd4 short data":              func() { fwd4Vec(short, tb.twF[2:4], tb.twF[4:8], n/4, q, twoQ) },
+		"fwd4 no groups":               func() { fwd4Vec(full, nil, nil, 8, q, twoQ) },
+		"fwd2 length not 8k":           func() { fwd2Vec(full[:12], full[12:24], 1, 1, q, twoQ) },
+		"fwdLast short twiddles":       func() { fwdLastVec(full, short, q, twoQ) },
+		"inv4 short twiddles":          func() { inv4Vec(full, make([]uint64, 2), make([]uint64, 2), n/4, q, twoQ) },
+		"MulAccWide short y":           func() { MulAccWide(full, full, full, short) },
+		"ReduceWide short hi":          func() { ReduceWide(full, short, full, bp) },
+		"MulAccWideScalar short lo":    func() { MulAccWideScalar(full, short, full, 1) },
+		"MulBarrett short b":           func() { MulBarrett(full, full, short, bp) },
+		"MulShoup short x":             func() { MulShoup(full, short, 1, 1, q) },
+		"AddMod short b":               func() { AddMod(full, full, short, q) },
+		"SubMod short a":               func() { SubMod(full, short, full, q) },
+		"ConvAccumulate short source":  func() { ConvAccumulate(full, [][]uint64{full, short}, two, two, bp) },
+		"ConvAccumulate short factors": func() { ConvAccumulate(full, [][]uint64{full, full}, []uint64{1}, two, bp) },
+		"ConvAccumulate no sources":    func() { convAccVec(full, nil, nil, nil, q) },
+		"ConvAccumulate three sources": func() { convAccVec(full, [][]uint64{full, full, full}, two, two, q) },
 	}
 	for name, f := range cases {
 		func() {

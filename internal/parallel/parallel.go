@@ -40,10 +40,11 @@ const MinCoeffs = 2048
 // class so that a cheap gather (automorphism) and an NTT are not gated by
 // the same element threshold.
 const (
-	// CostLight covers add/sub/neg, copies and pure gathers (~1 ns/elem).
+	// CostLight covers add/sub/neg, copies, pure gathers and the limb ×
+	// constant multiply (ntt.MulShoup), all ≤ ~1 ns/elem.
 	CostLight = 1
 	// CostMul covers one modular multiply per coefficient (pointwise
-	// multiply, mod-down combine, rescale, scalar multiply).
+	// multiply, mod-down combine, rescale).
 	CostMul = 4
 	// CostNTT covers the log N butterfly chain of a transform.
 	CostNTT = 16

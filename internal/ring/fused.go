@@ -5,7 +5,6 @@ import (
 
 	"cinnamon/internal/ntt"
 	"cinnamon/internal/parallel"
-	"cinnamon/internal/rns"
 )
 
 // The ring-level fused keyswitch kernel (DESIGN.md §12; the NTT-domain
@@ -61,12 +60,8 @@ func (r *Ring) absorbLimb(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, src, co
 	h0, l0 := a0.hi[u], a0.lo[u]
 	h1, l1 := a1.hi[u], a1.lo[u]
 	if j := own[u]; j >= 0 {
-		xj := src[j]
-		b0j, b1j := b0.Limbs[u], b1.Limbs[u]
-		for i := range xj {
-			h0[i], l0[i] = rns.MulAccLazy(h0[i], l0[i], xj[i], b0j[i])
-			h1[i], l1[i] = rns.MulAccLazy(h1[i], l1[i], xj[i], b1j[i])
-		}
+		ntt.MulAccWide(h0, l0, src[j], b0.Limbs[u])
+		ntt.MulAccWide(h1, l1, src[j], b1.Limbs[u])
 		return
 	}
 	k := 0

@@ -135,11 +135,7 @@ func (a *LazyAcc) mulScalarAccLimb(j int, xj []uint64, v int64) {
 	} else if rem := (-uint64(v)) % q; rem != 0 {
 		w = q - rem
 	}
-	hij := a.hi[j][:len(xj)]
-	loj := a.lo[j][:len(xj)]
-	for i := range xj {
-		hij[i], loj[i] = rns.MulAccLazy(hij[i], loj[i], xj[i], w)
-	}
+	ntt.MulAccWideScalar(a.hi[j], a.lo[j], xj, w)
 }
 
 // fold reduces the accumulator in place: each 128-bit cell collapses to its
@@ -158,12 +154,9 @@ func (a *LazyAcc) fold() {
 }
 
 func (a *LazyAcc) foldLimb(j int) {
-	bp := a.r.Barrett(a.basis.Moduli[j])
 	hij, loj := a.hi[j], a.lo[j]
-	for i := range loj {
-		loj[i] = bp.ReduceWide(hij[i], loj[i])
-		hij[i] = 0
-	}
+	ntt.ReduceWide(loj, hij, loj, a.r.Barrett(a.basis.Moduli[j]))
+	clear(hij)
 }
 
 // chargeProducts books w canonical-product units. Kernels that accumulate

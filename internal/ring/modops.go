@@ -32,12 +32,12 @@ func convKey(src, dst rns.Basis) string {
 	return sb.String()
 }
 
-func converter(src, dst rns.Basis) (*rns.BaseConverter, error) {
+func converter(src, dst rns.Basis) (*BaseConverter, error) {
 	key := convKey(src, dst)
 	if v, ok := convCache.Load(key); ok {
-		return v.(*rns.BaseConverter), nil
+		return v.(*BaseConverter), nil
 	}
-	bc, err := rns.NewBaseConverter(src, dst)
+	bc, err := NewBaseConverter(src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func converter(src, dst rns.Basis) (*rns.BaseConverter, error) {
 
 // ConverterFor returns a cached BaseConverter from src to dst; packages
 // implementing keyswitching variants share converters through this cache.
-func ConverterFor(src, dst rns.Basis) (*rns.BaseConverter, error) {
+func ConverterFor(src, dst rns.Basis) (*BaseConverter, error) {
 	return converter(src, dst)
 }
 

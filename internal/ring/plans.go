@@ -16,7 +16,7 @@ import (
 // probes, no big-integer work and no allocation per mod-down.
 type ModDownPlan struct {
 	s, ext rns.Basis
-	bc     *rns.BaseConverter
+	bc     *BaseConverter
 	consts []shoupScalar
 	// extPlan/sPlan serve ModDownNTTWith: inverse transforms of the
 	// extension limbs and fused forward+combine over the working limbs.

@@ -229,11 +229,7 @@ func (r *Ring) Add(a, b, out *Poly) error {
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
 	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
-		q := a.Basis.Moduli[j]
-		aj, bj, oj := a.Limbs[j], b.Limbs[j], out.Limbs[j]
-		for i := range aj {
-			oj[i] = rns.AddMod(aj[i], bj[i], q)
-		}
+		ntt.AddMod(out.Limbs[j], a.Limbs[j], b.Limbs[j], a.Basis.Moduli[j])
 	})
 	return nil
 }
@@ -246,11 +242,7 @@ func (r *Ring) Sub(a, b, out *Poly) error {
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
 	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
-		q := a.Basis.Moduli[j]
-		aj, bj, oj := a.Limbs[j], b.Limbs[j], out.Limbs[j]
-		for i := range aj {
-			oj[i] = rns.SubMod(aj[i], bj[i], q)
-		}
+		ntt.SubMod(out.Limbs[j], a.Limbs[j], b.Limbs[j], a.Basis.Moduli[j])
 	})
 	return nil
 }
@@ -271,7 +263,7 @@ func (r *Ring) Neg(a, out *Poly) {
 // MulCoeffs sets out = a ⊙ b, the pointwise product. Both operands must be
 // in the NTT domain (pointwise product in evaluation domain = ring product).
 // The per-limb kernel is Barrett multiplication with constants cached on
-// the Ring — no hardware division in the loop.
+// the Ring — no hardware division in the loop (ntt.MulBarrett).
 func (r *Ring) MulCoeffs(a, b, out *Poly) error {
 	if err := r.checkPair(a, b); err != nil {
 		return err
@@ -282,28 +274,22 @@ func (r *Ring) MulCoeffs(a, b, out *Poly) error {
 	out.Basis, out.IsNTT = a.Basis, true
 	r.ensureShape(out, a.Basis.Len())
 	r.limbFor(a.Basis.Len(), parallel.CostMul, func(j int) {
-		bp := r.Barrett(a.Basis.Moduli[j])
-		aj, bj, oj := a.Limbs[j], b.Limbs[j], out.Limbs[j]
-		for i := range aj {
-			oj[i] = bp.MulMod(aj[i], bj[i])
-		}
+		ntt.MulBarrett(out.Limbs[j], a.Limbs[j], b.Limbs[j], r.Barrett(a.Basis.Moduli[j]))
 	})
 	return nil
 }
 
 // MulScalar sets out = s·a where s is a plain unsigned scalar (reduced per
-// modulus). Works in either domain.
+// modulus). Works in either domain. Its limb loop, ntt.MulShoup, is gated
+// as a light op: on the vector body a forked eight-limb loop lost to the
+// serial one at logN 13 and tied at logN 14 (DESIGN.md §6).
 func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly) {
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostMul, func(j int) {
+	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
 		q := a.Basis.Moduli[j]
 		w := s % q
-		ws := rns.ShoupPrecomp(w, q)
-		aj, oj := a.Limbs[j], out.Limbs[j]
-		for i := range aj {
-			oj[i] = rns.MulModShoup(aj[i], w, ws, q)
-		}
+		ntt.MulShoup(out.Limbs[j], a.Limbs[j], w, rns.ShoupPrecomp(w, q), q)
 	})
 }
 
@@ -316,14 +302,10 @@ func (r *Ring) MulScalarBigRNS(a *Poly, sRes []uint64, out *Poly) error {
 	}
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostMul, func(j int) {
+	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
 		q := a.Basis.Moduli[j]
 		w := sRes[j] % q
-		ws := rns.ShoupPrecomp(w, q)
-		aj, oj := a.Limbs[j], out.Limbs[j]
-		for i := range aj {
-			oj[i] = rns.MulModShoup(aj[i], w, ws, q)
-		}
+		ntt.MulShoup(out.Limbs[j], a.Limbs[j], w, rns.ShoupPrecomp(w, q), q)
 	})
 	return nil
 }

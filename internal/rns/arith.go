@@ -1,10 +1,13 @@
 // Package rns implements the Residue Number System substrate used by the
-// CKKS layer: modular arithmetic over machine-word primes, NTT-friendly
-// prime generation, RNS bases, and fast base conversion between bases.
+// CKKS layer: scalar modular arithmetic over machine-word primes,
+// NTT-friendly prime generation and RNS bases.
 //
 // Ciphertext polynomials in CKKS have coefficients modulo a product of many
 // word-sized primes. Each residue polynomial is a "limb" (paper §2); this
-// package provides the per-limb arithmetic everything else is built on.
+// package provides the per-word arithmetic everything else is built on. It
+// holds no limb loop: internal/ntt runs these operations over whole limbs
+// (with a vector body where the CPU has one), and the fast base conversion
+// lives in internal/ring.
 package rns
 
 import "math/bits"

@@ -529,10 +529,12 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 }
 
 // requestCaused reports whether a run failed on what the request brought —
-// a tenant without the bootstrap circuit's keys, or an input out of levels on
-// a server with no refresh service — and not on the backend that ran it.
+// a tenant without the bootstrap circuit's keys, an input out of levels on
+// a server with no refresh service, or a key no keyswitch plan covers (a
+// worker's in-band refusal, which the local kernel would repeat) — and not
+// on the backend that ran it.
 func requestCaused(err error) bool {
-	return errors.Is(err, ErrMissingKeys) || errors.Is(err, sched.ErrNoRefresh)
+	return errors.Is(err, ErrMissingKeys) || errors.Is(err, sched.ErrNoRefresh) || errors.Is(err, ckks.ErrNoKeySwitchPlan)
 }
 
 // refresh is the executor's refresh hook: one solo Bootstrap on the request's
