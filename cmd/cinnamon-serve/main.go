@@ -18,7 +18,7 @@
 // (/v1/sessions) are live. A refresh is one bootstrap on its request's own
 // goroutine, inside the request's worker slot, on the evaluator the program
 // is running on; nothing else bounds it, so up to -workers refreshes run
-// side by side, sharing the limb-worker pool's one helper budget.
+// side by side, each on one core.
 //
 // With -cluster, requests execute over the scale-out worker cluster
 // (cinnamon-worker processes, one chip each): ciphertext limbs are

@@ -1,24 +1,19 @@
 // Command corebench times the core limb-level kernels of the CKKS
 // substrate — NTT/INTT, pointwise multiply, base conversion (ModUp /
-// ModDown), rescale, automorphism and the full hybrid keyswitch — under
-// different limb-parallel worker counts, and writes the results to a JSON
-// report (BENCH_core.json).
+// ModDown), rescale, automorphism and the full hybrid keyswitch — on one
+// goroutine, and writes the results to a JSON report (BENCH_core.json).
 //
 // Usage:
 //
-//	corebench -out BENCH_core.json -logn 12 -workers 1,4
+//	corebench -out BENCH_core.json -logn 12
 //	corebench -compare BENCH_core.json -tolerance 0.10
 //
 // With -compare, the freshly measured numbers are checked against the
 // committed baseline report: any hot op slower by more than -tolerance
-// (relative, per matching worker count) fails the run with a nonzero exit,
-// which is how CI catches performance regressions on the core kernels.
-//
-// The worker sweep is the software analogue of the paper's limb-level
-// parallelism study: the same program, executed over 1 vs W virtual
-// workers. Speedups only materialize when the host actually has W cores;
-// the report records runtime.NumCPU so single-core CI runs are
-// interpretable.
+// (relative, against the baseline's run of the same worker count) fails
+// the run with a nonzero exit, which is how CI catches performance
+// regressions on the core kernels. Every limb loop is serial, so the one
+// run is recorded as workers 1; a baseline's other rows are skipped.
 package main
 
 import (
@@ -31,13 +26,11 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/ckks"
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 	"cinnamon/internal/serve"
 	"cinnamon/internal/tensor"
@@ -64,9 +57,6 @@ type report struct {
 	WallSeconds float64 `json:"wall_seconds"`
 
 	Runs []workerRun `json:"runs"`
-	// Speedup[op] = ns/op at workers=1 divided by ns/op at the largest
-	// worker count. On a single-core host this hovers around 1.0.
-	Speedup map[string]float64 `json:"speedup"`
 
 	// MulMod kernel comparison (ns per element, serial).
 	Kernels map[string]float64 `json:"mulmod_kernels_ns_per_elem"`
@@ -92,7 +82,6 @@ func main() {
 	logN := flag.Int("logn", 12, "ring degree log2")
 	limbs := flag.Int("limbs", 9, "chain limbs (keyswitch digit count follows the usual hybrid choice)")
 	ext := flag.Int("ext", 2, "extension limbs")
-	workersFlag := flag.String("workers", "1,4", "comma-separated worker counts to sweep")
 	iters := flag.Int("iters", 20, "iterations per heavy op")
 	out := flag.String("out", "BENCH_core.json", "output JSON path")
 	compare := flag.String("compare", "", "baseline report to regression-check against (exit 1 on regression)")
@@ -100,22 +89,14 @@ func main() {
 	serveBench := flag.Bool("serve", true, "measure end-to-end serving throughput (serve_rps)")
 	flag.Parse()
 
-	if err := run(*logN, *limbs, *ext, *workersFlag, *iters, *out, *compare, *tolerance, *serveBench); err != nil {
+	if err := run(*logN, *limbs, *ext, *iters, *out, *compare, *tolerance, *serveBench); err != nil {
 		fmt.Fprintln(os.Stderr, "corebench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(logN, limbs, ext int, workersFlag string, iters int, out, compare string, tolerance float64, serveBench bool) error {
+func run(logN, limbs, ext, iters int, out, compare string, tolerance float64, serveBench bool) error {
 	start := time.Now()
-	var workerCounts []int
-	for _, s := range strings.Split(workersFlag, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || w < 1 {
-			return fmt.Errorf("bad -workers entry %q", s)
-		}
-		workerCounts = append(workerCounts, w)
-	}
 
 	logQ := make([]int, limbs)
 	logQ[0] = 55
@@ -335,43 +316,30 @@ func run(logN, limbs, ext int, workersFlag string, iters int, out, compare strin
 		LogN:        logN,
 		ChainLimbs:  limbs,
 		ExtLimbs:    ext,
-		Speedup:     map[string]float64{},
 		Kernels:     map[string]float64{},
 		PoolAllocs:  map[string]float64{},
 	}
 
-	for _, w := range workerCounts {
-		parallel.SetWorkers(w)
-		run := workerRun{Workers: w, Ops: map[string]opTiming{}}
-		for _, op := range ops {
-			n := iters
-			if op.name == "tensor_matmul" {
-				// A full matvec is ~20 keyswitches plus 64 encodes; a quarter
-				// of the iteration budget keeps the sweep's wall time bounded.
-				n = (iters + 3) / 4
-			}
-			if op.name == "bootstrap" {
-				// A refresh is hundreds of keyswitches; a tenth of the budget
-				// is plenty for a stable ns/op.
-				n = (iters + 9) / 10
-			}
-			t, err := timeOp(n, op.fn)
-			if err != nil {
-				return fmt.Errorf("%s @%dw: %w", op.name, w, err)
-			}
-			run.Ops[op.name] = t
+	timed := workerRun{Workers: 1, Ops: map[string]opTiming{}}
+	for _, op := range ops {
+		n := iters
+		if op.name == "tensor_matmul" {
+			// A full matvec is ~20 keyswitches plus 64 encodes; a quarter
+			// of the iteration budget keeps the run's wall time bounded.
+			n = (iters + 3) / 4
 		}
-		rep.Runs = append(rep.Runs, run)
-	}
-	parallel.SetWorkers(0) // restore GOMAXPROCS default
-	if len(rep.Runs) > 1 {
-		base, last := rep.Runs[0], rep.Runs[len(rep.Runs)-1]
-		for name, t := range base.Ops {
-			if lt, ok := last.Ops[name]; ok && lt.NsPerOp > 0 {
-				rep.Speedup[name] = float64(t.NsPerOp) / float64(lt.NsPerOp)
-			}
+		if op.name == "bootstrap" {
+			// A refresh is hundreds of keyswitches; a tenth of the budget
+			// is plenty for a stable ns/op.
+			n = (iters + 9) / 10
 		}
+		t, err := timeOp(n, op.fn)
+		if err != nil {
+			return fmt.Errorf("%s: %w", op.name, err)
+		}
+		timed.Ops[op.name] = t
 	}
+	rep.Runs = append(rep.Runs, timed)
 
 	// Serial per-element kernel comparison on one limb.
 	n := 1 << logN

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cinnamon/internal/ckks"
-	"cinnamon/internal/parallel"
 )
 
 var benchSink *ckks.Ciphertext
@@ -43,9 +42,6 @@ func TestBootstrapAllocCeiling(t *testing.T) {
 	}
 	f := newRefreshFixture(t)
 	bs, ct := f.bs[0], f.cts[0][0]
-	prev := parallel.Workers()
-	defer parallel.SetWorkers(prev)
-	parallel.SetWorkers(1)
 	run := func() {
 		if _, err := bs.Bootstrap(ct); err != nil {
 			t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"cinnamon/internal/ckks"
-	"cinnamon/internal/parallel"
 )
 
 // LinearTransform is a slot-space linear map represented by its nonzero
@@ -133,9 +132,8 @@ func (lt *LinearTransform) babySteps() []int {
 
 // Evaluate applies the transform to ct. The output scale is
 // ct.Scale · Δ; the caller rescales. enc must share the evaluator's
-// parameters. The baby-step rotations — independent keyswitches of the one
-// input — are hoisted into a single fork-join batch on the limb worker pool
-// before the giant-step loop consumes them.
+// parameters. The baby-step rotations, independent keyswitches of the one
+// input, all run before the giant-step loop consumes them.
 func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	level := ct.Level()
 	// Encode diagonals at exactly the modulus the following rescale will
@@ -144,12 +142,9 @@ func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *c
 	steps := lt.babySteps()
 	rotated := make([]*ckks.Ciphertext, lt.N1) // indexed by baby step
 	rotated[0] = ct
-	errs := make([]error, len(steps))
-	parallel.For(len(steps), func(k int) {
-		rotated[steps[k]], errs[k] = ev.Rotate(ct, steps[k])
-	})
-	for _, err := range errs {
-		if err != nil {
+	for _, j := range steps {
+		var err error
+		if rotated[j], err = ev.Rotate(ct, j); err != nil {
 			return nil, err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cinnamon/internal/ntt"
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/ring"
 	"cinnamon/internal/rns"
 )
@@ -341,15 +340,7 @@ func (k *KSRun) Release() {
 // out-of-place inverse transform of c emits its owning digit's z-value
 // directly (copy, INTT and z stage in one pass).
 func (pl *KSPlan) decompose(c, z *ring.Poly) {
-	sLen := pl.sBasis.Len()
-	if parallel.Workers() > 1 && parallel.WorthFanout(sLen, pl.r.N, parallel.CostNTT) {
-		parallel.For(sLen, func(j int) {
-			zs := &pl.zscale[j]
-			pl.nttS.Table(j).InverseScaledFrom(c.Limbs[j], z.Limbs[j], zs[0], zs[1], zs[2], zs[3])
-		})
-		return
-	}
-	for j := 0; j < sLen; j++ {
+	for j := 0; j < pl.sBasis.Len(); j++ {
 		zs := &pl.zscale[j]
 		pl.nttS.Table(j).InverseScaledFrom(c.Limbs[j], z.Limbs[j], zs[0], zs[1], zs[2], zs[3])
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/ring"
 	"cinnamon/internal/rns"
 )
@@ -77,8 +76,7 @@ func strictSum(t *testing.T, ev *Evaluator, level int, cts []*Ciphertext, pts []
 // the lazy budget allows between folds, its operands scattered over the
 // levels at and above the target, comes out limb for limb what the strict
 // MulPlain/MulConst → Add chain returns — for plaintext weights, for
-// constant weights (negative and zero included) and for the two mixed. The
-// large ring is where the limb loops fan out over the worker pool.
+// constant weights (negative and zero included) and for the two mixed.
 func TestLinCombMatchesStrictChain(t *testing.T) {
 	for _, logN := range []int{6, 13} {
 		linCombMatchesStrictChain(t, linCombParams(t, logN))
@@ -205,9 +203,6 @@ func TestLinCombAccumulateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := parallel.Workers()
-	defer parallel.SetWorkers(prev)
-	parallel.SetWorkers(1)
 	lc, err := ev.NewLinComb(1)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/ring"
 	"cinnamon/internal/rns"
 )
@@ -46,31 +45,26 @@ func coefficientRescale(t *testing.T, r *ring.Ring, p *ring.Poly) *ring.Poly {
 }
 
 // TestRescaleMatchesCoefficientDomain: at every level of three ring sizes,
-// serially and over the worker pool, the NTT-domain rescale is limb for
-// limb the coefficient-domain chain, with the scale divided by q_l.
+// the NTT-domain rescale is limb for limb the coefficient-domain chain,
+// with the scale divided by q_l.
 func TestRescaleMatchesCoefficientDomain(t *testing.T) {
-	prev := parallel.Workers()
-	defer parallel.SetWorkers(prev)
 	for _, logN := range []int{7, 10, 12} {
 		params := rescaleParams(t, logN)
 		r := params.Ring
 		ev := NewEvaluator(params, nil, nil)
 		smp := ring.NewSampler(r, int64(logN))
-		for _, workers := range []int{1, 4} {
-			parallel.SetWorkers(workers)
-			for l := params.MaxLevel(); l >= 1; l-- {
-				ct := randomCiphertext(params, smp, l)
-				got, err := ev.Rescale(ct)
-				if err != nil {
-					t.Fatalf("logN %d, level %d: %v", logN, l, err)
-				}
-				want0, want1 := coefficientRescale(t, r, ct.C0), coefficientRescale(t, r, ct.C1)
-				if got.Level() != l-1 || !got.C0.IsNTT || !got.C0.Equal(want0) || !got.C1.Equal(want1) {
-					t.Fatalf("logN %d, %d workers, level %d: rescale differs from INTT → ring.Rescale → NTT", logN, workers, l)
-				}
-				if wantScale := ct.Scale / float64(params.QBasis.Moduli[l]); got.Scale != wantScale {
-					t.Fatalf("logN %d, level %d: scale %g, want %g", logN, l, got.Scale, wantScale)
-				}
+		for l := params.MaxLevel(); l >= 1; l-- {
+			ct := randomCiphertext(params, smp, l)
+			got, err := ev.Rescale(ct)
+			if err != nil {
+				t.Fatalf("logN %d, level %d: %v", logN, l, err)
+			}
+			want0, want1 := coefficientRescale(t, r, ct.C0), coefficientRescale(t, r, ct.C1)
+			if got.Level() != l-1 || !got.C0.IsNTT || !got.C0.Equal(want0) || !got.C1.Equal(want1) {
+				t.Fatalf("logN %d, level %d: rescale differs from INTT → ring.Rescale → NTT", logN, l)
+			}
+			if wantScale := ct.Scale / float64(params.QBasis.Moduli[l]); got.Scale != wantScale {
+				t.Fatalf("logN %d, level %d: scale %g, want %g", logN, l, got.Scale, wantScale)
 			}
 		}
 	}
@@ -124,9 +118,6 @@ func TestRescaleAllocCeiling(t *testing.T) {
 	}
 	ev := NewEvaluator(params, nil, nil)
 	ct := randomCiphertext(params, ring.NewSampler(r, 53), params.MaxLevel())
-	prev := parallel.Workers()
-	defer parallel.SetWorkers(prev)
-	parallel.SetWorkers(1)
 	run := func() {
 		out, err := ev.Rescale(ct)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cinnamon/internal/keyswitch"
-	"cinnamon/internal/parallel"
 )
 
 // TestFrameEncodeZeroAlloc pins the wire-path memory discipline: once the
@@ -139,12 +138,9 @@ func TestWorkerKeySwitchAllocCeiling(t *testing.T) {
 		t.Skip("allocation counting is perturbed by the race detector")
 	}
 	// Frame reads (with their read deadlines), limb decodes and the
-	// pending request at logN 9, level 4 (three digits), one limb worker:
-	// 30 measured. A worker that compiled its chip's kernel state on every
+	// pending request at logN 9, level 4 (three digits): 30 measured. A worker that compiled its chip's kernel state on every
 	// keyswitch measured 101.
 	const ceiling = 40
-	defer parallel.SetWorkers(parallel.Workers())
-	parallel.SetWorkers(1)
 	tc := newClusterContext(t, 1, Options{HeartbeatInterval: time.Hour})
 	params := tc.params
 	l := params.MaxLevel()

@@ -61,11 +61,9 @@ func BenchmarkKeySwitchOutputAggregation4(b *testing.B) {
 	}
 }
 
-// Core benchmarks at limb-parallel scale: N = 2^12 with a 9-limb chain, the
-// smallest configuration where every limb loop crosses the worker pool's
-// parallel.MinCoeffs threshold. Run with -cpu 1,4 to compare serial vs
-// parallel execution. The context is built once and shared across -cpu
-// variants (key generation at this size dominates otherwise).
+// Core benchmarks at serving scale: N = 2^12 with a 9-limb chain. The
+// context is built once and shared across -cpu variants (key generation at
+// this size dominates otherwise).
 
 var (
 	coreCtxOnce sync.Once

@@ -6,7 +6,7 @@ package keyswitch
 //   - Input broadcast (Fig. 8b) has no kernel here: a chip runs the
 //     sequential keyswitch restricted to the limbs it owns plus the
 //     duplicated P limbs, which is ckks.KSPlan compiled for those limbs
-//     (ckks.Parameters.KSPlanFor). The in-process engine (parallel.go) and
+//     (ckks.Parameters.KSPlanFor). The in-process engine (collectives.go) and
 //     every cluster worker (internal/cluster) run that one kernel, which is
 //     what makes a distributed keyswitch bit-identical to the local one.
 //   - ChipOA is the output-aggregation kernel (Fig. 8c): the chip's digit

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cinnamon/internal/ckks"
-	"cinnamon/internal/parallel"
 )
 
 type ksContext struct {
@@ -85,10 +84,10 @@ func (tc *ksContext) encryptRandom(t testing.TB, slots int, seed int64) ([]compl
 }
 
 // TestInputBroadcastBitExact: the input-broadcast algorithm must reproduce
-// the sequential keyswitch output exactly, limb for limb, at every level,
-// chip count and limb-worker setting. Both run the ckks plan kernel —
-// Sequential its local plan (scaled decompose, full-basis absorb),
-// InputBroadcast one plan per chip fed coefficient-domain digits — so this
+// the sequential keyswitch output exactly, limb for limb, at every level
+// and chip count. Both run the ckks plan kernel — Sequential its local plan
+// (scaled decompose, full-basis absorb), InputBroadcast one plan per chip
+// fed coefficient-domain digits — so this
 // pins the restriction to owned limbs (including chips that own none at
 // low levels); the kernel's own oracle is ckks's unfused reference
 // (TestKeySwitchMatchesUnfusedReference). Both emit canonical residues,
@@ -96,52 +95,48 @@ func (tc *ksContext) encryptRandom(t testing.TB, slots int, seed int64) ([]compl
 func TestInputBroadcastBitExact(t *testing.T) {
 	tc := newKSContext(t, nil)
 	r := tc.params.Ring
-	defer parallel.SetWorkers(parallel.Workers())
-	for _, workers := range []int{1, 4} {
-		parallel.SetWorkers(workers)
-		for _, nChips := range []int{1, 2, 3, 4, 8} {
-			eng, err := NewEngine(tc.params, nChips)
+	for _, nChips := range []int{1, 2, 3, 4, 8} {
+		eng, err := NewEngine(tc.params, nChips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ct := tc.encryptRandom(t, 64, int64(nChips))
+		cur := ct.C1
+		for level := tc.params.MaxLevel(); level >= 0; level-- {
+			seq0, seq1, _, err := eng.KeySwitch(cur, tc.rlk, Sequential)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, ct := tc.encryptRandom(t, 64, int64(nChips))
-			cur := ct.C1
-			for level := tc.params.MaxLevel(); level >= 0; level-- {
-				seq0, seq1, _, err := eng.KeySwitch(cur, tc.rlk, Sequential)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ib0, ib1, stats, err := eng.KeySwitch(cur, tc.rlk, InputBroadcast)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ib0.Equal(seq0) || !ib1.Equal(seq1) {
-					t.Fatalf("workers=%d nChips=%d level=%d: input broadcast output differs from sequential", workers, nChips, level)
-				}
-				if stats.Broadcasts != 1 {
-					t.Fatalf("nChips=%d level=%d: expected 1 broadcast, got %d", nChips, level, stats.Broadcasts)
-				}
-				// Chips beyond the level's limb count own nothing and sit out.
-				active := min(nChips, level+1)
-				if want := (level + 1) * (active - 1); stats.LimbsMoved != want {
-					t.Fatalf("nChips=%d level=%d: moved %d limbs, want %d", nChips, level, stats.LimbsMoved, want)
-				}
-				if level == 0 {
-					break
-				}
-				// Next level: truncate to the lower chain prefix (not a
-				// rescale — the basis is all KeySwitch cares about).
-				b, err := tc.params.BasisAtLevel(level - 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				next := r.NewPoly(b)
-				next.IsNTT = true
-				for j := range next.Limbs {
-					copy(next.Limbs[j], cur.Limbs[j])
-				}
-				cur = next
+			ib0, ib1, stats, err := eng.KeySwitch(cur, tc.rlk, InputBroadcast)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !ib0.Equal(seq0) || !ib1.Equal(seq1) {
+				t.Fatalf("nChips=%d level=%d: input broadcast output differs from sequential", nChips, level)
+			}
+			if stats.Broadcasts != 1 {
+				t.Fatalf("nChips=%d level=%d: expected 1 broadcast, got %d", nChips, level, stats.Broadcasts)
+			}
+			// Chips beyond the level's limb count own nothing and sit out.
+			active := min(nChips, level+1)
+			if want := (level + 1) * (active - 1); stats.LimbsMoved != want {
+				t.Fatalf("nChips=%d level=%d: moved %d limbs, want %d", nChips, level, stats.LimbsMoved, want)
+			}
+			if level == 0 {
+				break
+			}
+			// Next level: truncate to the lower chain prefix (not a
+			// rescale — the basis is all KeySwitch cares about).
+			b, err := tc.params.BasisAtLevel(level - 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := r.NewPoly(b)
+			next.IsNTT = true
+			for j := range next.Limbs {
+				copy(next.Limbs[j], cur.Limbs[j])
+			}
+			cur = next
 		}
 	}
 }

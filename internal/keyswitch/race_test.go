@@ -9,10 +9,9 @@ import (
 )
 
 // TestConcurrentEvaluatorSharedRing drives evaluator and keyswitch-engine
-// operations from many goroutines over ONE shared Ring, at a ring degree
-// (N = 2^11 ≥ parallel.MinCoeffs) where the limb loops themselves fan out
-// onto the worker pool. Under `go test -race` this checks every shared
-// structure the limb-parallel engine touches: the ring's Barrett tables,
+// operations from many goroutines over ONE shared Ring, as concurrent
+// requests do. Under `go test -race` this checks every shared structure
+// the limb loops touch: the ring's Barrett tables,
 // the automorphism-index and base-converter caches, the mod-down/rescale
 // constant caches, and the sync.Pool-backed polynomial buffers.
 func TestConcurrentEvaluatorSharedRing(t *testing.T) {

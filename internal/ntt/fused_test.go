@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -158,15 +157,12 @@ func TestInverseScaledFromMatchesUnfused(t *testing.T) {
 }
 
 // TestBatchPlanMatchesPerLimb proves the batched transforms equal the
-// strict reference limb by limb across dimensions, limb counts and both
-// worker settings (the serial path and the fork-join path take different
-// code routes).
+// strict reference limb by limb across dimensions and limb counts.
 func TestBatchPlanMatchesPerLimb(t *testing.T) {
 	forEachKernel(t, testBatchPlanMatchesPerLimb)
 }
 
 func testBatchPlanMatchesPerLimb(t *testing.T) {
-	defer parallel.SetWorkers(0)
 	for _, logN := range sweepLogN {
 		n := 1 << logN
 		tables := make([]*Table, len(sweepBits))
@@ -181,31 +177,28 @@ func testBatchPlanMatchesPerLimb(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(19 + logN)))
-		for _, workers := range []int{1, 4} {
-			parallel.SetWorkers(workers)
-			for limbs := 1; limbs <= len(tables); limbs++ {
-				batch := make([][]uint64, limbs)
-				ref := make([][]uint64, limbs)
-				for i := range batch {
-					batch[i] = randPoly(rng, n, tables[i].Q)
-					ref[i] = strictNTT(tables[i], batch[i])
-				}
-				pl.Forward(batch)
-				for i := range batch {
-					mustEqual(t, tables[i], "batch Forward", batch[i], ref[i])
-					ref[i] = strictINTT(tables[i], batch[i])
-				}
-				pl.Inverse(batch)
-				for i := range batch {
-					mustEqual(t, tables[i], "batch Inverse", batch[i], ref[i])
-				}
+		for limbs := 1; limbs <= len(tables); limbs++ {
+			batch := make([][]uint64, limbs)
+			ref := make([][]uint64, limbs)
+			for i := range batch {
+				batch[i] = randPoly(rng, n, tables[i].Q)
+				ref[i] = strictNTT(tables[i], batch[i])
+			}
+			pl.Forward(batch)
+			for i := range batch {
+				mustEqual(t, tables[i], "batch Forward", batch[i], ref[i])
+				ref[i] = strictINTT(tables[i], batch[i])
+			}
+			pl.Inverse(batch)
+			for i := range batch {
+				mustEqual(t, tables[i], "batch Inverse", batch[i], ref[i])
 			}
 		}
 	}
 }
 
 // TestBatchPlanZeroAlloc asserts a warm batched transform performs zero
-// heap allocations on the serial path.
+// heap allocations.
 func TestBatchPlanZeroAlloc(t *testing.T) {
 	n := 4096
 	qs, err := rns.GenerateNTTPrimes(45, 12, 3)
@@ -229,8 +222,6 @@ func TestBatchPlanZeroAlloc(t *testing.T) {
 			batch[i][k] = uint64(i*1315423911+k) % qs[i]
 		}
 	}
-	parallel.SetWorkers(1)
-	defer parallel.SetWorkers(0)
 	pl.Forward(batch)
 	pl.Inverse(batch)
 	if avg := testing.AllocsPerRun(20, func() {

@@ -10,7 +10,7 @@ var hasAVX512 = cpuHasAVX512()
 // useAVX512 selects the AVX-512 pass bodies in kernels_amd64.s. It follows
 // hasAVX512, except in a -race build: the race detector does not see the
 // limb loads and stores the assembly makes, so there every package's -race
-// run checks the fork-join workers' accesses on the Go loops. Tests flip it
+// run checks concurrent requests' accesses on the Go loops. Tests flip it
 // to run both kernel sets on one host; nothing else writes it.
 var useAVX512 = hasAVX512 && !raceEnabled
 

@@ -3,7 +3,6 @@ package ring
 import (
 	"fmt"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -38,17 +37,16 @@ func (r *Ring) Automorphism(p *Poly, galEl uint64, out *Poly) error {
 	r.ensureShape(out, p.Basis.Len())
 	if p.IsNTT {
 		idx := r.autoIndexNTT(galEl)
-		r.limbFor(len(p.Limbs), parallel.CostLight, func(j int) {
-			pj, oj := p.Limbs[j], out.Limbs[j]
+		for j, pj := range p.Limbs {
+			oj := out.Limbs[j]
 			for i := range oj {
 				oj[i] = pj[idx[i]]
 			}
-		})
+		}
 		return nil
 	}
 	m := uint64(2 * r.N)
-	r.limbFor(p.Basis.Len(), parallel.CostLight, func(j int) {
-		q := p.Basis.Moduli[j]
+	for j, q := range p.Basis.Moduli {
 		pj, oj := p.Limbs[j], out.Limbs[j]
 		for i := 0; i < r.N; i++ {
 			t := (uint64(i) * galEl) % m
@@ -58,7 +56,7 @@ func (r *Ring) Automorphism(p *Poly, galEl uint64, out *Poly) error {
 				oj[t-uint64(r.N)] = rns.NegMod(pj[i], q)
 			}
 		}
-	})
+	}
 	return nil
 }
 

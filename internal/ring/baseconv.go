@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"cinnamon/internal/ntt"
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -107,14 +106,6 @@ func (bc *BaseConverter) Convert(in [][]uint64) ([][]uint64, error) {
 // heap allocation occurs, making this the serving-path entry point — the
 // evaluator passes pooled polynomials for both. Neither z nor out needs to
 // be zeroed; every cell is written before it is read.
-//
-// The z stage stripes over source limbs under the usual WorthFanout gate.
-// The accumulate stage has few tasks with heavy per-task work (one task per
-// target limb, each sweeping all source limbs), so it gates on
-// parallel.WorthFanoutWide: mod-up's two extension limbs at four workers
-// fanned out to a half-idle pool and measured as a 0.94× slowdown in
-// BENCH_core.json — wide gating keeps exactly that shape serial while
-// mod-down's many-limb conversions still fan out.
 func (bc *BaseConverter) ConvertInto(in, z, out [][]uint64) error {
 	if len(out) != bc.dst.Len() {
 		return fmt.Errorf("ring: got %d output limbs, target basis has %d", len(out), bc.dst.Len())
@@ -145,22 +136,10 @@ func (bc *BaseConverter) ZInto(in, z [][]uint64) error {
 			return fmt.Errorf("ring: limb %d length %d/%d != %d", j, len(in[j]), len(z[j]), n)
 		}
 	}
-	bc.zInto(in, z)
-	return nil
-}
-
-// zInto is the z stage over checked operands, striped over source limbs.
-// Its limb × constant multiply is a light op on the vector body (see
-// Ring.MulScalar).
-func (bc *BaseConverter) zInto(in, z [][]uint64) {
-	l, n := len(in), len(in[0])
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, n, parallel.CostLight) {
-		parallel.For(l, func(j int) { bc.zLimb(j, in[j], z[j]) })
-	} else {
-		for j := 0; j < l; j++ {
-			bc.zLimb(j, in[j], z[j])
-		}
+	for j, q := range bc.src.Moduli {
+		ntt.MulShoup(z[j][:n], in[j], bc.qHatInv[j], bc.qHatInvShoup[j], q)
 	}
+	return nil
 }
 
 // AccumulateInto runs only the accumulate stage of ConvertInto: z must
@@ -178,13 +157,13 @@ func (bc *BaseConverter) AccumulateInto(z, out [][]uint64) error {
 	if len(out) != m {
 		return fmt.Errorf("ring: got %d output limbs, target basis has %d", len(out), m)
 	}
-	n := len(z[0])
-	if parallel.Workers() > 1 && parallel.WorthFanoutWide(m, n, parallel.CostMul*l) {
-		parallel.For(m, func(k int) { bc.accInto(k, z, out[k]) })
-	} else {
-		for k := 0; k < m; k++ {
-			bc.accInto(k, z, out[k])
-		}
+	// Target limb k is Σ_j z_j · (Q/q_j) mod p_k, written first (out needs
+	// no prior zeroing): one ntt.ConvAccumulate over every source limb,
+	// which keeps the z residues unreduced mod p_k and folds the reduction
+	// into one Shoup product per (j, k) factor — no per-element hardware
+	// division.
+	for k, acc := range out {
+		ntt.ConvAccumulate(acc, z, bc.qHatModP[k], bc.qHatShoup[k], bc.dstBar[k])
 	}
 	return nil
 }
@@ -192,30 +171,3 @@ func (bc *BaseConverter) AccumulateInto(z, out [][]uint64) error {
 // QHatInv returns (Q/q_j)⁻¹ mod q_j for source limb j — the z-stage scalar,
 // exposed so transform kernels can fold it into their last stage.
 func (bc *BaseConverter) QHatInv(j int) uint64 { return bc.qHatInv[j] }
-
-// zLimb computes z = in · (Q/q_j)^{-1} mod q_j for source limb j.
-func (bc *BaseConverter) zLimb(j int, in, z []uint64) {
-	ntt.MulShoup(z[:len(in)], in, bc.qHatInv[j], bc.qHatInvShoup[j], bc.src.Moduli[j])
-}
-
-// stripe runs fn over [0, count) limbs, in parallel when the weighted work
-// (coefficients × per-element cost class) is enough to amortize a goroutine
-// per limb; see parallel.WorthFanout.
-func (bc *BaseConverter) stripe(count, n, cost int, fn func(int)) {
-	if parallel.WorthFanout(count, n, cost) {
-		parallel.For(count, fn)
-		return
-	}
-	for i := 0; i < count; i++ {
-		fn(i)
-	}
-}
-
-// accInto computes target limb k, Σ_j z_j · (Q/q_j) mod p_k, into acc,
-// write-first (acc needs no prior zeroing): one ntt.ConvAccumulate over
-// every source limb, which keeps the z residues unreduced mod p_k and
-// folds the reduction into one Shoup product per (j, k) factor — no
-// per-element hardware division.
-func (bc *BaseConverter) accInto(k int, z [][]uint64, acc []uint64) {
-	ntt.ConvAccumulate(acc, z, bc.qHatModP[k], bc.qHatShoup[k], bc.dstBar[k])
-}

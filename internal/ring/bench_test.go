@@ -6,12 +6,10 @@ import (
 	"cinnamon/internal/rns"
 )
 
-// Core micro-benchmarks for the limb-level kernels the limb-parallel
-// execution engine accelerates. Run with -cpu 1,4 to compare serial vs
-// parallel execution (the worker pool sizes itself from GOMAXPROCS at call
-// time):
+// Core micro-benchmarks for the limb-level kernels, each a serial loop
+// over the limbs:
 //
-//	go test ./internal/ring -bench BenchmarkCore -cpu 1,4
+//	go test ./internal/ring -bench BenchmarkCore
 //
 // Parameters are paper-representative: N = 2^13 with an 8-limb chain plus
 // 2 extension limbs (the functional tests run smaller; the paper's full

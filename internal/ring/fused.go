@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cinnamon/internal/ntt"
-	"cinnamon/internal/parallel"
 )
 
 // The ring-level fused keyswitch kernel (DESIGN.md §12; the NTT-domain
@@ -41,34 +40,17 @@ func (r *Ring) AbsorbDigitFused(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, s
 	}
 	a0.chargeProducts(ntt.LazyMulAccWeight)
 	a1.chargeProducts(ntt.LazyMulAccWeight)
-	if parallel.Workers() > 1 && parallel.WorthFanout(m, r.N, parallel.CostNTT) {
-		parallel.For(m, func(u int) {
-			r.absorbLimb(pl, a0, a1, own, src, conv, b0, b1, u)
-		})
-		return nil
-	}
-	for u := 0; u < m; u++ {
-		r.absorbLimb(pl, a0, a1, own, src, conv, b0, b1, u)
+	k := 0 // next conv limb: own and conv never overlap
+	for u, j := range own {
+		h0, l0 := a0.hi[u], a0.lo[u]
+		h1, l1 := a1.hi[u], a1.lo[u]
+		if j >= 0 {
+			ntt.MulAccWide(h0, l0, src[j], b0.Limbs[u])
+			ntt.MulAccWide(h1, l1, src[j], b1.Limbs[u])
+			continue
+		}
+		pl.Table(u).ForwardMulAccPair(conv[k], b0.Limbs[u], b1.Limbs[u], h0, l0, h1, l1)
+		k++
 	}
 	return nil
-}
-
-// absorbLimb processes accumulator limb u of AbsorbDigitFused. conv is
-// indexed by the count of non-own limbs before u (own and conv never
-// overlap, so the prefix count is the conv position).
-func (r *Ring) absorbLimb(pl *ntt.BatchPlan, a0, a1 *LazyAcc, own []int, src, conv [][]uint64, b0, b1 *Poly, u int) {
-	h0, l0 := a0.hi[u], a0.lo[u]
-	h1, l1 := a1.hi[u], a1.lo[u]
-	if j := own[u]; j >= 0 {
-		ntt.MulAccWide(h0, l0, src[j], b0.Limbs[u])
-		ntt.MulAccWide(h1, l1, src[j], b1.Limbs[u])
-		return
-	}
-	k := 0
-	for v := 0; v < u; v++ {
-		if own[v] < 0 {
-			k++
-		}
-	}
-	pl.Table(u).ForwardMulAccPair(conv[k], b0.Limbs[u], b1.Limbs[u], h0, l0, h1, l1)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cinnamon/internal/ntt"
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -92,19 +91,10 @@ func (a *LazyAcc) MulAcc(x, y *Poly) error {
 		return fmt.Errorf("ring: MulAcc requires NTT domain")
 	}
 	a.chargeProducts(1)
-	l := a.basis.Len()
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, a.r.N, parallel.CostMul) {
-		parallel.For(l, func(j int) { a.mulAccLimb(j, x.Limbs[j], y.Limbs[j]) })
-		return nil
-	}
-	for j := 0; j < l; j++ {
-		a.mulAccLimb(j, x.Limbs[j], y.Limbs[j])
+	for j := range a.basis.Moduli {
+		ntt.MulAccWide(a.hi[j], a.lo[j], x.Limbs[j], y.Limbs[j])
 	}
 	return nil
-}
-
-func (a *LazyAcc) mulAccLimb(j int, xj, yj []uint64) {
-	ntt.MulAccWide(a.hi[j], a.lo[j], xj, yj)
 }
 
 // MulScalarAcc accumulates v·x, v a signed integer reduced into each
@@ -116,47 +106,28 @@ func (a *LazyAcc) MulScalarAcc(x *Poly, v int64) error {
 		return fmt.Errorf("ring: MulScalarAcc basis mismatch")
 	}
 	a.chargeProducts(1)
-	l := a.basis.Len()
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, a.r.N, parallel.CostMul) {
-		parallel.For(l, func(j int) { a.mulScalarAccLimb(j, x.Limbs[j], v) })
-		return nil
-	}
-	for j := 0; j < l; j++ {
-		a.mulScalarAccLimb(j, x.Limbs[j], v)
+	for j, q := range a.basis.Moduli {
+		var w uint64
+		if v >= 0 {
+			w = uint64(v) % q
+		} else if rem := (-uint64(v)) % q; rem != 0 {
+			w = q - rem
+		}
+		ntt.MulAccWideScalar(a.hi[j], a.lo[j], x.Limbs[j], w)
 	}
 	return nil
-}
-
-func (a *LazyAcc) mulScalarAccLimb(j int, xj []uint64, v int64) {
-	q := a.basis.Moduli[j]
-	var w uint64
-	if v >= 0 {
-		w = uint64(v) % q
-	} else if rem := (-uint64(v)) % q; rem != 0 {
-		w = q - rem
-	}
-	ntt.MulAccWideScalar(a.hi[j], a.lo[j], xj, w)
 }
 
 // fold reduces the accumulator in place: each 128-bit cell collapses to its
 // canonical value (< q) in the low word. The folded value is smaller than
 // any single product, so the budget counter restarts at one.
 func (a *LazyAcc) fold() {
-	l := a.basis.Len()
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, a.r.N, parallel.CostMul) {
-		parallel.For(l, func(j int) { a.foldLimb(j) })
-	} else {
-		for j := 0; j < l; j++ {
-			a.foldLimb(j)
-		}
+	for j, q := range a.basis.Moduli {
+		hij, loj := a.hi[j], a.lo[j]
+		ntt.ReduceWide(loj, hij, loj, a.r.Barrett(q))
+		clear(hij)
 	}
 	a.adds = 1
-}
-
-func (a *LazyAcc) foldLimb(j int) {
-	hij, loj := a.hi[j], a.lo[j]
-	ntt.ReduceWide(loj, hij, loj, a.r.Barrett(a.basis.Moduli[j]))
-	clear(hij)
 }
 
 // chargeProducts books w canonical-product units. Kernels that accumulate
@@ -179,18 +150,9 @@ func (a *LazyAcc) ReduceInto(out *Poly) {
 	r := a.r
 	out.Basis, out.IsNTT = a.basis, true
 	r.ensureShape(out, a.basis.Len())
-	l := a.basis.Len()
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, r.N, parallel.CostMul) {
-		parallel.For(l, func(j int) { a.reduceLimb(j, out.Limbs[j]) })
-		return
+	for j, q := range a.basis.Moduli {
+		ntt.ReduceWide(out.Limbs[j], a.hi[j], a.lo[j], r.Barrett(q))
 	}
-	for j := 0; j < l; j++ {
-		a.reduceLimb(j, out.Limbs[j])
-	}
-}
-
-func (a *LazyAcc) reduceLimb(j int, oj []uint64) {
-	ntt.ReduceWide(oj, a.hi[j], a.lo[j], a.r.Barrett(a.basis.Moduli[j]))
 }
 
 // Release returns the accumulator's limb storage and the struct itself to

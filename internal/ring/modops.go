@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -70,7 +69,6 @@ func (r *Ring) ModUp(p *Poly, ext rns.Basis) (*Poly, error) {
 	if err != nil {
 		return nil, err
 	}
-	sLen := len(p.Limbs)
 	out := r.getPolyHeader()
 	out.Basis, out.IsNTT = union, false
 	if cap(out.Limbs) >= union.Len() {
@@ -78,12 +76,12 @@ func (r *Ring) ModUp(p *Poly, ext rns.Basis) (*Poly, error) {
 	} else {
 		out.Limbs = make([][]uint64, union.Len())
 	}
-	r.limbFor(sLen, parallel.CostLight, func(j int) {
+	for j, pj := range p.Limbs {
 		l := r.getLimbNoZero()
-		copy(l, p.Limbs[j])
+		copy(l, pj)
 		out.Limbs[j] = l
-	})
-	copy(out.Limbs[sLen:], extLimbs)
+	}
+	copy(out.Limbs[len(p.Limbs):], extLimbs)
 	return out, nil
 }
 
@@ -147,14 +145,13 @@ func (r *Ring) ModDown(p *Poly, ext rns.Basis) (*Poly, error) {
 		return nil, err
 	}
 	out := r.getPolyUninit(s)
-	r.limbFor(sLen, parallel.CostMul, func(j int) {
-		q := s.Moduli[j]
+	for j, q := range s.Moduli {
 		w, ws := consts[j].w, consts[j].ws
 		aj, cj, oj := p.Limbs[j], conv[j], out.Limbs[j]
 		for i := range aj {
 			oj[i] = rns.MulModShoup(rns.SubMod(aj[i], cj[i], q), w, ws, q)
 		}
-	})
+	}
 	return out, nil
 }
 
@@ -196,31 +193,22 @@ func (r *Ring) Rescale(p *Poly) (*Poly, error) {
 	if r.alignedPrefix(p.Basis) {
 		row = r.rescaleTab[l]
 	}
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, r.N, parallel.CostMul) {
-		parallel.For(l, func(j int) { r.rescaleLimb(p, out, row, ql, l, j) })
-	} else {
-		for j := 0; j < l; j++ {
-			r.rescaleLimb(p, out, row, ql, l, j)
+	// out_j = (a_j - [a_l mod q_j]) · q_l^{-1} mod q_j.
+	last := p.Limbs[l]
+	for j, q := range out.Basis.Moduli {
+		var c shoupScalar
+		if row != nil {
+			c = row[j]
+		} else {
+			c = rescaleConstant(ql, q)
+		}
+		bp := r.Barrett(q)
+		aj, oj := p.Limbs[j], out.Limbs[j]
+		for i := range aj {
+			oj[i] = rns.MulModShoup(rns.SubMod(aj[i], bp.Reduce(last[i]), q), c.w, c.ws, q)
 		}
 	}
 	return out, nil
-}
-
-// rescaleLimb computes out_j = (a_j - [a_l mod q_j]) · q_l^{-1} mod q_j.
-func (r *Ring) rescaleLimb(p, out *Poly, row []shoupScalar, ql uint64, l, j int) {
-	q := out.Basis.Moduli[j]
-	var c shoupScalar
-	if row != nil {
-		c = row[j]
-	} else {
-		c = rescaleConstant(ql, q)
-	}
-	bp := r.Barrett(q)
-	last := p.Limbs[l]
-	aj, oj := p.Limbs[j], out.Limbs[j]
-	for i := range aj {
-		oj[i] = rns.MulModShoup(rns.SubMod(aj[i], bp.Reduce(last[i]), q), c.w, c.ws, q)
-	}
 }
 
 // CoeffToBig reconstructs coefficient i of p (coefficient domain) as an

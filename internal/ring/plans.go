@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cinnamon/internal/ntt"
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -93,26 +92,18 @@ func (r *Ring) ModDownWith(mp *ModDownPlan, p *Poly) (*Poly, error) {
 		r.PutPoly(conv)
 		return nil, err
 	}
+	// out_j = (a_j - conv_j) · P^{-1} mod q_j.
 	out := r.getPolyUninit(mp.s)
-	if parallel.Workers() > 1 && parallel.WorthFanout(sLen, r.N, parallel.CostMul) {
-		parallel.For(sLen, func(j int) {
-			modDownLimb(mp.s.Moduli[j], mp.consts[j], p.Limbs[j], conv.Limbs[j], out.Limbs[j])
-		})
-	} else {
-		for j := 0; j < sLen; j++ {
-			modDownLimb(mp.s.Moduli[j], mp.consts[j], p.Limbs[j], conv.Limbs[j], out.Limbs[j])
+	for j, q := range mp.s.Moduli {
+		c := mp.consts[j]
+		aj, cj, oj := p.Limbs[j], conv.Limbs[j], out.Limbs[j]
+		for i := range aj {
+			oj[i] = rns.MulModShoup(rns.SubMod(aj[i], cj[i], q), c.w, c.ws, q)
 		}
 	}
 	r.PutPoly(z)
 	r.PutPoly(conv)
 	return out, nil
-}
-
-// modDownLimb computes out = (a - conv) · P^{-1} mod q for one limb.
-func modDownLimb(q uint64, c shoupScalar, aj, cj, oj []uint64) {
-	for i := range aj {
-		oj[i] = rns.MulModShoup(rns.SubMod(aj[i], cj[i], q), c.w, c.ws, q)
-	}
 }
 
 // ModDownNTTWith is the NTT-domain mod-down (DESIGN.md §12): p, NTT-domain
@@ -153,16 +144,9 @@ func (r *Ring) ModDownNTTWith(mp *ModDownPlan, p *Poly) (*Poly, error) {
 	r.PutPoly(z)
 	out := r.getPolyUninit(mp.s)
 	out.IsNTT = true
-	if parallel.Workers() > 1 && parallel.WorthFanout(sLen, r.N, parallel.CostNTT) {
-		parallel.For(sLen, func(j int) {
-			c := mp.consts[j]
-			mp.sPlan.Table(j).ForwardSubMul(conv.Limbs[j], p.Limbs[j], out.Limbs[j], c.w, c.ws)
-		})
-	} else {
-		for j := 0; j < sLen; j++ {
-			c := mp.consts[j]
-			mp.sPlan.Table(j).ForwardSubMul(conv.Limbs[j], p.Limbs[j], out.Limbs[j], c.w, c.ws)
-		}
+	for j := 0; j < sLen; j++ {
+		c := mp.consts[j]
+		mp.sPlan.Table(j).ForwardSubMul(conv.Limbs[j], p.Limbs[j], out.Limbs[j], c.w, c.ws)
 	}
 	r.PutPoly(conv)
 	return out, nil

@@ -4,8 +4,9 @@
 // add/mul/NTT/automorphism plus the cross-limb mod-up, mod-down and rescale
 // operations that keyswitching requires.
 //
-// Every limb loop dispatches through the internal/parallel worker pool —
-// the CPU rendering of the paper's limb-level parallelism — and the
+// Every limb loop is a plain serial loop: the paper's limb-level
+// parallelism is internal/cluster's partition of limbs across workers, and
+// concurrency inside one process comes from concurrent requests. The
 // pointwise-multiply hot paths use per-modulus Barrett constants cached on
 // the Ring instead of a hardware division per coefficient. All Ring
 // operations are safe for concurrent use from multiple goroutines (on
@@ -17,7 +18,6 @@ import (
 	"sync"
 
 	"cinnamon/internal/ntt"
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -166,21 +166,6 @@ func (r *Ring) Barrett(q uint64) rns.BarrettParams {
 	return rns.NewBarrettParams(q)
 }
 
-// limbFor runs fn for every limb index in [0, limbs), in parallel when the
-// total work — limbs × N coefficients weighted by the op's cost class —
-// is large enough to amortize the fork-join (parallel.WorthFanout). Cheap
-// per-limb kernels (automorphism gathers, adds) therefore stay serial at
-// sizes where an NTT already fans out.
-func (r *Ring) limbFor(limbs, cost int, fn func(j int)) {
-	if parallel.WorthFanout(limbs, r.N, cost) {
-		parallel.For(limbs, fn)
-		return
-	}
-	for j := 0; j < limbs; j++ {
-		fn(j)
-	}
-}
-
 // Poly is a polynomial in limb representation: Limbs[j] holds the residues
 // mod Basis.Moduli[j]. IsNTT records the current domain; entries are in the
 // evaluation (NTT) domain when true, coefficient domain when false.
@@ -228,9 +213,9 @@ func (r *Ring) Add(a, b, out *Poly) error {
 	}
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
-		ntt.AddMod(out.Limbs[j], a.Limbs[j], b.Limbs[j], a.Basis.Moduli[j])
-	})
+	for j, q := range a.Basis.Moduli {
+		ntt.AddMod(out.Limbs[j], a.Limbs[j], b.Limbs[j], q)
+	}
 	return nil
 }
 
@@ -241,9 +226,9 @@ func (r *Ring) Sub(a, b, out *Poly) error {
 	}
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
-		ntt.SubMod(out.Limbs[j], a.Limbs[j], b.Limbs[j], a.Basis.Moduli[j])
-	})
+	for j, q := range a.Basis.Moduli {
+		ntt.SubMod(out.Limbs[j], a.Limbs[j], b.Limbs[j], q)
+	}
 	return nil
 }
 
@@ -251,13 +236,12 @@ func (r *Ring) Sub(a, b, out *Poly) error {
 func (r *Ring) Neg(a, out *Poly) {
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
-		q := a.Basis.Moduli[j]
+	for j, q := range a.Basis.Moduli {
 		aj, oj := a.Limbs[j], out.Limbs[j]
 		for i := range aj {
 			oj[i] = rns.NegMod(aj[i], q)
 		}
-	})
+	}
 }
 
 // MulCoeffs sets out = a ⊙ b, the pointwise product. Both operands must be
@@ -273,24 +257,21 @@ func (r *Ring) MulCoeffs(a, b, out *Poly) error {
 	}
 	out.Basis, out.IsNTT = a.Basis, true
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostMul, func(j int) {
-		ntt.MulBarrett(out.Limbs[j], a.Limbs[j], b.Limbs[j], r.Barrett(a.Basis.Moduli[j]))
-	})
+	for j, q := range a.Basis.Moduli {
+		ntt.MulBarrett(out.Limbs[j], a.Limbs[j], b.Limbs[j], r.Barrett(q))
+	}
 	return nil
 }
 
 // MulScalar sets out = s·a where s is a plain unsigned scalar (reduced per
-// modulus). Works in either domain. Its limb loop, ntt.MulShoup, is gated
-// as a light op: on the vector body a forked eight-limb loop lost to the
-// serial one at logN 13 and tied at logN 14 (DESIGN.md §6).
+// modulus). Works in either domain.
 func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly) {
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
-		q := a.Basis.Moduli[j]
+	for j, q := range a.Basis.Moduli {
 		w := s % q
 		ntt.MulShoup(out.Limbs[j], a.Limbs[j], w, rns.ShoupPrecomp(w, q), q)
-	})
+	}
 }
 
 // MulScalarBigRNS multiplies by a scalar given as per-modulus residues
@@ -302,47 +283,35 @@ func (r *Ring) MulScalarBigRNS(a *Poly, sRes []uint64, out *Poly) error {
 	}
 	out.Basis, out.IsNTT = a.Basis, a.IsNTT
 	r.ensureShape(out, a.Basis.Len())
-	r.limbFor(a.Basis.Len(), parallel.CostLight, func(j int) {
-		q := a.Basis.Moduli[j]
+	for j, q := range a.Basis.Moduli {
 		w := sRes[j] % q
 		ntt.MulShoup(out.Limbs[j], a.Limbs[j], w, rns.ShoupPrecomp(w, q), q)
-	})
+	}
 	return nil
 }
 
 // transformLimbs runs the forward (or inverse) transform on every limb of
 // a basis that is not a universe prefix (chip bases, the P basis alone,
 // foreign moduli), resolving each limb's table as it goes. A modulus with
-// no table fails before any limb changes. The closure lives only on the
-// fan-out branch, so the serial path allocates nothing.
+// no table fails before any limb changes.
 func (r *Ring) transformLimbs(p *Poly, inverse bool) error {
 	for _, q := range p.Basis.Moduli {
 		if r.TableOf(q) == nil {
 			return fmt.Errorf("ring: no NTT table for modulus %d", q)
 		}
 	}
-	l := p.Basis.Len()
-	if parallel.Workers() > 1 && parallel.WorthFanout(l, r.N, parallel.CostNTT) {
-		parallel.For(l, func(j int) { r.transformLimb(p, j, inverse) })
-		return nil
-	}
-	for j := 0; j < l; j++ {
-		r.transformLimb(p, j, inverse)
+	for j, q := range p.Basis.Moduli {
+		if inverse {
+			r.TableOf(q).Inverse(p.Limbs[j])
+		} else {
+			r.TableOf(q).Forward(p.Limbs[j])
+		}
 	}
 	return nil
 }
 
-func (r *Ring) transformLimb(p *Poly, j int, inverse bool) {
-	tb := r.TableOf(p.Basis.Moduli[j])
-	if inverse {
-		tb.Inverse(p.Limbs[j])
-	} else {
-		tb.Forward(p.Limbs[j])
-	}
-}
-
 // NTT transforms p to the evaluation domain in place (no-op if already
-// there). Limbs transform independently on the worker pool.
+// there).
 func (r *Ring) NTT(p *Poly) error {
 	if p.IsNTT {
 		return nil

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cinnamon/internal/parallel"
 	"cinnamon/internal/rns"
 )
 
@@ -518,11 +517,9 @@ func TestNTTForeignModulusTouchesNoLimb(t *testing.T) {
 }
 
 // TestMisalignedNTTZeroAlloc: a warm NTT/INTT over a basis that is not a
-// universe prefix allocates nothing on the serial path.
+// universe prefix allocates nothing.
 func TestMisalignedNTTZeroAlloc(t *testing.T) {
 	r, qb, pb := newTestRing(t, 10, 3, 2)
-	parallel.SetWorkers(1)
-	defer parallel.SetWorkers(0)
 	for name, b := range misalignedBases(qb, pb) {
 		p := randPoly(r, b, 53)
 		if avg := testing.AllocsPerRun(20, func() {

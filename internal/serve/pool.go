@@ -37,13 +37,14 @@ type Config struct {
 	// shallow or deep — run at once: every execution holds one slot, and the
 	// rest of the admitted requests wait for one under their own deadlines.
 	// A refresh bootstraps inside its run's slot, so Workers is also how many
-	// bootstraps compute at once; their limb loops share internal/parallel's
-	// process-wide helper budget, so Workers above the core count adds
-	// time-slicing, not throughput. A request that expires mid-refresh gives
-	// up its slot at the bootstrap's next collective when its keyswitches
-	// ride a cluster backend; on the local kernel a bootstrap takes no
-	// context, so the slot is held until that one bootstrap ends. Default
-	// GOMAXPROCS.
+	// bootstraps compute at once. Every limb loop below runs serially on its
+	// request's goroutine, so these slots are the only compute concurrency
+	// in the process: Workers above the core count adds time-slicing, not
+	// throughput, and one request alone uses one core. A request that
+	// expires mid-refresh gives up its slot at the bootstrap's next
+	// collective when its keyswitches ride a cluster backend; on the local
+	// kernel a bootstrap takes no context, so the slot is held until that
+	// one bootstrap ends. Default GOMAXPROCS.
 	Workers int
 	// RequestTimeout bounds a request's total time in the system when its
 	// context has no deadline of its own. Expiry is noticed waiting for a
