@@ -243,30 +243,35 @@ func (bs *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 	}
 	// ScaleUp to ≈ q0/2^H, then ModRaise into the full chain: Dec becomes
 	// S0·m + q0·I with small integer I.
-	raised, err := bs.modRaise(bs.ev.ScaleUp(ct, pre.scaleUp))
+	// Each stage's input is dead once its output exists: then releases it.
+	ev := bs.ev
+	raised, err := then(ev, ev.ScaleUp(ct, pre.scaleUp), bs.modRaise)
 	if err != nil {
 		return nil, err
 	}
 	// CoeffToSlot + rescale: slots now hold x_j = Δm_j/q0 + I_j (complex
 	// pairs).
-	t, err := pre.c2s.Evaluate(bs.ev, pre.enc, raised)
+	lin := func(lt *LinearTransform) func(*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+		return func(c *ckks.Ciphertext) (*ckks.Ciphertext, error) { return lt.Evaluate(ev, pre.enc, c) }
+	}
+	t, err := then(ev, raised, lin(pre.c2s))
 	if err != nil {
 		return nil, err
 	}
-	if t, err = bs.ev.Rescale(t); err != nil {
+	if t, err = then(ev, t, ev.Rescale); err != nil {
 		return nil, err
 	}
-	comb, err := bs.evalModSplit(t)
+	comb, err := then(ev, t, bs.evalModSplit)
 	if err != nil {
 		return nil, err
 	}
 	// SlotToCoeff + rescale restores the original slot values at the exit
 	// level.
-	out, err := pre.s2c.Evaluate(bs.ev, pre.enc, comb)
+	out, err := then(ev, comb, lin(pre.s2c))
 	if err != nil {
 		return nil, err
 	}
-	if out, err = bs.ev.Rescale(out); err != nil {
+	if out, err = then(ev, out, ev.Rescale); err != nil {
 		return nil, err
 	}
 	// The composed circuit scale lands near Δ but not on it (the exact
@@ -277,6 +282,7 @@ func (bs *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 	// sine-approximation error.
 	delta := pre.params.DefaultScale()
 	if math.Abs(out.Scale-delta) > 1e-4*delta {
+		ev.Release(out)
 		return nil, fmt.Errorf("bootstrap: exit scale %g drifted beyond tolerance of the default %g", out.Scale, delta)
 	}
 	out.Scale = delta
@@ -323,23 +329,30 @@ func closeTo(a, b float64) bool {
 
 // evalMod evaluates the Chebyshev cosine and applies the double-angle
 // foldings c ← 2c² − 1 (r times), then optionally the arcsine correction.
+// Every temporary goes back to the ring's pool at its last use; ct is left
+// as it came.
 func (bs *Bootstrapper) evalMod(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	c, err := EvalChebyshev(bs.ev, ct, bs.pre.cheb)
+	ev := bs.ev
+	c, err := EvalChebyshev(ev, ct, bs.pre.cheb)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < bs.pre.cfg.DoubleAngle; i++ {
-		sq, err := bs.ev.MulRelin(c, c)
+	square := func(p *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+		sq, err := ev.MulRelin(p, p)
 		if err != nil {
 			return nil, err
 		}
-		if sq, err = bs.ev.Rescale(sq); err != nil {
+		return then(ev, sq, ev.Rescale)
+	}
+	for i := 0; i < bs.pre.cfg.DoubleAngle; i++ {
+		sq, err := then(ev, c, square)
+		if err != nil {
 			return nil, err
 		}
-		if sq, err = bs.ev.Add(sq, sq); err != nil {
+		if sq, err = then(ev, sq, double(ev)); err != nil {
 			return nil, err
 		}
-		if c, err = bs.ev.AddConst(sq, -1); err != nil {
+		if c, err = then(ev, sq, addConst(ev, -1)); err != nil {
 			return nil, err
 		}
 	}
@@ -348,71 +361,72 @@ func (bs *Bootstrapper) evalMod(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	}
 	// θ = asin(s) ≈ s + s³/6: evaluate s·(1 + s²/6) so the downstream
 	// linear extraction sees θ = 2π·x instead of sin(2π·x).
-	s2, err := bs.ev.MulRelin(c, c)
+	s2, err := square(c)
+	if err != nil {
+		ev.Release(c)
+		return nil, err
+	}
+	s2, err = then(ev, s2, func(s2 *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+		return ev.MulConstAtScale(s2, complex(1.0/6.0, 0), ev.TopModulus(s2.Level()))
+	})
+	if err == nil {
+		s2, err = then(ev, s2, ev.Rescale)
+	}
+	if err == nil {
+		s2, err = then(ev, s2, addConst(ev, 1))
+	}
+	if err != nil {
+		ev.Release(c)
+		return nil, err
+	}
+	defer ev.Release(s2)
+	out, err := then(ev, c, func(c *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.MulRelin(alignLevels(c, s2)) })
 	if err != nil {
 		return nil, err
 	}
-	if s2, err = bs.ev.Rescale(s2); err != nil {
-		return nil, err
-	}
-	s2scaled, err := bs.ev.MulConstAtScale(s2, complex(1.0/6.0, 0), bs.ev.TopModulus(s2.Level()))
-	if err != nil {
-		return nil, err
-	}
-	if s2scaled, err = bs.ev.Rescale(s2scaled); err != nil {
-		return nil, err
-	}
-	if s2scaled, err = bs.ev.AddConst(s2scaled, 1); err != nil {
-		return nil, err
-	}
-	cAligned, s2a, err := alignLevels(bs.ev, c, s2scaled)
-	if err != nil {
-		return nil, err
-	}
-	out, err := bs.ev.MulRelin(cAligned, s2a)
-	if err != nil {
-		return nil, err
-	}
-	return bs.ev.Rescale(out)
+	return then(ev, out, ev.Rescale)
 }
 
 // evalModSplit is the middle of the pipeline: conjugate split into 2·Re and
 // 2·Im, EvalMod on both halves (u = 2x ∈ [−2K, 2K] → sin(2πx)), and the
-// recombination t' = re' + i·im'.
+// recombination t' = re' + i·im'. Its temporaries go back to the ring's
+// pool; t is left as it came.
 func (bs *Bootstrapper) evalModSplit(t *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	tc, err := bs.ev.Conjugate(t)
+	ev := bs.ev
+	tc, err := ev.Conjugate(t)
 	if err != nil {
 		return nil, err
 	}
-	re2, err := bs.ev.Add(t, tc)
+	re2, err := ev.Add(t, tc)
+	if err != nil {
+		ev.Release(tc)
+		return nil, err
+	}
+	imDiff, err := then(ev, tc, func(tc *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.Sub(tc, t) })
+	if err != nil {
+		ev.Release(re2)
+		return nil, err
+	}
+	im2, err := then(ev, imDiff, ev.MulByI) // (conj−t)·i = 2·Im(t)
+	if err != nil {
+		ev.Release(re2)
+		return nil, err
+	}
+	reMod, err := then(ev, re2, bs.evalMod)
+	if err != nil {
+		ev.Release(im2)
+		return nil, err
+	}
+	defer ev.Release(reMod)
+	imMod, err := then(ev, im2, bs.evalMod)
 	if err != nil {
 		return nil, err
 	}
-	imDiff, err := bs.ev.Sub(tc, t)
+	imI, err := then(ev, imMod, ev.MulByI)
 	if err != nil {
 		return nil, err
 	}
-	im2, err := bs.ev.MulByI(imDiff) // (conj−t)·i = 2·Im(t)
-	if err != nil {
-		return nil, err
-	}
-	reMod, err := bs.evalMod(re2)
-	if err != nil {
-		return nil, err
-	}
-	imMod, err := bs.evalMod(im2)
-	if err != nil {
-		return nil, err
-	}
-	imI, err := bs.ev.MulByI(imMod)
-	if err != nil {
-		return nil, err
-	}
-	a, b, err := alignLevels(bs.ev, reMod, imI)
-	if err != nil {
-		return nil, err
-	}
-	return bs.ev.Add(a, b)
+	return then(ev, imI, func(imI *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.Add(alignLevels(reMod, imI)) })
 }
 
 // modRaise lifts a level-0 ciphertext to the full chain by re-expressing
@@ -425,11 +439,12 @@ func (bs *Bootstrapper) modRaise(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) 
 	}
 	q0 := bs.pre.params.QBasis.Moduli[0]
 	raise := func(p *ring.Poly) (*ring.Poly, error) {
-		cp := p.Copy()
+		cp := r.GetPolyCopy(p)
+		defer r.PutPoly(cp)
 		if err := r.INTT(cp); err != nil {
 			return nil, err
 		}
-		out := r.NewPoly(topBasis)
+		out := r.GetPolyUninit(topBasis)
 		src := cp.Limbs[0]
 		for i, c := range src {
 			v := int64(c)
@@ -447,6 +462,7 @@ func (bs *Bootstrapper) modRaise(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) 
 			}
 		}
 		if err := r.NTT(out); err != nil {
+			r.PutPoly(out)
 			return nil, err
 		}
 		return out, nil
@@ -457,6 +473,7 @@ func (bs *Bootstrapper) modRaise(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) 
 	}
 	c1, err := raise(ct.C1)
 	if err != nil {
+		r.PutPoly(c0)
 		return nil, err
 	}
 	return &ckks.Ciphertext{C0: c0, C1: c1, Scale: ct.Scale}, nil

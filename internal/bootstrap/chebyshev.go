@@ -62,6 +62,8 @@ type chebCtx struct {
 // p = a·T_g + b using 2·T_m·T_n = T_{m+n} + T_{|m−n|}. Depth is
 // O(log degree). Scales are tracked exactly; the tiny per-level drift from
 // rescaling by primes ≈ Δ is absorbed by the evaluator's add tolerance.
+// Every temporary, the powers T_k included, goes back to the ring's pool by
+// the time it returns; ct is left as it came.
 func EvalChebyshev(ev *ckks.Evaluator, ct *ckks.Ciphertext, c *Chebyshev) (*ckks.Ciphertext, error) {
 	params := ev.Params()
 	d := c.Degree()
@@ -78,11 +80,11 @@ func EvalChebyshev(ev *ckks.Evaluator, ct *ckks.Ciphertext, c *Chebyshev) (*ckks
 	if err != nil {
 		return nil, err
 	}
-	if y, err = ev.Rescale(y); err != nil {
+	if y, err = then(ev, y, ev.Rescale); err != nil {
 		return nil, err
 	}
 	if c.A != -c.B {
-		if y, err = ev.AddConst(y, complex(-(c.A+c.B)/(c.B-c.A), 0)); err != nil {
+		if y, err = then(ev, y, addConst(ev, complex(-(c.A+c.B)/(c.B-c.A), 0))); err != nil {
 			return nil, err
 		}
 	}
@@ -92,6 +94,11 @@ func EvalChebyshev(ev *ckks.Evaluator, ct *ckks.Ciphertext, c *Chebyshev) (*ckks
 	}
 	l := (m + 1) / 2
 	cc := &chebCtx{ev: ev, T: map[int]*ckks.Ciphertext{1: y}, m1: 1 << l}
+	defer func() {
+		for _, t := range cc.T {
+			ev.Release(t)
+		}
+	}()
 	// Baby steps T_2..T_{m1}.
 	for k := 2; k <= cc.m1; k++ {
 		if _, err := cc.power(k); err != nil {
@@ -123,34 +130,29 @@ func (cc *chebCtx) power(k int) (*ckks.Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	ti, tj, err = alignLevels(cc.ev, ti, tj)
+	ev := cc.ev
+	ti, tj = alignLevels(ti, tj)
+	prod, err := ev.MulRelin(ti, tj)
 	if err != nil {
 		return nil, err
 	}
-	prod, err := cc.ev.MulRelin(ti, tj)
-	if err != nil {
+	if prod, err = then(ev, prod, ev.Rescale); err != nil {
 		return nil, err
 	}
-	if prod, err = cc.ev.Rescale(prod); err != nil {
-		return nil, err
-	}
-	if prod, err = cc.ev.Add(prod, prod); err != nil { // ×2
+	if prod, err = then(ev, prod, double(ev)); err != nil {
 		return nil, err
 	}
 	if i == j {
-		if prod, err = cc.ev.AddConst(prod, -1); err != nil { // T_0 = 1
+		if prod, err = then(ev, prod, addConst(ev, -1)); err != nil { // T_0 = 1
 			return nil, err
 		}
 	} else {
 		td, err := cc.power(j - i)
 		if err != nil {
+			ev.Release(prod)
 			return nil, err
 		}
-		a, b, err := alignLevels(cc.ev, prod, td)
-		if err != nil {
-			return nil, err
-		}
-		if prod, err = cc.ev.Sub(a, b); err != nil {
+		if prod, err = then(ev, prod, func(p *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.Sub(alignLevels(p, td)) }); err != nil {
 			return nil, err
 		}
 	}
@@ -181,34 +183,30 @@ func (cc *chebCtx) eval(coeffs []float64) (*ckks.Ciphertext, error) {
 	for j := 1; j <= d-g && g-j >= 0; j++ {
 		b[g-j] -= coeffs[g+j]
 	}
+	ev := cc.ev
 	actA, err := cc.eval(a)
 	if err != nil {
 		return nil, err
 	}
 	tg, err := cc.power(g)
 	if err != nil {
+		ev.Release(actA)
 		return nil, err
 	}
-	x, y, err := alignLevels(cc.ev, actA, tg)
+	prod, err := then(ev, actA, func(actA *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.MulRelin(alignLevels(actA, tg)) })
 	if err != nil {
 		return nil, err
 	}
-	prod, err := cc.ev.MulRelin(x, y)
-	if err != nil {
-		return nil, err
-	}
-	if prod, err = cc.ev.Rescale(prod); err != nil {
+	if prod, err = then(ev, prod, ev.Rescale); err != nil {
 		return nil, err
 	}
 	actB, err := cc.eval(b)
 	if err != nil {
+		ev.Release(prod)
 		return nil, err
 	}
-	p, q, err := alignLevels(cc.ev, prod, actB)
-	if err != nil {
-		return nil, err
-	}
-	return cc.ev.Add(p, q)
+	defer ev.Release(actB)
+	return then(ev, prod, func(prod *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.Add(alignLevels(prod, actB)) })
 }
 
 // evalDirect computes Σ c_k·T_k for degree < m1: all T_k dropped to a
@@ -239,10 +237,10 @@ func (cc *chebCtx) evalDirect(coeffs []float64) (*ckks.Ciphertext, error) {
 		if err != nil {
 			return nil, err
 		}
-		if z, err = ev.Rescale(z); err != nil {
+		if z, err = then(ev, z, ev.Rescale); err != nil {
 			return nil, err
 		}
-		return ev.AddConst(z, complex(coeffs[0], 0))
+		return then(ev, z, addConst(ev, complex(coeffs[0], 0)))
 	}
 	// Powers above minLevel are read through their limb prefix.
 	lc, err := ev.NewLinComb(minLevel)
@@ -260,13 +258,11 @@ func (cc *chebCtx) evalDirect(coeffs []float64) (*ckks.Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	if acc, err = ev.Rescale(acc); err != nil {
+	if acc, err = then(ev, acc, ev.Rescale); err != nil {
 		return nil, err
 	}
 	if coeffs[0] != 0 {
-		if acc, err = ev.AddConst(acc, complex(coeffs[0], 0)); err != nil {
-			return nil, err
-		}
+		return then(ev, acc, addConst(ev, complex(coeffs[0], 0)))
 	}
 	return acc, nil
 }
@@ -279,17 +275,30 @@ func trimCoeffs(c []float64) []float64 {
 	return c[:d+1]
 }
 
-// alignLevels drops the higher-level operand so both sit at the same level.
-func alignLevels(ev *ckks.Evaluator, a, b *ckks.Ciphertext) (*ckks.Ciphertext, *ckks.Ciphertext, error) {
-	var err error
+// alignLevels views the higher-level operand at the lower one's level (a
+// limb prefix, no copy), so both sit at the same level. The views share
+// their operands' limbs: release the operands, never the views.
+func alignLevels(a, b *ckks.Ciphertext) (*ckks.Ciphertext, *ckks.Ciphertext) {
 	if a.Level() > b.Level() {
-		if a, err = ev.DropLevel(a, b.Level()); err != nil {
-			return nil, nil, err
-		}
-	} else if b.Level() > a.Level() {
-		if b, err = ev.DropLevel(b, a.Level()); err != nil {
-			return nil, nil, err
-		}
+		return a.AtLevel(b.Level()), b
 	}
-	return a, b, nil
+	return a, b.AtLevel(a.Level())
+}
+
+// then applies op to ct, whose last use it is, and releases ct, on success
+// or failure: op's output never shares ct's limbs.
+func then(ev *ckks.Evaluator, ct *ckks.Ciphertext, op func(*ckks.Ciphertext) (*ckks.Ciphertext, error)) (*ckks.Ciphertext, error) {
+	out, err := op(ct)
+	ev.Release(ct)
+	return out, err
+}
+
+// double (c + c) and addConst (c + k in every slot) are evaluator ops in
+// the shape then takes.
+func double(ev *ckks.Evaluator) func(*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	return func(c *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.Add(c, c) }
+}
+
+func addConst(ev *ckks.Evaluator, k complex128) func(*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	return func(c *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.AddConst(c, k) }
 }

@@ -165,11 +165,7 @@ func TestBootstrapStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := alignLevels(bs.ev, reMod, imI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb, err := bs.ev.Add(a, b)
+	comb, err := bs.ev.Add(alignLevels(reMod, imI))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,9 @@ func (lt *LinearTransform) babySteps() []int {
 // Evaluate applies the transform to ct. The output scale is
 // ct.Scale · Δ; the caller rescales. enc must share the evaluator's
 // parameters. The baby-step rotations, independent keyswitches of the one
-// input, all run before the giant-step loop consumes them.
+// input, all run before the giant-step loop consumes them, and go back to
+// the ring's pool after it; each giant step's inner sum and each superseded
+// accumulator go back as soon as the next one exists. ct is left as it came.
 func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	level := ct.Level()
 	// Encode diagonals at exactly the modulus the following rescale will
@@ -142,6 +144,11 @@ func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *c
 	steps := lt.babySteps()
 	rotated := make([]*ckks.Ciphertext, lt.N1) // indexed by baby step
 	rotated[0] = ct
+	defer func() {
+		for _, j := range steps {
+			ev.Release(rotated[j])
+		}
+	}()
 	for _, j := range steps {
 		var err error
 		if rotated[j], err = ev.Rotate(ct, j); err != nil {
@@ -151,21 +158,24 @@ func (lt *LinearTransform) Evaluate(ev *ckks.Evaluator, enc *ckks.Encoder, ct *c
 	var acc *ckks.Ciphertext
 	for i := 0; i*lt.N1 < lt.Slots; i++ {
 		inner, err := lt.innerSum(ev, enc, rotated, i, level, scale)
+		if err == nil && inner != nil && i != 0 {
+			inner, err = then(ev, inner, func(c *ckks.Ciphertext) (*ckks.Ciphertext, error) { return ev.Rotate(c, i*lt.N1) })
+		}
 		if err != nil {
+			ev.Release(acc)
 			return nil, err
 		}
-		if inner == nil {
-			continue
-		}
-		if i != 0 {
-			if inner, err = ev.Rotate(inner, i*lt.N1); err != nil {
+		switch {
+		case inner == nil:
+		case acc == nil:
+			acc = inner
+		default:
+			sum, err := ev.Add(acc, inner)
+			ev.Release(acc)
+			ev.Release(inner)
+			if acc = sum; err != nil {
 				return nil, err
 			}
-		}
-		if acc == nil {
-			acc = inner
-		} else if acc, err = ev.Add(acc, inner); err != nil {
-			return nil, err
 		}
 	}
 	if acc == nil {

@@ -7,6 +7,7 @@ import (
 	"math/big"
 
 	"cinnamon/internal/ring"
+	"cinnamon/internal/rns"
 )
 
 // Evaluator performs homomorphic operations on ciphertexts. It holds the
@@ -70,18 +71,56 @@ func (ev *Evaluator) MissingKeys(rotations []int) []string {
 	return missing
 }
 
+// Buffer ownership: every operation returns a ciphertext whose limbs come
+// from the ring's pool and belong to the caller, who may hand them back with
+// Release once no view of them (AtLevel) is still in use. Returning them is
+// optional: an unreleased ciphertext is simply collected.
+
+// newOutput returns a ciphertext over basis b whose components are pooled
+// with unspecified contents, for an operation that overwrites both.
+func (ev *Evaluator) newOutput(b rns.Basis, scale float64) *Ciphertext {
+	r := ev.params.Ring
+	return &Ciphertext{C0: r.GetPolyUninit(b), C1: r.GetPolyUninit(b), Scale: scale}
+}
+
+// copyOf returns a pooled deep copy of ct.
+func (ev *Evaluator) copyOf(ct *Ciphertext) *Ciphertext {
+	r := ev.params.Ring
+	return &Ciphertext{C0: r.GetPolyCopy(ct.C0), C1: r.GetPolyCopy(ct.C1), Scale: ct.Scale}
+}
+
+// Release returns ct's limb storage to the ring's pool and clears its
+// components, so a later use of ct fails loudly. The caller must hold no
+// other reference to those limbs: not the input of an operation whose
+// output is still live, and no AtLevel view of ct. Passing nil is a no-op.
+func (ev *Evaluator) Release(ct *Ciphertext) {
+	if ct == nil {
+		return
+	}
+	r := ev.params.Ring
+	r.PutPoly(ct.C0)
+	r.PutPoly(ct.C1)
+	ct.C0, ct.C1 = nil, nil
+}
+
+// fail releases out and returns err: an operation's error exit.
+func (ev *Evaluator) fail(out *Ciphertext, err error) (*Ciphertext, error) {
+	ev.Release(out)
+	return nil, err
+}
+
 // Add returns a + b. Operands must share level and scale.
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := ev.checkBinary(a, b); err != nil {
 		return nil, err
 	}
 	r := ev.params.Ring
-	out := &Ciphertext{C0: r.NewPoly(a.C0.Basis), C1: r.NewPoly(a.C0.Basis), Scale: a.Scale}
+	out := ev.newOutput(a.C0.Basis, a.Scale)
 	if err := r.Add(a.C0, b.C0, out.C0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.Add(a.C1, b.C1, out.C1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	return out, nil
 }
@@ -92,12 +131,12 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 		return nil, err
 	}
 	r := ev.params.Ring
-	out := &Ciphertext{C0: r.NewPoly(a.C0.Basis), C1: r.NewPoly(a.C0.Basis), Scale: a.Scale}
+	out := ev.newOutput(a.C0.Basis, a.Scale)
 	if err := r.Sub(a.C0, b.C0, out.C0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.Sub(a.C1, b.C1, out.C1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	return out, nil
 }
@@ -105,7 +144,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 // Neg returns −a.
 func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
 	r := ev.params.Ring
-	out := &Ciphertext{C0: r.NewPoly(a.C0.Basis), C1: r.NewPoly(a.C0.Basis), Scale: a.Scale}
+	out := ev.newOutput(a.C0.Basis, a.Scale)
 	r.Neg(a.C0, out.C0)
 	r.Neg(a.C1, out.C1)
 	return out
@@ -130,9 +169,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 		return nil, fmt.Errorf("ckks: scale mismatch %g vs %g", ct.Scale, pt.Scale)
 	}
 	r := ev.params.Ring
-	out := ct.Copy()
-	if err := r.Add(out.C0, pt.Poly, out.C0); err != nil {
-		return nil, err
+	out := &Ciphertext{C0: r.GetPolyUninit(ct.C0.Basis), C1: r.GetPolyCopy(ct.C1), Scale: ct.Scale}
+	if err := r.Add(ct.C0, pt.Poly, out.C0); err != nil {
+		return ev.fail(out, err)
 	}
 	return out, nil
 }
@@ -144,12 +183,12 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 		return nil, fmt.Errorf("ckks: level mismatch ct %d vs pt %d", ct.Level(), pt.Level())
 	}
 	r := ev.params.Ring
-	out := &Ciphertext{C0: r.NewPoly(ct.C0.Basis), C1: r.NewPoly(ct.C0.Basis), Scale: ct.Scale * pt.Scale}
+	out := ev.newOutput(ct.C0.Basis, ct.Scale*pt.Scale)
 	if err := r.MulCoeffs(ct.C0, pt.Poly, out.C0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.MulCoeffs(ct.C1, pt.Poly, out.C1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	return out, nil
 }
@@ -166,40 +205,40 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	}
 	r := ev.params.Ring
 	basis := a.C0.Basis
-	d0 := r.NewPoly(basis)
-	d1 := r.NewPoly(basis)
-	d2 := r.GetPoly(basis)
-	t := r.GetPoly(basis)
+	out := ev.newOutput(basis, a.Scale*b.Scale)
+	d0, d1 := out.C0, out.C1
+	d2 := r.GetPolyUninit(basis)
+	t := r.GetPolyUninit(basis)
 	defer r.PutPoly(d2)
 	defer r.PutPoly(t)
 	if err := r.MulCoeffs(a.C0, b.C0, d0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.MulCoeffs(a.C0, b.C1, d1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.MulCoeffs(a.C1, b.C0, t); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.Add(d1, t, d1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.MulCoeffs(a.C1, b.C1, d2); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	f0, f1, err := ev.keySwitch(d2, ev.rlk)
 	if err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
+	defer r.PutPoly(f0)
+	defer r.PutPoly(f1)
 	if err := r.Add(d0, f0, d0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.Add(d1, f1, d1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
-	r.PutPoly(f0)
-	r.PutPoly(f1)
-	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale}, nil
+	return out, nil
 }
 
 // ErrNoRescalePlan marks a rescale no precompiled plan covers: a ciphertext
@@ -248,20 +287,14 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if level > ct.Level() || level < 0 {
 		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level(), level)
 	}
-	return &Ciphertext{C0: copyPrefix(ct.C0, level+1), C1: copyPrefix(ct.C1, level+1), Scale: ct.Scale}, nil
-}
-
-// copyPrefix deep-copies the first n limbs of p; the rest are never read.
-func copyPrefix(p *ring.Poly, n int) *ring.Poly {
-	v := ring.Poly{Basis: p.Basis.Prefix(n), Limbs: p.Limbs[:n], IsNTT: p.IsNTT}
-	return v.Copy()
+	return ev.copyOf(ct.AtLevel(level)), nil
 }
 
 // Rotate rotates the slot vector by k positions using the matching rotation
 // key (paper Fig. 5, right: automorphism + keyswitch).
 func (ev *Evaluator) Rotate(ct *Ciphertext, k int) (*Ciphertext, error) {
 	if k == 0 {
-		return ct.Copy(), nil
+		return ev.copyOf(ct), nil
 	}
 	if ev.rtks == nil || ev.rtks.Keys[k] == nil {
 		return nil, fmt.Errorf("ckks: no rotation key for offset %d", k)
@@ -282,24 +315,28 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 func (ev *Evaluator) automorphismKS(ct *Ciphertext, galEl uint64, key *EvalKey) (*Ciphertext, error) {
 	r := ev.params.Ring
 	basis := ct.C0.Basis
-	s0 := r.NewPoly(basis)
-	s1 := r.GetPoly(basis)
+	s0 := r.GetPolyUninit(basis)
+	s1 := r.GetPolyUninit(basis)
 	defer r.PutPoly(s1)
 	if err := r.Automorphism(ct.C0, galEl, s0); err != nil {
+		r.PutPoly(s0)
 		return nil, err
 	}
 	if err := r.Automorphism(ct.C1, galEl, s1); err != nil {
+		r.PutPoly(s0)
 		return nil, err
 	}
 	f0, f1, err := ev.keySwitch(s1, key)
 	if err != nil {
+		r.PutPoly(s0)
 		return nil, err
 	}
+	defer r.PutPoly(f0)
+	out := &Ciphertext{C0: s0, C1: f1, Scale: ct.Scale}
 	if err := r.Add(s0, f0, s0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
-	r.PutPoly(f0)
-	return &Ciphertext{C0: s0, C1: f1, Scale: ct.Scale}, nil
+	return out, nil
 }
 
 // ErrNoKeySwitchPlan marks a keyswitch no precompiled plan covers: a key
@@ -378,17 +415,18 @@ func (ev *Evaluator) SetScale(ct *Ciphertext, target float64) (*Ciphertext, erro
 // X^{N/2}, whose canonical embedding is i in every slot.
 func (ev *Evaluator) MulByI(ct *Ciphertext) (*Ciphertext, error) {
 	r := ev.params.Ring
-	mono := r.NewPoly(ct.C0.Basis)
+	mono := r.GetPoly(ct.C0.Basis)
+	defer r.PutPoly(mono)
 	mono.SetCoeffBig(ev.params.N()/2, big.NewInt(1))
 	if err := r.NTT(mono); err != nil {
 		return nil, err
 	}
-	out := &Ciphertext{C0: r.NewPoly(ct.C0.Basis), C1: r.NewPoly(ct.C0.Basis), Scale: ct.Scale}
+	out := ev.newOutput(ct.C0.Basis, ct.Scale)
 	if err := r.MulCoeffs(ct.C0, mono, out.C0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.MulCoeffs(ct.C1, mono, out.C1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	return out, nil
 }
@@ -397,7 +435,8 @@ func (ev *Evaluator) MulByI(ct *Ciphertext) (*Ciphertext, error) {
 // needs only two monomials: Δ·Re(c) + Δ·Im(c)·X^{N/2}.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) (*Ciphertext, error) {
 	r := ev.params.Ring
-	p := r.NewPoly(ct.C0.Basis)
+	p := r.GetPoly(ct.C0.Basis)
+	defer r.PutPoly(p)
 	re := big.NewInt(int64(math.Round(real(c) * ct.Scale)))
 	im := big.NewInt(int64(math.Round(imag(c) * ct.Scale)))
 	p.SetCoeffBig(0, re)
@@ -405,9 +444,9 @@ func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) (*Ciphertext, error)
 	if err := r.NTT(p); err != nil {
 		return nil, err
 	}
-	out := ct.Copy()
-	if err := r.Add(out.C0, p, out.C0); err != nil {
-		return nil, err
+	out := &Ciphertext{C0: r.GetPolyUninit(ct.C0.Basis), C1: r.GetPolyCopy(ct.C1), Scale: ct.Scale}
+	if err := r.Add(ct.C0, p, out.C0); err != nil {
+		return ev.fail(out, err)
 	}
 	return out, nil
 }
@@ -418,7 +457,7 @@ func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) (*Ciphertext, error)
 // message scale with q0 before ModRaise.
 func (ev *Evaluator) ScaleUp(ct *Ciphertext, k uint64) *Ciphertext {
 	r := ev.params.Ring
-	out := &Ciphertext{C0: r.NewPoly(ct.C0.Basis), C1: r.NewPoly(ct.C0.Basis), Scale: ct.Scale * float64(k)}
+	out := ev.newOutput(ct.C0.Basis, ct.Scale*float64(k))
 	r.MulScalar(ct.C0, k, out.C0)
 	r.MulScalar(ct.C1, k, out.C1)
 	return out
@@ -442,7 +481,8 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) (*Ciphertext, error)
 // across the following rescale.
 func (ev *Evaluator) MulConstAtScale(ct *Ciphertext, c complex128, scale float64) (*Ciphertext, error) {
 	r := ev.params.Ring
-	p := r.NewPoly(ct.C0.Basis)
+	p := r.GetPoly(ct.C0.Basis)
+	defer r.PutPoly(p)
 	re := big.NewInt(int64(math.Round(real(c) * scale)))
 	im := big.NewInt(int64(math.Round(imag(c) * scale)))
 	p.SetCoeffBig(0, re)
@@ -450,12 +490,12 @@ func (ev *Evaluator) MulConstAtScale(ct *Ciphertext, c complex128, scale float64
 	if err := r.NTT(p); err != nil {
 		return nil, err
 	}
-	out := &Ciphertext{C0: r.NewPoly(ct.C0.Basis), C1: r.NewPoly(ct.C0.Basis), Scale: ct.Scale * scale}
+	out := ev.newOutput(ct.C0.Basis, ct.Scale*scale)
 	if err := r.MulCoeffs(ct.C0, p, out.C0); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	if err := r.MulCoeffs(ct.C1, p, out.C1); err != nil {
-		return nil, err
+		return ev.fail(out, err)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cinnamon/internal/ring"
+	"cinnamon/internal/rns"
 )
 
 // LinComb accumulates one linear combination Σₖ wₖ ⊙ ctₖ at a fixed level,
@@ -22,6 +23,8 @@ import (
 // returns its storage to the ring's pools.
 type LinComb struct {
 	level  int
+	r      *ring.Ring
+	basis  rns.Basis
 	a0, a1 *ring.LazyAcc
 	scale  float64 // the first term's product scale
 	terms  int
@@ -35,7 +38,7 @@ func (ev *Evaluator) NewLinComb(level int) (*LinComb, error) {
 		return nil, err
 	}
 	r := ev.params.Ring
-	return &LinComb{level: level, a0: r.GetLazyAcc(basis), a1: r.GetLazyAcc(basis)}, nil
+	return &LinComb{level: level, r: r, basis: basis, a0: r.GetLazyAcc(basis), a1: r.GetLazyAcc(basis)}, nil
 }
 
 // admit checks a term against the accumulator: its ciphertext at or above
@@ -86,14 +89,14 @@ func (lc *LinComb) AddMulConst(ct *Ciphertext, c, scale float64) error {
 	return lc.a1.MulScalarAcc(ct.C1, v)
 }
 
-// Sum reduces the accumulated terms into a fresh ciphertext at the
+// Sum reduces the accumulated terms into a pooled ciphertext at the
 // accumulator's level and releases the accumulator.
 func (lc *LinComb) Sum() (*Ciphertext, error) {
 	if lc.a0 == nil || lc.terms == 0 {
 		lc.Release()
 		return nil, fmt.Errorf("ckks: LinComb has no terms to sum")
 	}
-	out := &Ciphertext{C0: &ring.Poly{}, C1: &ring.Poly{}, Scale: lc.scale}
+	out := &Ciphertext{C0: lc.r.GetPolyUninit(lc.basis), C1: lc.r.GetPolyUninit(lc.basis), Scale: lc.scale}
 	lc.a0.ReduceInto(out.C0)
 	lc.a1.ReduceInto(out.C1)
 	lc.Release()

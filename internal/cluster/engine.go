@@ -349,12 +349,16 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 	start := time.Now()
 	digits := keyswitch.DigitRanges(e.params, evk, l)
 
-	cc := c.Copy()
+	// cc, out0 and out1 come from the ring's pool; cc goes back on every
+	// exit, and out0/out1 on every failed one. wg.Wait returns only once
+	// no chip goroutine is still reading cc or writing the outputs.
+	cc := r.GetPolyCopy(c)
+	defer r.PutPoly(cc)
 	if err := r.INTT(cc); err != nil {
 		return nil, nil, keyswitch.CommStats{}, err
 	}
-	out0 := r.NewPoly(c.Basis)
-	out1 := r.NewPoly(c.Basis)
+	out0 := r.GetPolyUninit(c.Basis)
+	out1 := r.GetPolyUninit(c.Basis)
 	out0.IsNTT, out1.IsNTT = true, true
 
 	moved := make([]int, n)
@@ -368,20 +372,13 @@ func (e *Engine) inputBroadcast(ctx context.Context, c *ring.Poly, evk *ckks.Eva
 		wg.Add(1)
 		go func(chip int, mine []int) {
 			defer wg.Done()
-			res, err := e.links[chip].keyswitchRPC(ctx, e, evk, digits, cc)
-			if err != nil {
-				errs[chip] = err
-				return
-			}
-			if err := copyOwnedLimbs(out0, out1, res, mine); err != nil {
-				errs[chip] = err
-				return
-			}
-			moved[chip] = int(res.moved)
+			moved[chip], errs[chip] = e.links[chip].keyswitchRPC(ctx, e, evk, digits, cc, mine, out0, out1)
 		}(chip, mine)
 	}
 	wg.Wait()
 	if err := lostWorker(ctx, errs); err != nil {
+		r.PutPoly(out0)
+		r.PutPoly(out1)
 		return nil, nil, keyswitch.CommStats{}, err
 	}
 	stats := keyswitch.CommStats{Broadcasts: 1}
@@ -443,22 +440,6 @@ func rangeIndices(lo, hi int) []int {
 		out[i] = lo + i
 	}
 	return out
-}
-
-// copyOwnedLimbs installs a worker's result limbs, validating that it
-// returned exactly the chain indices it owns.
-func copyOwnedLimbs(out0, out1 *ring.Poly, res *ksResultMsg, mine []int) error {
-	if len(res.chain0) != len(mine) || len(res.chain1) != len(mine) {
-		return fmt.Errorf("cluster: worker returned %d+%d limbs, owns %d", len(res.chain0), len(res.chain1), len(mine))
-	}
-	for k, j := range mine {
-		if res.chain0[k] != j || res.chain1[k] != j {
-			return fmt.Errorf("cluster: worker returned limb at chain %d/%d, owns %d", res.chain0[k], res.chain1[k], j)
-		}
-		copy(out0.Limbs[j], res.limbs0[k])
-		copy(out1.Limbs[j], res.limbs1[k])
-	}
-	return nil
 }
 
 // --- link: per-worker session management ---
@@ -560,41 +541,42 @@ func (lk *link) ensureKey(deadline time.Time, id uint64, evk *ckks.EvalKey) erro
 }
 
 // keyswitchRPC runs one keyswitch against this worker: begin frame, the
-// digit stream of cc (coefficient domain), then the result — under a
-// per-RPC deadline, with bounded redial-and-retry on transport failure.
-// Semantic worker errors are not retried.
-func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, digits [][2]int, cc *ring.Poly) (*ksResultMsg, error) {
+// digit stream of cc (coefficient domain), then the result, whose limbs at
+// the chain indices mine it decodes into out0 and out1 — under a per-RPC
+// deadline, with bounded redial-and-retry on transport failure. Semantic
+// worker errors are not retried. It returns the result's moved count.
+func (lk *link) keyswitchRPC(ctx context.Context, e *Engine, evk *ckks.EvalKey, digits [][2]int, cc *ring.Poly, mine []int, out0, out1 *ring.Poly) (int, error) {
 	var lastErr error
 	for attempt := 0; attempt <= rpcRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err() // caller's budget is spent; don't retry
+				return 0, ctx.Err() // caller's budget is spent; don't retry
 			case <-time.After(lk.opts.RetryBackoff):
 			}
 		}
-		res, err := lk.tryKeyswitch(ctx, e, evk, digits, cc)
+		moved, err := lk.tryKeyswitch(ctx, e, evk, digits, cc, mine, out0, out1)
 		if err == nil {
-			return res, nil
+			return moved, nil
 		}
 		lastErr = err
 		var rerr *remoteError
 		if errors.As(err, &rerr) {
-			return nil, err // deterministic: retrying cannot help
+			return 0, err // deterministic: retrying cannot help
 		}
 	}
-	return nil, lastErr
+	return 0, lastErr
 }
 
-func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, digits [][2]int, cc *ring.Poly) (*ksResultMsg, error) {
+func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, digits [][2]int, cc *ring.Poly, mine []int, out0, out1 *ring.Poly) (int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
 	if lk.conn == nil {
 		if err := lk.connectBackoff(); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	// RPCTimeout from now, clamped by the caller's deadline when sooner.
@@ -607,7 +589,7 @@ func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 	// finished and the key gets a fresh id.
 	begin := ksBeginMsg{keyID: e.keyID(evk), level: uint32(cc.Basis.Len() - 1), frames: uint32(len(digits))}
 	if err := lk.ensureKey(deadline, begin.keyID, evk); err != nil {
-		return nil, err
+		return 0, err
 	}
 	begin.req = e.ids.Add(1)
 	p := encodeKSBegin(begin)
@@ -616,13 +598,10 @@ func (lk *link) tryKeyswitch(ctx context.Context, e *Engine, evk *ckks.EvalKey, 
 	})
 	putFrameBuf(p)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	m, err := decodeKSResult(reply, lk.params.N())
-	if err != nil {
-		return nil, err
-	}
-	return &m, nil
+	defer putFrameBuf(reply)
+	return decodeKSResult(reply, mine, out0, out1)
 }
 
 // call is the one exchange on a worker link (lk.mu held, session up): it
@@ -661,6 +640,7 @@ func (lk *link) call(deadline time.Time, id uint64, want, typ byte, payload []by
 		if done, err := parseReply(rtyp, reply, id, want); done || err != nil {
 			return reply, err
 		}
+		putFrameBuf(reply)
 	}
 }
 

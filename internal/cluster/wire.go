@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"cinnamon/internal/ckks"
+	"cinnamon/internal/ring"
 )
 
 // Wire format v4: every frame is [u32 LE length][u8 type][payload]
@@ -151,10 +152,10 @@ func openFrame(typ, body []byte) ([]byte, error) {
 // The body is not sized from the length prefix alone: a frame longer than
 // readChunk is read through pooled buffers that double as bytes arrive, and
 // only once the announced length is within twice the bytes received is the
-// caller's buffer allocated at its exact size. A lying prefix on a short
-// stream therefore costs one pooled chunk, the buffers held never exceed
-// about twice the bytes received, and a warm read allocates the payload
-// once.
+// caller's buffer drawn from the pool. A lying prefix on a short stream
+// therefore costs one pooled chunk, and the buffers held never exceed a
+// few times the bytes received. The payload is pooled: a caller that puts
+// it back (putFrameBuf) once decoded reads warm frames without allocating.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
@@ -174,11 +175,14 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return hdr[4], payload, nil
 }
 
-// readBody reads exactly want bytes (see ReadFrame for the growth rule).
+// readBody reads exactly want bytes (see ReadFrame for the growth rule)
+// into a pooled buffer: a caller that is done with the payload may hand it
+// back with putFrameBuf, and one that keeps it simply does not.
 func readBody(r io.Reader, want int) ([]byte, error) {
 	if want <= readChunk {
-		body := make([]byte, want)
+		body := getFrameBuf(want)[:want]
 		if _, err := io.ReadFull(r, body); err != nil {
+			putFrameBuf(body)
 			return nil, err
 		}
 		return body, nil
@@ -199,10 +203,11 @@ func readBody(r io.Reader, want int) ([]byte, error) {
 		putFrameBuf(buf)
 		buf = next
 	}
-	body := make([]byte, want)
+	body := getFrameBuf(want)[:want]
 	copy(body, buf)
 	putFrameBuf(buf)
 	if _, err := io.ReadFull(r, body[have:]); err != nil {
+		putFrameBuf(body)
 		return nil, err
 	}
 	return body, nil
@@ -307,18 +312,22 @@ func (c *cursor) u64() uint64 {
 	return v
 }
 
-// limb decodes n u64 coefficients. The byte-count check precedes the
-// allocation, so a lying count field cannot over-allocate.
-func (c *cursor) limb(n int) []uint64 {
-	if !c.need(8 * n) {
-		return nil
+// limbInto decodes len(dst) u64 coefficients into dst.
+func (c *cursor) limbInto(dst []uint64) {
+	if !c.need(8 * len(dst)) {
+		return
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(c.b[8*i:])
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(c.b[8*i:])
 	}
-	c.b = c.b[8*n:]
-	return out
+	c.b = c.b[8*len(dst):]
+}
+
+// skip steps over n bytes.
+func (c *cursor) skip(n int) {
+	if c.need(n) {
+		c.b = c.b[n:]
+	}
 }
 
 func (c *cursor) str() string {
@@ -512,26 +521,27 @@ func encodeLimbs(req uint64, digit uint32, chain []int, limbs [][]uint64) []byte
 	return b
 }
 
-// decodeLimbs parses a limb frame carrying n-coefficient limbs.
-func decodeLimbs(p []byte, n int) (limbFrame, error) {
+// decodeLimbs parses a limb frame carrying n-coefficient limbs. Each limb
+// is decoded into a limb from get (the worker's is its ring's GetLimb, and
+// it returns the limbs once it has absorbed them). The byte count is
+// checked against the announced limb count before any limb is drawn, so a
+// lying count field cannot over-allocate.
+func decodeLimbs(p []byte, n int, get func() []uint64) (limbFrame, error) {
 	c := cursor{b: p}
 	f := limbFrame{req: c.u64(), digit: c.u32()}
 	count := int(c.u32())
 	if c.err == nil && count*(4+8*n) != len(c.b) {
 		return limbFrame{}, fmt.Errorf("cluster: limb frame carries %d bytes, want %d limbs of %d coeffs", len(c.b), count, n)
 	}
-	f.chain = make([]int, 0, count)
-	f.limbs = make([][]uint64, 0, count)
-	for i := 0; i < count; i++ {
-		f.chain = append(f.chain, int(c.u32()))
-		limb := c.limb(n)
-		if c.err != nil {
-			break
-		}
-		f.limbs = append(f.limbs, limb)
+	if c.err != nil {
+		return limbFrame{}, c.err
 	}
-	if err := c.done(); err != nil {
-		return limbFrame{}, err
+	f.chain = make([]int, count)
+	f.limbs = make([][]uint64, count)
+	for i := range f.limbs {
+		f.chain[i] = int(c.u32())
+		f.limbs[i] = get()[:n]
+		c.limbInto(f.limbs[i])
 	}
 	return f, nil
 }
@@ -569,34 +579,44 @@ func encodeKSResult(m ksResultMsg) []byte {
 	return b
 }
 
-func decodeKSResult(p []byte, n int) (ksResultMsg, error) {
+// decodeKSResult installs a chip's result frame: the limbs at the chain
+// indices mine, both halves, decoded straight into out0's and out1's limbs
+// at those indices (len(out0.Limbs[j]) coefficients each). It returns the
+// frame's moved count. The whole frame — limb counts, chain indices, length
+// — is checked before any limb is written, so a frame for another chip or a
+// truncated one leaves out0 and out1 as they were.
+func decodeKSResult(p []byte, mine []int, out0, out1 *ring.Poly) (int, error) {
+	n := 0
+	if len(mine) > 0 {
+		n = len(out0.Limbs[mine[0]])
+	}
 	c := cursor{b: p}
-	m := ksResultMsg{req: c.u64(), moved: c.u32()}
+	c.u64() // the request id, which parseReply matched
+	moved := int(c.u32())
+	body := c.b
 	for half := 0; half < 2; half++ {
-		count := int(c.u32())
-		if c.err == nil && count*(4+8*n) > len(c.b) {
-			return ksResultMsg{}, fmt.Errorf("cluster: result frame truncated (%d limbs announced, %d bytes left)", count, len(c.b))
+		if count := int(c.u32()); c.err == nil && count != len(mine) {
+			return 0, fmt.Errorf("cluster: worker returned %d limbs in result half %d, owns %d", count, half, len(mine))
 		}
-		chain := make([]int, 0, count)
-		limbs := make([][]uint64, 0, count)
-		for i := 0; i < count; i++ {
-			chain = append(chain, int(c.u32()))
-			limb := c.limb(n)
-			if c.err != nil {
-				break
+		for _, j := range mine {
+			if got := int(c.u32()); c.err == nil && got != j {
+				return 0, fmt.Errorf("cluster: worker returned limb at chain %d, owns %d", got, j)
 			}
-			limbs = append(limbs, limb)
-		}
-		if half == 0 {
-			m.chain0, m.limbs0 = chain, limbs
-		} else {
-			m.chain1, m.limbs1 = chain, limbs
+			c.skip(8 * n)
 		}
 	}
 	if err := c.done(); err != nil {
-		return ksResultMsg{}, err
+		return 0, err
 	}
-	return m, nil
+	c = cursor{b: body}
+	for _, out := range [2]*ring.Poly{out0, out1} {
+		c.u32()
+		for _, j := range mine {
+			c.u32()
+			c.limbInto(out.Limbs[j])
+		}
+	}
+	return moved, nil
 }
 
 // --- ids and replies ---

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cinnamon/internal/ckks"
+	"cinnamon/internal/ring"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -239,7 +240,7 @@ func TestLimbsRoundTrip(t *testing.T) {
 	chain := []int{2, 5, 8}
 	limbs := [][]uint64{{1, 2, 3, 4, 5, 6, 7, 8}, {9, 10, 11, 12, 13, 14, 15, 16}, {17, 18, 19, 20, 21, 22, 23, 24}}
 	p := encodeLimbs(42, 3, chain, limbs)
-	f, err := decodeLimbs(p, n)
+	f, err := decodeLimbs(p, n, freshLimbs(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,16 +266,51 @@ func TestKSResultRoundTrip(t *testing.T) {
 		chain0: []int{0, 3}, limbs0: [][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		chain1: []int{0, 3}, limbs1: [][]uint64{{9, 10, 11, 12}, {13, 14, 15, 16}},
 	}
-	got, err := decodeKSResult(encodeKSResult(m), n)
+	out0, out1 := testPoly(4, n), testPoly(4, n)
+	moved, err := decodeKSResult(encodeKSResult(m), []int{0, 3}, out0, out1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.req != m.req || got.moved != m.moved || len(got.limbs0) != 2 || len(got.limbs1) != 2 {
-		t.Fatalf("decoded %+v", got)
+	if moved != int(m.moved) {
+		t.Fatalf("moved %d, want %d", moved, m.moved)
 	}
-	if got.chain0[1] != 3 || got.limbs1[1][3] != 16 {
-		t.Fatalf("decoded %+v", got)
+	for k, j := range []int{0, 3} {
+		for i := 0; i < n; i++ {
+			if out0.Limbs[j][i] != m.limbs0[k][i] || out1.Limbs[j][i] != m.limbs1[k][i] {
+				t.Fatalf("limb %d coefficient %d: got %d/%d, want %d/%d", j, i, out0.Limbs[j][i], out1.Limbs[j][i], m.limbs0[k][i], m.limbs1[k][i])
+			}
+		}
 	}
+	if out0.Limbs[1][0] != 0 || out1.Limbs[2][0] != 0 {
+		t.Fatal("decode wrote a limb the chip does not own")
+	}
+	// A frame for other chain indices, or with a limb missing, is refused
+	// before any limb is written.
+	for _, mine := range [][]int{{0, 2}, {0}, {0, 3, 5}} {
+		a, b := testPoly(6, n), testPoly(6, n)
+		if _, err := decodeKSResult(encodeKSResult(m), mine, a, b); err == nil {
+			t.Fatalf("result for chains %v accepted as %v", m.chain0, mine)
+		}
+		for j := range a.Limbs {
+			if a.Limbs[j][0] != 0 || b.Limbs[j][0] != 0 {
+				t.Fatalf("refused frame for %v wrote limb %d", mine, j)
+			}
+		}
+	}
+}
+
+// freshLimbs hands decodeLimbs newly allocated n-coefficient limbs.
+func freshLimbs(n int) func() []uint64 {
+	return func() []uint64 { return make([]uint64, n) }
+}
+
+// testPoly is a zero poly of the given shape, for the result decoder.
+func testPoly(limbs, n int) *ring.Poly {
+	p := &ring.Poly{Limbs: make([][]uint64, limbs)}
+	for j := range p.Limbs {
+		p.Limbs[j] = make([]uint64, n)
+	}
+	return p
 }
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -471,8 +507,10 @@ func FuzzDecodePayloads(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, n := range []int{1, 4, 16} {
-			decodeLimbs(data, n)
-			decodeKSResult(data, n)
+			decodeLimbs(data, n, freshLimbs(n))
+			out0, out1 := testPoly(4, n), testPoly(4, n)
+			decodeKSResult(data, []int{0}, out0, out1)
+			decodeKSResult(data, []int{0, 3}, out0, out1)
 		}
 		decodeHello(data)
 		decodeKSBegin(data)
@@ -507,7 +545,7 @@ func FuzzLimbsRoundTrip(f *testing.F) {
 				limbs[i][j] = binary.LittleEndian.Uint64(raw[(i*n+j)*8:])
 			}
 		}
-		got, err := decodeLimbs(encodeLimbs(req, digit, chain, limbs), n)
+		got, err := decodeLimbs(encodeLimbs(req, digit, chain, limbs), n, freshLimbs(n))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

@@ -51,6 +51,9 @@ type session struct {
 	// plans holds the chip's keyswitch plan per level, compiled by the
 	// first keyswitch at that level and kept for the session.
 	plans []*ckks.KSPlan
+	// getLimb draws the limbs a digit frame decodes into from the ring's
+	// pool; they go back once the frame is absorbed.
+	getLimb func() []uint64
 }
 
 // pendingKS is one in-flight keyswitch request. Limb frames absorb into it
@@ -80,7 +83,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 		partial = defaultPartialFrameTimeout
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	s := &session{w: w, keys: map[uint64]*ckks.EvalKey{}, bw: bufio.NewWriterSize(conn, 1<<16)}
+	s := &session{w: w, keys: map[uint64]*ckks.EvalKey{}, bw: bufio.NewWriterSize(conn, 1<<16), getLimb: w.Params.Ring.GetLimb}
 
 	typ, payload, err := ReadFrameTimeout(conn, br, partial)
 	if err != nil {
@@ -157,7 +160,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 				pending = nil
 			}
 		case msgLimbs:
-			f, err := decodeLimbs(payload, w.Params.N())
+			f, err := decodeLimbs(payload, w.Params.N(), s.getLimb)
 			if err != nil {
 				return fmt.Errorf("cluster: decoding limb frame: %w", err)
 			}
@@ -165,6 +168,9 @@ func (w *Worker) Serve(conn net.Conn) error {
 				return fmt.Errorf("cluster: limb frame for unknown request %d", f.req)
 			}
 			s.absorb(pending, f)
+			for _, l := range f.limbs {
+				w.Params.Ring.PutLimb(l)
+			}
 			if pending.got == pending.frames {
 				if err := s.finish(pending); err != nil {
 					return err
@@ -174,6 +180,8 @@ func (w *Worker) Serve(conn net.Conn) error {
 		default:
 			return fmt.Errorf("cluster: unexpected frame type %#x", typ)
 		}
+		// Every decoder above copies what it keeps out of the payload.
+		putFrameBuf(payload)
 	}
 }
 

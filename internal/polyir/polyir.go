@@ -108,6 +108,28 @@ func (g *Graph) AddNode(n *Node) *Node {
 // Uses returns how many nodes consume n's result.
 func (n *Node) Uses() int { return n.uses }
 
+// Deaths is the graph's liveness table: entry i lists the IDs of the values
+// whose last consumer is g.Nodes[i], so an executor walking the nodes in
+// order may return their storage right after that step. A value nothing
+// consumes dies at its own position; an output never dies.
+func (g *Graph) Deaths() [][]int {
+	last := make(map[int]int, len(g.Nodes))
+	for i, n := range g.Nodes {
+		last[n.ID] = i
+		for _, a := range n.Args {
+			last[a.ID] = i
+		}
+	}
+	deaths := make([][]int, len(g.Nodes))
+	for _, n := range g.Nodes {
+		if n.Kind != OpOutput {
+			i := last[n.ID]
+			deaths[i] = append(deaths[i], n.ID)
+		}
+	}
+	return deaths
+}
+
 // NeedsKeySwitch reports whether the node expands to a keyswitch.
 func (n *Node) NeedsKeySwitch() bool {
 	switch n.Kind {

@@ -34,8 +34,9 @@ func (r *Ring) GetPoly(b rns.Basis) *Poly {
 }
 
 // PutPoly returns p's limb storage to the pool. The caller must not use p
-// (or any view sharing its limbs, such as a Restrict of it) afterwards.
-// Passing nil is a no-op.
+// (or any view sharing its limbs, such as a Restrict of it) afterwards; in
+// race builds the limbs are poisoned (poisonWord) so such a read fails the
+// bit-exact tests. Passing nil is a no-op.
 func (r *Ring) PutPoly(p *Poly) {
 	if p == nil {
 		return
@@ -54,6 +55,26 @@ func (r *Ring) PutPoly(p *Poly) {
 // contents, for call sites that overwrite every coefficient (base-conversion
 // scratch, mod-down outputs). IsNTT is false.
 func (r *Ring) GetPolyUninit(b rns.Basis) *Poly { return r.getPolyUninit(b) }
+
+// GetPolyCopy returns a pooled deep copy of p: the pooled equivalent of
+// p.Copy, for outputs that start as their input.
+func (r *Ring) GetPolyCopy(p *Poly) *Poly {
+	out := r.getPolyUninit(p.Basis)
+	out.IsNTT = p.IsNTT
+	for j, l := range p.Limbs {
+		copy(out.Limbs[j], l)
+	}
+	return out
+}
+
+// GetLimb returns one pooled length-N limb with unspecified contents: the
+// one-limb form of GetPolyUninit, for a decoder that learns how many limbs
+// a frame carries only as it reads it. PutLimb returns it.
+func (r *Ring) GetLimb() []uint64 { return r.getLimbNoZero() }
+
+// PutLimb returns one limb's storage to the pool, poisoned in race builds
+// like PutPoly's. The caller must not use it afterwards.
+func (r *Ring) PutLimb(l []uint64) { r.putLimb(l) }
 
 // ViewAt fills a pooled shallow view of p: limb k of the view is
 // p.Limbs[indices[k]], and the view carries basis b (which must list the
@@ -124,14 +145,25 @@ func (r *Ring) getPolyHeader() *Poly {
 	return &Poly{}
 }
 
+// poisonWord fills released limbs in race builds. It is at or above every
+// modulus, so no kernel ever produces it and a value read after its release
+// shows up as a wrong (and usually out-of-range) residue.
+const poisonWord = ^uint64(0)
+
 // putLimb returns one limb's storage to the pool (undersized slices are
 // simply dropped for the collector).
 func (r *Ring) putLimb(l []uint64) {
 	if cap(l) < r.N {
 		return
 	}
+	l = l[:r.N]
+	if poisonReleased {
+		for i := range l {
+			l[i] = poisonWord
+		}
+	}
 	box := r.getBox()
-	*box = l[:r.N]
+	*box = l
 	r.limbPool.Put(box)
 }
 

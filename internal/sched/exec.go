@@ -22,9 +22,12 @@ type TraceFunc func(id int, ct *ckks.Ciphertext)
 // RunOpts configures one execution.
 type RunOpts struct {
 	// Refresh services bootstrap insertions. nil means the program must fit
-	// the remaining levels or fail with ErrNoRefresh.
+	// the remaining levels or fail with ErrNoRefresh. The ciphertext it
+	// returns belongs to the run, which releases it at its last use.
 	Refresh RefreshFunc
-	// Trace, if set, is called after every node with its live value.
+	// Trace, if set, is called after every node with its live value. A
+	// traced run releases nothing, so the values it saw stay valid after
+	// Run returns.
 	Trace TraceFunc
 }
 
@@ -37,10 +40,17 @@ type RunOpts struct {
 // The executor itself is stateless across runs apart from a cache of
 // level-restricted plaintext operands; it is safe for concurrent use by
 // any number of goroutines, each with its own evaluator.
+//
+// Buffer ownership: the caller owns the input and the output, the run owns
+// every intermediate and returns it to the ring's pool right after its last
+// consumer (the graph's liveness table, computed once here). The input is
+// never released, and the output may be the input itself or a view of it.
 type Executor struct {
 	Graph      *polyir.Graph
 	Params     *ckks.Parameters
 	Plaintexts map[string]*ckks.Plaintext // encoded at MaxLevel
+
+	deaths [][]int // Graph.Deaths(), shared read-only by every run
 
 	mu   sync.Mutex
 	ptAt map[ptKey]*ckks.Plaintext
@@ -54,7 +64,11 @@ type ptKey struct {
 // NewExecutor builds an executor over a batch-1 graph. plaintexts is the
 // registry's operand map, encoded at MaxLevel and shared read-only.
 func NewExecutor(g *polyir.Graph, params *ckks.Parameters, plaintexts map[string]*ckks.Plaintext) *Executor {
-	return &Executor{Graph: g, Params: params, Plaintexts: plaintexts, ptAt: map[ptKey]*ckks.Plaintext{}}
+	ex := &Executor{Graph: g, Params: params, Plaintexts: plaintexts, ptAt: map[ptKey]*ckks.Plaintext{}}
+	if g != nil {
+		ex.deaths = g.Deaths()
+	}
+	return ex
 }
 
 // plaintextAt returns the named operand restricted to the given level.
@@ -89,8 +103,10 @@ func (ex *Executor) plaintextAt(name string, level int) (*ckks.Plaintext, error)
 
 // Run executes the graph on in (its one input) and returns its output. The
 // evaluator carries the caller's keys; refreshes go through opts.Refresh.
+// Every intermediate goes back to the ring's pool at its last use, or when
+// the run fails; in and its limbs are left as they came.
 func (ex *Executor) Run(ctx context.Context, ev *ckks.Evaluator, in *ckks.Ciphertext, opts RunOpts) (*ckks.Ciphertext, error) {
-	r := &run{ctx: ctx, ex: ex, ev: ev, hook: opts.Refresh}
+	r := &run{ctx: ctx, ex: ex, ev: ev, hook: opts.Refresh, keep: opts.Trace != nil}
 	var trace func(int, *value)
 	var traceErr error
 	if opts.Trace != nil {
@@ -105,14 +121,19 @@ func (ex *Executor) Run(ctx context.Context, ev *ckks.Evaluator, in *ckks.Cipher
 			opts.Trace(id, ct)
 		}
 	}
-	out, err := walk[*value](ctx, ex.Graph, r, ex.Params.DefaultScale(), &value{ct: in}, trace)
+	out, err := walk[*value](ctx, ex.Graph, r, ex.Params.DefaultScale(), &value{ct: in}, trace, ex.deaths)
 	if err == nil {
 		err = traceErr
 	}
 	if err != nil {
 		return nil, err
 	}
-	return r.force(out)
+	ct, err := r.force(out)
+	if err != nil {
+		r.drop(out)
+		return nil, err
+	}
+	return ct, nil
 }
 
 // value is the run domain's value: a ciphertext, or a pending sum Σ ctₖ ⊙ ptₖ
@@ -123,17 +144,27 @@ func (ex *Executor) Run(ctx context.Context, ev *ckks.Evaluator, in *ckks.Cipher
 // it becomes the ciphertext. LinComb returns the canonical residue of the
 // exact sum, so the forced value is limb for limb what the MulPlain → Add
 // chain returns, and its scale is the first term's, as Add's is.
+//
+// refs counts what keeps the value alive: the walk's node slots and operand
+// views, pending sums holding it as a term, and limb-prefix views of it.
+// When it reaches zero the value releases what it holds: its ciphertext if
+// the run made it (owned), its terms' sources, the source of a view.
 type value struct {
 	ct    *ckks.Ciphertext // nil while the sum is pending
 	terms []term           // a pending sum's plaintext products
 	level int              // a pending sum's level; its terms may sit higher
 	scale float64          // a pending sum's scale: its first term's
+
+	refs  int
+	owned bool   // ct's limbs are the run's own, not the caller's or a view's
+	root  *value // a limb-prefix view's source
 }
 
-// term is one plaintext product of a pending sum; pt sits at ct's level.
+// term is one plaintext product of a pending sum: src's ciphertext times pt,
+// which sits at src's level. The sum holds src until it is forced.
 type term struct {
-	ct *ckks.Ciphertext
-	pt *ckks.Plaintext
+	src *value
+	pt  *ckks.Plaintext
 }
 
 // run is the walk's runtime domain: a value is a ciphertext on ev or a
@@ -143,26 +174,59 @@ type run struct {
 	ex   *Executor
 	ev   *ckks.Evaluator
 	hook RefreshFunc
+	keep bool // a traced run: nothing is released
+}
+
+func (r *run) hold(v *value) { v.refs++ }
+
+// drop releases one reference to v, and what v holds with the last one.
+func (r *run) drop(v *value) {
+	if v.refs--; v.refs > 0 || r.keep {
+		return
+	}
+	if v.owned {
+		r.ev.Release(v.ct)
+	}
+	for _, t := range v.terms {
+		r.drop(t.src)
+	}
+	v.terms = nil
+	if v.root != nil {
+		r.drop(v.root)
+	}
+}
+
+// sum is a pending sum over terms; it holds every term's source.
+func (r *run) sum(terms []term, level int, scale float64) *value {
+	for _, t := range terms {
+		r.hold(t.src)
+	}
+	return &value{terms: terms, level: level, scale: scale}
 }
 
 // force returns v's ciphertext, evaluating a pending sum on first use: one
 // term is ev.MulPlain, more are one LinComb pass that reads every operand
-// through its limb prefix at the sum's level.
+// through its limb prefix at the sum's level. The sum then lets go of its
+// terms' sources.
 func (r *run) force(v *value) (*ckks.Ciphertext, error) {
 	if v.ct != nil {
 		return v.ct, nil
 	}
 	var ct *ckks.Ciphertext
 	var err error
-	if t := v.terms[0]; len(v.terms) == 1 && t.ct.Level() == v.level {
-		ct, err = r.ev.MulPlain(t.ct, t.pt)
+	if t := v.terms[0]; len(v.terms) == 1 && t.src.ct.Level() == v.level {
+		ct, err = r.ev.MulPlain(t.src.ct, t.pt)
 	} else {
 		ct, err = r.linComb(v)
 	}
 	if err != nil {
 		return nil, err
 	}
-	v.ct, v.terms = ct, nil
+	terms := v.terms
+	v.ct, v.terms, v.owned = ct, nil, true
+	for _, t := range terms {
+		r.drop(t.src)
+	}
 	return ct, nil
 }
 
@@ -172,7 +236,7 @@ func (r *run) linComb(v *value) (*ckks.Ciphertext, error) {
 		return nil, err
 	}
 	for _, t := range v.terms {
-		if err := lc.AddMulPlain(t.ct, t.pt); err != nil {
+		if err := lc.AddMulPlain(t.src.ct, t.pt); err != nil {
 			lc.Release()
 			return nil, err
 		}
@@ -180,7 +244,8 @@ func (r *run) linComb(v *value) (*ckks.Ciphertext, error) {
 	return lc.Sum()
 }
 
-// on forces v and applies op to its ciphertext.
+// on forces v and applies op to its ciphertext; every op writes a fresh
+// pooled output, which the new value owns.
 func (r *run) on(v *value, op func(*ckks.Ciphertext) (*ckks.Ciphertext, error)) (*value, error) {
 	ct, err := r.force(v)
 	if err != nil {
@@ -190,7 +255,7 @@ func (r *run) on(v *value, op func(*ckks.Ciphertext) (*ckks.Ciphertext, error)) 
 	if err != nil {
 		return nil, err
 	}
-	return &value{ct: out}, nil
+	return &value{ct: out, owned: true}, nil
 }
 
 // on2 forces a and b and applies op to their ciphertexts.
@@ -217,14 +282,15 @@ func (r *run) scale(v *value) float64 {
 }
 
 // dropLevel is a limb-prefix view: no run-domain op writes into an operand
-// (AddPlain copies first, every other op writes a fresh output), so the view
-// may share the operand's limbs. A pending sum only lowers its level, since
-// LinComb reads its operands' prefixes.
+// (every op writes a fresh output), so the view may share the operand's
+// limbs, and it holds the operand while it lives. A pending sum only lowers
+// its level, since LinComb reads its operands' prefixes.
 func (r *run) dropLevel(v *value, level int) (*value, error) {
 	if v.ct == nil {
-		return &value{terms: v.terms, level: level, scale: v.scale}, nil
+		return r.sum(v.terms, level, v.scale), nil
 	}
-	return &value{ct: v.ct.AtLevel(level)}, nil
+	r.hold(v)
+	return &value{ct: v.ct.AtLevel(level), root: v}, nil
 }
 
 // add concatenates two pending sums, left terms first; anything else is
@@ -232,7 +298,7 @@ func (r *run) dropLevel(v *value, level int) (*value, error) {
 func (r *run) add(a, b *value) (*value, error) {
 	if a.ct == nil && b.ct == nil && a.level == b.level && sameScale(a.scale, b.scale) {
 		terms := make([]term, 0, len(a.terms)+len(b.terms))
-		return &value{terms: append(append(terms, a.terms...), b.terms...), level: a.level, scale: a.scale}, nil
+		return r.sum(append(append(terms, a.terms...), b.terms...), a.level, a.scale), nil
 	}
 	return r.on2(a, b, r.ev.Add)
 }
@@ -269,12 +335,22 @@ func (r *run) mulPlain(v *value, name string) (*value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &value{terms: []term{{ct, pt}}, level: ct.Level(), scale: ct.Scale * pt.Scale}, nil
+	return r.sum([]term{{v, pt}}, ct.Level(), ct.Scale*pt.Scale), nil
 }
 
+// refresh runs the hook. Its output is the run's unless the hook handed back
+// its input's own limbs.
 func (r *run) refresh(v *value) (*value, error) {
 	if r.hook == nil {
 		return nil, ErrNoRefresh
 	}
-	return r.on(v, func(ct *ckks.Ciphertext) (*ckks.Ciphertext, error) { return r.hook(r.ctx, ct) })
+	ct, err := r.force(v)
+	if err != nil {
+		return nil, err
+	}
+	out, err := r.hook(r.ctx, ct)
+	if err != nil {
+		return nil, err
+	}
+	return &value{ct: out, owned: &out.C0.Limbs[0][0] != &ct.C0.Limbs[0][0]}, nil
 }

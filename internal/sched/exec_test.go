@@ -197,3 +197,44 @@ func TestPendingSumForcedOnce(t *testing.T) {
 		t.Fatalf("dropLevel copied its operand instead of returning a limb-prefix view (level %d)", view.ct.Level())
 	}
 }
+
+// TestTracedValuesOutliveRun: a traced run releases nothing, so every value
+// the trace saw is still intact after Run returns, even once later runs
+// have drawn from the ring's pool. An untraced run of the same graph does
+// release its intermediates, and its output is still the traced run's.
+func TestTracedValuesOutliveRun(t *testing.T) {
+	f := newSumFixture(t)
+	g := f.graph(t, func(x *dsl.Ciphertext) *dsl.Ciphertext {
+		s := x.MulPlain("a").Add(x.MulPlain("b"))
+		r := s.Rescale()
+		return r.Add(r.Rotate(1)).MulPlain("c").Rescale()
+	})
+	ex := NewExecutor(g, f.params, f.pts)
+	seen := map[int]*ckks.Ciphertext{}
+	images := map[int][]byte{}
+	trace := func(id int, ct *ckks.Ciphertext) {
+		seen[id], images[id] = ct, wireBytes(t, ct)
+	}
+	traced, err := ex.Run(context.Background(), f.ev, f.in, RunOpts{Trace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		out, err := ex.Run(context.Background(), f.ev, f.in, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wireBytes(t, out), wireBytes(t, traced)) {
+			t.Fatal("an untraced run differs from the traced one")
+		}
+		f.ev.Release(out)
+	}
+	if len(seen) != len(g.Nodes) {
+		t.Fatalf("traced %d of %d nodes", len(seen), len(g.Nodes))
+	}
+	for id, ct := range seen {
+		if ct.C0 == nil || !bytes.Equal(wireBytes(t, ct), images[id]) {
+			t.Fatalf("node %d's traced value changed after Run returned", id)
+		}
+	}
+}

@@ -54,7 +54,7 @@ func buildPlan(g *polyir.Graph, params *ckks.Parameters, ptScales map[string]flo
 	}
 	pr := &predict{params: params, ptScales: ptScales, exitLevel: exitLevel, rots: map[int]bool{}}
 	delta := params.DefaultScale()
-	out, err := walk[NodeState](context.Background(), g, pr, delta, NodeState{inLevel, delta}, trace)
+	out, err := walk[NodeState](context.Background(), g, pr, delta, NodeState{inLevel, delta}, trace, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +143,10 @@ func (p *predict) conjugate(s NodeState) (NodeState, error) {
 func (p *predict) rescale(s NodeState) (NodeState, error) {
 	return NodeState{s.Level - 1, s.Scale / float64(p.params.QBasis.Moduli[s.Level])}, nil
 }
+
+// hold and drop: a predicted state has no storage to return.
+func (p *predict) hold(NodeState) {}
+func (p *predict) drop(NodeState) {}
 
 func (p *predict) refresh(NodeState) (NodeState, error) {
 	if p.exitLevel < 1 {

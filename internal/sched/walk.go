@@ -44,6 +44,11 @@ type domain[V any] interface {
 	// refresh lifts a level-0 value at the default scale to the bootstrap
 	// exit level, or fails with ErrNoRefresh when nothing can.
 	refresh(V) (V, error)
+	// hold and drop count the walk's references to a value: one per node
+	// slot it fills and one per operand view the walk made. A domain with
+	// storage returns it when the last reference goes.
+	hold(V)
+	drop(V)
 }
 
 // sameScale matches the evaluator's own scale-agreement precondition.
@@ -53,7 +58,10 @@ func sameScale(a, b float64) bool {
 
 // walk runs the topologically ordered batch-1 graph g over domain d from the
 // input value in, calls trace (if set) with every node's value, and returns
-// the output's value. The rule, applied to the domain's own levels:
+// the output's value. deaths is g's liveness table (polyir.Graph.Deaths, or
+// nil to keep every value): each node slot is dropped right after its last
+// consumer's step, and every live one when the walk fails. The output's slot
+// is never dropped. The rule, applied to the domain's own levels:
 //
 //   - DropLevel is identity: the DSL inserts it for its own level
 //     bookkeeping, and Add, Sub and MulCt align their operands where they
@@ -66,9 +74,25 @@ func sameScale(a, b float64) bool {
 //   - a refresh needs scale ≈ delta (the bootstrap input contract), and a
 //     Rescale at level 0 fails: its scale would be Δ², which no refresh
 //     accepts.
-func walk[V any](ctx context.Context, g *polyir.Graph, d domain[V], delta float64, in V, trace func(int, V)) (V, error) {
+func walk[V any](ctx context.Context, g *polyir.Graph, d domain[V], delta float64, in V, trace func(int, V), deaths [][]int) (V, error) {
 	var none V
 	vals := make(map[int]V, len(g.Nodes))
+	fail := func(err error) (V, error) {
+		for _, v := range vals {
+			d.drop(v)
+		}
+		return none, err
+	}
+	// view aligns an operand for this step only: the walk holds it until the
+	// step returns.
+	view := func(v V, level int) (V, func(), error) {
+		w, err := d.dropLevel(v, level)
+		if err != nil {
+			return none, nil, err
+		}
+		d.hold(w)
+		return w, func() { d.drop(w) }, nil
+	}
 	refresh := func(v V) (V, error) {
 		if s := d.scale(v); !sameScale(s, delta) {
 			return none, fmt.Errorf("refresh at scale %g, want the default scale %g", s, delta)
@@ -81,27 +105,34 @@ func walk[V any](ctx context.Context, g *polyir.Graph, d domain[V], delta float6
 				if d.level(vals[arg.ID]) > 0 {
 					continue
 				}
-				lifted, err := refresh(vals[arg.ID])
+				old := vals[arg.ID]
+				lifted, err := refresh(old)
 				if err != nil {
 					return none, fmt.Errorf("refreshing node %d: %w", arg.ID, err)
 				}
+				d.hold(lifted)
 				vals[arg.ID] = lifted
+				d.drop(old)
 			}
 		}
 		var a, b V
 		var err error
+		var done func()
 		switch len(n.Args) {
 		case 1:
 			a = vals[n.Args[0].ID]
 		case 2:
 			a, b = vals[n.Args[0].ID], vals[n.Args[1].ID]
 			if la, lb := d.level(a), d.level(b); la > lb {
-				a, err = d.dropLevel(a, lb)
+				a, done, err = view(a, lb)
 			} else if lb > la {
-				b, err = d.dropLevel(b, la)
+				b, done, err = view(b, la)
 			}
 			if err != nil {
 				return none, err
+			}
+			if done != nil {
+				defer done()
 			}
 		}
 		switch n.Kind {
@@ -132,9 +163,10 @@ func walk[V any](ctx context.Context, g *polyir.Graph, d domain[V], delta float6
 			return d.rescale(a)
 		case polyir.OpBootstrap:
 			if d.level(a) > 0 {
-				if a, err = d.dropLevel(a, 0); err != nil {
+				if a, done, err = view(a, 0); err != nil {
 					return none, err
 				}
+				defer done()
 			}
 			return refresh(a)
 		}
@@ -142,17 +174,18 @@ func walk[V any](ctx context.Context, g *polyir.Graph, d domain[V], delta float6
 	}
 	var out V
 	found := false
-	for _, n := range g.Nodes {
+	for i, n := range g.Nodes {
 		if err := ctx.Err(); err != nil {
-			return none, err
+			return fail(err)
 		}
 		if n.Stream != 0 {
-			return none, fmt.Errorf("sched: node %d is on stream %d: serving graphs are batch-1", n.ID, n.Stream)
+			return fail(fmt.Errorf("sched: node %d is on stream %d: serving graphs are batch-1", n.ID, n.Stream))
 		}
 		v, err := step(n)
 		if err != nil {
-			return none, fmt.Errorf("sched: node %d (%v): %w", n.ID, n.Kind, err)
+			return fail(fmt.Errorf("sched: node %d (%v): %w", n.ID, n.Kind, err))
 		}
+		d.hold(v)
 		vals[n.ID] = v
 		if trace != nil {
 			trace(n.ID, v)
@@ -160,9 +193,15 @@ func walk[V any](ctx context.Context, g *polyir.Graph, d domain[V], delta float6
 		if n.Kind == polyir.OpOutput {
 			out, found = v, true
 		}
+		if i < len(deaths) {
+			for _, id := range deaths[i] {
+				d.drop(vals[id])
+				delete(vals, id)
+			}
+		}
 	}
 	if !found {
-		return none, fmt.Errorf("sched: program has no output")
+		return fail(fmt.Errorf("sched: program has no output"))
 	}
 	return out, nil
 }

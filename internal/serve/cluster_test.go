@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -263,25 +264,7 @@ func TestWorkerLostMidRun(t *testing.T) {
 		t.Fatalf("%s runs at level %d, where worker 1 of 2 owns no limb: killing it tests nothing", program, prog.InLevel)
 	}
 	for _, require := range []bool{true, false} {
-		var armed atomic.Bool
-		pipes := make([]*cluster.PipeDialer, 2)
-		ds := make([]cluster.Dialer, 2)
-		for i := range ds {
-			pipes[i] = cluster.NewPipeDialer(cluster.NewWorker(reg.Params))
-			ds[i] = writeHookDialer{
-				Dialer: pipes[i],
-				onWrite: func() {
-					if armed.CompareAndSwap(true, false) {
-						pipes[1].Kill()
-					}
-				},
-			}
-		}
-		// A silent wire: an hour between heartbeats, so no ping takes the hook.
-		eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{HeartbeatInterval: time.Hour})
-		if err != nil {
-			t.Fatalf("cluster.NewEngine: %v", err)
-		}
+		eng, armed := killOnWrite(t, reg)
 		core := NewCore(reg, Config{Workers: 1, RequireCluster: require, Backends: []BackendSpec{{Engine: eng}}})
 
 		ct, _ := encryptRandom(t, 813)
@@ -322,6 +305,96 @@ func TestWorkerLostMidRun(t *testing.T) {
 		closeCoreT(t, core)
 		eng.Close()
 	}
+}
+
+// killOnWrite is a two-worker pipe cluster whose worker 1 is killed at the
+// first coordinator write after armed is set: in the middle of a
+// collective. Heartbeats are an hour apart, so no ping takes the hook.
+func killOnWrite(t *testing.T, reg *Registry) (*cluster.Engine, *atomic.Bool) {
+	t.Helper()
+	armed := new(atomic.Bool)
+	pipes := make([]*cluster.PipeDialer, 2)
+	ds := make([]cluster.Dialer, 2)
+	for i := range ds {
+		pipes[i] = cluster.NewPipeDialer(cluster.NewWorker(reg.Params))
+		ds[i] = writeHookDialer{
+			Dialer: pipes[i],
+			onWrite: func() {
+				if armed.CompareAndSwap(true, false) {
+					pipes[1].Kill()
+				}
+			},
+		}
+	}
+	eng, err := cluster.NewEngine(reg.Params, ds, cluster.Options{HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("cluster.NewEngine: %v", err)
+	}
+	return eng, armed
+}
+
+// TestExecutorLeavesInputIntact: the caller owns a run's input and failover
+// replays from it, so no run writes or releases it. Its limbs are byte-equal
+// after a local run of every catalog program, after a collective that lost
+// a worker mid-run (RequireCluster: the request fails) and after the local
+// replay that follows such a loss. Under -race a released limb is poisoned,
+// so a release of the input fails here as surely as a write.
+func TestExecutorLeavesInputIntact(t *testing.T) {
+	reg := testEnv(t)
+	ct, _ := encryptRandom(t, 917)
+	want := wireBytesOf(t, ct)
+	intact := func(label string) {
+		t.Helper()
+		if !bytes.Equal(wireBytesOf(t, ct), want) {
+			t.Fatalf("%s: the input's limbs changed", label)
+		}
+	}
+	for _, name := range reg.ProgramNames() {
+		runLocally(t, name, ct)
+		intact(name + ": local run")
+	}
+	for _, program := range []string{"square", "logreg16"} {
+		prog, _ := reg.Program(program)
+		if owned := keyswitch.ChipLimbs(1, prog.InLevel, 2); len(owned) == 0 {
+			t.Fatalf("%s runs at level %d, where worker 1 of 2 owns no limb", program, prog.InLevel)
+		}
+		for _, require := range []bool{true, false} {
+			eng, armed := killOnWrite(t, reg)
+			core := NewCore(reg, Config{Workers: 1, RequireCluster: require, Backends: []BackendSpec{{Engine: eng}}})
+			if _, err := core.Submit(context.Background(), program, testTenant, ct); err != nil {
+				t.Fatalf("%s: warm submit: %v", program, err)
+			}
+			armed.Store(true)
+			out, err := core.Submit(context.Background(), program, testTenant, ct)
+			if armed.Load() {
+				t.Fatalf("%s: the request never reached the wire", program)
+			}
+			if require {
+				if !errors.Is(err, cluster.ErrDegraded) {
+					t.Fatalf("%s: worker lost under RequireCluster: %v, want cluster.ErrDegraded", program, err)
+				}
+				intact(program + ": failed collective")
+			} else {
+				if err != nil {
+					t.Fatalf("%s: worker lost mid-run: %v", program, err)
+				}
+				intact(program + ": local replay")
+				sameCiphertext(t, program+": local replay vs local executor", out, runLocally(t, program, ct))
+			}
+			closeCoreT(t, core)
+			eng.Close()
+		}
+	}
+}
+
+// wireBytesOf is ct's serialised image.
+func wireBytesOf(t *testing.T, ct *ckks.Ciphertext) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ct.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestShortKeyRefusedOnEveryPath: a key with fewer digits than the level

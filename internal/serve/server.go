@@ -225,6 +225,14 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	out.Write(w)
+	// The output is the request's own once written, unless the program
+	// handed back its input or a view of it. (A session step's output is the
+	// session's state and stays.)
+	if &out.C0.Limbs[0][0] != &ct.C0.Limbs[0][0] {
+		rg := s.core.Registry().Params.Ring
+		rg.PutPoly(out.C0)
+		rg.PutPoly(out.C1)
+	}
 }
 
 func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
