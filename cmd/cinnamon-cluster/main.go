@@ -1,10 +1,11 @@
 // Command cinnamon-cluster is the cluster verification tool: it connects
-// to a set of cinnamon-worker processes, runs serve workloads through the
-// distributed input-broadcast keyswitch (ciphertext limbs partitioned
-// across the workers), and checks the results bit-for-bit against a
-// single-process run of the same workloads. It is what the CI cluster
-// smoke uses to prove that a real multi-process cluster computes exactly
-// what one process computes.
+// to a set of cinnamon-worker processes, runs serve workloads' executors
+// (the ones serving runs, compiled by a registry over the chosen programs)
+// through the distributed input-broadcast keyswitch (ciphertext limbs
+// partitioned across the workers), and checks the results bit-for-bit
+// against a single-process run of the same executors. It is what the CI
+// cluster smoke uses to prove that a real multi-process cluster computes
+// exactly what one process computes.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,6 +30,8 @@ import (
 
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/cluster"
+	"cinnamon/internal/sched"
+	"cinnamon/internal/serve"
 	"cinnamon/internal/workloads"
 )
 
@@ -54,10 +58,22 @@ func main() {
 }
 
 func run(workerAddrs, programList string, logN, levels int, seed int64) (bool, error) {
-	params, err := ckks.NewParameters(workloads.ServeParamsLiteral(logN, levels, seed))
+	var specs []workloads.ServeWorkload
+	for _, name := range strings.Split(programList, ",") {
+		spec, ok := workloads.ServeWorkloadByName(strings.TrimSpace(name))
+		if !ok {
+			return false, fmt.Errorf("unknown serve workload %q", name)
+		}
+		specs = append(specs, spec)
+	}
+	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: workloads.ServeParamsLiteral(logN, levels, seed), Programs: specs})
 	if err != nil {
 		return false, err
 	}
+	if len(reg.Skipped) > 0 {
+		return false, fmt.Errorf("parameters cannot host: %s", strings.Join(reg.Skipped, "; "))
+	}
+	params := reg.Params
 
 	var dialers []cluster.Dialer
 	for _, a := range strings.Split(workerAddrs, ",") {
@@ -87,15 +103,11 @@ func run(workerAddrs, programList string, logN, levels int, seed int64) (bool, e
 	if err != nil {
 		return false, err
 	}
-
-	names := strings.Split(programList, ",")
+	names := reg.ProgramNames()
 	rotSet := map[int]bool{}
 	for _, name := range names {
-		spec, ok := workloads.ServeWorkloadByName(strings.TrimSpace(name))
-		if !ok {
-			return false, fmt.Errorf("unknown serve workload %q", name)
-		}
-		for _, r := range spec.Rotations {
+		prog, _ := reg.Program(name)
+		for _, r := range prog.Rotations {
 			rotSet[r] = true
 		}
 	}
@@ -114,11 +126,13 @@ func run(workerAddrs, programList string, logN, levels int, seed int64) (bool, e
 	distributed.SetKeySwitcher(eng)
 	local := ckks.NewEvaluator(params, rlk, rtks)
 
+	// Each program runs its executor — the one serving runs — on the
+	// request truncated to its input level, as admission does.
+	ctx := context.Background()
 	allPass := true
 	rng := rand.New(rand.NewSource(seed))
 	for _, name := range names {
-		name = strings.TrimSpace(name)
-		spec, _ := workloads.ServeWorkloadByName(name)
+		prog, _ := reg.Program(name)
 		v := make([]complex128, params.Slots())
 		for i := range v {
 			v[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
@@ -131,17 +145,18 @@ func run(workerAddrs, programList string, logN, levels int, seed int64) (bool, e
 		if err != nil {
 			return false, err
 		}
+		ct = ct.AtLevel(prog.InLevel)
 
-		got, err := spec.Reference(distributed, enc, ct)
+		got, err := prog.Executor().Run(ctx, distributed, ct, sched.RunOpts{})
 		if err != nil {
 			return false, fmt.Errorf("%s via cluster: %w", name, err)
 		}
-		want, err := spec.Reference(local, enc, ct)
+		want, err := prog.Executor().Run(ctx, local, ct, sched.RunOpts{})
 		if err != nil {
 			return false, fmt.Errorf("%s locally: %w", name, err)
 		}
 		if bitExact(got, want) {
-			log.Printf("PASS %-8s bit-exact across %d workers (level %d->%d)", name, eng.NChips(), params.MaxLevel(), got.Level())
+			log.Printf("PASS %-8s bit-exact across %d workers (level %d->%d)", name, eng.NChips(), prog.InLevel, got.Level())
 		} else {
 			log.Printf("FAIL %-8s distributed result differs from single-process run", name)
 			allPass = false

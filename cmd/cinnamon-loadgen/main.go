@@ -4,7 +4,7 @@
 // encrypted requests at a fixed offered rate regardless of response
 // latency (so queueing delay shows up in the measured latencies instead
 // of being hidden by client back-pressure). Every response is decrypted
-// and checked against a local reference evaluation.
+// and checked against the program's plaintext model (EvalPlain).
 //
 // Usage:
 //
@@ -56,7 +56,7 @@ func main() {
 	rate := flag.Float64("rate", 50, "offered load, requests/sec (Poisson arrivals)")
 	seed := flag.Int64("seed", 1, "load generator RNG seed")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
-	verify := flag.Bool("verify", true, "decrypt responses and compare to a local reference evaluation")
+	verify := flag.Bool("verify", true, "decrypt responses and compare to the program's plaintext model (EvalPlain)")
 	maxSlotErr := flag.Float64("max-slot-err", 0, "slot-error bound for programs without a server-advertised verify_tolerance (0 = report only for those); programs that advertise one are always checked against it")
 	maxErrorRate := flag.Float64("max-error-rate", -1, "exit 1 if the error fraction (transport failures + unexpected statuses, shed excluded) exceeds this (negative = report only)")
 	sessions := flag.Int("sessions", 0, "session mode: open this many encrypted sessions instead of the open loop")
@@ -79,13 +79,12 @@ type client struct {
 	params *ckks.Parameters
 
 	// Key material and encoders are stateful (samplers), so every
-	// encrypt/decrypt/reference call serializes on mu. The HTTP wait is
+	// encrypt/decrypt call serializes on mu. The HTTP wait is
 	// outside the lock, so requests still overlap on the wire.
 	mu   sync.Mutex
 	enc  *ckks.Encoder
 	encr *ckks.Encryptor
 	decr *ckks.Decryptor
-	ev   *ckks.Evaluator
 
 	// bundle is the serialized key bundle as uploaded, kept so a 403 after
 	// a server restart (in-memory tenant registry gone, durable sessions
@@ -352,8 +351,8 @@ func (c *client) stepWithRetry(id string, body []byte, maxRetries int, backoff t
 // or exhausted step exits nonzero.
 func (c *client) runSessions(info serve.ProgramInfo, sessions, steps int, seed int64, maxSlotErr float64, stepRetries int, stepBackoff, stepInterval time.Duration) error {
 	spec, ok := workloads.ServeWorkloadByName(info.Name)
-	if !ok || spec.EvalPlain == nil {
-		return fmt.Errorf("session mode needs a plaintext reference for %q (EvalPlain)", info.Name)
+	if !ok {
+		return fmt.Errorf("session mode needs a plaintext reference for %q: not in the local catalog", info.Name)
 	}
 	tol := info.VerifyTolerance
 	if tol <= 0 {
@@ -541,7 +540,6 @@ func (c *client) keygenAndRegister(targets []serve.ProgramInfo) error {
 	c.enc = ckks.NewEncoder(c.params)
 	c.encr = ckks.NewEncryptor(c.params, pk)
 	c.decr = ckks.NewDecryptor(c.params, sk)
-	c.ev = ckks.NewEvaluator(c.params, rlk, rtks)
 
 	var bundle bytes.Buffer
 	if err := serve.WriteKeyBundle(&bundle, keys); err != nil {
@@ -573,9 +571,8 @@ func (c *client) registerKeys() error {
 }
 
 // fire sends one encrypted request and (optionally) verifies the
-// decrypted response: against the catalog's plaintext reference when the
-// program has one (tensor models — no crypto in the ground truth), else
-// against the local homomorphic reference evaluation.
+// decrypted response against the catalog's plaintext model (EvalPlain): no
+// crypto in the ground truth.
 func (c *client) fire(info serve.ProgramInfo, seed int64, verify bool, tol float64) result {
 	spec, hasSpec := workloads.ServeWorkloadByName(info.Name)
 	rng := rand.New(rand.NewSource(seed))
@@ -636,25 +633,9 @@ func (c *client) fire(info serve.ProgramInfo, seed int64, verify bool, tol float
 			res.ok = false
 			return res
 		}
+		ref := spec.EvalPlain(v)
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		var ref []complex128
-		if spec.EvalPlain != nil {
-			// Decrypt-and-verify against the plaintext reference.
-			ref = spec.EvalPlain(v)
-		} else {
-			// The server runs the request truncated to the program's
-			// input level; so does the reference.
-			want, err := spec.Reference(c.ev, c.enc, ct.AtLevel(info.InputLevel))
-			if err != nil {
-				res.transport, res.ok = err, false
-				return res
-			}
-			if ref, err = c.decode(want); err != nil {
-				res.transport, res.ok = err, false
-				return res
-			}
-		}
 		got, err := c.decode(out)
 		if err != nil {
 			res.transport, res.ok = err, false

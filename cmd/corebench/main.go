@@ -32,6 +32,7 @@ import (
 	"cinnamon/internal/bootstrap"
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/rns"
+	"cinnamon/internal/sched"
 	"cinnamon/internal/serve"
 	"cinnamon/internal/tensor"
 	"cinnamon/internal/workloads"
@@ -107,12 +108,23 @@ func run(logN, limbs, ext, iters int, out, compare string, tolerance float64, se
 	for i := range logP {
 		logP[i] = 58
 	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: logN, LogQ: logQ, LogP: logP, LogScale: 45, Seed: 20260805,
+	// The tensor_matmul row's program: the tensor frontend's 64×64 BSGS
+	// matvec, compiled by a one-program registry whose parameters every row
+	// shares.
+	mm := tensor.NewModel("corebench_mm", 64)
+	mm.Output(mm.MatVec(mm.Input(), "w", 64, 64, tensor.BSGS))
+	cmp, err := tensor.Compile(mm)
+	if err != nil {
+		return err
+	}
+	reg, err := serve.NewRegistry(serve.RegistryConfig{
+		Literal:  ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: logP, LogScale: 45, Seed: 20260805},
+		Programs: []workloads.ServeWorkload{{Name: cmp.Name(), Build: cmp.Build, Plaintexts: cmp.PlaintextSpecs()}},
 	})
 	if err != nil {
 		return err
 	}
+	params := reg.Params
 	kg := ckks.NewKeyGenerator(params)
 	sk, err := kg.GenSecretKey()
 	if err != nil {
@@ -222,27 +234,24 @@ func run(logN, limbs, ext, iters int, out, compare string, tolerance float64, se
 		}},
 	}
 
-	// tensor_matmul: the tensor frontend's 64×64 BSGS matvec end to end —
-	// diagonal encodes, 2√d rotation keyswitches, 64 plaintext multiplies
-	// and the closing rescale — through the same reference path the
-	// cluster serving backend executes.
+	// tensor_matmul: the 64×64 BSGS matvec end to end — 2√d rotation
+	// keyswitches, 64 plaintext multiplies and the closing rescale — run by
+	// its registry's executor on the input truncated to the program's input
+	// level: the serving path.
 	{
-		mm := tensor.NewModel("corebench_mm", 64)
-		mm.Output(mm.MatVec(mm.Input(), "w", 64, 64, tensor.BSGS))
-		cmp, err := tensor.Compile(mm)
+		prog, _ := reg.Program(cmp.Name())
+		rtks, err := kg.GenRotationKeySet(sk, prog.Rotations, false)
 		if err != nil {
 			return err
 		}
-		rtks, err := kg.GenRotationKeySet(sk, cmp.Rotations(), false)
-		if err != nil {
-			return err
-		}
-		evRot := ckks.NewEvaluator(params, rlk, rtks)
+		evRot := ckks.NewEvaluator(params, nil, rtks)
+		in := ct.AtLevel(prog.InLevel)
 		ops = append(ops, struct {
 			name string
 			fn   func() error
 		}{"tensor_matmul", func() error {
-			_, err := cmp.Reference(evRot, enc, ct)
+			out, err := prog.Executor().Run(context.Background(), evRot, in, sched.RunOpts{})
+			evRot.Release(out)
 			return err
 		}})
 	}

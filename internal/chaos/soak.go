@@ -261,14 +261,12 @@ func RunSoak(cfg SoakConfig) (*Report, error) {
 // input run once through a control core with no backends.
 func (h *harness) boot() error {
 	var specs []workloads.ServeWorkload
-	var rots []int
 	for _, name := range programs {
 		spec, ok := workloads.ServeWorkloadByName(name)
 		if !ok {
 			return fmt.Errorf("chaos: no serve workload %q", name)
 		}
 		specs = append(specs, spec)
-		rots = append(rots, spec.Rotations...)
 	}
 	reg, err := serve.NewRegistry(serve.RegistryConfig{Literal: workloads.ServeParamsLiteral(logN, levels, 20260805), Programs: specs})
 	if err != nil {
@@ -276,6 +274,11 @@ func (h *harness) boot() error {
 	}
 	h.reg = reg
 	params := reg.Params
+	var rots []int
+	for _, name := range reg.ProgramNames() {
+		p, _ := reg.Program(name)
+		rots = append(rots, p.Rotations...)
+	}
 
 	kg := ckks.NewKeyGenerator(params)
 	sk, err := kg.GenSecretKey()

@@ -46,13 +46,12 @@ func TestBackendFailover(t *testing.T) {
 
 	submitVerified := func(seed int64) {
 		t.Helper()
-		ct, _ := encryptRandom(t, seed)
+		ct, in := encryptRandom(t, seed)
 		out, err := core.Submit(ctx, "square", testTenant, ct)
 		if err != nil {
 			t.Fatalf("Submit(seed %d): %v", seed, err)
 		}
-		want := decryptDecode(t, reference(t, "square", ct))
-		if e := maxSlotErr(decryptDecode(t, out), want); e > 1e-2 {
+		if e, tol := plainErr(t, "square", in, out); e > tol {
 			t.Fatalf("wrong decrypt after seed %d: max slot err %g", seed, e)
 		}
 	}
@@ -194,7 +193,7 @@ func TestHealthzAllBackendsDown(t *testing.T) {
 		if len(h.Backends) != 2 || h.Backends[0].Healthy != 0 || h.Backends[1].Healthy != 0 {
 			t.Fatalf("require=%v: health backends = %+v, want two with no healthy worker", require, h.Backends)
 		}
-		ct, _ := encryptRandom(t, 5)
+		ct, in := encryptRandom(t, 5)
 		out, err := core.Submit(context.Background(), "square", testTenant, ct)
 		if require {
 			if h.OK || !errors.Is(err, cluster.ErrDegraded) {
@@ -204,8 +203,7 @@ func TestHealthzAllBackendsDown(t *testing.T) {
 			if !h.OK || err != nil {
 				t.Fatalf("every backend dead, local replay allowed: ok=%v, submit error %v; want ok=true and success", h.OK, err)
 			}
-			want := decryptDecode(t, reference(t, "square", ct))
-			if e := maxSlotErr(decryptDecode(t, out), want); e > 1e-2 {
+			if e, tol := plainErr(t, "square", in, out); e > tol {
 				t.Fatalf("local replay decrypts wrong: max slot err %g", e)
 			}
 			if got := core.Metrics().EmulatorFallbacks.Load(); got != 1 {

@@ -29,7 +29,6 @@ var env struct {
 	enc      *ckks.Encoder
 	encr     *ckks.Encryptor
 	decr     *ckks.Decryptor
-	ev       *ckks.Evaluator
 }
 
 const testTenant = "tenant-a"
@@ -86,7 +85,6 @@ func testEnvInit() {
 	env.enc = ckks.NewEncoder(params)
 	env.encr = ckks.NewEncryptor(params, pk)
 	env.decr = ckks.NewDecryptor(params, sk)
-	env.ev = ckks.NewEvaluator(params, rlk, rtks)
 	env.err = env.reg.RegisterTenant(testTenant, env.keys)
 }
 
@@ -136,20 +134,16 @@ func decryptDecode(t testing.TB, ct *ckks.Ciphertext) []complex128 {
 	return v
 }
 
-// reference runs the workload's evaluator-side implementation.
-func reference(t testing.TB, name string, ct *ckks.Ciphertext) *ckks.Ciphertext {
+// plainErr decrypts a served result and returns its worst slot error
+// against the program's plaintext model on the request's plain input,
+// together with the tolerance the program advertises.
+func plainErr(t testing.TB, name string, in []complex128, out *ckks.Ciphertext) (worst, tol float64) {
 	t.Helper()
-	spec, ok := workloads.ServeWorkloadByName(name)
+	prog, ok := env.reg.Program(name)
 	if !ok {
-		t.Fatalf("no serve workload %q", name)
+		t.Fatalf("no program %q", name)
 	}
-	env.cryptoMu.Lock()
-	defer env.cryptoMu.Unlock()
-	out, err := spec.Reference(env.ev, env.enc, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return maxSlotErr(decryptDecode(t, out), prog.Spec.EvalPlain(in)), prog.Spec.VerifyTol
 }
 
 func maxSlotErr(a, b []complex128) float64 {

@@ -201,7 +201,6 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 		enc  *ckks.Encoder
 		encr *ckks.Encryptor
 		decr *ckks.Decryptor
-		ev   *ckks.Evaluator
 	}
 	tcs := make([]*tenantCrypto, nTenants)
 	kg := ckks.NewKeyGenerator(params)
@@ -223,7 +222,6 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 			enc:  ckks.NewEncoder(params),
 			encr: ckks.NewEncryptor(params, pk),
 			decr: ckks.NewDecryptor(params, sk),
-			ev:   ckks.NewEvaluator(params, rlk, nil),
 		}
 	}
 
@@ -250,7 +248,7 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 	const perTenant = 6
 	type outcome struct {
 		tenant int
-		in     *ckks.Ciphertext
+		in     []complex128
 		out    *ckks.Ciphertext
 	}
 	outs := make([]outcome, nTenants*perTenant)
@@ -285,7 +283,7 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 					}
 					return
 				}
-				outs[ti*perTenant+r] = outcome{tenant: ti, in: ct, out: out}
+				outs[ti*perTenant+r] = outcome{tenant: ti, in: v, out: out}
 			}
 		}(ti)
 	}
@@ -298,23 +296,17 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Serial verification pass (encoders/evaluators are stateful): every
-	// response must match the tenant's own homomorphic reference — a batch
-	// served with the wrong tenant's reloaded keys decrypts to noise.
-	spec, ok := workloads.ServeWorkloadByName("square")
-	if !ok {
-		t.Fatal("no square workload")
-	}
+	// Serial verification pass (decryptors are stateful): every response,
+	// decrypted under its tenant's own secret key, must match the plaintext
+	// model — a request served with the wrong tenant's reloaded keys
+	// decrypts to noise.
+	square, _ := reg.Program("square")
 	for _, oc := range outs {
 		if oc.out == nil {
 			continue
 		}
 		tc := tcs[oc.tenant]
-		ref, err := spec.Reference(tc.ev, tc.enc, oc.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := decodeTenant(t, params, tc.decr, tc.enc, ref)
+		want := square.Spec.EvalPlain(oc.in)
 		got := decodeTenant(t, params, tc.decr, tc.enc, oc.out)
 		worst := 0.0
 		for i := range got {
@@ -322,8 +314,8 @@ func TestKeyCacheEvictionConcurrentSubmit(t *testing.T) {
 				worst = e
 			}
 		}
-		if worst > 1e-2 {
-			t.Fatalf("tenant kc-%d: slot error %.2e vs own reference — served with wrong keys?", oc.tenant, worst)
+		if worst > square.Spec.VerifyTol {
+			t.Fatalf("tenant kc-%d: slot error %.2e vs EvalPlain — served with wrong keys?", oc.tenant, worst)
 		}
 	}
 

@@ -28,15 +28,17 @@
 // the program's InLevel. The paper's limb-ISA emulator is a functional model
 // of the accelerator, not a serving engine: the registry still lowers each
 // shallow program to its batch-1 limb module so the compiler stays
-// exercised, and tests run that module on emulator.Machine — and the
-// catalog's hand-written Reference closures — as bit-exact oracles for the
-// executor.
+// exercised, and tests run that module on emulator.Machine as a bit-exact
+// oracle for the executor. A program's DSL graph is its only encrypted
+// definition; what it means is the catalog's EvalPlain, which clients and
+// tests decrypt against at the program's VerifyTol.
 //
 // The package is stdlib-only; cmd/cinnamon-serve wraps it in net/http and
 // cmd/cinnamon-loadgen drives it open-loop.
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -141,6 +143,17 @@ func (p *Program) VariantFor(n int) *Variant { return p.variant }
 
 // Executor exposes the replay executor (tests and tooling).
 func (p *Program) Executor() *sched.Executor { return p.exec }
+
+// runOnce is what Spec.Reference is bound to: one run of the program's
+// executor on ev, with no refresh service, of ct truncated to InLevel. The
+// encoder is unused. It exists only for the frozen benchmark (bench/), which
+// still calls Spec.Reference.
+func (p *Program) runOnce(ev *ckks.Evaluator, _ *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	if ct.Level() < p.InLevel {
+		return nil, fmt.Errorf("%w: ciphertext at level %d, program needs at least %d", ErrBadRequest, ct.Level(), p.InLevel)
+	}
+	return p.exec.Run(context.Background(), ev, ct.AtLevel(p.InLevel), sched.RunOpts{})
+}
 
 // Registry holds compiled programs and per-tenant key material.
 type Registry struct {
@@ -454,6 +467,7 @@ func compileProgram(params *ckks.Parameters, enc *ckks.Encoder, spec workloads.S
 		return nil, err
 	}
 	p.exec = sched.NewExecutor(g, params, p.Plaintexts)
+	p.Spec.Reference = p.runOnce
 	p.OutLevel, p.OutScale = plan.OutLevel, plan.OutScale
 	p.BootstrapsRequired = plan.Bootstraps
 	p.Bootstrapped = plan.Bootstraps > 0

@@ -16,29 +16,27 @@ import (
 )
 
 // TestServeMatchesReference runs every catalog program through the full
-// serving path and checks the decrypted response against the
-// reference evaluator.
+// serving path and checks the decrypted response against the program's
+// plaintext model at its advertised tolerance.
 func TestServeMatchesReference(t *testing.T) {
 	reg := testEnv(t)
 	core := NewCore(reg, Config{})
 	defer core.Close(context.Background())
 	for i, name := range reg.ProgramNames() {
-		ct, _ := encryptRandom(t, int64(1000+i))
+		ct, in := encryptRandom(t, int64(1000+i))
 		out, err := core.Submit(context.Background(), name, testTenant, ct)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got := decryptDecode(t, out)
-		want := decryptDecode(t, reference(t, name, ct))
-		if e := maxSlotErr(got, want); e > 1e-3 {
-			t.Fatalf("%s: served result deviates from reference by %g", name, e)
+		if e, tol := plainErr(t, name, in, out); e > tol {
+			t.Fatalf("%s: served result deviates from EvalPlain by %g (tolerance %g)", name, e, tol)
 		}
 	}
 }
 
 // TestConcurrentClientsRace hammers one core from many goroutines across
 // all programs — the -race concurrency test of the serving pipeline —
-// and verifies every response decrypts to the reference result.
+// and verifies every response decrypts to the plaintext model's result.
 func TestConcurrentClientsRace(t *testing.T) {
 	reg := testEnv(t)
 	core := NewCore(reg, Config{RequestTimeout: 2 * time.Minute})
@@ -54,16 +52,14 @@ func TestConcurrentClientsRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				name := names[(c+i)%len(names)]
-				ct, _ := encryptRandom(t, int64(2000+c*100+i))
+				ct, in := encryptRandom(t, int64(2000+c*100+i))
 				out, err := core.Submit(context.Background(), name, testTenant, ct)
 				if err != nil {
 					errCh <- fmt.Errorf("%s: %w", name, err)
 					continue
 				}
-				got := decryptDecode(t, out)
-				want := decryptDecode(t, reference(t, name, ct))
-				if e := maxSlotErr(got, want); e > 1e-3 {
-					errCh <- fmt.Errorf("%s: error %g", name, e)
+				if e, tol := plainErr(t, name, in, out); e > tol {
+					errCh <- fmt.Errorf("%s: error %g (tolerance %g)", name, e, tol)
 				}
 			}
 		}(c)
@@ -122,8 +118,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("garbage bundle: %v", resp.Status)
 	}
 
-	// Run a request and check it against the reference.
-	ct, _ := encryptRandom(t, 3000)
+	// Run a request and check it against the plaintext model.
+	ct, in := encryptRandom(t, 3000)
 	var body bytes.Buffer
 	if err := ct.Write(&body); err != nil {
 		t.Fatal(err)
@@ -144,10 +140,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decryptDecode(t, out)
-	want := decryptDecode(t, reference(t, "square", ct))
-	if e := maxSlotErr(got, want); e > 1e-3 {
-		t.Fatalf("served result deviates from reference by %g", e)
+	if e, tol := plainErr(t, "square", in, out); e > tol {
+		t.Fatalf("served result deviates from EvalPlain by %g (tolerance %g)", e, tol)
 	}
 
 	// Garbage ciphertexts are rejected, not crashed on.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cinnamon/internal/polyir"
 	"cinnamon/internal/workloads"
 )
 
@@ -22,9 +23,10 @@ func TestTensorProgramsCompiled(t *testing.T) {
 	cases := []struct {
 		name  string
 		depth int
+		relin bool
 	}{
-		{"logreg16", 3},
-		{"xform64", 1},
+		{"logreg16", 3, true},
+		{"xform64", 1, false},
 	}
 	for _, tc := range cases {
 		p, ok := reg.Program(tc.name)
@@ -40,7 +42,7 @@ func TestTensorProgramsCompiled(t *testing.T) {
 		// RequiredKeys is Rotations plus rlk when the program multiplies
 		// ciphertexts, in numeric order.
 		var wantKeys []string
-		if p.Spec.NeedsRelin {
+		if tc.relin {
 			wantKeys = append(wantKeys, "rlk")
 		}
 		for _, k := range p.Rotations {
@@ -49,10 +51,20 @@ func TestTensorProgramsCompiled(t *testing.T) {
 		if !reflect.DeepEqual(p.RequiredKeys, wantKeys) {
 			t.Fatalf("%s: keys %v do not mirror rotations %v", tc.name, p.RequiredKeys, p.Rotations)
 		}
-		// The catalog's declared rotation set agrees with what the lowered
-		// IR actually consumes.
-		if !reflect.DeepEqual(p.Rotations, p.Spec.Rotations) {
-			t.Fatalf("%s: compiled rotations %v, catalog declares %v", tc.name, p.Rotations, p.Spec.Rotations)
+		// The rotation set is exactly what the executed graph consumes.
+		used := map[int]bool{}
+		for _, n := range p.Executor().Graph.Nodes {
+			if n.Kind == polyir.OpRotate {
+				used[n.Rot] = true
+			}
+		}
+		if len(used) != len(p.Rotations) {
+			t.Fatalf("%s: graph rotates by %v, registry advertises %v", tc.name, used, p.Rotations)
+		}
+		for _, k := range p.Rotations {
+			if !used[k] {
+				t.Fatalf("%s: advertised rotation %d never used by the graph", tc.name, k)
+			}
 		}
 	}
 

@@ -1,14 +1,11 @@
 package tensor
 
-import (
-	"cinnamon/internal/ckks"
-	"cinnamon/internal/dsl"
-)
+import "cinnamon/internal/dsl"
 
 // backend abstracts the three replay targets of a compiled model. The
 // lowerer owns all level/scale bookkeeping; backends only perform the
-// mechanical op. Handles are backend-specific (dsl/ckks ciphertexts,
-// plain slot vectors, or nil for the recording pass).
+// mechanical op. Handles are backend-specific (dsl ciphertexts, plain
+// slot vectors, or nil for the recording pass).
 type backend interface {
 	input() any
 	rotate(h any, k int) any
@@ -21,7 +18,7 @@ type backend interface {
 }
 
 // recordBackend is Compile's first walk: it executes nothing — the
-// lowerer records rotations, operands and depth as a side effect.
+// lowerer records operands and depth as a side effect.
 type recordBackend struct{}
 
 func (recordBackend) input() any                   { return nil }
@@ -54,59 +51,6 @@ func (b *dslBackend) addPlain(h any, p *ptOperand) any {
 func (b *dslBackend) rescale(h any) any { return h.(*dsl.Ciphertext).Rescale() }
 func (b *dslBackend) dropTo(h any, off int) any {
 	return h.(*dsl.Ciphertext).DropLevel(b.inLevel - off)
-}
-
-// ckksBackend replays against the reference evaluator, encoding each
-// operand at the level it is consumed and the exact symbolic scale the
-// compiled program assumes. Evaluator errors abort the replay via the
-// lowerer's panic channel and surface as Reference errors.
-type ckksBackend struct {
-	ev      *ckks.Evaluator
-	enc     *ckks.Encoder
-	params  *ckks.Parameters
-	inLevel int
-	x       *ckks.Ciphertext
-}
-
-func (b *ckksBackend) check(ct *ckks.Ciphertext, err error) any {
-	if err != nil {
-		bail("reference evaluation: %v", err)
-	}
-	return ct
-}
-
-func (b *ckksBackend) input() any { return b.x }
-func (b *ckksBackend) rotate(h any, k int) any {
-	return b.check(b.ev.Rotate(h.(*ckks.Ciphertext), k))
-}
-func (b *ckksBackend) add(x, y any) any {
-	return b.check(b.ev.Add(x.(*ckks.Ciphertext), y.(*ckks.Ciphertext)))
-}
-func (b *ckksBackend) mulCt(x, y any) any {
-	return b.check(b.ev.MulRelin(x.(*ckks.Ciphertext), y.(*ckks.Ciphertext)))
-}
-func (b *ckksBackend) encode(p *ptOperand) *ckks.Plaintext {
-	scale, err := p.sc.eval(b.params, b.inLevel)
-	if err != nil {
-		bail("encoding operand %q: %v", p.name, err)
-	}
-	pt, err := b.enc.Encode(p.values(b.params.Slots()), b.inLevel-p.off, scale)
-	if err != nil {
-		bail("encoding operand %q: %v", p.name, err)
-	}
-	return pt
-}
-func (b *ckksBackend) mulPlain(h any, p *ptOperand) any {
-	return b.check(b.ev.MulPlain(h.(*ckks.Ciphertext), b.encode(p)))
-}
-func (b *ckksBackend) addPlain(h any, p *ptOperand) any {
-	return b.check(b.ev.AddPlain(h.(*ckks.Ciphertext), b.encode(p)))
-}
-func (b *ckksBackend) rescale(h any) any {
-	return b.check(b.ev.Rescale(h.(*ckks.Ciphertext)))
-}
-func (b *ckksBackend) dropTo(h any, off int) any {
-	return b.check(b.ev.DropLevel(h.(*ckks.Ciphertext), b.inLevel-off))
 }
 
 // plainBackend replays the circuit on plain slot vectors: rotations are

@@ -3,23 +3,19 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
-	"cinnamon/internal/ckks"
 	"cinnamon/internal/dsl"
 )
 
 // Compiled is a lowered tensor model. The single lowering walk in
-// Compile fixes the rotation set, the plaintext operands (values and
-// symbolic encoding scales) and the level schedule; Build, Reference and
-// EvalPlain replay the identical walk against different backends, so the
-// three artifacts cannot drift apart.
+// Compile fixes the plaintext operands (values and symbolic encoding
+// scales) and the level schedule; Build and EvalPlain replay the identical
+// walk against different backends, so the encrypted program and its plain
+// meaning cannot drift apart.
 type Compiled struct {
 	m     *Model
 	d     int
 	depth int
-	relin bool
-	rots  []int
 	pts   []*ptOperand
 }
 
@@ -52,19 +48,14 @@ func Compile(m *Model) (c *Compiled, err error) {
 	}()
 	lw := &lowerer{
 		c: c, b: recordBackend{}, memo: map[int]val{},
-		recording: true, rotSet: map[int]bool{}, seen: map[string]bool{},
+		recording: true, seen: map[string]bool{},
 	}
 	out := lw.eval(m.out)
 	c.depth = out.off
-	c.relin = lw.relin
 	c.pts = lw.pts
 	if !out.sc.equal(deltaExpr()) {
 		bail("internal: output scale is not Δ")
 	}
-	for k := range lw.rotSet {
-		c.rots = append(c.rots, k)
-	}
-	sort.Ints(c.rots)
 	return c, nil
 }
 
@@ -148,10 +139,8 @@ type lowerer struct {
 
 	// recording state (Compile's first walk only)
 	recording bool
-	rotSet    map[int]bool
 	seen      map[string]bool
 	pts       []*ptOperand
-	relin     bool
 }
 
 func (lw *lowerer) d() int { return lw.c.d }
@@ -449,9 +438,6 @@ func (lw *lowerer) assertDelta(v val, what string) {
 }
 
 func (lw *lowerer) rotate(v val, k int) val {
-	if lw.recording {
-		lw.rotSet[k] = true
-	}
 	return val{lw.b.rotate(v.h, k), v.off, v.sc}
 }
 
@@ -492,14 +478,11 @@ func (lw *lowerer) mulCt(a, b val) val {
 		off = b.off
 	}
 	a, b = lw.alignTo(a, off), lw.alignTo(b, off)
-	if lw.recording {
-		lw.relin = true
-	}
 	return val{lw.b.mulCt(a.h, b.h), off, a.sc.mul(b.sc)}
 }
 
-func (lw *lowerer) operand(name string, base []float64, sc scaleExpr, off int) *ptOperand {
-	p := &ptOperand{name: name, base: base, sc: sc.canon(), off: off}
+func (lw *lowerer) operand(name string, base []float64, sc scaleExpr) *ptOperand {
+	p := &ptOperand{name: name, base: base, sc: sc.canon()}
 	if lw.recording {
 		if lw.seen[name] {
 			bail("duplicate plaintext operand %q (weight names must be unique per model)", name)
@@ -511,12 +494,12 @@ func (lw *lowerer) operand(name string, base []float64, sc scaleExpr, off int) *
 }
 
 func (lw *lowerer) mulPlain(v val, name string, base []float64, sc scaleExpr) val {
-	p := lw.operand(name, base, sc, v.off)
+	p := lw.operand(name, base, sc)
 	return val{lw.b.mulPlain(v.h, p), v.off, v.sc.mul(sc)}
 }
 
 func (lw *lowerer) addPlain(v val, name string, base []float64) val {
-	p := lw.operand(name, base, v.sc, v.off)
+	p := lw.operand(name, base, v.sc)
 	return val{lw.b.addPlain(v.h, p), v.off, v.sc}
 }
 
@@ -542,17 +525,6 @@ func (c *Compiled) BlockDim() int { return c.d }
 
 // Depth is the number of multiplicative levels the program consumes.
 func (c *Compiled) Depth() int { return c.depth }
-
-// NeedsRelin reports whether any ciphertext-ciphertext multiply is
-// emitted.
-func (c *Compiled) NeedsRelin() bool { return c.relin }
-
-// Rotations is the exact deduped, sorted set of rotation offsets the
-// lowered circuit performs — the rotation keys a tenant must register,
-// no more.
-func (c *Compiled) Rotations() []int {
-	return append([]int(nil), c.rots...)
-}
 
 // PlaintextSpecs lists every plaintext operand with its values and
 // exact encoding scale, for the serving registry. A scale depends on the
@@ -593,18 +565,6 @@ func (c *Compiled) Build(s *dsl.Stream, x *dsl.Ciphertext) *dsl.Ciphertext {
 		panic(err)
 	}
 	return h.(*dsl.Ciphertext)
-}
-
-// Reference evaluates the identical circuit with the reference
-// evaluator, encoding each plaintext operand at the exact scale the
-// compiled program uses. This is both the client-side verification path
-// and the -cluster serving backend's execution path.
-func (c *Compiled) Reference(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	h, err := c.replay(&ckksBackend{ev: ev, enc: enc, params: ev.Params(), inLevel: ct.Level(), x: ct})
-	if err != nil {
-		return nil, err
-	}
-	return h.(*ckks.Ciphertext), nil
 }
 
 // EvalPlain replays the circuit on a plain slot vector — full-slot

@@ -12,8 +12,8 @@ import (
 // q_{inLevel-o} of the chain the value entered at level inLevel. Keeping
 // scales symbolic lets Compile derive plaintext encoding scales that
 // land every tensor value back on exactly Δ without knowing the
-// parameter set, and lets the ckks/registry replays evaluate the same
-// expression to bit-identical float64 scales.
+// parameter set, and lets the registry evaluate the same expression to
+// bit-identical float64 scales at whatever level a program enters.
 type scaleExpr struct {
 	dPow int
 	num  []int

@@ -1,15 +1,17 @@
 // Package tensor is the linear-algebra frontend of the serving stack: it
 // lowers small tensor programs (matrix–vector products, bias adds,
 // elementwise ops, polynomial activations, a layernorm approximation)
-// into packed CKKS circuits. One Compile produces three consistent
-// artifacts from a single lowering walk:
+// into packed CKKS circuits. One lowering walk runs against three
+// backends:
 //
-//   - a dsl.Stream emitter (Build) the serve registry compiles through
-//     polyir → limbir for the emulator and cluster backends;
-//   - a ckks.Evaluator replay (Reference) clients use to verify served
-//     responses, and which the -cluster serving path executes directly;
+//   - a recording pass (Compile) that fixes the plaintext operands and
+//     their symbolic scales, and the depth;
+//   - a dsl.Stream emitter (Build), the program's only encrypted
+//     definition: the serve registry plans its graph and runs it on
+//     sched.Executor, locally or over a cluster, and lowers it to the
+//     limb ISA for the emulator;
 //   - a plaintext slot-level simulation (EvalPlain) with no crypto in the
-//     loop, the decrypt-and-verify ground truth for loadgen.
+//     loop, the decrypt-and-verify ground truth for clients and tests.
 //
 // Packing model: a model works on blocks of d = 2^ceil(log2(maxDim))
 // slots. Vectors are laid out in the first dim slots of each block

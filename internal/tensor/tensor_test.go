@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -10,6 +11,7 @@ import (
 	"cinnamon/internal/ckks"
 	"cinnamon/internal/dsl"
 	"cinnamon/internal/polyir"
+	"cinnamon/internal/sched"
 )
 
 func testLiteral(levels int) ckks.ParametersLiteral {
@@ -21,7 +23,8 @@ func testLiteral(levels int) ckks.ParametersLiteral {
 }
 
 // crypto is a per-compiled-model test fixture: parameters deep enough
-// for the model plus exactly the evaluation keys it reports.
+// for the model, the relinearization key and exactly the rotation keys its
+// emitted circuit consumes.
 type crypto struct {
 	params *ckks.Parameters
 	enc    *ckks.Encoder
@@ -45,15 +48,17 @@ func newCrypto(t *testing.T, c *Compiled, extraLevels int) *crypto {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rlk *ckks.EvalKey
-	if c.NeedsRelin() {
-		if rlk, err = kg.GenRelinKey(sk); err != nil {
-			t.Fatal(err)
-		}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var rtks *ckks.RotationKeySet
-	if rots := c.Rotations(); len(rots) > 0 {
-		if rtks, err = kg.GenRotationKeySet(sk, rots, false); err != nil {
+	if rots := graphRotations(t, c, params.MaxLevel()); len(rots) > 0 {
+		offsets := make([]int, 0, len(rots))
+		for k := range rots {
+			offsets = append(offsets, k)
+		}
+		if rtks, err = kg.GenRotationKeySet(sk, offsets, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,6 +69,48 @@ func newCrypto(t *testing.T, c *Compiled, extraLevels int) *crypto {
 		decr:   ckks.NewDecryptor(params, sk),
 		ev:     ckks.NewEvaluator(params, rlk, rtks),
 	}
+}
+
+// executor plans c's emission the way the serving registry does: Build's
+// graph for an input at level, the operand scales that level resolves to
+// and sched.BuildPlan over them. An error means the program cannot run from
+// that level.
+func (cr *crypto) executor(c *Compiled, level int) (*sched.Executor, error) {
+	prog := dsl.NewProgram(dsl.Config{MaxLevel: level})
+	s := prog.Stream(0)
+	s.Output("y", c.Build(s, s.Input("x", level)))
+	g, err := prog.Finish()
+	if err != nil {
+		return nil, err
+	}
+	scales := map[string]float64{}
+	pts := map[string]*ckks.Plaintext{}
+	for _, ps := range c.PlaintextSpecs() {
+		if scales[ps.Name], err = ps.Scale(cr.params, level); err != nil {
+			return nil, err
+		}
+		if pts[ps.Name], err = cr.enc.Encode(ps.Values(cr.params.Slots()), cr.params.MaxLevel(), scales[ps.Name]); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := sched.BuildPlan(g, cr.params, scales, level, 0); err != nil {
+		return nil, err
+	}
+	return sched.NewExecutor(g, cr.params, pts), nil
+}
+
+// run executes c on ct through the serving executor.
+func (cr *crypto) run(t *testing.T, c *Compiled, ct *ckks.Ciphertext) *ckks.Ciphertext {
+	t.Helper()
+	ex, err := cr.executor(c, ct.Level())
+	if err != nil {
+		t.Fatalf("planning from level %d: %v", ct.Level(), err)
+	}
+	out, err := ex.Run(context.Background(), cr.ev, ct, sched.RunOpts{})
+	if err != nil {
+		t.Fatalf("running from level %d: %v", ct.Level(), err)
+	}
+	return out
 }
 
 func (cr *crypto) encrypt(t *testing.T, v []complex128, level int) *ckks.Ciphertext {
@@ -146,7 +193,7 @@ func addBias(model, bias string, rows, d int, y []float64) []float64 {
 }
 
 // TestMatVecLayouts is the layout property test: every layout × a set of
-// non-square shapes, executed through the reference evaluator at the top
+// non-square shapes, executed through the serving executor at the top
 // starting level and one below, against the textbook product.
 func TestMatVecLayouts(t *testing.T) {
 	cases := []struct {
@@ -188,11 +235,7 @@ func TestMatVecLayouts(t *testing.T) {
 
 			in := replicate(base, cr.params.Slots())
 			for _, level := range []int{cr.params.MaxLevel(), cr.params.MaxLevel() - 1} {
-				ct := cr.encrypt(t, in, level)
-				out, err := c.Reference(cr.ev, cr.enc, ct)
-				if err != nil {
-					t.Fatalf("level %d: %v", level, err)
-				}
+				out := cr.run(t, c, cr.encrypt(t, in, level))
 				if out.Level() != level-c.Depth() {
 					t.Fatalf("level %d: output level %d, want %d", level, out.Level(), level-c.Depth())
 				}
@@ -249,11 +292,7 @@ func TestPolyDegrees(t *testing.T) {
 				}
 				want[i] = y
 			}
-			ct := cr.encrypt(t, in, cr.params.MaxLevel())
-			out, err := c.Reference(cr.ev, cr.enc, ct)
-			if err != nil {
-				t.Fatal(err)
-			}
+			out := cr.run(t, c, cr.encrypt(t, in, cr.params.MaxLevel()))
 			if rel := math.Abs(out.Scale-cr.params.DefaultScale()) / cr.params.DefaultScale(); rel > 1e-9 {
 				t.Fatalf("output scale off by %g", rel)
 			}
@@ -290,11 +329,7 @@ func TestElementwiseOps(t *testing.T) {
 	for i, v := range in {
 		want[i] = 0.5 * (v*v + v)
 	}
-	ct := cr.encrypt(t, in, cr.params.MaxLevel())
-	out, err := c.Reference(cr.ev, cr.enc, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := cr.run(t, c, cr.encrypt(t, in, cr.params.MaxLevel()))
 	if e := maxErr(cr.decrypt(t, out), want); e > 1e-4 {
 		t.Fatalf("error %g", e)
 	}
@@ -344,11 +379,7 @@ func TestLayerNorm(t *testing.T) {
 	}
 	wantSlots := replicate(want, cr.params.Slots())
 
-	ct := cr.encrypt(t, in, cr.params.MaxLevel())
-	out, err := c.Reference(cr.ev, cr.enc, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := cr.run(t, c, cr.encrypt(t, in, cr.params.MaxLevel()))
 	if e := maxErr(cr.decrypt(t, out), wantSlots); e > 1e-3 {
 		t.Fatalf("error vs plain layernorm %g", e)
 	}
@@ -389,11 +420,7 @@ func TestFusion(t *testing.T) {
 		y[i] *= 2.5
 	}
 	in := replicate(base, cr.params.Slots())
-	ct := cr.encrypt(t, in, cr.params.MaxLevel())
-	out, err := c.Reference(cr.ev, cr.enc, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := cr.run(t, c, cr.encrypt(t, in, cr.params.MaxLevel()))
 	if e := maxErr(cr.decrypt(t, out), replicate(y, cr.params.Slots())); e > 1e-4 {
 		t.Fatalf("fused result error %g", e)
 	}
@@ -451,11 +478,7 @@ func TestLogregEndToEnd(t *testing.T) {
 		want[i] = complex(sig, 0)
 	}
 
-	ct := cr.encrypt(t, in, cr.params.MaxLevel())
-	out, err := c.Reference(cr.ev, cr.enc, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := cr.run(t, c, cr.encrypt(t, in, cr.params.MaxLevel()))
 	if e := maxErr(cr.decrypt(t, out), want); e > 1e-3 {
 		t.Fatalf("logreg error vs plain sigmoid %g", e)
 	}
@@ -468,7 +491,7 @@ func TestLogregEndToEnd(t *testing.T) {
 // below the program's depth may name a modulus under the bottom of the chain
 // (at level 0 some operand does). That is an error the serving registry's
 // input-level search steps over, not an index panic; every level from the
-// depth up resolves, and a Reference replay from too low a level fails.
+// depth up resolves, and planning from too low a level fails.
 func TestPlaintextScaleBelowDepth(t *testing.T) {
 	m := NewModel("lr", 16)
 	h := m.MatVec(m.Input(), "w", 1, 16, Auto)
@@ -499,9 +522,8 @@ func TestPlaintextScaleBelowDepth(t *testing.T) {
 	if _, err := specs[0].Scale(cr.params, cr.params.MaxLevel()+1); err == nil {
 		t.Fatal("a scale above the chain resolved")
 	}
-	low := cr.encrypt(t, c.MakeInput(rand.New(rand.NewSource(3)), cr.params.Slots()), c.Depth()-1)
-	if _, err := c.Reference(cr.ev, cr.enc, low); err == nil {
-		t.Fatalf("Reference ran from level %d, below the depth %d", c.Depth()-1, c.Depth())
+	if _, err := cr.executor(c, c.Depth()-1); err == nil {
+		t.Fatalf("planned from level %d, below the depth %d", c.Depth()-1, c.Depth())
 	}
 }
 
@@ -526,9 +548,11 @@ func graphRotations(t *testing.T, c *Compiled, maxLevel int) map[int]int {
 	return rots
 }
 
-// TestRotationSetExact: the advertised rotation set is exactly what the
-// emitted circuit consumes — no unused keys, nothing missing — and the
-// BSGS layout emits O(2√d) rotations rather than O(d).
+// TestRotationSetExact: each layout's emitted circuit consumes exactly the
+// rotation offsets it promises — log2(d) for the row-major tree, d-1 for
+// the plain diagonal layout — and BSGS emits O(2√d) distinct rotations
+// rather than O(d). The keys a tenant registers are what the plan reads
+// off this same graph.
 func TestRotationSetExact(t *testing.T) {
 	build := func(name string, rows, cols int, layout Layout) *Compiled {
 		m := NewModel(name, cols)
@@ -539,39 +563,30 @@ func TestRotationSetExact(t *testing.T) {
 		}
 		return c
 	}
-	cases := []*Compiled{
-		build("r1", 1, 16, Auto),
-		build("r2", 16, 16, Diagonal),
-		build("r3", 64, 64, BSGS),
-		build("r4", 5, 13, BSGS),
-		build("r5", 32, 64, BSGS),
+	rotations := func(c *Compiled) map[int]int { return graphRotations(t, c, c.Depth()+1) }
+	if got := rotations(build("r1", 1, 16, Auto)); len(got) != 4 || got[1]*got[2]*got[4]*got[8] != 1 {
+		t.Fatalf("row-major d=16 rotates by %v, want 1, 2, 4 and 8 once each", got)
 	}
-	for _, c := range cases {
-		got := graphRotations(t, c, c.Depth()+1)
-		want := c.Rotations()
-		if len(got) != len(want) {
-			t.Fatalf("%s: graph uses %d distinct rotations, advertises %d (%v vs %v)", c.Name(), len(got), len(want), got, want)
-		}
-		for _, k := range want {
-			if got[k] == 0 {
-				t.Fatalf("%s: advertised rotation %d never used by the circuit", c.Name(), k)
-			}
+	for _, c := range []*Compiled{build("r4", 5, 13, BSGS), build("r5", 32, 64, BSGS)} {
+		d := c.BlockDim()
+		if n := len(rotations(c)); n > int(2*math.Sqrt(float64(d))) {
+			t.Fatalf("%s: BSGS d=%d uses %d rotations, want ≤ 2√d", c.Name(), d, n)
 		}
 	}
 
 	// BSGS acceptance: d=64 must need at most 2√d rotation keys, far
 	// fewer than the d-1 of the plain diagonal method.
-	bsgs := cases[2]
+	bsgs := build("r3", 64, 64, BSGS)
 	d := bsgs.BlockDim()
 	bound := int(2 * math.Sqrt(float64(d)))
-	if n := len(bsgs.Rotations()); n > bound {
+	if n := len(rotations(bsgs)); n > bound {
 		t.Fatalf("BSGS d=%d uses %d rotations, want ≤ 2√d = %d", d, n, bound)
 	}
-	if n := len(bsgs.Rotations()); n >= d-1 {
+	if n := len(rotations(bsgs)); n >= d-1 {
 		t.Fatalf("BSGS d=%d uses %d rotations — no better than plain diagonal", d, n)
 	}
 	diag := build("r6", 64, 64, Diagonal)
-	if n := len(diag.Rotations()); n != d-1 {
+	if n := len(rotations(diag)); n != d-1 {
 		t.Fatalf("plain diagonal d=%d uses %d rotations, expected %d", d, n, d-1)
 	}
 }

@@ -70,7 +70,6 @@ type ptOperand struct {
 	name string
 	base []float64 // length d, replicated across the slot vector
 	sc   scaleExpr
-	off  int // level offset at which the operand is consumed
 }
 
 // values replicates the base block across the slot vector.

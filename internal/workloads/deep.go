@@ -58,8 +58,6 @@ func DeepServeWorkloads() []ServeWorkload {
 	return []ServeWorkload{{
 		Name:        "logreg16-deep",
 		Description: "5 HELR logistic iterations: x ← σ̃(0.5·(x + rot(x,1))), σ̃ cubic (depth 20, needs bootstrapping)",
-		NeedsRelin:  true,
-		Rotations:   []int{1},
 		Plaintexts:  plaintexts,
 		MinLevels:   4 * deepIters,
 		VerifyTol:   5e-2,

@@ -14,9 +14,10 @@ import (
 // functionally-executable programs a serving runtime (internal/serve)
 // compiles once at startup and then evaluates on encrypted requests. They
 // are deliberately sized for the CPU emulator (the functional backend),
-// unlike the compile-only paper workloads above, and each carries a
-// reference implementation against the ckks.Evaluator so clients can
-// verify responses to CKKS precision.
+// unlike the compile-only paper workloads above. Build is a program's
+// only encrypted definition; EvalPlain is its meaning on plain slots, with
+// no crypto in the loop, so clients verify responses to CKKS precision
+// against something that shares no code with the server.
 
 // ServeWorkload is one servable encrypted-inference program.
 type ServeWorkload struct {
@@ -28,16 +29,16 @@ type ServeWorkload struct {
 	// serving runtime instantiates it once per batch slot (one stream per
 	// queued request).
 	Build func(s *dsl.Stream, x *dsl.Ciphertext) *dsl.Ciphertext
-	// Reference computes the same function with the reference evaluator
-	// (used by clients and tests to validate served results). Plaintext
-	// operands are regenerated with ServeWeight, so server and client
-	// agree on model weights without shipping them.
+	// Reference is nil in the catalog. The serving registry sets it on each
+	// compiled Program.Spec to one run of that program's executor on the
+	// given evaluator (input truncated to the program's input level, the
+	// encoder unused). It exists only for the frozen benchmark (bench/),
+	// which still calls it, and goes when bench/ stops calling it.
 	Reference func(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
-	// Rotations lists slot-rotation offsets the circuit uses (clients must
-	// provide the matching rotation keys).
-	Rotations []int
-	// NeedsRelin reports whether the circuit multiplies ciphertexts (needs
-	// the relinearization key).
+	// Rotations and NeedsRelin are ignored: the compiled plan derives the
+	// keys a program needs (serve.Program.Rotations, RequiredKeys). They
+	// stay only because bench/ sets them.
+	Rotations  []int
 	NeedsRelin bool
 	// Plaintexts lists the plaintext operands the circuit consumes. A spec
 	// with only a Name uses the catalog defaults (broadcast ServeWeight at
@@ -50,23 +51,24 @@ type ServeWorkload struct {
 	// MinSlots is the minimum slot count the program's packing needs.
 	MinSlots int
 	// VerifyTol is the per-program decrypt-and-verify tolerance advertised
-	// to clients (0 means the client's global default applies). Deep
-	// circuits accumulate more CKKS noise than one-multiply toys.
+	// to clients: the worst slot error a served result may show against
+	// EvalPlain. Deep circuits accumulate more CKKS noise than
+	// one-multiply toys.
 	VerifyTol float64
 	// MakeInput draws a well-formed request vector for this program (nil
 	// means any full-slot vector works). Tensor programs need replicated
 	// block packing.
 	MakeInput func(rng *rand.Rand, slots int) []complex128
 	// EvalPlain computes the expected result on plain slot values, with no
-	// crypto in the loop — the loadgen decrypt-and-verify ground truth.
-	// nil means clients fall back to the homomorphic Reference.
+	// crypto in the loop: the decrypt-and-verify ground truth of clients
+	// and tests. Every catalog program has one.
 	EvalPlain func(in []complex128) []complex128
 }
 
 // ServeWeight derives the deterministic scalar weight for a named
 // plaintext operand, in [-1, 1]. Both the server (encoding operands into
-// the program registry) and clients (running the reference implementation)
-// derive weights from the operand name alone.
+// the program registry) and EvalPlain derive weights from the operand name
+// alone.
 func ServeWeight(name string) float64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -101,12 +103,6 @@ func ServeParamsLiteral(logN, levels int, seed int64) ckks.ParametersLiteral {
 	}
 }
 
-// encodeWeight encodes the named broadcast weight at the ciphertext's
-// level and the default scale.
-func encodeWeight(enc *ckks.Encoder, params *ckks.Parameters, name string, level int) (*ckks.Plaintext, error) {
-	return enc.Encode(ServeWeightVector(name, params.Slots()), level, params.DefaultScale())
-}
-
 // ServeWorkloads returns the serving catalog: the four toy kernels, the
 // tensor-frontend models (TensorServeWorkloads), and the deep
 // bootstrap-requiring programs (DeepServeWorkloads).
@@ -115,7 +111,7 @@ func ServeWorkloads() []ServeWorkload {
 		{
 			Name:        "square",
 			Description: "y = x^2 (one ct-ct multiply + rescale)",
-			NeedsRelin:  true,
+			VerifyTol:   1e-3,
 			EvalPlain: func(in []complex128) []complex128 {
 				out := make([]complex128, len(in))
 				for i, x := range in {
@@ -126,18 +122,11 @@ func ServeWorkloads() []ServeWorkload {
 			Build: func(s *dsl.Stream, x *dsl.Ciphertext) *dsl.Ciphertext {
 				return x.Mul(x).Rescale()
 			},
-			Reference: func(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-				y, err := ev.MulRelin(ct, ct)
-				if err != nil {
-					return nil, err
-				}
-				return ev.Rescale(y)
-			},
 		},
 		{
 			Name:        "quartic",
 			Description: "y = x^4 (depth-2 multiply chain)",
-			NeedsRelin:  true,
+			VerifyTol:   1e-3,
 			EvalPlain: func(in []complex128) []complex128 {
 				out := make([]complex128, len(in))
 				for i, x := range in {
@@ -149,50 +138,40 @@ func ServeWorkloads() []ServeWorkload {
 				sq := x.Mul(x).Rescale()
 				return sq.Mul(sq).Rescale()
 			},
-			Reference: func(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-				sq, err := ev.MulRelin(ct, ct)
-				if err != nil {
-					return nil, err
-				}
-				if sq, err = ev.Rescale(sq); err != nil {
-					return nil, err
-				}
-				q, err := ev.MulRelin(sq, sq)
-				if err != nil {
-					return nil, err
-				}
-				return ev.Rescale(q)
-			},
 		},
 		{
 			Name:        "rotsum",
 			Description: "y = sum_k rot(x,k), k in {1,2,4} (rotation keyswitches only)",
-			Rotations:   []int{1, 2, 4},
-			Build: func(s *dsl.Stream, x *dsl.Ciphertext) *dsl.Ciphertext {
-				return x.SumRotations([]int{1, 2, 4})
-			},
-			Reference: func(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-				var acc *ckks.Ciphertext
+			VerifyTol:   1e-3,
+			EvalPlain: func(in []complex128) []complex128 {
+				out := make([]complex128, len(in))
 				for _, k := range []int{1, 2, 4} {
-					r, err := ev.Rotate(ct, k)
-					if err != nil {
-						return nil, err
-					}
-					if acc == nil {
-						acc = r
-					} else if acc, err = ev.Add(acc, r); err != nil {
-						return nil, err
+					for i, x := range rotatePlain(in, k) {
+						out[i] += x
 					}
 				}
-				return acc, nil
+				return out
+			},
+			Build: func(s *dsl.Stream, x *dsl.Ciphertext) *dsl.Ciphertext {
+				return x.SumRotations([]int{1, 2, 4})
 			},
 		},
 		{
 			Name:        "wavg4",
 			Description: "y = sum_k w_k*rot(x,k), k in {0..3} (plaintext-weighted sliding window)",
-			Rotations:   []int{1, 2, 3},
+			VerifyTol:   1e-3,
 			Plaintexts: []tensor.PlaintextSpec{
 				{Name: "wavg4.w0"}, {Name: "wavg4.w1"}, {Name: "wavg4.w2"}, {Name: "wavg4.w3"},
+			},
+			EvalPlain: func(in []complex128) []complex128 {
+				out := make([]complex128, len(in))
+				for k := 0; k < 4; k++ {
+					w := complex(ServeWeight(fmt.Sprintf("wavg4.w%d", k)), 0)
+					for i, x := range rotatePlain(in, k) {
+						out[i] += w * x
+					}
+				}
+				return out
 			},
 			Build: func(s *dsl.Stream, x *dsl.Ciphertext) *dsl.Ciphertext {
 				acc := x.MulPlain("wavg4.w0")
@@ -201,35 +180,19 @@ func ServeWorkloads() []ServeWorkload {
 				}
 				return acc.Rescale()
 			},
-			Reference: func(ev *ckks.Evaluator, enc *ckks.Encoder, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-				params := ev.Params()
-				var acc *ckks.Ciphertext
-				for k := 0; k < 4; k++ {
-					r := ct
-					var err error
-					if k > 0 {
-						if r, err = ev.Rotate(ct, k); err != nil {
-							return nil, err
-						}
-					}
-					pt, err := encodeWeight(enc, params, fmt.Sprintf("wavg4.w%d", k), r.Level())
-					if err != nil {
-						return nil, err
-					}
-					term, err := ev.MulPlain(r, pt)
-					if err != nil {
-						return nil, err
-					}
-					if acc == nil {
-						acc = term
-					} else if acc, err = ev.Add(acc, term); err != nil {
-						return nil, err
-					}
-				}
-				return ev.Rescale(acc)
-			},
 		},
 	}, append(TensorServeWorkloads(), DeepServeWorkloads()...)...)
+}
+
+// rotatePlain is a full-slot cyclic rotation, out[i] = in[(i+k) mod n]:
+// what a CKKS rotation by k does to the slot vector.
+func rotatePlain(in []complex128, k int) []complex128 {
+	n := len(in)
+	out := make([]complex128, n)
+	for i := range out {
+		out[i] = in[(i+k)%n]
+	}
+	return out
 }
 
 // ServeWorkloadByName looks a catalog entry up.

@@ -36,8 +36,8 @@ func XformModel() *tensor.Model {
 }
 
 // tensorServeWorkload adapts a compiled tensor model into a catalog
-// entry: the compiled artifacts (dsl emitter, reference replay, plain
-// evaluation, exact rotation set and plaintext scales) are the workload.
+// entry: the compiled artifacts (dsl emitter, plain evaluation and
+// plaintext scales) are the workload.
 func tensorServeWorkload(m *tensor.Model, desc string, tol float64) ServeWorkload {
 	c, err := tensor.Compile(m)
 	if err != nil {
@@ -49,9 +49,6 @@ func tensorServeWorkload(m *tensor.Model, desc string, tol float64) ServeWorkloa
 		Name:        c.Name(),
 		Description: desc,
 		Build:       c.Build,
-		Reference:   c.Reference,
-		Rotations:   c.Rotations(),
-		NeedsRelin:  c.NeedsRelin(),
 		Plaintexts:  c.PlaintextSpecs(),
 		MinLevels:   c.Depth(),
 		MinSlots:    c.BlockDim(),
