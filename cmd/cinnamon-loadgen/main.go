@@ -131,6 +131,18 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 	if len(targets) == 0 {
 		return fmt.Errorf("no program %q on the server (have %d programs)", program, len(infos))
 	}
+	// Each target's plaintext model, resolved once: building the local
+	// catalog recompiles its tensor models. A program the catalog lacks
+	// has no entry and cannot be verified.
+	specs := map[string]*workloads.ServeWorkload{}
+	catalog := workloads.ServeWorkloads()
+	for i := range catalog {
+		for _, info := range targets {
+			if catalog[i].Name == info.Name {
+				specs[info.Name] = &catalog[i]
+			}
+		}
+	}
 
 	// Many-tenant churn mode: N tenants, each with its own independently
 	// generated key bundle, with the open loop drawing the sending tenant
@@ -161,7 +173,7 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 		if program == "all" || len(targets) != 1 {
 			return fmt.Errorf("session mode needs -program naming one program")
 		}
-		return c.runSessions(targets[0], sessions, sessionSteps, seed, maxSlotErr, stepRetries, stepBackoff, stepInterval)
+		return c.runSessions(targets[0], specs[targets[0].Name], sessions, sessionSteps, seed, maxSlotErr, stepRetries, stepBackoff, stepInterval)
 	}
 
 	// Open loop: arrivals are scheduled by a Poisson process from the
@@ -205,10 +217,10 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 		}
 		perTenant[ti]++
 		wg.Add(1)
-		go func(i int, cl *client, info serve.ProgramInfo, tol float64) {
+		go func(i int, cl *client, info serve.ProgramInfo, spec *workloads.ServeWorkload, tol float64) {
 			defer wg.Done()
-			results[i] = cl.fire(info, payloadSeed, verify, tol)
-		}(i, cl, info, tol)
+			results[i] = cl.fire(info, spec, payloadSeed, verify, tol)
+		}(i, cl, info, specs[info.Name], tol)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -228,9 +240,9 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 			cl.Healthy, cl.Workers, cl.Broadcasts, float64(cl.BytesSent)/1e6, snap.EmulatorFallbacks)
 	}
 	if kc := snap.KeyCache; kc != nil {
-		fmt.Printf("  key cache: %d resident + %d spilled tenants, %.1f MB resident (budget %.1f MB), %d hits, %d misses, %d evictions, %d cold-miss stalls\n",
+		fmt.Printf("  key cache: %d resident + %d spilled tenants, %.1f MB resident (budget %.1f MB), %d hits, %d misses, %d evictions, %d admissions declined, %d cold-miss stalls\n",
 			kc.ResidentTenants, kc.SpilledTenants, float64(kc.ResidentBytes)/1e6, float64(kc.BudgetBytes)/1e6,
-			kc.Hits, kc.Misses, kc.Evictions, kc.ColdMissStalls)
+			kc.Hits, kc.Misses, kc.Evictions, kc.AdmissionsDeclined, kc.ColdMissStalls)
 	}
 	if len(clients) > 1 {
 		fmt.Printf("tenant draws (%s):", tenantSkew)
@@ -349,9 +361,8 @@ func (c *client) stepWithRetry(id string, body []byte, maxRetries int, backoff t
 // backoff and their verification is reported separately (a resumed
 // session must verify exactly like an uninterrupted one). Any violation
 // or exhausted step exits nonzero.
-func (c *client) runSessions(info serve.ProgramInfo, sessions, steps int, seed int64, maxSlotErr float64, stepRetries int, stepBackoff, stepInterval time.Duration) error {
-	spec, ok := workloads.ServeWorkloadByName(info.Name)
-	if !ok {
+func (c *client) runSessions(info serve.ProgramInfo, spec *workloads.ServeWorkload, sessions, steps int, seed int64, maxSlotErr float64, stepRetries int, stepBackoff, stepInterval time.Duration) error {
+	if spec == nil {
 		return fmt.Errorf("session mode needs a plaintext reference for %q: not in the local catalog", info.Name)
 	}
 	tol := info.VerifyTolerance
@@ -572,12 +583,12 @@ func (c *client) registerKeys() error {
 
 // fire sends one encrypted request and (optionally) verifies the
 // decrypted response against the catalog's plaintext model (EvalPlain): no
-// crypto in the ground truth.
-func (c *client) fire(info serve.ProgramInfo, seed int64, verify bool, tol float64) result {
-	spec, hasSpec := workloads.ServeWorkloadByName(info.Name)
+// crypto in the ground truth. spec is nil for a program the local catalog
+// lacks.
+func (c *client) fire(info serve.ProgramInfo, spec *workloads.ServeWorkload, seed int64, verify bool, tol float64) result {
 	rng := rand.New(rand.NewSource(seed))
 	var v []complex128
-	if hasSpec && spec.MakeInput != nil {
+	if spec != nil && spec.MakeInput != nil {
 		// Programs with packing requirements (replicated block layouts)
 		// draw a well-formed input instead of slot noise.
 		v = spec.MakeInput(rng, c.params.Slots())
@@ -628,7 +639,7 @@ func (c *client) fire(info serve.ProgramInfo, seed int64, verify bool, tol float
 
 	res := result{ok: true, status: resp.StatusCode, latency: latency, program: info.Name, tol: tol}
 	if verify {
-		if !hasSpec {
+		if spec == nil {
 			res.transport = fmt.Errorf("no local reference for %q", info.Name)
 			res.ok = false
 			return res

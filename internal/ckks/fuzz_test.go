@@ -222,3 +222,53 @@ func TestReadEvalKeyHostileHeaderAllocCeiling(t *testing.T) {
 		t.Fatalf("hostile evaluation key header allocated %.0f bytes, ceiling 64 KiB", per)
 	}
 }
+
+// FuzzReadEvalKeySources: the decoder's two sources agree. Over any bytes,
+// ReadEvalKey on an io.Reader and a Decoder reading the slice in place
+// decode equal keys or both fail, and the in-place key does not alias the
+// slice it was read from.
+func FuzzReadEvalKeySources(f *testing.F) {
+	params, _ := smallMarshalContext(f)
+	kg := NewKeyGenerator(params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := rlk.Append(nil)
+	f.Add(valid)
+	f.Add([]byte{})
+	for _, cut := range []int{1, 8, 9, 32, 40, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Add(append(bytes.Clone(valid), 0xff)) // a trailing byte neither reads
+	outOfRange := bytes.Clone(valid)
+	for i := 8 + polyHeaderLen + 8; i < 8+polyHeaderLen+16; i++ {
+		outOfRange[i] = 0xff // the first coefficient, above every modulus
+	}
+	f.Add(outOfRange)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, errR := ReadEvalKey(bytes.NewReader(data), params)
+		buf := bytes.Clone(data)
+		got, errS := NewSliceDecoder(buf).EvalKey(params)
+		if (errR == nil) != (errS == nil) {
+			t.Fatalf("reader source: %v, slice source: %v", errR, errS)
+		}
+		if errR != nil {
+			return
+		}
+		clear(buf)
+		if len(got.B) != len(want.B) {
+			t.Fatalf("%d digits from the slice, %d from the reader", len(got.B), len(want.B))
+		}
+		for d := range want.B {
+			if !got.B[d].Equal(want.B[d]) || !got.A[d].Equal(want.A[d]) {
+				t.Fatalf("digit %d differs between the sources (or aliases the slice)", d)
+			}
+		}
+	})
+}

@@ -19,11 +19,13 @@ import (
 //
 // There is one encoder (Append, which Write wraps: it appends into the
 // writer's own free space when the writer exposes it) and one decoder
-// (polyReader, behind ReadCiphertext and ReadEvalKey). The decoder knows
-// the basis every caller expects, so it rejects a header whose limb count
-// or ring dimension the parameter set cannot hold before it allocates, and
-// checks each limb's modulus against that basis and each coefficient
-// against its modulus in the decode loop itself.
+// (polyReader, behind ReadCiphertext, ReadEvalKey and Decoder), which
+// reads either an io.Reader through one scratch buffer or a byte slice in
+// place. The decoder knows the basis every caller expects, so it rejects
+// a header whose limb count or ring dimension the parameter set cannot
+// hold before it allocates, and checks each limb's modulus against that
+// basis and each coefficient against its modulus in the decode loop
+// itself.
 
 const ctMagic = 0x43494e31 // "CIN1"
 
@@ -75,15 +77,30 @@ func appendPoly(b []byte, p *ring.Poly) []byte {
 	return b
 }
 
-// polyReader decodes one stream through a single reusable scratch buffer.
+// polyReader decodes one stream: from r through a single reusable scratch
+// buffer, or, when r is nil, from src in place.
 type polyReader struct {
 	r       io.Reader
 	scratch []byte
+	src     []byte
 }
 
-// next reads exactly n bytes into the scratch buffer and returns them; the
-// slice is valid until the following call.
+// next returns the stream's next n bytes: a subslice of src, or the
+// scratch buffer filled from r, valid until the following call. A short
+// source fails as io.ReadFull does: io.EOF when nothing is left,
+// io.ErrUnexpectedEOF when part of the n bytes is.
 func (pr *polyReader) next(n int) ([]byte, error) {
+	if pr.r == nil {
+		if len(pr.src) < n {
+			if len(pr.src) == 0 {
+				return nil, io.EOF
+			}
+			return nil, io.ErrUnexpectedEOF
+		}
+		b := pr.src[:n:n]
+		pr.src = pr.src[n:]
+		return b, nil
+	}
 	if cap(pr.scratch) < n {
 		pr.scratch = make([]byte, n)
 	}
@@ -217,6 +234,29 @@ func (k *EvalKey) Write(w io.Writer) error {
 // Every digit must be over Q∪P.
 func ReadEvalKey(r io.Reader, params *Parameters) (*EvalKey, error) {
 	pr := polyReader{r: r}
+	return pr.readEvalKey(params)
+}
+
+// Decoder reads a run of fields and evaluation keys from one source, for
+// formats that carry keys among fields of their own (serve's key bundle,
+// the cluster's key push). A Decoder over a byte slice reads it in place:
+// Next returns subslices of it, and EvalKey copies each coefficient out of
+// it once, so the keys it returns never alias the slice.
+type Decoder struct{ pr polyReader }
+
+// NewDecoder decodes from r through one scratch buffer.
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{polyReader{r: r}} }
+
+// NewSliceDecoder decodes b in place.
+func NewSliceDecoder(b []byte) *Decoder { return &Decoder{polyReader{src: b}} }
+
+// Next returns the next n bytes, valid until the following call.
+func (d *Decoder) Next(n int) ([]byte, error) { return d.pr.next(n) }
+
+// EvalKey decodes the next evaluation key, with ReadEvalKey's checks.
+func (d *Decoder) EvalKey(params *Parameters) (*EvalKey, error) { return d.pr.readEvalKey(params) }
+
+func (pr *polyReader) readEvalKey(params *Parameters) (*EvalKey, error) {
 	hdr, err := pr.next(8)
 	if err != nil {
 		return nil, err

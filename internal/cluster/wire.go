@@ -445,24 +445,11 @@ func decodeSetKey(p []byte, params *ckks.Parameters) (uint64, *ckks.EvalKey, err
 	if c.err != nil {
 		return 0, nil, c.err
 	}
-	k, err := ckks.ReadEvalKey(readerBuf{&c.b}, params)
+	k, err := ckks.NewSliceDecoder(c.b).EvalKey(params)
 	if err != nil {
 		return 0, nil, err
 	}
 	return id, k, nil
-}
-
-// readerBuf adapts the ckks decoder (an io.Reader) to an in-memory frame
-// payload without an extra copy layer.
-type readerBuf struct{ b *[]byte }
-
-func (r readerBuf) Read(p []byte) (int, error) {
-	if len(*r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, *r.b)
-	*r.b = (*r.b)[n:]
-	return n, nil
 }
 
 // --- ksBegin ---

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"fmt"
 	"sync"
@@ -19,7 +18,17 @@ import (
 // store immediately, so eviction is just dropping the decoded map, and a
 // later access reloads + deserializes it (deduplicated across concurrent
 // callers, so a cold tenant costs one disk read no matter how many
-// requests pile up behind it).
+// requests pile up behind it, whether or not the reload stays resident).
+//
+// A frequency gate stands in front of the LRU (TinyLFU admission): every
+// tenant carries an aged access count, and a reloaded map becomes resident
+// only if its tenant's count is strictly greater than that of every
+// resident the budget would evict for it. A declined map serves the
+// requests that asked for it and leaves with them, so one-off tenants
+// cannot push the hot ones out. The counts halve every agingPeriod
+// acquisitions per registered tenant, which lets a tenant that turns hot
+// overtake one that cooled off; the period scales with the tenant count,
+// so it is not a knob.
 //
 // The cache is also the one owner of what cluster workers hold (see
 // keySet and onEvict).
@@ -27,9 +36,9 @@ import (
 // Budget accounting uses the serialized bundle length as the residency
 // cost proxy — it tracks the decoded footprint within a small constant
 // factor and is exact, cheap and stable across runs. Budget 0 means
-// unbounded: no serialization, no spill, no eviction — byte-for-byte the
-// pre-cache behavior, which keeps single-tenant deployments and the test
-// suite on the zero-overhead path.
+// unbounded: no serialization, no spill, no eviction, no access counts —
+// byte-for-byte the pre-cache behavior, which keeps single-tenant
+// deployments and the test suite on the zero-overhead path.
 type keyCache struct {
 	params *ckks.Parameters
 	store  *keyStore // nil iff unbounded
@@ -46,16 +55,22 @@ type keyCache struct {
 	// without bound. Only populated when store != nil.
 	hashRefs map[string]int
 
-	inflight map[string]chan struct{} // closed when a spill load completes
+	// ticks counts acquisitions since the access counts were last halved.
+	ticks int
 
 	// onEvict, when set (NewDurableCore, before any request), fires off-lock
 	// once for every decoded map that has left the cache and has no holder
 	// left, so cluster backends can invalidate the worker-resident keys.
 	onEvict func(id string, keys map[string]*ckks.EvalKey)
 
+	// testBeforeLoad, when set (tests only), runs before a spill reload
+	// reads the store.
+	testBeforeLoad func()
+
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	declined  atomic.Int64 // reloads the frequency gate kept out of the cache
 	stalls    atomic.Int64 // cold misses that blocked a caller (successfully)
 	loadFails atomic.Int64 // spill reloads that failed; the tenant is dropped
 	stallHist Histogram
@@ -68,14 +83,32 @@ type tenantEntry struct {
 	names map[string]bool // key-id set, for admission-time validation
 	keys  *keySet         // decoded keys when resident, nil when spilled
 	elem  *list.Element   // LRU position when resident, nil when spilled
+	freq  int             // aged access count, for the frequency gate
+	load  *pendingLoad    // the spill reload in flight, if any
 }
+
+// pendingLoad is one spill reload and the callers blocked on it. Each
+// waiter is counted under keyCache.mu before it blocks, and the loader
+// gives the loaded map one hold per waiter, plus its own, before done
+// closes: so a map the gate declines is shared by every caller that asked
+// for it, and its eviction hook fires once, after the last of them.
+type pendingLoad struct {
+	done    chan struct{}
+	waiters int
+	ks      *keySet // set before done closes; nil when the load failed
+}
+
+// agingPeriod is how many acquisitions per registered tenant pass between
+// two halvings of the access counts.
+const agingPeriod = 16
 
 // keySet is one decoded key map and the runs holding it (acquire takes a
 // hold, release gives it back; holds and gone are guarded by keyCache.mu).
 // A map leaves the cache (gone) by LRU eviction or when a re-registration
-// supersedes it; onEvict fires for it once no run holds it — at once, or at
-// the last release — so worker keys outlive neither the cache entry nor
-// the last run that could push them.
+// supersedes it, and a reloaded map the gate declines never enters it;
+// onEvict fires for it once no run holds it — at once, or at the last
+// release — so worker keys outlive neither the cache entry nor the last
+// run that could push them.
 type keySet struct {
 	id    string
 	m     map[string]*ckks.EvalKey
@@ -91,12 +124,12 @@ func newKeyCache(params *ckks.Parameters, budget int64, store *keyStore) *keyCac
 		tenants:  map[string]*tenantEntry{},
 		lru:      list.New(),
 		hashRefs: map[string]int{},
-		inflight: map[string]chan struct{}{},
 	}
 }
 
 // register installs (or replaces) a tenant: spill the serialized bundle
-// write-through, then make the decoded map resident.
+// write-through, then make the decoded map resident. Registration bypasses
+// the gate, and a re-registration keeps the tenant's access count.
 func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 	e := &tenantEntry{id: id, keys: &keySet{id: id, m: keys}, names: make(map[string]bool, len(keys))}
 	for name := range keys {
@@ -134,6 +167,7 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 		// The superseded bundle's spill file is garbage once no other
 		// tenant references its hash.
 		c.releaseHashLocked(old.hash)
+		e.freq = old.freq
 	}
 	c.tenants[id] = e
 	e.elem = c.lru.PushFront(e)
@@ -171,6 +205,7 @@ func (c *keyCache) acquire(id string) (*keySet, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
+	c.countLocked(e)
 	if ks := e.keys; ks != nil {
 		c.hits.Add(1)
 		c.touchLocked(e)
@@ -180,7 +215,7 @@ func (c *keyCache) acquire(id string) (*keySet, bool) {
 	}
 	c.misses.Add(1)
 	start := time.Now()
-	ks, ok := c.loadLocked(id)
+	ks, ok := c.loadLocked(e)
 	// Failed loads are metered as loadFails, not stalls: a disk error is
 	// not a cold-miss latency sample and would skew the histogram.
 	if ok {
@@ -188,6 +223,23 @@ func (c *keyCache) acquire(id string) (*keySet, bool) {
 		c.stallHist.Observe(time.Since(start))
 	}
 	return ks, ok
+}
+
+// countLocked adds one to e's access count and halves every tenant's
+// count once agingPeriod acquisitions per registered tenant have passed.
+// Without a budget nothing is evicted and nothing reads the counts, so
+// the unbounded cache skips them.
+func (c *keyCache) countLocked(e *tenantEntry) {
+	if c.budget <= 0 {
+		return
+	}
+	e.freq++
+	if c.ticks++; c.ticks >= agingPeriod*len(c.tenants) {
+		c.ticks = 0
+		for _, t := range c.tenants {
+			t.freq /= 2
+		}
+	}
 }
 
 // release gives back a hold taken by acquire. The last holder of a map
@@ -226,48 +278,40 @@ func (c *keyCache) keyNames(id string) (map[string]bool, bool) {
 	return e.names, true
 }
 
-// loadLocked resolves a spilled tenant under a hold, deduplicating
-// concurrent loads. Called with c.mu held; returns with it released.
-func (c *keyCache) loadLocked(id string) (*keySet, bool) {
-	for {
-		e, ok := c.tenants[id]
-		if !ok {
-			c.mu.Unlock()
-			return nil, false
-		}
-		if ks := e.keys; ks != nil {
-			c.touchLocked(e)
-			ks.holds++
-			c.mu.Unlock()
-			return ks, true
-		}
-		if ch, busy := c.inflight[id]; busy {
-			c.mu.Unlock()
-			<-ch
-			c.mu.Lock()
-			continue
-		}
-		ch := make(chan struct{})
-		c.inflight[id] = ch
-		hash, size := e.hash, e.size
+// loadLocked resolves a spilled tenant under a hold, joining the reload
+// in flight for e if there is one. Called with c.mu held; returns with it
+// released.
+func (c *keyCache) loadLocked(e *tenantEntry) (*keySet, bool) {
+	if ld := e.load; ld != nil {
+		ld.waiters++
 		c.mu.Unlock()
-		return c.completeLoad(id, e, ch, hash, size)
+		<-ld.done
+		return ld.ks, ld.ks != nil
 	}
+	ld := &pendingLoad{done: make(chan struct{})}
+	e.load = ld
+	c.mu.Unlock()
+	return c.completeLoad(e, ld)
 }
 
-// completeLoad reads the spill file, deserializes, and installs the keys
-// with the caller's hold on them (unless the tenant re-registered meanwhile
-// — the fresh registration wins, and the caller's map is out of the cache
-// from the start). Callers must hold the inflight slot; it is released here.
-func (c *keyCache) completeLoad(id string, e *tenantEntry, ch chan struct{}, hash string, size int64) (*keySet, bool) {
-	var keys map[string]*ckks.EvalKey
-	bundle, err := c.store.Load(hash)
-	if err == nil {
-		keys, err = ReadKeyBundle(bytes.NewReader(bundle), c.params)
+// completeLoad reads the spill file, deserializes, and hands the map to
+// the loader and every waiter with a hold each. The map becomes resident
+// only if the gate admits it and the tenant has not re-registered
+// meanwhile (the fresh registration wins); otherwise it is out of the
+// cache from the start, and its last release fires the eviction hook.
+func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool) {
+	if c.testBeforeLoad != nil {
+		c.testBeforeLoad()
 	}
+	var keys map[string]*ckks.EvalKey
+	err := c.store.Load(e.hash, func(bundle []byte) (err error) {
+		// The decode reads bundle in place; the keys are copies.
+		keys, err = readKeyBundle(ckks.NewSliceDecoder(bundle), c.params)
+		return err
+	})
 	c.mu.Lock()
-	delete(c.inflight, id)
-	close(ch)
+	e.load = nil
+	current := c.tenants[e.id] == e
 	if err != nil {
 		// A tenant whose spill bundle cannot be read back is dropped
 		// outright: leaving its metadata behind would keep admission
@@ -275,27 +319,54 @@ func (c *keyCache) completeLoad(id string, e *tenantEntry, ch chan struct{}, has
 		// each one with a misleading "unknown tenant". Dropping makes
 		// admission and execution agree — the tenant is unknown,
 		// re-register — and releases the broken bundle's spill file.
-		if cur, ok := c.tenants[id]; ok && cur == e && cur.keys == nil {
-			delete(c.tenants, id)
-			c.releaseHashLocked(cur.hash)
+		if current {
+			delete(c.tenants, e.id)
+			c.releaseHashLocked(e.hash)
 		}
 		c.loadFails.Add(1)
+		close(ld.done)
 		c.mu.Unlock()
 		return nil, false
 	}
-	ks := &keySet{id: id, m: keys, holds: 1}
+	ks := &keySet{id: e.id, m: keys, holds: 1 + ld.waiters}
+	ld.ks = ks
 	var due []*keySet
-	if cur, ok := c.tenants[id]; ok && cur == e && cur.keys == nil {
-		cur.keys = ks
-		c.resident += size
-		c.touchLocked(cur)
+	switch {
+	case !current:
+		ks.gone = true // re-registered meanwhile
+	case !c.admitLocked(e):
+		ks.gone = true
+		c.declined.Add(1)
+	default:
+		e.keys = ks
+		c.resident += e.size
+		c.touchLocked(e)
 		due = c.enforceBudgetLocked()
-	} else {
-		ks.gone = true // re-registered meanwhile: the map never enters the cache
 	}
+	close(ld.done)
 	c.mu.Unlock()
 	c.fireEvictHooks(due)
 	return ks, true
+}
+
+// admitLocked is the frequency gate. It walks the LRU from its tail over
+// the entries enforceBudgetLocked would evict to make room for e, and
+// admits e only if e's access count is strictly greater than each of
+// theirs: a tie keeps the resident tenant. A bundle larger than the whole
+// budget is never admitted.
+func (c *keyCache) admitLocked(e *tenantEntry) bool {
+	if e.size > c.budget {
+		return false
+	}
+	need := c.resident + e.size - c.budget
+	for el := c.lru.Back(); need > 0 && el != nil; el = el.Prev() {
+		victim := el.Value.(*tenantEntry)
+		if victim.freq >= e.freq {
+			return false
+		}
+		need -= victim.size
+	}
+	return true
 }
 
 func (c *keyCache) touchLocked(e *tenantEntry) {
@@ -360,6 +431,9 @@ type KeyCacheStats struct {
 	// SpillLoadFails counts spill reloads that failed (disk error,
 	// corruption); each one drops its tenant, who must re-register.
 	SpillLoadFails int64 `json:"spill_load_failures"`
+	// AdmissionsDeclined counts spill reloads the frequency gate kept out
+	// of the cache: each served the requests that asked for it and left.
+	AdmissionsDeclined int64 `json:"admissions_declined"`
 }
 
 func (c *keyCache) stats() KeyCacheStats {
@@ -374,6 +448,7 @@ func (c *keyCache) stats() KeyCacheStats {
 	s.Hits = c.hits.Load()
 	s.Misses = c.misses.Load()
 	s.Evictions = c.evictions.Load()
+	s.AdmissionsDeclined = c.declined.Load()
 	s.ColdMissStalls = c.stalls.Load()
 	s.SpillLoadFails = c.loadFails.Load()
 	if s.ColdMissStalls > 0 {

@@ -39,7 +39,7 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 	if err := store.Save(hash, bundle); err != nil {
 		t.Fatalf("idempotent save: %v", err)
 	}
-	got, err := store.Load(hash)
+	got, err := loadCopy(store, hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 	if err := store.Save(empty, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := store.Load(empty); err != nil || len(got) != 0 {
+	if got, err := loadCopy(store, empty); err != nil || len(got) != 0 {
 		t.Fatalf("empty bundle: %d bytes, %v", len(got), err)
 	}
 
@@ -66,12 +66,12 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Load(hash); err == nil {
+	if _, err := loadCopy(store, hash); err == nil {
 		t.Fatal("corrupted spill file loaded without error")
 	}
 
 	// Loading an address that was never saved fails cleanly.
-	if _, err := store.Load(bundleHash([]byte("absent"))); err == nil {
+	if _, err := loadCopy(store, bundleHash([]byte("absent"))); err == nil {
 		t.Fatal("load of unknown hash succeeded")
 	}
 }

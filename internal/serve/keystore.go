@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"cinnamon/internal/cluster"
 )
@@ -39,6 +41,13 @@ const (
 // keyStore is the content-addressed on-disk spill store.
 type keyStore struct {
 	dir string
+
+	// free holds the file buffers of finished loads for the next ones to
+	// read into: a load takes one (or makes one) and puts it back when it
+	// is done, so the store keeps at most as many buffers as loads have
+	// run at once, each as large as the largest file it has read.
+	mu   sync.Mutex
+	free [][]byte
 }
 
 func newKeyStore(dir string) (*keyStore, error) {
@@ -112,27 +121,76 @@ func (s *keyStore) Remove(hash string) {
 	os.Remove(s.path(hash))
 }
 
-// Load reads a spilled bundle back with one file read, then checks it in
-// place: every frame's length and CRC (the cluster codec's rule), the
-// announced total, and the SHA-256 content address. The returned bytes are
-// the exact WriteKeyBundle image that was saved; for a one-chunk file they
-// are a subslice of the file's bytes, not a copy.
-func (s *keyStore) Load(hash string) ([]byte, error) {
-	raw, err := os.ReadFile(s.path(hash))
+// Load reads a spilled bundle back with one file read into a buffer the
+// store recycles, checks it in place — every frame's length and CRC (the
+// cluster codec's rule), the announced total, and the SHA-256 content
+// address — and hands use the exact WriteKeyBundle image that was saved:
+// for a one-chunk file a subslice of the buffer, not a copy. The image is
+// use's only for the call; what use keeps must not alias it.
+func (s *keyStore) Load(hash string, use func(bundle []byte) error) error {
+	raw, err := readFileInto(s.path(hash), s.takeBuffer())
+	defer s.putBuffer(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bundle, err := unframeSpill(raw)
 	if err != nil {
-		return nil, fmt.Errorf("serve: spill %s: %w", hash[:12], err)
+		return fmt.Errorf("serve: spill %s: %w", hash[:12], err)
 	}
 	// The address is the proof: a store that returns bytes not hashing to
 	// the requested address has been corrupted in a way the per-frame CRCs
 	// missed (or tampered with), and must not be deserialized.
 	if got := bundleHash(bundle); got != hash {
-		return nil, fmt.Errorf("serve: spill %s: content hash mismatch (%s)", hash[:12], got[:12])
+		return fmt.Errorf("serve: spill %s: content hash mismatch (%s)", hash[:12], got[:12])
 	}
-	return bundle, nil
+	return use(bundle)
+}
+
+func (s *keyStore) takeBuffer() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	buf := s.free[n-1]
+	s.free = s.free[:n-1]
+	return buf
+}
+
+func (s *keyStore) putBuffer(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	s.mu.Lock()
+	s.free = append(s.free, buf[:0])
+	s.mu.Unlock()
+}
+
+// readFileInto reads the whole file at path into buf, growing it when the
+// file is larger, and returns the file's bytes: exactly its length as
+// stat reports it, so no byte of an earlier, longer file shows past them.
+// Spill files are renamed into place whole and never written again, so an
+// open file's length cannot change under the read.
+func readFileInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf[:0], err
+	}
+	size := fi.Size()
+	if int64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return buf[:0], err
+	}
+	return buf, nil
 }
 
 // unframeSpill checks a spill file's frames in place and returns the

@@ -368,8 +368,12 @@ func appendKeyBundle(b []byte, keys map[string]*ckks.EvalKey) ([]byte, error) {
 // ReadKeyBundle parses an untrusted key bundle, validating every key
 // against the parameter set.
 func ReadKeyBundle(r io.Reader, params *ckks.Parameters) (map[string]*ckks.EvalKey, error) {
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	return readKeyBundle(ckks.NewDecoder(r), params)
+}
+
+func readKeyBundle(d *ckks.Decoder, params *ckks.Parameters) (map[string]*ckks.EvalKey, error) {
+	hdr, err := d.Next(8)
+	if err != nil {
 		return nil, err
 	}
 	if magic := binary.LittleEndian.Uint32(hdr); magic != keyBundleMagic {
@@ -381,22 +385,24 @@ func ReadKeyBundle(r io.Reader, params *ckks.Parameters) (map[string]*ckks.EvalK
 	}
 	keys := make(map[string]*ckks.EvalKey, count)
 	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(r, hdr[:2]); err != nil {
+		hdr, err := d.Next(2)
+		if err != nil {
 			return nil, err
 		}
 		nameLen := binary.LittleEndian.Uint16(hdr)
 		if nameLen == 0 || nameLen > 1<<8 {
 			return nil, fmt.Errorf("serve: implausible key name length %d", nameLen)
 		}
-		nameBytes := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, nameBytes); err != nil {
+		nameBytes, err := d.Next(int(nameLen))
+		if err != nil {
 			return nil, err
 		}
-		key, err := ckks.ReadEvalKey(r, params)
+		name := string(nameBytes)
+		key, err := d.EvalKey(params)
 		if err != nil {
-			return nil, fmt.Errorf("serve: key %q: %w", nameBytes, err)
+			return nil, fmt.Errorf("serve: key %q: %w", name, err)
 		}
-		keys[string(nameBytes)] = key
+		keys[name] = key
 	}
 	return keys, nil
 }
