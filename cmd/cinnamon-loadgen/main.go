@@ -240,9 +240,9 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 			cl.Healthy, cl.Workers, cl.Broadcasts, float64(cl.BytesSent)/1e6, snap.EmulatorFallbacks)
 	}
 	if kc := snap.KeyCache; kc != nil {
-		fmt.Printf("  key cache: %d resident + %d spilled tenants, %.1f MB resident (budget %.1f MB), %d hits, %d misses, %d evictions, %d admissions declined, %d cold-miss stalls\n",
+		fmt.Printf("  key cache: %d resident + %d spilled tenants, %.1f MB resident (budget %.1f MB), %d hits, %d misses, %d evictions, %d admissions declined, %d cold-miss stalls, %.1f MB spill read\n",
 			kc.ResidentTenants, kc.SpilledTenants, float64(kc.ResidentBytes)/1e6, float64(kc.BudgetBytes)/1e6,
-			kc.Hits, kc.Misses, kc.Evictions, kc.AdmissionsDeclined, kc.ColdMissStalls)
+			kc.Hits, kc.Misses, kc.Evictions, kc.AdmissionsDeclined, kc.ColdMissStalls, float64(kc.SpillBytesRead)/1e6)
 	}
 	if len(clients) > 1 {
 		fmt.Printf("tenant draws (%s):", tenantSkew)

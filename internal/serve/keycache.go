@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,12 +14,13 @@ import (
 // keyCache is the budgeted tenant-key tier: per-tenant *metadata* (key-name
 // set, content hash, serialized size) stays resident for every registered
 // tenant, while the decoded eval-key maps — the tens-of-MB part — live in a
-// hard-budget LRU. Registration is write-through: the bundle's
-// deterministic serialized image spills to the content-addressed on-disk
-// store immediately, so eviction is just dropping the decoded map, and a
-// later access reloads + deserializes it (deduplicated across concurrent
-// callers, so a cold tenant costs one disk read no matter how many
-// requests pile up behind it, whether or not the reload stays resident).
+// hard-budget LRU. Registration is write-through: the bundle's keys spill
+// to the content-addressed on-disk store immediately, one verified record
+// per key, so eviction is just dropping the decoded map, and a later
+// access reloads + deserializes it (deduplicated across concurrent
+// callers, so a cold tenant's key set costs one read of its records no
+// matter how many requests pile up behind it, whether or not the reload
+// stays resident).
 //
 // A frequency gate stands in front of the LRU (TinyLFU admission): every
 // tenant carries an aged access count, and a reloaded map becomes resident
@@ -28,7 +30,11 @@ import (
 // cannot push the hot ones out. The counts halve every agingPeriod
 // acquisitions per registered tenant, which lets a tenant that turns hot
 // overtake one that cooled off; the period scales with the tenant count,
-// so it is not a knob.
+// so it is not a knob. The gate decides when a reload starts: a reload it
+// would admit reads every key, and is checked again when it completes; one
+// it would decline reads only the keys its run names (acquire's need), and
+// that partial map never becomes resident. Residency, the budget, the gate
+// and the hit/miss counts stay per bundle.
 //
 // The cache is also the one owner of what cluster workers hold (see
 // keySet and onEvict).
@@ -80,6 +86,7 @@ type tenantEntry struct {
 	id    string
 	hash  string          // content address of the serialized bundle
 	size  int64           // serialized bundle bytes
+	spill spillLayout     // where each key's record sits in the spill file
 	names map[string]bool // key-id set, for admission-time validation
 	keys  *keySet         // decoded keys when resident, nil when spilled
 	elem  *list.Element   // LRU position when resident, nil when spilled
@@ -91,11 +98,29 @@ type tenantEntry struct {
 // waiter is counted under keyCache.mu before it blocks, and the loader
 // gives the loaded map one hold per waiter, plus its own, before done
 // closes: so a map the gate declines is shared by every caller that asked
-// for it, and its eviction hook fires once, after the last of them.
+// for it, and its eviction hook fires once, after the last of them. A
+// caller joins only a load whose records cover the keys it needs; any
+// other waits for the load to finish and acquires again.
 type pendingLoad struct {
 	done    chan struct{}
+	recs    []spillRecord // the records it reads: all when admit
+	admit   bool          // the gate admitted it at the start; it may become resident
 	waiters int
 	ks      *keySet // set before done closes; nil when the load failed
+}
+
+// covers reports whether ld reads every key of need that e holds (every
+// key of e when need is nil).
+func (ld *pendingLoad) covers(e *tenantEntry, need []string) bool {
+	if need == nil {
+		return len(ld.recs) == len(e.spill.recs)
+	}
+	for _, name := range need {
+		if e.names[name] && !slices.ContainsFunc(ld.recs, func(r spillRecord) bool { return r.name == name }) {
+			return false
+		}
+	}
+	return true
 }
 
 // agingPeriod is how many acquisitions per registered tenant pass between
@@ -136,7 +161,7 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 		e.names[name] = true
 	}
 	if c.store != nil {
-		bundle, err := appendKeyBundle(nil, keys)
+		bundle, spans, err := appendKeyBundle(nil, keys)
 		if err != nil {
 			return fmt.Errorf("serve: serializing key bundle: %w", err)
 		}
@@ -150,7 +175,7 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 		c.mu.Unlock()
 		// Registration fails rather than admit a tenant whose keys could
 		// not spill: eviction would otherwise lose the only copy.
-		if err := c.store.Save(e.hash, bundle); err != nil {
+		if e.spill, err = c.store.Save(e.hash, bundle, spans); err != nil {
 			c.mu.Lock()
 			c.releaseHashLocked(e.hash)
 			c.mu.Unlock()
@@ -194,11 +219,13 @@ func (c *keyCache) releaseHashLocked(hash string) {
 
 // acquire returns the tenant's decoded keys with a hold on them, blocking
 // on a spill reload when the tenant is registered but not resident; the
-// caller gives the hold back with release. The bool is false only for
-// unknown tenants — never registered, or dropped because their spill
-// bundle could not be read back (completeLoad); either way the remedy is
-// the same: re-register.
-func (c *keyCache) acquire(id string) (*keySet, bool) {
+// caller gives the hold back with release. need names the keys the caller
+// will use (nil: all of them): a reload the gate declines reads only those
+// the tenant holds, so the map then holds exactly them. The bool is false
+// only for unknown tenants — never registered, or dropped because their
+// spill bundle could not be read back (completeLoad); either way the
+// remedy is the same: re-register.
+func (c *keyCache) acquire(id string, need []string) (*keySet, bool) {
 	c.mu.Lock()
 	e, ok := c.tenants[id]
 	if !ok {
@@ -215,7 +242,7 @@ func (c *keyCache) acquire(id string) (*keySet, bool) {
 	}
 	c.misses.Add(1)
 	start := time.Now()
-	ks, ok := c.loadLocked(e)
+	ks, ok := c.loadLocked(e, need)
 	// Failed loads are metered as loadFails, not stalls: a disk error is
 	// not a cold-miss latency sample and would skew the histogram.
 	if ok {
@@ -257,7 +284,7 @@ func (c *keyCache) release(ks *keySet) {
 // get is acquire and release in one: the tenant's decoded key map, for
 // callers that push no key to a worker.
 func (c *keyCache) get(id string) (map[string]*ckks.EvalKey, bool) {
-	ks, ok := c.acquire(id)
+	ks, ok := c.acquire(id, nil)
 	if !ok {
 		return nil, false
 	}
@@ -279,35 +306,63 @@ func (c *keyCache) keyNames(id string) (map[string]bool, bool) {
 }
 
 // loadLocked resolves a spilled tenant under a hold, joining the reload
-// in flight for e if there is one. Called with c.mu held; returns with it
-// released.
-func (c *keyCache) loadLocked(e *tenantEntry) (*keySet, bool) {
-	if ld := e.load; ld != nil {
-		ld.waiters++
+// in flight for e if it covers need, or else waiting for it to finish
+// first. A load it starts reads every record if the gate would admit the
+// map (or need is nil), only need's otherwise. Called with c.mu held;
+// returns with it released.
+func (c *keyCache) loadLocked(e *tenantEntry, need []string) (*keySet, bool) {
+	for e.load != nil {
+		ld := e.load
+		if ld.covers(e, need) {
+			ld.waiters++
+			c.mu.Unlock()
+			<-ld.done
+			return ld.ks, ld.ks != nil
+		}
 		c.mu.Unlock()
 		<-ld.done
-		return ld.ks, ld.ks != nil
+		c.mu.Lock()
+		var ok bool
+		if e, ok = c.tenants[e.id]; !ok { // the load failed and dropped it
+			c.mu.Unlock()
+			return nil, false
+		}
+		if ks := e.keys; ks != nil { // resident now, or re-registered
+			c.touchLocked(e)
+			ks.holds++
+			c.mu.Unlock()
+			return ks, true
+		}
 	}
-	ld := &pendingLoad{done: make(chan struct{})}
+	ld := &pendingLoad{done: make(chan struct{}), recs: e.spill.recs, admit: true}
+	if need != nil && !c.admitLocked(e) {
+		ld.recs, ld.admit = e.spill.pick(need), false
+	}
 	e.load = ld
 	c.mu.Unlock()
 	return c.completeLoad(e, ld)
 }
 
-// completeLoad reads the spill file, deserializes, and hands the map to
-// the loader and every waiter with a hold each. The map becomes resident
-// only if the gate admits it and the tenant has not re-registered
-// meanwhile (the fresh registration wins); otherwise it is out of the
-// cache from the start, and its last release fires the eviction hook.
+// completeLoad reads the load's records, deserializes them, and hands
+// the map to the loader and every waiter with a hold each. The map becomes
+// resident only if it holds every key, the gate admits it (again: the LRU
+// may have moved since the load started) and the tenant has not
+// re-registered meanwhile (the fresh registration wins); otherwise it is
+// out of the cache from the start, and its last release fires the
+// eviction hook for exactly the keys it holds.
 func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool) {
 	if c.testBeforeLoad != nil {
 		c.testBeforeLoad()
 	}
-	var keys map[string]*ckks.EvalKey
-	err := c.store.Load(e.hash, func(bundle []byte) (err error) {
-		// The decode reads bundle in place; the keys are copies.
-		keys, err = readKeyBundle(ckks.NewSliceDecoder(bundle), c.params)
-		return err
+	keys := make(map[string]*ckks.EvalKey, len(ld.recs))
+	err := c.store.Load(e.hash, &e.spill, ld.recs, func(rec *spillRecord, entry []byte) error {
+		// The decode reads entry in place; the key is a copy.
+		key, err := decodeSpilledKey(rec.name, entry, c.params)
+		if err != nil {
+			return err
+		}
+		keys[rec.name] = key
+		return nil
 	})
 	c.mu.Lock()
 	e.load = nil
@@ -334,7 +389,7 @@ func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool)
 	switch {
 	case !current:
 		ks.gone = true // re-registered meanwhile
-	case !c.admitLocked(e):
+	case !ld.admit || !c.admitLocked(e):
 		ks.gone = true
 		c.declined.Add(1)
 	default:
@@ -347,6 +402,22 @@ func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool)
 	c.mu.Unlock()
 	c.fireEvictHooks(due)
 	return ks, true
+}
+
+// decodeSpilledKey decodes one key record's verified entry: the key named
+// name, whose image fills the rest of the entry exactly.
+func decodeSpilledKey(name string, entry []byte, params *ckks.Parameters) (*ckks.EvalKey, error) {
+	got, key, err := readKeyEntry(ckks.NewSliceDecoder(entry), params)
+	if err != nil {
+		return nil, err
+	}
+	if got != name {
+		return nil, fmt.Errorf("serve: spill record %q holds key %q", name, got)
+	}
+	if extra := len(entry) - 2 - len(got) - key.EncodedLen(); extra != 0 {
+		return nil, fmt.Errorf("serve: spill record %q: %d trailing bytes", name, extra)
+	}
+	return key, nil
 }
 
 // admitLocked is the frequency gate. It walks the LRU from its tail over
@@ -434,6 +505,9 @@ type KeyCacheStats struct {
 	// AdmissionsDeclined counts spill reloads the frequency gate kept out
 	// of the cache: each served the requests that asked for it and left.
 	AdmissionsDeclined int64 `json:"admissions_declined"`
+	// SpillBytesRead counts the spill-file bytes reloads have read: a
+	// declined reload reads only the records of the keys its run uses.
+	SpillBytesRead int64 `json:"spill_bytes_read"`
 }
 
 func (c *keyCache) stats() KeyCacheStats {
@@ -451,6 +525,9 @@ func (c *keyCache) stats() KeyCacheStats {
 	s.AdmissionsDeclined = c.declined.Load()
 	s.ColdMissStalls = c.stalls.Load()
 	s.SpillLoadFails = c.loadFails.Load()
+	if c.store != nil {
+		s.SpillBytesRead = c.store.bytesRead.Load()
+	}
 	if s.ColdMissStalls > 0 {
 		sum := c.stallHist.Summary()
 		s.ColdMissStallMs = &sum

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/cmplx"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,8 +20,9 @@ import (
 )
 
 // TestKeyStoreRoundtrip exercises the content-addressed spill store on raw
-// bundle bytes: save/load identity, dedup on re-save, and corruption
-// detection through both the frame CRC and the content hash.
+// key entries: save/load identity for a full and a one-record load, a
+// re-save that lays the file out the same way, and corruption detection
+// through the frame CRC.
 func TestKeyStoreRoundtrip(t *testing.T) {
 	store, err := newKeyStore(t.TempDir())
 	if err != nil {
@@ -30,29 +32,30 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 	for i := range bundle {
 		bundle[i] = byte(i * 31)
 	}
-	hash := bundleHash(bundle)
-	if err := store.Save(hash, bundle); err != nil {
-		t.Fatal(err)
+	hash, l := saveRaw(t, store, bundle, 4)
+	// Re-saving the same content rewrites the file to the same layout.
+	if again, err := store.Save(hash, bundle, rawSpans(bundle, 4)); err != nil || !reflect.DeepEqual(again, l) {
+		t.Fatalf("re-save: layout %+v, %v; first save %+v", again, err, l)
 	}
-	// Re-saving the same content is a stat, not a write: mutate the file's
-	// mtime marker by re-saving and confirm the content is untouched.
-	if err := store.Save(hash, bundle); err != nil {
-		t.Fatalf("idempotent save: %v", err)
-	}
-	got, err := loadCopy(store, hash)
+	got, err := loadCopy(store, hash, l, l.recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, bundle) {
 		t.Fatalf("roundtrip mismatch: %d bytes in, %d out", len(bundle), len(got))
 	}
+	span := rawSpans(bundle, 4)[2]
+	if got, err := loadCopy(store, hash, l, l.recs[2:3]); err != nil || !bytes.Equal(got, bundle[span.lo:span.hi]) {
+		t.Fatalf("one-record load: %d bytes, %v", len(got), err)
+	}
 
-	// An empty bundle still roundtrips (one empty chunk).
+	// A bundle without keys still roundtrips (a header alone).
 	empty := bundleHash(nil)
-	if err := store.Save(empty, nil); err != nil {
+	le, err := store.Save(empty, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := loadCopy(store, empty); err != nil || len(got) != 0 {
+	if got, err := loadCopy(store, empty, le, le.recs); err != nil || len(got) != 0 {
 		t.Fatalf("empty bundle: %d bytes, %v", len(got), err)
 	}
 
@@ -66,12 +69,12 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadCopy(store, hash); err == nil {
+	if _, err := loadCopy(store, hash, l, l.recs); err == nil {
 		t.Fatal("corrupted spill file loaded without error")
 	}
 
 	// Loading an address that was never saved fails cleanly.
-	if _, err := loadCopy(store, bundleHash([]byte("absent"))); err == nil {
+	if _, err := loadCopy(store, bundleHash([]byte("absent")), l, l.recs); err == nil {
 		t.Fatal("load of unknown hash succeeded")
 	}
 }

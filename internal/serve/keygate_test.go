@@ -27,16 +27,15 @@ func zipfDeck() []int {
 	return cards
 }
 
-// gatedCache registers n tenants, in order, under a budget of 2.5 of their
-// (equal-sized) bundles.
-func gatedCache(t *testing.T, n int) *keyCache {
+// gatedCache registers n tenants, in order, each with keys, under a
+// budget of 2.5 of their bundles.
+func gatedCache(t *testing.T, n int, keys map[string]*ckks.EvalKey) *keyCache {
 	t.Helper()
 	params := testEnv(t).Params
 	store, err := newKeyStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := genTenantKeys(t, params)
 	size := bundleSize(t, keys)
 	c := newKeyCache(params, size*5/2, store)
 	for i := 0; i < n; i++ {
@@ -58,16 +57,25 @@ func (c *keyCache) residentIDs() map[string]bool {
 }
 
 // TestGateZipfHitShare replays the bench's Zipf tenant mix through a
-// 2.5-bundle cache. A pure LRU evicts tenant 1 for one-off tenants and
-// hits about 2 requests in 3; the gate keeps tenants 0 and 1 resident, so
-// the hit share is their 0.65 + 0.16 of the deck.
+// 2.5-bundle cache, each acquire carrying the keys of its program (square
+// and rotsum in turn, over the fixture's 15-key bundles). A pure LRU
+// evicts tenant 1 for one-off tenants and hits about 2 requests in 3; the
+// gate keeps tenants 0 and 1 resident, so the hit share is their 0.65 +
+// 0.16 of the deck. Residency is per bundle; only the reads are per key:
+// a cold stall reads the records of its run's one or three keys.
 func TestGateZipfHitShare(t *testing.T) {
-	c := gatedCache(t, 8)
+	testEnv(t)
+	c := gatedCache(t, 8, env.keys)
 	deck := zipfDeck()
+	needs := [][]string{programKeys(t, "square"), programKeys(t, "rotsum")}
+	n := 0
 	get := func(ti int) {
-		if _, ok := c.get(fmt.Sprint(ti)); !ok {
-			t.Fatalf("get(%d) failed", ti)
+		ks, ok := c.acquire(fmt.Sprint(ti), needs[n%len(needs)])
+		if !ok {
+			t.Fatalf("acquire(%d) failed", ti)
 		}
+		c.release(ks)
+		n++
 	}
 	// Warm up as the bench does: every tenant once, then the mix.
 	for ti := 0; ti < 8; ti++ {
@@ -97,6 +105,11 @@ func TestGateZipfHitShare(t *testing.T) {
 	if s.ResidentBytes > s.BudgetBytes {
 		t.Fatalf("resident %d bytes over the budget %d", s.ResidentBytes, s.BudgetBytes)
 	}
+	perStall := float64(s.SpillBytesRead-before.SpillBytesRead) / float64(s.ColdMissStalls-before.ColdMissStalls) / float64(c.tenants["0"].size)
+	t.Logf("a cold stall reads %.3f of a bundle", perStall)
+	if perStall > 0.25 {
+		t.Fatalf("a cold stall reads %.3f of a bundle, want ≤ 0.25", perStall)
+	}
 }
 
 // TestGateFollowsNewHotTenant: after the mix's hot tenant changes (tenant
@@ -104,7 +117,7 @@ func TestGateZipfHitShare(t *testing.T) {
 // one aging period of acquisitions.
 func TestGateFollowsNewHotTenant(t *testing.T) {
 	const n = 8
-	c := gatedCache(t, n)
+	c := gatedCache(t, n, genTenantKeys(t, testEnv(t).Params))
 	deck := zipfDeck()
 	for p := 0; p < 5; p++ {
 		for _, ti := range deck {
@@ -139,7 +152,7 @@ func TestGateFollowsNewHotTenant(t *testing.T) {
 // fires once, after the last of them releases it.
 func TestGateDeclinedLoadShared(t *testing.T) {
 	const waiters = 5
-	c := gatedCache(t, 2) // both resident
+	c := gatedCache(t, 2, genTenantKeys(t, testEnv(t).Params)) // both resident
 	c.mu.Lock()
 	c.budget = c.tenants["0"].size * 3 / 2 // now one: 1 stays, 0 spills
 	c.enforceBudgetLocked()
@@ -165,7 +178,7 @@ func TestGateDeclinedLoadShared(t *testing.T) {
 
 	sets := make(chan *keySet, waiters+1)
 	acquire := func() {
-		ks, ok := c.acquire("0")
+		ks, ok := c.acquire("0", nil)
 		if !ok {
 			t.Error("acquire(0) failed")
 		}
@@ -263,7 +276,7 @@ func TestDeclinedTenantLeavesNoWorkerKeys(t *testing.T) {
 // (run it under -race) never see resident bytes above the budget, and
 // every acquire gets a usable map.
 func TestGateBudgetHeldUnderConcurrency(t *testing.T) {
-	c := gatedCache(t, 8)
+	c := gatedCache(t, 8, genTenantKeys(t, testEnv(t).Params))
 	deck := zipfDeck()
 	var over atomic.Int64
 	check := func() {
@@ -279,7 +292,7 @@ func TestGateBudgetHeldUnderConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2*len(deck); i++ {
-				ks, ok := c.acquire(fmt.Sprint(deck[(i+25*g)%len(deck)]))
+				ks, ok := c.acquire(fmt.Sprint(deck[(i+25*g)%len(deck)]), nil)
 				if !ok || ks.m["rlk"] == nil {
 					t.Error("acquire failed")
 					return

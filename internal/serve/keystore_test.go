@@ -87,12 +87,37 @@ func TestWireImagesPinned(t *testing.T) {
 	}
 }
 
-// loadCopy loads a spilled bundle and returns a copy of it: Load lends
-// the image only for the duration of its callback.
-func loadCopy(s *keyStore, hash string) ([]byte, error) {
+// rawSpans splits bundle into n key entries named k0, k1, …, of equal
+// length but the last, which takes the rest.
+func rawSpans(bundle []byte, n int) []keySpan {
+	spans := make([]keySpan, n)
+	step := len(bundle) / n
+	for i := range spans {
+		spans[i] = keySpan{name: fmt.Sprintf("k%d", i), lo: i * step, hi: (i + 1) * step}
+	}
+	spans[n-1].hi = len(bundle)
+	return spans
+}
+
+// saveRaw spills bundle as n raw key entries (rawSpans) under its content
+// address.
+func saveRaw(t *testing.T, s *keyStore, bundle []byte, n int) (string, spillLayout) {
+	t.Helper()
+	hash := bundleHash(bundle)
+	l, err := s.Save(hash, bundle, rawSpans(bundle, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hash, l
+}
+
+// loadCopy loads the records recs of a spilled bundle and returns their
+// entries joined: Load lends each entry only for the duration of its
+// callback.
+func loadCopy(s *keyStore, hash string, l spillLayout, recs []spillRecord) ([]byte, error) {
 	var out []byte
-	err := s.Load(hash, func(bundle []byte) error {
-		out = bytes.Clone(bundle)
+	err := s.Load(hash, &l, recs, func(_ *spillRecord, entry []byte) error {
+		out = append(out, entry...)
 		return nil
 	})
 	return out, err
@@ -155,16 +180,16 @@ func TestCorruptSpillRewrittenOnReRegister(t *testing.T) {
 	}
 }
 
-// writeSpill writes a spill file of the given header and chunk payloads,
-// each in a CRC-valid frame.
-func writeSpill(t *testing.T, path string, hdr []byte, chunks ...[]byte) {
+// writeSpill writes a spill file of the given header and key-frame
+// payloads, each in a CRC-valid frame.
+func writeSpill(t *testing.T, path string, hdr []byte, frames ...[]byte) {
 	t.Helper()
 	var out bytes.Buffer
 	if err := cluster.WriteFrame(&out, spillHeader, hdr); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range chunks {
-		if err := cluster.WriteFrame(&out, spillChunk, c); err != nil {
+	for _, p := range frames {
+		if err := cluster.WriteFrame(&out, spillKey, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,9 +198,9 @@ func writeSpill(t *testing.T, path string, hdr []byte, chunks ...[]byte) {
 	}
 }
 
-// splitSpill returns a saved spill file's header payload and chunk
+// splitSpill returns a saved spill file's header payload and key-frame
 // payloads.
-func splitSpill(t *testing.T, path string) (hdr []byte, chunks [][]byte) {
+func splitSpill(t *testing.T, path string) (hdr []byte, frames [][]byte) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -186,94 +211,116 @@ func splitSpill(t *testing.T, path string) (hdr []byte, chunks [][]byte) {
 		t.Fatal(err)
 	}
 	for len(rest) > 0 {
-		var c []byte
-		if _, c, rest, err = cluster.SplitFrame(rest); err != nil {
+		var p []byte
+		if _, p, rest, err = cluster.SplitFrame(rest); err != nil {
 			t.Fatal(err)
 		}
-		chunks = append(chunks, c)
+		frames = append(frames, p)
 	}
-	return hdr, chunks
+	return hdr, frames
 }
 
-// TestKeyStoreRejectsTamperedContent: a chunk rewritten with a valid CRC
-// passes every frame check; only the SHA-256 content address catches it.
+// TestKeyStoreRejectsTamperedContent: a key frame rewritten with a valid
+// CRC passes every frame check; only the record's SHA-256 digest catches
+// it, and only a load that reads that record fails. A rewritten header is
+// caught by a full load's count and total check.
 func TestKeyStoreRejectsTamperedContent(t *testing.T) {
 	store, err := newKeyStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bundle := bytes.Repeat([]byte("tenant key material "), 200)
-	hash := bundleHash(bundle)
-	if err := store.Save(hash, bundle); err != nil {
-		t.Fatal(err)
+	hash, l := saveRaw(t, store, bundle, 2)
+	spans := rawSpans(bundle, 2)
+	hdr, frames := splitSpill(t, store.path(hash))
+	if len(frames) != 2 || !bytes.Equal(frames[1], bundle[spans[1].lo:]) {
+		t.Fatalf("saved file holds %d key frames", len(frames))
 	}
-	hdr, chunks := splitSpill(t, store.path(hash))
-	if len(chunks) != 1 || !bytes.Equal(chunks[0], bundle) {
-		t.Fatalf("saved file holds %d chunks", len(chunks))
-	}
-	tampered := bytes.Clone(bundle)
+	tampered := bytes.Clone(frames[1])
 	tampered[len(tampered)/3] ^= 0x01
-	writeSpill(t, store.path(hash), hdr, tampered)
-	_, err = loadCopy(store, hash)
-	if err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
-		t.Fatalf("CRC-valid tampered chunk: Load err %v, want a content hash mismatch", err)
+	writeSpill(t, store.path(hash), hdr, frames[0], tampered)
+	for _, recs := range [][]spillRecord{l.recs, l.recs[1:]} {
+		if _, err := loadCopy(store, hash, l, recs); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+			t.Fatalf("CRC-valid tampered record, %d-record load: err %v, want a digest mismatch", len(recs), err)
+		}
+	}
+	if got, err := loadCopy(store, hash, l, l.recs[:1]); err != nil || !bytes.Equal(got, bundle[:spans[0].hi]) {
+		t.Fatalf("load of the untouched record: %d bytes, %v", len(got), err)
+	}
+
+	// A CRC-valid header that miscounts the keys fails a full load only:
+	// the other loads do not read it.
+	bad := bytes.Clone(hdr)
+	bad[8]++
+	writeSpill(t, store.path(hash), bad, frames...)
+	if _, err := loadCopy(store, hash, l, l.recs); err == nil || !strings.Contains(err.Error(), "header") {
+		t.Fatalf("full load under a miscounting header: err %v, want a header error", err)
+	}
+	if _, err := loadCopy(store, hash, l, l.recs[:1]); err != nil {
+		t.Fatalf("one-record load under a miscounting header: %v", err)
 	}
 }
 
 // TestKeyStoreTruncationSweep cuts a small spill file at every byte, and
-// appends one: every variant but the whole file must fail to load. The
-// sweep then runs again through the buffer the whole file was read into,
-// so a cut file that decoded the longer file's stale bytes would pass.
+// appends one: every variant but the whole file must fail a full load and
+// a one-record load of the last key. The sweep then runs again through
+// the buffer the whole file was read into, so a cut file that decoded the
+// longer file's stale bytes would pass.
 func TestKeyStoreTruncationSweep(t *testing.T) {
 	store, err := newKeyStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bundle := bytes.Repeat([]byte{0x5a, 0xa5, 0x33}, 70)
-	hash := bundleHash(bundle)
-	if err := store.Save(hash, bundle); err != nil {
-		t.Fatal(err)
-	}
+	hash, l := saveRaw(t, store, bundle, 3)
 	raw, err := os.ReadFile(store.path(hash))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(raw); cut++ {
-		if err := os.WriteFile(store.path(hash), raw[:cut], 0o644); err != nil {
+	loads := []struct {
+		name string
+		recs []spillRecord
+	}{{"full", l.recs}, {"last-key", l.recs[2:]}}
+	sweep := func(recycled bool) {
+		t.Helper()
+		for cut := len(raw) - 1; cut >= 0; cut-- {
+			if recycled && (len(store.free) != 1 || cap(store.free[0]) < len(raw)) {
+				t.Fatalf("store keeps %d buffers, want one of at least %d bytes", len(store.free), len(raw))
+			}
+			if err := os.WriteFile(store.path(hash), raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, ld := range loads {
+				if _, err := loadCopy(store, hash, l, ld.recs); err == nil {
+					t.Fatalf("%s load of a spill file cut at %d of %d bytes succeeded (recycled buffer: %v)", ld.name, cut, len(raw), recycled)
+				}
+			}
+		}
+		if err := os.WriteFile(store.path(hash), append(bytes.Clone(raw), 0), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadCopy(store, hash); err == nil {
-			t.Fatalf("spill file cut at %d of %d bytes loaded", cut, len(raw))
+		for _, ld := range loads {
+			if _, err := loadCopy(store, hash, l, ld.recs); err == nil {
+				t.Fatalf("%s load of a spill file with a trailing byte succeeded", ld.name)
+			}
 		}
 	}
-	if err := os.WriteFile(store.path(hash), append(bytes.Clone(raw), 0), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadCopy(store, hash); err == nil {
-		t.Fatal("spill file with a trailing byte loaded")
-	}
+	sweep(false)
 	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := loadCopy(store, hash); err != nil || !bytes.Equal(got, bundle) {
+	if got, err := loadCopy(store, hash, l, l.recs); err != nil || !bytes.Equal(got, bundle) {
 		t.Fatalf("whole file: %d bytes, %v", len(got), err)
 	}
-	for cut := len(raw) - 1; cut >= 0; cut-- {
-		if len(store.free) != 1 || cap(store.free[0]) < len(raw) {
-			t.Fatalf("store keeps %d buffers, want one of at least %d bytes", len(store.free), len(raw))
-		}
-		if err := os.WriteFile(store.path(hash), raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loadCopy(store, hash); err == nil {
-			t.Fatalf("spill file cut at %d of %d bytes loaded through a recycled buffer", cut, len(raw))
-		}
+	if got, err := loadCopy(store, hash, l, l.recs[2:]); err != nil || !bytes.Equal(got, bundle[rawSpans(bundle, 3)[2].lo:]) {
+		t.Fatalf("whole file, last key: %d bytes, %v", len(got), err)
 	}
+	sweep(true)
 }
 
-// TestKeyStoreMultiChunk: a bundle past one chunk frame round-trips, and
-// the joined path keeps every check: a file cut at the chunk boundary and
-// a CRC-valid tamper in the second chunk both fail.
+// TestKeyStoreMultiChunk: a key record past one frame round-trips, and
+// the joined path keeps every check: a file cut at the frame boundary and
+// a CRC-valid tamper in the record's second frame both fail.
 func TestKeyStoreMultiChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("writes a 32 MiB spill file")
@@ -287,25 +334,34 @@ func TestKeyStoreMultiChunk(t *testing.T) {
 		bundle[i] = byte(i * 7)
 	}
 	hash := bundleHash(bundle)
-	if err := store.Save(hash, bundle); err != nil {
+	spans := []keySpan{{"big", 0, len(bundle) - 100}, {"small", len(bundle) - 100, len(bundle)}}
+	l, err := store.Save(hash, bundle, spans)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadCopy(store, hash)
-	if err != nil || !bytes.Equal(got, bundle) {
-		t.Fatalf("multi-chunk round trip: %d bytes, %v", len(got), err)
+	if got, err := loadCopy(store, hash, l, l.recs); err != nil || !bytes.Equal(got, bundle) {
+		t.Fatalf("multi-frame round trip: %d bytes, %v", len(got), err)
 	}
-	hdr, chunks := splitSpill(t, store.path(hash))
-	if len(chunks) != 2 {
-		t.Fatalf("%d chunks, want 2", len(chunks))
+	if got, err := loadCopy(store, hash, l, l.recs[:1]); err != nil || !bytes.Equal(got, bundle[:spans[0].hi]) {
+		t.Fatalf("multi-frame record alone: %d bytes, %v", len(got), err)
 	}
-	writeSpill(t, store.path(hash), hdr, chunks[0])
-	if _, err := loadCopy(store, hash); err == nil {
-		t.Fatal("file cut at the chunk boundary loaded")
+	hdr, frames := splitSpill(t, store.path(hash))
+	if len(frames) != 3 {
+		t.Fatalf("%d key frames, want 3 (two for big, one for small)", len(frames))
 	}
-	chunks[1][0] ^= 0x01
-	writeSpill(t, store.path(hash), hdr, chunks...)
-	if _, err := loadCopy(store, hash); err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
-		t.Fatalf("CRC-valid tampered second chunk: Load err %v, want a content hash mismatch", err)
+	writeSpill(t, store.path(hash), hdr, frames[0])
+	for _, recs := range [][]spillRecord{l.recs, l.recs[:1]} {
+		if _, err := loadCopy(store, hash, l, recs); err == nil {
+			t.Fatalf("%d-record load of a file cut at the frame boundary succeeded", len(recs))
+		}
+	}
+	frames[1][0] ^= 0x01
+	writeSpill(t, store.path(hash), hdr, frames...)
+	if _, err := loadCopy(store, hash, l, l.recs[:1]); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("CRC-valid tampered second frame: Load err %v, want a digest mismatch", err)
+	}
+	if got, err := loadCopy(store, hash, l, l.recs[1:]); err != nil || !bytes.Equal(got, bundle[spans[1].lo:]) {
+		t.Fatalf("load of the untouched record: %d bytes, %v", len(got), err)
 	}
 }
 
@@ -374,6 +430,101 @@ func TestColdReloadAllocCeiling(t *testing.T) {
 	if ratio > 1.3 {
 		t.Fatalf("cold reload allocated %.2fx the bundle's %d bytes, ceiling 1.3x", ratio, size)
 	}
+
+	// A declined reload that names one key reads and decodes that key's
+	// record alone.
+	partial := func() {
+		ks, ok := c.acquire("a", []string{"rlk"})
+		if !ok || len(ks.m) != 1 || ks.m["rlk"] == nil {
+			t.Fatal("partial reload of a failed")
+		}
+		c.release(ks)
+	}
+	before := c.stats().SpillBytesRead
+	perLoad := allocBytes(runs, partial)
+	read := (c.stats().SpillBytesRead - before) / runs
+	c.mu.Lock()
+	rec := c.tenants["a"].spill.pick([]string{"rlk"})[0]
+	c.mu.Unlock()
+	if read != rec.n {
+		t.Fatalf("a one-key reload read %d bytes, its record is %d", read, rec.n)
+	}
+	ratio = perLoad / float64(read)
+	t.Logf("one-key reload: %d of %d bytes read, %.2fx allocated", read, size, ratio)
+	if ratio > 1.3 {
+		t.Fatalf("one-key reload allocated %.2fx the %d bytes it read, ceiling 1.3x", ratio, read)
+	}
+}
+
+// FuzzSpillRecords writes fuzzed bytes at a fuzzed position over one key
+// record of a spilled bundle (the file keeps its length) and loads that
+// record alone through the cache's decode: the load fails, or it yields
+// the exact key saved.
+func FuzzSpillRecords(f *testing.F) {
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{
+		LogN: 4, LogQ: []int{40, 40}, LogP: []int{45}, LogScale: 40, Seed: 20261020,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rtks, err := kg.GenRotationKeySet(sk, []int{1}, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := map[string]*ckks.EvalKey{"rlk": rlk, "rot:1": rtks.Keys[1]}
+	bundle, spans, err := appendKeyBundle(nil, keys)
+	if err != nil {
+		f.Fatal(err)
+	}
+	store, err := newKeyStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	hash := bundleHash(bundle)
+	l, err := store.Save(hash, bundle, spans)
+	if err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(store.path(hash))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, r := range l.recs {
+		f.Add(uint8(i), uint16(0), []byte{})                              // the record as saved
+		f.Add(uint8(i), uint16(r.n/2), []byte{saved[r.off+r.n/2] ^ 0x10}) // one flipped bit
+		f.Add(uint8(i), uint16(0), []byte{0xff, 0xff, 0xff, 0xff})        // a frame length past the record
+	}
+	f.Fuzz(func(t *testing.T, i uint8, at uint16, patch []byte) {
+		rec := l.recs[int(i)%len(l.recs)]
+		raw := bytes.Clone(saved)
+		copy(raw[rec.off+int64(at)%rec.n:rec.off+rec.n], patch)
+		if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got *ckks.EvalKey
+		err := store.Load(hash, &l, []spillRecord{rec}, func(r *spillRecord, entry []byte) (err error) {
+			got, err = decodeSpilledKey(r.name, entry, params)
+			return err
+		})
+		if err != nil {
+			if len(patch) == 0 {
+				t.Fatalf("untouched record %q failed to load: %v", rec.name, err)
+			}
+			return
+		}
+		if !bytes.Equal(got.Append(nil), keys[rec.name].Append(nil)) {
+			t.Fatalf("record %q loaded a key other than the one saved", rec.name)
+		}
+	})
 }
 
 // TestWriteKeyBundleAllocCeiling: writing a bundle into a buffer grown to

@@ -397,7 +397,7 @@ func (c *Core) run(ctx context.Context, prog *Program, tenant string, ct *ckks.C
 		c.met.QueueDepth.Add(-1)
 		return nil, fmt.Errorf("waiting for a worker slot: %w", ctx.Err())
 	}
-	keys, ok := c.reg.keys.acquire(tenant)
+	keys, ok := c.reg.keys.acquire(tenant, prog.runKeys)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"cinnamon/internal/bootstrap"
@@ -126,6 +127,10 @@ type Program struct {
 	// circuit's.
 	Bootstrapped       bool
 	BootstrapsRequired int
+	// runKeys names the keys a run may bind: RequiredKeys, plus the
+	// bootstrap circuit's when the registry has one (a refresh binds them
+	// lazily, so any run may need them). A cold run reloads only these.
+	runKeys []string
 	// exec walks the program graph on a real evaluator — every request and
 	// session step runs here.
 	exec *sched.Executor
@@ -245,6 +250,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: compiling %q: %w", spec.Name, err)
 		}
+		p.runKeys = runKeys(p.RequiredKeys, r.Pre)
 		r.programs[spec.Name] = p
 		r.order = append(r.order, spec.Name)
 	}
@@ -340,6 +346,27 @@ func (r *Registry) TenantKeyNames(id string) (map[string]bool, bool) {
 // KeyCacheStats snapshots the key tier for /metrics and /healthz.
 func (r *Registry) KeyCacheStats() KeyCacheStats {
 	return r.keys.stats()
+}
+
+// runKeys is required plus, with a bootstrap circuit, the circuit's keys:
+// rlk, conj and a rotation key per offset it rotates by. It is never nil,
+// since a nil list asks the key cache for every key.
+func runKeys(required []string, pre *bootstrap.Precomp) []string {
+	ids := append([]string{}, required...)
+	if pre == nil {
+		return ids
+	}
+	add := func(id string) {
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	add("rlk")
+	add("conj")
+	for _, k := range pre.Rotations() {
+		add(fmt.Sprintf("rot:%d", k))
+	}
+	return ids
 }
 
 // MissingKeys reports which of the program's required keys the key set

@@ -332,7 +332,7 @@ func statusFor(err error) int {
 // deterministic wire image) in one Write call, appending into w's own free
 // space when it has room (ckks.FreeSpace).
 func WriteKeyBundle(w io.Writer, keys map[string]*ckks.EvalKey) error {
-	b, err := appendKeyBundle(ckks.FreeSpace(w), keys)
+	b, _, err := appendKeyBundle(ckks.FreeSpace(w), keys)
 	if err != nil {
 		return err
 	}
@@ -340,15 +340,23 @@ func WriteKeyBundle(w io.Writer, keys map[string]*ckks.EvalKey) error {
 	return err
 }
 
+// keySpan is one key's entry in a bundle image: the byte range [lo, hi)
+// holding its u16 name length, name and key image.
+type keySpan struct {
+	name   string
+	lo, hi int
+}
+
 // appendKeyBundle appends the bundle image of keys to b, growing b at most
 // once: magic, key count, then per key (by name) a u16 name length, the
-// name and the key's own image.
-func appendKeyBundle(b []byte, keys map[string]*ckks.EvalKey) ([]byte, error) {
+// name and the key's own image. It reports each key's entry as a range of
+// the returned slice, in image order.
+func appendKeyBundle(b []byte, keys map[string]*ckks.EvalKey) ([]byte, []keySpan, error) {
 	names := make([]string, 0, len(keys))
 	size := 8
 	for name, k := range keys {
 		if len(name) > 1<<8 {
-			return nil, fmt.Errorf("serve: key name %q too long", name)
+			return nil, nil, fmt.Errorf("serve: key name %q too long", name)
 		}
 		names = append(names, name)
 		size += 2 + len(name) + k.EncodedLen()
@@ -357,21 +365,21 @@ func appendKeyBundle(b []byte, keys map[string]*ckks.EvalKey) ([]byte, error) {
 	b = slices.Grow(b, size)
 	b = binary.LittleEndian.AppendUint32(b, keyBundleMagic)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
-	for _, name := range names {
+	spans := make([]keySpan, len(names))
+	for i, name := range names {
+		lo := len(b)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
 		b = append(b, name...)
 		b = keys[name].Append(b)
+		spans[i] = keySpan{name: name, lo: lo, hi: len(b)}
 	}
-	return b, nil
+	return b, spans, nil
 }
 
 // ReadKeyBundle parses an untrusted key bundle, validating every key
 // against the parameter set.
 func ReadKeyBundle(r io.Reader, params *ckks.Parameters) (map[string]*ckks.EvalKey, error) {
-	return readKeyBundle(ckks.NewDecoder(r), params)
-}
-
-func readKeyBundle(d *ckks.Decoder, params *ckks.Parameters) (map[string]*ckks.EvalKey, error) {
+	d := ckks.NewDecoder(r)
 	hdr, err := d.Next(8)
 	if err != nil {
 		return nil, err
@@ -385,24 +393,33 @@ func readKeyBundle(d *ckks.Decoder, params *ckks.Parameters) (map[string]*ckks.E
 	}
 	keys := make(map[string]*ckks.EvalKey, count)
 	for i := uint32(0); i < count; i++ {
-		hdr, err := d.Next(2)
+		name, key, err := readKeyEntry(d, params)
 		if err != nil {
 			return nil, err
-		}
-		nameLen := binary.LittleEndian.Uint16(hdr)
-		if nameLen == 0 || nameLen > 1<<8 {
-			return nil, fmt.Errorf("serve: implausible key name length %d", nameLen)
-		}
-		nameBytes, err := d.Next(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		name := string(nameBytes)
-		key, err := d.EvalKey(params)
-		if err != nil {
-			return nil, fmt.Errorf("serve: key %q: %w", name, err)
 		}
 		keys[name] = key
 	}
 	return keys, nil
+}
+
+// readKeyEntry decodes one key's entry of a bundle: its name and key.
+func readKeyEntry(d *ckks.Decoder, params *ckks.Parameters) (string, *ckks.EvalKey, error) {
+	hdr, err := d.Next(2)
+	if err != nil {
+		return "", nil, err
+	}
+	nameLen := binary.LittleEndian.Uint16(hdr)
+	if nameLen == 0 || nameLen > 1<<8 {
+		return "", nil, fmt.Errorf("serve: implausible key name length %d", nameLen)
+	}
+	nameBytes, err := d.Next(int(nameLen))
+	if err != nil {
+		return "", nil, err
+	}
+	name := string(nameBytes)
+	key, err := d.EvalKey(params)
+	if err != nil {
+		return "", nil, fmt.Errorf("serve: key %q: %w", name, err)
+	}
+	return name, key, nil
 }

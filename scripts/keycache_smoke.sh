@@ -42,13 +42,14 @@ metric() { # metric <name> -> first numeric value in /metrics (0 if absent)
 }
 
 assert_cache_bounded() {
-  local budget resident evictions declined spilled
+  local budget resident evictions declined spilled spillread
   budget=$(metric budget_bytes)
   resident=$(metric resident_bytes)
   evictions=$(metric evictions)
   declined=$(metric admissions_declined)
   spilled=$(metric spilled_tenants)
-  echo "key cache: resident ${resident}B / budget ${budget}B, $spilled spilled, $evictions evictions, $declined admissions declined"
+  spillread=$(metric spill_bytes_read)
+  echo "key cache: resident ${resident}B / budget ${budget}B, $spilled spilled, $evictions evictions, $declined admissions declined, ${spillread}B spill read"
   if [ "$budget" -le 0 ]; then
     echo "FAIL: key budget not active (budget_bytes=$budget)" >&2
     exit 1
