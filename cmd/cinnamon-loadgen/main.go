@@ -144,11 +144,15 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 		}
 	}
 
-	// Many-tenant churn mode: N tenants, each with its own independently
-	// generated key bundle, with the open loop drawing the sending tenant
-	// per request. A Zipf draw gives a hot head and a long cold tail — the
-	// shape that exercises a budgeted server-side key cache (hot tenants
-	// stay resident, tail tenants churn through spill and reload).
+	// Many-tenant churn mode: N tenants, each with its own key bundle, with
+	// the open loop drawing the sending tenant per request. One generator
+	// serves every tenant: a generator is seeded from the public parameter
+	// seed, so each tenant drawing from a fresh one would get the same
+	// secret, and the same bundle, as every other. A Zipf draw gives a hot
+	// head and a long cold tail — the shape that exercises a budgeted
+	// server-side key cache (hot tenants stay resident, tail tenants churn
+	// through spill and reload).
+	kg := ckks.NewKeyGenerator(params)
 	clients := []*client{c}
 	if tenants > 1 {
 		if sessions > 0 {
@@ -160,12 +164,12 @@ func run(base, tenant, program string, tenants int, tenantSkew string, requests 
 		clients = make([]*client, tenants)
 		for i := range clients {
 			cl := &client{base: base, tenant: fmt.Sprintf("%s-%d", tenant, i), http: c.http, params: params}
-			if err := cl.keygenAndRegister(targets); err != nil {
+			if err := cl.keygenAndRegister(kg, targets); err != nil {
 				return fmt.Errorf("tenant %s: %w", cl.tenant, err)
 			}
 			clients[i] = cl
 		}
-	} else if err := c.keygenAndRegister(targets); err != nil {
+	} else if err := c.keygenAndRegister(kg, targets); err != nil {
 		return err
 	}
 
@@ -502,9 +506,9 @@ func (c *client) runSessions(info serve.ProgramInfo, spec *workloads.ServeWorklo
 	return nil
 }
 
-// keygenAndRegister generates a fresh tenant key set covering every key
-// the target programs require and uploads it.
-func (c *client) keygenAndRegister(targets []serve.ProgramInfo) error {
+// keygenAndRegister draws a fresh tenant key set from kg, covering every
+// key the target programs require, and uploads it.
+func (c *client) keygenAndRegister(kg *ckks.KeyGenerator, targets []serve.ProgramInfo) error {
 	rotSet := map[int]bool{}
 	needConj := false
 	for _, info := range targets {
@@ -523,7 +527,6 @@ func (c *client) keygenAndRegister(targets []serve.ProgramInfo) error {
 	}
 	sort.Ints(rots)
 
-	kg := ckks.NewKeyGenerator(c.params)
 	sk, err := kg.GenSecretKey()
 	if err != nil {
 		return err
@@ -565,9 +568,9 @@ func (c *client) keygenAndRegister(targets []serve.ProgramInfo) error {
 	return nil
 }
 
-// registerKeys uploads the stored key bundle (idempotent: the registry is
-// content-addressed downstream, and re-uploading after a server restart
-// restores the tenant without changing key material).
+// registerKeys uploads the stored key bundle. Uploading it again replaces
+// the tenant's keys with the same material, so a re-upload after a server
+// restart restores the tenant.
 func (c *client) registerKeys() error {
 	resp, err := c.http.Post(c.base+"/v1/tenants/"+c.tenant+"/keys", "application/octet-stream", bytes.NewReader(c.bundle))
 	if err != nil {

@@ -43,9 +43,11 @@
 //
 // With -key-budget-mb, resident tenant evaluation keys are capped: a
 // hard-budget LRU keeps the hot tenants decoded in RAM while colder
-// bundles spill to a content-addressed CRC-framed key store
-// (-key-spill-dir) and reload transparently, on the goroutine of the
-// first request that needs them; warm tenants never touch the store.
+// bundles spill to a CRC-framed key store (-key-spill-dir), one file per
+// registration, and reload transparently, on the goroutine of the first
+// request that needs them; warm tenants never touch the store. The server
+// owns the spill directory: at start it removes the spill files (*.keys)
+// an earlier process left there, since clients re-upload their keys.
 // /metrics reports the tier under "key_cache".
 //
 // With -pprof, net/http/pprof is served on that address, on a listener of
@@ -101,7 +103,7 @@ func main() {
 	bootstrapOn := flag.Bool("bootstrap", false, "enable the bootstrapping service (sparse-secret parameters; serves deeper-than-chain programs and sessions)")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "idle encrypted-session eviction deadline")
 	keyBudgetMB := flag.Int64("key-budget-mb", 0, "resident tenant eval-key budget in MiB (0 = unbounded); over budget, LRU tenants spill to the key store and reload on demand")
-	keySpillDir := flag.String("key-spill-dir", "", "directory for spilled key bundles (empty = a fresh temp dir; only used with -key-budget-mb)")
+	keySpillDir := flag.String("key-spill-dir", "", "directory for spilled key bundles, owned by this process: the *.keys files an earlier process left there are removed at start (empty = a fresh temp dir; only used with -key-budget-mb)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = no profiler)")
 	flag.Parse()
 

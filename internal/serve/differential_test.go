@@ -26,10 +26,7 @@ func sameCiphertext(t *testing.T, label string, got, want *ckks.Ciphertext) {
 // the request truncated to the program's input level.
 func runLocally(t *testing.T, program string, ct *ckks.Ciphertext) *ckks.Ciphertext {
 	t.Helper()
-	ev, err := tenantEvaluator(env.reg.Params, env.keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := tenantEvaluator(env.reg.Params, env.keys)
 	prog, _ := env.reg.Program(program)
 	out, err := prog.Executor().Run(context.Background(), ev, ct.AtLevel(prog.InLevel), sched.RunOpts{})
 	if err != nil {
@@ -61,10 +58,7 @@ func TestExecutorsAgreeOnCatalog(t *testing.T) {
 		full, _ := encryptRandom(t, int64(7000+i))
 		ct := full.AtLevel(prog.InLevel)
 
-		local, err := tenantEvaluator(reg.Params, env.keys)
-		if err != nil {
-			t.Fatal(err)
-		}
+		local := tenantEvaluator(reg.Params, env.keys)
 		want, err := prog.Executor().Run(ctx, local, ct, sched.RunOpts{})
 		if err != nil {
 			t.Fatalf("%s: sched local: %v", name, err)
@@ -86,10 +80,7 @@ func TestExecutorsAgreeOnCatalog(t *testing.T) {
 		}
 		sameCiphertext(t, name+": emulator vs sched local", emu, want)
 
-		remote, err := tenantEvaluator(reg.Params, env.keys)
-		if err != nil {
-			t.Fatal(err)
-		}
+		remote := tenantEvaluator(reg.Params, env.keys)
 		remote.SetKeySwitcher(eng.Bound(ctx))
 		clustered, err := prog.Executor().Run(ctx, remote, ct, sched.RunOpts{})
 		if err != nil {

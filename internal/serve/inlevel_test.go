@@ -69,10 +69,7 @@ func TestInLevelIsLeast(t *testing.T) {
 	for _, reg := range regs {
 		params := reg.Params
 		encr, keys := catalogKeys(t, reg)
-		ev, err := tenantEvaluator(params, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := tenantEvaluator(params, keys)
 		enc := ckks.NewEncoder(params)
 		for _, name := range reg.ProgramNames() {
 			p, _ := reg.Program(name)
@@ -119,10 +116,7 @@ func TestAdmissionTruncates(t *testing.T) {
 	defer closeCoreT(t, local)
 	clustered := NewCore(reg, Config{Workers: 1, RequireCluster: true, Backends: []BackendSpec{{Engine: eng}}})
 	defer closeCoreT(t, clustered)
-	ev, err := tenantEvaluator(reg.Params, env.keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := tenantEvaluator(reg.Params, env.keys)
 	wire := func(ct *ckks.Ciphertext) []byte {
 		var buf bytes.Buffer
 		if err := ct.Write(&buf); err != nil {

@@ -12,15 +12,18 @@ import (
 )
 
 // keyCache is the budgeted tenant-key tier: per-tenant *metadata* (key-name
-// set, content hash, serialized size) stays resident for every registered
+// set, spill-file layout, bundle size) stays resident for every registered
 // tenant, while the decoded eval-key maps — the tens-of-MB part — live in a
 // hard-budget LRU. Registration is write-through: the bundle's keys spill
-// to the content-addressed on-disk store immediately, one verified record
+// to a fresh file of the on-disk store immediately, one verified record
 // per key, so eviction is just dropping the decoded map, and a later
 // access reloads + deserializes it (deduplicated across concurrent
 // callers, so a cold tenant's key set costs one read of its records no
 // matter how many requests pile up behind it, whether or not the reload
-// stays resident).
+// stays resident). A spill file belongs to one registration and goes with
+// it: when a re-registration supersedes it (or, if a load of it is in
+// flight, when that load completes) and when a failed load drops the
+// tenant.
 //
 // A frequency gate stands in front of the LRU (TinyLFU admission): every
 // tenant carries an aged access count, and a reloaded map becomes resident
@@ -55,12 +58,6 @@ type keyCache struct {
 	lru      *list.List // resident entries, most-recent first; values are *tenantEntry
 	resident int64      // sum of resident entries' size
 
-	// hashRefs counts tenants (and in-flight registrations) referencing
-	// each spilled bundle hash; the file is deleted when the count drops
-	// to zero, so key rotation and tenant churn cannot grow the spill dir
-	// without bound. Only populated when store != nil.
-	hashRefs map[string]int
-
 	// ticks counts acquisitions since the access counts were last halved.
 	ticks int
 
@@ -84,9 +81,8 @@ type keyCache struct {
 
 type tenantEntry struct {
 	id    string
-	hash  string          // content address of the serialized bundle
-	size  int64           // serialized bundle bytes
-	spill spillLayout     // where each key's record sits in the spill file
+	size  int64           // the upload bundle's bytes: the budget charge
+	spill spillLayout     // this registration's spill file and its records
 	names map[string]bool // key-id set, for admission-time validation
 	keys  *keySet         // decoded keys when resident, nil when spilled
 	elem  *list.Element   // LRU position when resident, nil when spilled
@@ -143,55 +139,49 @@ type keySet struct {
 
 func newKeyCache(params *ckks.Parameters, budget int64, store *keyStore) *keyCache {
 	return &keyCache{
-		params:   params,
-		store:    store,
-		budget:   budget,
-		tenants:  map[string]*tenantEntry{},
-		lru:      list.New(),
-		hashRefs: map[string]int{},
+		params:  params,
+		store:   store,
+		budget:  budget,
+		tenants: map[string]*tenantEntry{},
+		lru:     list.New(),
 	}
 }
 
-// register installs (or replaces) a tenant: spill the serialized bundle
-// write-through, then make the decoded map resident. Registration bypasses
-// the gate, and a re-registration keeps the tenant's access count.
+// register installs (or replaces) a tenant: spill its keys write-through
+// to a fresh file, then make the decoded map resident. Registration
+// bypasses the gate, and a re-registration keeps the tenant's access
+// count. The superseded entry's file is removed at once, unless a load of
+// it is in flight: completeLoad removes it then.
 func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 	e := &tenantEntry{id: id, keys: &keySet{id: id, m: keys}, names: make(map[string]bool, len(keys))}
+	names := make([]string, 0, len(keys))
 	for name := range keys {
 		e.names[name] = true
+		names = append(names, name)
 	}
 	if c.store != nil {
-		bundle, spans, err := appendKeyBundle(nil, keys)
-		if err != nil {
-			return fmt.Errorf("serve: serializing key bundle: %w", err)
-		}
-		e.size = int64(len(bundle))
-		e.hash = bundleHash(bundle)
-		// Reserve the content address before Save: a concurrent replace of
-		// the hash's last other referent could otherwise sweep the file
-		// between Save's rename and the install below.
-		c.mu.Lock()
-		c.hashRefs[e.hash]++
-		c.mu.Unlock()
+		slices.Sort(names)
+		var err error
 		// Registration fails rather than admit a tenant whose keys could
 		// not spill: eviction would otherwise lose the only copy.
-		if e.spill, err = c.store.Save(e.hash, bundle, spans); err != nil {
-			c.mu.Lock()
-			c.releaseHashLocked(e.hash)
-			c.mu.Unlock()
+		if e.spill, err = c.store.Save(names, func(b []byte, i int) []byte {
+			return appendKeyEntry(b, names[i], keys[names[i]])
+		}); err != nil {
 			return fmt.Errorf("serve: spilling key bundle: %w", err)
 		}
+		e.size = 8 + e.spill.total // the upload bundle: magic, count, these entries
 	}
 	c.mu.Lock()
 	var due []*keySet
+	var superseded string
 	if old, ok := c.tenants[id]; ok {
 		if old.elem != nil {
 			c.lru.Remove(old.elem)
 			due = c.leaveLocked(due, old)
 		}
-		// The superseded bundle's spill file is garbage once no other
-		// tenant references its hash.
-		c.releaseHashLocked(old.hash)
+		if old.load == nil {
+			superseded = old.spill.path
+		}
 		e.freq = old.freq
 	}
 	c.tenants[id] = e
@@ -199,22 +189,9 @@ func (c *keyCache) register(id string, keys map[string]*ckks.EvalKey) error {
 	c.resident += e.size
 	due = append(due, c.enforceBudgetLocked()...)
 	c.mu.Unlock()
+	removeSpill(superseded)
 	c.fireEvictHooks(due)
 	return nil
-}
-
-// releaseHashLocked drops one reference to a spilled bundle and deletes
-// the file when it was the last. The unlink happens under c.mu so it
-// cannot interleave with a concurrent register's reserve-then-Save of the
-// same content (the reservation would keep the count above zero).
-func (c *keyCache) releaseHashLocked(hash string) {
-	if c.store == nil || hash == "" {
-		return
-	}
-	if c.hashRefs[hash]--; c.hashRefs[hash] <= 0 {
-		delete(c.hashRefs, hash)
-		c.store.Remove(hash)
-	}
 }
 
 // acquire returns the tenant's decoded keys with a hold on them, blocking
@@ -347,7 +324,8 @@ func (c *keyCache) loadLocked(e *tenantEntry, need []string) (*keySet, bool) {
 // the map to the loader and every waiter with a hold each. The map becomes
 // resident only if it holds every key, the gate admits it (again: the LRU
 // may have moved since the load started) and the tenant has not
-// re-registered meanwhile (the fresh registration wins); otherwise it is
+// re-registered meanwhile (the fresh registration wins, and the load,
+// which kept the superseded file alive, removes it); otherwise it is
 // out of the cache from the start, and its last release fires the
 // eviction hook for exactly the keys it holds.
 func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool) {
@@ -355,7 +333,7 @@ func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool)
 		c.testBeforeLoad()
 	}
 	keys := make(map[string]*ckks.EvalKey, len(ld.recs))
-	err := c.store.Load(e.hash, &e.spill, ld.recs, func(rec *spillRecord, entry []byte) error {
+	err := c.store.Load(&e.spill, ld.recs, func(rec *spillRecord, entry []byte) error {
 		// The decode reads entry in place; the key is a copy.
 		key, err := decodeSpilledKey(rec.name, entry, c.params)
 		if err != nil {
@@ -373,14 +351,14 @@ func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool)
 		// (keyNames) accepting requests that can never execute, failing
 		// each one with a misleading "unknown tenant". Dropping makes
 		// admission and execution agree — the tenant is unknown,
-		// re-register — and releases the broken bundle's spill file.
+		// re-register — and removes the broken bundle's spill file.
 		if current {
 			delete(c.tenants, e.id)
-			c.releaseHashLocked(e.hash)
 		}
 		c.loadFails.Add(1)
 		close(ld.done)
 		c.mu.Unlock()
+		removeSpill(e.spill.path)
 		return nil, false
 	}
 	ks := &keySet{id: e.id, m: keys, holds: 1 + ld.waiters}
@@ -400,6 +378,9 @@ func (c *keyCache) completeLoad(e *tenantEntry, ld *pendingLoad) (*keySet, bool)
 	}
 	close(ld.done)
 	c.mu.Unlock()
+	if !current {
+		removeSpill(e.spill.path)
+	}
 	c.fireEvictHooks(due)
 	return ks, true
 }

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math/cmplx"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,10 +21,10 @@ import (
 	"cinnamon/internal/workloads"
 )
 
-// TestKeyStoreRoundtrip exercises the content-addressed spill store on raw
-// key entries: save/load identity for a full and a one-record load, a
-// re-save that lays the file out the same way, and corruption detection
-// through the frame CRC.
+// TestKeyStoreRoundtrip exercises the spill store on raw key entries:
+// save/load identity for a full and a one-record load, a second save of
+// the same entries that lays out a file of its own the same way, and
+// corruption detection through the frame CRC.
 func TestKeyStoreRoundtrip(t *testing.T) {
 	store, err := newKeyStore(t.TempDir())
 	if err != nil {
@@ -32,57 +34,60 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 	for i := range bundle {
 		bundle[i] = byte(i * 31)
 	}
-	hash, l := saveRaw(t, store, bundle, 4)
-	// Re-saving the same content rewrites the file to the same layout.
-	if again, err := store.Save(hash, bundle, rawSpans(bundle, 4)); err != nil || !reflect.DeepEqual(again, l) {
-		t.Fatalf("re-save: layout %+v, %v; first save %+v", again, err, l)
+	entries := rawEntries(bundle, 4)
+	l := saveRaw(t, store, entries)
+	// Saving the same entries again writes a second file, laid out the
+	// same way.
+	again := saveRaw(t, store, entries)
+	if again.path == l.path {
+		t.Fatalf("two saves share the file %s", l.path)
 	}
-	got, err := loadCopy(store, hash, l, l.recs)
+	again.path = l.path
+	if !reflect.DeepEqual(again, l) {
+		t.Fatalf("second save: layout %+v; first save %+v", again, l)
+	}
+	got, err := loadCopy(store, l, l.recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, bundle) {
 		t.Fatalf("roundtrip mismatch: %d bytes in, %d out", len(bundle), len(got))
 	}
-	span := rawSpans(bundle, 4)[2]
-	if got, err := loadCopy(store, hash, l, l.recs[2:3]); err != nil || !bytes.Equal(got, bundle[span.lo:span.hi]) {
+	if got, err := loadCopy(store, l, l.recs[2:3]); err != nil || !bytes.Equal(got, entries[2]) {
 		t.Fatalf("one-record load: %d bytes, %v", len(got), err)
 	}
 
 	// A bundle without keys still roundtrips (a header alone).
-	empty := bundleHash(nil)
-	le, err := store.Save(empty, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := loadCopy(store, empty, le, le.recs); err != nil || len(got) != 0 {
+	le := saveRaw(t, store, nil)
+	if got, err := loadCopy(store, le, le.recs); err != nil || len(got) != 0 {
 		t.Fatalf("empty bundle: %d bytes, %v", len(got), err)
 	}
 
 	// Flip one byte mid-file: the frame CRC (or, if the flip lands in
 	// framing, the parser) must reject the load.
-	raw, err := os.ReadFile(store.path(hash))
+	raw, err := os.ReadFile(l.path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
+	if err := os.WriteFile(l.path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadCopy(store, hash, l, l.recs); err == nil {
+	if _, err := loadCopy(store, l, l.recs); err == nil {
 		t.Fatal("corrupted spill file loaded without error")
 	}
 
-	// Loading an address that was never saved fails cleanly.
-	if _, err := loadCopy(store, bundleHash([]byte("absent")), l, l.recs); err == nil {
-		t.Fatal("load of unknown hash succeeded")
+	// Loading a file that was removed fails cleanly.
+	removeSpill(again.path)
+	if _, err := loadCopy(store, again, again.recs); err == nil {
+		t.Fatal("load of a removed spill file succeeded")
 	}
 }
 
 // genTenantKeys makes an independent single-key bundle. Key generation is
 // deterministic per NewKeyGenerator, so two calls yield byte-identical
-// bundles (same content address); draw sequentially from one generator
-// when a test needs distinct material.
+// bundles; draw sequentially from one generator when a test needs distinct
+// material.
 func genTenantKeys(t testing.TB, params *ckks.Parameters) map[string]*ckks.EvalKey {
 	t.Helper()
 	kg := ckks.NewKeyGenerator(params)
@@ -95,6 +100,25 @@ func genTenantKeys(t testing.TB, params *ckks.Parameters) map[string]*ckks.EvalK
 		t.Fatal(err)
 	}
 	return map[string]*ckks.EvalKey{"rlk": rlk}
+}
+
+// rlkDraws returns a function that draws single-key bundles from one
+// generator: key generation is deterministic per NewKeyGenerator, so
+// sequential draws (not fresh generators, as genTenantKeys uses) are what
+// produce distinct material.
+func rlkDraws(t testing.TB, params *ckks.Parameters) func() map[string]*ckks.EvalKey {
+	kg := ckks.NewKeyGenerator(params)
+	return func() map[string]*ckks.EvalKey {
+		sk, err := kg.GenSecretKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rlk, err := kg.GenRelinKey(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*ckks.EvalKey{"rlk": rlk}
+	}
 }
 
 func bundleSize(t testing.TB, keys map[string]*ckks.EvalKey) int64 {
@@ -359,9 +383,9 @@ func TestKeyCacheLoadFailureDropsTenant(t *testing.T) {
 
 	// Destroy a's spill bundle behind the cache's back.
 	c.mu.Lock()
-	hashA := c.tenants["a"].hash
+	pathA := c.tenants["a"].spill.path
 	c.mu.Unlock()
-	if err := os.Remove(store.path(hashA)); err != nil {
+	if err := os.Remove(pathA); err != nil {
 		t.Fatal(err)
 	}
 
@@ -434,12 +458,12 @@ func TestSubmitLoadFailureCounted(t *testing.T) {
 		}
 		reg.keys.mu.Lock()
 		e := reg.keys.tenants[victim]
-		hash, spilled := e.hash, e.elem == nil
+		path, spilled := e.spill.path, e.elem == nil
 		reg.keys.mu.Unlock()
 		if !spilled {
 			t.Fatalf("%s still resident after the evictor registered", victim)
 		}
-		if err := os.WriteFile(reg.keys.store.path(hash), []byte("not a key bundle"), 0o600); err != nil {
+		if err := os.WriteFile(path, []byte("not a key bundle"), 0o600); err != nil {
 			t.Fatal(err)
 		}
 		before := core.Metrics().Snapshot()
@@ -469,10 +493,61 @@ func TestSubmitLoadFailureCounted(t *testing.T) {
 	}
 }
 
-// TestKeySpillSweepOnRotation: replacing a tenant's keys must delete the
-// superseded bundle's spill file once no tenant references its hash —
-// otherwise key rotation grows the spill dir without bound — while a
-// content-shared bundle survives until its last referent rotates away.
+// spillPath is tenant id's spill file.
+func spillPath(c *keyCache, id string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tenants[id].spill.path
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// spillAll evicts every resident tenant, leaving the budget as it was.
+func spillAll(c *keyCache) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	budget := c.budget
+	c.budget = 1
+	c.enforceBudgetLocked()
+	c.budget = budget
+}
+
+// receive waits for ch's value, and fails the test after ten seconds.
+func receive[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+	var zero T
+	return zero
+}
+
+// parkLoads makes the cache's next spill reload wait before it reads the
+// store: parked closes when it is there, and closing the returned channel
+// lets it go on. Later reloads do not wait.
+func parkLoads(c *keyCache) (parked, resume chan struct{}) {
+	parked, resume = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	c.testBeforeLoad = func() {
+		once.Do(func() {
+			close(parked)
+			<-resume
+		})
+	}
+	return parked, resume
+}
+
+// TestKeySpillSweepOnRotation: replacing a tenant's keys removes the
+// superseded registration's spill file — at once, or, while a reload of
+// it is in flight, when that reload completes — so key rotation cannot
+// grow the spill dir. Another tenant registered with the same keys keeps
+// a file of its own throughout.
 func TestKeySpillSweepOnRotation(t *testing.T) {
 	reg := testEnv(t)
 	params := reg.Params
@@ -480,77 +555,259 @@ func TestKeySpillSweepOnRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One generator for both bundles: key generation is deterministic per
-	// NewKeyGenerator, so sequential draws (not fresh generators) are what
-	// produce distinct material — and distinct content addresses.
-	kg := ckks.NewKeyGenerator(params)
-	genKeys := func() map[string]*ckks.EvalKey {
-		sk, err := kg.GenSecretKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rlk, err := kg.GenRelinKey(sk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]*ckks.EvalKey{"rlk": rlk}
-	}
+	genKeys := rlkDraws(t, params)
 	k1 := genKeys()
 	k2 := genKeys()
 	c := newKeyCache(params, bundleSize(t, k1)*10, store)
 
-	// Two tenants share one content-addressed file (identical material).
 	if err := c.register("a", k1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.register("shared", k1); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	h1 := c.tenants["a"].hash
-	c.mu.Unlock()
+	p1, pShared := spillPath(c, "a"), spillPath(c, "shared")
+	if p1 == pShared {
+		t.Fatal("two registrations of identical keys share a spill file")
+	}
 
-	// a rotates to new material: h1 must survive (shared still uses it).
+	// a rotates with no load in flight: its old file goes at once.
 	if err := c.register("a", k2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(store.path(h1)); err != nil {
-		t.Fatalf("shared bundle swept while still referenced: %v", err)
+	p2 := spillPath(c, "a")
+	if fileExists(p1) {
+		t.Fatal("superseded spill file not swept")
 	}
-	c.mu.Lock()
-	h2 := c.tenants["a"].hash
-	c.mu.Unlock()
-	if h1 == h2 {
-		t.Fatal("distinct key material hashed identically")
+	if !fileExists(p2) || !fileExists(pShared) {
+		t.Fatal("a live spill file is missing")
 	}
 
-	// The last referent rotates away: h1 is garbage and must be deleted.
-	if err := c.register("shared", k2); err != nil {
+	// a spills and rotates back while its reload is parked: the reload's
+	// file stays until the reload completes, and goes then.
+	spillAll(c)
+	parked, resume := parkLoads(c)
+	done := make(chan *keySet, 1)
+	go func() {
+		ks, _ := c.acquire("a", nil)
+		done <- ks
+	}()
+	waitClosed(t, parked, "a's reload")
+	if err := c.register("a", k1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(store.path(h1)); !os.IsNotExist(err) {
-		t.Fatalf("superseded bundle not swept (stat err %v)", err)
+	if !fileExists(p2) {
+		t.Fatal("the file of a reload in flight was removed before the reload completed")
 	}
-	if _, err := os.Stat(store.path(h2)); err != nil {
-		t.Fatalf("live bundle missing: %v", err)
+	close(resume)
+	ks := receive(t, done, "the parked reload")
+	if ks == nil {
+		t.Fatal("a's reload failed")
+	}
+	c.release(ks)
+	if fileExists(p2) {
+		t.Fatal("superseded spill file not removed when its reload completed")
 	}
 
-	// Both tenants still serve from the surviving bundle after eviction.
-	c.mu.Lock()
-	c.budget = 1 // force everything out on the next enforcement
-	evicted := c.enforceBudgetLocked()
-	c.mu.Unlock()
-	if len(evicted) == 0 {
-		t.Fatal("nothing evicted under a 1-byte budget")
-	}
-	c.mu.Lock()
-	c.budget = bundleSize(t, k2) * 10
-	c.mu.Unlock()
+	// Both tenants still serve from their own files after eviction.
+	spillAll(c)
 	for _, id := range []string{"a", "shared"} {
 		if keys, ok := c.get(id); !ok || keys["rlk"] == nil {
 			t.Fatalf("get(%s) failed after sweep + eviction", id)
 		}
 	}
+}
+
+// TestReloadSurvivesReRegistration: a tenant re-registers while a reload
+// of its spilled keys is parked before it reads the store. The reload
+// completes on the keys it started with, no load fails, the superseded
+// file is gone once the reload is done, and the next acquire serves the
+// new keys. Through Core.Submit the parked request succeeds with the
+// output of the old keys: no 403 for a registered tenant.
+func TestReloadSurvivesReRegistration(t *testing.T) {
+	params := testEnv(t).Params
+	genKeys := rlkDraws(t, params)
+	keyBytes := func(keys map[string]*ckks.EvalKey) []byte { return keys["rlk"].Append(nil) }
+
+	t.Run("cache", func(t *testing.T) {
+		kA, kB, kNew := genKeys(), genKeys(), genKeys()
+		store, err := newKeyStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := bundleSize(t, kA)
+		c := newKeyCache(params, size+size/2, store)
+		for id, keys := range map[string]map[string]*ckks.EvalKey{"a": kA, "b": kB} {
+			if err := c.register(id, keys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spillAll(c)
+		old := spillPath(c, "a")
+		parked, resume := parkLoads(c)
+		done := make(chan *keySet, 1)
+		go func() {
+			ks, _ := c.acquire("a", nil)
+			done <- ks
+		}()
+		waitClosed(t, parked, "a's reload")
+		if err := c.register("a", kNew); err != nil {
+			t.Fatal(err)
+		}
+		close(resume)
+		ks := receive(t, done, "the parked reload")
+		if ks == nil {
+			t.Fatalf("the parked reload failed (spill_load_failures %d)", c.stats().SpillLoadFails)
+		}
+		if !bytes.Equal(keyBytes(ks.m), keyBytes(kA)) {
+			t.Fatal("the parked reload returned keys other than the ones it started with")
+		}
+		c.release(ks)
+		if s := c.stats(); s.SpillLoadFails != 0 {
+			t.Fatalf("spill_load_failures = %d, want 0", s.SpillLoadFails)
+		}
+		if fileExists(old) {
+			t.Fatal("the superseded spill file outlived its reload")
+		}
+		spillAll(c)
+		ks, ok := c.acquire("a", nil)
+		if !ok || !bytes.Equal(keyBytes(ks.m), keyBytes(kNew)) {
+			t.Fatal("the next acquire after re-registering did not serve the new keys")
+		}
+		c.release(ks)
+	})
+
+	t.Run("submit", func(t *testing.T) {
+		kB, kNew := genKeys(), genKeys()
+		sizeA, sizeB := bundleSize(t, env.keys), bundleSize(t, kB)
+		reg, err := NewRegistry(RegistryConfig{Literal: env.lit, KeyBudgetBytes: sizeA + sizeB/2, KeySpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := NewCore(reg, Config{})
+		defer closeCoreT(t, core)
+		ct, _ := encryptRandom(t, 4700)
+		if err := reg.RegisterTenant("a", env.keys); err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Submit(context.Background(), "square", "a", ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.RegisterTenant("b", kB); err != nil { // evicts a
+			t.Fatal(err)
+		}
+		parked, resume := parkLoads(reg.keys)
+		type result struct {
+			out *ckks.Ciphertext
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			out, err := core.Submit(context.Background(), "square", "a", ct)
+			done <- result{out, err}
+		}()
+		waitClosed(t, parked, "a's reload")
+		if err := reg.RegisterTenant("a", kNew); err != nil {
+			t.Fatal(err)
+		}
+		close(resume)
+		res := receive(t, done, "the parked request")
+		if res.err != nil {
+			t.Fatalf("Submit across a re-registration: %v (HTTP %d)", res.err, statusFor(res.err))
+		}
+		if !bytes.Equal(ctBytes(t, res.out), ctBytes(t, want)) {
+			t.Fatal("the parked request's output differs from the old keys' output")
+		}
+		if s := reg.KeyCacheStats(); s.SpillLoadFails != 0 {
+			t.Fatalf("spill_load_failures = %d, want 0", s.SpillLoadFails)
+		}
+		if _, err := core.Submit(context.Background(), "square", "a", ct); err != nil {
+			t.Fatalf("Submit on the new keys: %v", err)
+		}
+	})
+}
+
+// TestSpillFilePerRegistration: through registrations, re-registrations
+// (with and without a reload in flight), a failed reload and evictions,
+// the spill directory holds exactly the files of the registered tenants,
+// one each.
+func TestSpillFilePerRegistration(t *testing.T) {
+	params := testEnv(t).Params
+	dir := t.TempDir()
+	store, err := newKeyStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := genTenantKeys(t, params)
+	size := bundleSize(t, keys)
+	c := newKeyCache(params, size*5/2, store)
+	check := func(step string) {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		var want []string
+		for _, e := range c.tenants {
+			want = append(want, e.spill.path)
+		}
+		c.mu.Unlock()
+		slices.Sort(files)
+		slices.Sort(want)
+		if !slices.Equal(files, want) {
+			t.Fatalf("%s: the spill dir holds %v, the %d registered tenants %v", step, files, len(want), want)
+		}
+	}
+	for i := 0; i < 4; i++ { // the last two evict the first two
+		if err := c.register(fmt.Sprint(i), keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("four registrations")
+	if err := c.register("3", keys); err != nil {
+		t.Fatal(err)
+	}
+	check("a re-registration")
+	for _, id := range []string{"0", "1", "2"} {
+		if _, ok := c.get(id); !ok {
+			t.Fatalf("get(%s) failed", id)
+		}
+	}
+	check("reloads and evictions")
+
+	spillAll(c)
+	parked, resume := parkLoads(c)
+	done := make(chan *keySet, 1)
+	go func() {
+		ks, _ := c.acquire("0", nil)
+		done <- ks
+	}()
+	waitClosed(t, parked, "0's reload")
+	if err := c.register("0", keys); err != nil {
+		t.Fatal(err)
+	}
+	close(resume)
+	ks := receive(t, done, "the parked reload")
+	if ks == nil {
+		t.Fatal("0's reload failed")
+	}
+	c.release(ks)
+	check("a re-registration with a reload in flight")
+
+	spillAll(c)
+	if err := os.WriteFile(spillPath(c, "1"), []byte("not a key bundle"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.get("1"); ok {
+		t.Fatal("get(1) succeeded on a broken spill file")
+	}
+	check("a failed reload")
+	if err := c.register("1", keys); err != nil {
+		t.Fatal(err)
+	}
+	check("a re-registration after a failed reload")
 }
 
 // TestBootstrapperForColdReloadEviction began as a self-deadlock regression:

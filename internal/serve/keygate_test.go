@@ -191,14 +191,7 @@ func TestGateDeclinedLoadShared(t *testing.T) {
 		wg.Add(1)
 		go func() { defer wg.Done(); acquire() }()
 	}
-	for {
-		c.mu.Lock()
-		joined := c.tenants["0"].load.waiters
-		c.mu.Unlock()
-		if joined == waiters {
-			break
-		}
-	}
+	waitLoadWaiters(t, c, "0", waiters)
 	close(resume)
 	wg.Wait()
 

@@ -22,7 +22,7 @@ import (
 // partialRegistry compiles a square-and-rotsum registry on the fixture's
 // literal under a budget of 1.5 fixture bundles, and registers tenant
 // "cold" and then tenant "hot", which evicts it. Both hold the fixture's
-// whole key set (one spill file, shared).
+// whole key set, each in a spill file of its own.
 func partialRegistry(t *testing.T) *Registry {
 	t.Helper()
 	testEnv(t)
@@ -199,8 +199,7 @@ func TestPartialLoadTamper(t *testing.T) {
 	c := partialCache(t)
 	need := programKeys(t, "rotsum")
 	c.mu.Lock()
-	e := c.tenants["cold"]
-	hash, layout := e.hash, e.spill
+	layout := c.tenants["cold"].spill
 	c.mu.Unlock()
 	var unused, used spillRecord
 	for _, r := range layout.recs {
@@ -210,15 +209,13 @@ func TestPartialLoadTamper(t *testing.T) {
 			unused = r
 		}
 	}
-	path := c.store.path(hash)
-
-	tamperRecord(t, path, unused)
+	tamperRecord(t, layout.path, unused)
 	ks, ok := c.acquire("cold", need)
 	if !ok || len(ks.m) != len(need) {
 		t.Fatalf("partial load around a tampered unread record: ok %v", ok)
 	}
 	c.release(ks)
-	err := c.store.Load(hash, &layout, layout.recs, func(*spillRecord, []byte) error { return nil })
+	err := c.store.Load(&layout, layout.recs, func(*spillRecord, []byte) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("full load of a CRC-valid tampered record: %v, want a digest mismatch", err)
 	}
@@ -232,15 +229,15 @@ func TestPartialLoadTamper(t *testing.T) {
 		t.Fatalf("spill_load_failures = %d, want 1", s.SpillLoadFails)
 	}
 
-	// A fresh registration of the content rewrites the file; hot's reload
-	// then evicts it, and its reloads are declined again.
+	// A fresh registration of the same keys writes a file of its own; hot's
+	// reload then evicts it, and its reloads are declined again.
 	if err := c.register("cold2", env.keys); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.get("hot"); !ok {
 		t.Fatal("get(hot) failed")
 	}
-	tamperRecord(t, path, used)
+	tamperRecord(t, spillPath(c, "cold2"), used)
 	if _, ok := c.acquire("cold2", need); ok {
 		t.Fatal("partial load of a tampered needed record succeeded")
 	}

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,11 +13,12 @@ import (
 	"cinnamon/internal/cluster"
 )
 
-// The spill store holds evicted tenant key bundles on disk, content-
-// addressed by the SHA-256 of their serialized bundle image (WriteKeyBundle
-// sorts key names, so the image — and therefore the address — is a pure
-// function of the key material). Two tenants registering identical bundles
-// share one file.
+// The spill store holds tenant key bundles on disk, one file per
+// registration: Save writes a fresh file, the tenant entry holds its path,
+// and the file lives exactly as long as that entry (see keyCache.register
+// and completeLoad). Nothing is shared between registrations, so nothing
+// is content-addressed or counted, and one process owns the directory:
+// newKeyStore removes the spill files an earlier process left there.
 //
 // A spill file is a sequence of wire-v2 CRC-framed records (the cluster
 // codec: [u32 length][u8 type][payload][u32 crc32c]), so torn writes and
@@ -32,9 +33,9 @@ import (
 // One key record follows the header per key, in the bundle's name order.
 // A record is usually one frame; a key past spillChunkSize (a frame caps at
 // 64 MiB) spans several, and its record covers them all. Save returns the
-// file's layout — every record's byte range and the SHA-256 of the entry
-// it carries — and the cache keeps it resident, so a load reads and
-// checks exactly the records it names (see Load).
+// file's layout — its path, every record's byte range and the SHA-256 of
+// the entry it carries — and the cache keeps it resident, so a load reads
+// and checks exactly the records it names (see Load).
 const (
 	spillHeader byte = 0x91
 	spillKey    byte = 0x92
@@ -52,10 +53,11 @@ type spillRecord struct {
 	sum    [sha256.Size]byte
 }
 
-// spillLayout is the resident index of one spill file: its length, the
-// key-entry bytes its header announces, and one record per key in file
-// order.
+// spillLayout is the resident index of one spill file: its path and
+// length, the key-entry bytes its header announces, and one record per key
+// in file order.
 type spillLayout struct {
+	path  string
 	size  int64
 	total int64
 	recs  []spillRecord
@@ -72,7 +74,7 @@ func (l *spillLayout) pick(need []string) []spillRecord {
 	return recs
 }
 
-// keyStore is the content-addressed on-disk spill store.
+// keyStore is the on-disk spill store.
 type keyStore struct {
 	dir string
 
@@ -87,130 +89,122 @@ type keyStore struct {
 	free [][]byte
 }
 
+// newKeyStore opens dir as the spill store and removes the spill files
+// (*.keys) in it: they belong to the registrations of an earlier process,
+// which no process reads again.
 func newKeyStore(dir string) (*keyStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: key spill dir: %w", err)
 	}
+	old, _ := filepath.Glob(filepath.Join(dir, "*.keys")) // fails only on a bad pattern
+	for _, path := range old {
+		removeSpill(path)
+	}
 	return &keyStore{dir: dir}, nil
 }
 
-// bundleHash is the content address of a serialized key bundle.
-func bundleHash(bundle []byte) string {
-	sum := sha256.Sum256(bundle)
-	return hex.EncodeToString(sum[:])
-}
+// spillHeaderLen is the file bytes of the header frame (frameLen of its
+// payload: a u64 total and a u32 key count).
+const spillHeaderLen = 4 + 1 + 12 + 4
 
-func (s *keyStore) path(hash string) string {
-	return filepath.Join(s.dir, hash+".keys")
-}
-
-// Save writes the spill file of bundle under hash: the header, then one
-// record per key entry that spans locates. It returns the file's layout,
-// a pure function of the entries. It always writes, even when a file
-// already sits at the address: that file may have rotted since it was
-// written, and a re-registration of the same content is how a tenant
-// recovers from a failed reload (keeping the old file would fail the next
-// reload of every tenant sharing it). The file lands via fsync and rename
-// from a temp file in the same directory, so a crash mid-write never
-// leaves a partial file at the content address and a concurrent Load
-// reads either the old file or the new one, whole.
-func (s *keyStore) Save(hash string, bundle []byte, spans []keySpan) (spillLayout, error) {
-	l := spillLayout{recs: make([]spillRecord, len(spans))}
-	for _, sp := range spans {
-		l.total += int64(sp.hi - sp.lo)
-	}
-	tmp, err := os.CreateTemp(s.dir, "spill-*.tmp")
+// Save writes a fresh spill file holding one record per name, in order:
+// entry appends the i-th name's key entry to a buffer, which is reused for
+// the next, so Save holds one entry at a time and never a whole bundle. It
+// returns the file's layout. The header goes in front last, once the
+// entries' total is known, and the file is fsynced before Save returns. A
+// failed Save removes its partial file.
+func (s *keyStore) Save(names []string, entry func(b []byte, i int) []byte) (l spillLayout, err error) {
+	f, err := os.CreateTemp(s.dir, "*.keys")
 	if err != nil {
 		return spillLayout{}, err
 	}
-	defer os.Remove(tmp.Name())
-	var hdr []byte
-	hdr = appendU64le(hdr, uint64(l.total))
-	hdr = appendU32le(hdr, uint32(len(spans)))
-	if err := cluster.WriteFrame(tmp, spillHeader, hdr); err != nil {
-		tmp.Close()
-		return spillLayout{}, err
-	}
-	l.size = frameLen(len(hdr))
-	for i, sp := range spans {
-		entry := bundle[sp.lo:sp.hi]
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(f.Name())
+			l = spillLayout{}
+		}
+	}()
+	l = spillLayout{path: f.Name(), size: spillHeaderLen, recs: make([]spillRecord, len(names))}
+	w := io.NewOffsetWriter(f, l.size)
+	var buf []byte
+	for i, name := range names {
+		buf = entry(buf[:0], i)
 		rec := &l.recs[i]
-		*rec = spillRecord{name: sp.name, off: l.size, sum: sha256.Sum256(entry)}
+		*rec = spillRecord{name: name, off: l.size, sum: sha256.Sum256(buf)}
 		// An empty entry still writes one (empty) frame.
-		for lo := 0; lo == 0 || lo < len(entry); lo += spillChunkSize {
-			part := entry[lo:min(lo+spillChunkSize, len(entry))]
-			if err := cluster.WriteFrame(tmp, spillKey, part); err != nil {
-				tmp.Close()
-				return spillLayout{}, err
+		for lo := 0; lo == 0 || lo < len(buf); lo += spillChunkSize {
+			part := buf[lo:min(lo+spillChunkSize, len(buf))]
+			if err := cluster.WriteFrame(w, spillKey, part); err != nil {
+				return l, err
 			}
 			l.size += frameLen(len(part))
 		}
 		rec.n = l.size - rec.off
+		l.total += int64(len(buf))
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return spillLayout{}, err
+	var hdr []byte
+	hdr = appendU64le(hdr, uint64(l.total))
+	hdr = appendU32le(hdr, uint32(len(names)))
+	if err := cluster.WriteFrame(io.NewOffsetWriter(f, 0), spillHeader, hdr); err != nil {
+		return l, err
 	}
-	if err := tmp.Close(); err != nil {
-		return spillLayout{}, err
-	}
-	if err := os.Rename(tmp.Name(), s.path(hash)); err != nil {
-		return spillLayout{}, err
-	}
-	return l, nil
+	return l, f.Sync()
 }
 
 // frameLen is the file bytes of one spill frame carrying n payload bytes:
 // the u32 length, the type byte and the CRC-32C trailer around them.
 func frameLen(n int) int64 { return int64(4 + 1 + n + 4) }
 
-// Remove deletes a spilled bundle. Best-effort: the caller (keyCache
-// refcounting) has determined no tenant references the hash, and a file
-// that survives removal only costs disk until the address is reused.
-func (s *keyStore) Remove(hash string) {
-	os.Remove(s.path(hash))
+// removeSpill deletes the spill file at path (none when path is empty).
+// Best effort: a file that survives costs disk until the next process
+// sweeps the directory.
+func removeSpill(path string) {
+	if path != "" {
+		os.Remove(path)
+	}
 }
 
 // Load reads the records recs (in file order, a subset of l.recs) of the
-// spill file at hash and hands use each one's key entry, checked in place:
-// the file is the length l says, each of its frames passes the length and
-// CRC-32C rule (the cluster codec's), has the key type and ends inside
-// the record, and the entry hashes to the record's resident SHA-256. A
-// load that names every record is a full load: it reads the whole file
-// with one ReadAt and also checks the header's total and key count
-// against l. Any other load reads only its records, one ReadAt each, so a
-// cold run that needs one key of fifteen reads, hashes and decodes about
-// one fifteenth of the bundle. Both read into a buffer the store recycles.
-// An entry is use's only for the call; what use keeps must not alias it.
-func (s *keyStore) Load(hash string, l *spillLayout, recs []spillRecord, use func(rec *spillRecord, entry []byte) error) error {
+// spill file l lays out and hands use each one's key entry, checked in
+// place: the file is the length l says, each of its frames passes the
+// length and CRC-32C rule (the cluster codec's), has the key type and ends
+// inside the record, and the entry hashes to the record's resident
+// SHA-256. A load that names every record is a full load: it reads the
+// whole file with one ReadAt and also checks the header's total and key
+// count against l. Any other load reads only its records, one ReadAt each,
+// so a cold run that needs one key of fifteen reads, hashes and decodes
+// about one fifteenth of the bundle. Both read into a buffer the store
+// recycles. An entry is use's only for the call; what use keeps must not
+// alias it.
+func (s *keyStore) Load(l *spillLayout, recs []spillRecord, use func(rec *spillRecord, entry []byte) error) error {
 	full := len(recs) == len(l.recs)
-	raw, err := s.read(s.path(hash), l, recs, full, s.takeBuffer())
+	file := filepath.Base(l.path)
+	raw, err := s.read(l, recs, full, s.takeBuffer())
 	defer s.putBuffer(raw)
 	if err != nil {
-		return fmt.Errorf("serve: spill %s: %w", hash[:12], err)
+		return fmt.Errorf("serve: spill %s: %w", file, err)
 	}
 	if full {
-		hdrLen := l.size
-		if len(l.recs) > 0 {
-			hdrLen = l.recs[0].off
+		if err := checkSpillHeader(raw[:spillHeaderLen], l); err != nil {
+			return fmt.Errorf("serve: spill %s: header: %w", file, err)
 		}
-		if err := checkSpillHeader(raw[:hdrLen], l); err != nil {
-			return fmt.Errorf("serve: spill %s: header: %w", hash[:12], err)
-		}
-		raw = raw[hdrLen:]
+		raw = raw[spillHeaderLen:]
 	}
 	for i := range recs {
 		rec := &recs[i]
 		entry, err := unframeRecord(raw[:rec.n])
 		raw = raw[rec.n:]
 		if err != nil {
-			return fmt.Errorf("serve: spill %s: key %q: %w", hash[:12], rec.name, err)
+			return fmt.Errorf("serve: spill %s: key %q: %w", file, rec.name, err)
 		}
 		// The digest is the proof: an entry that does not hash to what
 		// Save computed has been corrupted in a way the frame CRCs missed
 		// (or tampered with), and must not be deserialized.
 		if sha256.Sum256(entry) != rec.sum {
-			return fmt.Errorf("serve: spill %s: key %q: digest mismatch", hash[:12], rec.name)
+			return fmt.Errorf("serve: spill %s: key %q: digest mismatch", file, rec.name)
 		}
 		if err := use(rec, entry); err != nil {
 			return err
@@ -219,11 +213,11 @@ func (s *keyStore) Load(hash string, l *spillLayout, recs []spillRecord, use fun
 	return nil
 }
 
-// read checks that the file at path is the length l says and reads into
-// buf, growing it when the reads are larger, either the whole file (full)
-// or each record of recs back to back.
-func (s *keyStore) read(path string, l *spillLayout, recs []spillRecord, full bool, buf []byte) ([]byte, error) {
-	f, err := os.Open(path)
+// read checks that the file l lays out is the length l says and reads
+// into buf, growing it when the reads are larger, either the whole file
+// (full) or each record of recs back to back.
+func (s *keyStore) read(l *spillLayout, recs []spillRecord, full bool, buf []byte) ([]byte, error) {
+	f, err := os.Open(l.path)
 	if err != nil {
 		return buf[:0], err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -68,9 +69,9 @@ func seededImages(t *testing.T) (bundle, ct []byte) {
 }
 
 // TestWireImagesPinned: the bundle and ciphertext byte formats are a
-// compatibility contract. Spill files are addressed by the SHA-256 of the
-// bundle image, and clients encode ciphertexts themselves, so an encoder
-// change that moves a single byte must fail here.
+// compatibility contract. Clients encode both themselves (the bundle is the
+// key upload format, and each spill record carries one of its key
+// entries), so an encoder change that moves a single byte must fail here.
 func TestWireImagesPinned(t *testing.T) {
 	bundle, ct := seededImages(t)
 	for _, c := range []struct {
@@ -87,36 +88,40 @@ func TestWireImagesPinned(t *testing.T) {
 	}
 }
 
-// rawSpans splits bundle into n key entries named k0, k1, …, of equal
-// length but the last, which takes the rest.
-func rawSpans(bundle []byte, n int) []keySpan {
-	spans := make([]keySpan, n)
+// rawEntries splits bundle into n key entries, of equal length but the
+// last, which takes the rest.
+func rawEntries(bundle []byte, n int) [][]byte {
+	entries := make([][]byte, n)
 	step := len(bundle) / n
-	for i := range spans {
-		spans[i] = keySpan{name: fmt.Sprintf("k%d", i), lo: i * step, hi: (i + 1) * step}
+	for i := range entries {
+		entries[i] = bundle[i*step : (i+1)*step]
 	}
-	spans[n-1].hi = len(bundle)
-	return spans
+	entries[n-1] = bundle[(n-1)*step:]
+	return entries
 }
 
-// saveRaw spills bundle as n raw key entries (rawSpans) under its content
-// address.
-func saveRaw(t *testing.T, s *keyStore, bundle []byte, n int) (string, spillLayout) {
+// saveRaw spills raw key entries to a fresh file, as records named k0,
+// k1, … unless names are given.
+func saveRaw(t *testing.T, s *keyStore, entries [][]byte, names ...string) spillLayout {
 	t.Helper()
-	hash := bundleHash(bundle)
-	l, err := s.Save(hash, bundle, rawSpans(bundle, n))
+	if names == nil {
+		for i := range entries {
+			names = append(names, fmt.Sprintf("k%d", i))
+		}
+	}
+	l, err := s.Save(names, func(b []byte, i int) []byte { return append(b, entries[i]...) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hash, l
+	return l
 }
 
 // loadCopy loads the records recs of a spilled bundle and returns their
 // entries joined: Load lends each entry only for the duration of its
 // callback.
-func loadCopy(s *keyStore, hash string, l spillLayout, recs []spillRecord) ([]byte, error) {
+func loadCopy(s *keyStore, l spillLayout, recs []spillRecord) ([]byte, error) {
 	var out []byte
-	err := s.Load(hash, &l, recs, func(_ *spillRecord, entry []byte) error {
+	err := s.Load(&l, recs, func(_ *spillRecord, entry []byte) error {
 		out = append(out, entry...)
 		return nil
 	})
@@ -134,10 +139,10 @@ func allocBytes(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestCorruptSpillRewrittenOnReRegister: two tenants with identical keys
-// share one spill file. When it rots, the first reload drops its tenant;
-// that tenant's re-registration must rewrite the file, or the other
-// tenant's reload fails on the same rotten bytes.
+// TestCorruptSpillRewrittenOnReRegister: two tenants registering
+// identical keys get a spill file each. When a's rots, its first reload
+// drops it, and its re-registration writes a fresh file it serves from;
+// b's reloads never read a's file.
 func TestCorruptSpillRewrittenOnReRegister(t *testing.T) {
 	params := testEnv(t).Params
 	store, err := newKeyStore(t.TempDir())
@@ -152,18 +157,18 @@ func TestCorruptSpillRewrittenOnReRegister(t *testing.T) {
 		}
 	}
 	c.mu.Lock()
-	hash := c.tenants["a"].hash
-	shared := c.tenants["b"].hash == hash
+	path := c.tenants["a"].spill.path
+	shared := c.tenants["b"].spill.path == path
 	c.mu.Unlock()
-	if !shared {
-		t.Fatal("identical bundles got different content addresses")
+	if shared {
+		t.Fatal("two registrations of identical keys share a spill file")
 	}
-	raw, err := os.ReadFile(store.path(hash))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.get("a"); ok {
@@ -173,7 +178,11 @@ func TestCorruptSpillRewrittenOnReRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	if keys, ok := c.get("b"); !ok || keys["rlk"] == nil {
-		t.Fatal("b's reload failed: re-registering a kept the rotten spill file")
+		t.Fatal("b's reload failed after a's file rotted")
+	}
+	spillAll(c) // a's next get reads its fresh file
+	if keys, ok := c.get("a"); !ok || keys["rlk"] == nil {
+		t.Fatal("a's reload failed after it re-registered")
 	}
 	if s := c.stats(); s.SpillLoadFails != 1 {
 		t.Fatalf("spill_load_failures = %d, want 1", s.SpillLoadFails)
@@ -230,21 +239,21 @@ func TestKeyStoreRejectsTamperedContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundle := bytes.Repeat([]byte("tenant key material "), 200)
-	hash, l := saveRaw(t, store, bundle, 2)
-	spans := rawSpans(bundle, 2)
-	hdr, frames := splitSpill(t, store.path(hash))
-	if len(frames) != 2 || !bytes.Equal(frames[1], bundle[spans[1].lo:]) {
+	entries := rawEntries(bundle, 2)
+	l := saveRaw(t, store, entries)
+	hdr, frames := splitSpill(t, l.path)
+	if len(frames) != 2 || !bytes.Equal(frames[1], entries[1]) {
 		t.Fatalf("saved file holds %d key frames", len(frames))
 	}
 	tampered := bytes.Clone(frames[1])
 	tampered[len(tampered)/3] ^= 0x01
-	writeSpill(t, store.path(hash), hdr, frames[0], tampered)
+	writeSpill(t, l.path, hdr, frames[0], tampered)
 	for _, recs := range [][]spillRecord{l.recs, l.recs[1:]} {
-		if _, err := loadCopy(store, hash, l, recs); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		if _, err := loadCopy(store, l, recs); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 			t.Fatalf("CRC-valid tampered record, %d-record load: err %v, want a digest mismatch", len(recs), err)
 		}
 	}
-	if got, err := loadCopy(store, hash, l, l.recs[:1]); err != nil || !bytes.Equal(got, bundle[:spans[0].hi]) {
+	if got, err := loadCopy(store, l, l.recs[:1]); err != nil || !bytes.Equal(got, entries[0]) {
 		t.Fatalf("load of the untouched record: %d bytes, %v", len(got), err)
 	}
 
@@ -252,11 +261,11 @@ func TestKeyStoreRejectsTamperedContent(t *testing.T) {
 	// the other loads do not read it.
 	bad := bytes.Clone(hdr)
 	bad[8]++
-	writeSpill(t, store.path(hash), bad, frames...)
-	if _, err := loadCopy(store, hash, l, l.recs); err == nil || !strings.Contains(err.Error(), "header") {
+	writeSpill(t, l.path, bad, frames...)
+	if _, err := loadCopy(store, l, l.recs); err == nil || !strings.Contains(err.Error(), "header") {
 		t.Fatalf("full load under a miscounting header: err %v, want a header error", err)
 	}
-	if _, err := loadCopy(store, hash, l, l.recs[:1]); err != nil {
+	if _, err := loadCopy(store, l, l.recs[:1]); err != nil {
 		t.Fatalf("one-record load under a miscounting header: %v", err)
 	}
 }
@@ -272,8 +281,8 @@ func TestKeyStoreTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundle := bytes.Repeat([]byte{0x5a, 0xa5, 0x33}, 70)
-	hash, l := saveRaw(t, store, bundle, 3)
-	raw, err := os.ReadFile(store.path(hash))
+	l := saveRaw(t, store, rawEntries(bundle, 3))
+	raw, err := os.ReadFile(l.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,32 +296,32 @@ func TestKeyStoreTruncationSweep(t *testing.T) {
 			if recycled && (len(store.free) != 1 || cap(store.free[0]) < len(raw)) {
 				t.Fatalf("store keeps %d buffers, want one of at least %d bytes", len(store.free), len(raw))
 			}
-			if err := os.WriteFile(store.path(hash), raw[:cut], 0o644); err != nil {
+			if err := os.WriteFile(l.path, raw[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			for _, ld := range loads {
-				if _, err := loadCopy(store, hash, l, ld.recs); err == nil {
+				if _, err := loadCopy(store, l, ld.recs); err == nil {
 					t.Fatalf("%s load of a spill file cut at %d of %d bytes succeeded (recycled buffer: %v)", ld.name, cut, len(raw), recycled)
 				}
 			}
 		}
-		if err := os.WriteFile(store.path(hash), append(bytes.Clone(raw), 0), 0o644); err != nil {
+		if err := os.WriteFile(l.path, append(bytes.Clone(raw), 0), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, ld := range loads {
-			if _, err := loadCopy(store, hash, l, ld.recs); err == nil {
+			if _, err := loadCopy(store, l, ld.recs); err == nil {
 				t.Fatalf("%s load of a spill file with a trailing byte succeeded", ld.name)
 			}
 		}
 	}
 	sweep(false)
-	if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
+	if err := os.WriteFile(l.path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := loadCopy(store, hash, l, l.recs); err != nil || !bytes.Equal(got, bundle) {
+	if got, err := loadCopy(store, l, l.recs); err != nil || !bytes.Equal(got, bundle) {
 		t.Fatalf("whole file: %d bytes, %v", len(got), err)
 	}
-	if got, err := loadCopy(store, hash, l, l.recs[2:]); err != nil || !bytes.Equal(got, bundle[rawSpans(bundle, 3)[2].lo:]) {
+	if got, err := loadCopy(store, l, l.recs[2:]); err != nil || !bytes.Equal(got, rawEntries(bundle, 3)[2]) {
 		t.Fatalf("whole file, last key: %d bytes, %v", len(got), err)
 	}
 	sweep(true)
@@ -333,34 +342,30 @@ func TestKeyStoreMultiChunk(t *testing.T) {
 	for i := range bundle {
 		bundle[i] = byte(i * 7)
 	}
-	hash := bundleHash(bundle)
-	spans := []keySpan{{"big", 0, len(bundle) - 100}, {"small", len(bundle) - 100, len(bundle)}}
-	l, err := store.Save(hash, bundle, spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := loadCopy(store, hash, l, l.recs); err != nil || !bytes.Equal(got, bundle) {
+	entries := [][]byte{bundle[:len(bundle)-100], bundle[len(bundle)-100:]}
+	l := saveRaw(t, store, entries, "big", "small")
+	if got, err := loadCopy(store, l, l.recs); err != nil || !bytes.Equal(got, bundle) {
 		t.Fatalf("multi-frame round trip: %d bytes, %v", len(got), err)
 	}
-	if got, err := loadCopy(store, hash, l, l.recs[:1]); err != nil || !bytes.Equal(got, bundle[:spans[0].hi]) {
+	if got, err := loadCopy(store, l, l.recs[:1]); err != nil || !bytes.Equal(got, entries[0]) {
 		t.Fatalf("multi-frame record alone: %d bytes, %v", len(got), err)
 	}
-	hdr, frames := splitSpill(t, store.path(hash))
+	hdr, frames := splitSpill(t, l.path)
 	if len(frames) != 3 {
 		t.Fatalf("%d key frames, want 3 (two for big, one for small)", len(frames))
 	}
-	writeSpill(t, store.path(hash), hdr, frames[0])
+	writeSpill(t, l.path, hdr, frames[0])
 	for _, recs := range [][]spillRecord{l.recs, l.recs[:1]} {
-		if _, err := loadCopy(store, hash, l, recs); err == nil {
+		if _, err := loadCopy(store, l, recs); err == nil {
 			t.Fatalf("%d-record load of a file cut at the frame boundary succeeded", len(recs))
 		}
 	}
 	frames[1][0] ^= 0x01
-	writeSpill(t, store.path(hash), hdr, frames...)
-	if _, err := loadCopy(store, hash, l, l.recs[:1]); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+	writeSpill(t, l.path, hdr, frames...)
+	if _, err := loadCopy(store, l, l.recs[:1]); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("CRC-valid tampered second frame: Load err %v, want a digest mismatch", err)
 	}
-	if got, err := loadCopy(store, hash, l, l.recs[1:]); err != nil || !bytes.Equal(got, bundle[spans[1].lo:]) {
+	if got, err := loadCopy(store, l, l.recs[1:]); err != nil || !bytes.Equal(got, entries[1]) {
 		t.Fatalf("load of the untouched record: %d bytes, %v", len(got), err)
 	}
 }
@@ -456,6 +461,83 @@ func TestColdReloadAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestRegisterAllocCeiling: registering a manytenant_churn-sized bundle
+// (logN 10, four levels, rlk plus fourteen rotation keys) writes its spill
+// file one key entry at a time, so it allocates a fraction of the bundle's
+// bytes; building the whole bundle image alone would be 1.0x.
+func TestRegisterAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is perturbed by the race detector")
+	}
+	params, err := ckks.NewParameters(workloads.ServeParamsLiteral(10, 4, 20260805))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params)
+	sk, err := kg.GenSecretKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlk, err := kg.GenRelinKey(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtks, err := kg.GenRotationKeySet(sk, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]*ckks.EvalKey{"rlk": rlk}
+	for k, key := range rtks.Keys {
+		keys[fmt.Sprintf("rot:%d", k)] = key
+	}
+	size := bundleSize(t, keys)
+	store, err := newKeyStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newKeyCache(params, 2*size, store)
+	register := func() {
+		if err := c.register("a", keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register() // the frame writer's first buffer is pooled for the rest
+	ratio := allocBytes(4, register) / float64(size)
+	t.Logf("%.2f MB bundle: a registration allocates %.3fx its bytes", float64(size)/1e6, ratio)
+	if ratio > 0.25 {
+		t.Fatalf("registration allocated %.2fx the bundle's %d bytes, ceiling 0.25x", ratio, size)
+	}
+	c.mu.Lock()
+	charge := c.tenants["a"].size
+	c.mu.Unlock()
+	if charge != size {
+		t.Fatalf("the tenant is charged %d bytes, its bundle is %d", charge, size)
+	}
+}
+
+// TestKeyStoreSweepsLeftovers: opening a spill dir removes the spill files
+// an earlier process left in it, and nothing else.
+func TestKeyStoreSweepsLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	leftovers := []string{"0f3a.keys", "123456789.keys"}
+	for _, name := range append(leftovers, "notes.txt") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := newKeyStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range leftovers {
+		if fileExists(filepath.Join(dir, name)) {
+			t.Fatalf("leftover spill file %s survived newKeyStore", name)
+		}
+	}
+	if !fileExists(filepath.Join(dir, "notes.txt")) {
+		t.Fatal("newKeyStore removed a file that is not a spill file")
+	}
+}
+
 // FuzzSpillRecords writes fuzzed bytes at a fuzzed position over one key
 // record of a spilled bundle (the file keeps its length) and loads that
 // record alone through the cache's decode: the load fails, or it yields
@@ -481,20 +563,16 @@ func FuzzSpillRecords(f *testing.F) {
 		f.Fatal(err)
 	}
 	keys := map[string]*ckks.EvalKey{"rlk": rlk, "rot:1": rtks.Keys[1]}
-	bundle, spans, err := appendKeyBundle(nil, keys)
-	if err != nil {
-		f.Fatal(err)
-	}
 	store, err := newKeyStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
-	hash := bundleHash(bundle)
-	l, err := store.Save(hash, bundle, spans)
+	names := sortedNames(keys)
+	l, err := store.Save(names, func(b []byte, i int) []byte { return appendKeyEntry(b, names[i], keys[names[i]]) })
 	if err != nil {
 		f.Fatal(err)
 	}
-	saved, err := os.ReadFile(store.path(hash))
+	saved, err := os.ReadFile(l.path)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -507,11 +585,11 @@ func FuzzSpillRecords(f *testing.F) {
 		rec := l.recs[int(i)%len(l.recs)]
 		raw := bytes.Clone(saved)
 		copy(raw[rec.off+int64(at)%rec.n:rec.off+rec.n], patch)
-		if err := os.WriteFile(store.path(hash), raw, 0o644); err != nil {
+		if err := os.WriteFile(l.path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var got *ckks.EvalKey
-		err := store.Load(hash, &l, []spillRecord{rec}, func(r *spillRecord, entry []byte) (err error) {
+		err := store.Load(&l, []spillRecord{rec}, func(r *spillRecord, entry []byte) (err error) {
 			got, err = decodeSpilledKey(r.name, entry, params)
 			return err
 		})

@@ -32,10 +32,7 @@ func oneShotProgram(t *testing.T, reg *Registry, encr *ckks.Encryptor, keys map[
 	if !ok {
 		t.Fatalf("%s not in the logN %d registry", name, reg.Params.LogN())
 	}
-	ev, err := tenantEvaluator(reg.Params, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := tenantEvaluator(reg.Params, keys)
 	pt, err := ckks.NewEncoder(reg.Params).Encode(make([]complex128, reg.Params.Slots()), p.InLevel, reg.Params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)

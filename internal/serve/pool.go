@@ -477,10 +477,7 @@ func (c *Core) execute(ctx context.Context, prog *Program, tenant string, keys m
 	}
 	// The evaluator holds keys and a KeySwitcher, no run state: a failed
 	// attempt leaves nothing behind, so every attempt reuses it.
-	ev, err := tenantEvaluator(c.reg.Params, keys)
-	if err != nil {
-		return nil, err
-	}
+	ev := tenantEvaluator(c.reg.Params, keys)
 	var opts sched.RunOpts
 	if c.reg.Pre != nil {
 		opts.Refresh = func(ctx context.Context, in *ckks.Ciphertext) (*ckks.Ciphertext, error) {
@@ -569,21 +566,30 @@ func (c *Core) refresh(ctx context.Context, tenant string, ev *ckks.Evaluator, c
 	return out, nil
 }
 
+// validKeyName reports whether name follows the key-id convention: "rlk",
+// "conj" or "rot:<k>" with k in canonical decimal (strconv.Itoa's form), so
+// no two names of one bundle stand for the same key.
+func validKeyName(name string) bool {
+	if name == "rlk" || name == "conj" {
+		return true
+	}
+	k, ok := strings.CutPrefix(name, "rot:")
+	off, err := strconv.Atoi(k)
+	return ok && err == nil && strconv.Itoa(off) == k
+}
+
 // tenantEvaluator builds an evaluator over a tenant's registered key set,
 // parsing the "rlk"/"conj"/"rot:<k>" id convention into a RotationKeySet.
-func tenantEvaluator(params *ckks.Parameters, keys map[string]*ckks.EvalKey) (*ckks.Evaluator, error) {
+// RegisterTenant admits no other name (validKeyName).
+func tenantEvaluator(params *ckks.Parameters, keys map[string]*ckks.EvalKey) *ckks.Evaluator {
 	rtks := &ckks.RotationKeySet{Keys: map[int]*ckks.EvalKey{}}
-	for id, k := range keys {
-		switch {
-		case id == "conj":
-			rtks.Conj = k
-		case strings.HasPrefix(id, "rot:"):
-			off, err := strconv.Atoi(strings.TrimPrefix(id, "rot:"))
-			if err != nil {
-				return nil, fmt.Errorf("serve: malformed rotation key id %q", id)
-			}
-			rtks.Keys[off] = k
+	for id, key := range keys {
+		if id == "conj" {
+			rtks.Conj = key
+		} else if k, ok := strings.CutPrefix(id, "rot:"); ok {
+			off, _ := strconv.Atoi(k)
+			rtks.Keys[off] = key
 		}
 	}
-	return ckks.NewEvaluator(params, keys["rlk"], rtks), nil
+	return ckks.NewEvaluator(params, keys["rlk"], rtks)
 }

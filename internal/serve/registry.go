@@ -78,13 +78,15 @@ type RegistryConfig struct {
 	// KeyBudgetBytes caps the bytes of decoded tenant eval keys held
 	// resident (serialized-bundle length as the cost proxy). 0 means
 	// unbounded — every registered tenant stays resident forever, the
-	// pre-budget behavior. With a budget, registrations write through to a
-	// content-addressed spill store and least-recently-used tenants are
+	// pre-budget behavior. With a budget, each registration writes through
+	// to a spill file of its own and least-recently-used tenants are
 	// evicted to it; accesses reload transparently.
 	KeyBudgetBytes int64
-	// KeySpillDir is where evicted key bundles live. Empty with a budget
-	// set means a fresh temp directory (keys are then lost on restart,
-	// like the in-memory registry before it — clients re-register).
+	// KeySpillDir is where evicted key bundles live. The registry owns it:
+	// NewRegistry removes the spill files an earlier process left there.
+	// Empty with a budget set means a fresh temp directory. Keys are lost
+	// on restart either way, like the in-memory registry before it —
+	// clients re-register.
 	KeySpillDir string
 }
 
@@ -178,7 +180,7 @@ type Registry struct {
 
 	// keys is the budgeted tenant-key tier (keycache.go): always-resident
 	// per-tenant metadata over an LRU of decoded key maps, spilling to a
-	// content-addressed disk store when KeyBudgetBytes is set.
+	// disk store, one file per registration, when KeyBudgetBytes is set.
 	keys *keyCache
 }
 
@@ -277,13 +279,18 @@ func (r *Registry) ProgramNames() []string {
 // ErrBadRequest: the key bundle does not carry the partition, so a spill
 // reload would return a different key than the one registered. So does a
 // key with fewer digits than the top level needs, which no keyswitch
-// accepts.
+// accepts, and a key whose name is not "rlk", "conj" or "rot:<k>" with k
+// in canonical decimal (validKeyName): every run parses the names, and two
+// spellings of one rotation would leave map order to pick the key.
 func (r *Registry) RegisterTenant(id string, keys map[string]*ckks.EvalKey) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty tenant id")
 	}
 	cp := make(map[string]*ckks.EvalKey, len(keys))
 	for k, v := range keys {
+		if !validKeyName(k) {
+			return fmt.Errorf("%w: key name %q (want rlk, conj or rot:<k> with k in plain decimal)", ErrBadRequest, k)
+		}
 		if v != nil && v.DigitSets != nil {
 			return fmt.Errorf("%w: key %q has a %d-set digit partition; only default-partition keys can be registered", ErrBadRequest, k, len(v.DigitSets))
 		}
@@ -308,11 +315,7 @@ func (r *Registry) BootstrapperFor(id string) (*bootstrap.Bootstrapper, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	ev, err := tenantEvaluator(r.Params, keys)
-	if err != nil {
-		return nil, err
-	}
-	return bindBootstrapper(r.Pre, ev)
+	return bindBootstrapper(r.Pre, tenantEvaluator(r.Params, keys))
 }
 
 // bindBootstrapper is the one bind path: bootstrap.Precomp.Bind, with an
@@ -369,20 +372,9 @@ func runKeys(required []string, pre *bootstrap.Precomp) []string {
 	return ids
 }
 
-// MissingKeys reports which of the program's required keys the key set
-// lacks.
-func (p *Program) MissingKeys(keys map[string]*ckks.EvalKey) []string {
-	var missing []string
-	for _, id := range p.RequiredKeys {
-		if keys[id] == nil {
-			missing = append(missing, id)
-		}
-	}
-	return missing
-}
-
-// MissingKeyNames is MissingKeys against a key-id set — what admission
-// uses, so validating a spilled tenant needs no bundle load.
+// MissingKeyNames reports which of the program's required keys the key-id
+// set lacks — what admission uses, so validating a spilled tenant needs no
+// bundle load.
 func (p *Program) MissingKeyNames(names map[string]bool) []string {
 	var missing []string
 	for _, id := range p.RequiredKeys {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,5 +162,29 @@ func TestRegisterRejectsPartitionedKey(t *testing.T) {
 	}
 	if _, ok := reg.TenantKeys("partitioned"); ok {
 		t.Fatal("a refused registration left the tenant registered")
+	}
+}
+
+// TestRegisterRejectsBadKeyNames: a key name other than "rlk", "conj" or
+// "rot:<k>" with k in canonical decimal fails registration with
+// ErrBadRequest (400) and leaves no tenant behind. Every run parses the
+// names, so a malformed one would fail each run of the tenant with a 500,
+// and "rot:1" beside "rot:01" would leave map order to pick the key.
+func TestRegisterRejectsBadKeyNames(t *testing.T) {
+	reg := squareRegistry(t, 1) // every registration spills
+	rlk := genTenantKeys(t, reg.Params)["rlk"]
+	for _, bad := range []string{"rot:x", "rot:01", "rot:+1", "rot:-0", "rot:", "rot: 1", "Rlk", "galois"} {
+		err := reg.RegisterTenant("named", map[string]*ckks.EvalKey{"rlk": rlk, bad: rlk})
+		if !errors.Is(err, ErrBadRequest) || statusFor(err) != http.StatusBadRequest {
+			t.Fatalf("key name %q: got %v, want ErrBadRequest", bad, err)
+		}
+		if _, ok := reg.TenantKeys("named"); ok {
+			t.Fatalf("key name %q: a refused registration left the tenant registered", bad)
+		}
+	}
+	for _, good := range []string{"conj", "rot:0", "rot:1", "rot:-3", "rot:127"} {
+		if err := reg.RegisterTenant("named", map[string]*ckks.EvalKey{"rlk": rlk, good: rlk}); err != nil {
+			t.Fatalf("key name %q: %v", good, err)
+		}
 	}
 }

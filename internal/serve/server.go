@@ -39,7 +39,9 @@ import (
 //	DELETE /v1/sessions/{id}          → 204
 //
 // A key bundle is: uint32 magic "CINK", uint32 count, then per key a
-// uint16 name length, the name bytes, and a marshaled ckks.EvalKey.
+// uint16 name length, the name bytes, and a marshaled ckks.EvalKey. A name
+// is "rlk", "conj" or "rot:<k>" with k in canonical decimal; registration
+// refuses any other with a 400.
 
 const keyBundleMagic = 0x43494e4b // "CINK"
 
@@ -330,50 +332,35 @@ func statusFor(err error) int {
 
 // WriteKeyBundle serializes named evaluation keys (sorted by name for a
 // deterministic wire image) in one Write call, appending into w's own free
-// space when it has room (ckks.FreeSpace).
+// space when it has room (ckks.FreeSpace) and growing it at most once:
+// magic, key count, then each key's entry (appendKeyEntry).
 func WriteKeyBundle(w io.Writer, keys map[string]*ckks.EvalKey) error {
-	b, _, err := appendKeyBundle(ckks.FreeSpace(w), keys)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// keySpan is one key's entry in a bundle image: the byte range [lo, hi)
-// holding its u16 name length, name and key image.
-type keySpan struct {
-	name   string
-	lo, hi int
-}
-
-// appendKeyBundle appends the bundle image of keys to b, growing b at most
-// once: magic, key count, then per key (by name) a u16 name length, the
-// name and the key's own image. It reports each key's entry as a range of
-// the returned slice, in image order.
-func appendKeyBundle(b []byte, keys map[string]*ckks.EvalKey) ([]byte, []keySpan, error) {
 	names := make([]string, 0, len(keys))
 	size := 8
 	for name, k := range keys {
 		if len(name) > 1<<8 {
-			return nil, nil, fmt.Errorf("serve: key name %q too long", name)
+			return fmt.Errorf("serve: key name %q too long", name)
 		}
 		names = append(names, name)
 		size += 2 + len(name) + k.EncodedLen()
 	}
 	sort.Strings(names)
-	b = slices.Grow(b, size)
+	b := slices.Grow(ckks.FreeSpace(w), size)
 	b = binary.LittleEndian.AppendUint32(b, keyBundleMagic)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
-	spans := make([]keySpan, len(names))
-	for i, name := range names {
-		lo := len(b)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
-		b = append(b, name...)
-		b = keys[name].Append(b)
-		spans[i] = keySpan{name: name, lo: lo, hi: len(b)}
+	for _, name := range names {
+		b = appendKeyEntry(b, name, keys[name])
 	}
-	return b, spans, nil
+	_, err := w.Write(b)
+	return err
+}
+
+// appendKeyEntry appends one key's bundle entry to b: a u16 name length,
+// the name and the key's own image. A spill record carries the same entry.
+func appendKeyEntry(b []byte, name string, k *ckks.EvalKey) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	b = append(b, name...)
+	return k.Append(b)
 }
 
 // ReadKeyBundle parses an untrusted key bundle, validating every key

@@ -2,10 +2,11 @@
 # keycache_smoke.sh — end-to-end smoke of the budgeted tenant-key tier.
 #
 # Registers more tenants than the key budget admits (8 full-catalog
-# bundles of ~0.7 MB against a 2 MiB budget: roughly 25% resident) and
-# drives Zipf-skewed load so hot tenants ride the resident cache while the
-# tail churns through content-addressed spill, eviction and blocking
-# reload. Two rounds:
+# bundles of ~0.7 MB against a 2 MiB budget: roughly 25% resident; the
+# loadgen draws every tenant's keys from one generator, so the 8 bundles
+# are distinct and the spill dir holds 8 files) and drives Zipf-skewed
+# load so hot tenants ride the resident cache while the tail churns
+# through spill, eviction and blocking reload. Two rounds:
 #   1. Emulator backend: every response decrypt-and-verified, zero errors
 #      allowed; /metrics must show evictions happened AND resident bytes
 #      never exceeding the budget.
